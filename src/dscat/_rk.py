@@ -1,14 +1,19 @@
 """Adaptive Dormand-Prince 5(4) integrator for complex ODE systems along polylines.
 
-State vectors are plain tuples of Python complex numbers.  numpy is deliberately
-avoided here: the systems are tiny (5 components) and scalar arithmetic is an
-order of magnitude faster than small-array operations in the step loop.
+State vectors of integrate_polyline are plain tuples of Python complex numbers.
+numpy is deliberately avoided there: the systems are tiny (5 components) and
+scalar arithmetic is an order of magnitude faster than small-array operations
+in the step loop.  integrate_polyline_lanes runs the same scheme on many
+independent copies of one system ("lanes") at once, where numpy's per-call
+overhead is shared by all lanes.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import StepLimitExceeded
 
@@ -27,6 +32,26 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22 / 525,
     -1 / 40,
 )
+
+# The tableau as arrays for the lane kernel, shaped to broadcast against the
+# stacked stage derivatives k[j] = k_{j+1}: row j of _STAGE_W weighs k1..k6 in
+# the state of stage j + 2 (the last row is the fifth-order solution), stage
+# j + 2 sits at fraction _STAGE_NODES[j] of the step, and _ERR_W weighs k1..k7
+# in the error estimate.  The weighted sums are reduced by numpy ufuncs, not
+# matrix products: numpy hands those to a BLAS that may start threads, which
+# doubled the CPU time of a 2600-point scan on 2 cores without making it faster.
+_STAGE_W = np.array(
+    [
+        [_A21, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [_A31, _A32, 0.0, 0.0, 0.0, 0.0],
+        [_A41, _A42, _A43, 0.0, 0.0, 0.0],
+        [_A51, _A52, _A53, _A54, 0.0, 0.0],
+        [_A61, _A62, _A63, _A64, _A65, 0.0],
+        [_B1, 0.0, _B3, _B4, _B5, _B6],
+    ]
+)[:, :, None, None]
+_STAGE_NODES = (0.2, 0.3, 0.8, 8 / 9, 1.0, 1.0)
+_ERR_W = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])[:, None, None]
 
 Field = Callable[[complex, complex, tuple], tuple]
 Monitor = Callable[[complex, tuple], None]
@@ -108,6 +133,74 @@ def integrate_polyline(
                 s += h
                 y = ynew
                 k1 = k7
+                if on_step is not None:
+                    on_step(z0 + h * u, y)
+            if err == 0.0:
+                h *= 5.0
+            else:
+                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
+            if h < 1e-14 * seg_len:
+                raise StepLimitExceeded("step size underflow")
+    return y
+
+
+def integrate_polyline_lanes(
+    waypoints: Sequence[complex],
+    y0: np.ndarray,
+    field: Callable[[complex, complex, np.ndarray], np.ndarray],
+    *,
+    rel_tol: float = 1e-10,
+    abs_tol: float = 1e-12,
+    max_steps: int = 400_000,
+    first_step: float = 0.05,
+    on_step: Callable[[complex, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """integrate_polyline for an (n, n_lanes) complex array of independent states.
+
+    Column j holds the n components of lane j; lanes run along the last axis
+    so that each component is a contiguous row.  field(z, u, y) returns the
+    (n, n_lanes) derivative of all lanes.  The lanes share one step sequence:
+    a step is accepted only when the worst lane's error, the RMS norm of
+    integrate_polyline, is at most 1, so every lane meets rel_tol and abs_tol
+    on its own.  With one lane this is integrate_polyline up to rounding.
+    on_step, when given, is called with (z, y) after every accepted step.
+    Returns the final state array.
+    """
+    y = np.array(y0, dtype=complex)
+    shape = y.shape
+    n = shape[0]
+    k = np.empty((7,) + shape, dtype=complex)  # k[j] holds k_{j+1}
+    steps = 0
+    h = first_step
+    for p, q in zip(waypoints[:-1], waypoints[1:]):
+        seg = q - p
+        seg_len = abs(seg)
+        if seg_len == 0.0:
+            continue
+        u = seg / seg_len
+        s = 0.0
+        k[0] = field(p, u, y)  # direction changed, FSAL cache invalid
+        y_abs = np.abs(y)
+        h = min(h, seg_len)
+        while seg_len - s > 1e-14 * seg_len:
+            h = min(h, seg_len - s)
+            z0 = p + s * u
+            for j, node in enumerate(_STAGE_NODES):
+                y_j = y + h * np.add.reduce(_STAGE_W[j, : j + 1] * k[: j + 1])
+                k[j + 1] = field(z0 + node * h * u, u, y_j)
+            ynew = y_j
+            e = h * np.add.reduce(_ERR_W * k)
+            ynew_abs = np.abs(ynew)
+            ratio = np.abs(e) / (abs_tol + rel_tol * np.maximum(y_abs, ynew_abs))
+            err = math.sqrt(float((ratio * ratio).sum(axis=0).max()) / n)
+            steps += 1
+            if steps > max_steps:
+                raise StepLimitExceeded(f"exceeded {max_steps} steps")
+            if err <= 1.0:
+                s += h
+                y = ynew
+                y_abs = ynew_abs
+                k[0] = k[6]
                 if on_step is not None:
                     on_step(z0 + h * u, y)
             if err == 0.0:

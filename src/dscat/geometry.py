@@ -18,6 +18,7 @@ from .curve import (
     CurveParams,
     CurvePoint,
     PathSpec,
+    _segment_distance,
     base_point,
     branch_points,
     log_derivative,
@@ -249,20 +250,6 @@ def _segment_crosses_slit(z1: complex, z2: complex, a: float) -> bool:
     return (1.0 - margin <= x <= a + margin) or (-a - margin <= x <= -1.0 + margin)
 
 
-def _segment_near_branch(z1: complex, z2: complex, a: float) -> bool:
-    d = z2 - z1
-    dd = (d * d.conjugate()).real
-    for b in branch_points(a):
-        if dd == 0.0:
-            dist = abs(b - z1)
-        else:
-            t = min(1.0, max(0.0, ((b - z1) * d.conjugate()).real / dd))
-            dist = abs(b - (z1 + t * d))
-        if dist < MESH_CLEARANCE:
-            return True
-    return False
-
-
 def build_mesh(
     sol: PeriodSolution,
     nu: int,
@@ -363,7 +350,9 @@ def build_mesh(
 def _keep_triangle(tri: tuple, samples: list, a: float) -> bool:
     pts = [samples[i].param.z for i in tri]
     for p, q in ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[0])):
-        if _segment_crosses_slit(p, q, a) or _segment_near_branch(p, q, a):
+        if _segment_crosses_slit(p, q, a) or any(
+            _segment_distance(p, q, b) < MESH_CLEARANCE for b in branch_points(a)
+        ):
             return False
     signs = [samples[i].g_abs >= 1.0 for i in tri]
     if len(set(signs)) > 1:

@@ -17,7 +17,6 @@ from .errors import NotInSU11, PoleError
 
 TOL_SU11 = 1e-6
 TOL_CLASS = 1e-6
-TOL_DET = 1e-9
 
 Mat2C = np.ndarray
 

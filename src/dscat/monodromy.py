@@ -122,18 +122,36 @@ def structure_defect(triple: MonodromyTriple) -> float:
 
 
 def period_functions(h: HalfPathFrames) -> tuple:
-    """The two real period functions (f1, f2) of the identity-frame entries.
+    """The two real period functions (f1, f2) of the half-path frames.
+
+    Raises DegenerateDenominator where period_values reports a vanished
+    denominator.
+    """
+    f1, f2, degenerate = period_values(h.F_c1, h.F_c2)
+    if degenerate:
+        raise DegenerateDenominator("a period denominator vanished")
+    return float(f1), float(f2)
+
+
+def period_values(F_c1: np.ndarray, F_c2: np.ndarray) -> tuple:
+    """(f1, f2, degenerate) of endpoint frames of shape (2, 2), or arrays of
+    them over stacks of frames of shape (n, 2, 2).
+
+    With F_c1 = [[A1, B1], [C1, D1]] and F_c2 = [[A2, B2], [C2, D2]]:
 
     f1 = -(cA1 C1 + A1 cC1 + cB1 D1 + B1 cD1) / (cA1 D1 + A1 cD1 + cB1 C1 + B1 cC1)
     f2 = -(cA2 C2 - A2 cC2 + cB2 D2 - B2 cD2) / (cA2 D2 - A2 cD2 + cB2 C2 - B2 cC2)
 
     Both are real by construction; f1 = f2 with common value of modulus
     greater than 1 is the closing condition solved in the period module.
+    degenerate marks a vanished f1 or f2 denominator; f1 and f2 are then
+    meaningless.  Checked in the order f1, f2, a value that is not real
+    raises ContinuationError unless a denominator checked before it vanished.
+    A single frame pair is evaluated in numpy scalar arithmetic, whose complex
+    products can differ from array arithmetic in the last bit.
     """
-    A1, B1 = h.F_c1[0, 0], h.F_c1[0, 1]
-    C1, D1 = h.F_c1[1, 0], h.F_c1[1, 1]
-    A2, B2 = h.F_c2[0, 0], h.F_c2[0, 1]
-    C2, D2 = h.F_c2[1, 0], h.F_c2[1, 1]
+    (A1, B1), (C1, D1) = np.moveaxis(F_c1, (-2, -1), (0, 1))
+    (A2, B2), (C2, D2) = np.moveaxis(F_c2, (-2, -1), (0, 1))
     cj = np.conj
 
     num1 = cj(A1) * C1 + A1 * cj(C1) + cj(B1) * D1 + B1 * cj(D1)
@@ -141,15 +159,20 @@ def period_functions(h: HalfPathFrames) -> tuple:
     num2 = cj(A2) * C2 - A2 * cj(C2) + cj(B2) * D2 - B2 * cj(D2)
     den2 = cj(A2) * D2 - A2 * cj(D2) + cj(B2) * C2 - B2 * cj(C2)
 
-    f1 = _real_ratio(num1, den1, "f1")
-    f2 = _real_ratio(num2, den2, "f2")
-    return f1, f2
+    f1, degenerate1, not_real1 = _real_ratio(num1, den1)
+    f2, degenerate2, not_real2 = _real_ratio(num2, den2)
+    not_real = ~degenerate1 & (not_real1 | (~degenerate2 & not_real2))
+    if not_real.any():
+        j = int(np.argmax(not_real))
+        raise ContinuationError(
+            f"period functions are not real: f1 = {np.ravel(f1)[j]}, f2 = {np.ravel(f2)[j]}"
+        )
+    return f1.real, f2.real, degenerate1 | degenerate2
 
 
-def _real_ratio(num: complex, den: complex, name: str) -> float:
-    if abs(den) <= 1e-12 * (1.0 + abs(num)):
-        raise DegenerateDenominator(f"{name} denominator vanished")
-    value = -num / den
-    if abs(value.imag) > TOL_FORM * max(1.0, abs(value)):
-        raise ContinuationError(f"{name} is not real: {value}")
-    return float(value.real)
+def _real_ratio(num: np.ndarray, den: np.ndarray) -> tuple:
+    """(-num / den, den vanished, value not real) elementwise."""
+    degenerate = np.abs(den) <= 1e-12 * (1.0 + np.abs(num))
+    value = -num / np.where(degenerate, 1.0, den)
+    not_real = np.abs(value.imag) > TOL_FORM * np.maximum(1.0, np.abs(value))
+    return value, degenerate, not_real

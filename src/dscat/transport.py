@@ -138,6 +138,75 @@ def integrate_frame(
     return FrameState(end, F, 1.0)
 
 
+def _joint_field_lanes(a: float, cs: np.ndarray):
+    """_joint_field for rows (F11, F12, F21, F22, w) with one column per c in cs.
+
+    Uses F21' = F11' / w and F22' = F12' / w, which holds because alpha is
+    rank one.
+    """
+
+    def field(z, u, y):
+        w = y[4]
+        out = np.empty_like(y)
+        top = out[0:2]
+        np.multiply(y[2:4], w, out=top)
+        np.subtract(y[0:2], top, out=top)
+        top *= cs * u
+        np.divide(top, w, out=out[2:4])
+        np.multiply(w, log_derivative(z, a) * u, out=out[4])
+        return out
+
+    return field
+
+
+def integrate_frames_over_c(
+    path: PathSpec,
+    a: float,
+    cs: np.ndarray,
+    cfg: IntegratorConfig = DEFAULT_CONFIG,
+) -> np.ndarray:
+    """Endpoint frames, shape (len(cs), 2, 2), of integrate_frame with F0 = I
+    for every c in cs, integrated together with one lane per c.
+
+    The checks of integrate_frame apply to every lane: the sheet residual of w
+    at each accepted step and at the endpoint, and the determinant drift of
+    each endpoint frame.  w does not depend on c, so the lanes carry the same
+    w up to rounding.
+    """
+    validate_path(path, a)
+    cs = np.asarray(cs, dtype=float)
+    y0 = np.zeros((5, len(cs)), dtype=complex)
+    y0[0] = y0[3] = 1.0
+    y0[4] = path.start.w
+
+    def sheet_excess(z, w) -> float:
+        r = (z + 1) * (z - a) / ((z - 1) * (z + a))
+        return float(np.max(np.abs(w * w - r))) - TOL_SHEET * (1.0 + abs(r))
+
+    def monitor(z, y):
+        if sheet_excess(z, y[4]) > 0.0:
+            raise ContinuationError(f"sheet residual exceeded at z = {z}")
+
+    y = _rk.integrate_polyline_lanes(
+        path.waypoints,
+        y0,
+        _joint_field_lanes(a, cs),
+        rel_tol=cfg.rel_tol,
+        abs_tol=cfg.abs_tol,
+        max_steps=cfg.max_steps,
+        first_step=cfg.initial_step,
+        on_step=monitor,
+    )
+    if sheet_excess(path.waypoints[-1], y[4]) > 0.0:
+        raise ContinuationError("endpoint sheet residual exceeded")
+    F = y[:4].T.reshape(-1, 2, 2)
+    drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)
+    bad = drift > TOL_DET * np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
+    if bad.any():
+        raise ContinuationError(f"determinant drift {float(np.max(drift[bad])):.3e}")
+    return F
+
+
 def reference_frame(
     path: PathSpec,
     params: CurveParams,

@@ -9,6 +9,7 @@ from dscat.monodromy import (
     direct_loop_holonomy,
     half_path_frames,
     period_functions,
+    period_values,
     structure_defect,
 )
 from dscat.transport import reference_frame
@@ -135,3 +136,17 @@ def test_period_functions_degenerate_denominator():
     h = HalfPathFrames(random_sl2(5), np.eye(2, dtype=complex), CurveParams(2.0, 1.0))
     with pytest.raises(DegenerateDenominator):
         period_functions(h)
+
+
+def test_period_values_over_stacked_frames():
+    # the period functions are real for any frames; an identity frame along
+    # c2 zeroes the f2 denominator of its lane only
+    frames1 = np.stack([random_sl2(k) for k in range(4)])
+    frames2 = np.stack([random_sl2(10 + k) for k in range(4)])
+    frames2[2] = np.eye(2)
+    f1, f2, degenerate = period_values(frames1, frames2)
+    assert degenerate.tolist() == [False, False, True, False]
+    for j in (0, 1, 3):
+        g1, g2 = period_functions(HalfPathFrames(frames1[j], frames2[j], None))
+        assert abs(f1[j] - g1) <= 1e-14 * max(1.0, abs(g1)) ** 2
+        assert abs(f2[j] - g2) <= 1e-14 * max(1.0, abs(g2)) ** 2

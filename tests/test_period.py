@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscat.errors import LostBracket, NotAdmissible, VerificationFailed
+from dscat.errors import (
+    DegenerateDenominator,
+    LostBracket,
+    NotAdmissible,
+    VerificationFailed,
+)
 from dscat.linalg2c import ConjugacyKind, mat2c, su11_distance
 from dscat.monodromy import assemble_monodromies, half_path_frames
 from dscat.curve import CurveParams
+from dscat.transport import DEFAULT_CONFIG
 from dscat.period import (
+    _periods_at,
     bracketed_root,
     gauged_residuals,
     refine_root,
@@ -46,6 +53,36 @@ def test_scan_no_crossing_interval():
     assert coarse.brackets == []
     dense = scan_c(2.0, 3.0, 4.0, 800)
     assert dense.brackets == []
+
+
+@pytest.mark.parametrize(
+    "a, c_min, c_max, steps",
+    # each grid spans a pole and a genuine crossing of f1 - f2
+    [(1.5, -3.6, -2.9, 15), (2.0, -1.8, -1.45, 15), (3.0, -0.95, -0.65, 13)],
+)
+def test_scan_matches_single_c_evaluation(a, c_min, c_max, steps):
+    result = scan_c(a, c_min, c_max, steps)
+    spacing = (c_max - c_min) / (steps - 1)
+    ref = []
+    for k in range(steps):
+        c = c_min + k * spacing
+        try:
+            ref.append((c, *_periods_at(a, c, DEFAULT_CONFIG)))
+        except DegenerateDenominator:
+            pass
+    assert [r.c for r in result.records] == [c for c, _, _ in ref]
+    for rec, (_, f1, f2) in zip(result.records, ref):
+        assert abs(rec.f1 - f1) <= 1e-7 * max(1.0, abs(f1)) ** 2
+        assert abs(rec.f2 - f2) <= 1e-7 * max(1.0, abs(f2)) ** 2
+        assert rec.admissible_hint == (abs(f1) > 1.0 and abs(f2) > 1.0)
+    assert len(ref) == steps  # no gaps, so every sign change is a bracket
+    ref_brackets = [
+        (c0, c1, abs(f10) > 1 and abs(f20) > 1 and abs(f11) > 1 and abs(f21) > 1)
+        for (c0, f10, f20), (c1, f11, f21) in zip(ref[:-1], ref[1:])
+        if (f10 - f20) * (f11 - f21) < 0.0
+    ]
+    assert len(ref_brackets) == 2
+    assert [(b.c_lo, b.c_hi, b.admissible_hint) for b in result.brackets] == ref_brackets
 
 
 def test_refine_paper_roots():

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from dscat import _rk, transport
 from dscat.curve import CurveParams, CurvePoint, PathSpec, base_point, canonical_paths
-from dscat.errors import DomainError, StepLimitExceeded
+from dscat.errors import ContinuationError, DomainError, PathError, StepLimitExceeded
 from dscat.monodromy import direct_loop_holonomy
 from dscat.transport import (
     DEFAULT_CONFIG,
     IntegratorConfig,
+    _joint_field,
+    _joint_field_lanes,
     alpha_matrix,
     integrate_frame,
+    integrate_frames_over_c,
     reference_frame,
     scalar_ode_residual,
 )
@@ -125,3 +129,47 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     assert DEFAULT_CONFIG.rel_tol == 1e-10
     assert DEFAULT_CONFIG.abs_tol == 1e-12
+
+
+@pytest.mark.parametrize("c", [-7.6, -1.5, 1.27, 3.9])
+def test_one_lane_matches_scalar_kernel(c):
+    a = 2.0
+    paths = canonical_paths(CurveParams(a, c))
+    for path in (paths.c1, paths.c2):
+        y0 = (1.0, 0.0, 0.0, 1.0, path.start.w)
+        scalar_steps, lane_steps = [], []
+        y = _rk.integrate_polyline(
+            path.waypoints, y0, _joint_field(a, c),
+            on_step=lambda z, y: scalar_steps.append(z),
+        )
+        lanes = _rk.integrate_polyline_lanes(
+            path.waypoints, np.array(y0, dtype=complex)[:, None],
+            _joint_field_lanes(a, np.array([c])),
+            on_step=lambda z, y: lane_steps.append(z),
+        )
+        assert len(lane_steps) == len(scalar_steps)
+        y = np.array(y)
+        assert np.max(np.abs(lanes[:, 0] - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def test_frames_over_c_match_integrate_frame():
+    a, cs = 2.0, np.array([-4.0, -0.5, 2.0])
+    path = canonical_paths(CurveParams(a, 1.0)).c2
+    frames = integrate_frames_over_c(path, a, cs)
+    assert frames.shape == (3, 2, 2)
+    for c, F in zip(cs, frames):
+        ref = integrate_frame(path, CurveParams(a, float(c))).F
+        assert np.max(np.abs(F - ref)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_frames_over_c_keep_the_checks(monkeypatch):
+    path = canonical_paths(CurveParams(2.0, 1.0)).c2
+    cs = np.array([-4.0, 1.0])
+    with pytest.raises(PathError):
+        integrate_frames_over_c(PathSpec(base_point(+1), (0.5j, 1.0 + 0.5j)), 2.0, cs)
+    loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)
+    with pytest.raises(ContinuationError, match="sheet residual"):
+        integrate_frames_over_c(path, 2.0, cs, loose)
+    monkeypatch.setattr(transport, "TOL_DET", 1e-20)
+    with pytest.raises(ContinuationError, match="determinant drift"):
+        integrate_frames_over_c(path, 2.0, cs)
