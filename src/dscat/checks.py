@@ -1,0 +1,347 @@
+"""The invariant battery behind `dscat verify`: an ordered registry of checks.
+
+Each check takes a CheckContext and returns (ok, detail).  The quantities
+that several checks read (loop holonomies, half-path frames, the refined root
+with its gauge and solution, the probe point, the Schwarzian residual) are
+built once per (a, c), on first use.  Checks that need the period solution
+report "skipped (...)" when an earlier step did not produce it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import geometry, monodromy, period, transport
+from .curve import CurveParams, CurvePoint, PathSpec, base_point, canonical_paths, transport_w
+from .ends import end_loop_check, lift_independence_check
+from .errors import DscatError
+from .transport import IntegratorConfig
+
+# Half width of the bracket searched for a period crossing near a requested c.
+ROOT_WINDOW = 0.01
+
+
+class CheckContext:
+    """Quantities at one (a, c) that several checks read, each built once on
+    first use.  One whose build raised a DscatError raises that error again on
+    every later use instead of being rebuilt.
+    """
+
+    def __init__(self, a: float, c: float, cfg: IntegratorConfig):
+        self.a, self.c, self.cfg = a, c, cfg
+        self.params = CurveParams(a, c)
+        self.paths = canonical_paths(self.params)
+        self._built: dict = {}
+
+    def _once(self, key: str, build):
+        if key not in self._built:
+            try:
+                self._built[key] = (build(), None)
+            except DscatError as exc:
+                self._built[key] = (None, exc)
+        value, exc = self._built[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    @staticmethod
+    def maybe(getter):
+        """getter(), or None where it raises a DscatError."""
+        try:
+            return getter()
+        except DscatError:
+            return None
+
+    def holonomy(self, loop: str) -> np.ndarray:
+        """Direct holonomy of the canonical loop gamma1, gamma2 or gamma3."""
+        path = getattr(self.paths, loop)
+        return self._once(
+            loop, lambda: monodromy.direct_loop_holonomy(path, self.params, self.cfg)
+        )
+
+    def half_paths(self) -> monodromy.HalfPathFrames:
+        return self._once("half_paths", lambda: monodromy.half_path_frames(self.params, self.cfg))
+
+    def root(self) -> period.RefinedRoot:
+        """The root refined from the bracket c +- ROOT_WINDOW."""
+        window = (self.c - ROOT_WINDOW, self.c + ROOT_WINDOW)
+        return self._once("root", lambda: period.refine_root(self.a, window, 1e-9, self.cfg))
+
+    def gauge(self) -> period.GaugeSolution | None:
+        """The closing gauge, or None unless the root is a crossing with |f| > 1."""
+        root = self.maybe(self.root)
+        if root is None or not (root.is_crossing and abs(root.f) > 1.0):
+            return None
+        return self._once("gauge", lambda: period.solve_gauge(root.f))
+
+    def solution(self) -> period.PeriodSolution | None:
+        """The period solution verified at the root, or None without a gauge."""
+        gauge = self.gauge()
+        if gauge is None:
+            return None
+        return self._once("solution", lambda: period._verify_frames(self.root().frames, gauge.P))
+
+    def probe(self) -> CurvePoint:
+        """The curve point over z = 0.6 + 0.9i on the w = +1 sheet."""
+        path = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
+        return self._once("probe", lambda: transport_w(path, self.params))
+
+    def schwarzian(self) -> float:
+        """Schwarzian identity residual at the probe point with h = 1e-3."""
+        return self._once("schwarzian", lambda: geometry.schwarzian_check(
+            self.solution(), self.probe(), 1e-3, self.cfg))
+
+
+def _sheet_closure(ctx: CheckContext):
+    worst = 0.0
+    for loop in (ctx.paths.gamma1, ctx.paths.gamma2, ctx.paths.gamma3):
+        end = transport_w(loop, ctx.params)
+        worst = max(worst, abs(end.w - loop.start.w))
+    return worst <= 1e-8, f"max |w_end - w_start| = {worst:.3e}"
+
+
+def _det_preservation(ctx: CheckContext):
+    worst = 0.0
+
+    def capture(z, y):
+        nonlocal worst
+        det = y[0] * y[3] - y[1] * y[2]
+        scale = max(1.0, max(abs(v) for v in y[:4]) ** 2)
+        worst = max(worst, abs(det - 1.0) / scale)
+
+    transport.integrate_frame(ctx.paths.gamma2, ctx.params, cfg=ctx.cfg, on_step=capture)
+    return worst <= 1e-9, f"max scaled |det F - 1| = {worst:.3e}"
+
+
+def _scalar_residual(ctx: CheckContext):
+    worst = max(
+        transport.scalar_ode_residual(ctx.paths.c1, ctx.params, 50, ctx.cfg),
+        transport.scalar_ode_residual(ctx.paths.c2, ctx.params, 50, ctx.cfg),
+    )
+    return worst <= 1e-8, f"max row equation residual = {worst:.3e}"
+
+
+def _structure_forms(ctx: CheckContext):
+    triple = monodromy.MonodromyTriple(
+        ctx.holonomy("gamma1"), ctx.holonomy("gamma2"), ctx.holonomy("gamma3")
+    )
+    defect = monodromy.structure_defect(triple)
+    return defect <= 1e-7, f"scaled structure defect = {defect:.3e}"
+
+
+def _product_vs_direct(ctx: CheckContext):
+    triple = monodromy.assemble_monodromies(ctx.half_paths())
+    worst = 0.0
+    for loop, Phi in (("gamma1", triple.Phi1), ("gamma2", triple.Phi2), ("gamma3", triple.Phi3)):
+        diff = float(np.max(np.abs(ctx.holonomy(loop) - Phi)))
+        worst = max(worst, diff / max(1.0, float(np.max(np.abs(Phi)))))
+    return worst <= 1e-6, f"max scaled |product - direct| = {worst:.3e}"
+
+
+def _lift_independence(ctx: CheckContext):
+    B = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)
+    d = lift_independence_check(ctx.params, ctx.paths.gamma2, B, ctx.cfg)
+    return d <= 1e-7, f"eigenvalue discrepancy = {d:.3e}"
+
+
+def _period_crossing(ctx: CheckContext):
+    root = ctx.root()
+    if not root.is_crossing:
+        return False, (
+            f"bracket converged onto a pole at c = {root.c:.6f} "
+            f"(|f1 - f2| = {root.gap:.3e})"
+        )
+    return True, f"crossing at c = {root.c:.8f}, f = {root.f:.8f}"
+
+
+def _admissibility(ctx: CheckContext):
+    root = ctx.maybe(ctx.root)
+    if root is None:
+        return False, "skipped (no crossing)"
+    return root.is_crossing and abs(root.f) > 1.0, f"|f| = {abs(root.f):.8f}"
+
+
+def _gauge_identity(ctx: CheckContext):
+    gauge = ctx.gauge()
+    if gauge is None:
+        return False, "skipped (not admissible)"
+    f = ctx.root().f
+    b4 = 4.0 * gauge.beta ** 4
+    reproduced = (1.0 + b4) / (1.0 - b4)
+    det_p = gauge.P[0, 0] * gauge.P[1, 1] - gauge.P[0, 1] * gauge.P[1, 0]
+    err = max(
+        abs(reproduced - f),
+        abs(det_p - 1.0),
+        abs(gauge.alpha * gauge.beta + gauge.epsilon / 2.0),
+    )
+    return err <= 1e-12, f"max identity defect = {err:.3e}"
+
+
+def _period_closure(ctx: CheckContext):
+    sol = ctx.solution()
+    if sol is None:
+        return False, "skipped (no gauge)"
+    return sol.su11_residual <= 1e-6, (
+        f"su11 residual = {sol.su11_residual:.3e} "
+        f"(absolute {sol.su11_residual_abs:.3e})"
+    )
+
+
+def _identity_gauge_fails(ctx: CheckContext):
+    root = ctx.maybe(ctx.root)
+    if root is None or not root.is_crossing:
+        return False, "skipped (no crossing)"
+    triple = monodromy.assemble_monodromies(root.frames)
+    _, rel = period.gauged_residuals(triple, np.eye(2, dtype=complex))
+    return max(rel) > 1e-2, f"identity-gauge residual = {max(rel):.3e}"
+
+
+def _end_eigenvalues(ctx: CheckContext):
+    worst = 0.0
+    for which in (+1, -1):
+        analysis = end_loop_check(ctx.a, ctx.c, which, ctx.cfg)
+        worst = max(worst, analysis.eigenvalue_mismatch)
+    return worst <= 1e-6, f"max relative mismatch = {worst:.3e}"
+
+
+def _schwarzian(ctx: CheckContext):
+    if ctx.maybe(ctx.solution) is None:
+        return False, "skipped (no solution)"
+    res = ctx.schwarzian()
+    return res <= 1e-4, f"residual at h = 1e-3: {res:.3e}"
+
+
+def _small_formula(ctx: CheckContext):
+    sol = ctx.maybe(ctx.solution)
+    if sol is None:
+        return False, "skipped (no solution)"
+    res = geometry.small_formula_check(sol, ctx.probe(), ctx.cfg)
+    return res <= 1e-5, f"frame reconstruction residual = {res:.3e}"
+
+
+def _geometry_invariants(ctx: CheckContext):
+    sol = ctx.maybe(ctx.solution)
+    if sol is None:
+        return False, "skipped (no solution)"
+    mesh = geometry.build_mesh(sol, 8, 12, ctx.cfg)
+    if not mesh.samples:
+        return False, "empty mesh"
+    # the quadric defect of a sample is conditioned like frame_scale^4
+    # (products of that size cancel when forming X), so normalize by it;
+    # the radius bound is widened by each sample's own evaluation noise
+    # (frame_scale^2 * eps relative to |X|), which also covers the
+    # atan saturation at the punctures
+    worst_quadric = max(
+        abs(s.X.lorentz_norm() - 1.0) / max(1.0, s.frame_scale ** 4)
+        for s in mesh.samples
+    )
+    radius_ok = True
+    for s in mesh.samples:
+        norm_x = math.sqrt(float(sum(s.X.as_array() ** 2)))
+        width = max(
+            1e-12,
+            3.0 * geometry.RESOLVE_EPS * s.frame_scale ** 2 / max(1.0, norm_x),
+        )
+        r2 = s.Y.radius_sq()
+        if not (
+            math.exp(-math.pi) * (1.0 - width)
+            < r2
+            < math.exp(math.pi) * (1.0 + width)
+        ):
+            radius_ok = False
+    # unit normal at a few regular samples
+    worst_norm = 0.0
+    checked = 0
+    for s in mesh.samples:
+        if checked >= 5 or s.singular or not math.isfinite(s.g_abs):
+            continue
+        state = geometry.frame_at(sol, s.param.z, ctx.cfg)
+        if abs(state.point.w - s.param.w) > 1e-6:
+            continue
+        g = geometry.secondary_gauss(state.F, state.point)
+        N = geometry.unit_normal(state.F, g)
+        scale = max(1.0, N.x0 ** 2 + N.x1 ** 2 + N.x2 ** 2 + N.x3 ** 2)
+        worst_norm = max(worst_norm, abs(N.lorentz_norm() + 1.0) / scale)
+        checked += 1
+    ok = worst_quadric <= 1e-7 and radius_ok and worst_norm <= 1e-9
+    return ok, (
+        f"quadric {worst_quadric:.3e}, radius bound {'ok' if radius_ok else 'violated'}, "
+        f"normal defect {worst_norm:.3e}"
+    )
+
+
+def _reference_agreement(ctx: CheckContext):
+    h = ctx.half_paths()
+    worst = 0.0
+    for path, adaptive in ((ctx.paths.c1, h.F_c1), (ctx.paths.c2, h.F_c2)):
+        reference = transport.reference_frame(path, ctx.params, n_steps=20_000).F
+        scale = max(1.0, float(np.max(np.abs(adaptive))))
+        worst = max(worst, float(np.max(np.abs(adaptive - reference))) / scale)
+    return worst <= 1e-8, f"max scaled deviation = {worst:.3e}"
+
+
+def _homotopy_invariance(ctx: CheckContext):
+    a = ctx.a
+    alt = PathSpec(
+        base_point(+1),
+        (0j, 0.6 * a + 1.3j, 2.0 * a + 0.4j, 2.0 * a, 0.9 * a - 1.1j, 0j),
+        closed=True,
+    )
+    direct = ctx.holonomy("gamma2")
+    other = monodromy.direct_loop_holonomy(alt, ctx.params, ctx.cfg)
+    scale = max(1.0, float(np.max(np.abs(direct))))
+    diff = float(np.max(np.abs(direct - other))) / scale
+    return diff <= 1e-7, f"scaled monodromy deviation = {diff:.3e}"
+
+
+def _schwarzian_order(ctx: CheckContext):
+    sol = ctx.maybe(ctx.solution)
+    if sol is None:
+        return False, "skipped (no solution)"
+    res_coarse = geometry.schwarzian_check(sol, ctx.probe(), 2e-3, ctx.cfg)
+    ratio = res_coarse / max(ctx.schwarzian(), 1e-300)
+    return 2.5 <= ratio <= 6.5, f"residual(2e-3)/residual(1e-3) = {ratio:.2f}"
+
+
+# (name, check) in the order they run and print.
+CHECKS = (
+    ("sheet-closure", _sheet_closure),
+    ("det-preservation", _det_preservation),
+    ("scalar-ode-residual", _scalar_residual),
+    ("structure-forms", _structure_forms),
+    ("product-vs-direct", _product_vs_direct),
+    ("lift-independence", _lift_independence),
+    ("period-crossing", _period_crossing),
+    ("admissibility", _admissibility),
+    ("gauge-identity", _gauge_identity),
+    ("period-closure", _period_closure),
+    ("identity-gauge-fails", _identity_gauge_fails),
+    ("end-eigenvalues", _end_eigenvalues),
+    ("schwarzian-identity", _schwarzian),
+    ("small-formula", _small_formula),
+    ("geometry-invariants", _geometry_invariants),
+)
+# Run after CHECKS by `dscat verify --deep`.
+DEEP_CHECKS = (
+    ("reference-agreement", _reference_agreement),
+    ("homotopy-invariance", _homotopy_invariance),
+    ("schwarzian-order", _schwarzian_order),
+)
+
+
+def run_invariant_suite(a: float, c: float, cfg: IntegratorConfig, deep: bool = False) -> list:
+    """Invariant battery at (a, c); returns a list of (name, ok, detail).
+
+    A check that raises a DscatError fails with the error as its detail.
+    """
+    ctx = CheckContext(a, c, cfg)
+    results: list = []
+    for name, check in CHECKS + (DEEP_CHECKS if deep else ()):
+        try:
+            ok, detail = check(ctx)
+        except DscatError as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append((name, ok, detail))
+    return results

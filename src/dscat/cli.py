@@ -1,8 +1,11 @@
 """Command-line front end: scan, solve, classify, mesh, verify.
 
-Exit codes: 0 success, 1 failed verification checks, 2 invalid flags,
-3 integration failure, 4 not admissible, 5 period verification failed,
-6 resonant indicial exponent, 7 end eigenvalue mismatch, 8 I/O error.
+Each command parses its flags, calls the library (period, ends, geometry,
+checks) and formats the result.  Errors are mapped to exit codes in one
+place, EXIT_CODES, applied by main: 0 success, 1 failed verification checks,
+2 invalid flags or input outside the domain, 3 integration failure, 4 not
+admissible, 5 period verification failed, 6 resonant indicial exponent,
+7 end eigenvalue mismatch, 8 I/O error.
 
 All numeric output uses shortest round-trip decimal formatting.  Files are
 written atomically (write to a temporary file, then rename), so failures
@@ -14,16 +17,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 import tempfile
 
-import numpy as np
-
-from . import geometry, monodromy, period, transport
-from .curve import CurveParams, PathSpec, base_point, canonical_paths, transport_w
-from .ends import end_loop_check, lift_independence_check
+from . import geometry, period
+from .checks import ROOT_WINDOW, run_invariant_suite
+from .ends import end_loop_check
 from .errors import (
     ContinuationError,
     DomainError,
@@ -46,6 +46,18 @@ EXIT_VERIFICATION = 5
 EXIT_RESONANT = 6
 EXIT_EIGENVALUE = 7
 EXIT_IO = 8
+
+# (exception classes, exit code, message prefix); the first matching row wins.
+# Errors of other classes propagate with their traceback.
+EXIT_CODES = (
+    ((NotAdmissible, LostBracket), EXIT_NOT_ADMISSIBLE, "not admissible: "),
+    (VerificationFailed, EXIT_VERIFICATION, ""),
+    (ResonantExponent, EXIT_RESONANT, ""),
+    (EigenvalueMismatch, EXIT_EIGENVALUE, ""),
+    ((StepLimitExceeded, ContinuationError), EXIT_INTEGRATION, "integration failed: "),
+    (DomainError, EXIT_USAGE, "invalid input: "),
+    (OSError, EXIT_IO, "I/O error: "),
+)
 
 
 def _fmt(x: float) -> str:
@@ -86,7 +98,10 @@ def _integrator_config(args, config: dict) -> IntegratorConfig:
         if flag_value is not None:
             return cast(flag_value)
         if key in config:
-            return cast(config[key])
+            try:
+                return cast(config[key])
+            except ValueError as exc:
+                raise DomainError(f"config {key}: {exc}") from exc
         return default
 
     return IntegratorConfig(
@@ -149,21 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        cfg = _integrator_config(args, config)
-    except (ValueError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.a > 1.0:
-        print("error: --a must be greater than 1", file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     handler = {
         "scan": cmd_scan,
         "solve": cmd_solve,
@@ -171,39 +172,32 @@ def main(argv=None) -> int:
         "mesh": cmd_mesh,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args, cfg)
+    try:
+        return handler(args, _integrator_config(args, _load_config(args.config)))
+    except (DscatError, OSError) as exc:
+        for cls, code, prefix in EXIT_CODES:
+            if isinstance(exc, cls):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def app() -> None:
     sys.exit(main())
 
 
-# ---------------------------------------------------------------------------
-# scan
-
-
 def cmd_scan(args, cfg: IntegratorConfig) -> int:
     if args.steps < 2:
-        print("error: --steps must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("--steps must be at least 2")
     if not args.c_min < args.c_max:
-        print("error: need --c-min < --c-max", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = period.scan_c(args.a, args.c_min, args.c_max, args.steps, cfg)
-    except (StepLimitExceeded, ContinuationError) as exc:
-        print(f"error: integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+        raise DomainError("need --c-min < --c-max")
+    result = period.scan_c(args.a, args.c_min, args.c_max, args.steps, cfg)
 
     lines = ["c,f1,f2,admissible_hint"]
     for rec in result.records:
         hint = "true" if rec.admissible_hint else "false"
         lines.append(f"{_fmt(rec.c)},{_fmt(rec.f1)},{_fmt(rec.f2)},{hint}")
-    try:
-        _write_atomic(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_atomic(args.out, "\n".join(lines) + "\n")
 
     for br in result.brackets:
         print(
@@ -212,10 +206,6 @@ def cmd_scan(args, cfg: IntegratorConfig) -> int:
         )
     print(f"{len(result.brackets)} bracket(s), {len(result.skipped)} skipped point(s)")
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# solve
 
 
 def _solution_record(sol, analysis, cfg: IntegratorConfig) -> dict:
@@ -241,40 +231,11 @@ def _solution_record(sol, analysis, cfg: IntegratorConfig) -> dict:
 
 def cmd_solve(args, cfg: IntegratorConfig) -> int:
     if not args.c0 < args.c1:
-        print("error: need --c0 < --c1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        root = period.refine_root(args.a, (args.c0, args.c1), args.tol_c, cfg)
-        if not root.is_crossing:
-            raise NotAdmissible(
-                f"bracket converged onto a pole at c = {root.c:.6f} "
-                f"(|f1 - f2| = {root.gap:.3e})"
-            )
-        gauge = period.solve_gauge(root.f)
-        sol = period.verify_solution(args.a, root.c, gauge.P, cfg)
-        analysis = end_loop_check(sol.a, sol.c, +1, cfg)
-    except (NotAdmissible, LostBracket) as exc:
-        print(f"error: not admissible: {exc}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except ResonantExponent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESONANT
-    except EigenvalueMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EIGENVALUE
-    except (StepLimitExceeded, ContinuationError) as exc:
-        print(f"error: integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-
+        raise DomainError("need --c0 < --c1")
+    sol = period.solve_at_bracket(args.a, (args.c0, args.c1), args.tol_c, cfg)
+    analysis = end_loop_check(sol.a, sol.c, +1, cfg)
     record = _solution_record(sol, analysis, cfg)
-    try:
-        _write_atomic(args.json, json.dumps(record, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_atomic(args.json, json.dumps(record, indent=2) + "\n")
     print(
         f"solved: c = {_fmt(sol.c)}  f = {_fmt(sol.f)}  "
         f"end_type = {sol.end_type.kind.value}  su11_residual = {_fmt(sol.su11_residual)}"
@@ -282,25 +243,8 @@ def cmd_solve(args, cfg: IntegratorConfig) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# classify
-
-
 def cmd_classify(args, cfg: IntegratorConfig) -> int:
-    if args.c == 0.0:
-        print("error: c must be nonzero", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        analysis = end_loop_check(args.a, args.c, +1, cfg)
-    except ResonantExponent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESONANT
-    except EigenvalueMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EIGENVALUE
-    except (StepLimitExceeded, ContinuationError) as exc:
-        print(f"error: integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+    analysis = end_loop_check(args.a, args.c, +1, cfg)
 
     payload = {
         "a": args.a,
@@ -316,11 +260,7 @@ def cmd_classify(args, cfg: IntegratorConfig) -> int:
         "eigenvalue_mismatch": analysis.eigenvalue_mismatch,
     }
     if args.json is not None:
-        try:
-            _write_atomic(args.json, json.dumps(payload, indent=2) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_atomic(args.json, json.dumps(payload, indent=2) + "\n")
     print(f"m = {analysis.m}")
     print(f"end type = {analysis.end_type.value}")
     print(f"predicted eigenvalues = {analysis.predicted_eigenvalues}")
@@ -329,49 +269,20 @@ def cmd_classify(args, cfg: IntegratorConfig) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# mesh
-
-
 def _solve_near(a: float, c: float, cfg: IntegratorConfig):
-    root = period.refine_root(a, (c - 0.01, c + 0.01), 1e-9, cfg)
-    if not root.is_crossing:
-        raise NotAdmissible(f"no period crossing at c = {c} +- 0.01 (pole bracket)")
-    gauge = period.solve_gauge(root.f)
-    return period.verify_solution(a, root.c, gauge.P, cfg)
+    return period.solve_at_bracket(a, (c - ROOT_WINDOW, c + ROOT_WINDOW), 1e-9, cfg)
 
 
 def cmd_mesh(args, cfg: IntegratorConfig) -> int:
     if args.nu < 2 or args.nv < 3:
-        print("error: need --nu >= 2 and --nv >= 3", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("need --nu >= 2 and --nv >= 3")
     if args.c == 0.0:
-        print("error: c must be nonzero", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        sol = _solve_near(args.a, args.c, cfg)
-        mesh = geometry.build_mesh(sol, args.nu, args.nv, cfg)
-    except (NotAdmissible, LostBracket) as exc:
-        print(f"error: not admissible: {exc}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except (StepLimitExceeded, ContinuationError) as exc:
-        print(f"error: integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-
-    try:
-        if args.format == "obj":
-            _write_atomic(args.out, _mesh_obj(mesh))
-        else:
-            _write_atomic(args.out, _mesh_csv(mesh))
-        if args.curves is not None:
-            curves = geometry.symmetry_curves(sol, mesh=mesh)
-            _write_atomic(args.curves, _curves_csv(curves))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise DomainError("c must be nonzero")
+    sol = _solve_near(args.a, args.c, cfg)
+    mesh = geometry.build_mesh(sol, args.nu, args.nv, cfg)
+    _write_atomic(args.out, _mesh_obj(mesh) if args.format == "obj" else _mesh_csv(mesh))
+    if args.curves is not None:
+        _write_atomic(args.curves, _curves_csv(geometry.symmetry_curves(sol, mesh=mesh)))
     print(
         f"mesh: {len(mesh.samples)} samples, {len(mesh.triangles)} triangles, "
         f"{mesh.holes} holes"
@@ -423,281 +334,9 @@ def _curves_csv(curves) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
 def cmd_verify(args, cfg: IntegratorConfig) -> int:
-    if args.c == 0.0:
-        print("error: c must be nonzero", file=sys.stderr)
-        return EXIT_USAGE
     checks = run_invariant_suite(args.a, args.c, cfg, deep=args.deep)
     width = max(len(name) for name, _, _ in checks)
-    ok_all = True
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        ok_all = ok_all and ok
-        print(f"[{status}] {name.ljust(width)}  {detail}")
-    return EXIT_OK if ok_all else EXIT_CHECKS
-
-
-def run_invariant_suite(a: float, c: float, cfg: IntegratorConfig, deep: bool = False):
-    """Invariant battery at (a, c); returns a list of (name, ok, detail)."""
-    results: list = []
-
-    def record(name: str, fn):
-        try:
-            ok, detail = fn()
-        except DscatError as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-        return ok
-
-    params = CurveParams(a, c)
-    paths = canonical_paths(params)
-
-    def sheet_closure():
-        worst = 0.0
-        for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
-            end = transport_w(loop, params)
-            worst = max(worst, abs(end.w - loop.start.w))
-        return worst <= 1e-8, f"max |w_end - w_start| = {worst:.3e}"
-
-    def det_preservation():
-        worst = 0.0
-
-        def capture(z, y):
-            nonlocal worst
-            det = y[0] * y[3] - y[1] * y[2]
-            scale = max(1.0, max(abs(v) for v in y[:4]) ** 2)
-            worst = max(worst, abs(det - 1.0) / scale)
-
-        transport.integrate_frame(paths.gamma2, params, cfg=cfg, on_step=capture)
-        return worst <= 1e-9, f"max scaled |det F - 1| = {worst:.3e}"
-
-    def scalar_residual():
-        worst = max(
-            transport.scalar_ode_residual(paths.c1, params, 50, cfg),
-            transport.scalar_ode_residual(paths.c2, params, 50, cfg),
-        )
-        return worst <= 1e-8, f"max row equation residual = {worst:.3e}"
-
-    def structure_forms():
-        triple = monodromy.MonodromyTriple(
-            monodromy.direct_loop_holonomy(paths.gamma1, params, cfg),
-            monodromy.direct_loop_holonomy(paths.gamma2, params, cfg),
-            monodromy.direct_loop_holonomy(paths.gamma3, params, cfg),
-        )
-        defect = monodromy.structure_defect(triple)
-        return defect <= 1e-7, f"scaled structure defect = {defect:.3e}"
-
-    def product_vs_direct():
-        h = monodromy.half_path_frames(params, cfg)
-        triple = monodromy.assemble_monodromies(h)
-        worst = 0.0
-        for loop, Phi in (
-            (paths.gamma1, triple.Phi1),
-            (paths.gamma2, triple.Phi2),
-            (paths.gamma3, triple.Phi3),
-        ):
-            direct = monodromy.direct_loop_holonomy(loop, params, cfg)
-            diff = float(np.max(np.abs(direct - Phi)))
-            worst = max(worst, diff / max(1.0, float(np.max(np.abs(Phi)))))
-        return worst <= 1e-6, f"max scaled |product - direct| = {worst:.3e}"
-
-    def lift_independence():
-        B = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)
-        d = lift_independence_check(params, paths.gamma2, B, cfg)
-        return d <= 1e-7, f"eigenvalue discrepancy = {d:.3e}"
-
-    record("sheet-closure", sheet_closure)
-    record("det-preservation", det_preservation)
-    record("scalar-ode-residual", scalar_residual)
-    record("structure-forms", structure_forms)
-    record("product-vs-direct", product_vs_direct)
-    record("lift-independence", lift_independence)
-
-    # period block: these need a crossing near the requested c
-    root_holder: dict = {}
-
-    def period_crossing():
-        root = period.refine_root(a, (c - 0.01, c + 0.01), 1e-9, cfg)
-        root_holder["root"] = root
-        if not root.is_crossing:
-            return False, (
-                f"bracket converged onto a pole at c = {root.c:.6f} "
-                f"(|f1 - f2| = {root.gap:.3e})"
-            )
-        return True, f"crossing at c = {root.c:.8f}, f = {root.f:.8f}"
-
-    def admissibility():
-        root = root_holder.get("root")
-        if root is None:
-            return False, "skipped (no crossing)"
-        ok = root.is_crossing and abs(root.f) > 1.0
-        return ok, f"|f| = {abs(root.f):.8f}"
-
-    def gauge_identity():
-        root = root_holder.get("root")
-        if root is None or not (root.is_crossing and abs(root.f) > 1.0):
-            return False, "skipped (not admissible)"
-        gauge = period.solve_gauge(root.f)
-        root_holder["gauge"] = gauge
-        b4 = 4.0 * gauge.beta ** 4
-        reproduced = (1.0 + b4) / (1.0 - b4)
-        det_p = gauge.P[0, 0] * gauge.P[1, 1] - gauge.P[0, 1] * gauge.P[1, 0]
-        err = max(
-            abs(reproduced - root.f),
-            abs(det_p - 1.0),
-            abs(gauge.alpha * gauge.beta + gauge.epsilon / 2.0),
-        )
-        return err <= 1e-12, f"max identity defect = {err:.3e}"
-
-    def period_closure():
-        root = root_holder.get("root")
-        gauge = root_holder.get("gauge")
-        if gauge is None:
-            return False, "skipped (no gauge)"
-        sol = period.verify_solution(a, root.c, gauge.P, cfg)
-        root_holder["sol"] = sol
-        return sol.su11_residual <= 1e-6, (
-            f"su11 residual = {sol.su11_residual:.3e} "
-            f"(absolute {sol.su11_residual_abs:.3e})"
-        )
-
-    def identity_gauge_fails():
-        root = root_holder.get("root")
-        if root is None or not root.is_crossing:
-            return False, "skipped (no crossing)"
-        h = monodromy.half_path_frames(CurveParams(a, root.c), cfg)
-        triple = monodromy.assemble_monodromies(h)
-        _, rel = period.gauged_residuals(triple, np.eye(2, dtype=complex))
-        return max(rel) > 1e-2, f"identity-gauge residual = {max(rel):.3e}"
-
-    record("period-crossing", period_crossing)
-    record("admissibility", admissibility)
-    record("gauge-identity", gauge_identity)
-    record("period-closure", period_closure)
-    record("identity-gauge-fails", identity_gauge_fails)
-
-    def end_eigenvalues():
-        worst = 0.0
-        for which in (+1, -1):
-            analysis = end_loop_check(a, c, which, cfg)
-            worst = max(worst, analysis.eigenvalue_mismatch)
-        return worst <= 1e-6, f"max relative mismatch = {worst:.3e}"
-
-    record("end-eigenvalues", end_eigenvalues)
-
-    sol = root_holder.get("sol")
-
-    def probe_point():
-        path = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
-        return transport_w(path, params)
-
-    def schwarzian():
-        if sol is None:
-            return False, "skipped (no solution)"
-        p = probe_point()
-        res = geometry.schwarzian_check(sol, p, 1e-3, cfg)
-        return res <= 1e-4, f"residual at h = 1e-3: {res:.3e}"
-
-    def small_formula():
-        if sol is None:
-            return False, "skipped (no solution)"
-        p = probe_point()
-        res = geometry.small_formula_check(sol, p, cfg)
-        return res <= 1e-5, f"frame reconstruction residual = {res:.3e}"
-
-    def geometry_invariants():
-        if sol is None:
-            return False, "skipped (no solution)"
-        mesh = geometry.build_mesh(sol, 8, 12, cfg)
-        if not mesh.samples:
-            return False, "empty mesh"
-        # the quadric defect of a sample is conditioned like frame_scale^4
-        # (products of that size cancel when forming X), so normalize by it;
-        # the radius bound is widened by each sample's own evaluation noise
-        # (frame_scale^2 * eps relative to |X|), which also covers the
-        # atan saturation at the punctures
-        worst_quadric = max(
-            abs(s.X.lorentz_norm() - 1.0) / max(1.0, s.frame_scale ** 4)
-            for s in mesh.samples
-        )
-        radius_ok = True
-        for s in mesh.samples:
-            norm_x = math.sqrt(float(sum(s.X.as_array() ** 2)))
-            width = max(
-                1e-12,
-                3.0 * geometry.RESOLVE_EPS * s.frame_scale ** 2 / max(1.0, norm_x),
-            )
-            r2 = s.Y.radius_sq()
-            if not (
-                math.exp(-math.pi) * (1.0 - width)
-                < r2
-                < math.exp(math.pi) * (1.0 + width)
-            ):
-                radius_ok = False
-        # unit normal at a few regular samples
-        worst_norm = 0.0
-        checked = 0
-        for s in mesh.samples:
-            if checked >= 5 or s.singular or not math.isfinite(s.g_abs):
-                continue
-            state = geometry.frame_at(sol, s.param.z, cfg)
-            if abs(state.point.w - s.param.w) > 1e-6:
-                continue
-            g = geometry.secondary_gauss(state.F, state.point, sol.c)
-            N = geometry.unit_normal(state.F, g)
-            scale = max(1.0, N.x0 ** 2 + N.x1 ** 2 + N.x2 ** 2 + N.x3 ** 2)
-            worst_norm = max(worst_norm, abs(N.lorentz_norm() + 1.0) / scale)
-            checked += 1
-        ok = worst_quadric <= 1e-7 and radius_ok and worst_norm <= 1e-9
-        return ok, (
-            f"quadric {worst_quadric:.3e}, radius bound {'ok' if radius_ok else 'violated'}, "
-            f"normal defect {worst_norm:.3e}"
-        )
-
-    record("schwarzian-identity", schwarzian)
-    record("small-formula", small_formula)
-    record("geometry-invariants", geometry_invariants)
-
-    if deep:
-
-        def reference_agreement():
-            worst = 0.0
-            for path in (paths.c1, paths.c2):
-                adaptive = transport.integrate_frame(path, params, cfg=cfg).F
-                reference = transport.reference_frame(path, params, n_steps=20_000).F
-                scale = max(1.0, float(np.max(np.abs(adaptive))))
-                worst = max(worst, float(np.max(np.abs(adaptive - reference))) / scale)
-            return worst <= 1e-8, f"max scaled deviation = {worst:.3e}"
-
-        def homotopy_invariance():
-            alt = PathSpec(
-                base_point(+1),
-                (0j, 0.6 * a + 1.3j, 2.0 * a + 0.4j, 2.0 * a, 0.9 * a - 1.1j, 0j),
-                closed=True,
-            )
-            direct = monodromy.direct_loop_holonomy(paths.gamma2, params, cfg)
-            other = monodromy.direct_loop_holonomy(alt, params, cfg)
-            scale = max(1.0, float(np.max(np.abs(direct))))
-            diff = float(np.max(np.abs(direct - other))) / scale
-            return diff <= 1e-7, f"scaled monodromy deviation = {diff:.3e}"
-
-        def schwarzian_order():
-            if sol is None:
-                return False, "skipped (no solution)"
-            p = probe_point()
-            res_coarse = geometry.schwarzian_check(sol, p, 2e-3, cfg)
-            res_fine = geometry.schwarzian_check(sol, p, 1e-3, cfg)
-            ratio = res_coarse / max(res_fine, 1e-300)
-            return 2.5 <= ratio <= 6.5, (
-                f"residual(2e-3)/residual(1e-3) = {ratio:.2f}"
-            )
-
-        record("reference-agreement", reference_agreement)
-        record("homotopy-invariance", homotopy_invariance)
-        record("schwarzian-order", schwarzian_order)
-
-    return results
+        print(f"[{'PASS' if ok else 'FAIL'}] {name.ljust(width)}  {detail}")
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CHECKS

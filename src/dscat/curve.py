@@ -119,6 +119,19 @@ def validate_path(path: PathSpec, a: float, delta: float = BRANCH_DELTA) -> None
                 )
 
 
+def sheet_monitor(a: float):
+    """on_step hook raising ContinuationError where the w that ends the state
+    leaves the curve; R(z) is inlined, unguarded, as it runs at every step."""
+
+    def monitor(z, y):
+        w = y[-1]
+        r = (z + 1) * (z - a) / ((z - 1) * (z + a))
+        if abs(w * w - r) > TOL_SHEET * (1.0 + abs(r)):
+            raise ContinuationError(f"sheet residual exceeded at z = {z}")
+
+    return monitor
+
+
 def transport_w(
     path: PathSpec,
     params: CurveParams,
@@ -137,18 +150,13 @@ def transport_w(
     def field(z, u, y):
         return (y[0] * log_derivative(z, a) * u,)
 
-    def monitor(z, y):
-        r = (z + 1) * (z - a) / ((z - 1) * (z + a))
-        if abs(y[0] * y[0] - r) > TOL_SHEET * (1.0 + abs(r)):
-            raise ContinuationError(f"sheet residual exceeded at z = {z}")
-
     (w_end,) = _rk.integrate_polyline(
         path.waypoints,
         (path.start.w,),
         field,
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        on_step=monitor,
+        on_step=sheet_monitor(a),
     )
     end = CurvePoint(path.waypoints[-1], w_end)
     if end.sheet_residual(a) > TOL_SHEET:

@@ -114,7 +114,7 @@ def immerse(F: np.ndarray) -> MinkowskiPoint:
     )
 
 
-def secondary_gauss(F: np.ndarray, p: CurvePoint, c: float) -> complex:
+def secondary_gauss(F: np.ndarray, p: CurvePoint) -> complex:
     """The multivalued Gauss map g = -dF12/dF11 evaluated through dF = alpha F.
 
     Equals -(F12 - w F22) / (F11 - w F21); returns complex infinity when the
@@ -129,7 +129,7 @@ def secondary_gauss(F: np.ndarray, p: CurvePoint, c: float) -> complex:
     return complex(num / den)
 
 
-def secondary_gauss_row2(F: np.ndarray, p: CurvePoint, c: float) -> complex:
+def secondary_gauss_row2(F: np.ndarray, p: CurvePoint) -> complex:
     """Row-two form -dF22/dF21 of the same map, for consistency checks."""
     w = p.w
     num = -(F[0, 1] / w - F[1, 1])
@@ -229,7 +229,7 @@ def _arc_waypoints(start: complex, r: float, u0: float, u1: float) -> tuple:
 def _sheet_root(sol: PeriodSolution, sheet: int, cfg: IntegratorConfig) -> FrameState:
     params = CurveParams(sol.a, sol.c)
     if sheet == +1:
-        return FrameState(base_point(+1), sol.P.astype(complex), 0.0)
+        return FrameState(base_point(+1), sol.P.astype(complex))
     z1 = (1.0 + sol.a) / 2.0
     lift = ARC_LIFT * 1j
     flip = PathSpec(
@@ -308,7 +308,7 @@ def build_mesh(
                     holes += 1
                     continue
                 prev_u = u
-                g = secondary_gauss(state.F, state.point, sol.c)
+                g = secondary_gauss(state.F, state.point)
                 g_abs = abs(g)
                 X = immerse(state.F)
                 frame_scale = float(np.max(np.abs(state.F)))
@@ -513,7 +513,7 @@ def schwarzian_check(
     ws = []
     for k in (-2, -1, 0, 1, 2):
         state = frame_at(sol, p.z + k * h, cfg)
-        g = secondary_gauss(state.F, state.point, sol.c)
+        g = secondary_gauss(state.F, state.point)
         if not cmath.isfinite(g):
             raise DegeneratePoint("Gauss map pole inside the stencil")
         gs.append(g)

@@ -13,7 +13,7 @@ the f1 denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .linalg2c import ConjugacyType, TOL_SU11, su11_distance, su11_distance_rel
 from .monodromy import (
+    HalfPathFrames,
     MonodromyTriple,
     assemble_monodromies,
     half_path_frames,
@@ -77,6 +78,8 @@ class RefinedRoot:
     f2: float
     gap: float
     is_crossing: bool
+    # half-path frames at c, handed on to verification
+    frames: HalfPathFrames = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,17 +105,9 @@ class PeriodSolution:
 
 
 def _periods_at(a: float, c: float, cfg: IntegratorConfig) -> tuple:
+    """(f1, f2, half-path frames) at one c."""
     h = half_path_frames(CurveParams(a, c), cfg)
-    return period_functions(h)
-
-
-def _periods_over_c(a: float, cs: np.ndarray, cfg: IntegratorConfig) -> tuple:
-    """period_values at every c in cs, the half paths integrated once per path."""
-    paths = canonical_paths(CurveParams(a, float(cs[0])))
-    return period_values(
-        integrate_frames_over_c(paths.c1, a, cs, cfg),
-        integrate_frames_over_c(paths.c2, a, cs, cfg),
-    )
+    return (*period_functions(h), h)
 
 
 def scan_c(
@@ -139,6 +134,9 @@ def scan_c(
         raise ValueError("need c_min < c_max")
     if steps < 2:
         raise ValueError("need at least 2 grid points")
+    # validates a even when every grid point is skipped; the paths depend on
+    # a alone, so any nonzero c serves
+    paths = canonical_paths(CurveParams(a, 1.0))
     spacing = (c_max - c_min) / (steps - 1)
     grid = [c_min + k * spacing for k in range(steps)]
     live = [k for k, c in enumerate(grid) if not (abs(c) < skip_halfwidth or c == 0.0)]
@@ -148,7 +146,10 @@ def scan_c(
     for lo in range(0, len(live), SCAN_BLOCK):
         block = slice(lo, lo + SCAN_BLOCK)
         cs = np.array([grid[k] for k in live[block]])
-        f1[block], f2[block], degenerate[block] = _periods_over_c(a, cs, cfg)
+        f1[block], f2[block], degenerate[block] = period_values(
+            integrate_frames_over_c(paths.c1, a, cs, cfg),
+            integrate_frames_over_c(paths.c2, a, cs, cfg),
+        )
 
     values = dict(zip(live, zip(f1.tolist(), f2.tolist(), degenerate.tolist())))
     records: list = []
@@ -226,18 +227,16 @@ def refine_root(
     cache: dict = {}
 
     def diff(c: float) -> float:
-        f1, f2 = _periods_at(a, c, cfg)
-        cache[c] = (f1, f2)
-        return f1 - f2
+        cache[c] = _periods_at(a, c, cfg)
+        return cache[c][0] - cache[c][1]
 
     c_star = bracketed_root(diff, lo, hi, tol_c)
-    if c_star in cache:
-        f1, f2 = cache[c_star]
-    else:
-        f1, f2 = _periods_at(a, c_star, cfg)
+    if c_star not in cache:
+        cache[c_star] = _periods_at(a, c_star, cfg)
+    f1, f2, h = cache[c_star]
     gap = abs(f1 - f2)
     is_crossing = gap <= CROSSING_GAP_TOL * max(1.0, abs(f1), abs(f2))
-    return RefinedRoot(c_star, 0.5 * (f1 + f2), f1, f2, gap, is_crossing)
+    return RefinedRoot(c_star, 0.5 * (f1 + f2), f1, f2, gap, is_crossing, h)
 
 
 def solve_gauge(f: float) -> GaugeSolution:
@@ -291,7 +290,12 @@ def verify_solution(
     su11_residual_abs.  Verification fails when the normalized residual
     exceeds TOL_SU11.
     """
-    h = half_path_frames(CurveParams(a, c), cfg)
+    return _verify_frames(half_path_frames(CurveParams(a, c), cfg), P)
+
+
+def _verify_frames(h: HalfPathFrames, P: np.ndarray) -> PeriodSolution:
+    """verify_solution at (h.params.a, h.params.c) from its half-path frames."""
+    a, c = h.params.a, h.params.c
     f1, f2 = period_functions(h)
     gap = abs(f1 - f2)
     if gap > CROSSING_GAP_TOL * max(1.0, abs(f1), abs(f2)):
@@ -338,5 +342,4 @@ def solve_at_bracket(
             f"bracket [{bracket[0]}, {bracket[1]}] converged onto a pole of the "
             f"period functions at c = {root.c:.6f} (|f1 - f2| = {root.gap:.3e})"
         )
-    gauge = solve_gauge(root.f)
-    return verify_solution(a, root.c, gauge.P, cfg)
+    return _verify_frames(root.frames, solve_gauge(root.f).P)

@@ -19,6 +19,7 @@ from .curve import (
     CurvePoint,
     PathSpec,
     log_derivative,
+    sheet_monitor,
     validate_path,
 )
 from .errors import ContinuationError, DomainError
@@ -45,7 +46,6 @@ DEFAULT_CONFIG = IntegratorConfig()
 class FrameState:
     point: CurvePoint
     F: np.ndarray
-    arc_param: float
 
 
 def alpha_matrix(p: CurvePoint, c: float) -> np.ndarray:
@@ -75,16 +75,6 @@ def _joint_field(a: float, c: float):
     return field
 
 
-def _sheet_monitor(a: float):
-    def monitor(z, y):
-        w = y[4]
-        r = (z + 1) * (z - a) / ((z - 1) * (z + a))
-        if abs(w * w - r) > TOL_SHEET * (1.0 + abs(r)):
-            raise ContinuationError(f"sheet residual exceeded at z = {z}")
-
-    return monitor
-
-
 def integrate_frame(
     path: PathSpec,
     params: CurveParams,
@@ -106,7 +96,7 @@ def integrate_frame(
     if abs(det0 - 1.0) > TOL_DET * max(1.0, float(np.max(np.abs(F0))) ** 2):
         raise DomainError("initial frame must have determinant 1")
 
-    monitor = _sheet_monitor(a)
+    monitor = sheet_monitor(a)
     if on_step is not None:
         user = on_step
 
@@ -135,7 +125,7 @@ def integrate_frame(
     det = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
     if abs(det - 1.0) > TOL_DET * max(1.0, float(np.max(np.abs(F))) ** 2):
         raise ContinuationError(f"determinant drift {abs(det - 1.0):.3e}")
-    return FrameState(end, F, 1.0)
+    return FrameState(end, F)
 
 
 def _joint_field_lanes(a: float, cs: np.ndarray):
@@ -225,7 +215,7 @@ def reference_frame(
         n_steps,
     )
     F = np.array([[y[0], y[1]], [y[2], y[3]]], dtype=complex)
-    return FrameState(CurvePoint(path.waypoints[-1], y[4]), F, 1.0)
+    return FrameState(CurvePoint(path.waypoints[-1], y[4]), F)
 
 
 def scalar_ode_residual(

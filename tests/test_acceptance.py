@@ -288,7 +288,7 @@ def test_criterion_6_geometric_invariants(
                 continue
             if abs(state.point.w - s.param.w) > 1e-6:
                 continue
-            g = secondary_gauss(state.F, state.point, sol.c)
+            g = secondary_gauss(state.F, state.point)
             N = unit_normal(state.F, g)
             scale = max(1.0, float(np.sum(N.as_array() ** 2)))
             worst_norm = max(worst_norm, abs(N.lorentz_norm() + 1.0) / scale)

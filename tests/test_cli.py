@@ -236,6 +236,57 @@ def test_verify_at_excluded_crossing(capsys):
     assert "period-crossing" in out or "admissibility" in out
 
 
+def test_verify_without_crossing_skips_dependents(capsys):
+    assert run(["verify", "--a", "2", "--c", "3.5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [tuple(line.split()[:2]) for line in lines] == [
+        ("[PASS]", "sheet-closure"),
+        ("[PASS]", "det-preservation"),
+        ("[PASS]", "scalar-ode-residual"),
+        ("[PASS]", "structure-forms"),
+        ("[PASS]", "product-vs-direct"),
+        ("[PASS]", "lift-independence"),
+        ("[FAIL]", "period-crossing"),
+        ("[FAIL]", "admissibility"),
+        ("[FAIL]", "gauge-identity"),
+        ("[FAIL]", "period-closure"),
+        ("[FAIL]", "identity-gauge-fails"),
+        ("[PASS]", "end-eigenvalues"),
+        ("[FAIL]", "schwarzian-identity"),
+        ("[FAIL]", "small-formula"),
+        ("[FAIL]", "geometry-invariants"),
+    ]
+    assert lines[6].split(None, 2)[2] == "LostBracket: no sign change over [3.49, 3.51]"
+    assert [line.split(None, 2)[2] for line in lines[7:11] + lines[12:]] == [
+        "skipped (no crossing)",
+        "skipped (not admissible)",
+        "skipped (no gauge)",
+        "skipped (no crossing)",
+        "skipped (no solution)",
+        "skipped (no solution)",
+        "skipped (no solution)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--c-min", "-1", "--c-max", "1", "--steps", "3", "--out", "{tmp}/s.csv"],
+        ["solve", "--c0", "1", "--c1", "2", "--json", "{tmp}/s.json"],
+        ["classify", "--c", "1"],
+        ["mesh", "--c", "1", "--out", "{tmp}/m.obj"],
+        ["verify", "--c", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_domain_error_exits_usage(tmp_path, capsys, argv):
+    # at a = 1.05 the canonical paths cannot clear the branch points 1 and a
+    code = run([argv[0], "--a", "1.05"] + [x.format(tmp=tmp_path) for x in argv[1:]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid input: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_overrides(tmp_path):
     cfg_file = tmp_path / "dscat.cfg"
     cfg_file.write_text("rel_tol = 1e-9\nabs_tol = 1e-11\n# comment\n")

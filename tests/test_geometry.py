@@ -62,20 +62,20 @@ def test_immerse_lands_on_quadric(seed):
 
 
 def test_secondary_gauss_identity_frame():
-    g = secondary_gauss(np.eye(2, dtype=complex), base_point(+1), 1.0)
+    g = secondary_gauss(np.eye(2, dtype=complex), base_point(+1))
     assert g == pytest.approx(1.0)  # |g| = 1: the base point is singular
 
 
 def test_secondary_gauss_gauge_frame_pole(shallow_solution):
-    g = secondary_gauss(shallow_solution.P, base_point(+1), shallow_solution.c)
+    g = secondary_gauss(shallow_solution.P, base_point(+1))
     assert not cmath.isfinite(g)
     assert not (abs(abs(g) - 1.0) < 1e-3)  # infinity is a regular value
 
 
 def test_secondary_gauss_row_consistency(shallow_solution):
     state = frame_at(shallow_solution, 0.6 + 0.9j)
-    g1 = secondary_gauss(state.F, state.point, shallow_solution.c)
-    g2 = secondary_gauss_row2(state.F, state.point, shallow_solution.c)
+    g1 = secondary_gauss(state.F, state.point)
+    g2 = secondary_gauss_row2(state.F, state.point)
     assert abs(g1 - g2) < 1e-9
 
 
@@ -112,7 +112,7 @@ def test_unit_normal_time_orientation(shallow_solution):
     found_above = False
     for z in (0.6 + 0.9j, 0.3 + 0.5j, 0.5j, 2.4j, 0.4 + 1.1j):
         state = frame_at(shallow_solution, z)
-        g = secondary_gauss(state.F, state.point, shallow_solution.c)
+        g = secondary_gauss(state.F, state.point)
         if not cmath.isfinite(g) or abs(abs(g) - 1.0) < 1e-3:
             continue
         N = unit_normal(state.F, g)
@@ -202,12 +202,12 @@ def test_singular_flag_invariant_under_monodromy(shallow_solution):
     paths = canonical_paths(params)
     z_probe = 0.6 + 0.9j
     direct = frame_at(sol, z_probe)
-    g0 = secondary_gauss(direct.F, direct.point, sol.c)
+    g0 = secondary_gauss(direct.F, direct.point)
     looped = integrate_frame(paths.gamma2, params, F0=sol.P)
     translated = integrate_frame(
         PathSpec(looped.point, (0j, z_probe)), params, F0=looped.F
     )
-    g1 = secondary_gauss(translated.F, translated.point, sol.c)
+    g1 = secondary_gauss(translated.F, translated.point)
     assert (abs(g0) > 1.0) == (abs(g1) > 1.0)
 
 
@@ -295,7 +295,7 @@ def test_schwarzian_mobius_invariance(shallow_solution):
     gs = []
     for k in (-2, -1, 0, 1, 2):
         state = frame_at(sol, z0 + k * h)
-        gs.append(secondary_gauss(state.F, state.point, sol.c))
+        gs.append(secondary_gauss(state.F, state.point))
     v = 0.4 + 0.2j
     u = cmath.exp(0.7j) * math.sqrt(1.0 + abs(v) ** 2)
     U = mat2c(u, v, v.conjugate(), u.conjugate())

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dscat import period as period_module
 from dscat.errors import (
     DegenerateDenominator,
+    DomainError,
     LostBracket,
     NotAdmissible,
     VerificationFailed,
@@ -67,7 +69,7 @@ def test_scan_matches_single_c_evaluation(a, c_min, c_max, steps):
     for k in range(steps):
         c = c_min + k * spacing
         try:
-            ref.append((c, *_periods_at(a, c, DEFAULT_CONFIG)))
+            ref.append((c, *_periods_at(a, c, DEFAULT_CONFIG)[:2]))
         except DegenerateDenominator:
             pass
     assert [r.c for r in result.records] == [c for c, _, _ in ref]
@@ -83,6 +85,27 @@ def test_scan_matches_single_c_evaluation(a, c_min, c_max, steps):
     ]
     assert len(ref_brackets) == 2
     assert [(b.c_lo, b.c_hi, b.admissible_hint) for b in result.brackets] == ref_brackets
+
+
+def test_scan_validates_a_when_every_point_is_skipped():
+    # all three grid points lie in the skip window around c = 0
+    with pytest.raises(DomainError):
+        scan_c(0.5, -0.005, 0.005, 3)
+
+
+def test_solve_integrates_each_c_once(monkeypatch):
+    seen = []
+
+    def counting(params, cfg=DEFAULT_CONFIG):
+        seen.append(params.c)
+        return half_path_frames(params, cfg)
+
+    monkeypatch.setattr(period_module, "half_path_frames", counting)
+    sol = solve_at_bracket(2.0, (1.25, 1.29))
+    assert len(seen) == len(set(seen))
+    # the frames handed on from refinement give what a fresh integration gives
+    fresh = verify_solution(2.0, sol.c, sol.P)
+    assert (fresh.f, fresh.su11_residual) == (sol.f, sol.su11_residual)
 
 
 def test_refine_paper_roots():
