@@ -1,11 +1,25 @@
 """Adaptive Dormand-Prince 5(4) integrator for complex ODE systems along polylines.
 
 State vectors of integrate_polyline are plain tuples of Python complex numbers.
-numpy is deliberately avoided there: the systems are tiny (5 components) and
-scalar arithmetic is an order of magnitude faster than small-array operations
-in the step loop.  integrate_polyline_lanes runs the same scheme on many
-independent copies of one system ("lanes") at once, where numpy's per-call
-overhead is shared by all lanes.
+The kernels convert the start state on entry: a numpy complex scalar there (an
+entry of a frame array, say) would carry every later operation on that
+component into numpy's scalar arithmetic, which is slower than Python's.
+numpy arrays are avoided in the step loop for the same reason: the systems are
+tiny and scalar arithmetic is an order of magnitude faster than small-array
+operations.
+
+The five-component state of the frame transport (F11, F12, F21, F22, w) has
+its DP5 step written out per component (_dp5_step5), and the RK4 reference
+exists only in that form; other sizes run the per-component loop of
+_dp5_step.  The written-out step repeats the loop's floating-point operations
+in the loop's order, so the two give the same steps and endpoints bit for bit:
+floating-point arithmetic is not associative, and regrouping a stage sum or
+a product (h * (A * k) for (h * A) * k, say) would move results in the last
+digits and, through the step-size controller, change which steps are taken.
+
+integrate_polyline_lanes runs the same scheme on many independent copies of
+one system ("lanes") at once, where numpy's per-call overhead is shared by all
+lanes.
 """
 
 from __future__ import annotations
@@ -75,8 +89,9 @@ def integrate_polyline(
     on_step, when given, is called with (z, y) after every accepted step.
     Returns the final state tuple.
     """
-    y = tuple(y0)
+    y = tuple(complex(v) for v in y0)
     n = len(y)
+    step = _dp5_step5 if n == 5 else _dp5_step
     steps = 0
     h = first_step
     for p, q in zip(waypoints[:-1], waypoints[1:]):
@@ -91,40 +106,7 @@ def integrate_polyline(
         while seg_len - s > 1e-14 * seg_len:
             h = min(h, seg_len - s)
             z0 = p + s * u
-            y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(n))
-            k2 = field(z0 + 0.2 * h * u, u, y2)
-            y3 = tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n))
-            k3 = field(z0 + 0.3 * h * u, u, y3)
-            y4 = tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n))
-            k4 = field(z0 + 0.8 * h * u, u, y4)
-            y5 = tuple(
-                y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-                for i in range(n)
-            )
-            k5 = field(z0 + (8 / 9) * h * u, u, y5)
-            y6 = tuple(
-                y[i]
-                + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-                for i in range(n)
-            )
-            k6 = field(z0 + h * u, u, y6)
-            ynew = tuple(
-                y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-                for i in range(n)
-            )
-            k7 = field(z0 + h * u, u, ynew)
-            err_sq = 0.0
-            for i in range(n):
-                e_i = h * (
-                    _E1 * k1[i]
-                    + _E3 * k3[i]
-                    + _E4 * k4[i]
-                    + _E5 * k5[i]
-                    + _E6 * k6[i]
-                    + _E7 * k7[i]
-                )
-                sc = abs_tol + rel_tol * max(abs(y[i]), abs(ynew[i]))
-                err_sq += (abs(e_i) / sc) ** 2
+            ynew, k7, err_sq = step(field, z0, u, h, y, k1, rel_tol, abs_tol)
             err = math.sqrt(err_sq / n)
             steps += 1
             if steps > max_steps:
@@ -142,6 +124,129 @@ def integrate_polyline(
             if h < 1e-14 * seg_len:
                 raise StepLimitExceeded("step size underflow")
     return y
+
+
+def _dp5_step(field, z0, u, h, y, k1, rel_tol, abs_tol):
+    """One DP5 step from (z0, y) of length h: (ynew, k7, err_sq), err_sq being
+    the sum of the squared scaled component errors."""
+    n = len(y)
+    y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(n))
+    k2 = field(z0 + 0.2 * h * u, u, y2)
+    y3 = tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n))
+    k3 = field(z0 + 0.3 * h * u, u, y3)
+    y4 = tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n))
+    k4 = field(z0 + 0.8 * h * u, u, y4)
+    y5 = tuple(
+        y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
+        for i in range(n)
+    )
+    k5 = field(z0 + (8 / 9) * h * u, u, y5)
+    y6 = tuple(
+        y[i]
+        + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
+        for i in range(n)
+    )
+    k6 = field(z0 + h * u, u, y6)
+    ynew = tuple(
+        y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
+        for i in range(n)
+    )
+    k7 = field(z0 + h * u, u, ynew)
+    err_sq = 0.0
+    for i in range(n):
+        e_i = h * (
+            _E1 * k1[i]
+            + _E3 * k3[i]
+            + _E4 * k4[i]
+            + _E5 * k5[i]
+            + _E6 * k6[i]
+            + _E7 * k7[i]
+        )
+        sc = abs_tol + rel_tol * max(abs(y[i]), abs(ynew[i]))
+        err_sq += (abs(e_i) / sc) ** 2
+    return ynew, k7, err_sq
+
+
+def _dp5_step5(field, z0, u, h, y, k1, rel_tol, abs_tol):
+    """_dp5_step written out for five components, in the same operation order.
+
+    The components of k1 ... k7 are a0-a4 ... g0-g4; v0-v4 is the new state
+    and x0-x4 the error estimate.
+    """
+    y0, y1, y2, y3, y4 = y
+    a0, a1, a2, a3, a4 = k1
+    hA21 = h * _A21
+    b0, b1, b2, b3, b4 = field(
+        z0 + 0.2 * h * u,
+        u,
+        (y0 + hA21 * a0, y1 + hA21 * a1, y2 + hA21 * a2, y3 + hA21 * a3, y4 + hA21 * a4),
+    )
+    c0, c1, c2, c3, c4 = field(
+        z0 + 0.3 * h * u,
+        u,
+        (
+            y0 + h * (_A31 * a0 + _A32 * b0),
+            y1 + h * (_A31 * a1 + _A32 * b1),
+            y2 + h * (_A31 * a2 + _A32 * b2),
+            y3 + h * (_A31 * a3 + _A32 * b3),
+            y4 + h * (_A31 * a4 + _A32 * b4),
+        ),
+    )
+    d0, d1, d2, d3, d4 = field(
+        z0 + 0.8 * h * u,
+        u,
+        (
+            y0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0),
+            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+            y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+            y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
+            y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4),
+        ),
+    )
+    e0, e1, e2, e3, e4 = field(
+        z0 + (8 / 9) * h * u,
+        u,
+        (
+            y0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+            y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+            y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
+            y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4),
+        ),
+    )
+    z1 = z0 + h * u
+    f0, f1, f2, f3, f4 = field(
+        z1,
+        u,
+        (
+            y0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0),
+            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+            y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+            y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
+            y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4),
+        ),
+    )
+    v0 = y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * f0)
+    v1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
+    v2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
+    v3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
+    v4 = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
+    ynew = (v0, v1, v2, v3, v4)
+    k7 = field(z1, u, ynew)
+    g0, g1, g2, g3, g4 = k7
+    x0 = h * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0)
+    x1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1)
+    x2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2)
+    x3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3)
+    x4 = h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)
+    err_sq = (
+        (abs(x0) / (abs_tol + rel_tol * max(abs(y0), abs(v0)))) ** 2
+        + (abs(x1) / (abs_tol + rel_tol * max(abs(y1), abs(v1)))) ** 2
+        + (abs(x2) / (abs_tol + rel_tol * max(abs(y2), abs(v2)))) ** 2
+        + (abs(x3) / (abs_tol + rel_tol * max(abs(y3), abs(v3)))) ** 2
+        + (abs(x4) / (abs_tol + rel_tol * max(abs(y4), abs(v4)))) ** 2
+    )
+    return ynew, k7, err_sq
 
 
 def integrate_polyline_lanes(
@@ -218,16 +323,16 @@ def integrate_polyline_rk4(
     field: Field,
     n_steps: int,
 ) -> tuple:
-    """Fixed-step classical RK4 along the polyline, n_steps over total arc length.
+    """Fixed-step classical RK4 along the polyline, n_steps over total arc length,
+    for a five-component state.
 
     Serves as an independent reference for self-convergence checks; shares no
     step-control logic with the adaptive scheme.
     """
-    y = tuple(y0)
-    n = len(y)
+    y0, y1, y2, y3, y4 = (complex(v) for v in y0)
     total = sum(abs(q - p) for p, q in zip(waypoints[:-1], waypoints[1:]))
     if total == 0.0:
-        return y
+        return (y0, y1, y2, y3, y4)
     h_target = total / n_steps
     for p, q in zip(waypoints[:-1], waypoints[1:]):
         seg = q - p
@@ -237,14 +342,24 @@ def integrate_polyline_rk4(
         u = seg / seg_len
         m = max(1, int(math.ceil(seg_len / h_target)))
         h = seg_len / m
+        hh = 0.5 * h
+        h6 = h / 6
         for j in range(m):
             z0 = p + j * h * u
-            k1 = field(z0, u, y)
-            y2 = tuple(y[i] + 0.5 * h * k1[i] for i in range(n))
-            k2 = field(z0 + 0.5 * h * u, u, y2)
-            y3 = tuple(y[i] + 0.5 * h * k2[i] for i in range(n))
-            k3 = field(z0 + 0.5 * h * u, u, y3)
-            y4 = tuple(y[i] + h * k3[i] for i in range(n))
-            k4 = field(z0 + h * u, u, y4)
-            y = tuple(y[i] + (h / 6) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(n))
-    return y
+            a0, a1, a2, a3, a4 = field(z0, u, (y0, y1, y2, y3, y4))
+            zm = z0 + hh * u
+            b0, b1, b2, b3, b4 = field(
+                zm, u, (y0 + hh * a0, y1 + hh * a1, y2 + hh * a2, y3 + hh * a3, y4 + hh * a4)
+            )
+            c0, c1, c2, c3, c4 = field(
+                zm, u, (y0 + hh * b0, y1 + hh * b1, y2 + hh * b2, y3 + hh * b3, y4 + hh * b4)
+            )
+            d0, d1, d2, d3, d4 = field(
+                z0 + h * u, u, (y0 + h * c0, y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4)
+            )
+            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
+            y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
+            y2 = y2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
+            y3 = y3 + h6 * (a3 + 2 * b3 + 2 * c3 + d3)
+            y4 = y4 + h6 * (a4 + 2 * b4 + 2 * c4 + d4)
+    return (y0, y1, y2, y3, y4)

@@ -21,6 +21,9 @@ from .linalg2c import ConjugacyKind, ConjugacyType, eigenvalues, sort_eigenvalue
 from .monodromy import direct_loop_holonomy
 from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frame
 
+# The two end eigenvalues -exp(+-i pi m) are about 2 pi |m - k| apart near an
+# integer k, where the log-term case begins; the same 1e-6 as TOL_EIG keeps
+# them apart by more than the error the end-loop check allows them.
 TOL_RES = 1e-6
 # Relative eigenvalue mismatch tolerance (hyperbolic traces grow like exp(pi |m|)).
 TOL_EIG = 1e-6

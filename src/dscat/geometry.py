@@ -24,7 +24,7 @@ from .curve import (
     log_derivative,
     log_derivative_prime,
 )
-from .errors import DegeneratePoint, SingularPoint
+from .errors import DegeneratePoint, DscatError, SingularPoint
 from .period import PeriodSolution
 from .transport import DEFAULT_CONFIG, FrameState, IntegratorConfig, integrate_frame
 
@@ -277,7 +277,7 @@ def build_mesh(
     for sheet in (+1, -1):
         try:
             root = _sheet_root(sol, sheet, cfg)
-        except Exception:
+        except DscatError:
             holes += len(radii) * nv
             continue
         for j, r in enumerate(radii):
@@ -285,7 +285,7 @@ def build_mesh(
                 entry = integrate_frame(
                     PathSpec(root.point, (0j, r * 1j)), params, F0=root.F, cfg=cfg
                 )
-            except Exception:
+            except DscatError:
                 holes += nv
                 continue
             state = entry
@@ -303,7 +303,7 @@ def build_mesh(
                         F0=state.F,
                         cfg=cfg,
                     )
-                except Exception:
+                except DscatError:
                     ring_failed = True
                     holes += 1
                     continue

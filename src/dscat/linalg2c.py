@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import NotInSU11, PoleError
 
+# The gauged monodromies at the four a = 2 roots have a scale-normalized
+# SU(1,1) defect of 2e-10 to 1.4e-9; 1e-6 leaves three orders of magnitude
+# for the integration error of harder parameters.
 TOL_SU11 = 1e-6
+# Width of the parabolic band |trace / 2| = 1 +- TOL_CLASS / 2: a matrix
+# accepted at defect TOL_SU11 has a trace uncertain at that level, so a
+# narrower band would classify a parabolic element by its rounding.
 TOL_CLASS = 1e-6
 
 Mat2C = np.ndarray

@@ -1,17 +1,28 @@
 """The benchmark's traced run (perfbench/tracing.py) wraps dscat functions by
-name, so every name it lists must exist in its dscat module."""
+name, so every name it lists must exist in its dscat module, and its counters
+must agree with what the kernels do untraced."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from dscat import transport
+from dscat.curve import CurveParams, canonical_paths
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_traced_names_resolve():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    tracing = _load_tracing()
     missing = [
         f"{layer}.{name}"
         for layer, names in tracing.LAYERS.items()
@@ -19,3 +30,22 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"dscat.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_traced_counts_match_untraced_integration():
+    tracing = _load_tracing()
+    params = CurveParams(2.0, -1.526035)
+    path = canonical_paths(params).gamma1
+    steps = []
+    untraced = transport.integrate_frame(path, params, on_step=lambda z, y: steps.append(z))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = transport.integrate_frame(path, params)
+    (span,) = [s for s in tracer.spans if s[tracing.NAME] == "_rk.integrate_polyline"]
+    counts = span[tracing.EXTRA]
+    assert counts["accepted"] == len(steps) > 0
+    # layer_metrics counts attempted steps as (evals - segments) / 6.
+    assert (counts["evals"] - counts["segments"]) % 6 == 0
+    assert (counts["evals"] - counts["segments"]) // 6 >= counts["accepted"]
+    assert np.array_equal(traced.F, untraced.F)
+    assert traced.point == untraced.point

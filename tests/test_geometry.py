@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dscat.curve import CurveParams, CurvePoint, PathSpec, base_point, transport_w
-from dscat.errors import DegeneratePoint, SingularPoint
+from dscat import geometry
+from dscat.errors import ContinuationError, DegeneratePoint, SingularPoint
 from dscat.geometry import (
     MinkowskiPoint,
     _schwarzian_fd,
@@ -151,6 +152,26 @@ def test_mesh_invariants(shallow_mesh):
     for tri in mesh.triangles:
         signs = {mesh.samples[i].g_abs >= 1.0 for i in tri}
         assert len(signs) == 1
+
+
+def test_mesh_bug_is_not_a_hole(shallow_solution, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a lost continuation")
+
+    monkeypatch.setattr(geometry, "integrate_frame", broken)
+    with pytest.raises(TypeError):
+        build_mesh(shallow_solution, 4, 4)
+
+
+def test_mesh_failed_integration_is_a_hole(shallow_solution, monkeypatch):
+    def lost(*args, **kwargs):
+        raise ContinuationError("sheet residual exceeded")
+
+    monkeypatch.setattr(geometry, "integrate_frame", lost)
+    mesh = build_mesh(shallow_solution, 4, 4)
+    rings = len(geometry._ring_radii(shallow_solution.a, 4, 3.0 * shallow_solution.a))
+    assert mesh.samples == [] and mesh.triangles == []
+    assert mesh.holes == 2 * rings * 4
 
 
 def test_mesh_contains_singular_contour(shallow_mesh):

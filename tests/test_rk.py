@@ -1,0 +1,231 @@
+"""The scalar kernels against the per-component loops they replaced.
+
+_reference_dp5 and _reference_rk4 are the loops integrate_polyline and
+integrate_polyline_rk4 ran before their five-component steps were written out,
+and _reference_joint_field is the frame field as it was, with L(z) from the
+guarded curve.log_derivative.  They are fed the start state the way
+integrate_frame and reference_frame fed it, as the numpy complex scalars of the
+start frame.  The kernels must reproduce them bit for bit: every accepted step
+and every endpoint component exactly equal.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dscat import _rk
+from dscat._rk import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _E1, _E3, _E4, _E5, _E6, _E7,
+)
+from dscat.curve import CurveParams, canonical_paths, log_derivative
+from dscat.errors import StepLimitExceeded
+from dscat.transport import _joint_field, reference_frame
+
+C_VALUES = (-7.6, -1.526035, 1.26988, 3.9)
+PATH_NAMES = ("c1", "c2", "gamma1", "end_loop_plus")
+# The identity and a gauge frame of determinant exactly 1.
+START_FRAMES = {
+    "identity": np.eye(2, dtype=complex),
+    "gauge": np.array([[1.25, 0.75j], [-0.75j, 1.25]], dtype=complex),
+}
+
+
+def _reference_joint_field(a, c):
+    def field(z, u, y):
+        F11, F12, F21, F22, w = y
+        iw = 1.0 / w
+        cu = c * u
+        return (
+            cu * (F11 - w * F21),
+            cu * (F12 - w * F22),
+            cu * (F11 * iw - F21),
+            cu * (F12 * iw - F22),
+            w * log_derivative(z, a) * u,
+        )
+
+    return field
+
+
+def _reference_dp5(waypoints, y0, field, *, rel_tol=1e-10, abs_tol=1e-12,
+                   max_steps=400_000, first_step=0.05, on_step=None):
+    y = tuple(y0)
+    n = len(y)
+    steps = 0
+    h = first_step
+    for p, q in zip(waypoints[:-1], waypoints[1:]):
+        seg = q - p
+        seg_len = abs(seg)
+        if seg_len == 0.0:
+            continue
+        u = seg / seg_len
+        s = 0.0
+        k1 = field(p, u, y)
+        h = min(h, seg_len)
+        while seg_len - s > 1e-14 * seg_len:
+            h = min(h, seg_len - s)
+            z0 = p + s * u
+            y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(n))
+            k2 = field(z0 + 0.2 * h * u, u, y2)
+            y3 = tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n))
+            k3 = field(z0 + 0.3 * h * u, u, y3)
+            y4 = tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n))
+            k4 = field(z0 + 0.8 * h * u, u, y4)
+            y5 = tuple(
+                y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
+                for i in range(n)
+            )
+            k5 = field(z0 + (8 / 9) * h * u, u, y5)
+            y6 = tuple(
+                y[i]
+                + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
+                for i in range(n)
+            )
+            k6 = field(z0 + h * u, u, y6)
+            ynew = tuple(
+                y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
+                for i in range(n)
+            )
+            k7 = field(z0 + h * u, u, ynew)
+            err_sq = 0.0
+            for i in range(n):
+                e_i = h * (
+                    _E1 * k1[i]
+                    + _E3 * k3[i]
+                    + _E4 * k4[i]
+                    + _E5 * k5[i]
+                    + _E6 * k6[i]
+                    + _E7 * k7[i]
+                )
+                sc = abs_tol + rel_tol * max(abs(y[i]), abs(ynew[i]))
+                err_sq += (abs(e_i) / sc) ** 2
+            err = math.sqrt(err_sq / n)
+            steps += 1
+            if steps > max_steps:
+                raise StepLimitExceeded(f"exceeded {max_steps} steps")
+            if err <= 1.0:
+                s += h
+                y = ynew
+                k1 = k7
+                if on_step is not None:
+                    on_step(z0 + h * u, y)
+            if err == 0.0:
+                h *= 5.0
+            else:
+                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
+            if h < 1e-14 * seg_len:
+                raise StepLimitExceeded("step size underflow")
+    return y
+
+
+def _reference_rk4(waypoints, y0, field, n_steps):
+    y = tuple(y0)
+    n = len(y)
+    total = sum(abs(q - p) for p, q in zip(waypoints[:-1], waypoints[1:]))
+    if total == 0.0:
+        return y
+    h_target = total / n_steps
+    for p, q in zip(waypoints[:-1], waypoints[1:]):
+        seg = q - p
+        seg_len = abs(seg)
+        if seg_len == 0.0:
+            continue
+        u = seg / seg_len
+        m = max(1, int(math.ceil(seg_len / h_target)))
+        h = seg_len / m
+        for j in range(m):
+            z0 = p + j * h * u
+            k1 = field(z0, u, y)
+            y2 = tuple(y[i] + 0.5 * h * k1[i] for i in range(n))
+            k2 = field(z0 + 0.5 * h * u, u, y2)
+            y3 = tuple(y[i] + 0.5 * h * k2[i] for i in range(n))
+            k3 = field(z0 + 0.5 * h * u, u, y3)
+            y4 = tuple(y[i] + h * k3[i] for i in range(n))
+            k4 = field(z0 + h * u, u, y4)
+            y = tuple(y[i] + (h / 6) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(n))
+    return y
+
+
+def _start(path, F0):
+    return (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w)
+
+
+@pytest.mark.parametrize("frame", sorted(START_FRAMES))
+@pytest.mark.parametrize("c", C_VALUES)
+def test_dp5_matches_reference_loop(c, frame):
+    a = 2.0
+    paths = canonical_paths(CurveParams(a, c))
+    F0 = START_FRAMES[frame]
+    for name in PATH_NAMES:
+        path = getattr(paths, name)
+        steps, ref_steps = [], []
+        y = _rk.integrate_polyline(
+            path.waypoints, _start(path, F0), _joint_field(a, c),
+            on_step=lambda z, y: steps.append((z, y)),
+        )
+        ref = _reference_dp5(
+            path.waypoints, _start(path, F0), _reference_joint_field(a, c),
+            on_step=lambda z, y: ref_steps.append((z, y)),
+        )
+        assert y == ref, name
+        assert len(steps) == len(ref_steps) > 0, name
+        assert steps == ref_steps, name
+
+
+@pytest.mark.parametrize("frame", sorted(START_FRAMES))
+@pytest.mark.parametrize("c", C_VALUES)
+def test_rk4_matches_reference_loop(c, frame):
+    a = 2.0
+    params = CurveParams(a, c)
+    paths = canonical_paths(params)
+    F0 = START_FRAMES[frame]
+    for name in PATH_NAMES:
+        path = getattr(paths, name)
+        state = reference_frame(path, params, F0, n_steps=2000)
+        ref = _reference_rk4(
+            path.waypoints, _start(path, F0), _reference_joint_field(a, c), 2000
+        )
+        assert tuple(state.F.ravel()) == ref[:4], name
+        assert state.point.w == ref[4], name
+
+
+def _decaying(z, u, y):
+    return tuple(-v * u for v in y)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_step_budget(n):
+    with pytest.raises(StepLimitExceeded, match="exceeded 3 steps"):
+        _rk.integrate_polyline((0j, 10 + 0j), (1.0,) * n, _decaying, max_steps=3)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_step_size_underflow(n):
+    def jump(z, u, y):
+        # A step across z = 0.5 errs by about 1e9 h, so no step longer than
+        # the underflow limit 1e-14 meets the tolerances there.
+        return (1e12 if z.real > 0.5 else 0.0,) * n
+
+    with pytest.raises(StepLimitExceeded, match="underflow"):
+        _rk.integrate_polyline((0j, 1 + 0j), (1.0,) * n, jump)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_state_is_python_complex(n):
+    start = tuple(np.ones(n, dtype=complex))
+    assert all(type(v) is np.complex128 for v in start)
+    seen = []
+    y = _rk.integrate_polyline(
+        (0j, 1 + 1j), start, _decaying, on_step=lambda z, y: seen.append(y)
+    )
+    assert seen and all(type(s) is tuple for s in seen)
+    assert all(type(v) is complex for s in seen + [y] for v in s)
+    assert abs(y[0] - np.exp(-(1 + 1j))) < 1e-9
+
+
+def test_rk4_state_is_python_complex():
+    y = _rk.integrate_polyline_rk4((0j, 1 + 0j), tuple(np.ones(5, dtype=complex)), _decaying, 50)
+    assert all(type(v) is complex for v in y)
+    assert abs(y[0] - math.exp(-1)) < 1e-8
