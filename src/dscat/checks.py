@@ -62,7 +62,9 @@ class CheckContext:
         )
 
     def half_paths(self) -> monodromy.HalfPathFrames:
-        return self._once("half_paths", lambda: monodromy.half_path_frames(self.params, self.cfg))
+        return self._once(
+            "half_paths", lambda: monodromy.half_path_frames(self.params, self.cfg, self.paths)
+        )
 
     def root(self) -> period.RefinedRoot:
         """The root refined from the bracket c +- ROOT_WINDOW."""

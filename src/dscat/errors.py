@@ -17,6 +17,17 @@ class ContinuationError(DscatError):
     """Analytic continuation lost the curve: sheet residual or determinant drift too large."""
 
 
+class LanesFailed(ContinuationError):
+    """A per-lane check of a lane-batched integration failed on some lanes.
+
+    lanes holds the indices of the failing lanes among those integrated.
+    """
+
+    def __init__(self, message: str, lanes):
+        self.lanes = tuple(int(i) for i in lanes)
+        super().__init__(f"{message} on lanes {list(self.lanes)}")
+
+
 class StepLimitExceeded(DscatError):
     """Adaptive integrator exceeded its step budget."""
 

@@ -23,12 +23,23 @@ from .curve import (
     branch_points,
     log_derivative,
     log_derivative_prime,
+    validate_path,
 )
-from .errors import DegeneratePoint, DscatError, SingularPoint
+from .errors import DegeneratePoint, DscatError, LanesFailed, PathError, SingularPoint
 from .period import PeriodSolution
-from .transport import DEFAULT_CONFIG, FrameState, IntegratorConfig, integrate_frame
+from .transport import (
+    DEFAULT_CONFIG,
+    FrameState,
+    IntegratorConfig,
+    integrate_frame,
+    integrate_frames_over_c,
+)
 
-# Flag threshold on | |g| - 1 | (rendering diagnostics only).
+# Flag threshold on | |g| - 1 | (rendering diagnostics only).  |g| at the
+# 24 x 24 mesh nodes of the four a = 2 roots moves by at most 9.1e-9 against a
+# rel_tol 1e-13 integration, so the flag follows the surface, not the
+# integration error; and unit_normal's factor 1 / (|g|^2 - 1) stays below
+# about 500 outside it.
 TOL_SING = 1e-3
 # Mesh keeps this clear of branch points (slightly above the path minimum).
 MESH_CLEARANCE = 0.15
@@ -97,15 +108,17 @@ class MeshResult:
     holes: int
 
 
-def immerse(F: np.ndarray) -> MinkowskiPoint:
+def immerse(F) -> MinkowskiPoint:
     """X = F e3 F* as a Lorentz 4-vector.
 
     The product is self adjoint with determinant -1 whenever det F = 1, so the
-    result lies on the unit quadric.
+    result lies on the unit quadric.  F is a 2 x 2 array or a pair of rows of
+    Python complex numbers, which is faster.
     """
-    f11 = (abs(F[0, 0]) ** 2 - abs(F[0, 1]) ** 2)
-    f22 = (abs(F[1, 0]) ** 2 - abs(F[1, 1]) ** 2)
-    f12 = F[0, 0] * np.conj(F[1, 0]) - F[0, 1] * np.conj(F[1, 1])
+    (F11, F12), (F21, F22) = F
+    f11 = (abs(F11) ** 2 - abs(F12) ** 2)
+    f22 = (abs(F21) ** 2 - abs(F22) ** 2)
+    f12 = F11 * F21.conjugate() - F12 * F22.conjugate()
     return MinkowskiPoint(
         x0=0.5 * (f11 + f22),
         x1=float(f12.real),
@@ -114,16 +127,17 @@ def immerse(F: np.ndarray) -> MinkowskiPoint:
     )
 
 
-def secondary_gauss(F: np.ndarray, p: CurvePoint) -> complex:
+def secondary_gauss(F, p: CurvePoint) -> complex:
     """The multivalued Gauss map g = -dF12/dF11 evaluated through dF = alpha F.
 
     Equals -(F12 - w F22) / (F11 - w F21); returns complex infinity when the
     denominator vanishes (infinity is a legitimate value of g).
-    The surface is singular exactly where |g| = 1.
+    The surface is singular exactly where |g| = 1.  F is taken as by immerse.
     """
+    (F11, F12), (F21, F22) = F
     w = p.w
-    num = -(F[0, 1] - w * F[1, 1])
-    den = F[0, 0] - w * F[1, 0]
+    num = -(F12 - w * F22)
+    den = F11 - w * F21
     if den == 0:
         return complex(math.inf, 0.0)
     return complex(num / den)
@@ -265,68 +279,90 @@ def build_mesh(
     has a fixed integration path and resampling is deterministic.  Triangles
     that would cross a sheet-change slit, pass near a branch point, or
     straddle the singular set |g| = 1 are omitted.
+
+    Ring j follows the unit polyline of _unit_legs scaled by its radius, so
+    all rings of both sheets advance together, one lane each, through
+    integrate_frames_over_c: one call per node step.  The lanes share a step
+    sequence, so the vertices match per-node integration within the
+    integrator tolerance, not bit for bit.  A lane that fails a check is
+    dropped and the rest of its ring's nodes become holes; a failure that
+    names no lane (StepLimitExceeded, say) drops every lane of that step.
     """
-    params = CurveParams(sol.a, sol.c)
-    radii = _ring_radii(sol.a, nu, 3.0 * sol.a)
+    a = sol.a
+    radii = _ring_radii(a, nu, 3.0 * a)
     angles = [2 * math.pi * (k + 0.5) / nv for k in range(nv)]
     order = sorted(range(nv), key=lambda k: (angles[k] - math.pi / 2) % (2 * math.pi))
+    legs = _unit_legs(angles, order)
+
+    holes = 0
+    roots = []
+    for sheet in (+1, -1):
+        try:
+            roots.append((sheet, _sheet_root(sol, sheet, cfg)))
+        except DscatError:
+            holes += len(radii) * nv
+    rings = []
+    ring_path = legs[0] + tuple(z for leg in legs[1:] for z in leg[1:])
+    for j, r in enumerate(radii):
+        try:
+            validate_path(PathSpec(base_point(+1), tuple(r * z for z in ring_path)), a)
+        except PathError:
+            holes += len(roots) * nv
+        else:
+            rings.append(j)
+
+    lanes = [(sheet, j) for sheet, _ in roots for j in rings]
+    F = np.array([root.F for _, root in roots for j in rings], dtype=complex)
+    w = np.array([root.point.w for _, root in roots for j in rings], dtype=complex)
+    scale = [radii[j] for _, j in lanes]
+    live = np.arange(len(lanes))
+    found: dict = {lane: [] for lane in lanes}
+    for t, leg in enumerate(legs):
+        # w0 below replaces the start sheet value of every lane
+        path = PathSpec(CurvePoint(leg[0], 1.0 + 0j), leg)
+        while live.size:
+            try:
+                F[live], w[live] = integrate_frames_over_c(
+                    path, a, sol.c, cfg,
+                    F0=F[live], w0=w[live], scale=np.take(scale, live), validated=True,
+                )
+                break
+            except LanesFailed as exc:
+                failed = live[list(exc.lanes)]
+            except DscatError:
+                failed = live
+            # the entry leg and the first node step lose all nv nodes
+            holes += failed.size * (nv - max(0, t - 1))
+            live = np.setdiff1d(live, failed)
+        if t == 0:
+            continue
+        for i, F_i, w_i in zip(live.tolist(), F[live].tolist(), w[live].tolist()):
+            sample = _surface_sample(F_i, CurvePoint(scale[i] * leg[-1], w_i))
+            if sample is None:
+                holes += 1
+            else:
+                found[lanes[i]].append((order[t - 1], sample))
 
     samples: list = []
     index: dict = {}
-    holes = 0
-    for sheet in (+1, -1):
-        try:
-            root = _sheet_root(sol, sheet, cfg)
-        except DscatError:
-            holes += len(radii) * nv
-            continue
-        for j, r in enumerate(radii):
-            try:
-                entry = integrate_frame(
-                    PathSpec(root.point, (0j, r * 1j)), params, F0=root.F, cfg=cfg
-                )
-            except DscatError:
-                holes += nv
-                continue
-            state = entry
-            prev_u = math.pi / 2
-            ring_failed = False
-            for k in order:
-                if ring_failed:
-                    holes += 1
-                    continue
-                u = math.pi / 2 + (angles[k] - math.pi / 2) % (2 * math.pi)
-                try:
-                    state = integrate_frame(
-                        PathSpec(state.point, _arc_waypoints(state.point.z, r, prev_u, u)),
-                        params,
-                        F0=state.F,
-                        cfg=cfg,
-                    )
-                except DscatError:
-                    ring_failed = True
-                    holes += 1
-                    continue
-                prev_u = u
-                g = secondary_gauss(state.F, state.point)
-                g_abs = abs(g)
-                X = immerse(state.F)
-                frame_scale = float(np.max(np.abs(state.F)))
-                norm_x = math.sqrt(float(np.sum(X.as_array() ** 2)))
-                if frame_scale ** 2 * RESOLVE_EPS > max(1.0, norm_x):
-                    holes += 1
-                    continue
-                samples.append(
-                    SurfaceSample(
-                        param=state.point,
-                        X=X,
-                        Y=hollow_ball(X),
-                        g_abs=g_abs,
-                        singular=abs(g_abs - 1.0) < TOL_SING,
-                        frame_scale=frame_scale,
-                    )
-                )
-                index[(sheet, j, k)] = len(samples) - 1
+    for (sheet, j), ring in found.items():
+        for k, sample in ring:
+            index[(sheet, j, k)] = len(samples)
+            samples.append(sample)
+
+    clear: dict = {}
+
+    def edge_clear(i: int, m: int) -> bool:
+        """Does the grid edge between samples i and m stay off the slits and
+        clear of the branch points?  Memoised: it depends on the grid alone."""
+        key = (i, m) if i < m else (m, i)
+        if key not in clear:
+            p, q = samples[key[0]].param.z, samples[key[1]].param.z
+            clear[key] = not (
+                _segment_crosses_slit(p, q, a)
+                or any(_segment_distance(p, q, b) < MESH_CLEARANCE for b in branch_points(a))
+            )
+        return clear[key]
 
     triangles: list = []
     for sheet in (+1, -1):
@@ -342,17 +378,49 @@ def build_mesh(
                 if any(i is None for i in quad):
                     continue
                 for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3])):
-                    if _keep_triangle(tri, samples, sol.a):
+                    if _keep_triangle(tri, samples, edge_clear):
                         triangles.append(tri)
     return MeshResult(samples, triangles, holes)
 
 
-def _keep_triangle(tri: tuple, samples: list, a: float) -> bool:
-    pts = [samples[i].param.z for i in tri]
-    for p, q in ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[0])):
-        if _segment_crosses_slit(p, q, a) or any(
-            _segment_distance(p, q, b) < MESH_CLEARANCE for b in branch_points(a)
-        ):
+def _unit_legs(angles: list, order: list) -> list:
+    """The polyline every mesh ring follows, for radius 1, split at the nodes.
+
+    The first leg is the radial entry 0 -> i; leg t >= 1 is the arc on |z| = 1
+    from the previous node to node order[t - 1], counterclockwise from the
+    imaginary axis.  Each leg starts at the exact end of the one before.
+    """
+    legs = [(0j, 1j)]
+    prev_u = math.pi / 2
+    for k in order:
+        u = math.pi / 2 + (angles[k] - math.pi / 2) % (2 * math.pi)
+        legs.append(_arc_waypoints(legs[-1][-1], 1.0, prev_u, u))
+        prev_u = u
+    return legs
+
+
+def _surface_sample(F: list, point: CurvePoint) -> SurfaceSample | None:
+    """The sample of the frame F, rows of Python complex numbers, at point, or
+    None when X is unresolvable."""
+    g_abs = abs(secondary_gauss(F, point))
+    X = immerse(F)
+    frame_scale = max(abs(v) for row in F for v in row)
+    norm_x = math.sqrt(X.x0 ** 2 + X.x1 ** 2 + X.x2 ** 2 + X.x3 ** 2)
+    if frame_scale ** 2 * RESOLVE_EPS > max(1.0, norm_x):
+        return None
+    return SurfaceSample(
+        param=point,
+        X=X,
+        Y=hollow_ball(X),
+        g_abs=g_abs,
+        singular=abs(g_abs - 1.0) < TOL_SING,
+        frame_scale=frame_scale,
+    )
+
+
+def _keep_triangle(tri: tuple, samples: list, edge_clear) -> bool:
+    for i, m in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+        if not edge_clear(i, m):
             return False
     signs = [samples[i].g_abs >= 1.0 for i in tri]
     if len(set(signs)) > 1:

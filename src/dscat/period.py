@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurveParams, canonical_paths
+from .curve import CanonicalPaths, CurveParams, canonical_paths
 from .ends import end_conjugacy_type
 from .errors import (
     LostBracket,
@@ -104,9 +104,11 @@ class PeriodSolution:
     end_type: ConjugacyType
 
 
-def _periods_at(a: float, c: float, cfg: IntegratorConfig) -> tuple:
-    """(f1, f2, half-path frames) at one c."""
-    h = half_path_frames(CurveParams(a, c), cfg)
+def _periods_at(
+    a: float, c: float, cfg: IntegratorConfig, paths: CanonicalPaths | None = None
+) -> tuple:
+    """(f1, f2, half-path frames) at one c, along paths when given."""
+    h = half_path_frames(CurveParams(a, c), cfg, paths)
     return (*period_functions(h), h)
 
 
@@ -147,8 +149,8 @@ def scan_c(
         block = slice(lo, lo + SCAN_BLOCK)
         cs = np.array([grid[k] for k in live[block]])
         f1[block], f2[block], degenerate[block] = period_values(
-            integrate_frames_over_c(paths.c1, a, cs, cfg),
-            integrate_frames_over_c(paths.c2, a, cs, cfg),
+            integrate_frames_over_c(paths.c1, a, cs, cfg)[0],
+            integrate_frames_over_c(paths.c2, a, cs, cfg)[0],
         )
 
     values = dict(zip(live, zip(f1.tolist(), f2.tolist(), degenerate.tolist())))
@@ -223,16 +225,18 @@ def refine_root(
     period function keeps a large one and is flagged is_crossing = False.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
+    # the paths depend on a alone, so any nonzero c serves
+    paths = canonical_paths(CurveParams(a, 1.0))
 
     cache: dict = {}
 
     def diff(c: float) -> float:
-        cache[c] = _periods_at(a, c, cfg)
+        cache[c] = _periods_at(a, c, cfg, paths)
         return cache[c][0] - cache[c][1]
 
     c_star = bracketed_root(diff, lo, hi, tol_c)
     if c_star not in cache:
-        cache[c_star] = _periods_at(a, c_star, cfg)
+        cache[c_star] = _periods_at(a, c_star, cfg, paths)
     f1, f2, h = cache[c_star]
     gap = abs(f1 - f2)
     is_crossing = gap <= CROSSING_GAP_TOL * max(1.0, abs(f1), abs(f2))

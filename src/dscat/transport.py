@@ -22,7 +22,7 @@ from .curve import (
     sheet_monitor,
     validate_path,
 )
-from .errors import ContinuationError, DomainError
+from .errors import ContinuationError, DomainError, LanesFailed
 
 # det F is conserved exactly by the trace-free flow; on the seven canonical
 # paths at the four a = 2 roots the drift is at most 3.1e-11 of |F|^2 at
@@ -139,12 +139,22 @@ def integrate_frame(
     return FrameState(end, F)
 
 
-def _joint_field_lanes(a: float, cs: np.ndarray):
-    """_joint_field for rows (F11, F12, F21, F22, w) with one column per c in cs.
+def _joint_field_lanes(a: float, cs, scale=1.0):
+    """_joint_field for rows (F11, F12, F21, F22, w) with one column per lane.
 
-    Uses F21' = F11' / w and F22' = F12' / w, which holds because alpha is
-    rank one.
+    Lane j has the coefficient cs[j] (or the scalar cs) and follows the
+    polyline scale[j] * z of the integration variable z, so its derivative is
+    scale[j] times the field at scale[j] * z.  Seen from z the lane's branch
+    points are those of the curve divided by scale[j], and
+    scale * L(scale * z) is L(z) with those branch points: that is how L is
+    evaluated, inline and without log_derivative's guard, as in _joint_field.
+    A scalar scale (the scan's 1.0) evaluates L once per stage for all lanes,
+    and with scale 1.0 the formula is log_derivative's, operation for
+    operation.  Uses F21' = F11' / w and F22' = F12' / w, which holds because
+    alpha is rank one.
     """
+    one, a_s = 1.0 / scale, a / scale
+    cs_s = cs * scale
 
     def field(z, u, y):
         w = y[4]
@@ -152,9 +162,10 @@ def _joint_field_lanes(a: float, cs: np.ndarray):
         top = out[0:2]
         np.multiply(y[2:4], w, out=top)
         np.subtract(y[0:2], top, out=top)
-        top *= cs * u
+        top *= cs_s * u
         np.divide(top, w, out=out[2:4])
-        np.multiply(w, log_derivative(z, a) * u, out=out[4])
+        L = 0.5 * (1 / (z + one) + 1 / (z - a_s) - 1 / (z - one) - 1 / (z + a_s))
+        np.multiply(w, L * u, out=out[4])
         return out
 
     return field
@@ -163,49 +174,85 @@ def _joint_field_lanes(a: float, cs: np.ndarray):
 def integrate_frames_over_c(
     path: PathSpec,
     a: float,
-    cs: np.ndarray,
+    cs,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """Endpoint frames, shape (len(cs), 2, 2), of integrate_frame with F0 = I
-    for every c in cs, integrated together with one lane per c.
+    *,
+    F0: np.ndarray | None = None,
+    w0=None,
+    scale=1.0,
+    validated: bool = False,
+) -> tuple:
+    """End states of integrate_frame for many lanes integrated together.
 
-    The checks of integrate_frame apply to every lane: the sheet residual of w
-    at each accepted step and at the endpoint, and the determinant drift of
-    each endpoint frame.  w does not depend on c, so the lanes carry the same
-    w up to rounding.
+    Lane j has the coefficient cs[j], starts from the frame F0[j] (default I)
+    with the sheet value w0[j] (default path.start.w), and follows the
+    polyline scale[j] * path.waypoints.  Each of cs, F0, w0 and scale is
+    given per lane or once for all lanes.  Returns the end frames, shape
+    (n, 2, 2), and the end sheet values, shape (n,).
+
+    The checks of integrate_frame apply to every lane: validate_path on the
+    lane's scaled polyline (skipped when validated is true, for a caller that
+    has run it already: build_mesh does so once per ring, not once per node),
+    the start determinant, the sheet residual of w at each accepted step and
+    at the endpoint, and the determinant drift of each endpoint frame.  A
+    lane that fails the sheet or drift check raises LanesFailed, naming every
+    lane that fails it there.  The lanes share one step sequence, so a
+    StepLimitExceeded belongs to all of them.
     """
-    validate_path(path, a)
     cs = np.asarray(cs, dtype=float)
-    y0 = np.zeros((5, len(cs)), dtype=complex)
-    y0[0] = y0[3] = 1.0
-    y0[4] = path.start.w
+    F0 = np.eye(2, dtype=complex) if F0 is None else np.asarray(F0, dtype=complex)
+    w0 = path.start.w if w0 is None else np.asarray(w0, dtype=complex)
+    shape = np.broadcast_shapes(cs.shape, np.shape(scale), np.shape(w0), F0.shape[:-2])
+    n = shape[0] if shape else 1
+    y0 = np.empty((5, n), dtype=complex)
+    y0[:4] = np.broadcast_to(F0, (n, 2, 2)).reshape(n, 4).T
+    y0[4] = w0
+    if not validated:
+        scales = np.broadcast_to(scale, (n,)).tolist()
+        for s, w in dict.fromkeys(zip(scales, y0[4].tolist())):
+            validate_path(_scaled_path(path, s, w), a)
+    if _drifted(y0)[1].any():
+        raise DomainError("initial frame must have determinant 1")
 
-    def sheet_excess(z, w) -> float:
-        r = (z + 1) * (z - a) / ((z - 1) * (z + a))
-        return float(np.max(np.abs(w * w - r))) - TOL_SHEET * (1.0 + abs(r))
+    one, a_s = 1.0 / scale, a / scale
 
-    def monitor(z, y):
-        if sheet_excess(z, y[4]) > 0.0:
-            raise ContinuationError(f"sheet residual exceeded at z = {z}")
+    def check_sheet(z, y) -> None:
+        r = (z + one) * (z - a_s) / ((z - one) * (z + a_s))
+        bad = np.abs(y[4] * y[4] - r) > TOL_SHEET * (1.0 + np.abs(r))
+        if bad.any():
+            raise LanesFailed(f"sheet residual exceeded at z = {z}", np.flatnonzero(bad))
 
     y = _rk.integrate_polyline_lanes(
         path.waypoints,
         y0,
-        _joint_field_lanes(a, cs),
+        _joint_field_lanes(a, cs, scale),
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
         max_steps=cfg.max_steps,
         first_step=cfg.initial_step,
-        on_step=monitor,
+        on_step=check_sheet,
     )
-    if sheet_excess(path.waypoints[-1], y[4]) > 0.0:
-        raise ContinuationError("endpoint sheet residual exceeded")
-    F = y[:4].T.reshape(-1, 2, 2)
-    drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)
-    bad = drift > TOL_DET * np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
+    check_sheet(path.waypoints[-1], y)
+    drift, bad = _drifted(y)
     if bad.any():
-        raise ContinuationError(f"determinant drift {float(np.max(drift[bad])):.3e}")
-    return F
+        raise LanesFailed(
+            f"determinant drift {float(np.max(drift[bad])):.3e}", np.flatnonzero(bad)
+        )
+    return y[:4].T.reshape(-1, 2, 2), y[4]
+
+
+def _drifted(y: np.ndarray) -> tuple:
+    """|det F - 1| of every lane of y, and whether it exceeds TOL_DET scaled by
+    the squared entry size."""
+    drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)
+    return drift, drift > TOL_DET * np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
+
+
+def _scaled_path(path: PathSpec, s: float, w: complex) -> PathSpec:
+    """path scaled by s about 0, starting on the sheet value w."""
+    return PathSpec(
+        CurvePoint(s * path.start.z, w), tuple(s * z for z in path.waypoints), path.closed
+    )
 
 
 def reference_frame(

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dscat.curve import CurveParams, CurvePoint, PathSpec, base_point, transport_w
+from dscat.transport import DEFAULT_CONFIG
 from dscat import geometry
-from dscat.errors import ContinuationError, DegeneratePoint, SingularPoint
+from dscat.errors import ContinuationError, DegeneratePoint, PathError, SingularPoint
 from dscat.geometry import (
     MinkowskiPoint,
     _schwarzian_fd,
@@ -158,7 +159,7 @@ def test_mesh_bug_is_not_a_hole(shallow_solution, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("a bug, not a lost continuation")
 
-    monkeypatch.setattr(geometry, "integrate_frame", broken)
+    monkeypatch.setattr(geometry, "integrate_frames_over_c", broken)
     with pytest.raises(TypeError):
         build_mesh(shallow_solution, 4, 4)
 
@@ -167,11 +168,141 @@ def test_mesh_failed_integration_is_a_hole(shallow_solution, monkeypatch):
     def lost(*args, **kwargs):
         raise ContinuationError("sheet residual exceeded")
 
-    monkeypatch.setattr(geometry, "integrate_frame", lost)
+    monkeypatch.setattr(geometry, "integrate_frames_over_c", lost)
     mesh = build_mesh(shallow_solution, 4, 4)
     rings = len(geometry._ring_radii(shallow_solution.a, 4, 3.0 * shallow_solution.a))
     assert mesh.samples == [] and mesh.triangles == []
     assert mesh.holes == 2 * rings * 4
+
+
+def test_mesh_lane_failure_holes_only_its_ring(shallow_solution, monkeypatch):
+    # spoil the sheet value of one lane (sheet +1, ring 3) at the second node
+    # step: the sheet check fails on that lane alone
+    sol, nu, nv = shallow_solution, 8, 12
+    full = build_mesh(sol, nu, nv)
+    assert full.holes == 0
+    ring = geometry._ring_radii(sol.a, nu, 3.0 * sol.a)[3]
+    real = geometry.integrate_frames_over_c
+    calls = []
+
+    def spoiled(path, a, c, cfg, *, F0, w0, scale, validated):
+        calls.append(len(scale))
+        if len(calls) == 3:
+            w0 = w0.copy()
+            w0[int(np.flatnonzero(scale == ring)[0])] *= 1 + 1e-6
+        return real(path, a, c, cfg, F0=F0, w0=w0, scale=scale, validated=validated)
+
+    monkeypatch.setattr(geometry, "integrate_frames_over_c", spoiled)
+    mesh = build_mesh(sol, nu, nv)
+    # the failed step is run again without the lane, which stays dropped
+    assert calls[2:5] == [calls[2], calls[2] - 1, calls[2] - 1]
+    # ring 3 of sheet +1 keeps the node reached before the failure
+    kept = full.samples[: 3 * nv + 1] + full.samples[4 * nv :]
+    assert [s.param.z for s in mesh.samples] == [s.param.z for s in kept]
+    assert mesh.holes == nv - 1
+
+
+def test_mesh_validates_each_ring_once(shallow_solution, monkeypatch):
+    # a ring whose scaled polyline fails validation loses its nodes on both
+    # sheets; the other rings are meshed as before
+    sol, nu, nv = shallow_solution, 8, 12
+    radii = geometry._ring_radii(sol.a, nu, 3.0 * sol.a)
+    real = geometry.validate_path
+    seen = []
+
+    def checked(path, a):
+        seen.append(abs(path.waypoints[1]))
+        if seen[-1] == radii[2]:
+            raise PathError("segment passes within 0.1 of a branch point")
+        return real(path, a)
+
+    monkeypatch.setattr(geometry, "validate_path", checked)
+    mesh = build_mesh(sol, nu, nv)
+    assert seen == radii
+    assert mesh.holes == 2 * nv
+    assert len(mesh.samples) == 2 * (len(radii) - 1) * nv
+    assert all(abs(s.param.z) != pytest.approx(radii[2]) for s in mesh.samples)
+
+
+def _per_node_mesh(sol, nu, nv):
+    """build_mesh as one integrate_frame call per node, the reference for the
+    ring-parallel build: (sample keys, samples, triangles, holes)."""
+    from dscat.curve import _segment_distance, branch_points
+    from dscat.transport import integrate_frame
+
+    params = CurveParams(sol.a, sol.c)
+    radii = geometry._ring_radii(sol.a, nu, 3.0 * sol.a)
+    angles = [2 * math.pi * (k + 0.5) / nv for k in range(nv)]
+    order = sorted(range(nv), key=lambda k: (angles[k] - math.pi / 2) % (2 * math.pi))
+    samples, index, holes = [], {}, 0
+    for sheet in (+1, -1):
+        root = geometry._sheet_root(sol, sheet, DEFAULT_CONFIG)
+        for j, r in enumerate(radii):
+            state = integrate_frame(PathSpec(root.point, (0j, r * 1j)), params, F0=root.F)
+            prev_u = math.pi / 2
+            for k in order:
+                u = math.pi / 2 + (angles[k] - math.pi / 2) % (2 * math.pi)
+                wp = geometry._arc_waypoints(state.point.z, r, prev_u, u)
+                state = integrate_frame(PathSpec(state.point, wp), params, F0=state.F)
+                prev_u = u
+                X = immerse(state.F)
+                frame_scale = float(np.max(np.abs(state.F)))
+                if frame_scale ** 2 * geometry.RESOLVE_EPS > max(1.0, np.linalg.norm(X.as_array())):
+                    holes += 1
+                    continue
+                index[(sheet, j, k)] = len(samples)
+                g_abs = abs(secondary_gauss(state.F, state.point))
+                samples.append((state.point, hollow_ball(X), g_abs, frame_scale))
+
+    def keep(tri):
+        pts = [samples[i][0].z for i in tri]
+        for p, q in ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[0])):
+            if geometry._segment_crosses_slit(p, q, sol.a) or any(
+                _segment_distance(p, q, b) < geometry.MESH_CLEARANCE for b in branch_points(sol.a)
+            ):
+                return False
+        return len({samples[i][2] >= 1.0 for i in tri}) == 1
+
+    triangles = []
+    for sheet in (+1, -1):
+        for j in range(len(radii) - 1):
+            for k in range(nv):
+                k1 = (k + 1) % nv
+                quad = [index.get(key) for key in
+                        ((sheet, j, k), (sheet, j + 1, k), (sheet, j + 1, k1), (sheet, j, k1))]
+                if None not in quad:
+                    for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3])):
+                        if keep(tri):
+                            triangles.append(tri)
+    return index, samples, triangles, holes
+
+
+@pytest.mark.parametrize("grid", [(24, 24), (8, 12)], ids=["24x24", "8x12"])
+@pytest.mark.parametrize("root", ["shallow_solution", "deep_solution"])
+def test_mesh_matches_per_node_integration(root, grid, request, monkeypatch):
+    sol = request.getfixturevalue(root)
+    index, ref, triangles, holes = _per_node_mesh(sol, *grid)
+    scalar_calls = []
+    real = geometry.integrate_frame
+
+    def counted(*args, **kwargs):
+        scalar_calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "integrate_frame", counted)
+    mesh = build_mesh(sol, *grid)
+    assert len(scalar_calls) <= 2  # the sheet roots only
+    assert mesh.triangles == triangles and mesh.holes == holes
+    assert [s.param.z for s in mesh.samples] == [p.z for p, _, _, _ in ref]
+    assert len(mesh.samples) == len(index)
+    for s, (p, Y, g_abs, frame_scale) in zip(mesh.samples, ref):
+        # the per-node reference is itself off a rel_tol 1e-13 integration by
+        # up to 4e-10 frame_scale^2 in Y (8e-2 at frame_scale 7.8e4 on the
+        # deep root), so two integrations at rel_tol 1e-10 agree to that
+        bound = max(1e-6, 1e-9 * frame_scale ** 2)
+        assert float(np.max(np.abs(s.Y.as_array() - Y.as_array()))) <= bound
+        assert abs(s.param.w - p.w) <= 1e-8 * abs(p.w)
+        assert (s.g_abs >= 1.0) == (g_abs >= 1.0)
 
 
 def test_mesh_contains_singular_contour(shallow_mesh):

@@ -96,9 +96,9 @@ def test_scan_validates_a_when_every_point_is_skipped():
 def test_solve_integrates_each_c_once(monkeypatch):
     seen = []
 
-    def counting(params, cfg=DEFAULT_CONFIG):
+    def counting(params, cfg=DEFAULT_CONFIG, paths=None):
         seen.append(params.c)
-        return half_path_frames(params, cfg)
+        return half_path_frames(params, cfg, paths)
 
     monkeypatch.setattr(period_module, "half_path_frames", counting)
     sol = solve_at_bracket(2.0, (1.25, 1.29))
@@ -106,6 +106,22 @@ def test_solve_integrates_each_c_once(monkeypatch):
     # the frames handed on from refinement give what a fresh integration gives
     fresh = verify_solution(2.0, sol.c, sol.P)
     assert (fresh.f, fresh.su11_residual) == (sol.f, sol.su11_residual)
+
+
+def test_refine_builds_the_paths_once(monkeypatch):
+    from dscat import curve, monodromy
+
+    built = []
+
+    def counting(params):
+        built.append(params.a)
+        return curve.canonical_paths(params)
+
+    monkeypatch.setattr(period_module, "canonical_paths", counting)
+    monkeypatch.setattr(monodromy, "canonical_paths", counting)
+    root = refine_root(2.0, (1.25, 1.29), 1e-9)
+    assert built == [2.0]
+    assert (root.f1, root.f2) == _periods_at(2.0, root.c, DEFAULT_CONFIG)[:2]
 
 
 def test_refine_paper_roots():

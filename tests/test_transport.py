@@ -3,7 +3,13 @@ import pytest
 
 from dscat import _rk, transport
 from dscat.curve import CurveParams, CurvePoint, PathSpec, base_point, canonical_paths
-from dscat.errors import ContinuationError, DomainError, PathError, StepLimitExceeded
+from dscat.errors import (
+    ContinuationError,
+    DomainError,
+    LanesFailed,
+    PathError,
+    StepLimitExceeded,
+)
 from dscat.monodromy import direct_loop_holonomy
 from dscat.transport import (
     DEFAULT_CONFIG,
@@ -155,11 +161,12 @@ def test_one_lane_matches_scalar_kernel(c):
 def test_frames_over_c_match_integrate_frame():
     a, cs = 2.0, np.array([-4.0, -0.5, 2.0])
     path = canonical_paths(CurveParams(a, 1.0)).c2
-    frames = integrate_frames_over_c(path, a, cs)
-    assert frames.shape == (3, 2, 2)
-    for c, F in zip(cs, frames):
-        ref = integrate_frame(path, CurveParams(a, float(c))).F
-        assert np.max(np.abs(F - ref)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref))))
+    frames, w = integrate_frames_over_c(path, a, cs)
+    assert frames.shape == (3, 2, 2) and w.shape == (3,)
+    for c, F, w_end in zip(cs, frames, w):
+        ref = integrate_frame(path, CurveParams(a, float(c)))
+        assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
+        assert abs(w_end - ref.point.w) <= 1e-8 * abs(ref.point.w)
 
 
 def test_frames_over_c_keep_the_checks(monkeypatch):
@@ -173,3 +180,37 @@ def test_frames_over_c_keep_the_checks(monkeypatch):
     monkeypatch.setattr(transport, "TOL_DET", 1e-20)
     with pytest.raises(ContinuationError, match="determinant drift"):
         integrate_frames_over_c(path, 2.0, cs)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.7, 4.4])
+def test_scaled_lane_matches_integrate_frame(r):
+    # a lane with scale r follows r * waypoints; started with the step scaled
+    # to match, it takes the steps integrate_frame takes on the scaled path
+    a, c = 2.0, -1.526
+    F0 = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+    unit = PathSpec(base_point(+1), (0j, 1j, np.exp(2.0j), np.exp(2.6j)))
+    scaled = PathSpec(base_point(+1), tuple(r * z for z in unit.waypoints))
+    ref = integrate_frame(scaled, CurveParams(a, c), F0=F0)
+    cfg = IntegratorConfig(initial_step=DEFAULT_CONFIG.initial_step / r)
+    F, w = integrate_frames_over_c(unit, a, c, cfg, F0=F0, scale=np.array([r]))
+    assert np.max(np.abs(F[0] - ref.F)) <= 1e-12 * np.max(np.abs(ref.F))
+    assert abs(w[0] - ref.point.w) <= 1e-12 * abs(ref.point.w)
+
+
+def test_lane_checks_name_the_failing_lanes():
+    # every lane's scaled polyline is validated: at scale 1 the segment ends
+    # 0.05 from the branch point z = -1
+    with pytest.raises(PathError):
+        integrate_frames_over_c(
+            PathSpec(base_point(+1), (0j, -1.0 + 0.05j)), 2.0, -1.526, scale=np.array([0.5, 1.0])
+        )
+    # a start value off the sheet fails that lane's sheet check only
+    unit = PathSpec(base_point(+1), (0j, 1j, np.exp(2.0j)))
+    w0 = np.ones(3, dtype=complex)
+    w0[1] *= 1 + 1e-6
+    with pytest.raises(LanesFailed, match="sheet residual") as exc:
+        integrate_frames_over_c(
+            unit, 2.0, -1.526, w0=w0, scale=np.array([0.5, 2.7, 4.4]), validated=True
+        )
+    assert exc.value.lanes == (1,)
+    assert isinstance(exc.value, ContinuationError)
