@@ -9,17 +9,31 @@ tiny and scalar arithmetic is an order of magnitude faster than small-array
 operations.
 
 The five-component state of the frame transport (F11, F12, F21, F22, w) has
-its DP5 step written out per component (_dp5_step5), and the RK4 reference
-exists only in that form; other sizes run the per-component loop of
-_dp5_step.  The written-out step repeats the loop's floating-point operations
-in the loop's order, so the two give the same steps and endpoints bit for bit:
-floating-point arithmetic is not associative, and regrouping a stage sum or
-a product (h * (A * k) for (h * A) * k, say) would move results in the last
-digits and, through the step-size controller, change which steps are taken.
+its DP5 step written out per component (_dp5_step5); other sizes run the
+per-component loop of _dp5_step.  The written-out step repeats the loop's
+floating-point operations in the loop's order, so the two give the same steps
+and endpoints bit for bit: floating-point arithmetic is not associative, and
+regrouping a stage sum or a product (h * (A * k) for (h * A) * k, say) would
+move results in the last digits and, through the step-size controller, change
+which steps are taken.
 
 integrate_polyline_lanes runs the same scheme on many independent copies of
 one system ("lanes") at once, where numpy's per-call overhead is shared by all
 lanes.
+
+integrate_polyline_rk4, the fixed-step reference, uses that the frame
+equation is linear.  For dF/ds = M(z, w) F and dw/ds = r(z) w, one classical
+RK4 step on the joint state (F, w) is w -> rho_n w and F -> T_n F: rho_n and
+the stage values of w, w times factors s_i, depend on the step alone, and T_n
+is the RK4 step of the frame equation with M at those stage values.  So a
+block of steps is computed at once in numpy: the factors from r at the stage
+points, w at each step by a cumulative product of the rho_n, the T_n, and
+their product by pairwise reduction, carried from block to block.  This is
+the RK4 scheme step for step, with the rounding in another order, and it
+stays independent of the adaptive kernels: a fixed step grid, no step
+control, and a different method.  Its 2 x 2 products are written out by
+component, not left to numpy's matrix product, for the reason given at
+_STAGE_W.
 """
 
 from __future__ import annotations
@@ -66,6 +80,10 @@ _STAGE_W = np.array(
 )[:, :, None, None]
 _STAGE_NODES = (0.2, 0.3, 0.8, 8 / 9, 1.0, 1.0)
 _ERR_W = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])[:, None, None]
+
+# Steps per block of the RK4 reference: its work arrays hold one block, so
+# memory stays fixed however many steps a path takes.
+RK4_BLOCK = 1024
 
 Field = Callable[[complex, complex, tuple], tuple]
 Monitor = Callable[[complex, tuple], None]
@@ -319,20 +337,32 @@ def integrate_polyline_lanes(
 
 def integrate_polyline_rk4(
     waypoints: Sequence[complex],
-    y0: Sequence[complex],
-    field: Field,
+    F0: np.ndarray,
+    w0: complex,
+    rate: Callable[[np.ndarray, complex], np.ndarray],
+    matrix: Callable[[np.ndarray, complex, np.ndarray], tuple],
     n_steps: int,
 ) -> tuple:
-    """Fixed-step classical RK4 along the polyline, n_steps over total arc length,
-    for a five-component state.
+    """Fixed-step classical RK4 along the polyline, n_steps over total arc
+    length, for the linear system dF/ds = M F, dw/ds = r w with F a 2 x 2
+    matrix and w a scalar.
+
+    rate(z, u) returns r at the points z (an array) of the segment with unit
+    direction u, and matrix(z, u, w) the components (m11, m12, m21, m22) of M
+    there, w being the values of w at those points; either may return a
+    scalar for a coefficient that is constant.  A segment of length L takes
+    m = ceil(L / h) steps of length L / m, h being total / n_steps, run in
+    blocks of RK4_BLOCK steps.  Returns the end frame as a (2, 2) complex array and the
+    end value of w; a path of zero length returns the start state.
 
     Serves as an independent reference for self-convergence checks; shares no
     step-control logic with the adaptive scheme.
     """
-    y0, y1, y2, y3, y4 = (complex(v) for v in y0)
+    f11, f12, f21, f22 = (complex(v) for v in np.reshape(F0, 4))
+    w = complex(w0)
     total = sum(abs(q - p) for p, q in zip(waypoints[:-1], waypoints[1:]))
     if total == 0.0:
-        return (y0, y1, y2, y3, y4)
+        return np.array([[f11, f12], [f21, f22]]), w
     h_target = total / n_steps
     for p, q in zip(waypoints[:-1], waypoints[1:]):
         seg = q - p
@@ -342,24 +372,79 @@ def integrate_polyline_rk4(
         u = seg / seg_len
         m = max(1, int(math.ceil(seg_len / h_target)))
         h = seg_len / m
-        hh = 0.5 * h
-        h6 = h / 6
-        for j in range(m):
-            z0 = p + j * h * u
-            a0, a1, a2, a3, a4 = field(z0, u, (y0, y1, y2, y3, y4))
-            zm = z0 + hh * u
-            b0, b1, b2, b3, b4 = field(
-                zm, u, (y0 + hh * a0, y1 + hh * a1, y2 + hh * a2, y3 + hh * a3, y4 + hh * a4)
+        for j in range(0, m, RK4_BLOCK):
+            t, w = _rk4_transfer(p, u, h, j, min(m, j + RK4_BLOCK), w, rate, matrix)
+            t11, t12, t21, t22 = _chain_product(t)
+            f11, f12, f21, f22 = (
+                t11 * f11 + t12 * f21,
+                t11 * f12 + t12 * f22,
+                t21 * f11 + t22 * f21,
+                t21 * f12 + t22 * f22,
             )
-            c0, c1, c2, c3, c4 = field(
-                zm, u, (y0 + hh * b0, y1 + hh * b1, y2 + hh * b2, y3 + hh * b3, y4 + hh * b4)
-            )
-            d0, d1, d2, d3, d4 = field(
-                z0 + h * u, u, (y0 + h * c0, y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4)
-            )
-            y0 = y0 + h6 * (a0 + 2 * b0 + 2 * c0 + d0)
-            y1 = y1 + h6 * (a1 + 2 * b1 + 2 * c1 + d1)
-            y2 = y2 + h6 * (a2 + 2 * b2 + 2 * c2 + d2)
-            y3 = y3 + h6 * (a3 + 2 * b3 + 2 * c3 + d3)
-            y4 = y4 + h6 * (a4 + 2 * b4 + 2 * c4 + d4)
-    return (y0, y1, y2, y3, y4)
+    return np.array([[f11, f12], [f21, f22]]), w
+
+
+def _rk4_transfer(p, u, h, j0, j1, w, rate, matrix):
+    """Transfer matrices of the RK4 steps j0 ... j1 - 1 of length h along the
+    segment from p in direction u, the first of them starting from w.
+
+    Returns (t11, t12, t21, t22), arrays over the steps, and w after the last
+    step.  Step n maps (F, w_n) to (T_n F, rho_n w_n): the stage values of w
+    are w_n times factors that depend on the step only, and T_n is the RK4
+    step of the frame equation with M taken at those stage values.
+    """
+    hh = 0.5 * h
+    h6 = h / 6
+    z = p + (np.arange(j0, j1 + 1) * h) * u  # the steps' end points
+    z0, z1 = z[:-1], z[1:]
+    zm = z0 + hh * u
+    r = np.broadcast_to(rate(z, u), z.shape)
+    r0, r1 = r[:-1], r[1:]
+    rm = rate(zm, u)
+    # w's stage values are w_n times 1, s2, s3 and s4, and its stage
+    # derivatives w_n times r0, k2, k3 and r1 s4.
+    s2 = 1 + hh * r0
+    k2 = rm * s2
+    s3 = 1 + hh * k2
+    k3 = rm * s3
+    s4 = 1 + h * k3
+    rho = 1 + h6 * (r0 + 2 * k2 + 2 * k3 + r1 * s4)
+    wn = np.cumprod(np.concatenate(([w], rho[:-1])))  # w_{n+1} = rho_n w_n
+    p1 = matrix(z0, u, wn)
+    p2 = _mul(matrix(zm, u, wn * s2), _shifted(hh, p1))
+    p3 = _mul(matrix(zm, u, wn * s3), _shifted(hh, p2))
+    p4 = _mul(matrix(z1, u, wn * s4), _shifted(h, p3))
+    t11, t12, t21, t22 = (h6 * (a + 2 * b + 2 * c + d) for a, b, c, d in zip(p1, p2, p3, p4))
+    t = np.broadcast_arrays(t11 + 1, t12, t21, t22 + 1, z0)[:4]
+    return t, complex(wn[-1] * rho[-1])
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """The 2 x 2 product a b, both given as components (x11, x12, x21, x22)."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
+    )
+
+
+def _shifted(x, a: tuple) -> tuple:
+    """I + x a, a given as components."""
+    a11, a12, a21, a22 = a
+    return 1 + x * a11, x * a12, x * a21, 1 + x * a22
+
+
+def _chain_product(t: tuple) -> tuple:
+    """T_{k-1} ... T_1 T_0 of the matrices whose components are the arrays t,
+    multiplied pairwise: neighbours first, then neighbouring pairs, and so on."""
+    while len(t[0]) > 1:
+        n = len(t[0])
+        even = n - n % 2
+        prod = _mul(tuple(x[1:even:2] for x in t), tuple(x[0:even:2] for x in t))
+        if n % 2:
+            prod = tuple(np.concatenate((y, x[-1:])) for y, x in zip(prod, t))
+        t = prod
+    return tuple(complex(x[0]) for x in t)

@@ -1,10 +1,11 @@
 """The invariant battery behind `dscat verify`: an ordered registry of checks.
 
 Each check takes a CheckContext and returns (ok, detail).  The quantities
-that several checks read (loop holonomies, half-path frames, the refined root
-with its gauge and solution, the probe point, the Schwarzian residual) are
-built once per (a, c), on first use.  Checks that need the period solution
-report "skipped (...)" when an earlier step did not produce it.
+that several checks read (loop holonomies and half-path frames with the
+accepted states of their integrations, the refined root with its gauge and
+solution, the probe point, the Schwarzian residual) are built once per (a, c),
+on first use.  Checks that need the period solution report "skipped (...)"
+when an earlier step did not produce it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ class CheckContext:
         self.params = CurveParams(a, c)
         self.paths = canonical_paths(self.params)
         self._built: dict = {}
+        self._states: dict = {}
 
     def _once(self, key: str, build):
         if key not in self._built:
@@ -54,17 +56,41 @@ class CheckContext:
         except DscatError:
             return None
 
+    def _recorder(self, name: str):
+        """An on_step hook that keeps the accepted (z, y) states of the
+        integration along the canonical path `name`, for states()."""
+        states = self._states[name] = []
+        return lambda z, y: states.append((z, y))
+
     def holonomy(self, loop: str) -> np.ndarray:
         """Direct holonomy of the canonical loop gamma1, gamma2 or gamma3."""
         path = getattr(self.paths, loop)
-        return self._once(
-            loop, lambda: monodromy.direct_loop_holonomy(path, self.params, self.cfg)
-        )
+        return self._once(loop, lambda: monodromy.direct_loop_holonomy(
+            path, self.params, self.cfg, on_step=self._recorder(loop)))
 
     def half_paths(self) -> monodromy.HalfPathFrames:
-        return self._once(
-            "half_paths", lambda: monodromy.half_path_frames(self.params, self.cfg, self.paths)
-        )
+        """Endpoint frames along c1 and c2, as monodromy.half_path_frames."""
+
+        def build():
+            F1, F2 = (
+                transport.integrate_frame(
+                    getattr(self.paths, name), self.params, cfg=self.cfg,
+                    on_step=self._recorder(name),
+                ).F
+                for name in ("c1", "c2")
+            )
+            return monodromy.HalfPathFrames(F1, F2, self.params)
+
+        return self._once("half_paths", build)
+
+    def states(self, name: str) -> list:
+        """The accepted (z, (F11, F12, F21, F22, w)) states of the integration
+        behind holonomy(name) (a loop) or half_paths() (c1 or c2)."""
+        if name in ("c1", "c2"):
+            self.half_paths()
+        else:
+            self.holonomy(name)
+        return self._states[name]
 
     def root(self) -> period.RefinedRoot:
         """The root refined from the bracket c +- ROOT_WINDOW."""
@@ -106,21 +132,17 @@ def _sheet_closure(ctx: CheckContext):
 
 def _det_preservation(ctx: CheckContext):
     worst = 0.0
-
-    def capture(z, y):
-        nonlocal worst
+    for _, y in ctx.states("gamma2"):
         det = y[0] * y[3] - y[1] * y[2]
         scale = max(1.0, max(abs(v) for v in y[:4]) ** 2)
         worst = max(worst, abs(det - 1.0) / scale)
-
-    transport.integrate_frame(ctx.paths.gamma2, ctx.params, cfg=ctx.cfg, on_step=capture)
     return worst <= 1e-9, f"max scaled |det F - 1| = {worst:.3e}"
 
 
 def _scalar_residual(ctx: CheckContext):
     worst = max(
-        transport.scalar_ode_residual(ctx.paths.c1, ctx.params, 50, ctx.cfg),
-        transport.scalar_ode_residual(ctx.paths.c2, ctx.params, 50, ctx.cfg),
+        transport.row_equation_residual(ctx.states("c1"), ctx.params, 50),
+        transport.row_equation_residual(ctx.states("c2"), ctx.params, 50),
     )
     return worst <= 1e-8, f"max row equation residual = {worst:.3e}"
 
@@ -144,7 +166,8 @@ def _product_vs_direct(ctx: CheckContext):
 
 def _lift_independence(ctx: CheckContext):
     B = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)
-    d = lift_independence_check(ctx.params, ctx.paths.gamma2, B, ctx.cfg)
+    Phi = ctx.holonomy("gamma2")
+    d = lift_independence_check(ctx.params, ctx.paths.gamma2, B, Phi, ctx.cfg)
     return d <= 1e-7, f"eigenvalue discrepancy = {d:.3e}"
 
 
@@ -275,6 +298,14 @@ def _geometry_invariants(ctx: CheckContext):
 
 
 def _reference_agreement(ctx: CheckContext):
+    # RK4 at 20 000 steps is accurate to rounding.  On c1 and c2 at the four
+    # a = 2 roots and at c = 5.333170, halving the step from 1000 to 4000
+    # steps cuts the change 16-fold, as a fourth-order error should, which
+    # puts the truncation error at 20 000 steps near 1e-15 of max(1, |F|);
+    # 20 000 and 40 000 steps differ by at most 2.1e-12, all of it rounding.
+    # The deviation is then the adaptive DP5 frames' own error: 2.4e-12 to
+    # 6.0e-11 there at rel_tol 1e-10.  1e-8, 170 times the largest, passes
+    # those and flags frames that have lost two digits more.
     h = ctx.half_paths()
     worst = 0.0
     for path, adaptive in ((ctx.paths.c1, h.F_c1), (ctx.paths.c2, h.F_c2)):

@@ -116,18 +116,19 @@ def lift_independence_check(
     params: CurveParams,
     loop: PathSpec,
     B: np.ndarray,
+    Phi_id: np.ndarray,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> float:
     """Eigenvalue discrepancy of the loop monodromy across two null lifts.
 
-    The lift with initial frame B has monodromy B^-1 Phi B, so the spectrum is
-    unchanged in exact arithmetic; the returned value measures integration
+    Phi_id is the loop's holonomy from the identity (direct_loop_holonomy).
+    The lift with initial frame B has monodromy B^-1 Phi_id B, so the spectrum
+    is unchanged in exact arithmetic; the returned value measures integration
     error only.  Relative, using the identity-frame eigenvalues as scale.
     """
     det_b = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
     if abs(det_b - 1.0) > 1e-9 * max(1.0, float(np.max(np.abs(B))) ** 2):
         raise DomainError("initial frame must have determinant 1")
-    Phi_id = direct_loop_holonomy(loop, params, cfg=cfg)
     end_b = integrate_frame(loop, params, F0=B, cfg=cfg).F
     Phi_b = np.linalg.solve(B, end_b)
     lam_id = eigenvalues(Phi_id)

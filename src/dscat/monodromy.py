@@ -95,15 +95,16 @@ def direct_loop_holonomy(
     loop: PathSpec,
     params: CurveParams,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
+    on_step=None,
 ) -> np.ndarray:
     """Holonomy of a closed loop: endpoint frame with identity start.
 
     The lift must close on the curve, so the transported w is required to
-    return to its initial value.
+    return to its initial value.  on_step is passed on to integrate_frame.
     """
     if not loop.closed:
         raise ContinuationError("holonomy requires a closed loop")
-    state = integrate_frame(loop, params, cfg=cfg)
+    state = integrate_frame(loop, params, cfg=cfg, on_step=on_step)
     if abs(state.point.w - loop.start.w) > 1e-6 * (1.0 + abs(loop.start.w)):
         raise ContinuationError(
             f"loop did not close on the curve (w drift {abs(state.point.w - loop.start.w):.3e})"

@@ -101,12 +101,7 @@ def integrate_frame(
     """
     a, c = params.a, params.c
     validate_path(path, a)
-    if F0 is None:
-        F0 = np.eye(2, dtype=complex)
-    det0 = F0[0, 0] * F0[1, 1] - F0[0, 1] * F0[1, 0]
-    if abs(det0 - 1.0) > TOL_DET * max(1.0, float(np.max(np.abs(F0))) ** 2):
-        raise DomainError("initial frame must have determinant 1")
-
+    F0 = _start_frame(F0)
     monitor = sheet_monitor(a)
     if on_step is not None:
         user = on_step
@@ -255,25 +250,53 @@ def _scaled_path(path: PathSpec, s: float, w: complex) -> PathSpec:
     )
 
 
+def _start_frame(F0: np.ndarray | None) -> np.ndarray:
+    """F0, or I when it is None; raises DomainError unless det F0 = 1 within
+    TOL_DET scaled by the squared entry size."""
+    if F0 is None:
+        return np.eye(2, dtype=complex)
+    det0 = F0[0, 0] * F0[1, 1] - F0[0, 1] * F0[1, 0]
+    if abs(det0 - 1.0) > TOL_DET * max(1.0, float(np.max(np.abs(F0))) ** 2):
+        raise DomainError("initial frame must have determinant 1")
+    return F0
+
+
+def _linear_field(a: float, c: float) -> tuple:
+    """(rate, matrix) of the frame equation for integrate_polyline_rk4:
+    dw/ds = L(z) u w and dF/ds = c u [[1, -w], [1/w, -1]] F, on arrays of
+    points and sheet values, with L inlined as in _joint_field."""
+
+    def rate(z, u):
+        return 0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a)) * u
+
+    def matrix(z, u, w):
+        cu = c * u
+        return cu, -cu * w, cu / w, -cu
+
+    return rate, matrix
+
+
 def reference_frame(
     path: PathSpec,
     params: CurveParams,
     F0: np.ndarray | None = None,
     n_steps: int = 4000,
 ) -> FrameState:
-    """Fixed-step RK4 reference integration for self-convergence oracles."""
+    """Fixed-step RK4 reference integration for self-convergence oracles.
+
+    Checks the start frame as integrate_frame does and the sheet residual of
+    the end value of w; the determinant of the end frame is not checked, since
+    RK4 conserves it only to its truncation error.
+    """
     a = params.a
     validate_path(path, a)
-    if F0 is None:
-        F0 = np.eye(2, dtype=complex)
-    y = _rk.integrate_polyline_rk4(
-        path.waypoints,
-        (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w),
-        _joint_field(a, params.c),
-        n_steps,
+    F, w = _rk.integrate_polyline_rk4(
+        path.waypoints, _start_frame(F0), path.start.w, *_linear_field(a, params.c), n_steps
     )
-    F = np.array([[y[0], y[1]], [y[2], y[3]]], dtype=complex)
-    return FrameState(CurvePoint(path.waypoints[-1], y[4]), F)
+    end = CurvePoint(path.waypoints[-1], w)
+    if end.sheet_residual(a) > TOL_SHEET:
+        raise ContinuationError("endpoint sheet residual exceeded")
+    return FrameState(end, F)
 
 
 def scalar_ode_residual(
@@ -282,21 +305,25 @@ def scalar_ode_residual(
     samples: int = 50,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> float:
+    """row_equation_residual of the accepted states of integrate_frame along
+    path from the identity."""
+    states = []
+    integrate_frame(path, params, cfg=cfg, on_step=lambda z, y: states.append((z, y)))
+    return row_equation_residual(states, params, samples)
+
+
+def row_equation_residual(states: list, params: CurveParams, samples: int = 50) -> float:
     """Defect of the second-order scalar equations satisfied by the rows of F.
 
     Row-one entries v obey  v'' - L v' + c L v = 0  and row-two entries obey
     v'' + L v' + c L v = 0,  with L = w'/w.  First and second derivatives are
     evaluated from the first-order system, so the residual is an algebraic
-    identity and measures floating-point consistency only.  Returns the max
-    over `samples` accepted integration states, scaled by max(1, |v''|).
+    identity and measures floating-point consistency only.  states are the
+    (z, (F11, F12, F21, F22, w)) of an integration at params, as integrate_frame
+    passes them to on_step.  Returns the max over `samples` of them, evenly
+    spaced, scaled by max(1, |v''|).
     """
     a, c = params.a, params.c
-    states = []
-
-    def capture(z, y):
-        states.append((z, y))
-
-    integrate_frame(path, params, cfg=cfg, on_step=capture)
     if not states:
         return 0.0
     if len(states) > samples:

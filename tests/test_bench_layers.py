@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dscat import transport
+from dscat import checks, transport
 from dscat.curve import CurveParams, canonical_paths
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,3 +49,22 @@ def test_traced_counts_match_untraced_integration():
     assert (counts["evals"] - counts["segments"]) // 6 >= counts["accepted"]
     assert np.array_equal(traced.F, untraced.F)
     assert traced.point == untraced.point
+
+
+def test_traced_reference_agreement_records_two_rk4_calls():
+    # rk.rk4_calls and rk.rk4_busy_s of the benchmark count the spans of
+    # _rk.integrate_polyline_rk4, which exist only while reference_frame calls
+    # the kernel through that module attribute.
+    tracing = _load_tracing()
+    ctx = checks.CheckContext(2.0, -1.526035, transport.DEFAULT_CONFIG)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        ok, _ = checks._reference_agreement(ctx)
+    assert ok
+    name = "_rk.integrate_polyline_rk4"
+    rk4 = [i for i, s in enumerate(tracer.spans) if s[tracing.NAME] == name]
+    assert len(rk4) == 2
+    assert all(
+        tracer.spans[tracer.spans[i][tracing.PARENT]][tracing.NAME] == "transport.reference_frame"
+        for i in rk4
+    )

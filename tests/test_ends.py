@@ -16,6 +16,7 @@ from dscat.ends import (
 )
 from dscat.errors import DomainError, ResonantExponent
 from dscat.linalg2c import ConjugacyKind
+from dscat.monodromy import direct_loop_holonomy
 
 
 def test_indicial_exponent_values():
@@ -111,23 +112,26 @@ def test_both_ends_share_eigenvalues():
 def test_lift_independence():
     params = CurveParams(2.0, -1.0)
     paths = canonical_paths(params)
+    Phi2 = direct_loop_holonomy(paths.gamma2, params)
     identity = np.eye(2, dtype=complex)
-    assert lift_independence_check(params, paths.gamma2, identity) < 1e-12
+    assert lift_independence_check(params, paths.gamma2, identity, Phi2) < 1e-12
 
     B = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)
-    assert lift_independence_check(params, paths.gamma2, B) < 1e-7
+    assert lift_independence_check(params, paths.gamma2, B, Phi2) < 1e-7
 
     rng = np.random.default_rng(11)
     M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     M = M / np.sqrt(np.linalg.det(M))
-    assert lift_independence_check(params, paths.gamma1, M) < 1e-7
+    Phi1 = direct_loop_holonomy(paths.gamma1, params)
+    assert lift_independence_check(params, paths.gamma1, M, Phi1) < 1e-7
 
 
 def test_lift_independence_requires_unimodular():
     params = CurveParams(2.0, -1.0)
     paths = canonical_paths(params)
+    Phi2 = direct_loop_holonomy(paths.gamma2, params)
     with pytest.raises(DomainError):
-        lift_independence_check(params, paths.gamma2, 2.0 * np.eye(2, dtype=complex))
+        lift_independence_check(params, paths.gamma2, 2.0 * np.eye(2, dtype=complex), Phi2)
 
 
 def test_osserman_equality():

@@ -1,15 +1,17 @@
 """The scalar kernels against the per-component loops they replaced.
 
 _reference_dp5 and _reference_rk4 are the loops integrate_polyline and
-integrate_polyline_rk4 ran before their five-component steps were written out,
-and _reference_joint_field is the frame field as it was, with L(z) from the
-guarded curve.log_derivative.  They are fed the start state the way
-integrate_frame and reference_frame fed it, as the numpy complex scalars of the
-start frame.  The kernels must reproduce them bit for bit: every accepted step
-and every endpoint component exactly equal.
+integrate_polyline_rk4 once ran, and _reference_joint_field is the frame field
+as it was, with L(z) from the guarded curve.log_derivative.  They are fed the
+start state the way integrate_frame and reference_frame fed it, as the numpy
+complex scalars of the start frame.  The DP5 kernel must reproduce its loop
+bit for bit: every accepted step and every endpoint component exactly equal.
+The RK4 kernel takes the same steps as its loop but multiplies per-step
+transfer matrices in blocks, so it agrees with the loop up to rounding.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +179,10 @@ def test_dp5_matches_reference_loop(c, frame):
 @pytest.mark.parametrize("frame", sorted(START_FRAMES))
 @pytest.mark.parametrize("c", C_VALUES)
 def test_rk4_matches_reference_loop(c, frame):
+    # Over these cases the blocked kernel is within 7.4e-12 of the loop,
+    # scaled by max(1, |F|), and w within 9.2e-15; the worst case is
+    # end_loop_plus at c = -7.6, where the loop itself is 1.6e-12 and the
+    # kernel 7.3e-12 from the same RK4 steps run in long double.
     a = 2.0
     params = CurveParams(a, c)
     paths = canonical_paths(params)
@@ -187,8 +193,91 @@ def test_rk4_matches_reference_loop(c, frame):
         ref = _reference_rk4(
             path.waypoints, _start(path, F0), _reference_joint_field(a, c), 2000
         )
-        assert tuple(state.F.ravel()) == ref[:4], name
-        assert state.point.w == ref[4], name
+        F_ref = np.array(ref[:4]).reshape(2, 2)
+        scale = max(1.0, float(np.max(np.abs(F_ref))))
+        assert float(np.max(np.abs(state.F - F_ref))) <= 2e-11 * scale, name
+        assert abs(state.point.w - ref[4]) <= 1e-13, name
+
+
+# A linear system of the kernel's form whose M depends on z and is not rank
+# one, unlike the frame equation's, with the joint five-component field that
+# _reference_rk4 integrates.
+def _toy_rate(z, u):
+    return (0.5 - 0.3j * z) * u
+
+
+def _toy_matrix(z, u, w):
+    return z * u, w * u, -u / w, 0.2 * u
+
+
+def _toy_joint(z, u, y):
+    F11, F12, F21, F22, w = y
+    m11, m12, m21, m22 = _toy_matrix(z, u, w)
+    return (
+        m11 * F11 + m12 * F21,
+        m11 * F12 + m12 * F22,
+        m21 * F11 + m22 * F21,
+        m21 * F12 + m22 * F22,
+        _toy_rate(z, u) * w,
+    )
+
+
+def _toy_rk4(waypoints, n_steps):
+    F0 = START_FRAMES["gauge"]
+    return _rk.integrate_polyline_rk4(waypoints, F0, 1 + 0.5j, _toy_rate, _toy_matrix, n_steps)
+
+
+def _assert_toy_matches_loop(waypoints, n_steps):
+    F, w = _toy_rk4(waypoints, n_steps)
+    F0 = START_FRAMES["gauge"]
+    ref = _reference_rk4(waypoints, (*F0.ravel(), 1 + 0.5j), _toy_joint, n_steps)
+    # Measured over these cases: F within 2.5e-14 (|F| <= 3.4), w within 4.5e-15.
+    assert float(np.max(np.abs(F - np.array(ref[:4]).reshape(2, 2)))) < 2e-13
+    assert abs(w - ref[4]) < 1e-13
+
+
+def test_rk4_partial_block():
+    # One segment of 2 * RK4_BLOCK + 3 steps: two full blocks and a short one.
+    n = 2 * _rk.RK4_BLOCK + 3
+    _assert_toy_matches_loop((0j, 1 + 0.5j), n)
+
+
+def test_rk4_one_step_segment():
+    # The second segment is shorter than the step length, so it takes one step.
+    _assert_toy_matches_loop((0j, 1 + 0j, 1 + 0.01j), 20)
+    _assert_toy_matches_loop((0j, 0.5 + 0.5j), 1)
+
+
+def test_rk4_skips_zero_length_segments():
+    F, w = _toy_rk4((0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 0.5j, 0.5 + 0.5j), 300)
+    F_plain, w_plain = _toy_rk4((0j, 0.5 + 0j, 0.5 + 0.5j), 300)
+    assert np.array_equal(F, F_plain) and w == w_plain
+    _assert_toy_matches_loop((0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 0.5j), 300)
+
+
+def test_rk4_zero_length_path_returns_start():
+    def unused(*args):
+        raise AssertionError("a path of zero length evaluates nothing")
+
+    F0 = START_FRAMES["gauge"]
+    z = 0.3 + 0.1j
+    F, w = _rk.integrate_polyline_rk4((z, z), F0, 1 + 0.5j, unused, unused, 100)
+    assert np.array_equal(F, F0) and w == 1 + 0.5j
+
+
+def test_rk4_memory_is_fixed_per_block():
+    # The kernel holds one block of RK4_BLOCK steps at a time: 0.73 MB peak at
+    # 200 000 steps, as at 2000.  Holding all steps at once would take over
+    # 50 MB.
+    params = CurveParams(2.0, -1.526035)
+    path = canonical_paths(params).c1
+    tracemalloc.start()
+    try:
+        reference_frame(path, params, n_steps=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def _decaying(z, u, y):
@@ -225,7 +314,16 @@ def test_state_is_python_complex(n):
     assert abs(y[0] - np.exp(-(1 + 1j))) < 1e-9
 
 
-def test_rk4_state_is_python_complex():
-    y = _rk.integrate_polyline_rk4((0j, 1 + 0j), tuple(np.ones(5, dtype=complex)), _decaying, 50)
-    assert all(type(v) is complex for v in y)
-    assert abs(y[0] - math.exp(-1)) < 1e-8
+def test_rk4_contract():
+    # F' = J F and w' = -w along [0, 1] from F = I and w = 1, with scalar
+    # coefficients: F(1) is the rotation by 1 and w(1) = exp(-1).
+    F0 = [[1.0, 0.0], [0.0, 1.0]]
+    F, w = _rk.integrate_polyline_rk4(
+        (0j, 1 + 0j), F0, 1.0, lambda z, u: -u, lambda z, u, w: (0.0, u, -u, 0.0), 50
+    )
+    assert type(F) is np.ndarray and F.shape == (2, 2) and F.dtype == complex
+    assert type(w) is complex
+    assert F0 == [[1.0, 0.0], [0.0, 1.0]]
+    rotation = np.array([[math.cos(1), math.sin(1)], [-math.sin(1), math.cos(1)]])
+    assert float(np.max(np.abs(F - rotation))) < 1e-8
+    assert abs(w - math.exp(-1)) < 1e-8

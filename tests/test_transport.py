@@ -79,6 +79,21 @@ def test_self_convergence_against_fixed_step():
     assert float(np.max(np.abs(adaptive - reference))) / scale < 1e-8
 
 
+def test_reference_frame_rejects_start_frame_off_sl2():
+    params = CurveParams(2.0, -1.0)
+    path = canonical_paths(params).c1
+    with pytest.raises(DomainError, match="determinant 1"):
+        reference_frame(path, params, 2.0 * np.eye(2, dtype=complex))
+
+
+def test_reference_frame_checks_end_sheet_residual():
+    # Three RK4 steps along c1 carry w far off the curve.
+    params = CurveParams(2.0, -1.0)
+    path = canonical_paths(params).c1
+    with pytest.raises(ContinuationError, match="sheet residual"):
+        reference_frame(path, params, n_steps=3)
+
+
 def test_right_equivariance():
     params = CurveParams(2.0, -1.0)
     paths = canonical_paths(params)
