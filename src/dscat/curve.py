@@ -145,13 +145,15 @@ def transport_w(
     """Continue w along the path by integrating w' = w L(z).
 
     The endpoint must satisfy the sheet invariant; the residual is also
-    monitored at every accepted step.
+    monitored at every accepted step.  L(z) is log_derivative's formula
+    inlined without its branch-distance guard, as in transport._joint_field:
+    validate_path has cleared every segment, so the guard could not fire.
     """
     a = params.a
     validate_path(path, a)
 
     def field(z, u, y):
-        return (y[0] * log_derivative(z, a) * u,)
+        return (y[0] * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,)
 
     (w_end,) = _rk.integrate_polyline(
         path.waypoints,

@@ -2,7 +2,23 @@
 
 
 class DscatError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every subclass survives pickling with its type, message and attributes,
+    also one whose __init__ takes other arguments than its message.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args: tuple, state: dict) -> DscatError:
+    """An instance of cls with the given args and attributes, made without
+    calling cls.__init__."""
+    exc = cls.__new__(cls, *args)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
 
 
 class DomainError(DscatError):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _worker
 from .curve import CanonicalPaths, CurveParams, PathSpec, canonical_paths
 from .errors import ContinuationError, DegenerateDenominator
 from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frame
@@ -49,13 +50,18 @@ def half_path_frames(
     """Endpoint frames along c1 and c2 at params.c.
 
     paths, the canonical paths of params.a, is built when not given; a caller
-    that evaluates many c at one a builds them once and passes them in.
+    that evaluates many c at one a builds them once and passes them in.  c1,
+    the shorter path, is integrated in the worker process of _worker.pair
+    while this process integrates c2; the frames are those of a serial run.
     """
     if paths is None:
         paths = canonical_paths(params)
-    F1 = integrate_frame(paths.c1, params, cfg=cfg).F
-    F2 = integrate_frame(paths.c2, params, cfg=cfg).F
-    return HalfPathFrames(F1, F2, params)
+    s1, s2 = _worker.pair(
+        "dscat.transport.integrate_frame",
+        lambda: integrate_frame(paths.c2, params, cfg=cfg),
+        paths.c1, params, cfg=cfg,
+    )
+    return HalfPathFrames(s1.F, s2.F, params)
 
 
 def assemble_monodromies(h: HalfPathFrames) -> MonodromyTriple:

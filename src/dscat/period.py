@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _worker
 from .curve import CanonicalPaths, CurveParams, canonical_paths
 from .ends import end_conjugacy_type
 from .errors import (
@@ -131,6 +132,8 @@ def scan_c(
     sequence that meets the tolerances of the hardest of them.  Scan values
     therefore match single-c evaluation (_periods_at) within the integrator
     tolerance, not bit for bit; for fixed arguments they are deterministic.
+    Each block's c1 lanes run in the worker process of _worker.pair while
+    this process integrates its c2 lanes.
     """
     if not c_min < c_max:
         raise ValueError("need c_min < c_max")
@@ -148,10 +151,12 @@ def scan_c(
     for lo in range(0, len(live), SCAN_BLOCK):
         block = slice(lo, lo + SCAN_BLOCK)
         cs = np.array([grid[k] for k in live[block]])
-        f1[block], f2[block], degenerate[block] = period_values(
-            integrate_frames_over_c(paths.c1, a, cs, cfg)[0],
-            integrate_frames_over_c(paths.c2, a, cs, cfg)[0],
+        (F1, _), (F2, _) = _worker.pair(
+            "dscat.transport.integrate_frames_over_c",
+            lambda: integrate_frames_over_c(paths.c2, a, cs, cfg),
+            paths.c1, a, cs, cfg,
         )
+        f1[block], f2[block], degenerate[block] = period_values(F1, F2)
 
     values = dict(zip(live, zip(f1.tolist(), f2.tolist(), degenerate.tolist())))
     records: list = []

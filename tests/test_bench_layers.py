@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dscat import checks, transport
+from dscat import _worker, checks, monodromy, period, transport
 from dscat.curve import CurveParams, canonical_paths
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -68,3 +68,35 @@ def test_traced_reference_agreement_records_two_rk4_calls():
         tracer.spans[tracer.spans[i][tracing.PARENT]][tracing.NAME] == "transport.reference_frame"
         for i in rk4
     )
+
+
+def test_traced_calls_through_the_worker_return_untraced_results():
+    # The tracer replaces module functions with closures, which cannot be
+    # pickled; the worker receives the function's name and looks it up in
+    # its own copy of the package, so traced half paths and scans still run
+    # there.  The worker is forked once before the tracer is installed (as
+    # in the benchmark, whose untraced pass comes first) and once while it
+    # is installed.
+    tracing = _load_tracing()
+    params = CurveParams(2.0, -1.526035)
+    paths = canonical_paths(params)
+
+    def run():
+        h = monodromy.half_path_frames(params, paths=paths)
+        return h.F_c1.tobytes(), h.F_c2.tobytes(), period.scan_c(2.0, -6.4, -3.8, 27)
+
+    _worker.shutdown()
+    untraced = run()
+    try:
+        for fork_while_traced in (False, True):
+            if fork_while_traced:
+                _worker.shutdown()
+            tracer = tracing.Tracer()
+            with tracer.installed():
+                assert run() == untraced
+            if _worker._current:
+                # c1 ran in the worker: the tracer saw only c2
+                frames = [s for s in tracer.spans if s[tracing.NAME] == "transport.integrate_frame"]
+                assert len(frames) == 1
+    finally:
+        _worker.shutdown()

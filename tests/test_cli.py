@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +315,41 @@ def test_config_file_overrides(tmp_path):
     assert code == 0
     record = json.loads(out.read_text())
     assert record["integrator"]["rel_tol"] == 1e-10
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--c0", "-7.65", "--c1", "-7.58"], 0),
+        # c2 takes more than 150 steps at this root: exit 3
+        (["--c0", "1.25", "--c1", "1.29", "--max-steps", "150"], 3),
+    ],
+    ids=["deep-root", "step-limit"],
+)
+def test_solve_pinned_to_one_cpu_matches_unpinned(tmp_path, argv, code):
+    # Pinned to one CPU, the half paths run serially in one process; unpinned
+    # on two CPUs, c1 runs in the worker process.  The outputs must agree
+    # byte for byte.
+    def solve(prefix, name):
+        out = tmp_path / name
+        proc = subprocess.run(
+            prefix + [sys.executable, "-c", "from dscat.cli import app; app()",
+                      "solve", "--a", "2", *argv, "--json", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        record = None
+        if out.exists():
+            record = json.loads(out.read_text())
+            del record["timestamps"]
+            record = json.dumps(record, indent=2)
+        return proc.returncode, proc.stdout, proc.stderr, record
+
+    plain = solve([], "plain.json")
+    pinned = solve(["taskset", "-c", "0"], "pinned.json")
+    assert plain[0] == code
+    assert plain == pinned

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dscat import _rk
 from dscat.curve import (
     BRANCH_DELTA,
     CurveParams,
@@ -81,6 +82,43 @@ def test_log_derivative_matches_transported_w():
     z0 = 1j
     dw = (w_at(z0 + h) - w_at(z0 - h)) / (2 * h)
     assert abs(dw / w_at(z0) - log_derivative(z0, a)) < 1e-8
+
+
+def test_transport_w_matches_guarded_field(monkeypatch):
+    # transport_w inlines L(z) without log_derivative's branch guard; its end
+    # point and every accepted state must equal, bit for bit, an integration
+    # of the field written with the guarded log_derivative.
+    a = 2.0
+    params = CurveParams(a, 1.0)
+    paths = canonical_paths(params)
+    probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
+    integrate = _rk.integrate_polyline
+
+    def recorded(states):
+        def run(waypoints, y0, field, *, on_step, **kwargs):
+            def hook(z, y):
+                states.append((z, y))
+                on_step(z, y)
+
+            return integrate(waypoints, y0, field, on_step=hook, **kwargs)
+
+        return run
+
+    def guarded(z, u, y):
+        return (y[0] * log_derivative(z, a) * u,)
+
+    for path in (paths.gamma1, paths.gamma2, paths.gamma3, probe):
+        inlined, reference = [], []
+        with monkeypatch.context() as m:
+            m.setattr(_rk, "integrate_polyline", recorded(inlined))
+            end = transport_w(path, params)
+        (w_ref,) = integrate(
+            path.waypoints, (path.start.w,), guarded, rel_tol=1e-12, abs_tol=1e-14,
+            on_step=lambda z, y: reference.append((z, y)),
+        )
+        assert len(inlined) > 10
+        assert inlined == reference
+        assert end.w == w_ref
 
 
 def test_transport_constant_path():
