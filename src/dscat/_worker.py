@@ -20,7 +20,8 @@ The two calls run serially in the caller, the named one first, unless the
 process sees a second CPU and can fork.  They also run serially inside the
 worker, in any child forked from the process that imported this module, while
 another thread uses the worker, and for good once the worker has died or was
-discarded.
+discarded.  A pair() reached from inside another pair's then() finds the
+worker busy, so its two calls run serially in the caller too.
 
 Errors follow the serial order: when both calls fail, the named call's error
 wins, and then()'s error is raised only where the named call succeeded.  The

@@ -15,6 +15,7 @@ never leave partial output behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -80,16 +81,28 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _load_config(path: str | None) -> dict:
+    """The key = value pairs of a config file; blank lines and lines starting
+    with # are skipped.  Raises DomainError, naming the line, for a line
+    without = and for a key that is not a field of IntegratorConfig."""
     values: dict = {}
     if path is None:
         return values
+    keys = {field.name for field in dataclasses.fields(IntegratorConfig)}
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+            key, equals, raw = line.partition("=")
+            key = key.strip()
+            if not equals:
+                raise DomainError(f"config line {number}: expected key = value, got {line!r}")
+            if key not in keys:
+                raise DomainError(
+                    f"config line {number}: unknown key {key!r} "
+                    f"(known: {', '.join(sorted(keys))})"
+                )
+            values[key] = raw.strip()
     return values
 
 

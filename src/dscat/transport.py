@@ -143,27 +143,67 @@ def _joint_field_lanes(a: float, cs, scale=1.0):
     points are those of the curve divided by scale[j], and
     scale * L(scale * z) is L(z) with those branch points: that is how L is
     evaluated, inline and without log_derivative's guard, as in _joint_field.
-    A scalar scale (the scan's 1.0) evaluates L once per stage for all lanes,
-    and with scale 1.0 the formula is log_derivative's, operation for
-    operation.  Uses F21' = F11' / w and F22' = F12' / w, which holds because
+    A scalar scale (the scan's 1.0) evaluates L once per stage for all lanes
+    in Python complex arithmetic, and with scale 1.0 the formula is
+    log_derivative's, operation for operation.  Per-lane scales take the four
+    reciprocals in one division of the (4, n) array of _branch_shifts and sum
+    them in place, in the same order.  cs * scale * u is formed once per
+    segment.  Uses F21' = F11' / w and F22' = F12' / w, which holds because
     alpha is rank one.
     """
-    one, a_s = 1.0 / scale, a / scale
     cs_s = cs * scale
+    shifts = _branch_shifts(a, scale)
+    if np.ndim(scale) == 0:
+
+        def log_derivative_u(z, u):
+            t = shifts(z)
+            return 0.5 * (1 / t[0] + 1 / t[1] - 1 / t[2] - 1 / t[3]) * u
+
+    else:
+
+        def log_derivative_u(z, u):
+            t = shifts(z)
+            np.divide(1, t, out=t)
+            L = t[0]
+            L += t[1]
+            L -= t[2]
+            L -= t[3]
+            L *= 0.5
+            L *= u
+            return L
+
+    segment_u = cs_u = None  # the direction of the current segment, cs_s * it
 
     def field(z, u, y):
+        nonlocal segment_u, cs_u
+        if u != segment_u:
+            segment_u, cs_u = u, cs_s * u
         w = y[4]
         out = np.empty_like(y)
         top = out[0:2]
         np.multiply(y[2:4], w, out=top)
         np.subtract(y[0:2], top, out=top)
-        top *= cs_s * u
+        top *= cs_u
         np.divide(top, w, out=out[2:4])
-        L = 0.5 * (1 / (z + one) + 1 / (z - a_s) - 1 / (z - one) - 1 / (z + a_s))
-        np.multiply(w, L * u, out=out[4])
+        np.multiply(w, log_derivative_u(z, u), out=out[4])
         return out
 
     return field
+
+
+def _branch_shifts(a: float, scale):
+    """The function z -> (z + 1, z - a, z - 1, z + a) with lane j's branch
+    points divided by scale[j]: a tuple of Python complex numbers for a
+    scalar scale, else one (4, n) array from one addition.  Its rows -a and
+    -1 are negated as complex numbers, so that their imaginary parts are -0.0
+    and each sum keeps the signed zero of the subtraction it replaces."""
+    if np.ndim(scale) == 0:
+        one, a_s = 1.0 / scale, a / scale
+        return lambda z: (z + one, z - a_s, z - one, z + a_s)
+    one = (1.0 / scale).astype(complex)
+    a_s = (a / scale).astype(complex)
+    offsets = np.stack((one, -a_s, -one, a_s))
+    return lambda z: z + offsets
 
 
 def integrate_frames_over_c(
@@ -209,10 +249,11 @@ def integrate_frames_over_c(
     if _drifted(y0)[1].any():
         raise DomainError("initial frame must have determinant 1")
 
-    one, a_s = 1.0 / scale, a / scale
+    shifts = _branch_shifts(a, scale)
 
     def check_sheet(z, y) -> None:
-        r = (z + one) * (z - a_s) / ((z - one) * (z + a_s))
+        t = shifts(z)
+        r = t[0] * t[1] / (t[2] * t[3])
         bad = np.abs(y[4] * y[4] - r) > TOL_SHEET * (1.0 + np.abs(r))
         if bad.any():
             raise LanesFailed(f"sheet residual exceeded at z = {z}", np.flatnonzero(bad))

@@ -1,6 +1,9 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+from dscat import _worker
 from dscat.geometry import build_mesh
 from dscat.period import solve_at_bracket
 
@@ -12,6 +15,32 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("pkg")
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
+    reason="the worker needs fork and a second CPU",
+)
+
+
+@pytest.fixture
+def fresh_worker():
+    """The test starts without a worker and leaves none behind."""
+    _worker.shutdown()
+    yield
+    _worker.shutdown()
+
+
+def one_cpu(monkeypatch):
+    """Hide the second CPU, which disables the worker of _worker.pair."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def serially(monkeypatch, call):
+    """call() with the worker disabled."""
+    with monkeypatch.context() as m:
+        one_cpu(m)
+        return call()
+
 
 # Sign-change brackets of the four closable crossings at a = 2.
 BRACKETS = {

@@ -1,11 +1,16 @@
 """The check context: checks that read the states of integrations the context
 has run already give what they gave with integrations of their own, and
-integrate nothing more."""
+integrate nothing more.  The suite, with the mesh of geometry-invariants built
+in the worker process, gives the results of a serial run."""
+
+import os
 
 import numpy as np
 import pytest
+from conftest import one_cpu, serially, two_cpus
 
-from dscat import _rk, checks, transport
+from dscat import _rk, _worker, checks, geometry, transport
+from dscat.errors import ContinuationError
 from dscat.monodromy import direct_loop_holonomy
 
 A, C = 2.0, -1.526035
@@ -56,3 +61,86 @@ def test_captured_states_match_own_integrations(ctx):
     assert np.array_equal(
         ctx.holonomy("gamma2"), direct_loop_holonomy(ctx.paths.gamma2, ctx.params)
     )
+
+
+def suite(c: float = C, deep: bool = False) -> list:
+    return checks.run_invariant_suite(A, c, transport.DEFAULT_CONFIG, deep=deep)
+
+
+def patched_mesh(monkeypatch, error=None) -> list:
+    """Replace geometry.build_mesh by one that records the pid it runs in and
+    raises error, if one is given; returns the record of this process."""
+    calls = []
+    real = geometry.build_mesh
+
+    def build_mesh(*args, **kwargs):
+        calls.append(os.getpid())
+        if error is not None:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "build_mesh", build_mesh)
+    return calls
+
+
+@two_cpus
+@pytest.mark.usefixtures("fresh_worker")
+@pytest.mark.parametrize(
+    "c, deep, sends_mesh",
+    [(C, True, True), (3.5, False, False), (-0.55, False, False)],
+    ids=["root-deep", "no-crossing", "pole"],
+)
+def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, sends_mesh):
+    sent = []
+    pair = _worker.pair
+
+    def recorded(first, *args, **kwargs):
+        sent.append(first)
+        return pair(first, *args, **kwargs)
+
+    monkeypatch.setattr(_worker, "pair", recorded)
+    calls = patched_mesh(monkeypatch)
+    parallel = suite(c, deep)
+    assert isinstance(_worker._current, _worker._Worker)
+    assert ("dscat.checks.invariants_mesh" in sent) == sends_mesh
+    # the mesh was built in the worker, or not at all
+    assert calls == []
+    registry = checks.CHECKS + (checks.DEEP_CHECKS if deep else ())
+    assert [name for name, _, _ in parallel] == [name for name, _ in registry]
+    assert parallel == serially(monkeypatch, lambda: suite(c, deep))
+
+
+@two_cpus
+@pytest.mark.usefixtures("fresh_worker")
+def test_mesh_error_in_the_worker_fails_geometry_invariants_alone(monkeypatch):
+    calls = patched_mesh(monkeypatch, ContinuationError("no mesh here"))
+    parallel = suite()
+    assert calls == []
+    serial = serially(monkeypatch, suite)
+    assert calls == [os.getpid()]
+    assert parallel == serial
+    assert [name for name, ok, _ in parallel if not ok] == ["geometry-invariants"]
+    assert dict((name, detail) for name, _, detail in parallel)["geometry-invariants"] == (
+        "ContinuationError: no mesh here"
+    )
+
+
+@two_cpus
+@pytest.mark.usefixtures("fresh_worker")
+def test_other_mesh_errors_propagate(monkeypatch):
+    calls = patched_mesh(monkeypatch, RuntimeError("a bug"))
+    with pytest.raises(RuntimeError, match="a bug"):
+        suite()
+    assert calls == []
+    with pytest.raises(RuntimeError, match="a bug"):
+        serially(monkeypatch, suite)
+    assert calls == [os.getpid()]
+
+
+def test_mesh_is_built_once(monkeypatch, ctx):
+    calls = patched_mesh(monkeypatch)
+    assert ctx.mesh() is ctx.mesh()
+    assert len(calls) == 1
+    one_cpu(monkeypatch)
+    suite()
+    assert len(calls) == 2

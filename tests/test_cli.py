@@ -353,3 +353,42 @@ def test_solve_pinned_to_one_cpu_matches_unpinned(tmp_path, argv, code):
     pinned = solve(["taskset", "-c", "0"], "pinned.json")
     assert plain[0] == code
     assert plain == pinned
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--c", "-1.526035", "--deep"], 0), (["--c", "3.5"], 1)],
+    ids=["root-deep", "no-crossing"],
+)
+def test_verify_pinned_to_one_cpu_matches_unpinned(argv, code):
+    # Pinned to one CPU, the whole battery runs in one process; unpinned on
+    # two CPUs, the mesh of geometry-invariants is built in the worker
+    # process while the other checks run.  The outputs must agree byte for
+    # byte.
+    def verify(prefix):
+        proc = subprocess.run(
+            prefix + [sys.executable, "-c", "from dscat.cli import app; app()",
+                      "verify", "--a", "2", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    plain = verify([])
+    assert plain[0] == code
+    assert plain == verify(["taskset", "-c", "0"])
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [("reltol = 1e-6", "unknown key 'reltol'"), ("rel_tol 1e-6", "'rel_tol 1e-6'")],
+    ids=["unknown-key", "no-equals"],
+)
+def test_config_file_rejects_unknown_keys_and_lines_without_equals(tmp_path, capsys, line, named):
+    cfg_file = tmp_path / "dscat.cfg"
+    cfg_file.write_text(f"# integrator\nabs_tol = 1e-11\n{line}\n")
+    assert run(["classify", "--a", "2", "--c", "-7.6119", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid input: config line 3: ")
+    assert named in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dscat import _rk, transport
+from dscat import _rk, geometry, transport
 from dscat.curve import CurveParams, CurvePoint, PathSpec, base_point, canonical_paths
 from dscat.errors import (
     ContinuationError,
@@ -229,3 +229,74 @@ def test_lane_checks_name_the_failing_lanes():
         )
     assert exc.value.lanes == (1,)
     assert isinstance(exc.value, ContinuationError)
+
+
+def _reference_field_lanes(a: float, cs, scale=1.0):
+    """The lane field as first written, kept as the reference whose bits
+    _joint_field_lanes must give: L from four separate reciprocals of
+    numpy-scalar or per-lane sums, and cs * scale * u formed at every stage."""
+    one, a_s = 1.0 / scale, a / scale
+    cs_s = cs * scale
+
+    def field(z, u, y):
+        w = y[4]
+        out = np.empty_like(y)
+        top = out[0:2]
+        np.multiply(y[2:4], w, out=top)
+        np.subtract(y[0:2], top, out=top)
+        top *= cs_s * u
+        np.divide(top, w, out=out[2:4])
+        L = 0.5 * (1 / (z + one) + 1 / (z - a_s) - 1 / (z - one) - 1 / (z + a_s))
+        np.multiply(w, L * u, out=out[4])
+        return out
+
+    return field
+
+
+def _lane_steps(field, waypoints, y0) -> tuple:
+    """The accepted (z, y) states of the lane kernel as bytes, and the end state."""
+    steps = []
+    y = _rk.integrate_polyline_lanes(
+        waypoints, y0, field, on_step=lambda z, y: steps.append((z, y.tobytes()))
+    )
+    return steps, y
+
+
+def test_branch_shifts_give_the_sums_bit_for_bit():
+    scale = np.array([0.37, 1.0, 2.9, 5.5])
+    one, a_s = 1.0 / scale, 2.0 / scale
+    shifts = transport._branch_shifts(2.0, scale)
+    for z in (0.3 + 0.2j, complex(0.4, -0.0), complex(-3.0, 0.0), complex(-0.0, -0.0), -1.7 - 2.2j):
+        expected = np.stack((z + one, z - a_s, z - one, z + a_s))
+        assert shifts(z).tobytes() == expected.tobytes(), z
+
+
+def test_lane_field_steps_equal_the_reference_per_lane():
+    # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh runs them
+    a, c = 2.0, -1.526035
+    radii = geometry._ring_radii(a, 8, 3.0 * a)
+    angles = [2 * np.pi * (k + 0.5) / 12 for k in range(12)]
+    order = sorted(range(12), key=lambda k: (angles[k] - np.pi / 2) % (2 * np.pi))
+    scale = np.array(radii * 2)
+    y = np.zeros((5, scale.size), dtype=complex)
+    y[0] = y[3] = 1.0
+    y[4, : len(radii)], y[4, len(radii):] = 1.0, -1.0
+    for leg in geometry._unit_legs(angles, order):
+        steps, end = _lane_steps(_joint_field_lanes(a, c, scale), leg, y)
+        reference, y = _lane_steps(_reference_field_lanes(a, c, scale), leg, y)
+        assert steps == reference
+        assert end.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_lane_field_steps_equal_the_reference_at_scale_one(name):
+    # a scan block's lanes: one value of c each, scale 1
+    a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
+    path = getattr(canonical_paths(CurveParams(a, 1.0)), name)
+    y0 = np.zeros((5, cs.size), dtype=complex)
+    y0[0] = y0[3] = 1.0
+    y0[4] = path.start.w
+    steps, end = _lane_steps(_joint_field_lanes(a, cs), path.waypoints, y0)
+    reference, reference_end = _lane_steps(_reference_field_lanes(a, cs), path.waypoints, y0)
+    assert steps == reference
+    assert end.tobytes() == reference_end.tobytes()

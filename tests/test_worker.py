@@ -13,6 +13,7 @@ import sys
 import threading
 
 import pytest
+from conftest import one_cpu, serially, two_cpus
 
 from dscat import _worker
 from dscat.curve import CurveParams, PathSpec, base_point, canonical_paths
@@ -22,29 +23,7 @@ from dscat.period import scan_c
 
 ROOTS = (-7.611914, -4.06015, -1.526035, 1.26988, 5.33317)
 
-two_cpus = pytest.mark.skipif(
-    not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
-    reason="the worker needs fork and a second CPU",
-)
-
-
-@pytest.fixture(autouse=True)
-def fresh_worker():
-    """Each test starts without a worker and leaves none behind."""
-    _worker.shutdown()
-    yield
-    _worker.shutdown()
-
-
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def serially(monkeypatch, call):
-    """call() with the worker disabled."""
-    with monkeypatch.context() as m:
-        one_cpu(m)
-        return call()
+pytestmark = pytest.mark.usefixtures("fresh_worker")
 
 
 def frames(c: float):
@@ -235,6 +214,20 @@ def test_threads_share_the_worker_and_get_their_own_results(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     worker_pid()
+
+
+@two_cpus
+def test_pair_inside_then_runs_serially_in_the_caller():
+    frames(-1.526035)
+    pid = worker_pid()
+
+    def then():
+        return _worker.pair("os.getpid", os.getpid)
+
+    remote, (inner_remote, inner_local) = _worker.pair("os.getpid", then)
+    assert remote == pid
+    assert inner_remote == inner_local == os.getpid()
+    assert worker_pid() == pid
 
 
 def test_pair_keeps_serial_order_without_a_worker(monkeypatch):
