@@ -1,5 +1,9 @@
 """Adaptive Dormand-Prince 5(4) integrator for complex ODE systems along polylines.
 
+Both adaptive kernels run one step controller, _drive, and differ only in the
+step function they hand it: _dp5_step5 or _dp5_step for integrate_polyline,
+_lane_step for integrate_polyline_lanes.
+
 State vectors of integrate_polyline are plain tuples of Python complex numbers.
 The kernels convert the start state on entry: a numpy complex scalar there (an
 entry of a frame array, say) would carry every later operation on that
@@ -108,8 +112,15 @@ def integrate_polyline(
     Returns the final state tuple.
     """
     y = tuple(complex(v) for v in y0)
-    n = len(y)
-    step = _dp5_step5 if n == 5 else _dp5_step
+    step = _dp5_step5 if len(y) == 5 else _dp5_step
+    return _drive(waypoints, y, field, step, rel_tol, abs_tol, max_steps, first_step, on_step)
+
+
+def _drive(waypoints, y, field, step, rel_tol, abs_tol, max_steps, first_step, on_step):
+    """The step controller of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
+    along the polyline, FSAL restarting at each segment.  step(field, z0, u,
+    h, y, k1, rel_tol, abs_tol) returns (ynew, k7, err), err being the RMS of
+    the scaled component errors; a step is accepted when err <= 1."""
     steps = 0
     h = first_step
     for p, q in zip(waypoints[:-1], waypoints[1:]):
@@ -124,8 +135,7 @@ def integrate_polyline(
         while seg_len - s > 1e-14 * seg_len:
             h = min(h, seg_len - s)
             z0 = p + s * u
-            ynew, k7, err_sq = step(field, z0, u, h, y, k1, rel_tol, abs_tol)
-            err = math.sqrt(err_sq / n)
+            ynew, k7, err = step(field, z0, u, h, y, k1, rel_tol, abs_tol)
             steps += 1
             if steps > max_steps:
                 raise StepLimitExceeded(f"exceeded {max_steps} steps")
@@ -145,8 +155,8 @@ def integrate_polyline(
 
 
 def _dp5_step(field, z0, u, h, y, k1, rel_tol, abs_tol):
-    """One DP5 step from (z0, y) of length h: (ynew, k7, err_sq), err_sq being
-    the sum of the squared scaled component errors."""
+    """One DP5 step from (z0, y) of length h: (ynew, k7, err), err being the
+    RMS of the scaled component errors."""
     n = len(y)
     y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(n))
     k2 = field(z0 + 0.2 * h * u, u, y2)
@@ -182,7 +192,7 @@ def _dp5_step(field, z0, u, h, y, k1, rel_tol, abs_tol):
         )
         sc = abs_tol + rel_tol * max(abs(y[i]), abs(ynew[i]))
         err_sq += (abs(e_i) / sc) ** 2
-    return ynew, k7, err_sq
+    return ynew, k7, math.sqrt(err_sq / n)
 
 
 def _dp5_step5(field, z0, u, h, y, k1, rel_tol, abs_tol):
@@ -264,7 +274,7 @@ def _dp5_step5(field, z0, u, h, y, k1, rel_tol, abs_tol):
         + (abs(x3) / (abs_tol + rel_tol * max(abs(y3), abs(v3)))) ** 2
         + (abs(x4) / (abs_tol + rel_tol * max(abs(y4), abs(v4)))) ** 2
     )
-    return ynew, k7, err_sq
+    return ynew, k7, math.sqrt(err_sq / 5)
 
 
 def integrate_polyline_lanes(
@@ -290,49 +300,35 @@ def integrate_polyline_lanes(
     Returns the final state array.
     """
     y = np.array(y0, dtype=complex)
-    shape = y.shape
-    n = shape[0]
-    k = np.empty((7,) + shape, dtype=complex)  # k[j] holds k_{j+1}
-    steps = 0
-    h = first_step
-    for p, q in zip(waypoints[:-1], waypoints[1:]):
-        seg = q - p
-        seg_len = abs(seg)
-        if seg_len == 0.0:
-            continue
-        u = seg / seg_len
-        s = 0.0
-        k[0] = field(p, u, y)  # direction changed, FSAL cache invalid
-        y_abs = np.abs(y)
-        h = min(h, seg_len)
-        while seg_len - s > 1e-14 * seg_len:
-            h = min(h, seg_len - s)
-            z0 = p + s * u
-            for j, node in enumerate(_STAGE_NODES):
-                y_j = y + h * np.add.reduce(_STAGE_W[j, : j + 1] * k[: j + 1])
-                k[j + 1] = field(z0 + node * h * u, u, y_j)
-            ynew = y_j
-            e = h * np.add.reduce(_ERR_W * k)
-            ynew_abs = np.abs(ynew)
-            ratio = np.abs(e) / (abs_tol + rel_tol * np.maximum(y_abs, ynew_abs))
-            err = math.sqrt(float((ratio * ratio).sum(axis=0).max()) / n)
-            steps += 1
-            if steps > max_steps:
-                raise StepLimitExceeded(f"exceeded {max_steps} steps")
-            if err <= 1.0:
-                s += h
-                y = ynew
-                y_abs = ynew_abs
-                k[0] = k[6]
-                if on_step is not None:
-                    on_step(z0 + h * u, y)
-            if err == 0.0:
-                h *= 5.0
-            else:
-                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
-            if h < 1e-14 * seg_len:
-                raise StepLimitExceeded("step size underflow")
-    return y
+    step = _lane_step(y)
+    return _drive(waypoints, y, field, step, rel_tol, abs_tol, max_steps, first_step, on_step)
+
+
+def _lane_step(y0: np.ndarray):
+    """The DP5 step of integrate_polyline_lanes from the start state y0.
+    k[j] holds k_{j+1}; k7 is returned as the view k[6], and a k1 not yet in
+    k[0] is copied there, so a rejected step copies nothing.  |y| is kept
+    from the step that produced y, and the error is the worst lane's."""
+    n = y0.shape[0]
+    k = np.empty((7,) + y0.shape, dtype=complex)
+    y_abs = np.abs(y0)
+    k1_in = last = last_abs = None
+
+    def step(field, z0, u, h, y, k1, rel_tol, abs_tol):
+        nonlocal k1_in, y_abs, last, last_abs
+        if k1 is not k1_in:
+            k[0] = k1_in = k1
+        if y is last:  # the last step was accepted
+            y_abs = last_abs
+        for j, node in enumerate(_STAGE_NODES):
+            y_j = y + h * np.add.reduce(_STAGE_W[j, : j + 1] * k[: j + 1])
+            k[j + 1] = field(z0 + node * h * u, u, y_j)
+        e = h * np.add.reduce(_ERR_W * k)
+        last, last_abs = y_j, np.abs(y_j)
+        ratio = np.abs(e) / (abs_tol + rel_tol * np.maximum(y_abs, last_abs))
+        return y_j, k[6], math.sqrt(float((ratio * ratio).sum(axis=0).max()) / n)
+
+    return step
 
 
 def integrate_polyline_rk4(

@@ -159,7 +159,7 @@ def _det_preservation(ctx: CheckContext):
         det = y[0] * y[3] - y[1] * y[2]
         scale = max(1.0, max(abs(v) for v in y[:4]) ** 2)
         worst = max(worst, abs(det - 1.0) / scale)
-    return worst <= 1e-9, f"max scaled |det F - 1| = {worst:.3e}"
+    return worst <= transport.TOL_DET, f"max scaled |det F - 1| = {worst:.3e}"
 
 
 def _scalar_residual(ctx: CheckContext):

@@ -80,14 +80,19 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+# The settings a config file or a flag may give: IntegratorConfig's fields,
+# each with the type of its default, in the order of the fields.
+_SETTINGS = {field.name: type(field.default) for field in dataclasses.fields(IntegratorConfig)}
+
+
 def _load_config(path: str | None) -> dict:
-    """The key = value pairs of a config file; blank lines and lines starting
-    with # are skipped.  Raises DomainError, naming the line, for a line
-    without = and for a key that is not a field of IntegratorConfig."""
+    """The key = value pairs of a config file, each value cast to its
+    setting's type; blank lines and lines starting with # are skipped.
+    Raises DomainError, naming the line, for a line without =, for a key that
+    is not a field of IntegratorConfig and for a value of the wrong type."""
     values: dict = {}
     if path is None:
         return values
-    keys = {field.name for field in dataclasses.fields(IntegratorConfig)}
     with open(path) as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
@@ -97,41 +102,30 @@ def _load_config(path: str | None) -> dict:
             key = key.strip()
             if not equals:
                 raise DomainError(f"config line {number}: expected key = value, got {line!r}")
-            if key not in keys:
+            if key not in _SETTINGS:
                 raise DomainError(
                     f"config line {number}: unknown key {key!r} "
-                    f"(known: {', '.join(sorted(keys))})"
+                    f"(known: {', '.join(sorted(_SETTINGS))})"
                 )
-            values[key] = raw.strip()
+            try:
+                values[key] = _SETTINGS[key](raw.strip())
+            except ValueError as exc:
+                raise DomainError(f"config line {number}: {key}: {exc}") from exc
     return values
 
 
 def _integrator_config(args, config: dict) -> IntegratorConfig:
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return cast(flag_value)
-        if key in config:
-            try:
-                return cast(config[key])
-            except ValueError as exc:
-                raise DomainError(f"config {key}: {exc}") from exc
-        return default
-
-    return IntegratorConfig(
-        rel_tol=pick(args.rel_tol, "rel_tol", float, 1e-10),
-        abs_tol=pick(args.abs_tol, "abs_tol", float, 1e-12),
-        max_steps=pick(args.max_steps, "max_steps", int, 400_000),
-        initial_step=pick(args.initial_step, "initial_step", float, 0.05),
-    )
+    """IntegratorConfig from the config file's settings, each overridden by
+    its flag when given; the rest keep IntegratorConfig's defaults."""
+    flags = {key: getattr(args, key) for key in _SETTINGS if getattr(args, key) is not None}
+    return IntegratorConfig(**{**config, **flags})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True, help="branch parameter, a > 1")
     p.add_argument("--config", default=None, help="key=value file with integrator overrides")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    p.add_argument("--initial-step", dest="initial_step", type=float, default=None)
+    for key, cast in _SETTINGS.items():  # --rel-tol, --abs-tol, --max-steps, --initial-step
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,3 +347,7 @@ def cmd_verify(args, cfg: IntegratorConfig) -> int:
     for name, ok, detail in checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name.ljust(width)}  {detail}")
     return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_CHECKS
+
+
+if __name__ == "__main__":
+    app()

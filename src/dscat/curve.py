@@ -102,8 +102,9 @@ def base_point(sheet: int = +1) -> CurvePoint:
     return CurvePoint(0j, complex(sheet))
 
 
-def validate_path(path: PathSpec, a: float, delta: float = BRANCH_DELTA) -> None:
-    """Raise PathError unless every segment clears the branch points by delta."""
+def validate_path(path: PathSpec, a: float) -> None:
+    """Raise PathError unless every segment clears the branch points by
+    BRANCH_DELTA."""
     wp = path.waypoints
     if len(wp) < 1:
         raise PathError("path needs at least one waypoint")
@@ -116,9 +117,9 @@ def validate_path(path: PathSpec, a: float, delta: float = BRANCH_DELTA) -> None
         raise PathError("start point does not lie on the curve")
     for p, q in zip(wp[:-1], wp[1:]):
         for b in branch_points(a):
-            if _segment_distance(p, q, b) < delta:
+            if _segment_distance(p, q, b) < BRANCH_DELTA:
                 raise PathError(
-                    f"segment {p} -> {q} passes within {delta} of branch point {b}"
+                    f"segment {p} -> {q} passes within {BRANCH_DELTA} of branch point {b}"
                 )
 
 

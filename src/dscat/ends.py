@@ -126,9 +126,6 @@ def lift_independence_check(
     is unchanged in exact arithmetic; the returned value measures integration
     error only.  Relative, using the identity-frame eigenvalues as scale.
     """
-    det_b = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    if abs(det_b - 1.0) > 1e-9 * max(1.0, float(np.max(np.abs(B))) ** 2):
-        raise DomainError("initial frame must have determinant 1")
     end_b = integrate_frame(loop, params, F0=B, cfg=cfg).F
     Phi_b = np.linalg.solve(B, end_b)
     lam_id = eigenvalues(Phi_id)

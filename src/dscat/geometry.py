@@ -190,14 +190,13 @@ def frame_at(
     sol: PeriodSolution,
     z: complex,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-    sheet: int = +1,
 ) -> FrameState:
     """Frame at the point over z reached by the straight segment from the base.
 
-    Initial frame is the solution gauge P on the requested sheet's base point.
+    Initial frame is the solution gauge P on the base point of sheet +1.
     """
     params = CurveParams(sol.a, sol.c)
-    start = base_point(sheet)
+    start = base_point(+1)
     path = PathSpec(start, (start.z, complex(z)))
     return integrate_frame(path, params, F0=sol.P, cfg=cfg)
 

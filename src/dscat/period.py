@@ -21,6 +21,7 @@ from . import _worker
 from .curve import CanonicalPaths, CurveParams, canonical_paths
 from .ends import end_conjugacy_type
 from .errors import (
+    DomainError,
     LostBracket,
     NotAdmissible,
     VerificationFailed,
@@ -186,7 +187,7 @@ def scan_c(
     return ScanResult(records, brackets, skipped)
 
 
-def bracketed_root(fn, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
+def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:
     """Regula-falsi / bisection hybrid for a bracketed sign change of fn."""
     f_lo, f_hi = fn(lo), fn(hi)
     if f_lo == 0.0:
@@ -195,7 +196,7 @@ def bracketed_root(fn, lo: float, hi: float, tol: float, max_iter: int = 200) ->
         return hi
     if f_lo * f_hi > 0.0:
         raise LostBracket(f"no sign change over [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):  # each iteration keeps at most 0.9 of the bracket
         if hi - lo <= tol:
             break
         # secant candidate, fall back to bisection when it stalls
@@ -228,7 +229,10 @@ def refine_root(
     The result records |f1 - f2| at the converged point: a genuine crossing
     has a vanishing gap, while a bracket that converged onto a pole of a
     period function keeps a large one and is flagged is_crossing = False.
+    Raises DomainError unless tol_c is finite and positive.
     """
+    if not 0.0 < tol_c < math.inf:
+        raise DomainError(f"tol_c must be finite and positive, got {tol_c}")
     lo, hi = float(bracket[0]), float(bracket[1])
     # the paths depend on a alone, so any nonzero c serves
     paths = canonical_paths(CurveParams(a, 1.0))

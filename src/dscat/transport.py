@@ -8,6 +8,7 @@ one error controller certifies both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,11 @@ class IntegratorConfig:
     initial_step: float = 0.05
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol", "initial_step"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and positive")
+        if not self.max_steps >= 1:
+            raise DomainError("max_steps must be at least 1")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -102,17 +106,12 @@ def integrate_frame(
     a, c = params.a, params.c
     validate_path(path, a)
     F0 = _start_frame(F0)
-    monitor = sheet_monitor(a)
+    hook = monitor = sheet_monitor(a)
     if on_step is not None:
-        user = on_step
 
-        def monitor_chain(z, y):
+        def hook(z, y):
             monitor(z, y)
-            user(z, y)
-
-        hook = monitor_chain
-    else:
-        hook = monitor
+            on_step(z, y)
 
     y = _rk.integrate_polyline(
         path.waypoints,
@@ -128,9 +127,9 @@ def integrate_frame(
     end = CurvePoint(path.waypoints[-1], y[4])
     if end.sheet_residual(a) > TOL_SHEET:
         raise ContinuationError("endpoint sheet residual exceeded")
-    det = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
-    if abs(det - 1.0) > TOL_DET * max(1.0, float(np.max(np.abs(F))) ** 2):
-        raise ContinuationError(f"determinant drift {abs(det - 1.0):.3e}")
+    drift, bad = _drifted(F.reshape(4))
+    if bad:
+        raise ContinuationError(f"determinant drift {drift:.3e}")
     return FrameState(end, F)
 
 
@@ -278,8 +277,9 @@ def integrate_frames_over_c(
 
 
 def _drifted(y: np.ndarray) -> tuple:
-    """|det F - 1| of every lane of y, and whether it exceeds TOL_DET scaled by
-    the squared entry size."""
+    """|det F - 1| of the frame (F11, F12, F21, F22) in the first four rows of
+    y, per lane when y has a lane axis, and whether it exceeds TOL_DET scaled
+    by the squared entry size: the one statement of the determinant rule."""
     drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)
     return drift, drift > TOL_DET * np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
 
@@ -296,8 +296,7 @@ def _start_frame(F0: np.ndarray | None) -> np.ndarray:
     TOL_DET scaled by the squared entry size."""
     if F0 is None:
         return np.eye(2, dtype=complex)
-    det0 = F0[0, 0] * F0[1, 1] - F0[0, 1] * F0[1, 0]
-    if abs(det0 - 1.0) > TOL_DET * max(1.0, float(np.max(np.abs(F0))) ** 2):
+    if _drifted(F0.reshape(4))[1]:
         raise DomainError("initial frame must have determinant 1")
     return F0
 

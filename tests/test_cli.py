@@ -392,3 +392,44 @@ def test_config_file_rejects_unknown_keys_and_lines_without_equals(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: invalid input: config line 3: ")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--c", "-1.526035", "--rel-tol", "nan"],
+        ["classify", "--c", "-1.526035", "--rel-tol", "inf"],
+        ["classify", "--c", "-1.526035", "--abs-tol", "inf"],
+        ["classify", "--c", "-1.526035", "--initial-step", "0"],
+        ["classify", "--c", "-1.526035", "--initial-step", "-1"],
+        ["classify", "--c", "-1.526035", "--max-steps", "0"],
+        ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "0", "--json", "{tmp}/s.json"],
+        ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "-1", "--json", "{tmp}/s.json"],
+        ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "nan", "--json", "{tmp}/s.json"],
+    ],
+    ids=lambda argv: "_".join(argv[-4:-2] if argv[0] == "solve" else argv[-2:]),
+)
+def test_invalid_integrator_settings_exit_usage(tmp_path, capsys, argv):
+    code = run([argv[0], "--a", "2"] + [x.format(tmp=tmp_path) for x in argv[1:]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid input: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("module", ["dscat", "dscat.cli"])
+def test_python_dash_m(tmp_path, module):
+    def dscat(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, "classify", "--a", "2", "--c", "-1.526035", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+
+    proc = dscat()
+    assert proc.returncode == 0
+    assert "end type = elliptic" in proc.stdout
+    cfg_file = tmp_path / "dscat.cfg"
+    cfg_file.write_text("max_steps = 0\n")
+    proc = dscat("--config", str(cfg_file))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid input: ")

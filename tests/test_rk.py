@@ -284,21 +284,43 @@ def _decaying(z, u, y):
     return tuple(-v * u for v in y)
 
 
-@pytest.mark.parametrize("n", [1, 5])
-def test_step_budget(n):
+def _scalar_kernel(waypoints, n, field, **kwargs):
+    return _rk.integrate_polyline(waypoints, (1.0,) * n, field, **kwargs)
+
+
+def _lane_kernel(waypoints, n, field, **kwargs):
+    """The lane kernel on three lanes, each from the start state of
+    _scalar_kernel; a scalar component of field serves every lane."""
+    def lanes_field(z, u, y):
+        return np.array(field(z, u, y)).reshape(n, -1)
+
+    return _rk.integrate_polyline_lanes(
+        waypoints, np.ones((n, 3), dtype=complex), lanes_field, **kwargs
+    )
+
+
+KERNELS = [
+    pytest.param(kernel, n, id=prefix + str(n))
+    for prefix, kernel in (("", _scalar_kernel), ("lanes-", _lane_kernel))
+    for n in (1, 5)
+]
+
+
+@pytest.mark.parametrize("kernel, n", KERNELS)
+def test_step_budget(kernel, n):
     with pytest.raises(StepLimitExceeded, match="exceeded 3 steps"):
-        _rk.integrate_polyline((0j, 10 + 0j), (1.0,) * n, _decaying, max_steps=3)
+        kernel((0j, 10 + 0j), n, _decaying, max_steps=3)
 
 
-@pytest.mark.parametrize("n", [1, 5])
-def test_step_size_underflow(n):
+@pytest.mark.parametrize("kernel, n", KERNELS)
+def test_step_size_underflow(kernel, n):
     def jump(z, u, y):
         # A step across z = 0.5 errs by about 1e9 h, so no step longer than
         # the underflow limit 1e-14 meets the tolerances there.
         return (1e12 if z.real > 0.5 else 0.0,) * n
 
     with pytest.raises(StepLimitExceeded, match="underflow"):
-        _rk.integrate_polyline((0j, 1 + 0j), (1.0,) * n, jump)
+        kernel((0j, 1 + 0j), n, jump)
 
 
 @pytest.mark.parametrize("n", [1, 5])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,18 @@ def test_initial_frame_must_be_unimodular():
 def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(rel_tol=0.0)
+    for bad in (
+        {"rel_tol": math.nan},
+        {"rel_tol": math.inf},
+        {"abs_tol": math.inf},
+        {"abs_tol": -1e-12},
+        {"initial_step": 0.0},
+        {"initial_step": -1.0},
+        {"initial_step": math.nan},
+        {"max_steps": 0},
+    ):
+        with pytest.raises(DomainError):
+            IntegratorConfig(**bad)
     assert DEFAULT_CONFIG.rel_tol == 1e-10
     assert DEFAULT_CONFIG.abs_tol == 1e-12
 
