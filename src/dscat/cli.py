@@ -20,7 +20,6 @@ import datetime
 import json
 import os
 import sys
-import tempfile
 
 from . import geometry, period
 from .checks import ROOT_WINDOW, run_invariant_suite
@@ -66,8 +65,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to a new file beside path, then rename it over path.  The
+    file is created with mode 0o666 less the umask, as open() creates one."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dscat-tmp-")
+    tmp = os.path.join(directory, f".dscat-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -289,7 +291,7 @@ def cmd_mesh(args, cfg: IntegratorConfig) -> int:
     mesh = geometry.build_mesh(sol, args.nu, args.nv, cfg)
     _write_atomic(args.out, _mesh_obj(mesh) if args.format == "obj" else _mesh_csv(mesh))
     if args.curves is not None:
-        _write_atomic(args.curves, _curves_csv(geometry.symmetry_curves(sol, mesh=mesh)))
+        _write_atomic(args.curves, _curves_csv(geometry.symmetry_curves(mesh)))
     print(
         f"mesh: {len(mesh.samples)} samples, {len(mesh.triangles)} triangles, "
         f"{mesh.holes} holes"

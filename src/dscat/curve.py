@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _rk
 from .errors import ContinuationError, DomainError, PathError
 
@@ -27,6 +29,12 @@ TOL_SHEET = 1e-8
 ARC_LIFT = 0.8
 # End loops run along the circle |z| = END_LOOP_FACTOR * a.
 END_LOOP_FACTOR = 3.0
+# rel_tol and abs_tol of transport_w, 100 times tighter than the frame's
+# default (IntegratorConfig: 1e-10, 1e-12).  w alone is one component, so this
+# is cheap, and it puts the integration error far below the sheet-closure
+# check's bound of 1e-8: w on gamma1-3 and the end loop closes to 1.9e-12 at
+# a = 1.5, 2 and 3, against 2.4e-10 at the frame's default.
+W_TOLERANCES = {"rel_tol": 1e-12, "abs_tol": 1e-14}
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,7 @@ class CurvePoint:
     w: complex
 
     def sheet_residual(self, a: float) -> float:
-        r = rational_rhs(self.z, a)
-        return abs(self.w * self.w - r) / (1.0 + abs(r))
+        return sheet_residual_of(self.w, rational_rhs(self.z, a))
 
 
 @dataclass(frozen=True)
@@ -71,30 +78,68 @@ def branch_points(a: float) -> tuple:
     return (1.0, -1.0, a, -a)
 
 
+def branch_offsets(a: float, scale=1.0):
+    """The constants k with z + k[i] the offsets (z + 1, z - a, z - 1, z + a)
+    of z from the branch points: a tuple of four Python complex numbers, or
+    for an array scale a (4, n) array whose column j divides lane j's branch
+    points by scale[j].  The -a and -1 entries are negated as complex numbers,
+    so their imaginary parts are -0.0 and each sum keeps the signed zero of
+    the subtraction it replaces."""
+    one, a_s = 1.0 / scale, a / scale
+    if np.ndim(scale) == 0:
+        one, a_s = complex(one), complex(a_s)
+        return (one, -a_s, -one, a_s)
+    one, a_s = one.astype(complex), a_s.astype(complex)
+    return np.stack((one, -a_s, -one, a_s))
+
+
+def log_derivative_of(z, k):
+    """L = (1/2) [1/(z+1) + 1/(z-a) - 1/(z-1) - 1/(z+a)] from the branch offsets
+    z + k[i], unguarded: the one statement of L.  Per-lane constants take the
+    four offsets in one addition and their reciprocals in one division."""
+    if isinstance(k, tuple):
+        k0, k1, k2, k3 = k
+        q0, q1, q2, q3 = 1 / (z + k0), 1 / (z + k1), 1 / (z + k2), 1 / (z + k3)
+    else:
+        q0, q1, q2, q3 = 1 / (z + k)
+    return 0.5 * (q0 + q1 - q2 - q3)
+
+
+def rational_rhs_of(z, k):
+    """R = (z+1)(z-a) / ((z-1)(z+a)) from the branch offsets z + k[i],
+    unguarded: the one statement of R."""
+    return (z + k[0]) * (z + k[1]) / ((z + k[2]) * (z + k[3]))
+
+
+def sheet_residual_of(w, r):
+    """|w^2 - R| / (1 + |R|) of the sheet value w where R(z) = r: the one
+    measure of how far w is off the curve.  TOL_SHEET bounds it."""
+    return abs(w * w - r) / (1.0 + abs(r))
+
+
 def rational_rhs(z: complex, a: float) -> complex:
     """R(z) = (z+1)(z-a) / ((z-1)(z+a)), the square of w."""
-    if _branch_distance(z, a) < BRANCH_DELTA:
-        raise DomainError(f"z = {z} is within {BRANCH_DELTA} of a branch point")
-    return (z + 1) * (z - a) / ((z - 1) * (z + a))
+    return rational_rhs_of(z, _guarded_offsets(z, a))
 
 
 def log_derivative(z: complex, a: float) -> complex:
-    """L(z) with d(log w)/dz = L(z).
-
-    Partial-fraction form: L = (1/2) [1/(z+1) + 1/(z-a) - 1/(z-1) - 1/(z+a)].
-    """
-    if _branch_distance(z, a) < BRANCH_DELTA:
-        raise DomainError(f"z = {z} is within {BRANCH_DELTA} of a branch point")
-    return 0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))
+    """L(z) with d(log w)/dz = L(z), as stated in log_derivative_of."""
+    return log_derivative_of(z, _guarded_offsets(z, a))
 
 
 def log_derivative_prime(z: complex, a: float) -> complex:
     """dL/dz, needed by the curvature-style diagnostics."""
-    if _branch_distance(z, a) < BRANCH_DELTA:
+    t = [z + x for x in _guarded_offsets(z, a)]
+    return -0.5 * (1 / t[0] ** 2 + 1 / t[1] ** 2 - 1 / t[2] ** 2 - 1 / t[3] ** 2)
+
+
+def _guarded_offsets(z: complex, a: float) -> tuple:
+    """branch_offsets(a); raises DomainError where z is within BRANCH_DELTA
+    of a branch point."""
+    k = branch_offsets(a)
+    if min(abs(z + x) for x in k) < BRANCH_DELTA:
         raise DomainError(f"z = {z} is within {BRANCH_DELTA} of a branch point")
-    return -0.5 * (
-        1 / (z + 1) ** 2 + 1 / (z - a) ** 2 - 1 / (z - 1) ** 2 - 1 / (z + a) ** 2
-    )
+    return k
 
 
 def base_point(sheet: int = +1) -> CurvePoint:
@@ -125,49 +170,46 @@ def validate_path(path: PathSpec, a: float) -> None:
 
 def sheet_monitor(a: float):
     """on_step hook raising ContinuationError where the w that ends the state
-    leaves the curve; R(z) is inlined, unguarded, as it runs at every step."""
+    leaves the curve; R(z) is rational_rhs_of, unguarded, as validate_path
+    has cleared every segment."""
+    k = branch_offsets(a)
 
     def monitor(z, y):
-        w = y[-1]
-        r = (z + 1) * (z - a) / ((z - 1) * (z + a))
-        if abs(w * w - r) > TOL_SHEET * (1.0 + abs(r)):
+        if sheet_residual_of(y[-1], rational_rhs_of(z, k)) > TOL_SHEET:
             raise ContinuationError(f"sheet residual exceeded at z = {z}")
 
     return monitor
 
 
-def transport_w(
-    path: PathSpec,
-    params: CurveParams,
-    *,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
-) -> CurvePoint:
-    """Continue w along the path by integrating w' = w L(z).
-
-    The endpoint must satisfy the sheet invariant; the residual is also
-    monitored at every accepted step.  L(z) is log_derivative's formula
-    inlined without its branch-distance guard, as in transport._joint_field:
-    validate_path has cleared every segment, so the guard could not fire.
-    """
-    a = params.a
-    validate_path(path, a)
-
-    def field(z, u, y):
-        return (y[0] * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,)
-
-    (w_end,) = _rk.integrate_polyline(
-        path.waypoints,
-        (path.start.w,),
-        field,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        on_step=sheet_monitor(a),
-    )
-    end = CurvePoint(path.waypoints[-1], w_end)
+def end_point(path: PathSpec, w: complex, a: float) -> CurvePoint:
+    """The point over the last waypoint of path with sheet value w; raises
+    ContinuationError where w is off the curve there."""
+    end = CurvePoint(path.waypoints[-1], w)
     if end.sheet_residual(a) > TOL_SHEET:
         raise ContinuationError("endpoint sheet residual exceeded")
     return end
+
+
+def transport_w(path: PathSpec, params: CurveParams) -> CurvePoint:
+    """Continue w along the path by integrating w' = w L(z) at W_TOLERANCES.
+
+    The endpoint must satisfy the sheet invariant; the residual is also
+    monitored at every accepted step by sheet_monitor.  L(z) is
+    log_derivative_of without log_derivative's branch-distance guard, as in
+    transport._joint_field: validate_path has cleared every segment, so the
+    guard could not fire.
+    """
+    a = params.a
+    validate_path(path, a)
+    k = branch_offsets(a)
+
+    def field(z, u, y):
+        return (y[0] * log_derivative_of(z, k) * u,)
+
+    (w_end,) = _rk.integrate_polyline(
+        path.waypoints, (path.start.w,), field, on_step=sheet_monitor(a), **W_TOLERANCES
+    )
+    return end_point(path, w_end, a)
 
 
 @dataclass(frozen=True)
@@ -234,10 +276,6 @@ def canonical_paths(params: CurveParams) -> CanonicalPaths:
     for p in (c1, c2, gamma1, gamma2, gamma3, end_plus, end_minus):
         validate_path(p, a)
     return paths
-
-
-def _branch_distance(z: complex, a: float) -> float:
-    return min(abs(z - b) for b in branch_points(a))
 
 
 def _segment_distance(p: complex, q: complex, b: complex) -> float:

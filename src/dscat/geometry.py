@@ -427,12 +427,7 @@ def _keep_triangle(tri: tuple, samples: list, edge_clear) -> bool:
     return True
 
 
-def symmetry_curves(
-    sol: PeriodSolution,
-    samples: int = 400,
-    cfg: IntegratorConfig = DEFAULT_CONFIG,
-    mesh: MeshResult | None = None,
-) -> list:
+def symmetry_curves(mesh: MeshResult) -> list:
     """Planar symmetry curves: iso-lines y2 = 0 extracted from a mesh.
 
     The hollow-ball factor is positive, so y2 = 0 exactly where x2 = 0.
@@ -440,9 +435,6 @@ def symmetry_curves(
     component of every emitted vertex by construction.  Returns a list of
     polylines (lists of HollowBallPoint).
     """
-    if mesh is None:
-        side = max(6, int(round(math.sqrt(samples))))
-        mesh = build_mesh(sol, side, side, cfg)
     segments: list = []
     for tri in mesh.triangles:
         vals = [mesh.samples[i].Y.y2 for i in tri]

@@ -19,8 +19,13 @@ from .curve import (
     CurveParams,
     CurvePoint,
     PathSpec,
+    branch_offsets,
+    end_point,
     log_derivative,
+    log_derivative_of,
+    rational_rhs_of,
     sheet_monitor,
+    sheet_residual_of,
     validate_path,
 )
 from .errors import ContinuationError, DomainError, LanesFailed
@@ -69,11 +74,12 @@ def alpha_matrix(p: CurvePoint, c: float) -> np.ndarray:
 def _joint_field(a: float, c: float):
     """Field of (F11, F12, F21, F22, w) for the scalar kernels.
 
-    L(z) is log_derivative's formula inlined without its branch-distance
-    guard, as sheet_monitor inlines R(z): every caller runs validate_path
-    first, and every stage point lies on a validated segment, so the guard
-    could never fire here, while it took about a fifth of the field's time.
+    L(z) is curve.log_derivative_of, without log_derivative's branch-distance
+    guard: every caller runs validate_path first, and every stage point lies
+    on a validated segment, so the guard could never fire here, while it took
+    about a fifth of the field's time.
     """
+    k = branch_offsets(a)
 
     def field(z, u, y):
         F11, F12, F21, F22, w = y
@@ -84,7 +90,7 @@ def _joint_field(a: float, c: float):
             cu * (F12 - w * F22),
             cu * (F11 * iw - F21),
             cu * (F12 * iw - F22),
-            w * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,
+            w * log_derivative_of(z, k) * u,
         )
 
     return field
@@ -124,9 +130,7 @@ def integrate_frame(
         on_step=hook,
     )
     F = np.array([[y[0], y[1]], [y[2], y[3]]], dtype=complex)
-    end = CurvePoint(path.waypoints[-1], y[4])
-    if end.sheet_residual(a) > TOL_SHEET:
-        raise ContinuationError("endpoint sheet residual exceeded")
+    end = end_point(path, y[4], a)
     drift, bad = _drifted(F.reshape(4))
     if bad:
         raise ContinuationError(f"determinant drift {drift:.3e}")
@@ -141,36 +145,16 @@ def _joint_field_lanes(a: float, cs, scale=1.0):
     scale[j] times the field at scale[j] * z.  Seen from z the lane's branch
     points are those of the curve divided by scale[j], and
     scale * L(scale * z) is L(z) with those branch points: that is how L is
-    evaluated, inline and without log_derivative's guard, as in _joint_field.
-    A scalar scale (the scan's 1.0) evaluates L once per stage for all lanes
-    in Python complex arithmetic, and with scale 1.0 the formula is
-    log_derivative's, operation for operation.  Per-lane scales take the four
-    reciprocals in one division of the (4, n) array of _branch_shifts and sum
-    them in place, in the same order.  cs * scale * u is formed once per
-    segment.  Uses F21' = F11' / w and F22' = F12' / w, which holds because
-    alpha is rank one.
+    evaluated, by log_derivative_of with curve.branch_offsets(a, scale) and
+    without log_derivative's guard, as in _joint_field.  A scalar scale (the
+    scan's 1.0) evaluates L once per stage for all lanes in Python complex
+    arithmetic, and with scale 1.0 it is log_derivative's, operation for
+    operation.  cs * scale * u is formed once per segment.  Uses
+    F21' = F11' / w and F22' = F12' / w, which holds because alpha is rank
+    one.
     """
     cs_s = cs * scale
-    shifts = _branch_shifts(a, scale)
-    if np.ndim(scale) == 0:
-
-        def log_derivative_u(z, u):
-            t = shifts(z)
-            return 0.5 * (1 / t[0] + 1 / t[1] - 1 / t[2] - 1 / t[3]) * u
-
-    else:
-
-        def log_derivative_u(z, u):
-            t = shifts(z)
-            np.divide(1, t, out=t)
-            L = t[0]
-            L += t[1]
-            L -= t[2]
-            L -= t[3]
-            L *= 0.5
-            L *= u
-            return L
-
+    k = branch_offsets(a, scale)
     segment_u = cs_u = None  # the direction of the current segment, cs_s * it
 
     def field(z, u, y):
@@ -184,25 +168,10 @@ def _joint_field_lanes(a: float, cs, scale=1.0):
         np.subtract(y[0:2], top, out=top)
         top *= cs_u
         np.divide(top, w, out=out[2:4])
-        np.multiply(w, log_derivative_u(z, u), out=out[4])
+        np.multiply(w, log_derivative_of(z, k) * u, out=out[4])
         return out
 
     return field
-
-
-def _branch_shifts(a: float, scale):
-    """The function z -> (z + 1, z - a, z - 1, z + a) with lane j's branch
-    points divided by scale[j]: a tuple of Python complex numbers for a
-    scalar scale, else one (4, n) array from one addition.  Its rows -a and
-    -1 are negated as complex numbers, so that their imaginary parts are -0.0
-    and each sum keeps the signed zero of the subtraction it replaces."""
-    if np.ndim(scale) == 0:
-        one, a_s = 1.0 / scale, a / scale
-        return lambda z: (z + one, z - a_s, z - one, z + a_s)
-    one = (1.0 / scale).astype(complex)
-    a_s = (a / scale).astype(complex)
-    offsets = np.stack((one, -a_s, -one, a_s))
-    return lambda z: z + offsets
 
 
 def integrate_frames_over_c(
@@ -248,12 +217,10 @@ def integrate_frames_over_c(
     if _drifted(y0)[1].any():
         raise DomainError("initial frame must have determinant 1")
 
-    shifts = _branch_shifts(a, scale)
+    k = branch_offsets(a, scale)
 
     def check_sheet(z, y) -> None:
-        t = shifts(z)
-        r = t[0] * t[1] / (t[2] * t[3])
-        bad = np.abs(y[4] * y[4] - r) > TOL_SHEET * (1.0 + np.abs(r))
+        bad = sheet_residual_of(y[4], rational_rhs_of(z, k)) > TOL_SHEET
         if bad.any():
             raise LanesFailed(f"sheet residual exceeded at z = {z}", np.flatnonzero(bad))
 
@@ -304,10 +271,11 @@ def _start_frame(F0: np.ndarray | None) -> np.ndarray:
 def _linear_field(a: float, c: float) -> tuple:
     """(rate, matrix) of the frame equation for integrate_polyline_rk4:
     dw/ds = L(z) u w and dF/ds = c u [[1, -w], [1/w, -1]] F, on arrays of
-    points and sheet values, with L inlined as in _joint_field."""
+    points and sheet values, with L unguarded as in _joint_field."""
+    k = branch_offsets(a)
 
     def rate(z, u):
-        return 0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a)) * u
+        return log_derivative_of(z, k) * u
 
     def matrix(z, u, w):
         cu = c * u
@@ -333,10 +301,7 @@ def reference_frame(
     F, w = _rk.integrate_polyline_rk4(
         path.waypoints, _start_frame(F0), path.start.w, *_linear_field(a, params.c), n_steps
     )
-    end = CurvePoint(path.waypoints[-1], w)
-    if end.sheet_residual(a) > TOL_SHEET:
-        raise ContinuationError("endpoint sheet residual exceeded")
-    return FrameState(end, F)
+    return FrameState(end_point(path, w, a), F)
 
 
 def scalar_ode_residual(

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -433,3 +434,32 @@ def test_python_dash_m(tmp_path, module):
     proc = dscat("--config", str(cfg_file))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: invalid input: ")
+
+
+# Each command that writes files, with the files it writes into {d}.
+WRITERS = {
+    "scan": (["scan", "--a", "2", "--c-min", "-0.07", "--c-max", "0.05", "--steps", "4",
+              "--out", "{d}/scan.csv"], ["scan.csv"]),
+    "solve": (["solve", "--a", "2", "--c0", "-1.5265", "--c1", "-1.5255",
+               "--json", "{d}/solve.json"], ["solve.json"]),
+    "classify": (["classify", "--a", "2", "--c", "-1.526035", "--json", "{d}/classify.json"],
+                 ["classify.json"]),
+    "mesh": (["mesh", "--a", "2", "--c", "-1.526035", "--nu", "2", "--nv", "3",
+              "--out", "{d}/mesh.obj", "--curves", "{d}/curves.csv"], ["mesh.obj", "curves.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_output_files_follow_the_umask(tmp_path, command):
+    argv, names = WRITERS[command]
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / oct(umask)
+        out.mkdir()
+        saved = os.umask(umask)
+        try:
+            code = run([arg.format(d=out) for arg in argv])
+        finally:
+            os.umask(saved)
+        assert code == 0
+        for name in names:
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode, (name, oct(umask))

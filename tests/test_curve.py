@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from dscat.curve import (
     CurvePoint,
     PathSpec,
     base_point,
+    branch_offsets,
     branch_points,
     canonical_paths,
     log_derivative,
@@ -54,6 +56,25 @@ def test_reciprocal_symmetry(z, a):
     if min(abs(-z - b) for b in branch_points(a)) < 2 * BRANCH_DELTA:
         return
     assert abs(rational_rhs(z, a) * rational_rhs(-z, a) - 1.0) < 1e-12
+
+
+def test_branch_offsets_give_the_sums_bit_for_bit():
+    scale = np.array([0.37, 1.0, 2.9, 5.5])
+    one, a_s = 1.0 / scale, 2.0 / scale
+    k = branch_offsets(2.0, scale)
+
+    def shifts(z):
+        return z + k
+
+    for z in (0.3 + 0.2j, complex(0.4, -0.0), complex(-3.0, 0.0), complex(-0.0, -0.0), -1.7 - 2.2j):
+        expected = np.stack((z + one, z - a_s, z - one, z + a_s))
+        assert shifts(z).tobytes() == expected.tobytes(), z
+
+
+def test_scalar_branch_offsets_keep_signed_zeros():
+    k = branch_offsets(2.0)
+    for z in (0.3 + 0.2j, complex(0.4, -0.0), complex(-3.0, 0.0), complex(-0.0, -0.0), -1.7 - 2.2j):
+        assert repr(tuple(z + x for x in k)) == repr((z + 1, z - 2.0, z - 1, z + 2.0)), z
 
 
 def test_log_derivative_base_value():
@@ -119,6 +140,24 @@ def test_transport_w_matches_guarded_field(monkeypatch):
         assert len(inlined) > 10
         assert inlined == reference
         assert end.w == w_ref
+
+
+def test_transport_w_ends_equal_the_inline_reference():
+    # the field as transport_w wrote it before it called log_derivative_of
+    a = 2.0
+    params = CurveParams(a, 1.0)
+    paths = canonical_paths(params)
+
+    def field(z, u, y):
+        return (y[0] * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,)
+
+    names = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
+    probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
+    for path in [getattr(paths, name) for name in names] + [probe]:
+        (w_ref,) = _rk.integrate_polyline(
+            path.waypoints, (path.start.w,), field, rel_tol=1e-12, abs_tol=1e-14
+        )
+        assert repr(transport_w(path, params).w) == repr(w_ref)
 
 
 def test_transport_constant_path():

@@ -364,7 +364,7 @@ def test_singular_flag_invariant_under_monodromy(shallow_solution):
 
 
 def test_symmetry_curves(shallow_solution, shallow_mesh):
-    curves = symmetry_curves(shallow_solution, mesh=shallow_mesh)
+    curves = symmetry_curves(shallow_mesh)
     assert curves
     for chain in curves:
         for pt in chain:
@@ -374,8 +374,8 @@ def test_symmetry_curves(shallow_solution, shallow_mesh):
 def test_symmetry_curves_refinement(shallow_solution):
     coarse_mesh = build_mesh(shallow_solution, 12, 12)
     fine_mesh = build_mesh(shallow_solution, 24, 24)
-    coarse = symmetry_curves(shallow_solution, mesh=coarse_mesh)
-    fine = symmetry_curves(shallow_solution, mesh=fine_mesh)
+    coarse = symmetry_curves(coarse_mesh)
+    fine = symmetry_curves(fine_mesh)
     assert coarse and fine
 
     def cloud(curves):

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from dscat import _rk, geometry, transport
-from dscat.curve import CurveParams, CurvePoint, PathSpec, base_point, canonical_paths
+from dscat.curve import (
+    CurveParams,
+    CurvePoint,
+    PathSpec,
+    base_point,
+    branch_offsets,
+    canonical_paths,
+    rational_rhs_of,
+    sheet_residual_of,
+)
 from dscat.errors import (
     ContinuationError,
     DomainError,
@@ -276,15 +285,6 @@ def _lane_steps(field, waypoints, y0) -> tuple:
     return steps, y
 
 
-def test_branch_shifts_give_the_sums_bit_for_bit():
-    scale = np.array([0.37, 1.0, 2.9, 5.5])
-    one, a_s = 1.0 / scale, 2.0 / scale
-    shifts = transport._branch_shifts(2.0, scale)
-    for z in (0.3 + 0.2j, complex(0.4, -0.0), complex(-3.0, 0.0), complex(-0.0, -0.0), -1.7 - 2.2j):
-        expected = np.stack((z + one, z - a_s, z - one, z + a_s))
-        assert shifts(z).tobytes() == expected.tobytes(), z
-
-
 def test_lane_field_steps_equal_the_reference_per_lane():
     # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh runs them
     a, c = 2.0, -1.526035
@@ -314,3 +314,140 @@ def test_lane_field_steps_equal_the_reference_at_scale_one(name):
     reference, reference_end = _lane_steps(_reference_field_lanes(a, cs), path.waypoints, y0)
     assert steps == reference
     assert end.tobytes() == reference_end.tobytes()
+
+
+# References for the curve helpers: the expressions that the fields, the sheet
+# monitors and the end checks wrote out inline before they called
+# curve.branch_offsets, log_derivative_of, rational_rhs_of and
+# sheet_residual_of.  The helpers must reproduce them bit for bit.
+
+PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
+
+
+def _inline_joint_field(a: float, c: float):
+    def field(z, u, y):
+        F11, F12, F21, F22, w = y
+        iw = 1.0 / w
+        cu = c * u
+        return (
+            cu * (F11 - w * F21),
+            cu * (F12 - w * F22),
+            cu * (F11 * iw - F21),
+            cu * (F12 * iw - F22),
+            w * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,
+        )
+
+    return field
+
+
+def _inline_sheet_residual(z, w, a: float):
+    r = (z + 1) * (z - a) / ((z - 1) * (z + a))
+    return abs(w * w - r) / (1.0 + abs(r))
+
+
+def _bits(states) -> bytes:
+    return np.array([(z, *y) for z, y in states], dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("c", [-1.526035, 1.26988])
+def test_frame_steps_equal_the_inline_reference(c):
+    a = 2.0
+    params = CurveParams(a, c)
+    cfg = DEFAULT_CONFIG
+    k = branch_offsets(a)
+    F0 = np.eye(2, dtype=complex)
+    for name in PATH_NAMES:
+        path = getattr(canonical_paths(params), name)
+        states, reference = [], []
+        end = integrate_frame(path, params, on_step=lambda z, y: states.append((z, y)))
+        y = _rk.integrate_polyline(
+            path.waypoints, (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w),
+            _inline_joint_field(a, c), rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+            max_steps=cfg.max_steps, first_step=cfg.initial_step,
+            on_step=lambda z, y: reference.append((z, y)),
+        )
+        assert len(states) > 10
+        assert _bits(states) == _bits(reference), name
+        assert end.F.tobytes() == np.array(y[:4], dtype=complex).tobytes()
+        assert repr(end.point.w) == repr(y[4])
+        for z, y in states:
+            expected = _inline_sheet_residual(z, y[4], a)
+            assert repr(sheet_residual_of(y[4], rational_rhs_of(z, k))) == repr(expected)
+            assert repr(CurvePoint(z, y[4]).sheet_residual(a)) == repr(expected)
+
+
+@pytest.mark.parametrize("c", [-1.526035, 1.26988])
+def test_reference_frame_ends_equal_the_inline_reference(c):
+    a = 2.0
+    params = CurveParams(a, c)
+
+    def rate(z, u):
+        return 0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a)) * u
+
+    def matrix(z, u, w):
+        cu = c * u
+        return cu, -cu * w, cu / w, -cu
+
+    for name in PATH_NAMES:
+        path = getattr(canonical_paths(params), name)
+        end = reference_frame(path, params)
+        F, w = _rk.integrate_polyline_rk4(
+            path.waypoints, np.eye(2, dtype=complex), path.start.w, rate, matrix, 4000
+        )
+        assert end.F.tobytes() == F.tobytes(), name
+        assert repr(end.point.w) == repr(w)
+
+
+def _inline_lane_residual(z, w, a: float, scale):
+    """The lanes' sheet residual from check_sheet's inline terms: |w^2 - R|
+    over the lanes, and |R| taken as the scalar monitors took it where R is
+    one Python complex for all lanes (scale 1)."""
+    one, a_s = 1.0 / scale, a / scale
+    r = (z + one) * (z - a_s) / ((z - one) * (z + a_s))
+    return np.abs(w * w - r) / (1.0 + abs(r))
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_scan_block_end_states_equal_the_inline_reference(name):
+    a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
+    path = getattr(canonical_paths(CurveParams(a, 1.0)), name)
+    frames, w = integrate_frames_over_c(path, a, cs)
+    y0 = np.zeros((5, cs.size), dtype=complex)
+    y0[0] = y0[3] = 1.0
+    y0[4] = path.start.w
+    steps = []
+    reference = _rk.integrate_polyline_lanes(
+        path.waypoints, y0, _reference_field_lanes(a, cs),
+        on_step=lambda z, y: steps.append((z, y.copy())),
+    )
+    assert frames.tobytes() == reference[:4].T.reshape(-1, 2, 2).tobytes()
+    assert w.tobytes() == reference[4].tobytes()
+    k = branch_offsets(a)
+    for z, y in steps:
+        residual = sheet_residual_of(y[4], rational_rhs_of(z, k))
+        assert residual.tobytes() == _inline_lane_residual(z, y[4], a, 1.0).tobytes()
+
+
+def test_ring_end_states_equal_the_inline_reference():
+    # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh runs them
+    a, c = 2.0, -1.526035
+    radii = geometry._ring_radii(a, 8, 3.0 * a)
+    angles = [2 * np.pi * (k + 0.5) / 12 for k in range(12)]
+    order = sorted(range(12), key=lambda k: (angles[k] - np.pi / 2) % (2 * np.pi))
+    scale = np.array(radii * 2)
+    k = branch_offsets(a, scale)
+    y = np.zeros((5, scale.size), dtype=complex)
+    y[0] = y[3] = 1.0
+    y[4, : len(radii)], y[4, len(radii):] = 1.0, -1.0
+    for leg in geometry._unit_legs(angles, order):
+        F, w = integrate_frames_over_c(
+            PathSpec(CurvePoint(leg[0], 1.0 + 0j), leg), a, c,
+            F0=y[:4].T.reshape(-1, 2, 2), w0=y[4], scale=scale, validated=True,
+        )
+        steps, y = _lane_steps(_reference_field_lanes(a, c, scale), leg, y)
+        assert F.tobytes() == y[:4].T.reshape(-1, 2, 2).tobytes()
+        assert w.tobytes() == y[4].tobytes()
+        for z, state in steps:
+            w_z = np.frombuffer(state, dtype=complex).reshape(5, -1)[4]
+            residual = sheet_residual_of(w_z, rational_rhs_of(z, k))
+            assert residual.tobytes() == _inline_lane_residual(z, w_z, a, scale).tobytes()
