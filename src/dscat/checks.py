@@ -32,9 +32,6 @@ from .ends import end_loop_check, lift_independence_check
 from .errors import DscatError
 from .transport import IntegratorConfig
 
-# Half width of the bracket searched for a period crossing near a requested c.
-ROOT_WINDOW = 0.01
-
 
 class CheckContext:
     """Quantities at one (a, c) that several checks read, each built once on
@@ -105,8 +102,8 @@ class CheckContext:
         return self._states[name]
 
     def root(self) -> period.RefinedRoot:
-        """The root refined from the bracket c +- ROOT_WINDOW."""
-        window = (self.c - ROOT_WINDOW, self.c + ROOT_WINDOW)
+        """The root refined from the bracket period.near(c)."""
+        window = period.near(self.c)
         return self._once("root", lambda: period.refine_root(self.a, window, 1e-9, self.cfg))
 
     def gauge(self) -> period.GaugeSolution | None:
@@ -121,7 +118,8 @@ class CheckContext:
         gauge = self.gauge()
         if gauge is None:
             return None
-        return self._once("solution", lambda: period._verify_frames(self.root().frames, gauge.P))
+        frames = self.root().frames
+        return self._once("solution", lambda: period._verify_frames(frames, gauge, gauge.P))
 
     def probe(self) -> CurvePoint:
         """The curve point over z = 0.6 + 0.9i on the w = +1 sheet."""
@@ -154,11 +152,7 @@ def _sheet_closure(ctx: CheckContext):
 
 
 def _det_preservation(ctx: CheckContext):
-    worst = 0.0
-    for _, y in ctx.states("gamma2"):
-        det = y[0] * y[3] - y[1] * y[2]
-        scale = max(1.0, max(abs(v) for v in y[:4]) ** 2)
-        worst = max(worst, abs(det - 1.0) / scale)
+    worst = max(transport._drifted(y)[0] for _, y in ctx.states("gamma2"))
     return worst <= transport.TOL_DET, f"max scaled |det F - 1| = {worst:.3e}"
 
 
@@ -215,12 +209,11 @@ def _gauge_identity(ctx: CheckContext):
     gauge = ctx.gauge()
     if gauge is None:
         return False, "skipped (not admissible)"
-    f = ctx.root().f
     b4 = 4.0 * gauge.beta ** 4
     reproduced = (1.0 + b4) / (1.0 - b4)
     det_p = gauge.P[0, 0] * gauge.P[1, 1] - gauge.P[0, 1] * gauge.P[1, 0]
     err = max(
-        abs(reproduced - f),
+        abs(reproduced - gauge.f),
         abs(det_p - 1.0),
         abs(gauge.alpha * gauge.beta + gauge.epsilon / 2.0),
     )

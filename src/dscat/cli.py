@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import geometry, period
-from .checks import ROOT_WINDOW, run_invariant_suite
+from .checks import run_invariant_suite
 from .ends import end_loop_check
 from .errors import (
     ContinuationError,
@@ -279,7 +279,7 @@ def cmd_classify(args, cfg: IntegratorConfig) -> int:
 
 
 def _solve_near(a: float, c: float, cfg: IntegratorConfig):
-    return period.solve_at_bracket(a, (c - ROOT_WINDOW, c + ROOT_WINDOW), 1e-9, cfg)
+    return period.solve_at_bracket(a, period.near(c), 1e-9, cfg)
 
 
 def cmd_mesh(args, cfg: IntegratorConfig) -> int:

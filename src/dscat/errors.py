@@ -57,7 +57,7 @@ class PoleError(DscatError):
 
 
 class DegenerateDenominator(DscatError):
-    """Period-function denominator vanished; the scan records a gap at this point."""
+    """Period-function denominator vanished: a gap in a scan, a pole in refinement."""
 
 
 class LostBracket(DscatError):

@@ -146,15 +146,15 @@ def period_functions(h: HalfPathFrames) -> tuple:
     Raises DegenerateDenominator where period_values reports a vanished
     denominator.
     """
-    f1, f2, degenerate = period_values(h.F_c1, h.F_c2)
+    f1, f2, _, _, degenerate = period_values(h.F_c1, h.F_c2)
     if degenerate:
         raise DegenerateDenominator("a period denominator vanished")
     return float(f1), float(f2)
 
 
 def period_values(F_c1: np.ndarray, F_c2: np.ndarray) -> tuple:
-    """(f1, f2, degenerate) of endpoint frames of shape (2, 2), or arrays of
-    them over stacks of frames of shape (n, 2, 2).
+    """(f1, f2, d1, d2, degenerate) of endpoint frames of shape (2, 2), or
+    arrays of them over stacks of frames of shape (n, 2, 2).
 
     With F_c1 = [[A1, B1], [C1, D1]] and F_c2 = [[A2, B2], [C2, D2]]:
 
@@ -163,9 +163,12 @@ def period_values(F_c1: np.ndarray, F_c2: np.ndarray) -> tuple:
 
     Both are real by construction; f1 = f2 with common value of modulus
     greater than 1 is the closing condition solved in the period module.
-    degenerate marks a vanished f1 or f2 denominator; f1 and f2 are then
-    meaningless.  Checked in the order f1, f2, a value that is not real
-    raises ContinuationError unless a denominator checked before it vanished.
+    Each product is paired with its conjugate, so den1 is exactly real and
+    den2 exactly imaginary: d1 = den1 and d2 = Im den2 are the real
+    denominators, whose signs tell a pole from a crossing.  degenerate marks
+    a vanished f1 or f2 denominator; f1 and f2 are then meaningless.
+    Checked in the order f1, f2, a value that is not real raises
+    ContinuationError unless a denominator checked before it vanished.
     A single frame pair is evaluated in numpy scalar arithmetic, whose complex
     products can differ from array arithmetic in the last bit.
     """
@@ -186,7 +189,7 @@ def period_values(F_c1: np.ndarray, F_c2: np.ndarray) -> tuple:
         raise ContinuationError(
             f"period functions are not real: f1 = {np.ravel(f1)[j]}, f2 = {np.ravel(f2)[j]}"
         )
-    return f1.real, f2.real, degenerate1 | degenerate2
+    return f1.real, f2.real, den1.real, den2.imag, degenerate1 | degenerate2
 
 
 def _real_ratio(num: np.ndarray, den: np.ndarray) -> tuple:

@@ -2,12 +2,12 @@
 
 A closed surface requires f1(c) = f2(c) with common value f of modulus
 greater than 1; the initial frame P(alpha, beta) then conjugates all three
-loop monodromies into SU(1,1).  The scan brackets sign changes of f1 - f2;
-refinement distinguishes genuine crossings from poles of the period
-functions by the size of |f1 - f2| at the converged point.  Each
-denominator has isolated zeros in c: at a = 2 the poles near c = -4.80 and
--1.69 are zeros of the f2 denominator, those near -0.555 and 0.757 zeros of
-the f1 denominator.
+loop monodromies into SU(1,1).  The scan brackets sign changes of f1 - f2,
+which are crossings or poles of the period functions, where a denominator
+has an isolated zero in c: at a = 2 the poles near c = -4.80 and -1.69 are
+zeros of the f2 denominator, those near -0.555 and 0.757 zeros of the f1
+denominator.  Refinement tells them apart by the signs of the denominators
+at the ends of its final bracket: across a pole one of them changes sign.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from . import _worker
 from .curve import CanonicalPaths, CurveParams, canonical_paths
 from .ends import end_conjugacy_type
 from .errors import (
+    DegenerateDenominator,
     DomainError,
     LostBracket,
     NotAdmissible,
@@ -39,9 +40,8 @@ from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frames_over_c
 
 # Half width of the default exclusion window around c = 0.
 SKIP_HALFWIDTH = 0.01
-# A refined bracket is a genuine crossing when |f1 - f2| is below this,
-# relative to the function size; poles converge with a huge gap.
-CROSSING_GAP_TOL = 1e-2
+# Half width of near(c), the bracket searched for a crossing near a given c.
+ROOT_WINDOW = 0.01
 # Most grid points scan_c integrates together.  The cost per point has
 # stopped falling by this size (the 2600-point scan at a = 2 took 1.3 s in
 # blocks of 256, 0.85 s in blocks of 1024 and 0.84 s in one block), and the
@@ -76,16 +76,16 @@ class ScanResult:
 class RefinedRoot:
     c: float
     f: float
-    f1: float
-    f2: float
+    # |f1 - f2| at c, which the messages about a pole print
     gap: float
     is_crossing: bool
-    # half-path frames at c, handed on to verification
+    # half-path frames at c, handed on to verification; None at a vanished denominator
     frames: HalfPathFrames = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class GaugeSolution:
+    f: float
     epsilon: float
     beta: float
     alpha: float
@@ -146,45 +146,32 @@ def scan_c(
     spacing = (c_max - c_min) / (steps - 1)
     grid = [c_min + k * spacing for k in range(steps)]
     live = [k for k, c in enumerate(grid) if not (abs(c) < skip_halfwidth or c == 0.0)]
-    f1 = np.empty(len(live))
-    f2 = np.empty(len(live))
-    degenerate = np.zeros(len(live), dtype=bool)
+    kept: dict = {}  # grid index -> record, for the grid points not skipped
     for lo in range(0, len(live), SCAN_BLOCK):
-        block = slice(lo, lo + SCAN_BLOCK)
-        cs = np.array([grid[k] for k in live[block]])
+        block = live[lo:lo + SCAN_BLOCK]
+        cs = np.array([grid[k] for k in block])
         (F1, _), (F2, _) = _worker.pair(
             "dscat.transport.integrate_frames_over_c",
             lambda: integrate_frames_over_c(paths.c2, a, cs, cfg),
             paths.c1, a, cs, cfg,
         )
-        f1[block], f2[block], degenerate[block] = period_values(F1, F2)
-
-    values = dict(zip(live, zip(f1.tolist(), f2.tolist(), degenerate.tolist())))
-    records: list = []
-    skipped: list = []
-    index_of: dict = {}
-    for k, c in enumerate(grid):
-        if k not in values or values[k][2]:
-            skipped.append(c)
-            continue
-        x1, x2, _ = values[k]
-        index_of[len(records)] = k
-        records.append(ScanRecord(c, x1, x2, abs(x1) > 1.0 and abs(x2) > 1.0))
+        f1, f2, _, _, degenerate = period_values(F1, F2)
+        for k, x1, x2, bad in zip(block, f1.tolist(), f2.tolist(), degenerate.tolist()):
+            if not bad:
+                kept[k] = ScanRecord(grid[k], x1, x2, abs(x1) > 1.0 and abs(x2) > 1.0)
 
     brackets: list = []
-    for i in range(len(records) - 1):
-        if index_of[i + 1] - index_of[i] != 1:
+    for k, r0 in kept.items():
+        r1 = kept.get(k + 1)
+        if r1 is None:
             continue
-        r0, r1 = records[i], records[i + 1]
-        d0 = r0.f1 - r0.f2
-        d1 = r1.f1 - r1.f2
+        d0, d1 = r0.f1 - r0.f2, r1.f1 - r1.f2
         if d0 == 0.0:
             brackets.append(Bracket(r0.c, r0.c, r0.admissible_hint))
         elif d0 * d1 < 0.0:
-            brackets.append(
-                Bracket(r0.c, r1.c, r0.admissible_hint and r1.admissible_hint)
-            )
-    return ScanResult(records, brackets, skipped)
+            brackets.append(Bracket(r0.c, r1.c, r0.admissible_hint and r1.admissible_hint))
+    skipped = [c for k, c in enumerate(grid) if k not in kept]
+    return ScanResult(list(kept.values()), brackets, skipped)
 
 
 def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:
@@ -226,10 +213,11 @@ def refine_root(
 ) -> RefinedRoot:
     """Refine a sign-change bracket of f1 - f2 to width tol_c.
 
-    The result records |f1 - f2| at the converged point: a genuine crossing
-    has a vanishing gap, while a bracket that converged onto a pole of a
-    period function keeps a large one and is flagged is_crossing = False.
-    Raises DomainError unless tol_c is finite and positive.
+    The root is a pole of a period function, is_crossing = False, where a
+    real denominator d1, d2 of period_values has opposite signs at the last
+    points evaluated with each sign of f1 - f2 (the final bracket, narrowed
+    by the converged c), or vanished at an iterate (gap inf); otherwise it is
+    a crossing.  Raises DomainError unless tol_c is finite and positive.
     """
     if not 0.0 < tol_c < math.inf:
         raise DomainError(f"tol_c must be finite and positive, got {tol_c}")
@@ -238,18 +226,29 @@ def refine_root(
     paths = canonical_paths(CurveParams(a, 1.0))
 
     cache: dict = {}
+    tried: list = []  # every c evaluated, in order
+    last: dict = {}  # f1 > f2 -> the last c evaluated with that sign
 
     def diff(c: float) -> float:
-        cache[c] = _periods_at(a, c, cfg, paths)
-        return cache[c][0] - cache[c][1]
+        tried.append(c)
+        if c not in cache:
+            cache[c] = _periods_at(a, c, cfg, paths)
+        f1, f2, _ = cache[c]
+        last[f1 > f2] = c
+        return f1 - f2
 
-    c_star = bracketed_root(diff, lo, hi, tol_c)
-    if c_star not in cache:
-        cache[c_star] = _periods_at(a, c_star, cfg, paths)
+    def signs(c: float) -> list:
+        h = cache[c][2]
+        return np.sign(period_values(h.F_c1, h.F_c2)[2:4]).tolist()
+
+    try:
+        c_star = bracketed_root(diff, lo, hi, tol_c)
+        diff(c_star)
+    except DegenerateDenominator:
+        return RefinedRoot(tried[-1], math.nan, math.inf, False, None)
     f1, f2, h = cache[c_star]
-    gap = abs(f1 - f2)
-    is_crossing = gap <= CROSSING_GAP_TOL * max(1.0, abs(f1), abs(f2))
-    return RefinedRoot(c_star, 0.5 * (f1 + f2), f1, f2, gap, is_crossing, h)
+    is_crossing = f1 == f2 or signs(last[False]) == signs(last[True])
+    return RefinedRoot(c_star, 0.5 * (f1 + f2), abs(f1 - f2), is_crossing, h)
 
 
 def solve_gauge(f: float) -> GaugeSolution:
@@ -273,7 +272,7 @@ def solve_gauge(f: float) -> GaugeSolution:
     P = np.array(
         [[alpha, epsilon * beta], [alpha, -epsilon * beta]], dtype=complex
     )
-    return GaugeSolution(epsilon, beta, alpha, P)
+    return GaugeSolution(f, epsilon, beta, alpha, P)
 
 
 def gauged_residuals(triple: MonodromyTriple, P: np.ndarray) -> tuple:
@@ -301,40 +300,39 @@ def verify_solution(
     entry sizes of 1e6 where the absolute defect is floored at
     |G|^2 * 1e-16 by double precision.  The absolute defect is kept in
     su11_residual_abs.  Verification fails when the normalized residual
-    exceeds TOL_SU11.
+    exceeds TOL_SU11.  Raises NotAdmissible where (a, c) is off the crossing
+    locus.
     """
-    return _verify_frames(half_path_frames(CurveParams(a, c), cfg), P)
-
-
-def _verify_frames(h: HalfPathFrames, P: np.ndarray) -> PeriodSolution:
-    """verify_solution at (h.params.a, h.params.c) from its half-path frames."""
-    a, c = h.params.a, h.params.c
+    h = half_path_frames(CurveParams(a, c), cfg)
     f1, f2 = period_functions(h)
     gap = abs(f1 - f2)
-    if gap > CROSSING_GAP_TOL * max(1.0, abs(f1), abs(f2)):
+    # One point has no bracket over which to read the denominators' signs, so
+    # only here the gap's size tells the crossing locus from a point off it;
+    # such a point is not admissible, not a failed closure of a meaningless f.
+    if gap > 1e-2 * max(1.0, abs(f1), abs(f2)):
         raise NotAdmissible(
             f"(a, c) = ({a}, {c}) is not on the crossing locus (|f1 - f2| = {gap:.3e})"
         )
-    f = 0.5 * (f1 + f2)
-    gauge = solve_gauge(f)
+    return _verify_frames(h, solve_gauge(0.5 * (f1 + f2)), P)
 
+
+def _verify_frames(h: HalfPathFrames, gauge: GaugeSolution, P: np.ndarray) -> PeriodSolution:
+    """verify_solution from the half-path frames and the gauge of their common f."""
+    a, c = h.params.a, h.params.c
     triple = assemble_monodromies(h)
     abs_res, rel_res = gauged_residuals(triple, P)
     worst = int(np.argmax(rel_res))
     if rel_res[worst] > TOL_SU11:
         raise VerificationFailed(worst + 1, rel_res[worst])
     return PeriodSolution(
-        a=a,
-        c=c,
-        f=f,
-        epsilon=gauge.epsilon,
-        beta=gauge.beta,
-        alpha=gauge.alpha,
-        P=P,
-        su11_residual=max(rel_res),
-        su11_residual_abs=max(abs_res),
-        end_type=end_conjugacy_type(a, c),
+        a, c, gauge.f, gauge.epsilon, gauge.beta, gauge.alpha, P,
+        max(rel_res), max(abs_res), end_conjugacy_type(a, c),
     )
+
+
+def near(c: float) -> tuple:
+    """The bracket c +- ROOT_WINDOW searched for a crossing near c."""
+    return (c - ROOT_WINDOW, c + ROOT_WINDOW)
 
 
 def solve_at_bracket(
@@ -355,4 +353,5 @@ def solve_at_bracket(
             f"bracket [{bracket[0]}, {bracket[1]}] converged onto a pole of the "
             f"period functions at c = {root.c:.6f} (|f1 - f2| = {root.gap:.3e})"
         )
-    return _verify_frames(root.frames, solve_gauge(root.f).P)
+    gauge = solve_gauge(root.f)
+    return _verify_frames(root.frames, gauge, gauge.P)

@@ -133,7 +133,7 @@ def integrate_frame(
     end = end_point(path, y[4], a)
     drift, bad = _drifted(F.reshape(4))
     if bad:
-        raise ContinuationError(f"determinant drift {drift:.3e}")
+        raise ContinuationError(f"scaled determinant drift {drift:.3e}")
     return FrameState(end, F)
 
 
@@ -238,17 +238,18 @@ def integrate_frames_over_c(
     drift, bad = _drifted(y)
     if bad.any():
         raise LanesFailed(
-            f"determinant drift {float(np.max(drift[bad])):.3e}", np.flatnonzero(bad)
+            f"scaled determinant drift {float(np.max(drift[bad])):.3e}", np.flatnonzero(bad)
         )
     return y[:4].T.reshape(-1, 2, 2), y[4]
 
 
 def _drifted(y: np.ndarray) -> tuple:
-    """|det F - 1| of the frame (F11, F12, F21, F22) in the first four rows of
-    y, per lane when y has a lane axis, and whether it exceeds TOL_DET scaled
-    by the squared entry size: the one statement of the determinant rule."""
-    drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)
-    return drift, drift > TOL_DET * np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
+    """|det F - 1| / max(1, max |F_ij|)^2 of the frame (F11, F12, F21, F22) in
+    the first four rows of y, per lane when y has a lane axis, and whether it
+    exceeds TOL_DET: the one statement of the determinant rule."""
+    scale = np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
+    drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0) / scale
+    return drift, drift > TOL_DET
 
 
 def _scaled_path(path: PathSpec, s: float, w: complex) -> PathSpec:

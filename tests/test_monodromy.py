@@ -144,8 +144,9 @@ def test_period_values_over_stacked_frames():
     frames1 = np.stack([random_sl2(k) for k in range(4)])
     frames2 = np.stack([random_sl2(10 + k) for k in range(4)])
     frames2[2] = np.eye(2)
-    f1, f2, degenerate = period_values(frames1, frames2)
+    f1, f2, d1, d2, degenerate = period_values(frames1, frames2)
     assert degenerate.tolist() == [False, False, True, False]
+    assert d2[2] == 0.0 and np.all(d1 != 0.0)
     for j in (0, 1, 3):
         g1, g2 = period_functions(HalfPathFrames(frames1[j], frames2[j], None))
         assert abs(f1[j] - g1) <= 1e-14 * max(1.0, abs(g1)) ** 2

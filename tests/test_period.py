@@ -15,7 +15,7 @@ from dscat.errors import (
     VerificationFailed,
 )
 from dscat.linalg2c import ConjugacyKind, mat2c, su11_distance
-from dscat.monodromy import assemble_monodromies, half_path_frames
+from dscat.monodromy import assemble_monodromies, half_path_frames, period_values
 from dscat.curve import CurveParams
 from dscat.transport import DEFAULT_CONFIG
 from dscat.period import (
@@ -121,7 +121,8 @@ def test_refine_builds_the_paths_once(monkeypatch):
     monkeypatch.setattr(monodromy, "canonical_paths", counting)
     root = refine_root(2.0, (1.25, 1.29), 1e-9)
     assert built == [2.0]
-    assert (root.f1, root.f2) == _periods_at(2.0, root.c, DEFAULT_CONFIG)[:2]
+    f1, f2, _ = _periods_at(2.0, root.c, DEFAULT_CONFIG)
+    assert (root.f, root.gap) == (0.5 * (f1 + f2), abs(f1 - f2))
 
 
 def test_refine_paper_roots():
@@ -136,12 +137,44 @@ def test_refine_paper_roots():
     assert root.f > 1.0
 
 
-def test_refine_detects_pole_bracket():
-    root = refine_root(2.0, (-0.56, -0.55), 1e-8)
+@pytest.mark.parametrize(
+    "which, bracket",
+    # the zeros of the f1 denominator near -0.555 and 0.757 and of the f2
+    # denominator near -4.797 and -1.692 at a = 2
+    [("f1", (-0.56, -0.55)), ("f1", (0.75, 0.76)), ("f2", (-4.80, -4.79)), ("f2", (-1.70, -1.69))],
+    ids=lambda v: v if isinstance(v, str) else str(v[0]),
+)
+def test_refine_detects_pole_bracket(which, bracket):
+    root = refine_root(2.0, bracket, 1e-8)
     assert not root.is_crossing
+    assert bracket[0] < root.c < bracket[1]
     assert root.gap > 1e3
-    with pytest.raises(NotAdmissible):
-        solve_at_bracket(2.0, (-0.56, -0.55))
+    with pytest.raises(NotAdmissible, match="converged onto a pole"):
+        solve_at_bracket(2.0, bracket)
+    # the denominator of the function with the pole alone changes sign
+    d1, d2 = (
+        np.sign(period_values(h.F_c1, h.F_c2)[2:4])
+        for h in (_periods_at(2.0, c, DEFAULT_CONFIG)[2] for c in bracket)
+    )
+    assert (d1 != d2).tolist() == [which == "f1", which == "f2"]
+
+
+def test_refine_ends_on_a_vanished_denominator_as_a_pole():
+    # at this width an iterate lands where the f2 denominator vanishes
+    root = refine_root(2.0, (-4.85, -4.75), 1e-13)
+    assert not root.is_crossing
+    assert root.c == pytest.approx(-4.796708, abs=1e-6)
+    assert root.gap == math.inf
+
+
+def test_refine_small_crossing_is_a_crossing():
+    # the crossing near -0.0555 is genuine but has |f| < 1
+    root = refine_root(2.0, (-0.06, -0.05), 1e-9)
+    assert root.is_crossing
+    assert root.c == pytest.approx(-0.05548, abs=1e-5)
+    assert root.gap < 1e-6 and abs(root.f) < 1.0
+    with pytest.raises(NotAdmissible, match=r"\|f\| > 1"):
+        solve_at_bracket(2.0, (-0.06, -0.05))
 
 
 def test_solve_gauge_positive_branch():
