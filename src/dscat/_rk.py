@@ -2,7 +2,8 @@
 
 Both adaptive kernels run one step controller, _drive, and differ only in the
 step function they hand it: _dp5_step5 or _dp5_step for integrate_polyline,
-_lane_step for integrate_polyline_lanes.
+_lane_step for integrate_polyline_lanes.  Their settings are one
+IntegratorConfig, cfg, defined here with its defaults in DEFAULT_CONFIG.
 
 State vectors of integrate_polyline are plain tuples of Python complex numbers.
 The kernels convert the start state on entry: a numpy complex scalar there (an
@@ -43,11 +44,12 @@ _STAGE_W.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import StepLimitExceeded
+from .errors import DomainError, StepLimitExceeded
 
 # Butcher tableau, Dormand-Prince 5(4) with FSAL.
 _A21 = 1 / 5
@@ -93,15 +95,32 @@ Field = Callable[[complex, complex, tuple], tuple]
 Monitor = Callable[[complex, tuple], None]
 
 
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """The adaptive kernels' settings; DomainError unless each is finite and positive."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_steps: int = 400_000
+    initial_step: float = 0.05
+
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "initial_step"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and positive")
+        if not self.max_steps >= 1:
+            raise DomainError("max_steps must be at least 1")
+
+
+DEFAULT_CONFIG = IntegratorConfig()
+
+
 def integrate_polyline(
     waypoints: Sequence[complex],
     y0: Sequence[complex],
     field: Field,
     *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    max_steps: int = 400_000,
-    first_step: float = 0.05,
+    cfg: IntegratorConfig = DEFAULT_CONFIG,
     on_step: Monitor | None = None,
 ) -> tuple:
     """Integrate dy/ds = field(z, u, y) along the polyline, s being arc length.
@@ -113,16 +132,16 @@ def integrate_polyline(
     """
     y = tuple(complex(v) for v in y0)
     step = _dp5_step5 if len(y) == 5 else _dp5_step
-    return _drive(waypoints, y, field, step, rel_tol, abs_tol, max_steps, first_step, on_step)
+    return _drive(waypoints, y, field, step, cfg, on_step)
 
 
-def _drive(waypoints, y, field, step, rel_tol, abs_tol, max_steps, first_step, on_step):
+def _drive(waypoints, y, field, step, cfg, on_step):
     """The step controller of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
     along the polyline, FSAL restarting at each segment.  step(field, z0, u,
     h, y, k1, rel_tol, abs_tol) returns (ynew, k7, err), err being the RMS of
     the scaled component errors; a step is accepted when err <= 1."""
+    rel_tol, abs_tol, max_steps, h = cfg.rel_tol, cfg.abs_tol, cfg.max_steps, cfg.initial_step
     steps = 0
-    h = first_step
     for p, q in zip(waypoints[:-1], waypoints[1:]):
         seg = q - p
         seg_len = abs(seg)
@@ -282,10 +301,7 @@ def integrate_polyline_lanes(
     y0: np.ndarray,
     field: Callable[[complex, complex, np.ndarray], np.ndarray],
     *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    max_steps: int = 400_000,
-    first_step: float = 0.05,
+    cfg: IntegratorConfig = DEFAULT_CONFIG,
     on_step: Callable[[complex, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """integrate_polyline for an (n, n_lanes) complex array of independent states.
@@ -294,14 +310,14 @@ def integrate_polyline_lanes(
     so that each component is a contiguous row.  field(z, u, y) returns the
     (n, n_lanes) derivative of all lanes.  The lanes share one step sequence:
     a step is accepted only when the worst lane's error, the RMS norm of
-    integrate_polyline, is at most 1, so every lane meets rel_tol and abs_tol
-    on its own.  With one lane this is integrate_polyline up to rounding.
+    integrate_polyline, is at most 1, so every lane meets cfg's tolerances on
+    its own.  With one lane this is integrate_polyline up to rounding.
     on_step, when given, is called with (z, y) after every accepted step.
     Returns the final state array.
     """
     y = np.array(y0, dtype=complex)
     step = _lane_step(y)
-    return _drive(waypoints, y, field, step, rel_tol, abs_tol, max_steps, first_step, on_step)
+    return _drive(waypoints, y, field, step, cfg, on_step)
 
 
 def _lane_step(y0: np.ndarray):

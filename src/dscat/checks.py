@@ -42,7 +42,7 @@ class CheckContext:
     def __init__(self, a: float, c: float, cfg: IntegratorConfig):
         self.a, self.c, self.cfg = a, c, cfg
         self.params = CurveParams(a, c)
-        self.paths = canonical_paths(self.params)
+        self.paths = canonical_paths(a)
         self._built: dict = {}
         self._states: dict = {}
 
@@ -104,7 +104,7 @@ class CheckContext:
     def root(self) -> period.RefinedRoot:
         """The root refined from the bracket period.near(c)."""
         window = period.near(self.c)
-        return self._once("root", lambda: period.refine_root(self.a, window, 1e-9, self.cfg))
+        return self._once("root", lambda: period.refine_root(self.a, window, cfg=self.cfg))
 
     def gauge(self) -> period.GaugeSolution | None:
         """The closing gauge, or None unless the root is a crossing with |f| > 1."""
@@ -124,7 +124,7 @@ class CheckContext:
     def probe(self) -> CurvePoint:
         """The curve point over z = 0.6 + 0.9i on the w = +1 sheet."""
         path = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
-        return self._once("probe", lambda: transport_w(path, self.params))
+        return self._once("probe", lambda: transport_w(path, self.a))
 
     def mesh(self) -> geometry.MeshResult:
         """The 8 x 12 mesh over solution() that geometry-invariants reads."""
@@ -146,7 +146,7 @@ class CheckContext:
 def _sheet_closure(ctx: CheckContext):
     worst = 0.0
     for loop in (ctx.paths.gamma1, ctx.paths.gamma2, ctx.paths.gamma3):
-        end = transport_w(loop, ctx.params)
+        end = transport_w(loop, ctx.a)
         worst = max(worst, abs(end.w - loop.start.w))
     return worst <= 1e-8, f"max |w_end - w_start| = {worst:.3e}"
 

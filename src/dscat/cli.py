@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_solve)
     p_solve.add_argument("--c0", type=float, required=True)
     p_solve.add_argument("--c1", type=float, required=True)
-    p_solve.add_argument("--tol-c", type=float, default=1e-9)
+    p_solve.add_argument("--tol-c", type=float, default=period.TOL_C)
     p_solve.add_argument("--json", required=True, help="solution record output path")
 
     p_cls = sub.add_parser("classify", help="end type from the indicial exponent")
@@ -279,7 +279,7 @@ def cmd_classify(args, cfg: IntegratorConfig) -> int:
 
 
 def _solve_near(a: float, c: float, cfg: IntegratorConfig):
-    return period.solve_at_bracket(a, period.near(c), 1e-9, cfg)
+    return period.solve_at_bracket(a, period.near(c), cfg=cfg)
 
 
 def cmd_mesh(args, cfg: IntegratorConfig) -> int:

@@ -29,12 +29,17 @@ TOL_SHEET = 1e-8
 ARC_LIFT = 0.8
 # End loops run along the circle |z| = END_LOOP_FACTOR * a.
 END_LOOP_FACTOR = 3.0
-# rel_tol and abs_tol of transport_w, 100 times tighter than the frame's
-# default (IntegratorConfig: 1e-10, 1e-12).  w alone is one component, so this
-# is cheap, and it puts the integration error far below the sheet-closure
-# check's bound of 1e-8: w on gamma1-3 and the end loop closes to 1.9e-12 at
-# a = 1.5, 2 and 3, against 2.4e-10 at the frame's default.
-W_TOLERANCES = {"rel_tol": 1e-12, "abs_tol": 1e-14}
+# transport_w's settings: the default step limit and initial step, and for w
+# alone, cheaply, tolerances 100 times tighter than the frame's default.  w on
+# gamma1-3 and the end loop then closes to 1.9e-12 at a = 1.5, 2 and 3, far below
+# the sheet-closure check's bound of 1e-8, against 2.4e-10 at the frame's default.
+W_TOLERANCES = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def check_branch_parameter(a: float) -> None:
+    """Raise DomainError unless a > 1, where the curve is a torus."""
+    if not a > 1.0:
+        raise DomainError(f"branch parameter must satisfy a > 1, got {a}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,7 @@ class CurveParams:
     c: float
 
     def __post_init__(self):
-        if not self.a > 1.0:
-            raise DomainError(f"branch parameter must satisfy a > 1, got {self.a}")
+        check_branch_parameter(self.a)
         if self.c == 0.0:
             raise DomainError("coefficient c must be nonzero")
 
@@ -190,8 +194,9 @@ def end_point(path: PathSpec, w: complex, a: float) -> CurvePoint:
     return end
 
 
-def transport_w(path: PathSpec, params: CurveParams) -> CurvePoint:
-    """Continue w along the path by integrating w' = w L(z) at W_TOLERANCES.
+def transport_w(path: PathSpec, a: float) -> CurvePoint:
+    """Continue w along the path on the curve of a by integrating w' = w L(z)
+    at W_TOLERANCES.
 
     The endpoint must satisfy the sheet invariant; the residual is also
     monitored at every accepted step by sheet_monitor.  L(z) is
@@ -199,7 +204,7 @@ def transport_w(path: PathSpec, params: CurveParams) -> CurvePoint:
     transport._joint_field: validate_path has cleared every segment, so the
     guard could not fire.
     """
-    a = params.a
+    check_branch_parameter(a)
     validate_path(path, a)
     k = branch_offsets(a)
 
@@ -207,7 +212,7 @@ def transport_w(path: PathSpec, params: CurveParams) -> CurvePoint:
         return (y[0] * log_derivative_of(z, k) * u,)
 
     (w_end,) = _rk.integrate_polyline(
-        path.waypoints, (path.start.w,), field, on_step=sheet_monitor(a), **W_TOLERANCES
+        path.waypoints, (path.start.w,), field, cfg=W_TOLERANCES, on_step=sheet_monitor(a)
     )
     return end_point(path, w_end, a)
 
@@ -223,8 +228,9 @@ class CanonicalPaths:
     end_loop_minus: PathSpec
 
 
-def canonical_paths(params: CurveParams) -> CanonicalPaths:
-    """Default polyline realizations of the half paths, loops, and end loops.
+def canonical_paths(a: float) -> CanonicalPaths:
+    """Default polyline realizations of the half paths, loops, and end loops
+    on the curve of a.
 
     c1 runs through the open first quadrant from the base point to
     z1 = (1+a)/2 on the real axis; c2 likewise to z2 = 2a.  gamma1 encircles
@@ -232,9 +238,9 @@ def canonical_paths(params: CurveParams) -> CanonicalPaths:
     (I then IV), gamma3 encircles {-1, -a} (III then II).  The end loops
     approach radially along the imaginary axis and run once counterclockwise
     around the circle |z| = 3a; the starting sheet of the approach selects
-    the end.
+    the end.  Raises DomainError unless a > 1.
     """
-    a = params.a
+    check_branch_parameter(a)
     z1 = (1.0 + a) / 2.0
     z2 = 2.0 * a
     lift = ARC_LIFT * 1j

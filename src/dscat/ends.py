@@ -93,10 +93,9 @@ def end_loop_check(
     above TOL_EIG.
     """
     base = classify_end(a, c)
-    params = CurveParams(a, c)
-    paths = canonical_paths(params)
+    paths = canonical_paths(a)
     loop = paths.end_loop_plus if which_end >= 0 else paths.end_loop_minus
-    Phi = direct_loop_holonomy(loop, params, cfg=cfg)
+    Phi = direct_loop_holonomy(loop, CurveParams(a, c), cfg=cfg)
     measured = eigenvalues(Phi)
     mismatch = max(
         abs(me - pr) / max(1.0, abs(pr))

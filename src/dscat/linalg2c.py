@@ -84,10 +84,10 @@ def su11_distance_rel(M: Mat2C) -> float:
     return su11_distance(M) / max(1.0, max_abs(M) ** 2)
 
 
-def classify_su11(M: Mat2C, tol_class: float = TOL_CLASS) -> ConjugacyType:
+def classify_su11(M: Mat2C) -> ConjugacyType:
     """Conjugacy type of an SU(1,1) element by its (real) trace.
 
-    |trace| < 2 is elliptic, > 2 hyperbolic, = 2 parabolic within tol_class.
+    |trace| < 2 is elliptic, > 2 hyperbolic, = 2 parabolic within TOL_CLASS.
     The membership gate uses the scale-normalized defect so that large
     hyperbolic elements are not rejected for floating-point reasons.
     """
@@ -95,9 +95,9 @@ def classify_su11(M: Mat2C, tol_class: float = TOL_CLASS) -> ConjugacyType:
         raise NotInSU11(f"matrix is not in SU(1,1) (defect {su11_distance_rel(M):.3e})")
     tr = (M[0, 0] + M[1, 1]).real
     half = tr / 2.0
-    if abs(half) < 1.0 - tol_class / 2.0:
+    if abs(half) < 1.0 - TOL_CLASS / 2.0:
         return ConjugacyType(ConjugacyKind.ELLIPTIC, math.acos(half))
-    if abs(half) > 1.0 + tol_class / 2.0:
+    if abs(half) > 1.0 + TOL_CLASS / 2.0:
         return ConjugacyType(ConjugacyKind.HYPERBOLIC, math.acosh(abs(half)))
     return ConjugacyType(ConjugacyKind.PARABOLIC, 0.0)
 

@@ -55,7 +55,7 @@ def half_path_frames(
     while this process integrates c2; the frames are those of a serial run.
     """
     if paths is None:
-        paths = canonical_paths(params)
+        paths = canonical_paths(params.a)
     s1, s2 = _worker.pair(
         "dscat.transport.integrate_frame",
         lambda: integrate_frame(paths.c2, params, cfg=cfg),

@@ -42,6 +42,9 @@ from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frames_over_c
 SKIP_HALFWIDTH = 0.01
 # Half width of near(c), the bracket searched for a crossing near a given c.
 ROOT_WINDOW = 0.01
+# Width of refinement's final bracket, far below the precision c is reported to:
+# the SU(1,1) defect of the gauged monodromies is first order in the root's offset.
+TOL_C = 1e-9
 # Most grid points scan_c integrates together.  The cost per point has
 # stopped falling by this size (the 2600-point scan at a = 2 took 1.3 s in
 # blocks of 256, 0.85 s in blocks of 1024 and 0.84 s in one block), and the
@@ -120,14 +123,13 @@ def scan_c(
     c_max: float,
     steps: int,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-    skip_halfwidth: float = SKIP_HALFWIDTH,
 ) -> ScanResult:
     """Evaluate the period functions on a uniform c grid and bracket crossings.
 
-    Grid points inside the exclusion window around c = 0 and points where a
-    period denominator degenerates are recorded as skipped, not fatal.  Sign
-    changes of f1 - f2 are only bracketed between adjacent surviving grid
-    points, so a gap never manufactures a spurious bracket.
+    Grid points within SKIP_HALFWIDTH of c = 0 and points where a period
+    denominator degenerates are recorded as skipped, not fatal.  Sign changes
+    of f1 - f2 are only bracketed between adjacent surviving grid points, so
+    a gap never manufactures a spurious bracket.
 
     Up to SCAN_BLOCK grid points are integrated together, sharing one step
     sequence that meets the tolerances of the hardest of them.  Scan values
@@ -140,12 +142,10 @@ def scan_c(
         raise ValueError("need c_min < c_max")
     if steps < 2:
         raise ValueError("need at least 2 grid points")
-    # validates a even when every grid point is skipped; the paths depend on
-    # a alone, so any nonzero c serves
-    paths = canonical_paths(CurveParams(a, 1.0))
+    paths = canonical_paths(a)  # validates a even when every grid point is skipped
     spacing = (c_max - c_min) / (steps - 1)
     grid = [c_min + k * spacing for k in range(steps)]
-    live = [k for k, c in enumerate(grid) if not (abs(c) < skip_halfwidth or c == 0.0)]
+    live = [k for k, c in enumerate(grid) if not (abs(c) < SKIP_HALFWIDTH or c == 0.0)]
     kept: dict = {}  # grid index -> record, for the grid points not skipped
     for lo in range(0, len(live), SCAN_BLOCK):
         block = live[lo:lo + SCAN_BLOCK]
@@ -168,10 +168,15 @@ def scan_c(
         d0, d1 = r0.f1 - r0.f2, r1.f1 - r1.f2
         if d0 == 0.0:
             brackets.append(Bracket(r0.c, r0.c, r0.admissible_hint))
-        elif d0 * d1 < 0.0:
+        elif opposite_signs(d0, d1):
             brackets.append(Bracket(r0.c, r1.c, r0.admissible_hint and r1.admissible_hint))
     skipped = [c for k, c in enumerate(grid) if k not in kept]
     return ScanResult(list(kept.values()), brackets, skipped)
+
+
+def opposite_signs(x: float, y: float) -> bool:
+    """Whether x and y have opposite nonzero signs, even where x * y underflows."""
+    return x < 0.0 < y or y < 0.0 < x
 
 
 def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:
@@ -181,7 +186,7 @@ def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:
         return lo
     if f_hi == 0.0:
         return hi
-    if f_lo * f_hi > 0.0:
+    if not opposite_signs(f_lo, f_hi):
         raise LostBracket(f"no sign change over [{lo}, {hi}]")
     for _ in range(200):  # each iteration keeps at most 0.9 of the bracket
         if hi - lo <= tol:
@@ -198,7 +203,7 @@ def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:
         f_mid = fn(mid)
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
+        if opposite_signs(f_lo, f_mid):
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
@@ -208,7 +213,7 @@ def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:
 def refine_root(
     a: float,
     bracket: tuple,
-    tol_c: float = 1e-6,
+    tol_c: float = TOL_C,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> RefinedRoot:
     """Refine a sign-change bracket of f1 - f2 to width tol_c.
@@ -222,8 +227,7 @@ def refine_root(
     if not 0.0 < tol_c < math.inf:
         raise DomainError(f"tol_c must be finite and positive, got {tol_c}")
     lo, hi = float(bracket[0]), float(bracket[1])
-    # the paths depend on a alone, so any nonzero c serves
-    paths = canonical_paths(CurveParams(a, 1.0))
+    paths = canonical_paths(a)
 
     cache: dict = {}
     tried: list = []  # every c evaluated, in order
@@ -338,15 +342,11 @@ def near(c: float) -> tuple:
 def solve_at_bracket(
     a: float,
     bracket: tuple,
-    tol_c: float = 1e-9,
+    tol_c: float = TOL_C,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> PeriodSolution:
-    """Full pipeline: refine the bracket, solve the gauge, verify closure.
-
-    The SU(1,1) defect of the gauged monodromies is first order in the offset
-    from the exact root, so the default refinement is much tighter than the
-    root-location tolerance needed for reporting c itself.
-    """
+    """Full pipeline: refine the bracket to width tol_c, solve the gauge,
+    verify closure."""
     root = refine_root(a, bracket, tol_c, cfg)
     if not root.is_crossing:
         raise NotAdmissible(

@@ -3,17 +3,18 @@
 With Gauss map G = w and Hopf coefficient c, the connection form is
 alpha = c [[1, -w], [1/w, -1]] dz, which is trace free (determinant of F is
 conserved) and nilpotent.  The frame and the sheet value w evolve jointly so
-one error controller certifies both.
+one error controller, set by cfg (_rk.IntegratorConfig, exported here with
+DEFAULT_CONFIG), certifies both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rk
+from ._rk import DEFAULT_CONFIG, IntegratorConfig
 from .curve import (
     TOL_SHEET,
     CurveParams,
@@ -34,24 +35,6 @@ from .errors import ContinuationError, DomainError, LanesFailed
 # paths at the four a = 2 roots the drift is at most 3.1e-11 of |F|^2 at
 # rel_tol 1e-10, so 1e-9 flags only a real loss of accuracy.
 TOL_DET = 1e-9
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 400_000
-    initial_step: float = 0.05
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "initial_step"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and positive")
-        if not self.max_steps >= 1:
-            raise DomainError("max_steps must be at least 1")
-
-
-DEFAULT_CONFIG = IntegratorConfig()
 
 
 @dataclass(frozen=True)
@@ -123,10 +106,7 @@ def integrate_frame(
         path.waypoints,
         (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w),
         _joint_field(a, c),
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_steps=cfg.max_steps,
-        first_step=cfg.initial_step,
+        cfg=cfg,
         on_step=hook,
     )
     F = np.array([[y[0], y[1]], [y[2], y[3]]], dtype=complex)
@@ -228,10 +208,7 @@ def integrate_frames_over_c(
         path.waypoints,
         y0,
         _joint_field_lanes(a, cs, scale),
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        max_steps=cfg.max_steps,
-        first_step=cfg.initial_step,
+        cfg=cfg,
         on_step=check_sheet,
     )
     check_sheet(path.waypoints[-1], y)

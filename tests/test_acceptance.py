@@ -149,7 +149,7 @@ def test_criterion_4_monodromy_structure_grid():
             if abs(c) < 0.01:
                 continue
             params = CurveParams(a, c)
-            paths = canonical_paths(params)
+            paths = canonical_paths(params.a)
             h = half_path_frames(params)
             triple = assemble_monodromies(h)
             directs = MonodromyTriple(
@@ -211,7 +211,7 @@ def test_criterion_5_exact_identities(shallow_solution):
     worst_scalar = 0.0
     for a, c in ((2.0, 1.0), (2.0, -7.6119), (3.0, -2.0)):
         params = CurveParams(a, c)
-        paths = canonical_paths(params)
+        paths = canonical_paths(params.a)
         worst_scalar = max(
             worst_scalar,
             scalar_ode_residual(paths.c1, params, 50),
@@ -222,7 +222,7 @@ def test_criterion_5_exact_identities(shallow_solution):
     params = CurveParams(sol.a, sol.c)
     probes = []
     for z in (0.6 + 0.9j, 0.45 + 1.2j):
-        probes.append(transport_w(PathSpec(base_point(+1), (0j, z)), params))
+        probes.append(transport_w(PathSpec(base_point(+1), (0j, z)), params.a))
     res_h = schwarzian_check(sol, probes[0], 1e-3)
     res_2h = schwarzian_check(sol, probes[0], 2e-3)
     ratio = res_2h / max(res_h, 1e-300)
@@ -260,7 +260,7 @@ def test_criterion_6_geometric_invariants(
             assert math.exp(-math.pi) < s.Y.radius_sq() < math.exp(math.pi)
 
         params = CurveParams(sol.a, sol.c)
-        paths = canonical_paths(params)
+        paths = canonical_paths(params.a)
         z_probe = 0.6 + 0.9j
         direct = frame_at(sol, z_probe)
         X0 = immerse(direct.F).as_array()

@@ -35,7 +35,7 @@ def test_traced_names_resolve():
 def test_traced_counts_match_untraced_integration():
     tracing = _load_tracing()
     params = CurveParams(2.0, -1.526035)
-    path = canonical_paths(params).gamma1
+    path = canonical_paths(params.a).gamma1
     steps = []
     untraced = transport.integrate_frame(path, params, on_step=lambda z, y: steps.append(z))
     tracer = tracing.Tracer()
@@ -79,7 +79,7 @@ def test_traced_calls_through_the_worker_return_untraced_results():
     # is installed.
     tracing = _load_tracing()
     params = CurveParams(2.0, -1.526035)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
 
     def run():
         h = monodromy.half_path_frames(params, paths=paths)

@@ -286,22 +286,33 @@ def test_verify_without_crossing_skips_dependents(capsys):
     ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["scan", "--c-min", "-1", "--c-max", "1", "--steps", "3", "--out", "{tmp}/s.csv"],
-        ["solve", "--c0", "1", "--c1", "2", "--json", "{tmp}/s.json"],
-        ["classify", "--c", "1"],
-        ["mesh", "--c", "1", "--out", "{tmp}/m.obj"],
-        ["verify", "--c", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# one command line per command, without --a
+EVERY_COMMAND = [
+    ["scan", "--c-min", "-1", "--c-max", "1", "--steps", "3", "--out", "{tmp}/s.csv"],
+    ["solve", "--c0", "1", "--c1", "2", "--json", "{tmp}/s.json"],
+    ["classify", "--c", "1"],
+    ["mesh", "--c", "1", "--out", "{tmp}/m.obj"],
+    ["verify", "--c", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
 def test_domain_error_exits_usage(tmp_path, capsys, argv):
     # at a = 1.05 the canonical paths cannot clear the branch points 1 and a
     code = run([argv[0], "--a", "1.05"] + [x.format(tmp=tmp_path) for x in argv[1:]])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: invalid input: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("a", ["1", "0.5"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_branch_parameter_exits_usage(tmp_path, capsys, argv, a):
+    code = run([argv[0], "--a", a] + [x.format(tmp=tmp_path) for x in argv[1:]])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid input: branch parameter must satisfy a > 1, got {float(a)}\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,6 +22,9 @@ from dscat.curve import (
 )
 from dscat.errors import DomainError, PathError
 
+# transport_w's settings, stated apart from curve.W_TOLERANCES
+W_CFG = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
 
 def test_params_validation():
     with pytest.raises(DomainError):
@@ -30,6 +33,19 @@ def test_params_validation():
         CurveParams(0.5, 1.0)
     with pytest.raises(DomainError):
         CurveParams(2.0, 0.0)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, -2.0])
+def test_curve_functions_of_a_check_it(a):
+    message = f"branch parameter must satisfy a > 1, got {a}"
+    for call in (
+        lambda: CurveParams(a, 1.0),
+        lambda: canonical_paths(a),
+        lambda: transport_w(PathSpec(base_point(+1), (0j, 0.5j)), a),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_rational_rhs_values():
@@ -93,12 +109,11 @@ def test_log_derivative_large_z_limit():
 
 def test_log_derivative_matches_transported_w():
     a = 2.0
-    params = CurveParams(a, 1.0)
     h = 1e-5
     base = base_point(+1)
 
     def w_at(z):
-        return transport_w(PathSpec(base, (0j, z)), params).w
+        return transport_w(PathSpec(base, (0j, z)), a).w
 
     z0 = 1j
     dw = (w_at(z0 + h) - w_at(z0 - h)) / (2 * h)
@@ -110,8 +125,7 @@ def test_transport_w_matches_guarded_field(monkeypatch):
     # point and every accepted state must equal, bit for bit, an integration
     # of the field written with the guarded log_derivative.
     a = 2.0
-    params = CurveParams(a, 1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(a)
     probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
     integrate = _rk.integrate_polyline
 
@@ -132,9 +146,9 @@ def test_transport_w_matches_guarded_field(monkeypatch):
         inlined, reference = [], []
         with monkeypatch.context() as m:
             m.setattr(_rk, "integrate_polyline", recorded(inlined))
-            end = transport_w(path, params)
+            end = transport_w(path, a)
         (w_ref,) = integrate(
-            path.waypoints, (path.start.w,), guarded, rel_tol=1e-12, abs_tol=1e-14,
+            path.waypoints, (path.start.w,), guarded, cfg=W_CFG,
             on_step=lambda z, y: reference.append((z, y)),
         )
         assert len(inlined) > 10
@@ -145,8 +159,7 @@ def test_transport_w_matches_guarded_field(monkeypatch):
 def test_transport_w_ends_equal_the_inline_reference():
     # the field as transport_w wrote it before it called log_derivative_of
     a = 2.0
-    params = CurveParams(a, 1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(a)
 
     def field(z, u, y):
         return (y[0] * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,)
@@ -155,45 +168,45 @@ def test_transport_w_ends_equal_the_inline_reference():
     probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
     for path in [getattr(paths, name) for name in names] + [probe]:
         (w_ref,) = _rk.integrate_polyline(
-            path.waypoints, (path.start.w,), field, rel_tol=1e-12, abs_tol=1e-14
+            path.waypoints, (path.start.w,), field, cfg=W_CFG
         )
-        assert repr(transport_w(path, params).w) == repr(w_ref)
+        assert repr(transport_w(path, a).w) == repr(w_ref)
 
 
 def test_transport_constant_path():
-    params = CurveParams(2.0, 1.0)
+    a = 2.0
     start = base_point(+1)
-    end = transport_w(PathSpec(start, (0j, 0j)), params)
+    end = transport_w(PathSpec(start, (0j, 0j)), a)
     assert end.w == start.w
 
 
 def test_transport_closes_on_loops():
-    params = CurveParams(2.0, 1.0)
-    paths = canonical_paths(params)
+    a = 2.0
+    paths = canonical_paths(a)
     for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
-        end = transport_w(loop, params)
+        end = transport_w(loop, a)
         assert abs(end.w - loop.start.w) < 1e-8
 
 
 def test_transport_c2_endpoint_sheet():
-    params = CurveParams(2.0, 1.0)
-    paths = canonical_paths(params)
-    end = transport_w(paths.c2, params)
+    a = 2.0
+    paths = canonical_paths(a)
+    end = transport_w(paths.c2, a)
     assert abs(end.w ** 2 - rational_rhs(4.0 + 0j, 2.0)) < 1e-8
     assert end.w.real > 0  # same sheet as the base point
 
 
 def test_half_loop_changes_sheet():
-    params = CurveParams(2.0, 1.0)
-    g1 = canonical_paths(params).gamma1
+    a = 2.0
+    g1 = canonical_paths(a).gamma1
     half = PathSpec(g1.start, g1.waypoints[:5])
-    end = transport_w(half, params)
+    end = transport_w(half, a)
     assert abs(end.w + 1.0) < 1e-8
 
 
 def test_canonical_path_geometry():
     for a in (1.5, 2.0, 3.0):
-        paths = canonical_paths(CurveParams(a, 1.0))
+        paths = canonical_paths(a)
         assert paths.c1.waypoints[-1] == pytest.approx((1 + a) / 2)
         assert paths.c2.waypoints[-1] == pytest.approx(2 * a)
         for p in (
@@ -208,17 +221,17 @@ def test_canonical_path_geometry():
             validate_path(p, a)  # raises on any clearance violation
         for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
             assert loop.closed
-    assert canonical_paths(CurveParams(2.0, 1.0)).c1.waypoints[-1] == 1.5
-    assert canonical_paths(CurveParams(2.0, 1.0)).c2.waypoints[-1] == 4.0
+    assert canonical_paths(2.0).c1.waypoints[-1] == 1.5
+    assert canonical_paths(2.0).c2.waypoints[-1] == 4.0
 
 
 def test_end_loops_start_on_opposite_sheets():
-    paths = canonical_paths(CurveParams(2.0, 1.0))
+    paths = canonical_paths(2.0)
     assert paths.end_loop_plus.start.w == 1.0
     assert paths.end_loop_minus.start.w == -1.0
-    params = CurveParams(2.0, 1.0)
+    a = 2.0
     for loop in (paths.end_loop_plus, paths.end_loop_minus):
-        end = transport_w(loop, params)
+        end = transport_w(loop, a)
         assert abs(end.w - loop.start.w) < 1e-8
 
 
@@ -237,7 +250,7 @@ def test_curve_point_residual():
 
 
 def test_end_loop_large_circle():
-    paths = canonical_paths(CurveParams(2.0, 1.0))
+    paths = canonical_paths(2.0)
     radii = [abs(z) for z in paths.end_loop_plus.waypoints[1:-1]]
     assert all(abs(r - 6.0) < 1e-9 for r in radii)
     angles = [cmath.phase(z) for z in paths.end_loop_plus.waypoints[1:4]]

@@ -111,7 +111,7 @@ def test_both_ends_share_eigenvalues():
 
 def test_lift_independence():
     params = CurveParams(2.0, -1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     Phi2 = direct_loop_holonomy(paths.gamma2, params)
     identity = np.eye(2, dtype=complex)
     assert lift_independence_check(params, paths.gamma2, identity, Phi2) < 1e-12
@@ -128,7 +128,7 @@ def test_lift_independence():
 
 def test_lift_independence_requires_unimodular():
     params = CurveParams(2.0, -1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     Phi2 = direct_loop_holonomy(paths.gamma2, params)
     with pytest.raises(DomainError):
         lift_independence_check(params, paths.gamma2, 2.0 * np.eye(2, dtype=complex), Phi2)

@@ -60,7 +60,7 @@ def test_assembled_entries_match_closed_forms():
 @pytest.mark.parametrize("c", [1.0, -1.0, -7.6119])
 def test_products_match_direct_holonomy(c):
     params = CurveParams(2.0, c)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     triple = assemble_monodromies(half_path_frames(params))
     for loop, phi in (
         (paths.gamma1, triple.Phi1),
@@ -76,7 +76,7 @@ def test_direct_holonomy_structure_forms():
     # the structural shape of directly integrated monodromies tests the
     # sheet bookkeeping, not just the algebra of the products
     params = CurveParams(2.0, -1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     from dscat.monodromy import MonodromyTriple
 
     triple = MonodromyTriple(
@@ -100,7 +100,7 @@ def test_contractible_loop_is_trivial():
 
 def test_loop_followed_by_reverse_is_trivial():
     params = CurveParams(2.0, 1.0)
-    g2 = canonical_paths(params).gamma2
+    g2 = canonical_paths(params.a).gamma2
     out_and_back = PathSpec(
         g2.start, g2.waypoints + tuple(reversed(g2.waypoints[:-1])), closed=True
     )
@@ -111,7 +111,7 @@ def test_loop_followed_by_reverse_is_trivial():
 def test_holonomy_requires_closed_loop():
     params = CurveParams(2.0, 1.0)
     with pytest.raises(ContinuationError):
-        direct_loop_holonomy(canonical_paths(params).c1, params)
+        direct_loop_holonomy(canonical_paths(params.a).c1, params)
 
 
 def test_period_functions_reality_and_convergence():
@@ -120,7 +120,7 @@ def test_period_functions_reality_and_convergence():
     f1, f2 = period_functions(h)
     assert isinstance(f1, float) and isinstance(f2, float)
 
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     ref = HalfPathFrames(
         reference_frame(paths.c1, params, n_steps=20_000).F,
         reference_frame(paths.c2, params, n_steps=20_000).F,

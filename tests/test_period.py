@@ -22,6 +22,7 @@ from dscat.period import (
     _periods_at,
     bracketed_root,
     gauged_residuals,
+    opposite_signs,
     refine_root,
     scan_c,
     solve_at_bracket,
@@ -37,6 +38,20 @@ def test_bracketed_root_sanity():
     )
     with pytest.raises(LostBracket):
         bracketed_root(lambda c: 1.0 + c * c, -1.0, 1.0, 1e-12)
+
+
+def test_bracketed_root_compares_signs_not_products():
+    # f_lo * f_hi and f_lo * f_mid underflow to 0 for values this small
+    with pytest.raises(LostBracket):
+        bracketed_root(lambda c: 1e-200, 0.0, 1.0, 1e-3)
+    root = bracketed_root(lambda c: (math.exp(c) - math.exp(0.3)) * 1e-170, 0.0, 1.0, 1e-9)
+    assert abs(root - 0.3) <= 1e-9
+
+
+def test_opposite_signs():
+    assert opposite_signs(-1e-200, 1e-200) and opposite_signs(1e-200, -1e-200)
+    for x, y in ((1e-200, 1e-200), (-1.0, -2.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -0.0)):
+        assert not opposite_signs(x, y)
 
 
 def test_scan_near_zero_window():
@@ -113,9 +128,9 @@ def test_refine_builds_the_paths_once(monkeypatch):
 
     built = []
 
-    def counting(params):
-        built.append(params.a)
-        return curve.canonical_paths(params)
+    def counting(a):
+        built.append(a)
+        return curve.canonical_paths(a)
 
     monkeypatch.setattr(period_module, "canonical_paths", counting)
     monkeypatch.setattr(monodromy, "canonical_paths", counting)

@@ -158,7 +158,7 @@ def _start(path, F0):
 @pytest.mark.parametrize("c", C_VALUES)
 def test_dp5_matches_reference_loop(c, frame):
     a = 2.0
-    paths = canonical_paths(CurveParams(a, c))
+    paths = canonical_paths(a)
     F0 = START_FRAMES[frame]
     for name in PATH_NAMES:
         path = getattr(paths, name)
@@ -185,7 +185,7 @@ def test_rk4_matches_reference_loop(c, frame):
     # kernel 7.3e-12 from the same RK4 steps run in long double.
     a = 2.0
     params = CurveParams(a, c)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     F0 = START_FRAMES[frame]
     for name in PATH_NAMES:
         path = getattr(paths, name)
@@ -270,7 +270,7 @@ def test_rk4_memory_is_fixed_per_block():
     # 200 000 steps, as at 2000.  Holding all steps at once would take over
     # 50 MB.
     params = CurveParams(2.0, -1.526035)
-    path = canonical_paths(params).c1
+    path = canonical_paths(params.a).c1
     tracemalloc.start()
     try:
         reference_frame(path, params, n_steps=200_000)
@@ -282,6 +282,11 @@ def test_rk4_memory_is_fixed_per_block():
 
 def _decaying(z, u, y):
     return tuple(-v * u for v in y)
+
+
+def _constant(z, u, y):
+    """A field every step meets the tolerances of."""
+    return (u,) * len(y)
 
 
 def _scalar_kernel(waypoints, n, field, **kwargs):
@@ -309,7 +314,16 @@ KERNELS = [
 @pytest.mark.parametrize("kernel, n", KERNELS)
 def test_step_budget(kernel, n):
     with pytest.raises(StepLimitExceeded, match="exceeded 3 steps"):
-        kernel((0j, 10 + 0j), n, _decaying, max_steps=3)
+        kernel((0j, 10 + 0j), n, _decaying, cfg=_rk.IntegratorConfig(max_steps=3))
+
+
+@pytest.mark.parametrize("kernel, n", KERNELS)
+def test_first_step_is_the_initial_step(kernel, n):
+    for h in (_rk.DEFAULT_CONFIG.initial_step, 1e-3):
+        seen = []
+        cfg = _rk.IntegratorConfig(initial_step=h)
+        kernel((0j, 10 + 0j), n, _constant, cfg=cfg, on_step=lambda z, y: seen.append(z))
+        assert seen[0] == h
 
 
 @pytest.mark.parametrize("kernel, n", KERNELS)

@@ -60,14 +60,14 @@ def test_alpha_rejects_zero_w():
 
 def test_tiny_c_keeps_frame_constant():
     params = CurveParams(2.0, 1e-14)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     state = integrate_frame(paths.c2, params)
     assert np.max(np.abs(state.F - np.eye(2))) < 1e-12
 
 
 def test_det_preserved_along_path():
     params = CurveParams(2.0, 1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     worst = 0.0
 
     def capture(z, y):
@@ -83,7 +83,7 @@ def test_det_preserved_along_path():
 
 def test_self_convergence_against_fixed_step():
     params = CurveParams(2.0, -7.6119)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     adaptive = integrate_frame(paths.c1, params).F
     reference = reference_frame(paths.c1, params, n_steps=20_000).F
     scale = max(1.0, float(np.max(np.abs(adaptive))))
@@ -92,7 +92,7 @@ def test_self_convergence_against_fixed_step():
 
 def test_reference_frame_rejects_start_frame_off_sl2():
     params = CurveParams(2.0, -1.0)
-    path = canonical_paths(params).c1
+    path = canonical_paths(params.a).c1
     with pytest.raises(DomainError, match="determinant 1"):
         reference_frame(path, params, 2.0 * np.eye(2, dtype=complex))
 
@@ -100,14 +100,14 @@ def test_reference_frame_rejects_start_frame_off_sl2():
 def test_reference_frame_checks_end_sheet_residual():
     # Three RK4 steps along c1 carry w far off the curve.
     params = CurveParams(2.0, -1.0)
-    path = canonical_paths(params).c1
+    path = canonical_paths(params.a).c1
     with pytest.raises(ContinuationError, match="sheet residual"):
         reference_frame(path, params, n_steps=3)
 
 
 def test_right_equivariance():
     params = CurveParams(2.0, -1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     C = np.array([[2.0, 1.0j], [0.5, 1.0]], dtype=complex)
     C /= np.sqrt(np.linalg.det(C))
     plain = integrate_frame(paths.c1, params).F
@@ -118,7 +118,7 @@ def test_right_equivariance():
 
 def test_homotopy_invariance_of_monodromy():
     params = CurveParams(2.0, -1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     direct = direct_loop_holonomy(paths.gamma2, params)
     alternative = PathSpec(
         base_point(+1),
@@ -130,20 +130,20 @@ def test_homotopy_invariance_of_monodromy():
 
 
 def test_scalar_ode_residuals():
-    paths = canonical_paths(CurveParams(2.0, 1.0))
+    paths = canonical_paths(2.0)
     assert scalar_ode_residual(paths.c2, CurveParams(2.0, 1.0), 50) < 1e-8
     assert scalar_ode_residual(paths.c1, CurveParams(2.0, -1.0), 50) < 1e-8
 
 
 def test_scalar_ode_residual_vanishing_c():
     params = CurveParams(2.0, 1e-14)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     assert scalar_ode_residual(paths.c1, params, 20) < 1e-16
 
 
 def test_step_limit():
     params = CurveParams(2.0, 1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15, max_steps=5)
     with pytest.raises(StepLimitExceeded):
         integrate_frame(paths.gamma1, params, cfg=cfg)
@@ -151,7 +151,7 @@ def test_step_limit():
 
 def test_initial_frame_must_be_unimodular():
     params = CurveParams(2.0, 1.0)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     with pytest.raises(DomainError):
         integrate_frame(paths.c1, params, F0=np.diag([2.0, 2.0]).astype(complex))
 
@@ -171,6 +171,7 @@ def test_config_validation():
     ):
         with pytest.raises(DomainError):
             IntegratorConfig(**bad)
+    assert IntegratorConfig is _rk.IntegratorConfig and DEFAULT_CONFIG is _rk.DEFAULT_CONFIG
     assert DEFAULT_CONFIG.rel_tol == 1e-10
     assert DEFAULT_CONFIG.abs_tol == 1e-12
 
@@ -178,7 +179,7 @@ def test_config_validation():
 @pytest.mark.parametrize("c", [-7.6, -1.5, 1.27, 3.9])
 def test_one_lane_matches_scalar_kernel(c):
     a = 2.0
-    paths = canonical_paths(CurveParams(a, c))
+    paths = canonical_paths(a)
     for path in (paths.c1, paths.c2):
         y0 = (1.0, 0.0, 0.0, 1.0, path.start.w)
         scalar_steps, lane_steps = [], []
@@ -198,7 +199,7 @@ def test_one_lane_matches_scalar_kernel(c):
 
 def test_frames_over_c_match_integrate_frame():
     a, cs = 2.0, np.array([-4.0, -0.5, 2.0])
-    path = canonical_paths(CurveParams(a, 1.0)).c2
+    path = canonical_paths(a).c2
     frames, w = integrate_frames_over_c(path, a, cs)
     assert frames.shape == (3, 2, 2) and w.shape == (3,)
     for c, F, w_end in zip(cs, frames, w):
@@ -208,7 +209,7 @@ def test_frames_over_c_match_integrate_frame():
 
 
 def test_frames_over_c_keep_the_checks(monkeypatch):
-    path = canonical_paths(CurveParams(2.0, 1.0)).c2
+    path = canonical_paths(2.0).c2
     cs = np.array([-4.0, 1.0])
     with pytest.raises(PathError):
         integrate_frames_over_c(PathSpec(base_point(+1), (0.5j, 1.0 + 0.5j)), 2.0, cs)
@@ -306,7 +307,7 @@ def test_lane_field_steps_equal_the_reference_per_lane():
 def test_lane_field_steps_equal_the_reference_at_scale_one(name):
     # a scan block's lanes: one value of c each, scale 1
     a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
-    path = getattr(canonical_paths(CurveParams(a, 1.0)), name)
+    path = getattr(canonical_paths(a), name)
     y0 = np.zeros((5, cs.size), dtype=complex)
     y0[0] = y0[3] = 1.0
     y0[4] = path.start.w
@@ -357,13 +358,12 @@ def test_frame_steps_equal_the_inline_reference(c):
     k = branch_offsets(a)
     F0 = np.eye(2, dtype=complex)
     for name in PATH_NAMES:
-        path = getattr(canonical_paths(params), name)
+        path = getattr(canonical_paths(params.a), name)
         states, reference = [], []
         end = integrate_frame(path, params, on_step=lambda z, y: states.append((z, y)))
         y = _rk.integrate_polyline(
             path.waypoints, (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w),
-            _inline_joint_field(a, c), rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-            max_steps=cfg.max_steps, first_step=cfg.initial_step,
+            _inline_joint_field(a, c), cfg=cfg,
             on_step=lambda z, y: reference.append((z, y)),
         )
         assert len(states) > 10
@@ -389,7 +389,7 @@ def test_reference_frame_ends_equal_the_inline_reference(c):
         return cu, -cu * w, cu / w, -cu
 
     for name in PATH_NAMES:
-        path = getattr(canonical_paths(params), name)
+        path = getattr(canonical_paths(params.a), name)
         end = reference_frame(path, params)
         F, w = _rk.integrate_polyline_rk4(
             path.waypoints, np.eye(2, dtype=complex), path.start.w, rate, matrix, 4000
@@ -410,7 +410,7 @@ def _inline_lane_residual(z, w, a: float, scale):
 @pytest.mark.parametrize("name", ["c1", "c2"])
 def test_scan_block_end_states_equal_the_inline_reference(name):
     a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
-    path = getattr(canonical_paths(CurveParams(a, 1.0)), name)
+    path = getattr(canonical_paths(a), name)
     frames, w = integrate_frames_over_c(path, a, cs)
     y0 = np.zeros((5, cs.size), dtype=complex)
     y0[0] = y0[3] = 1.0

@@ -28,7 +28,7 @@ pytestmark = pytest.mark.usefixtures("fresh_worker")
 
 def frames(c: float):
     params = CurveParams(2.0, c)
-    h = half_path_frames(params, paths=canonical_paths(params))
+    h = half_path_frames(params, paths=canonical_paths(params.a))
     return h.F_c1, h.F_c2
 
 
@@ -70,7 +70,7 @@ def bad_paths(c1_goes_to=None, c2_goes_to=None) -> tuple:
     """params at a root and its canonical paths with c1 and/or c2 replaced by
     a segment from the base point through a branch point."""
     params = CurveParams(2.0, -1.526035)
-    paths = canonical_paths(params)
+    paths = canonical_paths(params.a)
     changes = {
         name: PathSpec(base_point(+1), (0j, complex(end)))
         for name, end in (("c1", c1_goes_to), ("c2", c2_goes_to))

@@ -1,6 +1,7 @@
 """SHA-256 digests of dscat's outputs on a fixed set of commands.
 
-    python3 tools/output_digest.py
+    python3 tools/output_digest.py            # print the digest lines
+    python3 tools/output_digest.py --check    # compare with output_digest.txt
 
 Run it from any directory: it imports dscat from the src/ of the checkout that
 holds it.  Each command runs in this process through dscat.cli.main, in a
@@ -12,6 +13,12 @@ Two checkouts whose outputs agree byte for byte print the same lines, so a
 change that must keep every output is checked by comparing this script's
 output in both, run plain and pinned to one CPU (taskset -c 0), since the
 number of CPUs decides which work runs in the worker process.
+
+output_digest.txt beside this script holds the lines of the last change that
+altered an output on purpose, headed by the Python and numpy versions they
+were recorded with (other versions may round differently).  --check runs
+every command, names each one whose line differs from the file or is missing
+from it, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -19,14 +26,20 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import platform
 import re
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 from dscat import cli  # noqa: E402
+
+RECORDED = HERE / "output_digest.txt"
 
 ROOTS = ("-1.526035", "1.26988")
 # The four a = 2 brackets of the benchmark's solve workload, then its pole
@@ -54,6 +67,13 @@ COMMANDS = (
     ("classify", "--a", "2", "--c", "-1.526035", *LOOSE),
     ("scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30", *LOOSE,
      "--out", "{d}/scan.csv"),
+    # the initial step reaches the scalar kernel (classify's end loop) and the
+    # lane kernel (scan); a scan at a = 1 exits 2 on the branch parameter
+    ("classify", "--a", "2", "--c", "-1.526035", "--initial-step", "0.2"),
+    ("scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30",
+     "--initial-step", "0.2", "--out", "{d}/scan.csv"),
+    ("scan", "--a", "1", "--c-min", "-9", "--c-max", "4", "--steps", "30",
+     "--out", "{d}/scan.csv"),
 )
 _CREATED_UTC = re.compile(rb'^\s*"created_utc": .*\n', re.MULTILINE)
 
@@ -74,10 +94,35 @@ def digest(argv: tuple) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def versions() -> str:
+    """The header line of output_digest.txt."""
+    return f"# python {platform.python_version()}, numpy {np.__version__}"
+
+
+def line(argv: tuple) -> str:
+    """The digest of one command, then the command."""
+    return f"{digest(argv)} {' '.join(argv).replace('{d}/', '')}"
+
+
+def main(args: list) -> int:
+    if args not in ([], ["--check"]):
+        sys.exit("usage: output_digest.py [--check]")
+    if not args:
+        print(versions(), flush=True)
+        for argv in COMMANDS:
+            print(line(argv), flush=True)
+        return 0
+    recorded = RECORDED.read_text().splitlines()
+    if recorded[0] != versions():
+        print(f"note: recorded with {recorded[0][2:]}, running {versions()[2:]}", flush=True)
+    differ = 0
     for argv in COMMANDS:
-        print(digest(argv), " ".join(argv).replace("{d}/", ""), flush=True)
+        got = line(argv)
+        differ += got not in recorded
+        print("same   " if got in recorded else "DIFFERS", got.split(" ", 1)[1], flush=True)
+    print(f"{differ} of {len(COMMANDS)} command(s) differ", flush=True)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
