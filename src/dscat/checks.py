@@ -28,8 +28,9 @@ import numpy as np
 
 from . import _worker, geometry, monodromy, period, transport
 from .curve import CurveParams, CurvePoint, PathSpec, base_point, canonical_paths, transport_w
-from .ends import end_loop_check, lift_independence_check
+from .ends import TOL_EIG, end_loop_check, lift_independence_check
 from .errors import DscatError
+from .linalg2c import TOL_SU11
 from .transport import IntegratorConfig
 
 
@@ -224,7 +225,7 @@ def _period_closure(ctx: CheckContext):
     sol = ctx.solution()
     if sol is None:
         return False, "skipped (no gauge)"
-    return sol.su11_residual <= 1e-6, (
+    return sol.su11_residual <= TOL_SU11, (
         f"su11 residual = {sol.su11_residual:.3e} "
         f"(absolute {sol.su11_residual_abs:.3e})"
     )
@@ -244,7 +245,7 @@ def _end_eigenvalues(ctx: CheckContext):
     for which in (+1, -1):
         analysis = end_loop_check(ctx.a, ctx.c, which, ctx.cfg)
         worst = max(worst, analysis.eigenvalue_mismatch)
-    return worst <= 1e-6, f"max relative mismatch = {worst:.3e}"
+    return worst <= TOL_EIG, f"max relative mismatch = {worst:.3e}"
 
 
 def _schwarzian(ctx: CheckContext):

@@ -85,6 +85,14 @@ def _write_atomic(path: str, text: str) -> None:
 # The settings a config file or a flag may give: IntegratorConfig's fields,
 # each with the type of its default, in the order of the fields.
 _SETTINGS = {field.name: type(field.default) for field in dataclasses.fields(IntegratorConfig)}
+_HELP = {
+    "rel_tol": "relative tolerance of each DP5 step",
+    "abs_tol": "absolute tolerance of each DP5 step",
+    "max_steps": "most steps of one integration; a scan block's pass over a half path, "
+    "all its pieces and values of c together, counts as one",
+    "initial_step": "first trial step, in arc length; where a scan block cuts a half path "
+    "into pieces, a fraction of each piece",
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -127,7 +135,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True, help="branch parameter, a > 1")
     p.add_argument("--config", default=None, help="key=value file with integrator overrides")
     for key, cast in _SETTINGS.items():  # --rel-tol, --abs-tol, --max-steps, --initial-step
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, default=None)
+        p.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=cast, default=None, help=_HELP[key]
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,10 +206,6 @@ def app() -> None:
 
 
 def cmd_scan(args, cfg: IntegratorConfig) -> int:
-    if args.steps < 2:
-        raise DomainError("--steps must be at least 2")
-    if not args.c_min < args.c_max:
-        raise DomainError("need --c-min < --c-max")
     result = period.scan_c(args.a, args.c_min, args.c_max, args.steps, cfg)
 
     lines = ["c,f1,f2,admissible_hint"]

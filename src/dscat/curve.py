@@ -82,19 +82,23 @@ def branch_points(a: float) -> tuple:
     return (1.0, -1.0, a, -a)
 
 
-def branch_offsets(a: float, scale=1.0):
+def branch_offsets(a: float, scale=1.0, origin=0.0):
     """The constants k with z + k[i] the offsets (z + 1, z - a, z - 1, z + a)
-    of z from the branch points: a tuple of four Python complex numbers, or
-    for an array scale a (4, n) array whose column j divides lane j's branch
-    points by scale[j].  The -a and -1 entries are negated as complex numbers,
-    so their imaginary parts are -0.0 and each sum keeps the signed zero of
-    the subtraction it replaces."""
-    one, a_s = 1.0 / scale, a / scale
-    if np.ndim(scale) == 0:
-        one, a_s = complex(one), complex(a_s)
-        return (one, -a_s, -one, a_s)
-    one, a_s = one.astype(complex), a_s.astype(complex)
-    return np.stack((one, -a_s, -one, a_s))
+    of z from the branch points, seen through the lane map origin + scale * z:
+    k[i] = (k_i + origin) / scale, k_i being the offsets at origin 0 and
+    scale 1.  Then R(origin + scale * z) is rational_rhs_of(z, k) and
+    scale * L(origin + scale * z) is log_derivative_of(z, k).  A tuple of four
+    Python complex numbers for a scalar origin and scale, else a (4, n) array
+    whose column j belongs to lane j.  The -a and -1 entries are negated as
+    complex numbers, so at origin 0 with a real scale their imaginary parts
+    are -0.0 and each sum keeps the signed zero of the subtraction it
+    replaces."""
+    k = ((1.0 + origin) / scale, (a - origin) / scale, (1.0 - origin) / scale, (a + origin) / scale)
+    if np.ndim(scale) == 0 and np.ndim(origin) == 0:
+        k0, k1, k2, k3 = (complex(x) for x in k)
+        return (k0, -k1, -k2, k3)
+    k0, k1, k2, k3 = (np.asarray(x, dtype=complex) for x in np.broadcast_arrays(*k))
+    return np.stack((k0, -k1, -k2, k3))
 
 
 def log_derivative_of(z, k):

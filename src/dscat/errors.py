@@ -36,11 +36,13 @@ class ContinuationError(DscatError):
 class LanesFailed(ContinuationError):
     """A per-lane check of a lane-batched integration failed on some lanes.
 
-    lanes holds the indices of the failing lanes among those integrated.
+    lanes holds the indices of the failing lanes among those integrated, and
+    reason the message without them.
     """
 
     def __init__(self, message: str, lanes):
         self.lanes = tuple(int(i) for i in lanes)
+        self.reason = message
         super().__init__(f"{message} on lanes {list(self.lanes)}")
 
 

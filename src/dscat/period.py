@@ -36,7 +36,7 @@ from .monodromy import (
     period_functions,
     period_values,
 )
-from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frames_over_c
+from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frames_in_pieces
 
 # Half width of the default exclusion window around c = 0.
 SKIP_HALFWIDTH = 0.01
@@ -51,6 +51,16 @@ TOL_C = 1e-9
 # bound keeps the memory of the lane arrays flat however many grid points are
 # asked for.
 SCAN_BLOCK = 1024
+# Lanes a scan block's half path is cut up to fill: a block of n grid points
+# runs each half path as LANE_BUDGET // n pieces side by side
+# (transport.integrate_frames_in_pieces), one piece when n > LANE_BUDGET // 2.
+# A shared DP5 step of c2 at a = 2 cost 180 us at 27 lanes, 220 at 108,
+# 338 at 216, 438 at 432 and 897 at 864 (one core of a 2-core Xeon, numpy
+# 2.4, scaled to the benchmark's nominal speed): 16 times the lanes cost 2.4
+# times as much per step, so a short block gains by trading its chain of
+# steps along the path for more lanes, up to about the size where the cost
+# per step grows in proportion to the lanes.
+LANE_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -132,16 +142,21 @@ def scan_c(
     a gap never manufactures a spurious bracket.
 
     Up to SCAN_BLOCK grid points are integrated together, sharing one step
-    sequence that meets the tolerances of the hardest of them.  Scan values
+    sequence that meets the tolerances of the hardest of them.  A block of n
+    points cuts each half path into LANE_BUDGET // n pieces, each (piece, c)
+    pair one lane, and multiplies each c's piece transfer matrices in path
+    order (transport.integrate_frames_in_pieces); a block of more than
+    LANE_BUDGET // 2 points runs the whole path as one piece.  Scan values
     therefore match single-c evaluation (_periods_at) within the integrator
     tolerance, not bit for bit; for fixed arguments they are deterministic.
-    Each block's c1 lanes run in the worker process of _worker.pair while
-    this process integrates its c2 lanes.
+    Each block's c1 pass runs in the worker process of _worker.pair while
+    this process integrates c2.  Raises DomainError unless steps >= 2 and
+    c_min < c_max.
     """
-    if not c_min < c_max:
-        raise ValueError("need c_min < c_max")
     if steps < 2:
-        raise ValueError("need at least 2 grid points")
+        raise DomainError("--steps must be at least 2")
+    if not c_min < c_max:
+        raise DomainError("need --c-min < --c-max")
     paths = canonical_paths(a)  # validates a even when every grid point is skipped
     spacing = (c_max - c_min) / (steps - 1)
     grid = [c_min + k * spacing for k in range(steps)]
@@ -150,10 +165,11 @@ def scan_c(
     for lo in range(0, len(live), SCAN_BLOCK):
         block = live[lo:lo + SCAN_BLOCK]
         cs = np.array([grid[k] for k in block])
+        pieces = LANE_BUDGET // len(block)
         (F1, _), (F2, _) = _worker.pair(
-            "dscat.transport.integrate_frames_over_c",
-            lambda: integrate_frames_over_c(paths.c2, a, cs, cfg),
-            paths.c1, a, cs, cfg,
+            "dscat.transport.integrate_frames_in_pieces",
+            lambda: integrate_frames_in_pieces(paths.c2, a, cs, pieces, cfg),
+            paths.c1, a, cs, pieces, cfg,
         )
         f1, f2, _, _, degenerate = period_values(F1, F2)
         for k, x1, x2, bad in zip(block, f1.tolist(), f2.tolist(), degenerate.tolist()):

@@ -117,24 +117,26 @@ def integrate_frame(
     return FrameState(end, F)
 
 
-def _joint_field_lanes(a: float, cs, scale=1.0):
+def _joint_field_lanes(a: float, cs, scale=1.0, origin=0.0):
     """_joint_field for rows (F11, F12, F21, F22, w) with one column per lane.
 
     Lane j has the coefficient cs[j] (or the scalar cs) and follows the
-    polyline scale[j] * z of the integration variable z, so its derivative is
-    scale[j] times the field at scale[j] * z.  Seen from z the lane's branch
-    points are those of the curve divided by scale[j], and
-    scale * L(scale * z) is L(z) with those branch points: that is how L is
-    evaluated, by log_derivative_of with curve.branch_offsets(a, scale) and
-    without log_derivative's guard, as in _joint_field.  A scalar scale (the
-    scan's 1.0) evaluates L once per stage for all lanes in Python complex
-    arithmetic, and with scale 1.0 it is log_derivative's, operation for
-    operation.  cs * scale * u is formed once per segment.  Uses
-    F21' = F11' / w and F22' = F12' / w, which holds because alpha is rank
-    one.
+    polyline origin[j] + scale[j] * z of the integration variable z, so its
+    derivative is scale[j] times the field at origin[j] + scale[j] * z.
+    origin and scale may be complex.  Seen from z the lane's branch points are
+    those of the curve mapped back by the inverse of the lane map, and
+    scale * L(origin + scale * z) is L(z) with those branch points: that is
+    how L is evaluated, by log_derivative_of with
+    curve.branch_offsets(a, scale, origin) and without log_derivative's guard,
+    as in _joint_field.  A scalar origin and scale (the whole-path scan's 0
+    and 1.0) evaluate L once per stage for all lanes in Python complex
+    arithmetic, and at origin 0 and scale 1.0 it is log_derivative's,
+    operation for operation.  cs * scale * u is formed once per segment.
+    Uses F21' = F11' / w and F22' = F12' / w, which holds because alpha is
+    rank one.
     """
     cs_s = cs * scale
-    k = branch_offsets(a, scale)
+    k = branch_offsets(a, scale, origin)
     segment_u = cs_u = None  # the direction of the current segment, cs_s * it
 
     def field(z, u, y):
@@ -163,61 +165,155 @@ def integrate_frames_over_c(
     F0: np.ndarray | None = None,
     w0=None,
     scale=1.0,
+    origin=0.0,
     validated: bool = False,
 ) -> tuple:
     """End states of integrate_frame for many lanes integrated together.
 
     Lane j has the coefficient cs[j], starts from the frame F0[j] (default I)
     with the sheet value w0[j] (default path.start.w), and follows the
-    polyline scale[j] * path.waypoints.  Each of cs, F0, w0 and scale is
-    given per lane or once for all lanes.  Returns the end frames, shape
-    (n, 2, 2), and the end sheet values, shape (n,).
+    polyline origin[j] + scale[j] * path.waypoints; origin and scale may be
+    complex, so a lane may follow any straight image of the path.  Each of
+    cs, F0, w0, scale and origin is given per lane or once for all lanes.
+    Returns the end frames, shape (n, 2, 2), and the end sheet values,
+    shape (n,).
 
     The checks of integrate_frame apply to every lane: validate_path on the
-    lane's scaled polyline (skipped when validated is true, for a caller that
-    has run it already: build_mesh does so once per ring, not once per node),
-    the start determinant, the sheet residual of w at each accepted step and
-    at the endpoint, and the determinant drift of each endpoint frame.  A
-    lane that fails the sheet or drift check raises LanesFailed, naming every
-    lane that fails it there.  The lanes share one step sequence, so a
+    lane's mapped polyline (skipped when validated is true, for a caller that
+    has run it already: build_mesh does so once per ring, not once per node,
+    and integrate_frames_in_pieces once per path), the start determinant, the
+    sheet residual of w at each accepted step and at the endpoint, and the
+    determinant drift of each endpoint frame.  A lane that fails the sheet or
+    drift check raises LanesFailed, naming every lane that fails it there;
+    its message names the point of the curve, origin + scale * z, and the c
+    of the first of them.  The lanes share one step sequence, so a
     StepLimitExceeded belongs to all of them.
     """
     cs = np.asarray(cs, dtype=float)
     F0 = np.eye(2, dtype=complex) if F0 is None else np.asarray(F0, dtype=complex)
     w0 = path.start.w if w0 is None else np.asarray(w0, dtype=complex)
-    shape = np.broadcast_shapes(cs.shape, np.shape(scale), np.shape(w0), F0.shape[:-2])
+    shape = np.broadcast_shapes(
+        cs.shape, np.shape(scale), np.shape(origin), np.shape(w0), F0.shape[:-2]
+    )
     n = shape[0] if shape else 1
     y0 = np.empty((5, n), dtype=complex)
     y0[:4] = np.broadcast_to(F0, (n, 2, 2)).reshape(n, 4).T
     y0[4] = w0
     if not validated:
-        scales = np.broadcast_to(scale, (n,)).tolist()
-        for s, w in dict.fromkeys(zip(scales, y0[4].tolist())):
-            validate_path(_scaled_path(path, s, w), a)
+        lanes = zip(*(np.broadcast_to(x, (n,)).tolist() for x in (origin, scale, y0[4])))
+        for o, s, w in dict.fromkeys(lanes):
+            validate_path(_mapped_path(path, o, s, w), a)
     if _drifted(y0)[1].any():
         raise DomainError("initial frame must have determinant 1")
 
-    k = branch_offsets(a, scale)
+    k = branch_offsets(a, scale, origin)
+
+    def failed(message: str, z, bad: np.ndarray) -> LanesFailed:
+        """LanesFailed for the lanes in bad, naming the first one's point of
+        the curve and c."""
+        lanes = np.flatnonzero(bad)
+        o, s, c = (np.broadcast_to(x, (n,))[lanes[0]] for x in (origin, scale, cs))
+        return LanesFailed(_where(message, o + s * z, c), lanes)
 
     def check_sheet(z, y) -> None:
         bad = sheet_residual_of(y[4], rational_rhs_of(z, k)) > TOL_SHEET
         if bad.any():
-            raise LanesFailed(f"sheet residual exceeded at z = {z}", np.flatnonzero(bad))
+            raise failed("sheet residual exceeded", z, bad)
 
     y = _rk.integrate_polyline_lanes(
         path.waypoints,
         y0,
-        _joint_field_lanes(a, cs, scale),
+        _joint_field_lanes(a, cs, scale, origin),
         cfg=cfg,
         on_step=check_sheet,
     )
     check_sheet(path.waypoints[-1], y)
     drift, bad = _drifted(y)
     if bad.any():
-        raise LanesFailed(
-            f"scaled determinant drift {float(np.max(drift[bad])):.3e}", np.flatnonzero(bad)
-        )
+        message = f"scaled determinant drift {float(drift[bad][0]):.3e}"
+        raise failed(message, path.waypoints[-1], bad)
     return y[:4].T.reshape(-1, 2, 2), y[4]
+
+
+def integrate_frames_in_pieces(
+    path: PathSpec,
+    a: float,
+    cs,
+    pieces: int,
+    cfg: IntegratorConfig = DEFAULT_CONFIG,
+) -> tuple:
+    """integrate_frames_over_c(path, a, cs, cfg) from about `pieces` straight
+    pieces of path integrated side by side in one lane pass.
+
+    The frame equation is linear, so the frame along the path is the product
+    of the pieces' transfer matrices, each piece integrated from I.  Each
+    segment is cut into equal pieces, their number in proportion to its
+    length and at least one.  Every (piece, c) pair is one lane over the unit
+    segment, mapped onto its piece by origin + scale * z, and each c's
+    transfer matrices are multiplied in path order.  With pieces <= 1 this is
+    integrate_frames_over_c on the whole path, bit for bit.  Otherwise cfg's
+    initial_step is a fraction of each piece and max_steps bounds the steps
+    the one pass shares.
+
+    The first piece starts at path.start.w, each later one at the principal
+    square root of R at its start, and the previous piece's integrated end
+    value must be nearer to that than to its negative, else
+    ContinuationError: integration still decides the sheet.  The principal
+    root is the continuation on the canonical half paths, since R maps the
+    upper half plane, where they run, into itself.  The lanes keep the checks
+    of integrate_frames_over_c after validate_path on the whole path, and
+    each composed frame's determinant drift is checked too.  A failed check
+    raises ContinuationError naming the point of the curve and the c of the
+    first failing lane; StepLimitExceeded propagates as it is.
+    """
+    cs = np.asarray(cs, dtype=float)
+    points = _cut(path.waypoints, pieces)
+    try:
+        if pieces <= 1 or points.size < 3:
+            return integrate_frames_over_c(path, a, cs, cfg)
+        validate_path(path, a)
+        start, n = points[:-1], cs.size
+        w0 = np.sqrt(rational_rhs_of(start, branch_offsets(a)))
+        w0[0] = path.start.w
+        unit = PathSpec(CurvePoint(0j, w0[0]), (0j, 1 + 0j))
+        F, w = integrate_frames_over_c(
+            unit, a, np.tile(cs, start.size), cfg, w0=np.repeat(w0, n),
+            scale=np.repeat(np.diff(points), n), origin=np.repeat(start, n), validated=True,
+        )
+    except LanesFailed as exc:
+        raise ContinuationError(exc.reason) from exc
+    w = w.reshape(-1, n)
+    flipped = np.abs(w[:-1] - w0[1:, None]) >= np.abs(w[:-1] + w0[1:, None])
+    if flipped.any():
+        p, j = np.argwhere(flipped)[0]
+        raise ContinuationError(_where("w arrived on the other sheet", start[p + 1], cs[j]))
+    T = F.reshape(-1, n, 4).transpose(0, 2, 1)
+    product = tuple(T[0])
+    for t in T[1:]:
+        product = _rk._mul(tuple(t), product)
+    product = np.array(product)
+    drift, bad = _drifted(product)
+    if bad.any():
+        j = np.flatnonzero(bad)[0]
+        message = f"scaled determinant drift {float(drift[j]):.3e}"
+        raise ContinuationError(_where(message, path.waypoints[-1], cs[j]))
+    return product.T.reshape(n, 2, 2), w[-1]
+
+
+def _where(message: str, z, c) -> str:
+    """message, naming the point z of the curve and the coefficient c."""
+    return f"{message} at z = {complex(z)} for c = {float(c)}"
+
+
+def _cut(waypoints: tuple, pieces: int) -> np.ndarray:
+    """The ends of the pieces of integrate_frames_in_pieces along the polyline."""
+    segments = [(p, q) for p, q in zip(waypoints[:-1], waypoints[1:]) if q != p]
+    total = sum(abs(q - p) for p, q in segments)
+    points = [waypoints[0]]
+    for p, q in segments:
+        m = max(1, round(pieces * abs(q - p) / total))
+        points += [p + (q - p) * (i / m) for i in range(1, m)] + [q]
+    return np.array(points, dtype=complex)
 
 
 def _drifted(y: np.ndarray) -> tuple:
@@ -229,10 +325,12 @@ def _drifted(y: np.ndarray) -> tuple:
     return drift, drift > TOL_DET
 
 
-def _scaled_path(path: PathSpec, s: float, w: complex) -> PathSpec:
-    """path scaled by s about 0, starting on the sheet value w."""
+def _mapped_path(path: PathSpec, origin: complex, scale: complex, w: complex) -> PathSpec:
+    """The image origin + scale * z of path, starting on the sheet value w."""
     return PathSpec(
-        CurvePoint(s * path.start.z, w), tuple(s * z for z in path.waypoints), path.closed
+        CurvePoint(origin + scale * path.start.z, w),
+        tuple(origin + scale * z for z in path.waypoints),
+        path.closed,
     )
 
 

@@ -51,6 +51,24 @@ def test_scan_flag_validation(tmp_path):
     assert exc.value.code == 2
 
 
+def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys):
+    # loose tolerances lose the sheet in a 30-point scan's piece pass: the
+    # message names a point of a half path and a grid value of c, not a
+    # point of the unit segment the pieces are mapped from, nor lane indices
+    code = run(
+        ["scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30",
+         "--rel-tol", "1e-4", "--abs-tol", "1e-4", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    prefix = "error: integration failed: sheet residual exceeded at z = "
+    assert err.startswith(prefix) and "lanes" not in err
+    z, c = err[len(prefix):].rstrip("\n").split(" for c = ")
+    assert complex(z).imag > 0.0
+    assert float(c) in [-9 + k * 13 / 29 for k in range(30)]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_elliptic_record(tmp_path):
     out = tmp_path / "sol.json"
     code = run(

@@ -16,7 +16,9 @@ from dscat.curve import (
     branch_points,
     canonical_paths,
     log_derivative,
+    log_derivative_of,
     rational_rhs,
+    rational_rhs_of,
     transport_w,
     validate_path,
 )
@@ -91,6 +93,24 @@ def test_scalar_branch_offsets_keep_signed_zeros():
     k = branch_offsets(2.0)
     for z in (0.3 + 0.2j, complex(0.4, -0.0), complex(-3.0, 0.0), complex(-0.0, -0.0), -1.7 - 2.2j):
         assert repr(tuple(z + x for x in k)) == repr((z + 1, z - 2.0, z - 1, z + 2.0)), z
+
+
+def test_branch_offsets_follow_the_lane_map():
+    # lane j sees the curve through origin[j] + scale[j] * z
+    a = 2.0
+    origin = np.array([0.0, 0.3 + 0.4j, 1.2 + 0.2j])
+    scale = np.array([1.0, 0.25 - 0.1j, 0.3j])
+    k = branch_offsets(a, scale, origin)
+    for z in (0.0, 0.5, 0.7 + 0.3j):
+        mapped = origin + scale * z
+        assert np.allclose(rational_rhs_of(z, k), [rational_rhs(x, a) for x in mapped], rtol=1e-13)
+        assert np.allclose(
+            log_derivative_of(z, k), scale * [log_derivative(x, a) for x in mapped], rtol=1e-13
+        )
+    # at origin 0 the offsets are those of scale alone, bit for bit
+    real = np.array([0.37, 1.0, 2.9])
+    assert branch_offsets(a, real, 0.0).tobytes() == branch_offsets(a, real).tobytes()
+    assert repr(branch_offsets(a, 1.0, 0.0)) == repr(branch_offsets(a))
 
 
 def test_log_derivative_base_value():

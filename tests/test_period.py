@@ -17,7 +17,7 @@ from dscat.errors import (
 from dscat.linalg2c import ConjugacyKind, mat2c, su11_distance
 from dscat.monodromy import assemble_monodromies, half_path_frames, period_values
 from dscat.curve import CurveParams
-from dscat.transport import DEFAULT_CONFIG
+from dscat.transport import DEFAULT_CONFIG, IntegratorConfig
 from dscat.period import (
     _periods_at,
     bracketed_root,
@@ -106,6 +106,34 @@ def test_scan_validates_a_when_every_point_is_skipped():
     # all three grid points lie in the skip window around c = 0
     with pytest.raises(DomainError):
         scan_c(0.5, -0.005, 0.005, 3)
+
+
+def test_scan_rejects_bad_arguments_with_domain_error():
+    with pytest.raises(DomainError, match="^need --c-min < --c-max$"):
+        scan_c(2.0, 1.0, 0.0, 5)
+    with pytest.raises(DomainError, match="^--steps must be at least 2$"):
+        scan_c(2.0, 0.0, 1.0, 1)
+
+
+def test_scan_pieces_are_no_less_accurate_than_one_piece(monkeypatch):
+    # at a = 5 the whole half path in one lane pass is the least accurate:
+    # its steps follow the hardest lane over the whole path
+    args = (5.0, -12.0, 6.0, 27)
+    reference = scan_c(*args, IntegratorConfig(rel_tol=1e-13))
+    pieces = scan_c(*args)
+    monkeypatch.setattr(period_module, "LANE_BUDGET", 1)
+    whole = scan_c(*args)
+
+    def error(result) -> float:
+        assert [r.c for r in result.records] == [r.c for r in reference.records]
+        assert result.brackets == reference.brackets
+        return max(
+            abs(f - f_ref) / max(1.0, abs(f_ref)) ** 2
+            for rec, ref in zip(result.records, reference.records)
+            for f, f_ref in ((rec.f1, ref.f1), (rec.f2, ref.f2))
+        )
+
+    assert error(pieces) <= error(whole)
 
 
 def test_solve_integrates_each_c_once(monkeypatch):

@@ -29,6 +29,7 @@ from dscat.transport import (
     _joint_field_lanes,
     alpha_matrix,
     integrate_frame,
+    integrate_frames_in_pieces,
     integrate_frames_over_c,
     reference_frame,
     scalar_ode_residual,
@@ -253,6 +254,66 @@ def test_lane_checks_name_the_failing_lanes():
         )
     assert exc.value.lanes == (1,)
     assert isinstance(exc.value, ContinuationError)
+
+
+@pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
+def test_pieces_match_integrate_frame(a):
+    # each half path in 18 pieces, as a 27-point scan block runs it
+    cs = np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
+    paths = canonical_paths(a)
+    for path in (paths.c1, paths.c2):
+        frames, w = integrate_frames_in_pieces(path, a, cs, 18)
+        assert frames.shape == (5, 2, 2) and w.shape == (5,)
+        for c, F, w_end in zip(cs, frames, w):
+            ref = integrate_frame(path, CurveParams(a, float(c)))
+            assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
+            assert abs(w_end - ref.point.w) <= 1e-8 * abs(ref.point.w)
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_one_piece_is_the_whole_path_bit_for_bit(name):
+    a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
+    path = getattr(canonical_paths(a), name)
+    frames, w = integrate_frames_in_pieces(path, a, cs, 1)
+    whole_frames, whole_w = integrate_frames_over_c(path, a, cs)
+    assert frames.tobytes() == whole_frames.tobytes()
+    assert w.tobytes() == whole_w.tobytes()
+
+
+def test_piece_on_the_wrong_sheet_raises():
+    # from w = -1 the continuation is minus the principal root on which the
+    # later pieces start: the second piece starts on the other sheet
+    a, cs = 2.0, np.array([-4.0, 1.0])
+    path = PathSpec(base_point(-1), canonical_paths(a).c2.waypoints)
+    with pytest.raises(ContinuationError, match=r"other sheet at z = \(.+j\) for c = -4\.0$"):
+        integrate_frames_in_pieces(path, a, cs, 6)
+    # the whole path is continued by integration alone
+    F, w = integrate_frames_in_pieces(path, a, cs, 1)
+    ref = integrate_frame(path, CurveParams(a, -4.0))
+    assert np.max(np.abs(F[0] - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
+
+
+def test_piece_checks_name_the_curve_point_and_c(monkeypatch):
+    a, cs = 2.0, np.array([-4.0, 1.0])
+    path = canonical_paths(a).c2
+    loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)
+    with pytest.raises(ContinuationError) as exc:
+        integrate_frames_in_pieces(path, a, cs, 6, loose)
+    assert not isinstance(exc.value, LanesFailed)
+    message = str(exc.value)
+    assert message.startswith("sheet residual exceeded at z = (") and "lanes" not in message
+    # the failing point lies on the curve's path, not on the unit segment
+    z = complex(message.split("z = ")[1].split(" for")[0])
+    assert z.imag > 0.0 and 0.0 < z.real < 4.0
+    # a composed frame off SL(2) fails at the path's end, each piece passing
+    mul = _rk._mul
+    monkeypatch.setattr(_rk, "_mul", lambda x, y: tuple(2.0 * v for v in mul(x, y)))
+    with pytest.raises(ContinuationError, match=r"drift .+ at z = \(4\+0j\) for c = -4\.0$"):
+        integrate_frames_in_pieces(path, a, cs, 6)
+    monkeypatch.undo()
+    monkeypatch.setattr(transport, "TOL_DET", 1e-20)
+    with pytest.raises(ContinuationError, match=r"determinant drift .+ for c = -4\.0$"):
+        integrate_frames_in_pieces(path, a, cs, 6)
 
 
 def _reference_field_lanes(a: float, cs, scale=1.0):

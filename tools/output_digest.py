@@ -56,6 +56,9 @@ COMMANDS = (
     *(("mesh", "--a", "2", "--c", c, *MESH) for c in ROOTS),
     *(("scan", "--a", a, "--c-min", "-9", "--c-max", "4", "--steps", "2600",
        "--out", "{d}/scan.csv") for a in ("1.5", "2", "3")),
+    # a block shaped like the benchmark's scan ops, whose half paths run in pieces
+    ("scan", "--a", "3", "--c-min", "-9", "--c-max", "-6.4", "--steps", "27",
+     "--out", "{d}/scan.csv"),
     *(("solve", "--a", "2", "--c0", lo, "--c1", hi, "--json", "{d}/solve.json")
       for lo, hi in BRACKETS),
     # error paths: the step limit (exit 3); a PathError, since at a = 1.2 the
