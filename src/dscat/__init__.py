@@ -75,7 +75,6 @@ from .transport import (
     DEFAULT_CONFIG,
     FrameState,
     IntegratorConfig,
-    alpha_matrix,
     integrate_frame,
     reference_frame,
     scalar_ode_residual,

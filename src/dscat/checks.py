@@ -12,12 +12,12 @@ solution.  The 8 x 12 mesh of geometry-invariants, which reads only the
 solution and the integrator settings, is built in the worker process of
 _worker.pair while this process runs every other check; geometry-invariants
 then reads the mesh.  At the two a = 2 roots c = -1.526035 and 1.26988, the
-mesh (the worker's share) takes 100-185 ms and the other 17 checks of
-`verify --deep` (the caller's share) 125-215 ms, medians of 9 runs each on
-one core of a shared 2-core machine.  Timed in the same process, the mesh
-takes 81-91% of the time of the other checks, so the worker has the shorter
-share, as _worker asks.  Without a solution no mesh is needed, and the checks
-run serially here.
+mesh (the worker's share) takes 178-194 ms and the other 17 checks of
+`verify --deep` (the caller's share) 135-150 ms, 7 runs each in one process
+pinned to one core of a shared 2-core machine.  So the worker has the longer
+share, against _worker's advice, and the caller waits 40-50 ms for it; the
+pair still takes the mesh's time, not the sum.  Without a solution no mesh is
+needed, and the checks run serially here.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ def _det_preservation(ctx: CheckContext):
 
 def _scalar_residual(ctx: CheckContext):
     worst = max(
-        transport.row_equation_residual(ctx.states("c1"), ctx.params, 50),
-        transport.row_equation_residual(ctx.states("c2"), ctx.params, 50),
+        transport.row_equation_residual(ctx.states("c1"), ctx.params),
+        transport.row_equation_residual(ctx.states("c2"), ctx.params),
     )
     return worst <= 1e-8, f"max row equation residual = {worst:.3e}"
 
@@ -315,18 +315,16 @@ def _geometry_invariants(ctx: CheckContext):
 
 
 def _reference_agreement(ctx: CheckContext):
-    # RK4 at 20 000 steps is accurate to rounding.  On c1 and c2 at the four
-    # a = 2 roots and at c = 5.333170, halving the step from 1000 to 4000
-    # steps cuts the change 16-fold, as a fourth-order error should, which
-    # puts the truncation error at 20 000 steps near 1e-15 of max(1, |F|);
-    # 20 000 and 40 000 steps differ by at most 2.1e-12, all of it rounding.
-    # The deviation is then the adaptive DP5 frames' own error: 2.4e-12 to
-    # 6.0e-11 there at rel_tol 1e-10.  1e-8, 170 times the largest, passes
-    # those and flags frames that have lost two digits more.
+    # On c1 and c2 at the four a = 2 roots and at c = 5.333170, RK4 at
+    # reference_frame's 4000 steps is within 2.2e-12 of max(1, |F|) of RK4 at
+    # 40 000, so the deviation is the adaptive DP5 frames' own error: 2.5e-12
+    # to 6.0e-11 at rel_tol 1e-10, within 3.4e-13 of that from 20 000 steps
+    # (1.945e-11 against 1.944e-11 at c = -1.526035) at a quarter of the cost.
+    # 1e-8, 170 times the largest, flags frames that have lost two digits more.
     h = ctx.half_paths()
     worst = 0.0
     for path, adaptive in ((ctx.paths.c1, h.F_c1), (ctx.paths.c2, h.F_c2)):
-        reference = transport.reference_frame(path, ctx.params, n_steps=20_000).F
+        reference = transport.reference_frame(path, ctx.params).F
         scale = max(1.0, float(np.max(np.abs(adaptive))))
         worst = max(worst, float(np.max(np.abs(adaptive - reference))) / scale)
     return worst <= 1e-8, f"max scaled deviation = {worst:.3e}"

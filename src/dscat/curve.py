@@ -1,10 +1,12 @@
 """The hyperelliptic curve w^2 = (z+1)(z-a) / ((z-1)(z+a)) and its canonical paths.
 
 The curve is a twice punctured torus for a > 1 (branch points at +-1 and +-a,
-punctures over z = infinity on both sheets).  The sheet is tracked by
-integrating the closed-form logarithmic derivative of w rather than by picking
-square-root branches, so no branch-cut bookkeeping is needed; the residual
-|w^2 - R(z)| serves as an independent correctness monitor.
+punctures over z = infinity on both sheets).  w is continued along a polyline
+in closed form, segment by segment (continue_w): on a segment that clears the
+branch points the integral of d(log w) = L(z) dz is a sum of principal
+logarithms, so no branch cut is tracked and nothing is integrated.  The frame
+kernels integrate w jointly with the frame instead, and there the residual
+|w^2 - R(z)| is the monitor that w stays on the curve.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rk
 from .errors import ContinuationError, DomainError, PathError
 
 # Minimum distance every path segment must keep from a branch point.
@@ -29,11 +30,6 @@ TOL_SHEET = 1e-8
 ARC_LIFT = 0.8
 # End loops run along the circle |z| = END_LOOP_FACTOR * a.
 END_LOOP_FACTOR = 3.0
-# transport_w's settings: the default step limit and initial step, and for w
-# alone, cheaply, tolerances 100 times tighter than the frame's default.  w on
-# gamma1-3 and the end loop then closes to 1.9e-12 at a = 1.5, 2 and 3, far below
-# the sheet-closure check's bound of 1e-8, against 2.4e-10 at the frame's default.
-W_TOLERANCES = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 def check_branch_parameter(a: float) -> None:
@@ -198,27 +194,33 @@ def end_point(path: PathSpec, w: complex, a: float) -> CurvePoint:
     return end
 
 
-def transport_w(path: PathSpec, a: float) -> CurvePoint:
-    """Continue w along the path on the curve of a by integrating w' = w L(z)
-    at W_TOLERANCES.
+def continue_w(waypoints, w, k):
+    """w continued from waypoints[0] along the polyline to its last vertex,
+    in closed form: the one statement of how w continues.
 
-    The endpoint must satisfy the sheet invariant; the residual is also
-    monitored at every accepted step by sheet_monitor.  L(z) is
-    log_derivative_of without log_derivative's branch-distance guard, as in
-    transport._joint_field: validate_path has cleared every segment, so the
-    guard could not fire.
+    On a segment p -> q the integral of dz / (z + k_i) is
+    Log((q + k_i) / (p + k_i)), principal, since a segment that stays clear
+    of the branch point -k_i subtends an angle of less than pi there.  So
+    w(q) = w(p) sqrt(r0) sqrt(r1) / (sqrt(r2) sqrt(r3)) with
+    r_i = (q + k_i) / (p + k_i) and principal roots.  k is branch_offsets
+    output: a tuple, with w a complex number, or a (4, n) array, with w one
+    value or n, one per lane; an affine lane map leaves the ratios as they
+    are.  The segments must clear the branch points (validate_path).
     """
+    sqrt = cmath.sqrt if isinstance(k, tuple) else np.sqrt
+    for p, q in zip(waypoints[:-1], waypoints[1:]):
+        r0, r1, r2, r3 = ((q + x) / (p + x) for x in k)
+        w = w * (sqrt(r0) * sqrt(r1) / (sqrt(r2) * sqrt(r3)))
+    return w
+
+
+def transport_w(path: PathSpec, a: float) -> CurvePoint:
+    """The end point of path on the curve of a, w continued by continue_w
+    from path.start after validate_path; end_point checks that it lies on
+    the curve."""
     check_branch_parameter(a)
     validate_path(path, a)
-    k = branch_offsets(a)
-
-    def field(z, u, y):
-        return (y[0] * log_derivative_of(z, k) * u,)
-
-    (w_end,) = _rk.integrate_polyline(
-        path.waypoints, (path.start.w,), field, cfg=W_TOLERANCES, on_step=sheet_monitor(a)
-    )
-    return end_point(path, w_end, a)
+    return end_point(path, continue_w(path.waypoints, path.start.w, branch_offsets(a)), a)
 
 
 @dataclass(frozen=True)

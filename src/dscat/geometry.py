@@ -228,14 +228,14 @@ def _ring_radii(a: float, nu: int, r_out: float) -> list:
     return sorted(set(radii))
 
 
-def _arc_waypoints(start: complex, r: float, u0: float, u1: float) -> tuple:
-    """Counterclockwise polyline along |z| = r from angle u0 to u1 > u0.
+def _arc_waypoints(start: complex, u0: float, u1: float) -> tuple:
+    """Counterclockwise polyline along |z| = 1 from angle u0 to u1 > u0.
 
     The first vertex reuses the exact current point so consecutive chunks
     chain without floating-point mismatch.
     """
     n = max(1, int(math.ceil((u1 - u0) / (math.pi / 48))))
-    tail = tuple(r * cmath.exp(1j * (u0 + (u1 - u0) * j / n)) for j in range(1, n + 1))
+    tail = tuple(cmath.exp(1j * (u0 + (u1 - u0) * j / n)) for j in range(1, n + 1))
     return (start,) + tail
 
 
@@ -393,7 +393,7 @@ def _unit_legs(angles: list, order: list) -> list:
     prev_u = math.pi / 2
     for k in order:
         u = math.pi / 2 + (angles[k] - math.pi / 2) % (2 * math.pi)
-        legs.append(_arc_waypoints(legs[-1][-1], 1.0, prev_u, u))
+        legs.append(_arc_waypoints(legs[-1][-1], prev_u, u))
         prev_u = u
     return legs
 

@@ -24,6 +24,11 @@ from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frame
 # over [-9, 4] at a = 1.5, 2 and 3); 1e-7 leaves room for the rounding of a
 # rearranged formula and catches any frame or formula bug.
 TOL_FORM = 1e-7
+# A loop's w, on the curve by integrate_frame's end check, is +-w_start; the
+# bound on |w_end - w_start| / (1 + |w_start|) tells the two apart.  gamma1-3
+# and the end loops close to 7.1e-12 at the four a = 2 roots at rel_tol 1e-10,
+# and the other sheet lies near 1, so 1e-6 is far from both.
+TOL_LOOP_CLOSURE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ def direct_loop_holonomy(
     if not loop.closed:
         raise ContinuationError("holonomy requires a closed loop")
     state = integrate_frame(loop, params, cfg=cfg, on_step=on_step)
-    if abs(state.point.w - loop.start.w) > 1e-6 * (1.0 + abs(loop.start.w)):
+    if abs(state.point.w - loop.start.w) > TOL_LOOP_CLOSURE * (1.0 + abs(loop.start.w)):
         raise ContinuationError(
             f"loop did not close on the curve (w drift {abs(state.point.w - loop.start.w):.3e})"
         )

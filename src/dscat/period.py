@@ -160,7 +160,7 @@ def scan_c(
     paths = canonical_paths(a)  # validates a even when every grid point is skipped
     spacing = (c_max - c_min) / (steps - 1)
     grid = [c_min + k * spacing for k in range(steps)]
-    live = [k for k, c in enumerate(grid) if not (abs(c) < SKIP_HALFWIDTH or c == 0.0)]
+    live = [k for k, c in enumerate(grid) if not abs(c) < SKIP_HALFWIDTH]
     kept: dict = {}  # grid index -> record, for the grid points not skipped
     for lo in range(0, len(live), SCAN_BLOCK):
         block = live[lo:lo + SCAN_BLOCK]

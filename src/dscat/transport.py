@@ -21,6 +21,7 @@ from .curve import (
     CurvePoint,
     PathSpec,
     branch_offsets,
+    continue_w,
     end_point,
     log_derivative,
     log_derivative_of,
@@ -41,17 +42,6 @@ TOL_DET = 1e-9
 class FrameState:
     point: CurvePoint
     F: np.ndarray
-
-
-def alpha_matrix(p: CurvePoint, c: float) -> np.ndarray:
-    """Coefficient of dz in the frame equation: c [[1, -w], [1/w, -1]].
-
-    Trace is exactly zero and the matrix is rank one (nilpotent).
-    """
-    if p.w == 0:
-        raise DomainError("alpha is singular where w = 0")
-    w = p.w
-    return np.array([[c, -c * w], [c / w, -c]], dtype=complex)
 
 
 def _joint_field(a: float, c: float):
@@ -255,12 +245,10 @@ def integrate_frames_in_pieces(
     initial_step is a fraction of each piece and max_steps bounds the steps
     the one pass shares.
 
-    The first piece starts at path.start.w, each later one at the principal
-    square root of R at its start, and the previous piece's integrated end
-    value must be nearer to that than to its negative, else
-    ContinuationError: integration still decides the sheet.  The principal
-    root is the continuation on the canonical half paths, since R maps the
-    upper half plane, where they run, into itself.  The lanes keep the checks
+    Each piece starts at the value of w continued in closed form
+    (curve.continue_w) from path.start to its first point, and the previous
+    piece's integrated end value must be nearer to that than to its
+    negative, else ContinuationError.  The lanes keep the checks
     of integrate_frames_over_c after validate_path on the whole path, and
     each composed frame's determinant drift is checked too.  A failed check
     raises ContinuationError naming the point of the curve and the c of the
@@ -273,8 +261,9 @@ def integrate_frames_in_pieces(
             return integrate_frames_over_c(path, a, cs, cfg)
         validate_path(path, a)
         start, n = points[:-1], cs.size
-        w0 = np.sqrt(rational_rhs_of(start, branch_offsets(a)))
-        w0[0] = path.start.w
+        # w's factor over each piece: the unit segment through the piece's lane map
+        steps = continue_w((0.0, 1.0), 1.0, branch_offsets(a, np.diff(start), start[:-1]))
+        w0 = path.start.w * np.cumprod(np.concatenate(([1.0], steps)))
         unit = PathSpec(CurvePoint(0j, w0[0]), (0j, 1 + 0j))
         F, w = integrate_frames_over_c(
             unit, a, np.tile(cs, start.size), cfg, w0=np.repeat(w0, n),

@@ -15,6 +15,7 @@ from dscat.curve import (
     branch_offsets,
     branch_points,
     canonical_paths,
+    continue_w,
     log_derivative,
     log_derivative_of,
     rational_rhs,
@@ -24,8 +25,7 @@ from dscat.curve import (
 )
 from dscat.errors import DomainError, PathError
 
-# transport_w's settings, stated apart from curve.W_TOLERANCES
-W_CFG = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
 
 
 def test_params_validation():
@@ -140,57 +140,68 @@ def test_log_derivative_matches_transported_w():
     assert abs(dw / w_at(z0) - log_derivative(z0, a)) < 1e-8
 
 
-def test_transport_w_matches_guarded_field(monkeypatch):
-    # transport_w inlines L(z) without log_derivative's branch guard; its end
-    # point and every accepted state must equal, bit for bit, an integration
-    # of the field written with the guarded log_derivative.
-    a = 2.0
-    paths = canonical_paths(a)
-    probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
-    integrate = _rk.integrate_polyline
+DP5_CFG = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
-    def recorded(states):
-        def run(waypoints, y0, field, *, on_step, **kwargs):
-            def hook(z, y):
-                states.append((z, y))
-                on_step(z, y)
 
-            return integrate(waypoints, y0, field, on_step=hook, **kwargs)
+def test_transport_w_matches_guarded_field():
+    # continue_w's closed form against w' = w L(z) integrated by DP5 with the
+    # guarded L at rel_tol 1e-12: they differ by at most 4.5e-12 of |w| (gamma2
+    # at a = 5), the DP5 route's own error, and the closed form stays on the
+    # curve to rounding
+    for a in (1.3, 2.0, 5.0):
+        paths = canonical_paths(a)
+        probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
 
-        return run
+        def field(z, u, y):
+            return (y[0] * log_derivative(z, a) * u,)
 
-    def guarded(z, u, y):
-        return (y[0] * log_derivative(z, a) * u,)
-
-    for path in (paths.gamma1, paths.gamma2, paths.gamma3, probe):
-        inlined, reference = [], []
-        with monkeypatch.context() as m:
-            m.setattr(_rk, "integrate_polyline", recorded(inlined))
-            end = transport_w(path, a)
-        (w_ref,) = integrate(
-            path.waypoints, (path.start.w,), guarded, cfg=W_CFG,
-            on_step=lambda z, y: reference.append((z, y)),
-        )
-        assert len(inlined) > 10
-        assert inlined == reference
-        assert end.w == w_ref
+        for path in [getattr(paths, name) for name in PATH_NAMES] + [probe]:
+            w = continue_w(path.waypoints, path.start.w, branch_offsets(a))
+            (w_ref,) = _rk.integrate_polyline(path.waypoints, (path.start.w,), field, cfg=DP5_CFG)
+            assert abs(w - w_ref) <= 1e-11 * abs(w_ref)
+            assert abs(w * w - rational_rhs(path.waypoints[-1], a)) <= 1e-14
+            assert transport_w(path, a).w == w
 
 
 def test_transport_w_ends_equal_the_inline_reference():
-    # the field as transport_w wrote it before it called log_derivative_of
+    # the field as transport_w wrote it inline when it still integrated: its
+    # DP5 end values agree with transport_w's closed form to 1.6e-12 of |w| at
+    # a = 2, and transport_w ends at the path's last waypoint
     a = 2.0
     paths = canonical_paths(a)
 
     def field(z, u, y):
         return (y[0] * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,)
 
-    names = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
     probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
-    for path in [getattr(paths, name) for name in names] + [probe]:
-        (w_ref,) = _rk.integrate_polyline(
-            path.waypoints, (path.start.w,), field, cfg=W_CFG
-        )
-        assert repr(transport_w(path, a).w) == repr(w_ref)
+    for path in [getattr(paths, name) for name in PATH_NAMES] + [probe]:
+        (w_ref,) = _rk.integrate_polyline(path.waypoints, (path.start.w,), field, cfg=DP5_CFG)
+        end = transport_w(path, a)
+        assert end.z == path.waypoints[-1]
+        assert abs(end.w - w_ref) <= 1e-11 * abs(w_ref)
+
+
+def test_continue_w_lanes_follow_the_lane_map():
+    # per-lane offsets of the lane map origin + scale * z: lane j's unit
+    # segment 0 -> 1 is the segment from cut point j to cut point j + 1
+    a = 2.0
+    points = np.array(canonical_paths(a).gamma1.waypoints)
+    k = branch_offsets(a, np.diff(points), points[:-1])
+    lanes = continue_w((0.0, 1.0), 1.0, k)
+    one_by_one = [continue_w((p, q), 1.0, branch_offsets(a)) for p, q in zip(points[:-1], points[1:])]
+    assert np.allclose(lanes, one_by_one, rtol=1e-14, atol=0.0)
+    # around gamma1 w changes sheet at z1 and comes back at -z1
+    assert abs(np.prod(lanes[:4]) + 1.0) < 1e-15 and abs(np.prod(lanes) - 1.0) < 1e-15
+
+
+def test_transport_w_integrates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("transport_w ran an integrator")
+
+    for name in ("integrate_polyline", "integrate_polyline_lanes", "integrate_polyline_rk4"):
+        monkeypatch.setattr(_rk, name, refuse)
+    for path in (getattr(canonical_paths(2.0), name) for name in PATH_NAMES):
+        transport_w(path, 2.0)
 
 
 def test_transport_constant_path():

@@ -242,7 +242,8 @@ def _per_node_mesh(sol, nu, nv):
             prev_u = math.pi / 2
             for k in order:
                 u = math.pi / 2 + (angles[k] - math.pi / 2) % (2 * math.pi)
-                wp = geometry._arc_waypoints(state.point.z, r, prev_u, u)
+                arc = geometry._arc_waypoints(state.point.z, prev_u, u)
+                wp = (state.point.z,) + tuple(r * z for z in arc[1:])
                 state = integrate_frame(PathSpec(state.point, wp), params, F0=state.F)
                 prev_u = u
                 X = immerse(state.F)

@@ -114,6 +114,14 @@ def test_holonomy_requires_closed_loop():
         direct_loop_holonomy(canonical_paths(params.a).c1, params)
 
 
+def test_loop_around_one_branch_point_does_not_close():
+    # w changes sheet around z = 1 alone: it ends at -w_start
+    params = CurveParams(2.0, 1.0)
+    loop = PathSpec(base_point(+1), (0j, 1.0 + 0.5j, 1.5 + 0j, 1.0 - 0.5j, 0j), closed=True)
+    with pytest.raises(ContinuationError, match=r"did not close on the curve \(w drift 2\.0"):
+        direct_loop_holonomy(loop, params)
+
+
 def test_period_functions_reality_and_convergence():
     params = CurveParams(2.0, -1.0)
     h = half_path_frames(params)

@@ -27,36 +27,12 @@ from dscat.transport import (
     IntegratorConfig,
     _joint_field,
     _joint_field_lanes,
-    alpha_matrix,
     integrate_frame,
     integrate_frames_in_pieces,
     integrate_frames_over_c,
     reference_frame,
     scalar_ode_residual,
 )
-
-
-def test_alpha_matrix_at_base():
-    alpha = alpha_matrix(base_point(+1), 1.0)
-    assert np.allclose(alpha, np.array([[1, -1], [1, -1]]))
-
-
-def test_alpha_matrix_structure():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        w = complex(rng.normal(), rng.normal())
-        if abs(w) < 0.1:
-            continue
-        c = float(rng.normal())
-        alpha = alpha_matrix(CurvePoint(0.3 + 0.2j, w), c)
-        assert alpha[0, 0] + alpha[1, 1] == 0  # exactly trace free
-        det = alpha[0, 0] * alpha[1, 1] - alpha[0, 1] * alpha[1, 0]
-        assert abs(det) < 1e-14 * max(1.0, abs(c) ** 2)
-
-
-def test_alpha_rejects_zero_w():
-    with pytest.raises(DomainError):
-        alpha_matrix(CurvePoint(0.5j, 0j), 1.0)
 
 
 def test_tiny_c_keeps_frame_constant():
@@ -280,17 +256,44 @@ def test_one_piece_is_the_whole_path_bit_for_bit(name):
     assert w.tobytes() == whole_w.tobytes()
 
 
-def test_piece_on_the_wrong_sheet_raises():
-    # from w = -1 the continuation is minus the principal root on which the
-    # later pieces start: the second piece starts on the other sheet
+@pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
+@pytest.mark.parametrize("name", ["gamma1", "end_loop_plus", "end_loop_minus"])
+def test_pieces_around_loops_match_integrate_frame(a, name):
+    # the loops leave the upper half plane, where w is not the principal root
+    # of R.  The reference runs at rel_tol 1e-12: at a = 5 the default leaves
+    # integrate_frame 1.4e-8 off (the pieces 5.6e-10).  At a = 5 and c = -9
+    # the end loops' frames leave SL(2) even at rel_tol 1e-13.
+    cs = np.array([-4.0, -0.5, 2.0, 4.0])
+    path = getattr(canonical_paths(a), name)
+    tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    frames, w = integrate_frames_in_pieces(path, a, cs, 18)
+    for c, F, w_end in zip(cs, frames, w):
+        ref = integrate_frame(path, CurveParams(a, float(c)), cfg=tight)
+        assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
+        assert abs(w_end - path.start.w) <= 1e-8
+
+
+def test_piece_on_the_wrong_sheet_raises(monkeypatch):
+    # from w = -1 every piece starts on the sheet of w = -1: the pieces equal
+    # the whole path
     a, cs = 2.0, np.array([-4.0, 1.0])
     path = PathSpec(base_point(-1), canonical_paths(a).c2.waypoints)
+    F, w = integrate_frames_in_pieces(path, a, cs, 6)
+    for c, F_c, w_c in zip(cs, F, w):
+        ref = integrate_frame(path, CurveParams(a, float(c)))
+        assert np.max(np.abs(F_c - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
+        assert abs(w_c - ref.point.w) <= 1e-8
+    # a piece started on the other sheet fails the previous piece's arrival
+    continue_w = transport.continue_w
+
+    def negated_third(*args):
+        steps = continue_w(*args)
+        steps[2] = -steps[2]
+        return steps
+
+    monkeypatch.setattr(transport, "continue_w", negated_third)
     with pytest.raises(ContinuationError, match=r"other sheet at z = \(.+j\) for c = -4\.0$"):
         integrate_frames_in_pieces(path, a, cs, 6)
-    # the whole path is continued by integration alone
-    F, w = integrate_frames_in_pieces(path, a, cs, 1)
-    ref = integrate_frame(path, CurveParams(a, -4.0))
-    assert np.max(np.abs(F[0] - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
 
 
 def test_piece_checks_name_the_curve_point_and_c(monkeypatch):
