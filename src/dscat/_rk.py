@@ -1,44 +1,39 @@
 """Adaptive Dormand-Prince 5(4) integrator for complex ODE systems along polylines.
 
 Both adaptive kernels run one step controller, _drive, and differ only in the
-step function they hand it: _dp5_step5 or _dp5_step for integrate_polyline,
-_lane_step for integrate_polyline_lanes.  Their settings are one
-IntegratorConfig, cfg, defined here with its defaults in DEFAULT_CONFIG.
+step function they hand it: _dp5_step5 for integrate_polyline, _lane_step for
+integrate_polyline_lanes.  Their settings are one IntegratorConfig, cfg,
+defined here with its defaults in DEFAULT_CONFIG.
 
-State vectors of integrate_polyline are plain tuples of Python complex numbers.
-The kernels convert the start state on entry: a numpy complex scalar there (an
-entry of a frame array, say) would carry every later operation on that
-component into numpy's scalar arithmetic, which is slower than Python's.
-numpy arrays are avoided in the step loop for the same reason: the systems are
-tiny and scalar arithmetic is an order of magnitude faster than small-array
-operations.
-
-The five-component state of the frame transport (F11, F12, F21, F22, w) has
-its DP5 step written out per component (_dp5_step5); other sizes run the
-per-component loop of _dp5_step.  The written-out step repeats the loop's
-floating-point operations in the loop's order, so the two give the same steps
-and endpoints bit for bit: floating-point arithmetic is not associative, and
+integrate_polyline integrates the five-component state of the frame transport,
+(F11, F12, F21, F22, w), as a plain tuple of Python complex numbers.  It
+converts the start state on entry: a numpy complex scalar there (an entry of
+a frame array, say) would carry every later operation on that component into
+numpy's scalar arithmetic, which is slower than Python's.  numpy arrays are
+avoided in the step loop for the same reason: the system is tiny and scalar
+arithmetic is an order of magnitude faster than small-array operations.  Its
+DP5 step, _dp5_step5, is written out per component, and each stage sum keeps
+the order of the per-component loop it replaced, which the tests keep as its
+bit-for-bit reference: floating-point arithmetic is not associative, and
 regrouping a stage sum or a product (h * (A * k) for (h * A) * k, say) would
 move results in the last digits and, through the step-size controller, change
 which steps are taken.
 
 integrate_polyline_lanes runs the same scheme on many independent copies of
 one system ("lanes") at once, where numpy's per-call overhead is shared by all
-lanes.
+lanes.  It takes any number of components.
 
-integrate_polyline_rk4, the fixed-step reference, uses that the frame
-equation is linear.  For dF/ds = M(z, w) F and dw/ds = r(z) w, one classical
-RK4 step on the joint state (F, w) is w -> rho_n w and F -> T_n F: rho_n and
-the stage values of w, w times factors s_i, depend on the step alone, and T_n
-is the RK4 step of the frame equation with M at those stage values.  So a
-block of steps is computed at once in numpy: the factors from r at the stage
-points, w at each step by a cumulative product of the rho_n, the T_n, and
-their product by pairwise reduction, carried from block to block.  This is
-the RK4 scheme step for step, with the rounding in another order, and it
-stays independent of the adaptive kernels: a fixed step grid, no step
-control, and a different method.  Its 2 x 2 products are written out by
-component, not left to numpy's matrix product, for the reason given at
-_STAGE_W.
+integrate_polyline_rk4, the fixed-step reference, integrates a linear system
+dF/ds = M(z) F for a 2 x 2 matrix F, M being given in closed form along the
+path: for the frame equation, with w continued by curve.continue_w.  One
+classical RK4 step is then F -> T_n F, T_n depending on the step alone, so a
+block of steps is computed at once in numpy: M at the steps' end points and
+midpoints, the T_n, and their product by pairwise reduction, carried from
+block to block.  This is the RK4 scheme step for step, with the rounding in
+another order, and it stays independent of the adaptive kernels: a fixed step
+grid, no step control, and a different method.  Its 2 x 2 products are
+written out by component, not left to numpy's matrix product, for the reason
+given at _STAGE_W.
 """
 
 from __future__ import annotations
@@ -123,16 +118,15 @@ def integrate_polyline(
     cfg: IntegratorConfig = DEFAULT_CONFIG,
     on_step: Monitor | None = None,
 ) -> tuple:
-    """Integrate dy/ds = field(z, u, y) along the polyline, s being arc length.
+    """Integrate dy/ds = field(z, u, y) along the polyline, s being arc length,
+    for the five-component state y of the frame transport.
 
     z is the current point of the polyline and u the unit direction of the
     active segment, so a holomorphic field G(z) enters as field = G(z(s)) * u.
     on_step, when given, is called with (z, y) after every accepted step.
     Returns the final state tuple.
     """
-    y = tuple(complex(v) for v in y0)
-    step = _dp5_step5 if len(y) == 5 else _dp5_step
-    return _drive(waypoints, y, field, step, cfg, on_step)
+    return _drive(waypoints, tuple(complex(v) for v in y0), field, _dp5_step5, cfg, on_step)
 
 
 def _drive(waypoints, y, field, step, cfg, on_step):
@@ -173,49 +167,9 @@ def _drive(waypoints, y, field, step, cfg, on_step):
     return y
 
 
-def _dp5_step(field, z0, u, h, y, k1, rel_tol, abs_tol):
-    """One DP5 step from (z0, y) of length h: (ynew, k7, err), err being the
-    RMS of the scaled component errors."""
-    n = len(y)
-    y2 = tuple(y[i] + h * _A21 * k1[i] for i in range(n))
-    k2 = field(z0 + 0.2 * h * u, u, y2)
-    y3 = tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n))
-    k3 = field(z0 + 0.3 * h * u, u, y3)
-    y4 = tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n))
-    k4 = field(z0 + 0.8 * h * u, u, y4)
-    y5 = tuple(
-        y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-        for i in range(n)
-    )
-    k5 = field(z0 + (8 / 9) * h * u, u, y5)
-    y6 = tuple(
-        y[i]
-        + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-        for i in range(n)
-    )
-    k6 = field(z0 + h * u, u, y6)
-    ynew = tuple(
-        y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-        for i in range(n)
-    )
-    k7 = field(z0 + h * u, u, ynew)
-    err_sq = 0.0
-    for i in range(n):
-        e_i = h * (
-            _E1 * k1[i]
-            + _E3 * k3[i]
-            + _E4 * k4[i]
-            + _E5 * k5[i]
-            + _E6 * k6[i]
-            + _E7 * k7[i]
-        )
-        sc = abs_tol + rel_tol * max(abs(y[i]), abs(ynew[i]))
-        err_sq += (abs(e_i) / sc) ** 2
-    return ynew, k7, math.sqrt(err_sq / n)
-
-
 def _dp5_step5(field, z0, u, h, y, k1, rel_tol, abs_tol):
-    """_dp5_step written out for five components, in the same operation order.
+    """One DP5 step from (z0, y) of length h: (ynew, k7, err), err being the
+    RMS of the scaled component errors.
 
     The components of k1 ... k7 are a0-a4 ... g0-g4; v0-v4 is the new state
     and x0-x4 the error estimate.
@@ -350,33 +304,26 @@ def _lane_step(y0: np.ndarray):
 def integrate_polyline_rk4(
     waypoints: Sequence[complex],
     F0: np.ndarray,
-    w0: complex,
-    rate: Callable[[np.ndarray, complex], np.ndarray],
-    matrix: Callable[[np.ndarray, complex, np.ndarray], tuple],
+    matrix: Callable[[int, np.ndarray, complex], tuple],
     n_steps: int,
-) -> tuple:
+) -> np.ndarray:
     """Fixed-step classical RK4 along the polyline, n_steps over total arc
-    length, for the linear system dF/ds = M F, dw/ds = r w with F a 2 x 2
-    matrix and w a scalar.
+    length, for the linear system dF/ds = M F with F a 2 x 2 matrix.
 
-    rate(z, u) returns r at the points z (an array) of the segment with unit
-    direction u, and matrix(z, u, w) the components (m11, m12, m21, m22) of M
-    there, w being the values of w at those points; either may return a
-    scalar for a coefficient that is constant.  A segment of length L takes
+    matrix(i, z, u) returns the components (m11, m12, m21, m22) of M at the
+    points z (an array) of segment i, whose unit direction is u; a component
+    that is constant may be a scalar.  A segment of length L takes
     m = ceil(L / h) steps of length L / m, h being total / n_steps, run in
-    blocks of RK4_BLOCK steps.  Returns the end frame as a (2, 2) complex array and the
-    end value of w; a path of zero length returns the start state.
+    blocks of RK4_BLOCK steps.  Returns the end frame as a (2, 2) complex
+    array; a path of zero length returns the start frame and never calls
+    matrix.
 
     Serves as an independent reference for self-convergence checks; shares no
     step-control logic with the adaptive scheme.
     """
-    f11, f12, f21, f22 = (complex(v) for v in np.reshape(F0, 4))
-    w = complex(w0)
-    total = sum(abs(q - p) for p, q in zip(waypoints[:-1], waypoints[1:]))
-    if total == 0.0:
-        return np.array([[f11, f12], [f21, f22]]), w
-    h_target = total / n_steps
-    for p, q in zip(waypoints[:-1], waypoints[1:]):
+    f = tuple(complex(v) for v in np.reshape(F0, 4))
+    h_target = sum(abs(q - p) for p, q in zip(waypoints[:-1], waypoints[1:])) / n_steps
+    for i, (p, q) in enumerate(zip(waypoints[:-1], waypoints[1:])):
         seg = q - p
         seg_len = abs(seg)
         if seg_len == 0.0:
@@ -385,50 +332,27 @@ def integrate_polyline_rk4(
         m = max(1, int(math.ceil(seg_len / h_target)))
         h = seg_len / m
         for j in range(0, m, RK4_BLOCK):
-            t, w = _rk4_transfer(p, u, h, j, min(m, j + RK4_BLOCK), w, rate, matrix)
-            t11, t12, t21, t22 = _chain_product(t)
-            f11, f12, f21, f22 = (
-                t11 * f11 + t12 * f21,
-                t11 * f12 + t12 * f22,
-                t21 * f11 + t22 * f21,
-                t21 * f12 + t22 * f22,
-            )
-    return np.array([[f11, f12], [f21, f22]]), w
+            t = _rk4_transfer(matrix, i, p, u, h, j, min(m, j + RK4_BLOCK))
+            f = _mul(_chain_product(t), f)
+    return np.array(f).reshape(2, 2)
 
 
-def _rk4_transfer(p, u, h, j0, j1, w, rate, matrix):
-    """Transfer matrices of the RK4 steps j0 ... j1 - 1 of length h along the
-    segment from p in direction u, the first of them starting from w.
-
-    Returns (t11, t12, t21, t22), arrays over the steps, and w after the last
-    step.  Step n maps (F, w_n) to (T_n F, rho_n w_n): the stage values of w
-    are w_n times factors that depend on the step only, and T_n is the RK4
-    step of the frame equation with M taken at those stage values.
-    """
+def _rk4_transfer(matrix, i, p, u, h, j0, j1):
+    """Transfer matrices T_n of the RK4 steps j0 ... j1 - 1 of length h along
+    segment i from p in direction u, as (t11, t12, t21, t22), arrays over the
+    steps.  M is evaluated once at the steps' end points, which neighbouring
+    steps share, and once at their midpoints, which stages 2 and 3 share."""
     hh = 0.5 * h
     h6 = h / 6
     z = p + (np.arange(j0, j1 + 1) * h) * u  # the steps' end points
-    z0, z1 = z[:-1], z[1:]
-    zm = z0 + hh * u
-    r = np.broadcast_to(rate(z, u), z.shape)
-    r0, r1 = r[:-1], r[1:]
-    rm = rate(zm, u)
-    # w's stage values are w_n times 1, s2, s3 and s4, and its stage
-    # derivatives w_n times r0, k2, k3 and r1 s4.
-    s2 = 1 + hh * r0
-    k2 = rm * s2
-    s3 = 1 + hh * k2
-    k3 = rm * s3
-    s4 = 1 + h * k3
-    rho = 1 + h6 * (r0 + 2 * k2 + 2 * k3 + r1 * s4)
-    wn = np.cumprod(np.concatenate(([w], rho[:-1])))  # w_{n+1} = rho_n w_n
-    p1 = matrix(z0, u, wn)
-    p2 = _mul(matrix(zm, u, wn * s2), _shifted(hh, p1))
-    p3 = _mul(matrix(zm, u, wn * s3), _shifted(hh, p2))
-    p4 = _mul(matrix(z1, u, wn * s4), _shifted(h, p3))
+    ends = np.broadcast_arrays(*matrix(i, z, u), z)[:4]
+    mid = matrix(i, z[:-1] + hh * u, u)
+    p1 = tuple(x[:-1] for x in ends)
+    p2 = _mul(mid, _shifted(hh, p1))
+    p3 = _mul(mid, _shifted(hh, p2))
+    p4 = _mul(tuple(x[1:] for x in ends), _shifted(h, p3))
     t11, t12, t21, t22 = (h6 * (a + 2 * b + 2 * c + d) for a, b, c, d in zip(p1, p2, p3, p4))
-    t = np.broadcast_arrays(t11 + 1, t12, t21, t22 + 1, z0)[:4]
-    return t, complex(wn[-1] * rho[-1])
+    return t11 + 1, t12, t21, t22 + 1
 
 
 def _mul(a: tuple, b: tuple) -> tuple:

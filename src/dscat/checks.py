@@ -18,6 +18,9 @@ pinned to one core of a shared 2-core machine.  So the worker has the longer
 share, against _worker's advice, and the caller waits 40-50 ms for it; the
 pair still takes the mesh's time, not the sum.  Without a solution no mesh is
 needed, and the checks run serially here.
+
+Beside each bound is its reason and the largest value `verify --deep` measured
+at the five a = 2 roots c = -7.611914, -4.06015, -1.526035, 1.26988, 5.333170.
 """
 
 from __future__ import annotations
@@ -149,6 +152,7 @@ def _sheet_closure(ctx: CheckContext):
     for loop in (ctx.paths.gamma1, ctx.paths.gamma2, ctx.paths.gamma3):
         end = transport_w(loop, ctx.a)
         worst = max(worst, abs(end.w - loop.start.w))
+    # 6.8e-16: w is in closed form, and its other value -w lies 2|w| away
     return worst <= 1e-8, f"max |w_end - w_start| = {worst:.3e}"
 
 
@@ -162,6 +166,7 @@ def _scalar_residual(ctx: CheckContext):
         transport.row_equation_residual(ctx.states("c1"), ctx.params),
         transport.row_equation_residual(ctx.states("c2"), ctx.params),
     )
+    # 1.1e-14: an algebraic identity, so only rounding; a wrong field gives O(1)
     return worst <= 1e-8, f"max row equation residual = {worst:.3e}"
 
 
@@ -170,6 +175,7 @@ def _structure_forms(ctx: CheckContext):
         ctx.holonomy("gamma1"), ctx.holonomy("gamma2"), ctx.holonomy("gamma3")
     )
     defect = monodromy.structure_defect(triple)
+    # 7.0e-10, the holonomies' integration error; 1e-7 is 140 times that
     return defect <= 1e-7, f"scaled structure defect = {defect:.3e}"
 
 
@@ -179,6 +185,7 @@ def _product_vs_direct(ctx: CheckContext):
     for loop, Phi in (("gamma1", triple.Phi1), ("gamma2", triple.Phi2), ("gamma3", triple.Phi3)):
         diff = float(np.max(np.abs(ctx.holonomy(loop) - Phi)))
         worst = max(worst, diff / max(1.0, float(np.max(np.abs(Phi)))))
+    # 8.3e-10, two integrations' error; a wrong symmetry in the assembly gives O(1)
     return worst <= 1e-6, f"max scaled |product - direct| = {worst:.3e}"
 
 
@@ -186,6 +193,7 @@ def _lift_independence(ctx: CheckContext):
     B = np.array([[2.0, 0.0], [0.0, 0.5]], dtype=complex)
     Phi = ctx.holonomy("gamma2")
     d = lift_independence_check(ctx.params, ctx.paths.gamma2, B, Phi, ctx.cfg)
+    # 3.0e-11: equal spectra in exact arithmetic, so integration error only
     return d <= 1e-7, f"eigenvalue discrepancy = {d:.3e}"
 
 
@@ -218,6 +226,7 @@ def _gauge_identity(ctx: CheckContext):
         abs(det_p - 1.0),
         abs(gauge.alpha * gauge.beta + gauge.epsilon / 2.0),
     )
+    # 0: closed-form algebra on numbers of order 1, so 1e-12 allows its rounding
     return err <= 1e-12, f"max identity defect = {err:.3e}"
 
 
@@ -237,6 +246,8 @@ def _identity_gauge_fails(ctx: CheckContext):
         return False, "skipped (no crossing)"
     triple = monodromy.assemble_monodromies(root.frames)
     _, rel = period.gauged_residuals(triple, np.eye(2, dtype=complex))
+    # a floor, at least 0.43: 1e-2 is 40 times below that and 1e4 times above
+    # TOL_SU11, the bound on the solved gauge's residual
     return max(rel) > 1e-2, f"identity-gauge residual = {max(rel):.3e}"
 
 
@@ -252,6 +263,8 @@ def _schwarzian(ctx: CheckContext):
     if ctx.maybe(ctx.solution) is None:
         return False, "skipped (no solution)"
     res = ctx.schwarzian()
+    # 7.4e-5 (c = 5.333170): the O(h^2) truncation of the five-point stencils
+    # at h = 1e-3, not integration error (schwarzian-order measures the h^2)
     return res <= 1e-4, f"residual at h = 1e-3: {res:.3e}"
 
 
@@ -260,6 +273,7 @@ def _small_formula(ctx: CheckContext):
     if sol is None:
         return False, "skipped (no solution)"
     res = geometry.small_formula_check(sol, ctx.probe(), ctx.cfg)
+    # 4.2e-12: analytic derivatives of one integrated frame, so integration error
     return res <= 1e-5, f"frame reconstruction residual = {res:.3e}"
 
 
@@ -307,6 +321,7 @@ def _geometry_invariants(ctx: CheckContext):
         scale = max(1.0, N.x0 ** 2 + N.x1 ** 2 + N.x2 ** 2 + N.x3 ** 2)
         worst_norm = max(worst_norm, abs(N.lorentz_norm() + 1.0) / scale)
         checked += 1
+    # quadric 9.4e-12 and normal 8.3e-14, both scaled, so rounding only
     ok = worst_quadric <= 1e-7 and radius_ok and worst_norm <= 1e-9
     return ok, (
         f"quadric {worst_quadric:.3e}, radius bound {'ok' if radius_ok else 'violated'}, "
@@ -315,12 +330,10 @@ def _geometry_invariants(ctx: CheckContext):
 
 
 def _reference_agreement(ctx: CheckContext):
-    # On c1 and c2 at the four a = 2 roots and at c = 5.333170, RK4 at
-    # reference_frame's 4000 steps is within 2.2e-12 of max(1, |F|) of RK4 at
-    # 40 000, so the deviation is the adaptive DP5 frames' own error: 2.5e-12
-    # to 6.0e-11 at rel_tol 1e-10, within 3.4e-13 of that from 20 000 steps
-    # (1.945e-11 against 1.944e-11 at c = -1.526035) at a quarter of the cost.
-    # 1e-8, 170 times the largest, flags frames that have lost two digits more.
+    # 6.0e-11.  RK4 at reference_frame's 4000 steps, with w in closed form, is
+    # within 2.3e-12 of max(1, |F|) of RK4 at 40 000 on c1 and c2 at the five
+    # roots, so the deviation is the adaptive DP5 frames' own error.  1e-8, 170
+    # times the largest, flags frames that have lost two digits more.
     h = ctx.half_paths()
     worst = 0.0
     for path, adaptive in ((ctx.paths.c1, h.F_c1), (ctx.paths.c2, h.F_c2)):
@@ -341,6 +354,7 @@ def _homotopy_invariance(ctx: CheckContext):
     other = monodromy.direct_loop_holonomy(alt, ctx.params, ctx.cfg)
     scale = max(1.0, float(np.max(np.abs(direct))))
     diff = float(np.max(np.abs(direct - other))) / scale
+    # 5.0e-11: two integrations of homotopic loops, so integration error only
     return diff <= 1e-7, f"scaled monodromy deviation = {diff:.3e}"
 
 
@@ -350,6 +364,8 @@ def _schwarzian_order(ctx: CheckContext):
         return False, "skipped (no solution)"
     res_coarse = geometry.schwarzian_check(sol, ctx.probe(), 2e-3, ctx.cfg)
     ratio = res_coarse / max(ctx.schwarzian(), 1e-300)
+    # 4.00-4.55: doubling h multiplies an O(h^2) error by 4; the range shuts
+    # out first order (2) and third (8)
     return 2.5 <= ratio <= 6.5, f"residual(2e-3)/residual(1e-3) = {ratio:.2f}"
 
 

@@ -60,23 +60,21 @@ def predicted_end_eigenvalues(m: complex) -> tuple:
 
 
 def classify_end(a: float, c: float) -> EndAnalysis:
-    """End type from the closed-form exponent alone (no integration)."""
+    """End type from the closed-form exponent alone (no integration): the one
+    statement of the rule, elliptic for real m and hyperbolic otherwise."""
     m = indicial_exponent(a, c)
-    if abs(m.imag) == 0.0:
-        kind = ConjugacyKind.ELLIPTIC
-    else:
-        kind = ConjugacyKind.HYPERBOLIC
+    kind = ConjugacyKind.ELLIPTIC if m.imag == 0.0 else ConjugacyKind.HYPERBOLIC
     return EndAnalysis(m, kind, predicted_end_eigenvalues(m))
 
 
 def end_conjugacy_type(a: float, c: float) -> ConjugacyType:
-    """ConjugacyType record of the end monodromy, with its natural parameter."""
-    m = indicial_exponent(a, c)
-    if abs(m.imag) == 0.0:
-        trace = -2.0 * math.cos(math.pi * m.real)
-        theta = math.acos(max(-1.0, min(1.0, trace / 2.0)))
-        return ConjugacyType(ConjugacyKind.ELLIPTIC, theta)
-    return ConjugacyType(ConjugacyKind.HYPERBOLIC, math.pi * abs(m.imag))
+    """ConjugacyType record of the end monodromy, of classify_end's kind, with
+    its natural parameter: the rotation angle of an elliptic end, pi |m| of a
+    hyperbolic one."""
+    end = classify_end(a, c)
+    if end.end_type is ConjugacyKind.ELLIPTIC:  # half the trace is -cos(pi m)
+        return ConjugacyType(end.end_type, math.acos(-math.cos(math.pi * end.m.real)))
+    return ConjugacyType(end.end_type, math.pi * abs(end.m.imag))
 
 
 def end_loop_check(

@@ -2,9 +2,11 @@
 
 With Gauss map G = w and Hopf coefficient c, the connection form is
 alpha = c [[1, -w], [1/w, -1]] dz, which is trace free (determinant of F is
-conserved) and nilpotent.  The frame and the sheet value w evolve jointly so
-one error controller, set by cfg (_rk.IntegratorConfig, exported here with
-DEFAULT_CONFIG), certifies both.
+conserved) and nilpotent.  The adaptive kernels integrate the frame and the
+sheet value w jointly, so one error controller, set by cfg
+(_rk.IntegratorConfig, exported here with DEFAULT_CONFIG), certifies both.
+The fixed-step RK4 reference, reference_frame, integrates the frame alone,
+with w continued in closed form by curve.continue_w.
 """
 
 from __future__ import annotations
@@ -333,20 +335,26 @@ def _start_frame(F0: np.ndarray | None) -> np.ndarray:
     return F0
 
 
-def _linear_field(a: float, c: float) -> tuple:
-    """(rate, matrix) of the frame equation for integrate_polyline_rk4:
-    dw/ds = L(z) u w and dF/ds = c u [[1, -w], [1/w, -1]] F, on arrays of
-    points and sheet values, with L unguarded as in _joint_field."""
+def _linear_field(path: PathSpec, a: float, c: float) -> tuple:
+    """(matrix, w_end) of the frame equation along path for integrate_polyline_rk4.
+
+    matrix(i, z, u) gives the components of c u [[1, -w], [1/w, -1]] at the
+    points z of segment i, w being continued by continue_w from the segment's
+    first waypoint, where it was continued waypoint by waypoint from
+    path.start; w_end is its value at the last waypoint.  k as a (4, 1) array
+    takes numpy's sqrt over the array z."""
     k = branch_offsets(a)
+    w = [path.start.w]
+    for p, q in zip(path.waypoints[:-1], path.waypoints[1:]):
+        w.append(continue_w((p, q), w[-1], k))
+    k_points = np.array(k)[:, None]
 
-    def rate(z, u):
-        return log_derivative_of(z, k) * u
-
-    def matrix(z, u, w):
+    def matrix(i, z, u):
+        w_z = continue_w((path.waypoints[i], z), w[i], k_points)
         cu = c * u
-        return cu, -cu * w, cu / w, -cu
+        return cu, -cu * w_z, cu / w_z, -cu
 
-    return rate, matrix
+    return matrix, w[-1]
 
 
 def reference_frame(
@@ -355,17 +363,17 @@ def reference_frame(
     F0: np.ndarray | None = None,
     n_steps: int = 4000,
 ) -> FrameState:
-    """Fixed-step RK4 reference integration for self-convergence oracles.
+    """Fixed-step RK4 reference integration of the frame for self-convergence
+    oracles, with w in closed form (curve.continue_w), not integrated.
 
-    Checks the start frame as integrate_frame does and the sheet residual of
-    the end value of w; the determinant of the end frame is not checked, since
-    RK4 conserves it only to its truncation error.
+    Checks the start frame as integrate_frame does, and end_point checks that
+    the end value of w lies on the curve; the determinant of the end frame is
+    not checked, since RK4 conserves it only to its truncation error.
     """
     a = params.a
     validate_path(path, a)
-    F, w = _rk.integrate_polyline_rk4(
-        path.waypoints, _start_frame(F0), path.start.w, *_linear_field(a, params.c), n_steps
-    )
+    matrix, w = _linear_field(path, a, params.c)
+    F = _rk.integrate_polyline_rk4(path.waypoints, _start_frame(F0), matrix, n_steps)
     return FrameState(end_point(path, w, a), F)
 
 

@@ -143,6 +143,12 @@ def test_log_derivative_matches_transported_w():
 DP5_CFG = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
+def _dp5_w(path, field):
+    """w' = field(z, u, w) integrated by DP5 along path at DP5_CFG, on one lane."""
+    start = np.full((1, 1), path.start.w, dtype=complex)
+    return complex(_rk.integrate_polyline_lanes(path.waypoints, start, field, cfg=DP5_CFG)[0, 0])
+
+
 def test_transport_w_matches_guarded_field():
     # continue_w's closed form against w' = w L(z) integrated by DP5 with the
     # guarded L at rel_tol 1e-12: they differ by at most 4.5e-12 of |w| (gamma2
@@ -153,11 +159,11 @@ def test_transport_w_matches_guarded_field():
         probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
 
         def field(z, u, y):
-            return (y[0] * log_derivative(z, a) * u,)
+            return y * log_derivative(z, a) * u
 
         for path in [getattr(paths, name) for name in PATH_NAMES] + [probe]:
             w = continue_w(path.waypoints, path.start.w, branch_offsets(a))
-            (w_ref,) = _rk.integrate_polyline(path.waypoints, (path.start.w,), field, cfg=DP5_CFG)
+            w_ref = _dp5_w(path, field)
             assert abs(w - w_ref) <= 1e-11 * abs(w_ref)
             assert abs(w * w - rational_rhs(path.waypoints[-1], a)) <= 1e-14
             assert transport_w(path, a).w == w
@@ -171,11 +177,11 @@ def test_transport_w_ends_equal_the_inline_reference():
     paths = canonical_paths(a)
 
     def field(z, u, y):
-        return (y[0] * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u,)
+        return y * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u
 
     probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
     for path in [getattr(paths, name) for name in PATH_NAMES] + [probe]:
-        (w_ref,) = _rk.integrate_polyline(path.waypoints, (path.start.w,), field, cfg=DP5_CFG)
+        w_ref = _dp5_w(path, field)
         end = transport_w(path, a)
         assert end.z == path.waypoints[-1]
         assert abs(end.w - w_ref) <= 1e-11 * abs(w_ref)

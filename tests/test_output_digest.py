@@ -1,0 +1,46 @@
+"""The recorded digests of the outputs that the benchmark pins.
+
+perfbench/references.json pins the outputs of the benchmark's `mesh` and
+`solve` ops, and a root that moves in its last digits moves mesh vertices past
+the benchmark's tolerance.  tools/output_digest.txt records the SHA-256 of
+those commands' outputs, so a change to any of them fails here.  Skipped
+unless Python and numpy are the versions the file was recorded with, since
+other versions may round differently.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DIGEST = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+
+
+def _load_digest():
+    spec = importlib.util.spec_from_file_location("output_digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest
+
+
+digest = _load_digest()
+# The two 24 x 24 meshes, and the benchmark's four admissible brackets and its
+# pole bracket, which exits 4.
+PINNED = [
+    argv
+    for argv in digest.COMMANDS
+    if argv[0] == "mesh"
+    or argv[0] == "solve" and argv[4:7:2] in digest.BRACKETS[:5] and "--max-steps" not in argv
+]
+
+
+def test_the_pinned_commands_are_listed():
+    assert len(PINNED) == 7
+
+
+@pytest.mark.parametrize("argv", PINNED, ids=lambda argv: " ".join(argv[:7]))
+def test_pinned_output_is_recorded(argv):
+    recorded = digest.RECORDED.read_text().splitlines()
+    if recorded[0] != digest.versions():
+        pytest.skip(f"recorded with {recorded[0][2:]}, running {digest.versions()[2:]}")
+    assert digest.line(argv) in recorded

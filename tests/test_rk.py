@@ -1,15 +1,17 @@
-"""The scalar kernels against the per-component loops they replaced.
+"""The kernels against per-step loops.
 
-_reference_dp5 and _reference_rk4 are the loops integrate_polyline and
-integrate_polyline_rk4 once ran, and _reference_joint_field is the frame field
-as it was, with L(z) from the guarded curve.log_derivative.  They are fed the
-start state the way integrate_frame and reference_frame fed it, as the numpy
-complex scalars of the start frame.  The DP5 kernel must reproduce its loop
-bit for bit: every accepted step and every endpoint component exactly equal.
-The RK4 kernel takes the same steps as its loop but multiplies per-step
-transfer matrices in blocks, so it agrees with the loop up to rounding.
+_reference_dp5 is the loop integrate_polyline once ran, and
+_reference_joint_field is the frame field as it was, with L(z) from the
+guarded curve.log_derivative.  They are fed the start state the way
+integrate_frame feeds it, as the numpy complex scalars of the start frame.
+The DP5 kernel must reproduce its loop bit for bit: every accepted step and
+every endpoint component exactly equal.  _reference_rk4 is the per-step RK4
+loop of a linear 2 x 2 system, the frame's with w in closed form; the RK4
+kernel takes the same steps but multiplies per-step transfer matrices in
+blocks, so it agrees with the loop up to rounding.
 """
 
+import cmath
 import math
 import tracemalloc
 
@@ -122,14 +124,14 @@ def _reference_dp5(waypoints, y0, field, *, rel_tol=1e-10, abs_tol=1e-12,
     return y
 
 
-def _reference_rk4(waypoints, y0, field, n_steps):
-    y = tuple(y0)
-    n = len(y)
+def _reference_rk4(waypoints, F0, field, n_steps):
+    """The per-step RK4 loop of dF/ds = field(i, z, u, F) on segment i."""
+    y = tuple(F0.ravel())
     total = sum(abs(q - p) for p, q in zip(waypoints[:-1], waypoints[1:]))
     if total == 0.0:
-        return y
+        return np.array(y).reshape(2, 2)
     h_target = total / n_steps
-    for p, q in zip(waypoints[:-1], waypoints[1:]):
+    for i, (p, q) in enumerate(zip(waypoints[:-1], waypoints[1:])):
         seg = q - p
         seg_len = abs(seg)
         if seg_len == 0.0:
@@ -139,15 +141,41 @@ def _reference_rk4(waypoints, y0, field, n_steps):
         h = seg_len / m
         for j in range(m):
             z0 = p + j * h * u
-            k1 = field(z0, u, y)
-            y2 = tuple(y[i] + 0.5 * h * k1[i] for i in range(n))
-            k2 = field(z0 + 0.5 * h * u, u, y2)
-            y3 = tuple(y[i] + 0.5 * h * k2[i] for i in range(n))
-            k3 = field(z0 + 0.5 * h * u, u, y3)
-            y4 = tuple(y[i] + h * k3[i] for i in range(n))
-            k4 = field(z0 + h * u, u, y4)
-            y = tuple(y[i] + (h / 6) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(n))
-    return y
+            k1 = field(i, z0, u, y)
+            y2 = tuple(y[n] + 0.5 * h * k1[n] for n in range(4))
+            k2 = field(i, z0 + 0.5 * h * u, u, y2)
+            y3 = tuple(y[n] + 0.5 * h * k2[n] for n in range(4))
+            k3 = field(i, z0 + 0.5 * h * u, u, y3)
+            y4 = tuple(y[n] + h * k3[n] for n in range(4))
+            k4 = field(i, z0 + h * u, u, y4)
+            y = tuple(y[n] + (h / 6) * (k1[n] + 2 * k2[n] + 2 * k3[n] + k4[n]) for n in range(4))
+    return np.array(y).reshape(2, 2)
+
+
+def _reference_frame_field(a, c, path):
+    """The frame field of the loop, w being cmath's closed form from the
+    waypoint before z, as curve.continue_w writes it."""
+    def w_from(p, q, w):
+        r0, r1, r2, r3 = (q + 1) / (p + 1), (q - a) / (p - a), (q - 1) / (p - 1), (q + a) / (p + a)
+        return w * (cmath.sqrt(r0) * cmath.sqrt(r1) / (cmath.sqrt(r2) * cmath.sqrt(r3)))
+
+    points = path.waypoints
+    w = [path.start.w]
+    for p, q in zip(points[:-1], points[1:]):
+        w.append(w_from(p, q, w[-1]))
+
+    def field(i, z, u, F):
+        F11, F12, F21, F22 = F
+        w_z = w_from(points[i], z, w[i])
+        cu = c * u
+        return (
+            cu * (F11 - w_z * F21),
+            cu * (F12 - w_z * F22),
+            cu * (F11 / w_z - F21),
+            cu * (F12 / w_z - F22),
+        )
+
+    return field, w[-1]
 
 
 def _start(path, F0):
@@ -179,10 +207,9 @@ def test_dp5_matches_reference_loop(c, frame):
 @pytest.mark.parametrize("frame", sorted(START_FRAMES))
 @pytest.mark.parametrize("c", C_VALUES)
 def test_rk4_matches_reference_loop(c, frame):
-    # Over these cases the blocked kernel is within 7.4e-12 of the loop,
-    # scaled by max(1, |F|), and w within 9.2e-15; the worst case is
-    # end_loop_plus at c = -7.6, where the loop itself is 1.6e-12 and the
-    # kernel 7.3e-12 from the same RK4 steps run in long double.
+    # Over these cases the blocked kernel is within 7.7e-12 of the loop,
+    # scaled by max(1, |F|), the worst case being end_loop_plus at c = -7.6,
+    # and it ends at the loop's w bit for bit.
     a = 2.0
     params = CurveParams(a, c)
     paths = canonical_paths(params.a)
@@ -190,50 +217,39 @@ def test_rk4_matches_reference_loop(c, frame):
     for name in PATH_NAMES:
         path = getattr(paths, name)
         state = reference_frame(path, params, F0, n_steps=2000)
-        ref = _reference_rk4(
-            path.waypoints, _start(path, F0), _reference_joint_field(a, c), 2000
-        )
-        F_ref = np.array(ref[:4]).reshape(2, 2)
+        field, w = _reference_frame_field(a, c, path)
+        F_ref = _reference_rk4(path.waypoints, F0, field, 2000)
         scale = max(1.0, float(np.max(np.abs(F_ref))))
         assert float(np.max(np.abs(state.F - F_ref))) <= 2e-11 * scale, name
-        assert abs(state.point.w - ref[4]) <= 1e-13, name
+        assert state.point.w == w, name
 
 
-# A linear system of the kernel's form whose M depends on z and is not rank
-# one, unlike the frame equation's, with the joint five-component field that
-# _reference_rk4 integrates.
-def _toy_rate(z, u):
-    return (0.5 - 0.3j * z) * u
+def _toy(coefficients):
+    """A linear system with M depending on z, not rank one, and on segment i
+    through coefficients[i]: (matrix for the kernel, field for the loop)."""
+    def matrix(i, z, u):
+        return z * u, (1 + 0.3j * z) * u, (0.2j * z - 0.5) * u, coefficients[i] * u
+
+    def field(i, z, u, F):
+        m11, m12, m21, m22 = matrix(i, z, u)
+        F11, F12, F21, F22 = F
+        return (
+            m11 * F11 + m12 * F21,
+            m11 * F12 + m12 * F22,
+            m21 * F11 + m22 * F21,
+            m21 * F12 + m22 * F22,
+        )
+
+    return matrix, field
 
 
-def _toy_matrix(z, u, w):
-    return z * u, w * u, -u / w, 0.2 * u
-
-
-def _toy_joint(z, u, y):
-    F11, F12, F21, F22, w = y
-    m11, m12, m21, m22 = _toy_matrix(z, u, w)
-    return (
-        m11 * F11 + m12 * F21,
-        m11 * F12 + m12 * F22,
-        m21 * F11 + m22 * F21,
-        m21 * F12 + m22 * F22,
-        _toy_rate(z, u) * w,
-    )
-
-
-def _toy_rk4(waypoints, n_steps):
+def _assert_toy_matches_loop(waypoints, n_steps, coefficients=(0.2, -0.4j, 0.7)):
     F0 = START_FRAMES["gauge"]
-    return _rk.integrate_polyline_rk4(waypoints, F0, 1 + 0.5j, _toy_rate, _toy_matrix, n_steps)
-
-
-def _assert_toy_matches_loop(waypoints, n_steps):
-    F, w = _toy_rk4(waypoints, n_steps)
-    F0 = START_FRAMES["gauge"]
-    ref = _reference_rk4(waypoints, (*F0.ravel(), 1 + 0.5j), _toy_joint, n_steps)
-    # Measured over these cases: F within 2.5e-14 (|F| <= 3.4), w within 4.5e-15.
-    assert float(np.max(np.abs(F - np.array(ref[:4]).reshape(2, 2)))) < 2e-13
-    assert abs(w - ref[4]) < 1e-13
+    matrix, field = _toy(coefficients)
+    F = _rk.integrate_polyline_rk4(waypoints, F0, matrix, n_steps)
+    # Measured over these cases: within 1.3e-14 (|F| <= 2.4).
+    assert float(np.max(np.abs(F - _reference_rk4(waypoints, F0, field, n_steps)))) < 2e-13
+    return F
 
 
 def test_rk4_partial_block():
@@ -249,10 +265,11 @@ def test_rk4_one_step_segment():
 
 
 def test_rk4_skips_zero_length_segments():
-    F, w = _toy_rk4((0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 0.5j, 0.5 + 0.5j), 300)
-    F_plain, w_plain = _toy_rk4((0j, 0.5 + 0j, 0.5 + 0.5j), 300)
-    assert np.array_equal(F, F_plain) and w == w_plain
-    _assert_toy_matches_loop((0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 0.5j), 300)
+    # matrix still receives each segment's own index
+    F = _assert_toy_matches_loop(
+        (0j, 0.5 + 0j, 0.5 + 0j, 0.5 + 0.5j, 0.5 + 0.5j), 300, (0.2, math.nan, 0.7, math.nan)
+    )
+    assert np.array_equal(F, _assert_toy_matches_loop((0j, 0.5 + 0j, 0.5 + 0.5j), 300, (0.2, 0.7)))
 
 
 def test_rk4_zero_length_path_returns_start():
@@ -261,13 +278,12 @@ def test_rk4_zero_length_path_returns_start():
 
     F0 = START_FRAMES["gauge"]
     z = 0.3 + 0.1j
-    F, w = _rk.integrate_polyline_rk4((z, z), F0, 1 + 0.5j, unused, unused, 100)
-    assert np.array_equal(F, F0) and w == 1 + 0.5j
+    assert np.array_equal(_rk.integrate_polyline_rk4((z, z), F0, unused, 100), F0)
 
 
 def test_rk4_memory_is_fixed_per_block():
-    # The kernel holds one block of RK4_BLOCK steps at a time: 0.73 MB peak at
-    # 200 000 steps, as at 2000.  Holding all steps at once would take over
+    # The kernel holds one block of RK4_BLOCK steps at a time: 0.60 MB peak at
+    # 200 000 steps.  Holding all steps at once would take over
     # 50 MB.
     params = CurveParams(2.0, -1.526035)
     path = canonical_paths(params.a).c1
@@ -304,10 +320,12 @@ def _lane_kernel(waypoints, n, field, **kwargs):
     )
 
 
+# The scalar kernel takes the frame transport's five components, the lane
+# kernel any number.
 KERNELS = [
-    pytest.param(kernel, n, id=prefix + str(n))
-    for prefix, kernel in (("", _scalar_kernel), ("lanes-", _lane_kernel))
-    for n in (1, 5)
+    pytest.param(_scalar_kernel, 5, id="5"),
+    pytest.param(_lane_kernel, 1, id="lanes-1"),
+    pytest.param(_lane_kernel, 5, id="lanes-5"),
 ]
 
 
@@ -337,7 +355,7 @@ def test_step_size_underflow(kernel, n):
         kernel((0j, 1 + 0j), n, jump)
 
 
-@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("n", [5])
 def test_state_is_python_complex(n):
     start = tuple(np.ones(n, dtype=complex))
     assert all(type(v) is np.complex128 for v in start)
@@ -351,15 +369,11 @@ def test_state_is_python_complex(n):
 
 
 def test_rk4_contract():
-    # F' = J F and w' = -w along [0, 1] from F = I and w = 1, with scalar
-    # coefficients: F(1) is the rotation by 1 and w(1) = exp(-1).
+    # F' = J F along [0, 1] from F = I, with scalar coefficients: F(1) is the
+    # rotation by 1.
     F0 = [[1.0, 0.0], [0.0, 1.0]]
-    F, w = _rk.integrate_polyline_rk4(
-        (0j, 1 + 0j), F0, 1.0, lambda z, u: -u, lambda z, u, w: (0.0, u, -u, 0.0), 50
-    )
+    F = _rk.integrate_polyline_rk4((0j, 1 + 0j), F0, lambda i, z, u: (0.0, u, -u, 0.0), 50)
     assert type(F) is np.ndarray and F.shape == (2, 2) and F.dtype == complex
-    assert type(w) is complex
     assert F0 == [[1.0, 0.0], [0.0, 1.0]]
     rotation = np.array([[math.cos(1), math.sin(1)], [-math.sin(1), math.cos(1)]])
     assert float(np.max(np.abs(F - rotation))) < 1e-8
-    assert abs(w - math.exp(-1)) < 1e-8

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from dscat.curve import (
     canonical_paths,
     rational_rhs_of,
     sheet_residual_of,
+    transport_w,
 )
 from dscat.errors import (
     ContinuationError,
@@ -33,6 +35,8 @@ from dscat.transport import (
     reference_frame,
     scalar_ode_residual,
 )
+
+PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
 
 
 def test_tiny_c_keeps_frame_constant():
@@ -74,12 +78,34 @@ def test_reference_frame_rejects_start_frame_off_sl2():
         reference_frame(path, params, 2.0 * np.eye(2, dtype=complex))
 
 
-def test_reference_frame_checks_end_sheet_residual():
-    # Three RK4 steps along c1 carry w far off the curve.
+def test_reference_frame_checks_end_sheet_residual(monkeypatch):
+    # w off the curve, as a wrong closed form would leave it
     params = CurveParams(2.0, -1.0)
     path = canonical_paths(params.a).c1
+    continue_w = transport.continue_w
+    monkeypatch.setattr(transport, "continue_w", lambda *args: 1.5 * continue_w(*args))
     with pytest.raises(ContinuationError, match="sheet residual"):
-        reference_frame(path, params, n_steps=3)
+        reference_frame(path, params)
+
+
+@pytest.mark.parametrize("name", PATH_NAMES)
+def test_reference_frame_ends_at_transport_w(name):
+    params = CurveParams(2.0, -1.526035)
+    path = getattr(canonical_paths(params.a), name)
+    assert reference_frame(path, params).point == transport_w(path, params.a)
+
+
+def test_reference_frame_self_convergence():
+    # 4000 against 40 000 steps: at most 2.3e-12 of max(1, |F|) (c1 at
+    # c = -1.526035), RK4's truncation error at reference_frame's default
+    for c in (-7.611914, -1.526035, 1.26988, 5.33317):
+        params = CurveParams(2.0, c)
+        paths = canonical_paths(params.a)
+        for path in (paths.c1, paths.c2):
+            F = reference_frame(path, params).F
+            fine = reference_frame(path, params, n_steps=40_000).F
+            scale = max(1.0, float(np.max(np.abs(fine))))
+            assert float(np.max(np.abs(F - fine))) <= 3e-12 * scale, c
 
 
 def test_right_equivariance():
@@ -386,8 +412,6 @@ def test_lane_field_steps_equal_the_reference_at_scale_one(name):
 # curve.branch_offsets, log_derivative_of, rational_rhs_of and
 # sheet_residual_of.  The helpers must reproduce them bit for bit.
 
-PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
-
 
 def _inline_joint_field(a: float, c: float):
     def field(z, u, y):
@@ -440,26 +464,31 @@ def test_frame_steps_equal_the_inline_reference(c):
             assert repr(CurvePoint(z, y[4]).sheet_residual(a)) == repr(expected)
 
 
+def _inline_w(p, q, w, a: float, sqrt):
+    r0, r1, r2, r3 = (q + 1) / (p + 1), (q - a) / (p - a), (q - 1) / (p - 1), (q + a) / (p + a)
+    return w * (sqrt(r0) * sqrt(r1) / (sqrt(r2) * sqrt(r3)))
+
+
 @pytest.mark.parametrize("c", [-1.526035, 1.26988])
 def test_reference_frame_ends_equal_the_inline_reference(c):
     a = 2.0
     params = CurveParams(a, c)
-
-    def rate(z, u):
-        return 0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a)) * u
-
-    def matrix(z, u, w):
-        cu = c * u
-        return cu, -cu * w, cu / w, -cu
-
     for name in PATH_NAMES:
         path = getattr(canonical_paths(params.a), name)
+        points = path.waypoints
+        w = [path.start.w]
+        for p, q in zip(points[:-1], points[1:]):
+            w.append(_inline_w(p, q, w[-1], a, cmath.sqrt))
+
+        def matrix(i, z, u):
+            w_z = _inline_w(points[i], z, w[i], a, np.sqrt)
+            cu = c * u
+            return cu, -cu * w_z, cu / w_z, -cu
+
         end = reference_frame(path, params)
-        F, w = _rk.integrate_polyline_rk4(
-            path.waypoints, np.eye(2, dtype=complex), path.start.w, rate, matrix, 4000
-        )
+        F = _rk.integrate_polyline_rk4(points, np.eye(2, dtype=complex), matrix, 4000)
         assert end.F.tobytes() == F.tobytes(), name
-        assert repr(end.point.w) == repr(w)
+        assert repr(end.point.w) == repr(w[-1])
 
 
 def _inline_lane_residual(z, w, a: float, scale):
