@@ -6,7 +6,8 @@ in closed form, segment by segment (continue_w): on a segment that clears the
 branch points the integral of d(log w) = L(z) dz is a sum of principal
 logarithms, so no branch cut is tracked and nothing is integrated.  The frame
 kernels integrate w jointly with the frame instead, and there the residual
-|w^2 - R(z)| is the monitor that w stays on the curve.
+|w^2 - R(z)| (sheet_residual_of), checked by transport at every accepted step,
+is the monitor that w stays on the curve.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ END_LOOP_FACTOR = 3.0
 
 
 def check_branch_parameter(a: float) -> None:
-    """Raise DomainError unless a > 1, where the curve is a torus."""
+    """Raise DomainError unless 1 < a < inf: the curve is a torus for a > 1."""
     if not a > 1.0:
         raise DomainError(f"branch parameter must satisfy a > 1, got {a}")
+    if a == math.inf:
+        raise DomainError("branch parameter must be finite, got inf")
 
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Branch parameter a > 1 and Hopf coefficient c != 0."""
+    """Branch parameter 1 < a < inf and finite Hopf coefficient c != 0."""
 
     a: float
     c: float
@@ -49,6 +52,8 @@ class CurveParams:
         check_branch_parameter(self.a)
         if self.c == 0.0:
             raise DomainError("coefficient c must be nonzero")
+        if not math.isfinite(self.c):
+            raise DomainError(f"coefficient c must be finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +157,13 @@ def base_point(sheet: int = +1) -> CurvePoint:
 
 
 def validate_path(path: PathSpec, a: float) -> None:
-    """Raise PathError unless every segment clears the branch points by
-    BRANCH_DELTA."""
+    """Raise PathError unless the waypoints are finite and every segment
+    clears the branch points by BRANCH_DELTA."""
     wp = path.waypoints
     if len(wp) < 1:
         raise PathError("path needs at least one waypoint")
+    if not all(cmath.isfinite(z) for z in wp):
+        raise PathError("waypoints must be finite")
     scale = 1.0 + max(abs(v) for v in wp)
     if abs(wp[0] - path.start.z) > 1e-12 * scale:
         raise PathError("waypoints[0] must equal start.z")
@@ -170,19 +177,6 @@ def validate_path(path: PathSpec, a: float) -> None:
                 raise PathError(
                     f"segment {p} -> {q} passes within {BRANCH_DELTA} of branch point {b}"
                 )
-
-
-def sheet_monitor(a: float):
-    """on_step hook raising ContinuationError where the w that ends the state
-    leaves the curve; R(z) is rational_rhs_of, unguarded, as validate_path
-    has cleared every segment."""
-    k = branch_offsets(a)
-
-    def monitor(z, y):
-        if sheet_residual_of(y[-1], rational_rhs_of(z, k)) > TOL_SHEET:
-            raise ContinuationError(f"sheet residual exceeded at z = {z}")
-
-    return monitor
 
 
 def end_point(path: PathSpec, w: complex, a: float) -> CurvePoint:
@@ -296,6 +290,11 @@ def _segment_distance(p: complex, q: complex, b: complex) -> float:
     dd = (d * d.conjugate()).real
     if dd == 0.0:
         return abs(b - p)
+    if not math.isfinite(dd):  # |d|^2 overflows: project on the unit direction
+        half = q / 2 - p / 2
+        u = half / abs(half)
+        t = min(2 * abs(half), max(0.0, ((b - p) * u.conjugate()).real))
+        return abs(b - (p + t * u))
     t = ((b - p) * d.conjugate()).real / dd
     t = min(1.0, max(0.0, t))
     return abs(b - (p + t * d))

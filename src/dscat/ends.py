@@ -56,7 +56,11 @@ def indicial_exponent(a: float, c: float) -> complex:
 
 
 def predicted_end_eigenvalues(m: complex) -> tuple:
-    return sort_eigenvalues((-cmath.exp(1j * math.pi * m), -cmath.exp(-1j * math.pi * m)))
+    """-exp(+-i pi m); DomainError where they overflow, at pi |Im m| > 709.8."""
+    try:
+        return sort_eigenvalues((-cmath.exp(1j * math.pi * m), -cmath.exp(-1j * math.pi * m)))
+    except OverflowError:
+        raise DomainError(f"end eigenvalues -exp(+-i pi m) overflow at m = {m}") from None
 
 
 def classify_end(a: float, c: float) -> EndAnalysis:

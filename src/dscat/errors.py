@@ -34,16 +34,16 @@ class ContinuationError(DscatError):
 
 
 class LanesFailed(ContinuationError):
-    """A per-lane check of a lane-batched integration failed on some lanes.
+    """A sheet or drift check of the frame transport failed on some lanes.
 
-    lanes holds the indices of the failing lanes among those integrated, and
-    reason the message without them.
+    The message names the point of the curve and the c of the first failing
+    lane; lanes holds the indices of every failing lane among those the
+    failing integration ran, (0,) for the scalar kernel's one lane.
     """
 
     def __init__(self, message: str, lanes):
         self.lanes = tuple(int(i) for i in lanes)
-        self.reason = message
-        super().__init__(f"{message} on lanes {list(self.lanes)}")
+        super().__init__(message)
 
 
 class StepLimitExceeded(DscatError):

@@ -323,7 +323,7 @@ def build_mesh(
             try:
                 F[live], w[live] = integrate_frames_over_c(
                     path, a, sol.c, cfg,
-                    F0=F[live], w0=w[live], scale=np.take(scale, live), validated=True,
+                    F0=F[live], w0=w[live], scale=np.take(scale, live),
                 )
                 break
             except LanesFailed as exc:

@@ -151,7 +151,7 @@ def scan_c(
     tolerance, not bit for bit; for fixed arguments they are deterministic.
     Each block's c1 pass runs in the worker process of _worker.pair while
     this process integrates c2.  Raises DomainError unless steps >= 2 and
-    c_min < c_max.
+    c_min < c_max, both finite with a finite grid spacing.
     """
     if steps < 2:
         raise DomainError("--steps must be at least 2")
@@ -159,6 +159,8 @@ def scan_c(
         raise DomainError("need --c-min < --c-max")
     paths = canonical_paths(a)  # validates a even when every grid point is skipped
     spacing = (c_max - c_min) / (steps - 1)
+    if not math.isfinite(spacing):
+        raise DomainError("need a finite --c-min, --c-max and grid spacing")
     grid = [c_min + k * spacing for k in range(steps)]
     live = [k for k, c in enumerate(grid) if not abs(c) < SKIP_HALFWIDTH]
     kept: dict = {}  # grid index -> record, for the grid points not skipped

@@ -5,6 +5,13 @@ alpha = c [[1, -w], [1/w, -1]] dz, which is trace free (determinant of F is
 conserved) and nilpotent.  The adaptive kernels integrate the frame and the
 sheet value w jointly, so one error controller, set by cfg
 (_rk.IntegratorConfig, exported here with DEFAULT_CONFIG), certifies both.
+integrate_frames_over_c runs them, the scalar kernel for one lane and the
+lane kernel for many, and states each check once for both: the start frame
+(_start_frame), the sheet residual of w at every accepted step and at the
+end, and the determinant drift of the end frame (_check_drift).  A failed
+sheet or drift check raises LanesFailed naming the point of the curve and
+the c.  integrate_frame is its one-lane case after validate_path, and
+integrate_frames_in_pieces composes lane passes over the pieces of a path.
 The fixed-step RK4 reference, reference_frame, integrates the frame alone,
 with w continued in closed form by curve.continue_w.
 """
@@ -28,11 +35,10 @@ from .curve import (
     log_derivative,
     log_derivative_of,
     rational_rhs_of,
-    sheet_monitor,
     sheet_residual_of,
     validate_path,
 )
-from .errors import ContinuationError, DomainError, LanesFailed
+from .errors import DomainError, LanesFailed
 
 # det F is conserved exactly by the trace-free flow; on the seven canonical
 # paths at the four a = 2 roots the drift is at most 3.1e-11 of |F|^2 at
@@ -46,20 +52,24 @@ class FrameState:
     F: np.ndarray
 
 
-def _joint_field(a: float, c: float):
-    """Field of (F11, F12, F21, F22, w) for the scalar kernels.
+def _joint_field(a: float, c: float, scale=1.0, origin=0.0):
+    """Field of (F11, F12, F21, F22, w) for the scalar kernel, along the
+    image origin + scale * z of the polyline of z (origin, scale complex).
 
-    L(z) is curve.log_derivative_of, without log_derivative's branch-distance
-    guard: every caller runs validate_path first, and every stage point lies
-    on a validated segment, so the guard could never fire here, while it took
-    about a fifth of the field's time.
+    Its derivative is scale times the field at origin + scale * z, and
+    scale * L(origin + scale * z) is L(z) with the branch points mapped back,
+    so L is log_derivative_of with curve.branch_offsets(a, scale, origin):
+    at origin 0 and scale 1.0 log_derivative's L, operation for operation,
+    without its branch-distance guard.  Callers validate the path, so the
+    guard could never fire here, while it took a fifth of the field's time.
     """
-    k = branch_offsets(a)
+    k = branch_offsets(a, scale, origin)
+    c_s = c * scale
 
     def field(z, u, y):
         F11, F12, F21, F22, w = y
         iw = 1.0 / w
-        cu = c * u
+        cu = c_s * u
         return (
             cu * (F11 - w * F21),
             cu * (F12 - w * F22),
@@ -78,54 +88,21 @@ def integrate_frame(
     cfg: IntegratorConfig = DEFAULT_CONFIG,
     on_step=None,
 ) -> FrameState:
-    """Endpoint frame of dF/ds = alpha(z, w) F dz/ds integrated jointly with w.
-
-    The sheet residual is checked at every accepted step; the determinant of F
-    (conserved exactly by the flow) is checked at the endpoint against
-    TOL_DET scaled by the squared entry size.
-    """
-    a, c = params.a, params.c
-    validate_path(path, a)
-    F0 = _start_frame(F0)
-    hook = monitor = sheet_monitor(a)
-    if on_step is not None:
-
-        def hook(z, y):
-            monitor(z, y)
-            on_step(z, y)
-
-    y = _rk.integrate_polyline(
-        path.waypoints,
-        (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w),
-        _joint_field(a, c),
-        cfg=cfg,
-        on_step=hook,
-    )
-    F = np.array([[y[0], y[1]], [y[2], y[3]]], dtype=complex)
-    end = end_point(path, y[4], a)
-    drift, bad = _drifted(F.reshape(4))
-    if bad:
-        raise ContinuationError(f"scaled determinant drift {drift:.3e}")
-    return FrameState(end, F)
+    """End state of the frame from F0 (default I) along path, after
+    validate_path: integrate_frames_over_c's one-lane case, on the scalar
+    kernel and with its checks."""
+    validate_path(path, params.a)
+    F, w = integrate_frames_over_c(path, params.a, params.c, cfg, F0=F0, on_step=on_step)
+    return FrameState(CurvePoint(path.waypoints[-1], w), F)
 
 
 def _joint_field_lanes(a: float, cs, scale=1.0, origin=0.0):
-    """_joint_field for rows (F11, F12, F21, F22, w) with one column per lane.
-
-    Lane j has the coefficient cs[j] (or the scalar cs) and follows the
-    polyline origin[j] + scale[j] * z of the integration variable z, so its
-    derivative is scale[j] times the field at origin[j] + scale[j] * z.
-    origin and scale may be complex.  Seen from z the lane's branch points are
-    those of the curve mapped back by the inverse of the lane map, and
-    scale * L(origin + scale * z) is L(z) with those branch points: that is
-    how L is evaluated, by log_derivative_of with
-    curve.branch_offsets(a, scale, origin) and without log_derivative's guard,
-    as in _joint_field.  A scalar origin and scale (the whole-path scan's 0
-    and 1.0) evaluate L once per stage for all lanes in Python complex
-    arithmetic, and at origin 0 and scale 1.0 it is log_derivative's,
-    operation for operation.  cs * scale * u is formed once per segment.
-    Uses F21' = F11' / w and F22' = F12' / w, which holds because alpha is
-    rank one.
+    """_joint_field for rows (F11, F12, F21, F22, w), one column per lane:
+    lane j has cs[j] and follows origin[j] + scale[j] * z, each given per
+    lane or once.  A scalar origin and scale evaluate L once per stage for
+    all lanes in Python complex arithmetic.  cs * scale * u is formed once
+    per segment.  Uses F21' = F11' / w and F22' = F12' / w, which holds
+    because alpha is rank one.
     """
     cs_s = cs * scale
     k = branch_offsets(a, scale, origin)
@@ -158,73 +135,59 @@ def integrate_frames_over_c(
     w0=None,
     scale=1.0,
     origin=0.0,
-    validated: bool = False,
+    on_step=None,
 ) -> tuple:
-    """End states of integrate_frame for many lanes integrated together.
+    """End frames and sheet values of dF/ds = alpha(z, w) F dz/ds integrated
+    jointly with w, one lane per c.
 
     Lane j has the coefficient cs[j], starts from the frame F0[j] (default I)
     with the sheet value w0[j] (default path.start.w), and follows the
-    polyline origin[j] + scale[j] * path.waypoints; origin and scale may be
-    complex, so a lane may follow any straight image of the path.  Each of
-    cs, F0, w0, scale and origin is given per lane or once for all lanes.
-    Returns the end frames, shape (n, 2, 2), and the end sheet values,
-    shape (n,).
+    polyline origin[j] + scale[j] * path.waypoints (origin and scale may be
+    complex).  Each of cs, F0, w0, scale and origin is given per lane or
+    once.  Given all once, the lane runs on the scalar kernel and the result
+    is the end frame, shape (2, 2), and sheet value; else the lanes share
+    the lane kernel's step sequence and the results have shapes (n, 2, 2)
+    and (n,).  on_step, when given, is called with (z, y) after every
+    accepted step, y holding (F11, F12, F21, F22, w).
 
-    The checks of integrate_frame apply to every lane: validate_path on the
-    lane's mapped polyline (skipped when validated is true, for a caller that
-    has run it already: build_mesh does so once per ring, not once per node,
-    and integrate_frames_in_pieces once per path), the start determinant, the
-    sheet residual of w at each accepted step and at the endpoint, and the
-    determinant drift of each endpoint frame.  A lane that fails the sheet or
-    drift check raises LanesFailed, naming every lane that fails it there;
-    its message names the point of the curve, origin + scale * z, and the c
-    of the first of them.  The lanes share one step sequence, so a
-    StepLimitExceeded belongs to all of them.
+    The caller validates every lane's polyline (validate_path).  Checked
+    here: the start frame (_start_frame), the sheet residual at every
+    accepted step and at the end, and the end frame's drift (_check_drift).
+    A failed sheet or drift check raises LanesFailed naming the point of the
+    curve, origin + scale * z, and the c of the first failing lane.  A
+    StepLimitExceeded belongs to all lanes.
     """
     cs = np.asarray(cs, dtype=float)
-    F0 = np.eye(2, dtype=complex) if F0 is None else np.asarray(F0, dtype=complex)
-    w0 = path.start.w if w0 is None else np.asarray(w0, dtype=complex)
-    shape = np.broadcast_shapes(
-        cs.shape, np.shape(scale), np.shape(origin), np.shape(w0), F0.shape[:-2]
-    )
-    n = shape[0] if shape else 1
-    y0 = np.empty((5, n), dtype=complex)
-    y0[:4] = np.broadcast_to(F0, (n, 2, 2)).reshape(n, 4).T
-    y0[4] = w0
-    if not validated:
-        lanes = zip(*(np.broadcast_to(x, (n,)).tolist() for x in (origin, scale, y0[4])))
-        for o, s, w in dict.fromkeys(lanes):
-            validate_path(_mapped_path(path, o, s, w), a)
-    if _drifted(y0)[1].any():
-        raise DomainError("initial frame must have determinant 1")
-
+    F0 = _start_frame(F0)
+    w0 = path.start.w if w0 is None else w0
+    shape = np.broadcast(cs, scale, origin, w0, F0[..., 0, 0]).shape
     k = branch_offsets(a, scale, origin)
-
-    def failed(message: str, z, bad: np.ndarray) -> LanesFailed:
-        """LanesFailed for the lanes in bad, naming the first one's point of
-        the curve and c."""
-        lanes = np.flatnonzero(bad)
-        o, s, c = (np.broadcast_to(x, (n,))[lanes[0]] for x in (origin, scale, cs))
-        return LanesFailed(_where(message, o + s * z, c), lanes)
 
     def check_sheet(z, y) -> None:
         bad = sheet_residual_of(y[4], rational_rhs_of(z, k)) > TOL_SHEET
-        if bad.any():
-            raise failed("sheet residual exceeded", z, bad)
+        # a Python bool on the scalar kernel: no numpy call per step there
+        if bad is True or bad is not False and bad.any():
+            raise _failed("sheet residual exceeded", z, bad, cs, scale, origin)
 
-    y = _rk.integrate_polyline_lanes(
-        path.waypoints,
-        y0,
-        _joint_field_lanes(a, cs, scale, origin),
-        cfg=cfg,
-        on_step=check_sheet,
-    )
+    hook = check_sheet
+    if on_step is not None:
+
+        def hook(z, y):
+            check_sheet(z, y)
+            on_step(z, y)
+
+    if shape:
+        y0 = np.empty((5,) + shape, dtype=complex)
+        y0[:4] = np.broadcast_to(F0, shape + (2, 2)).reshape(shape + (4,)).T
+        y0[4] = w0
+        field, kernel = _joint_field_lanes(a, cs, scale, origin), _rk.integrate_polyline_lanes
+    else:
+        y0 = (*F0.reshape(4).tolist(), w0)
+        field, kernel = _joint_field(a, float(cs), scale, origin), _rk.integrate_polyline
+    y = kernel(path.waypoints, y0, field, cfg=cfg, on_step=hook)
     check_sheet(path.waypoints[-1], y)
-    drift, bad = _drifted(y)
-    if bad.any():
-        message = f"scaled determinant drift {float(drift[bad][0]):.3e}"
-        raise failed(message, path.waypoints[-1], bad)
-    return y[:4].T.reshape(-1, 2, 2), y[4]
+    _check_drift(y, path.waypoints[-1], cs, scale, origin)
+    return np.asarray(y[:4]).T.reshape(shape + (2, 2)), y[4]
 
 
 def integrate_frames_in_pieces(
@@ -234,8 +197,9 @@ def integrate_frames_in_pieces(
     pieces: int,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> tuple:
-    """integrate_frames_over_c(path, a, cs, cfg) from about `pieces` straight
-    pieces of path integrated side by side in one lane pass.
+    """integrate_frames_over_c(path, a, cs, cfg) after validate_path, from
+    about `pieces` straight pieces of path integrated side by side in one
+    lane pass.
 
     The frame equation is linear, so the frame along the path is the product
     of the pieces' transfer matrices, each piece integrated from I.  Each
@@ -250,50 +214,43 @@ def integrate_frames_in_pieces(
     Each piece starts at the value of w continued in closed form
     (curve.continue_w) from path.start to its first point, and the previous
     piece's integrated end value must be nearer to that than to its
-    negative, else ContinuationError.  The lanes keep the checks
-    of integrate_frames_over_c after validate_path on the whole path, and
-    each composed frame's determinant drift is checked too.  A failed check
-    raises ContinuationError naming the point of the curve and the c of the
-    first failing lane; StepLimitExceeded propagates as it is.
+    negative.  That check, the lanes' checks and the drift check of each
+    composed frame raise LanesFailed naming the point of the curve and the c.
     """
+    validate_path(path, a)
     cs = np.asarray(cs, dtype=float)
     points = _cut(path.waypoints, pieces)
-    try:
-        if pieces <= 1 or points.size < 3:
-            return integrate_frames_over_c(path, a, cs, cfg)
-        validate_path(path, a)
-        start, n = points[:-1], cs.size
-        # w's factor over each piece: the unit segment through the piece's lane map
-        steps = continue_w((0.0, 1.0), 1.0, branch_offsets(a, np.diff(start), start[:-1]))
-        w0 = path.start.w * np.cumprod(np.concatenate(([1.0], steps)))
-        unit = PathSpec(CurvePoint(0j, w0[0]), (0j, 1 + 0j))
-        F, w = integrate_frames_over_c(
-            unit, a, np.tile(cs, start.size), cfg, w0=np.repeat(w0, n),
-            scale=np.repeat(np.diff(points), n), origin=np.repeat(start, n), validated=True,
-        )
-    except LanesFailed as exc:
-        raise ContinuationError(exc.reason) from exc
+    if pieces <= 1 or points.size < 3:
+        return integrate_frames_over_c(path, a, cs, cfg)
+    start, n = points[:-1], cs.size
+    # w's factor over each piece: the unit segment through the piece's lane map
+    steps = continue_w((0.0, 1.0), 1.0, branch_offsets(a, np.diff(start), start[:-1]))
+    w0 = path.start.w * np.cumprod(np.concatenate(([1.0], steps)))
+    unit = PathSpec(CurvePoint(0j, w0[0]), (0j, 1 + 0j))
+    F, w = integrate_frames_over_c(
+        unit, a, np.tile(cs, start.size), cfg, w0=np.repeat(w0, n),
+        scale=np.repeat(np.diff(points), n), origin=np.repeat(start, n),
+    )
     w = w.reshape(-1, n)
     flipped = np.abs(w[:-1] - w0[1:, None]) >= np.abs(w[:-1] + w0[1:, None])
     if flipped.any():
-        p, j = np.argwhere(flipped)[0]
-        raise ContinuationError(_where("w arrived on the other sheet", start[p + 1], cs[j]))
+        p = np.flatnonzero(flipped.any(axis=1))[0]
+        raise _failed("w arrived on the other sheet", start[p + 1], flipped[p], cs)
     T = F.reshape(-1, n, 4).transpose(0, 2, 1)
     product = tuple(T[0])
     for t in T[1:]:
         product = _rk._mul(tuple(t), product)
     product = np.array(product)
-    drift, bad = _drifted(product)
-    if bad.any():
-        j = np.flatnonzero(bad)[0]
-        message = f"scaled determinant drift {float(drift[j]):.3e}"
-        raise ContinuationError(_where(message, path.waypoints[-1], cs[j]))
+    _check_drift(product, path.waypoints[-1], cs)
     return product.T.reshape(n, 2, 2), w[-1]
 
 
-def _where(message: str, z, c) -> str:
-    """message, naming the point z of the curve and the coefficient c."""
-    return f"{message} at z = {complex(z)} for c = {float(c)}"
+def _failed(message: str, z, bad, cs, scale=1.0, origin=0.0) -> LanesFailed:
+    """LanesFailed for the lanes where bad is true, its message naming the
+    first one's point of the curve, origin + scale * z, and c."""
+    lanes = np.flatnonzero(bad)
+    o, s, c = (np.broadcast_to(x, np.shape(bad)).flat[lanes[0]] for x in (origin, scale, cs))
+    return LanesFailed(f"{message} at z = {complex(o + s * z)} for c = {float(c)}", lanes)
 
 
 def _cut(waypoints: tuple, pieces: int) -> np.ndarray:
@@ -316,21 +273,22 @@ def _drifted(y: np.ndarray) -> tuple:
     return drift, drift > TOL_DET
 
 
-def _mapped_path(path: PathSpec, origin: complex, scale: complex, w: complex) -> PathSpec:
-    """The image origin + scale * z of path, starting on the sheet value w."""
-    return PathSpec(
-        CurvePoint(origin + scale * path.start.z, w),
-        tuple(origin + scale * z for z in path.waypoints),
-        path.closed,
-    )
+def _check_drift(y, z, cs, scale=1.0, origin=0.0) -> None:
+    """The one end drift check: LanesFailed where the frames in y, reached at
+    origin + scale * z, break the determinant rule."""
+    drift, bad = _drifted(y)
+    if bad.any():
+        first = float(np.ravel(drift)[np.flatnonzero(bad)[0]])
+        raise _failed(f"scaled determinant drift {first:.3e}", z, bad, cs, scale, origin)
 
 
-def _start_frame(F0: np.ndarray | None) -> np.ndarray:
-    """F0, or I when it is None; raises DomainError unless det F0 = 1 within
-    TOL_DET scaled by the squared entry size."""
+def _start_frame(F0) -> np.ndarray:
+    """The one start check: F0 as a complex array, or I when it is None;
+    DomainError unless each frame in it keeps the determinant rule."""
     if F0 is None:
         return np.eye(2, dtype=complex)
-    if _drifted(F0.reshape(4))[1]:
+    F0 = np.asarray(F0, dtype=complex)
+    if _drifted(F0.reshape(-1, 4).T)[1].any():
         raise DomainError("initial frame must have determinant 1")
     return F0
 

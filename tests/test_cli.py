@@ -334,6 +334,33 @@ def test_branch_parameter_exits_usage(tmp_path, capsys, argv, a):
     assert list(tmp_path.iterdir()) == []
 
 
+NON_FINITE = [
+    ["classify", "--a", "2", "--c", "nan"],
+    ["classify", "--a", "2", "--c", "inf"],
+    ["classify", "--a", "inf", "--c", "-1"],
+    ["classify", "--a", "2", "--c", "1e6"],
+    ["verify", "--a", "2", "--c", "nan"],
+    ["verify", "--a", "inf", "--c", "1"],
+    ["scan", "--a", "1e308", "--c-min", "-9", "--c-max", "4", "--steps", "3", "--out", "{tmp}/s.csv"],
+    ["scan", "--a", "1e200", "--c-min", "-9", "--c-max", "4", "--steps", "3", "--out", "{tmp}/s.csv"],
+    ["scan", "--a", "2", "--c-min", "1", "--c-max", "inf", "--steps", "3", "--out", "{tmp}/s.csv"],
+    ["scan", "--a", "2", "--c-min=-1e308", "--c-max", "1e308", "--steps", "3", "--out", "{tmp}/s.csv"],
+    ["mesh", "--a", "2", "--c", "nan", "--out", "{tmp}/m.obj"],
+    ["solve", "--a", "2", "--c0", "1", "--c1", "inf", "--json", "{tmp}/s.json"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=" ".join)
+def test_non_finite_or_overflowing_input_exits_usage(tmp_path, capsys, argv):
+    # a, c and the scan grid are checked where they enter, before an
+    # integration can underflow its step or a float overflow into a traceback
+    code = run([x.format(tmp=tmp_path) for x in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid input: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_overrides(tmp_path):
     cfg_file = tmp_path / "dscat.cfg"
     cfg_file.write_text("rel_tol = 1e-9\nabs_tol = 1e-11\n# comment\n")

@@ -21,6 +21,7 @@ from dscat.curve import (
     rational_rhs,
     rational_rhs_of,
     transport_w,
+    _segment_distance,
     validate_path,
 )
 from dscat.errors import DomainError, PathError
@@ -35,6 +36,10 @@ def test_params_validation():
         CurveParams(0.5, 1.0)
     with pytest.raises(DomainError):
         CurveParams(2.0, 0.0)
+    for a, c in ((2.0, float("nan")), (2.0, float("inf")), (2.0, -float("inf")),
+                 (float("inf"), 1.0), (float("nan"), 1.0)):
+        with pytest.raises(DomainError):
+            CurveParams(a, c)
 
 
 @pytest.mark.parametrize("a", [1.0, 0.5, -2.0])
@@ -278,6 +283,21 @@ def test_validate_path_rejects_branch_crossing():
         validate_path(PathSpec(start, (0j, 2.0 + 0j)), 2.0)
     with pytest.raises(PathError):
         validate_path(PathSpec(start, (0.5j, 1.0j)), 2.0)  # start mismatch
+    for far in (complex("inf"), complex("nan"), complex(4.0, float("inf"))):
+        with pytest.raises(PathError, match="finite"):
+            validate_path(PathSpec(start, (0j, 0.5j, far)), 2.0)
+
+
+def test_segment_distance_survives_overflow_of_the_squared_length():
+    # |d|^2 = 2.5e399 overflows; the segment passes 0.8 / 5e199 = 1.6e-200
+    # above z = 1
+    assert _segment_distance(0j, 5e199 + 0.8j, 1.0) == pytest.approx(1.6e-200, rel=1e-12)
+    assert _segment_distance(0j, 5e199 + 0.8j, -1.0) == 1.0
+    assert _segment_distance(-1e308 + 0j, 1e308 + 1j, 0.0) == pytest.approx(0.5, rel=1e-12)
+    assert _segment_distance(0j, 5e199 + 0.8j, 1e200) == pytest.approx(5e199)
+    # a = 1e200 makes the canonical paths pass next to the branch points
+    with pytest.raises(PathError):
+        canonical_paths(1e200)
 
 
 def test_curve_point_residual():

@@ -80,6 +80,16 @@ def test_predicted_eigenvalue_product():
         assert abs(lam1 * lam2 - 1.0) < 1e-12
 
 
+def test_predicted_eigenvalues_overflow_is_a_domain_error():
+    # pi |m| > 709.8 overflows exp; c = 1e6 at a = 2 gives m = 2000i
+    m = indicial_exponent(2.0, 1e6)
+    with pytest.raises(DomainError, match=r"overflow at m = 1999\.99.*j"):
+        predicted_end_eigenvalues(m)
+    with pytest.raises(DomainError):
+        classify_end(2.0, 1e6)
+    assert all(map(math.isfinite, (abs(x) for x in predicted_end_eigenvalues(225j))))
+
+
 def test_end_loop_elliptic():
     analysis = end_loop_check(2.0, -1.0, +1)
     assert analysis.end_type is ConjugacyKind.ELLIPTIC

@@ -185,12 +185,12 @@ def test_mesh_lane_failure_holes_only_its_ring(shallow_solution, monkeypatch):
     real = geometry.integrate_frames_over_c
     calls = []
 
-    def spoiled(path, a, c, cfg, *, F0, w0, scale, validated):
+    def spoiled(path, a, c, cfg, *, F0, w0, scale):
         calls.append(len(scale))
         if len(calls) == 3:
             w0 = w0.copy()
             w0[int(np.flatnonzero(scale == ring)[0])] *= 1 + 1e-6
-        return real(path, a, c, cfg, F0=F0, w0=w0, scale=scale, validated=validated)
+        return real(path, a, c, cfg, F0=F0, w0=w0, scale=scale)
 
     monkeypatch.setattr(geometry, "integrate_frames_over_c", spoiled)
     mesh = build_mesh(sol, nu, nv)

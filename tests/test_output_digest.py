@@ -3,7 +3,9 @@
 perfbench/references.json pins the outputs of the benchmark's `mesh` and
 `solve` ops, and a root that moves in its last digits moves mesh vertices past
 the benchmark's tolerance.  tools/output_digest.txt records the SHA-256 of
-those commands' outputs, so a change to any of them fails here.  Skipped
+those commands' outputs, so a change to any of them fails here; the three
+integration failures held here too keep the one format of the transport's
+failure messages, which name the point of the curve and the c.  Skipped
 unless Python and numpy are the versions the file was recorded with, since
 other versions may round differently.
 """
@@ -24,21 +26,25 @@ def _load_digest():
 
 
 digest = _load_digest()
-# The two 24 x 24 meshes, and the benchmark's four admissible brackets and its
-# pole bracket, which exits 4.
+# The two 24 x 24 meshes, the benchmark's four admissible brackets and its
+# pole bracket, which exits 4, and the three integration failures, which exit
+# 3: the step limit, and the sheet check of the scalar and of the lane kernel.
 PINNED = [
     argv
     for argv in digest.COMMANDS
     if argv[0] == "mesh"
-    or argv[0] == "solve" and argv[4:7:2] in digest.BRACKETS[:5] and "--max-steps" not in argv
+    or argv[0] == "solve" and argv[4:7:2] in digest.BRACKETS[:5]
+    or digest.LOOSE[0] in argv
 ]
 
 
 def test_the_pinned_commands_are_listed():
-    assert len(PINNED) == 7
+    assert len(PINNED) == 10
 
 
-@pytest.mark.parametrize("argv", PINNED, ids=lambda argv: " ".join(argv[:7]))
+@pytest.mark.parametrize(
+    "argv", PINNED, ids=lambda argv: " ".join(argv[:9] if "--max-steps" in argv else argv[:7])
+)
 def test_pinned_output_is_recorded(argv):
     recorded = digest.RECORDED.read_text().splitlines()
     if recorded[0] != digest.versions():

@@ -211,11 +211,21 @@ def test_frames_over_c_match_integrate_frame():
         assert abs(w_end - ref.point.w) <= 1e-8 * abs(ref.point.w)
 
 
+def test_callers_validate_the_path():
+    # the path ends 0.05 from the branch point z = 1; integrate_frames_over_c
+    # leaves validate_path to its callers
+    path = PathSpec(base_point(+1), (0j, 1.0 + 0.05j))
+    cs = np.array([-4.0, 1.0])
+    with pytest.raises(PathError):
+        integrate_frame(path, CurveParams(2.0, -4.0))
+    for pieces in (1, 6):
+        with pytest.raises(PathError):
+            integrate_frames_in_pieces(path, 2.0, cs, pieces)
+
+
 def test_frames_over_c_keep_the_checks(monkeypatch):
     path = canonical_paths(2.0).c2
     cs = np.array([-4.0, 1.0])
-    with pytest.raises(PathError):
-        integrate_frames_over_c(PathSpec(base_point(+1), (0.5j, 1.0 + 0.5j)), 2.0, cs)
     loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)
     with pytest.raises(ContinuationError, match="sheet residual"):
         integrate_frames_over_c(path, 2.0, cs, loose)
@@ -240,22 +250,34 @@ def test_scaled_lane_matches_integrate_frame(r):
 
 
 def test_lane_checks_name_the_failing_lanes():
-    # every lane's scaled polyline is validated: at scale 1 the segment ends
-    # 0.05 from the branch point z = -1
-    with pytest.raises(PathError):
-        integrate_frames_over_c(
-            PathSpec(base_point(+1), (0j, -1.0 + 0.05j)), 2.0, -1.526, scale=np.array([0.5, 1.0])
-        )
     # a start value off the sheet fails that lane's sheet check only
     unit = PathSpec(base_point(+1), (0j, 1j, np.exp(2.0j)))
     w0 = np.ones(3, dtype=complex)
     w0[1] *= 1 + 1e-6
     with pytest.raises(LanesFailed, match="sheet residual") as exc:
-        integrate_frames_over_c(
-            unit, 2.0, -1.526, w0=w0, scale=np.array([0.5, 2.7, 4.4]), validated=True
-        )
+        integrate_frames_over_c(unit, 2.0, -1.526, w0=w0, scale=np.array([0.5, 2.7, 4.4]))
     assert exc.value.lanes == (1,)
     assert isinstance(exc.value, ContinuationError)
+    assert str(exc.value).endswith(" for c = -1.526") and "lanes" not in str(exc.value)
+
+
+def test_both_kernels_fail_in_one_format():
+    # at loose tolerances w leaves the curve on c2, on the scalar kernel and
+    # on the lane kernel alike: one message shape, a point of the path and the c
+    a, c = 2.0, -1.526035
+    path = canonical_paths(a).c2
+    loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)
+    with pytest.raises(LanesFailed) as scalar:
+        integrate_frame(path, CurveParams(a, c), cfg=loose)
+    with pytest.raises(LanesFailed) as lanes:
+        integrate_frames_over_c(path, a, np.array([c, c]), loose)
+    assert scalar.value.lanes == (0,) and lanes.value.lanes == (0, 1)
+    for exc in (scalar.value, lanes.value):
+        head, _, tail = str(exc).partition(" at z = ")
+        z, _, c_named = tail.partition(" for c = ")
+        assert head == "sheet residual exceeded"
+        assert float(c_named) == c
+        assert 0.0 <= complex(z).real <= 2 * a and 0.0 <= complex(z).imag <= 0.8
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
@@ -326,9 +348,8 @@ def test_piece_checks_name_the_curve_point_and_c(monkeypatch):
     a, cs = 2.0, np.array([-4.0, 1.0])
     path = canonical_paths(a).c2
     loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)
-    with pytest.raises(ContinuationError) as exc:
+    with pytest.raises(LanesFailed) as exc:
         integrate_frames_in_pieces(path, a, cs, 6, loose)
-    assert not isinstance(exc.value, LanesFailed)
     message = str(exc.value)
     assert message.startswith("sheet residual exceeded at z = (") and "lanes" not in message
     # the failing point lies on the curve's path, not on the unit segment
@@ -535,7 +556,7 @@ def test_ring_end_states_equal_the_inline_reference():
     for leg in geometry._unit_legs(angles, order):
         F, w = integrate_frames_over_c(
             PathSpec(CurvePoint(leg[0], 1.0 + 0j), leg), a, c,
-            F0=y[:4].T.reshape(-1, 2, 2), w0=y[4], scale=scale, validated=True,
+            F0=y[:4].T.reshape(-1, 2, 2), w0=y[4], scale=scale,
         )
         steps, y = _lane_steps(_reference_field_lanes(a, c, scale), leg, y)
         assert F.tobytes() == y[:4].T.reshape(-1, 2, 2).tobytes()
