@@ -333,7 +333,7 @@ def integrate_polyline_rk4(
         h = seg_len / m
         for j in range(0, m, RK4_BLOCK):
             t = _rk4_transfer(matrix, i, p, u, h, j, min(m, j + RK4_BLOCK))
-            f = _mul(_chain_product(t), f)
+            f = _mul(tuple(complex(x) for x in _chain_product(t)), f)
     return np.array(f).reshape(2, 2)
 
 
@@ -375,6 +375,7 @@ def _shifted(x, a: tuple) -> tuple:
 
 def _chain_product(t: tuple) -> tuple:
     """T_{k-1} ... T_1 T_0 of the matrices whose components are the arrays t,
+    indexed by step along their first axis (any further axes run over lanes),
     multiplied pairwise: neighbours first, then neighbouring pairs, and so on."""
     while len(t[0]) > 1:
         n = len(t[0])
@@ -383,4 +384,4 @@ def _chain_product(t: tuple) -> tuple:
         if n % 2:
             prod = tuple(np.concatenate((y, x[-1:])) for y, x in zip(prod, t))
         t = prod
-    return tuple(complex(x[0]) for x in t)
+    return tuple(x[0] for x in t)

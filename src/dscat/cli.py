@@ -35,7 +35,7 @@ from .errors import (
     StepLimitExceeded,
     VerificationFailed,
 )
-from .transport import IntegratorConfig
+from .transport import MAGNUS_TOL, IntegratorConfig
 
 EXIT_OK = 0
 EXIT_CHECKS = 1
@@ -86,12 +86,12 @@ def _write_atomic(path: str, text: str) -> None:
 # each with the type of its default, in the order of the fields.
 _SETTINGS = {field.name: type(field.default) for field in dataclasses.fields(IntegratorConfig)}
 _HELP = {
-    "rel_tol": "relative tolerance of each DP5 step",
-    "abs_tol": "absolute tolerance of each DP5 step",
-    "max_steps": "most steps of one integration; a scan block's pass over a half path, "
-    "all its pieces and values of c together, counts as one",
-    "initial_step": "first trial step, in arc length; where a scan block cuts a half path "
-    "into pieces, a fraction of each piece",
+    "rel_tol": "relative tolerance of each DP5 step; a scan refines its Magnus grid "
+    f"until each step's error estimate is at most {MAGNUS_TOL:g} * (rel_tol + abs_tol)",
+    "abs_tol": "absolute tolerance of each DP5 step; in a scan, see --rel-tol",
+    "max_steps": "most steps of one integration; in a scan block, of the Magnus grid "
+    "along c1, or along either of the two parts the block splits c2 into",
+    "initial_step": "first trial step of DP5, in arc length; a scan does not use it",
 }
 
 

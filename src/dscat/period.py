@@ -8,6 +8,9 @@ has an isolated zero in c: at a = 2 the poles near c = -4.80 and -1.69 are
 zeros of the f2 denominator, those near -0.555 and 0.757 zeros of the f1
 denominator.  Refinement tells them apart by the signs of the denominators
 at the ends of its final bracket: across a pole one of them changes sign.
+The scan evaluates many c at once on transport's Magnus kernel
+(transport.transfer); refinement and verification evaluate one c at a time
+on the adaptive DP5 kernel (monodromy.half_path_frames).
 """
 
 from __future__ import annotations
@@ -36,7 +39,15 @@ from .monodromy import (
     period_functions,
     period_values,
 )
-from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frames_in_pieces
+from .transport import (
+    DEFAULT_CONFIG,
+    IntegratorConfig,
+    compose,
+    cut,
+    grid_steps,
+    transfer,
+    transfer_runs,
+)
 
 # Half width of the default exclusion window around c = 0.
 SKIP_HALFWIDTH = 0.01
@@ -46,21 +57,11 @@ ROOT_WINDOW = 0.01
 # the SU(1,1) defect of the gauged monodromies is first order in the root's offset.
 TOL_C = 1e-9
 # Most grid points scan_c integrates together.  The cost per point has
-# stopped falling by this size (the 2600-point scan at a = 2 took 1.3 s in
-# blocks of 256, 0.85 s in blocks of 1024 and 0.84 s in one block), and the
-# bound keeps the memory of the lane arrays flat however many grid points are
-# asked for.
+# stopped falling by this size (the 2600-point scan at a = 2 took 0.22-0.31 s
+# in blocks of 256, 0.17-0.23 s in blocks of 1024 and 0.17-0.20 s in one
+# block), and the bound keeps the memory of the lane arrays flat however many
+# grid points are asked for (one block of 4096 raised the peak RSS by 0.7 MB).
 SCAN_BLOCK = 1024
-# Lanes a scan block's half path is cut up to fill: a block of n grid points
-# runs each half path as LANE_BUDGET // n pieces side by side
-# (transport.integrate_frames_in_pieces), one piece when n > LANE_BUDGET // 2.
-# A shared DP5 step of c2 at a = 2 cost 180 us at 27 lanes, 220 at 108,
-# 338 at 216, 438 at 432 and 897 at 864 (one core of a 2-core Xeon, numpy
-# 2.4, scaled to the benchmark's nominal speed): 16 times the lanes cost 2.4
-# times as much per step, so a short block gains by trading its chain of
-# steps along the path for more lanes, up to about the size where the cost
-# per step grows in proportion to the lanes.
-LANE_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -141,42 +142,39 @@ def scan_c(
     of f1 - f2 are only bracketed between adjacent surviving grid points, so
     a gap never manufactures a spurious bracket.
 
-    Up to SCAN_BLOCK grid points are integrated together, sharing one step
-    sequence that meets the tolerances of the hardest of them.  A block of n
-    points cuts each half path into LANE_BUDGET // n pieces, each (piece, c)
-    pair one lane, and multiplies each c's piece transfer matrices in path
-    order (transport.integrate_frames_in_pieces); a block of more than
-    LANE_BUDGET // 2 points runs the whole path as one piece.  Scan values
-    therefore match single-c evaluation (_periods_at) within the integrator
-    tolerance, not bit for bit; for fixed arguments they are deterministic.
-    Each block's c1 pass runs in the worker process of _worker.pair while
-    this process integrates c2.  Raises DomainError unless steps >= 2 and
-    c_min < c_max, both finite with a finite grid spacing.
+    The grid is taken SCAN_BLOCK points at a time, the c of a block built
+    with it, and each block's half paths run on transport's Magnus kernel,
+    whose grid, shared by the block's c, is refined for the largest |c|
+    among them.  Scan values therefore match single-c evaluation
+    (_periods_at, on adaptive DP5) within the integrators' tolerances, not
+    bit for bit; for fixed arguments they are deterministic.  The two
+    processes of _worker.pair share each block's work equally
+    (_half_path_frames_over_c).  Raises DomainError unless steps >= 2 and
+    c_min < c_max, both finite with a positive, finite grid spacing.
     """
     if steps < 2:
         raise DomainError("--steps must be at least 2")
     if not c_min < c_max:
         raise DomainError("need --c-min < --c-max")
     paths = canonical_paths(a)  # validates a even when every grid point is skipped
-    spacing = (c_max - c_min) / (steps - 1)
-    if not math.isfinite(spacing):
-        raise DomainError("need a finite --c-min, --c-max and grid spacing")
-    grid = [c_min + k * spacing for k in range(steps)]
-    live = [k for k, c in enumerate(grid) if not abs(c) < SKIP_HALFWIDTH]
+    try:
+        spacing = (c_max - c_min) / (steps - 1)
+    except OverflowError:  # steps - 1 is beyond the floats
+        spacing = 0.0
+    if not 0.0 < spacing < math.inf:
+        raise DomainError("need a finite --c-min, --c-max and a positive, finite grid spacing")
     kept: dict = {}  # grid index -> record, for the grid points not skipped
-    for lo in range(0, len(live), SCAN_BLOCK):
-        block = live[lo:lo + SCAN_BLOCK]
-        cs = np.array([grid[k] for k in block])
-        pieces = LANE_BUDGET // len(block)
-        (F1, _), (F2, _) = _worker.pair(
-            "dscat.transport.integrate_frames_in_pieces",
-            lambda: integrate_frames_in_pieces(paths.c2, a, cs, pieces, cfg),
-            paths.c1, a, cs, pieces, cfg,
-        )
-        f1, f2, _, _, degenerate = period_values(F1, F2)
-        for k, x1, x2, bad in zip(block, f1.tolist(), f2.tolist(), degenerate.tolist()):
-            if not bad:
-                kept[k] = ScanRecord(grid[k], x1, x2, abs(x1) > 1.0 and abs(x2) > 1.0)
+    skipped: list = []
+    for lo in range(0, steps, SCAN_BLOCK):
+        grid = {k: c_min + k * spacing for k in range(lo, min(steps, lo + SCAN_BLOCK))}
+        live = [k for k, c in grid.items() if not abs(c) < SKIP_HALFWIDTH]
+        if live:
+            cs = np.array([grid[k] for k in live])
+            f1, f2, _, _, degenerate = period_values(*_half_path_frames_over_c(paths, a, cs, cfg))
+            for k, x1, x2, bad in zip(live, f1.tolist(), f2.tolist(), degenerate.tolist()):
+                if not bad:
+                    kept[k] = ScanRecord(grid[k], x1, x2, abs(x1) > 1.0 and abs(x2) > 1.0)
+        skipped += [c for k, c in grid.items() if k not in kept]
 
     brackets: list = []
     for k, r0 in kept.items():
@@ -188,8 +186,29 @@ def scan_c(
             brackets.append(Bracket(r0.c, r0.c, r0.admissible_hint))
         elif opposite_signs(d0, d1):
             brackets.append(Bracket(r0.c, r1.c, r0.admissible_hint and r1.admissible_hint))
-    skipped = [c for k, c in enumerate(grid) if k not in kept]
     return ScanResult(list(kept.values()), brackets, skipped)
+
+
+def _half_path_frames_over_c(paths: CanonicalPaths, a: float, cs: np.ndarray, cfg) -> tuple:
+    """The end frames along c1 and c2 for each c of cs by transport.transfer,
+    the two processes of _worker.pair holding equal shares of the steps,
+    counted on the first grids (transport.grid_steps).  The worker takes c1
+    and, where c2 has more steps, c2 up to the grid point that evens the
+    shares (transport.cut); this process takes the runs of the rest of c2
+    and carries the worker's frames through them (transport.compose)."""
+    head, tail = cut(paths.c2, a, cs, (grid_steps(paths.c2, a, cs) - grid_steps(paths.c1, a, cs)) // 2)
+    done, (runs, _) = _worker.pair(
+        "dscat.period._transfer_each",
+        lambda: transfer_runs(tail, a, cs, cfg),
+        (paths.c1,) if head is None else (paths.c1, head), a, cs, cfg,
+    )
+    return done[0], compose(runs, None if head is None else done[1], paths.c2.waypoints[-1], cs)
+
+
+def _transfer_each(paths: tuple, a: float, cs: np.ndarray, cfg) -> list:
+    """transport.transfer's end frames along each of paths: the worker's
+    share of a scan block."""
+    return [transfer(path, a, cs, cfg)[0] for path in paths]
 
 
 def opposite_signs(x: float, y: float) -> bool:

@@ -10,14 +10,20 @@ lane kernel for many, and states each check once for both: the start frame
 (_start_frame), the sheet residual of w at every accepted step and at the
 end, and the determinant drift of the end frame (_check_drift).  A failed
 sheet or drift check raises LanesFailed naming the point of the curve and
-the c.  integrate_frame is its one-lane case after validate_path, and
-integrate_frames_in_pieces composes lane passes over the pieces of a path.
-The fixed-step RK4 reference, reference_frame, integrates the frame alone,
-with w continued in closed form by curve.continue_w.
+the c.  integrate_frame is its one-lane case after validate_path.
+
+The scan's kernel, transfer, integrates the frame alone by sixth-order Magnus
+steps on a grid shared by many c, with w continued in closed form by
+curve.continue_w: the frame equation is linear, so each step is a transfer
+matrix exp(Omega) of determinant 1, and there is no sheet to monitor.
+transfer_runs, compose, grid_steps and cut let a caller split that work
+along a path.  The fixed-step RK4 reference, reference_frame, integrates the
+frame alone too, with w continued the same way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +36,7 @@ from .curve import (
     CurvePoint,
     PathSpec,
     branch_offsets,
+    branch_points,
     continue_w,
     end_point,
     log_derivative,
@@ -38,12 +45,51 @@ from .curve import (
     sheet_residual_of,
     validate_path,
 )
-from .errors import DomainError, LanesFailed
+from .errors import DomainError, LanesFailed, StepLimitExceeded
 
 # det F is conserved exactly by the trace-free flow; on the seven canonical
 # paths at the four a = 2 roots the drift is at most 3.1e-11 of |F|^2 at
-# rel_tol 1e-10, so 1e-9 flags only a real loss of accuracy.
+# rel_tol 1e-10, so 1e-9 flags only a real loss of accuracy.  transfer's
+# steps each keep it to rounding: on c1 and c2 for 180 c over [-12, 6] at
+# a = 1.3, 2 and 5 its drift is at most 3.2e-14.
 TOL_DET = 1e-9
+
+# The Magnus grid of transfer_runs.  A segment's first grid has steps of
+# MAGNUS_STEP times the distance to the nearest branch point, divided by
+# sqrt(max(1, |c|)) for the largest |c| of the call, placed by sampling that
+# rule at _GRID_SAMPLES points of the segment.  Refinement then splits each
+# step whose estimate (see _magnus_terms) exceeds MAGNUS_TOL * (rel_tol +
+# abs_tol): an error in Omega is a relative error of F, as rel_tol + abs_tol
+# is of a DP5 step at |F| = 1, and the estimate, the fourth-order Omega's
+# error, exceeds the sixth-order one's by far.  tools/scan_accuracy.py, for
+# 180 c over [-12, 6], gives the worst error (c1 / c2) against DP5 at
+# rel_tol 1e-13, relative to max(1, |F|), and the refined grid's steps:
+#
+#     a     transfer             DP5 default          Magnus steps
+#     1.3   1.1e-13 / 2.4e-13    1.1e-11 / 4.3e-12    254 / 277
+#     2     3.8e-13 / 1.8e-11    1.1e-11 / 2.7e-10    305 / 515
+#     5     9.3e-14 / 4.5e-11    5.4e-12 / 2.6e-10    446 / 1189
+#
+# At MAGNUS_TOL = 100, c2 at a = 2 and 5 is less accurate than DP5 default
+# (3.0e-10, 1.2e-9); at 1 the grids take 1.5 times the steps.  The first
+# grid is 3-6 times as coarse as the refined one, whose steps MAGNUS_STEP =
+# 0.1 or 0.4 change by 4-9%.
+MAGNUS_STEP = 0.2
+MAGNUS_TOL = 10.0
+_GRID_SAMPLES = 256
+# Steps x lanes whose matrices transfer_runs forms at once: its work arrays
+# hold one block, so memory stays flat however many steps and c a call takes.
+# At 1 << 14 the peak RSS of a 2600-point scan at a = 2 rose from 32.1 to
+# 34.9 MB (the worker's from 26.4 to 29.4 MB), with no gain in speed.
+MAGNUS_BLOCK = 1 << 12
+# Steps in a run of transfer_runs, whose products compose applies one after
+# the other (see compose for why).
+MAGNUS_RUN = 128
+# The Gauss-Legendre points of a Magnus step, as fractions of the step.
+_GAUSS = np.array((0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10))
+# Largest |s^2| at which _step_matrices sums exp(Omega) as a series; on the
+# default grids |s^2| stays below 1e-7.
+_SERIES_S2 = 1e-5
 
 
 @dataclass(frozen=True)
@@ -190,59 +236,282 @@ def integrate_frames_over_c(
     return np.asarray(y[:4]).T.reshape(shape + (2, 2)), y[4]
 
 
-def integrate_frames_in_pieces(
-    path: PathSpec,
-    a: float,
-    cs,
-    pieces: int,
-    cfg: IntegratorConfig = DEFAULT_CONFIG,
-) -> tuple:
-    """integrate_frames_over_c(path, a, cs, cfg) after validate_path, from
-    about `pieces` straight pieces of path integrated side by side in one
-    lane pass.
+def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFIG) -> tuple:
+    """End frames from I along path, one for each c of the 1-d array cs, shape
+    (n, 2, 2), and the end value of w, after validate_path: sixth-order
+    Magnus steps on one grid for all c, composed by transfer_runs and
+    compose."""
+    runs, w = transfer_runs(path, a, cs, cfg)
+    return compose(runs, None, path.waypoints[-1], cs), w
 
-    The frame equation is linear, so the frame along the path is the product
-    of the pieces' transfer matrices, each piece integrated from I.  Each
-    segment is cut into equal pieces, their number in proportion to its
-    length and at least one.  Every (piece, c) pair is one lane over the unit
-    segment, mapped onto its piece by origin + scale * z, and each c's
-    transfer matrices are multiplied in path order.  With pieces <= 1 this is
-    integrate_frames_over_c on the whole path, bit for bit.  Otherwise cfg's
-    initial_step is a fraction of each piece and max_steps bounds the steps
-    the one pass shares.
 
-    Each piece starts at the value of w continued in closed form
-    (curve.continue_w) from path.start to its first point, and the previous
-    piece's integrated end value must be nearer to that than to its
-    negative.  That check, the lanes' checks and the drift check of each
-    composed frame raise LanesFailed naming the point of the curve and the c.
+def transfer_runs(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFIG) -> tuple:
+    """The transfer matrices of path's Magnus steps for each c of the 1-d
+    array cs, multiplied into runs, and the end value of w, after
+    validate_path.  Each run is a (4, n) array of the components (t11, t12,
+    t21, t22) over the c, in path order; compose applies them.
+
+    A step from z0 by dz maps F to exp(Omega) F, Omega being formed from
+    A = c dz [[1, -w], [1/w, -1]] at the step's three Gauss points (Blanes,
+    Casas & Ros, BIT 2000), with w continued to them in closed form
+    (curve.continue_w).  Omega is traceless, so exp(Omega) has determinant 1.
+    It is a polynomial of degree 5 in c whose coefficients depend on the
+    step alone (_magnus_terms), so the grid is settled before any c is
+    taken: each segment starts from its first grid (_first_grids) and is
+    refined (_refine) where the embedded fourth-order Omega may differ from
+    the sixth-order one by more than MAGNUS_TOL * (cfg.rel_tol + cfg.abs_tol)
+    for some |c| up to max |cs|.  More than cfg.max_steps steps in all raise
+    StepLimitExceeded; cfg.initial_step is not used.
+
+    The step matrices are formed and multiplied pairwise, by component
+    (_rk._mul; not by numpy's matrix product, see _rk._STAGE_W), in blocks
+    of at most MAGNUS_RUN steps and MAGNUS_BLOCK steps x lanes; the blocks'
+    products are multiplied one after the other into runs of MAGNUS_RUN
+    steps or more, the last run taking what is left.  end_point checks the
+    end value of w.
     """
     validate_path(path, a)
     cs = np.asarray(cs, dtype=float)
-    points = _cut(path.waypoints, pieces)
-    if pieces <= 1 or points.size < 3:
-        return integrate_frames_over_c(path, a, cs, cfg)
-    start, n = points[:-1], cs.size
-    # w's factor over each piece: the unit segment through the piece's lane map
-    steps = continue_w((0.0, 1.0), 1.0, branch_offsets(a, np.diff(start), start[:-1]))
-    w0 = path.start.w * np.cumprod(np.concatenate(([1.0], steps)))
-    unit = PathSpec(CurvePoint(0j, w0[0]), (0j, 1 + 0j))
-    F, w = integrate_frames_over_c(
-        unit, a, np.tile(cs, start.size), cfg, w0=np.repeat(w0, n),
-        scale=np.repeat(np.diff(points), n), origin=np.repeat(start, n),
-    )
-    w = w.reshape(-1, n)
-    flipped = np.abs(w[:-1] - w0[1:, None]) >= np.abs(w[:-1] + w0[1:, None])
-    if flipped.any():
-        p = np.flatnonzero(flipped.any(axis=1))[0]
-        raise _failed("w arrived on the other sheet", start[p + 1], flipped[p], cs)
-    T = F.reshape(-1, n, 4).transpose(0, 2, 1)
-    product = tuple(T[0])
-    for t in T[1:]:
-        product = _rk._mul(tuple(t), product)
-    product = np.array(product)
-    _check_drift(product, path.waypoints[-1], cs)
-    return product.T.reshape(n, 2, 2), w[-1]
+    lanes = cs.astype(complex)
+    c_max = float(np.max(np.abs(cs)))
+    k = branch_offsets(a)
+    w = _waypoint_w(path, k)
+    grid = _first_grid(path, a, c_max, cfg.max_steps, cs)
+    tol = MAGNUS_TOL * (cfg.rel_tol + cfg.abs_tol)
+    M = _refine(np.array(path.waypoints), np.array(w), k, *grid, c_max, tol, cfg.max_steps, cs)
+    block = max(1, min(MAGNUS_RUN, MAGNUS_BLOCK // cs.size))
+    runs: list = []
+    run, held = None, 0
+    for j in range(0, M.shape[2], block):
+        product = _rk._chain_product(_step_matrices(M[:, :, j : j + block], lanes))
+        run = product if run is None else _rk._mul(product, run)
+        held += min(block, M.shape[2] - j)
+        if held >= MAGNUS_RUN or j + block >= M.shape[2]:
+            runs.append(np.array(run))
+            run, held = None, 0
+    return runs, end_point(path, w[-1], a).w
+
+
+def compose(runs: list, F0, z, cs) -> np.ndarray:
+    """The frames F0, an (n, 2, 2) stack (I for each c when None), carried
+    through the runs of transfer_runs one after the other, by component; z is
+    where the runs end, and cs their c.
+
+    The product is taken run by run onto the frames, not pairwise over the
+    whole path: where the frame grows and shrinks again along the path, a
+    product of two long stretches loses the digits that their sizes cancel.
+    At a = 5 on c2, where |F| reaches 1e5, f2 at c = -10.6 came out 6e-10
+    to 9.7e-10 off with runs of 32 to 256 steps, and 2.8e-8 off with runs of
+    606.  _check_drift checks the result: every step has determinant 1 up
+    to rounding, so only the rounding of the product can move it."""
+    n = np.size(cs)
+    if F0 is None:
+        one, zero = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+        F = (one, zero, zero, one)
+    else:
+        F = tuple(np.asarray(F0).reshape(-1, 4).T)
+    for run in runs:
+        F = _rk._mul(tuple(run), F)
+    F = np.array(F)
+    _check_drift(F, z, cs)
+    return F.T.reshape(-1, 2, 2)
+
+
+def grid_steps(path: PathSpec, a: float, cs) -> int:
+    """The steps of path's first Magnus grid for the c in cs, before
+    transfer_runs refines it: the work of a transfer, known in advance."""
+    return sum(n for *_, n in _first_grids(path, a, float(np.max(np.abs(cs)))))
+
+
+def cut(path: PathSpec, a: float, cs, steps: int) -> tuple:
+    """(head, tail): path cut at the end of the first `steps` steps of its
+    first Magnus grid for the c in cs, a grid point or a waypoint.  tail
+    starts there with w continued in closed form from path.start
+    (curve.continue_w), so the frames along path are compose(transfer_runs
+    (tail), transfer(head)).  (None, path) for steps <= 0, and (path, None)
+    for steps at least grid_steps(path, a, cs)."""
+    if steps <= 0:
+        return None, path
+    k = branch_offsets(a)
+    w = _waypoint_w(path, k)
+    wp = path.waypoints
+    for i, t, wanted, n in _first_grids(path, a, float(np.max(np.abs(cs)))):
+        p, q = wp[i], wp[i + 1]
+        if steps < n:
+            z = p + (q - p) * float(np.interp(steps * (wanted[-1] / n), wanted, t))
+            head = PathSpec(path.start, wp[: i + 1] + ((z,) if steps else ()))
+            return head, PathSpec(CurvePoint(z, continue_w((p, z), w[i], k)), (z,) + wp[i + 1 :])
+        steps -= n
+    return path, None
+
+
+def _waypoint_w(path: PathSpec, k) -> list:
+    """w at each waypoint of path, continued segment by segment from
+    path.start by curve.continue_w with the branch offsets k."""
+    w = [path.start.w]
+    for p, q in zip(path.waypoints[:-1], path.waypoints[1:]):
+        w.append(continue_w((p, q), w[-1], k))
+    return w
+
+
+def _first_grids(path: PathSpec, a: float, c_max: float):
+    """(i, t, wanted, n) for each segment of path of nonzero length, i the
+    index of its first waypoint: the segment's first Magnus grid, before
+    refinement.  Its steps are MAGNUS_STEP times the distance to the nearest
+    branch point divided by sqrt(max(1, c_max)): wanted holds the number of
+    such steps from the segment's start to each of the _GRID_SAMPLES
+    fractions t of the segment, by the trapezoid rule.  The grid has
+    n = ceil(wanted[-1]) steps, at least one, ending where wanted passes the
+    multiples of wanted[-1] / n."""
+    t = np.linspace(0.0, 1.0, _GRID_SAMPLES)
+    branch = np.array(branch_points(a))
+    per_length = math.sqrt(max(1.0, c_max)) / MAGNUS_STEP
+    wp = path.waypoints
+    for i, (p, q) in enumerate(zip(wp[:-1], wp[1:])):
+        if p == q:
+            continue
+        z = p + (q - p) * t
+        density = abs(q - p) * per_length / np.min(np.abs(z[:, None] - branch), axis=1)
+        wanted = np.concatenate(([0.0], np.cumsum(density[1:] + density[:-1]))) * (0.5 * t[1])
+        yield i, t, wanted, max(1, math.ceil(wanted[-1]))
+
+
+def _first_grid(path: PathSpec, a: float, c_max: float, limit: int, cs) -> tuple:
+    """(segment, t0, dt) of each step of the first grids of path's segments
+    (_first_grids), in path order: the index of the segment's first
+    waypoint, and the step's start and length as fractions of the segment.
+    More than limit steps raise StepLimitExceeded before any is placed."""
+    grids = list(_first_grids(path, a, c_max))
+    counts = np.cumsum([n for *_, n in grids], dtype=float)
+    if counts.size and counts[-1] > limit:
+        raise _too_many(limit, path.waypoints[grids[np.argmax(counts > limit)][0] + 1], cs)
+    segment, t0, dt = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
+    for i, t, wanted, n in grids:
+        ends = np.interp(np.arange(n + 1) * (wanted[-1] / n), wanted, t)
+        ends[0], ends[-1] = 0.0, 1.0
+        segment.append(np.full(n, i))
+        t0.append(ends[:-1])
+        dt.append(np.diff(ends))
+    return np.concatenate(segment), np.concatenate(t0), np.concatenate(dt)
+
+
+def _refine(points, w, k, segment, t0, dt, c_max, tol, limit, cs) -> np.ndarray:
+    """_magnus_terms' coefficients of the steps (segment, t0, dt) of
+    _first_grid along the polyline points, where w holds w at each point,
+    shape (5, 3, m), in path order, after each step whose estimate exceeds
+    tol was split into ceil(1.05 (estimate / tol)^(1/5)) equal steps, again
+    until none does.  The estimate is of fifth order in the step; the factor
+    1.05 keeps the split steps from failing again by a hair (without it, up
+    to 6 of a segment's split steps missed by up to 11%, costing a pass).
+    More than limit steps raise StepLimitExceeded."""
+    kept_M, kept_segment, kept_t0 = [], [], []
+    while not kept_M or t0.size:  # once at least, for a path without steps
+        p = points[segment]
+        along = points[segment + 1] - p
+        M, estimate = _magnus_terms(p + along * t0, along * dt, p, w[segment], k, c_max)
+        bad = estimate > tol
+        kept_M.append(M[:, :, ~bad])
+        kept_segment.append(segment[~bad])
+        kept_t0.append(t0[~bad])
+        parts = np.ceil(1.05 * (estimate[bad] / tol) ** 0.2)
+        held = np.bincount(np.concatenate(kept_segment), minlength=points.size)
+        held = np.cumsum(held + np.bincount(segment[bad], parts, minlength=points.size))
+        if held[-1] > limit:
+            raise _too_many(limit, points[np.argmax(held > limit) + 1], cs)
+        parts = parts.astype(int)
+        first = np.repeat(np.cumsum(parts) - parts, parts)
+        dt = np.repeat(dt[bad] / parts, parts)
+        t0 = np.repeat(t0[bad], parts) + (np.arange(first.size) - first) * dt
+        segment = np.repeat(segment[bad], parts)
+    order = np.lexsort((np.concatenate(kept_t0), np.concatenate(kept_segment)))
+    return np.concatenate(kept_M, axis=2)[:, :, order]
+
+
+def _too_many(limit: int, z, cs) -> StepLimitExceeded:
+    """StepLimitExceeded for a Magnus grid of more than limit steps, naming
+    the end z of the segment where it passed the limit and the c of
+    largest modulus, which sets the grid."""
+    c = float(np.ravel(cs)[np.argmax(np.abs(cs))])
+    return StepLimitExceeded(f"Magnus grid exceeds {limit} steps by z = {complex(z)} for c = {c}")
+
+
+def _magnus_terms(z0, dz, p, w_p, k, c_max) -> tuple:
+    """(M, estimate) of the Magnus steps from the points z0 by dz, each on a
+    segment from the point p where w = w_p (arrays over the steps).
+
+    M[j - 1], shape (3, m), is the coefficient of c^j in the sixth-order
+    Omega, the matrices given as rows (d, x, y) of [[d, x], [y, -d]].  With
+    B_i = dz [[1, -w_i], [1/w_i, -1]] at the Gauss points, b1 = B_2,
+    b2 = sqrt(15)/3 (B_3 - B_1), b3 = 10/3 (B_3 - 2 B_2 + B_1) and
+    a_i = c b_i, Blanes, Casas & Ros give
+
+        Omega6 = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2] / 240,
+        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+
+    and the fourth-order Omega4 = a1 + a3/12 - [a1, a2]/12 from the same
+    points.  So with K_ij = [b_i, b_j], L = [b1, K12] and X = -20 b1 - b3:
+
+        M1 = b1 + b3/12              M2 = -K12/12 + K23/240
+        M3 = ([K12, b2] - [X, K13]/30) / 240
+        M4 = -([X, L]/60 + [K12, K13]/30) / 240
+        M5 = -[K12, L] / 14400,
+
+    and Omega6 - Omega4 = c^2 K23/240 + c^3 M3 + c^4 M4 + c^5 M5.  estimate
+    bounds its largest entry over |c| <= c_max, term by term."""
+    z = z0[:, None] + dz[:, None] * _GAUSS
+    w = continue_w((p[:, None], z), w_p[:, None], np.array(k)[:, None])
+    iw = 1 / w
+    zero = np.zeros_like(dz)
+    b1 = np.array((dz, -dz * w[:, 1], dz * iw[:, 1]))
+    r, s = dz * (math.sqrt(15) / 3), dz * (10 / 3)
+    b2 = np.array((zero, r * (w[:, 0] - w[:, 2]), r * (iw[:, 2] - iw[:, 0])))
+    b3 = np.array((zero, s * (2 * w[:, 1] - w[:, 0] - w[:, 2]), s * (iw[:, 0] - 2 * iw[:, 1] + iw[:, 2])))
+    K12, K13, K23 = _bracket(b1, b2), _bracket(b1, b3), _bracket(b2, b3)
+    L = _bracket(b1, K12)
+    X = -20 * b1 - b3
+    M = np.array((
+        b1 + b3 / 12,
+        K23 / 240 - K12 / 12,
+        (_bracket(K12, b2) - _bracket(X, K13) / 30) / 240,
+        -(_bracket(X, L) / 60 + _bracket(K12, K13) / 30) / 240,
+        -_bracket(K12, L) / 14400,
+    ))
+    g2, g3, g4, g5 = np.abs((K23 / 240, M[2], M[3], M[4])).max(axis=1)
+    return M, c_max * c_max * (g2 + c_max * (g3 + c_max * (g4 + c_max * g5)))
+
+
+def _bracket(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """[P, Q] = PQ - QP of traceless 2 x 2 matrices, each given as rows
+    (d, x, y) of [[d, x], [y, -d]]."""
+    d1, x1, y1 = P
+    d2, x2, y2 = Q
+    return np.array((x1 * y2 - x2 * y1, 2 * (d1 * x2 - d2 * x1), 2 * (d2 * y1 - d1 * y2)))
+
+
+def _step_matrices(M: np.ndarray, lanes: np.ndarray) -> tuple:
+    """exp(Omega) for each step of M (_magnus_terms) and each c of lanes, as
+    components (e11, e12, e21, e22), arrays of shape (steps, lanes).
+
+    For the traceless Omega = (d, x, y), exp(Omega) = cosh(s) I +
+    sinh(s)/s Omega with s^2 = d^2 + x y.  Both functions are entire in s^2;
+    where |s^2| <= _SERIES_S2 they are summed as its Taylor series to s^4,
+    whose next terms are below 1.4e-18."""
+    M = M[..., None]
+    omega = M[4] * lanes + M[3]
+    for j in (2, 1, 0):
+        omega *= lanes
+        omega += M[j]
+    omega *= lanes
+    d, x, y = omega
+    s2 = d * d + x * y
+    ch = 1 + s2 * (1 / 2 + s2 * (1 / 24))
+    sh = 1 + s2 * (1 / 6 + s2 * (1 / 120))
+    far = np.abs(s2) > _SERIES_S2
+    if far.any():
+        s = np.sqrt(s2[far])
+        ch[far], sh[far] = np.cosh(s), np.sinh(s) / s
+    sd = sh * d
+    return ch + sd, sh * x, sh * y, ch - sd
 
 
 def _failed(message: str, z, bad, cs, scale=1.0, origin=0.0) -> LanesFailed:
@@ -251,17 +520,6 @@ def _failed(message: str, z, bad, cs, scale=1.0, origin=0.0) -> LanesFailed:
     lanes = np.flatnonzero(bad)
     o, s, c = (np.broadcast_to(x, np.shape(bad)).flat[lanes[0]] for x in (origin, scale, cs))
     return LanesFailed(f"{message} at z = {complex(o + s * z)} for c = {float(c)}", lanes)
-
-
-def _cut(waypoints: tuple, pieces: int) -> np.ndarray:
-    """The ends of the pieces of integrate_frames_in_pieces along the polyline."""
-    segments = [(p, q) for p, q in zip(waypoints[:-1], waypoints[1:]) if q != p]
-    total = sum(abs(q - p) for p, q in segments)
-    points = [waypoints[0]]
-    for p, q in segments:
-        m = max(1, round(pieces * abs(q - p) / total))
-        points += [p + (q - p) * (i / m) for i in range(1, m)] + [q]
-    return np.array(points, dtype=complex)
 
 
 def _drifted(y: np.ndarray) -> tuple:
@@ -302,9 +560,7 @@ def _linear_field(path: PathSpec, a: float, c: float) -> tuple:
     path.start; w_end is its value at the last waypoint.  k as a (4, 1) array
     takes numpy's sqrt over the array z."""
     k = branch_offsets(a)
-    w = [path.start.w]
-    for p, q in zip(path.waypoints[:-1], path.waypoints[1:]):
-        w.append(continue_w((p, q), w[-1], k))
+    w = _waypoint_w(path, k)
     k_points = np.array(k)[:, None]
 
     def matrix(i, z, u):

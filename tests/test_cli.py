@@ -52,20 +52,20 @@ def test_scan_flag_validation(tmp_path):
 
 
 def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys):
-    # loose tolerances lose the sheet in a 30-point scan's piece pass: the
-    # message names a point of a half path and a grid value of c, not a
-    # point of the unit segment the pieces are mapped from, nor lane indices
+    # the scan's Magnus kernel has no sheet to lose: what is left of exit 3
+    # is a grid over --max-steps, named by the end of the segment where the
+    # grid passed the limit and by the c of largest modulus, which sets it
     code = run(
         ["scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30",
-         "--rel-tol", "1e-4", "--abs-tol", "1e-4", "--out", str(tmp_path / "x.csv")]
+         "--max-steps", "50", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
     err = capsys.readouterr().err
-    prefix = "error: integration failed: sheet residual exceeded at z = "
-    assert err.startswith(prefix) and "lanes" not in err
+    prefix = "error: integration failed: Magnus grid exceeds 50 steps by z = "
+    assert err.startswith(prefix)
     z, c = err[len(prefix):].rstrip("\n").split(" for c = ")
-    assert complex(z).imag > 0.0
-    assert float(c) in [-9 + k * 13 / 29 for k in range(30)]
+    assert complex(z) == 1.5  # the end of c1, whose first grid has 56 steps
+    assert float(c) == -9.0
     assert list(tmp_path.iterdir()) == []
 
 
@@ -355,6 +355,16 @@ def test_non_finite_or_overflowing_input_exits_usage(tmp_path, capsys, argv):
     # a, c and the scan grid are checked where they enter, before an
     # integration can underflow its step or a float overflow into a traceback
     code = run([x.format(tmp=tmp_path) for x in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid input: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_steps_beyond_the_floats_exit_usage(tmp_path, capsys):
+    # 10^400 grid points: the spacing cannot be formed as a float
+    code = run(["scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "1" + "0" * 400,
+                "--out", str(tmp_path / "s.csv")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: invalid input: ") and "Traceback" not in err

@@ -3,7 +3,7 @@
 perfbench/references.json pins the outputs of the benchmark's `mesh` and
 `solve` ops, and a root that moves in its last digits moves mesh vertices past
 the benchmark's tolerance.  tools/output_digest.txt records the SHA-256 of
-those commands' outputs, so a change to any of them fails here; the three
+those commands' outputs, so a change to any of them fails here; the two
 integration failures held here too keep the one format of the transport's
 failure messages, which name the point of the curve and the c.  Skipped
 unless Python and numpy are the versions the file was recorded with, since
@@ -27,8 +27,9 @@ def _load_digest():
 
 digest = _load_digest()
 # The two 24 x 24 meshes, the benchmark's four admissible brackets and its
-# pole bracket, which exits 4, and the three integration failures, which exit
-# 3: the step limit, and the sheet check of the scalar and of the lane kernel.
+# pole bracket, which exits 4; the two integration failures, which exit 3:
+# the step limit and the scalar kernel's sheet check; and the scan at the same
+# loose tolerances, which the Magnus kernel completes.
 PINNED = [
     argv
     for argv in digest.COMMANDS

@@ -29,11 +29,15 @@ from dscat.transport import (
     IntegratorConfig,
     _joint_field,
     _joint_field_lanes,
+    compose,
+    cut,
+    grid_steps,
     integrate_frame,
-    integrate_frames_in_pieces,
     integrate_frames_over_c,
     reference_frame,
     scalar_ode_residual,
+    transfer,
+    transfer_runs,
 )
 
 PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
@@ -218,9 +222,8 @@ def test_callers_validate_the_path():
     cs = np.array([-4.0, 1.0])
     with pytest.raises(PathError):
         integrate_frame(path, CurveParams(2.0, -4.0))
-    for pieces in (1, 6):
-        with pytest.raises(PathError):
-            integrate_frames_in_pieces(path, 2.0, cs, pieces)
+    with pytest.raises(PathError):
+        transfer(path, 2.0, cs)
 
 
 def test_frames_over_c_keep_the_checks(monkeypatch):
@@ -280,90 +283,181 @@ def test_both_kernels_fail_in_one_format():
         assert 0.0 <= complex(z).real <= 2 * a and 0.0 <= complex(z).imag <= 0.8
 
 
+def _error(F: np.ndarray, R: np.ndarray) -> float:
+    """The worst over the lanes of max |F - R| / max(1, max |R|)."""
+    scale = np.maximum(1.0, np.abs(R).max(axis=(1, 2)))
+    return float((np.abs(F - R).max(axis=(1, 2)) / scale).max())
+
+
+def _in_two(path, a, cs) -> tuple:
+    """The end frames along path cut in two at the middle of its first grid,
+    as scan_c cuts c2: the first piece's frames carried through the second
+    piece's runs; and the second piece's end w."""
+    head, tail = cut(path, a, cs, grid_steps(path, a, cs) // 2)
+    runs, w = transfer_runs(tail, a, cs)
+    return compose(runs, transfer(head, a, cs)[0], path.waypoints[-1], cs), w
+
+
+@pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_transfer_matches_dp5(a, name):
+    # measured: at most 3.0e-11, at a = 5 on c2, whose |F| reaches 1e5
+    cs = np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
+    path = getattr(canonical_paths(a), name)
+    reference, w_ref = integrate_frames_over_c(path, a, cs, IntegratorConfig(rel_tol=1e-13))
+    frames, w = transfer(path, a, cs)
+    assert frames.shape == (cs.size, 2, 2)
+    assert _error(frames, reference) <= 1e-10
+    assert np.max(np.abs(w - w_ref)) <= 1e-12
+
+
+def test_transfer_along_a_point_is_the_identity():
+    path = PathSpec(base_point(-1), (0j,))
+    F, w = transfer(path, 2.0, np.array([-4.0, 1.0]))
+    assert F.tolist() == [np.eye(2).tolist()] * 2 and w == -1
+
+
+@pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
+def test_transfer_keeps_the_determinant(a):
+    cs = np.linspace(-12.0, 6.0, 19)
+    paths = canonical_paths(a)
+    for path in (paths.c1, paths.c2):
+        F, _ = transfer(path, a, cs)
+        det = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
+        scale = np.maximum(1.0, np.abs(F).max(axis=(1, 2))) ** 2
+        assert np.max(np.abs(det - 1.0) / scale) <= 1e-13
+
+
+def test_the_series_exp_matches_the_closed_form(monkeypatch):
+    # the steps of c2's first grid, unrefined, lie on both sides of
+    # _SERIES_S2: exp(Omega) summed as a series where |s^2| is small equals
+    # the closed form cosh(s) I + sinh(s)/s Omega to rounding
+    a, cs = 2.0, np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
+    path, k = canonical_paths(a).c2, branch_offsets(a)
+    segment, t0, dt = transport._first_grid(path, a, 9.0, 10**6, cs)
+    points, w = np.array(path.waypoints), np.array(transport._waypoint_w(path, k))
+    p, along = points[segment], points[segment + 1] - points[segment]
+    M, _ = transport._magnus_terms(p + along * t0, along * dt, p, w[segment], k, 9.0)
+    omega = sum(M[j][..., None] * cs ** (j + 1) for j in range(5))
+    s2 = np.abs(omega[0] ** 2 + omega[1] * omega[2])
+    assert s2.min() < transport._SERIES_S2 < s2.max()
+    mixed = np.array(transport._step_matrices(M, cs.astype(complex)))
+    monkeypatch.setattr(transport, "_SERIES_S2", 0.0)
+    closed = np.array(transport._step_matrices(M, cs.astype(complex)))
+    assert np.max(np.abs(mixed - closed)) <= 1e-15 * np.max(np.abs(closed))
+
+
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_transfer_converges_at_sixth_order(monkeypatch, name):
+    # the first grid alone, unrefined: halving its steps cuts the error by
+    # 2^6 = 64 in the limit (measured 50-61 at a = 2)
+    a, cs = 2.0, np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
+    path = getattr(canonical_paths(a), name)
+    reference, _ = integrate_frames_over_c(path, a, cs, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
+    monkeypatch.setattr(transport, "MAGNUS_TOL", math.inf)
+    errors = []
+    for step in (0.4, 0.2):
+        monkeypatch.setattr(transport, "MAGNUS_STEP", step)
+        errors.append(_error(transfer(path, a, cs)[0], reference))
+    assert errors[1] > 1e-11  # above the rounding
+    assert errors[0] >= 40 * errors[1]
+
+
+def test_the_estimate_refines_a_coarsened_grid(monkeypatch):
+    # a first grid ten times as coarse: the refined grid keeps the accuracy
+    # that the same grid unrefined loses
+    a, cs = 2.0, np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
+    path = canonical_paths(a).c2
+    reference, _ = integrate_frames_over_c(path, a, cs, IntegratorConfig(rel_tol=1e-13))
+    default = _error(transfer(path, a, cs)[0], reference)
+    monkeypatch.setattr(transport, "MAGNUS_STEP", 10 * transport.MAGNUS_STEP)
+    coarse_steps = grid_steps(path, a, cs)
+    refined = _error(transfer(path, a, cs)[0], reference)
+    monkeypatch.setattr(transport, "MAGNUS_TOL", math.inf)
+    unrefined = _error(transfer(path, a, cs)[0], reference)
+    assert coarse_steps < 20 and unrefined > 1e-3
+    assert refined <= max(1e-10, 2 * default)
+
+
+def test_transfer_step_limit_names_the_curve_point_and_c():
+    # the c named is the one of largest modulus, which sets the grid
+    a, cs = 2.0, np.array([2.0, -9.0, -4.0])
+    path = canonical_paths(a).c2
+    first = grid_steps(path, a, cs)
+    # over the first grid, and over the refined grid only
+    for max_steps in (first - 1, first + 1):
+        cfg = IntegratorConfig(max_steps=max_steps)
+        with pytest.raises(StepLimitExceeded) as exc:
+            transfer(path, a, cs, cfg)
+        head, _, tail = str(exc.value).partition(" by z = ")
+        z, _, c = tail.partition(" for c = ")
+        assert head == f"Magnus grid exceeds {max_steps} steps"
+        assert complex(z) in path.waypoints[1:] and float(c) == -9.0
+
+
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
 def test_pieces_match_integrate_frame(a):
-    # each half path in 18 pieces, as a 27-point scan block runs it
+    # each half path cut in two at a grid point, as a scan block cuts c2
+    # between the two processes: the composed frames are the whole path's
     cs = np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
     paths = canonical_paths(a)
     for path in (paths.c1, paths.c2):
-        frames, w = integrate_frames_in_pieces(path, a, cs, 18)
-        assert frames.shape == (5, 2, 2) and w.shape == (5,)
-        for c, F, w_end in zip(cs, frames, w):
+        frames, w = _in_two(path, a, cs)
+        assert frames.shape == (5, 2, 2)
+        for c, F in zip(cs, frames):
             ref = integrate_frame(path, CurveParams(a, float(c)))
             assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
-            assert abs(w_end - ref.point.w) <= 1e-8 * abs(ref.point.w)
+            assert abs(w - ref.point.w) <= 1e-8 * abs(ref.point.w)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
 def test_one_piece_is_the_whole_path_bit_for_bit(name):
+    # a cut before the first grid point or after the last leaves the path
+    # whole, and transfer is compose over transfer_runs
     a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
     path = getattr(canonical_paths(a), name)
-    frames, w = integrate_frames_in_pieces(path, a, cs, 1)
-    whole_frames, whole_w = integrate_frames_over_c(path, a, cs)
-    assert frames.tobytes() == whole_frames.tobytes()
-    assert w.tobytes() == whole_w.tobytes()
+    steps = grid_steps(path, a, cs)
+    assert cut(path, a, cs, 0) == (None, path)
+    assert cut(path, a, cs, steps) == (path, None)
+    head, tail = cut(path, a, cs, steps - 1)
+    assert head.waypoints[:-1] == path.waypoints[:-1] and tail.waypoints[-1] == path.waypoints[-1]
+    F, w = transfer(path, a, cs)
+    runs, w_runs = transfer_runs(path, a, cs)
+    assert F.tobytes() == compose(runs, None, path.waypoints[-1], cs).tobytes() and w == w_runs
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
 @pytest.mark.parametrize("name", ["gamma1", "end_loop_plus", "end_loop_minus"])
 def test_pieces_around_loops_match_integrate_frame(a, name):
-    # the loops leave the upper half plane, where w is not the principal root
-    # of R.  The reference runs at rel_tol 1e-12: at a = 5 the default leaves
-    # integrate_frame 1.4e-8 off (the pieces 5.6e-10).  At a = 5 and c = -9
-    # the end loops' frames leave SL(2) even at rel_tol 1e-13.
+    # the loops leave the upper half plane, where w is not the principal
+    # root of R: the second piece starts from w continued in closed form.
+    # At a = 5 and c = -9 the end loops' frames leave SL(2) even at rel_tol
+    # 1e-13, so the loops run at |c| <= 4.  Measured: at most 1.2e-9, the
+    # end loops at a = 5, where |F| reaches 1e9 along the way (DP5 at its
+    # default tolerances is 1.4e-8 off there).
     cs = np.array([-4.0, -0.5, 2.0, 4.0])
     path = getattr(canonical_paths(a), name)
-    tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-    frames, w = integrate_frames_in_pieces(path, a, cs, 18)
-    for c, F, w_end in zip(cs, frames, w):
-        ref = integrate_frame(path, CurveParams(a, float(c)), cfg=tight)
-        assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
-        assert abs(w_end - path.start.w) <= 1e-8
-
-
-def test_piece_on_the_wrong_sheet_raises(monkeypatch):
-    # from w = -1 every piece starts on the sheet of w = -1: the pieces equal
-    # the whole path
-    a, cs = 2.0, np.array([-4.0, 1.0])
-    path = PathSpec(base_point(-1), canonical_paths(a).c2.waypoints)
-    F, w = integrate_frames_in_pieces(path, a, cs, 6)
-    for c, F_c, w_c in zip(cs, F, w):
-        ref = integrate_frame(path, CurveParams(a, float(c)))
-        assert np.max(np.abs(F_c - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
-        assert abs(w_c - ref.point.w) <= 1e-8
-    # a piece started on the other sheet fails the previous piece's arrival
-    continue_w = transport.continue_w
-
-    def negated_third(*args):
-        steps = continue_w(*args)
-        steps[2] = -steps[2]
-        return steps
-
-    monkeypatch.setattr(transport, "continue_w", negated_third)
-    with pytest.raises(ContinuationError, match=r"other sheet at z = \(.+j\) for c = -4\.0$"):
-        integrate_frames_in_pieces(path, a, cs, 6)
+    reference, _ = integrate_frames_over_c(path, a, cs, IntegratorConfig(rel_tol=1e-13))
+    whole, w_whole = transfer(path, a, cs)
+    frames, w = _in_two(path, a, cs)
+    assert max(_error(whole, reference), _error(frames, reference)) <= 1e-8
+    assert abs(w - path.start.w) <= 1e-12 and abs(w_whole - path.start.w) <= 1e-12
 
 
 def test_piece_checks_name_the_curve_point_and_c(monkeypatch):
     a, cs = 2.0, np.array([-4.0, 1.0])
     path = canonical_paths(a).c2
-    loose = IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4)
-    with pytest.raises(LanesFailed) as exc:
-        integrate_frames_in_pieces(path, a, cs, 6, loose)
-    message = str(exc.value)
-    assert message.startswith("sheet residual exceeded at z = (") and "lanes" not in message
-    # the failing point lies on the curve's path, not on the unit segment
-    z = complex(message.split("z = ")[1].split(" for")[0])
-    assert z.imag > 0.0 and 0.0 < z.real < 4.0
     # a composed frame off SL(2) fails at the path's end, each piece passing
+    head, tail = cut(path, a, cs, 10)
+    H, (runs, _) = transfer(head, a, cs)[0], transfer_runs(tail, a, cs)
     mul = _rk._mul
     monkeypatch.setattr(_rk, "_mul", lambda x, y: tuple(2.0 * v for v in mul(x, y)))
     with pytest.raises(ContinuationError, match=r"drift .+ at z = \(4\+0j\) for c = -4\.0$"):
-        integrate_frames_in_pieces(path, a, cs, 6)
+        compose(runs, H, path.waypoints[-1], cs)
     monkeypatch.undo()
     monkeypatch.setattr(transport, "TOL_DET", 1e-20)
-    with pytest.raises(ContinuationError, match=r"determinant drift .+ for c = -4\.0$"):
-        integrate_frames_in_pieces(path, a, cs, 6)
+    with pytest.raises(LanesFailed, match=r"determinant drift .+ at z = \(4\+0j\) for c = -4\.0$"):
+        transfer(path, a, cs)
 
 
 def _reference_field_lanes(a: float, cs, scale=1.0):

@@ -1,7 +1,7 @@
 """The half paths integrated in two processes give the results of a serial run.
 
-_worker.pair runs c1 (or the scan's c1 lane call) in a persistent worker
-process while the caller integrates c2.  Every result here is compared with
+_worker.pair runs c1 (or, in a scan block, c1 and the first part of c2) in a
+persistent worker process while the caller integrates c2 (or the rest of it).  Every result here is compared with
 == against the same call with the worker disabled, which is what a patched
 os.sched_getaffinity returning one CPU does.
 """
@@ -12,6 +12,7 @@ import signal
 import sys
 import threading
 
+import numpy as np
 import pytest
 from conftest import one_cpu, serially, two_cpus
 
@@ -20,6 +21,7 @@ from dscat.curve import CurveParams, PathSpec, base_point, canonical_paths
 from dscat.errors import DomainError, PathError
 from dscat.monodromy import half_path_frames
 from dscat.period import scan_c
+from dscat.transport import transfer
 
 ROOTS = (-7.611914, -4.06015, -1.526035, 1.26988, 5.33317)
 
@@ -64,6 +66,17 @@ def test_scan_chunk_across_the_pole_equals_serial(monkeypatch):
     assert parallel.records == serial.records
     assert parallel.brackets == serial.brackets
     assert parallel.skipped == serial.skipped
+
+
+@two_cpus
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_transfer_in_the_worker_equals_serial(monkeypatch, name):
+    a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
+    path = getattr(canonical_paths(a), name)
+    (F, w), _ = _worker.pair("dscat.transport.transfer", lambda: None, path, a, cs)
+    worker_pid()
+    S, w_serial = serially(monkeypatch, lambda: transfer(path, a, cs))
+    assert F.tobytes() == S.tobytes() and w == w_serial
 
 
 def bad_paths(c1_goes_to=None, c2_goes_to=None) -> tuple:

@@ -56,22 +56,24 @@ COMMANDS = (
     *(("mesh", "--a", "2", "--c", c, *MESH) for c in ROOTS),
     *(("scan", "--a", a, "--c-min", "-9", "--c-max", "4", "--steps", "2600",
        "--out", "{d}/scan.csv") for a in ("1.5", "2", "3")),
-    # a block shaped like the benchmark's scan ops, whose half paths run in pieces
+    # a block shaped like the benchmark's scan ops, whose c2 is split between
+    # the two processes
     ("scan", "--a", "3", "--c-min", "-9", "--c-max", "-6.4", "--steps", "27",
      "--out", "{d}/scan.csv"),
     *(("solve", "--a", "2", "--c0", lo, "--c1", hi, "--json", "{d}/solve.json")
       for lo, hi in BRACKETS),
     # error paths: the step limit (exit 3); a PathError, since at a = 1.2 the
     # canonical paths cannot clear the branch points (exit 2); the sheet
-    # residual in the scalar kernel and in the lane kernel (exit 3)
+    # residual in the scalar kernel (exit 3); and a scan at the same loose
+    # tolerances, which the Magnus kernel, with no sheet to lose, completes
     ("solve", "--a", "2", "--c0", "1.25", "--c1", "1.29", "--max-steps", "150",
      "--json", "{d}/solve.json"),
     ("classify", "--a", "1.2", "--c", "-1"),
     ("classify", "--a", "2", "--c", "-1.526035", *LOOSE),
     ("scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30", *LOOSE,
      "--out", "{d}/scan.csv"),
-    # the initial step reaches the scalar kernel (classify's end loop) and the
-    # lane kernel (scan); a scan at a = 1 exits 2 on the branch parameter
+    # the initial step reaches the scalar kernel (classify's end loop), not the
+    # scan's Magnus kernel; a scan at a = 1 exits 2 on the branch parameter
     ("classify", "--a", "2", "--c", "-1.526035", "--initial-step", "0.2"),
     ("scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30",
      "--initial-step", "0.2", "--out", "{d}/scan.csv"),
