@@ -89,8 +89,7 @@ _HELP = {
     "rel_tol": "relative tolerance of each DP5 step; a scan refines its Magnus grid "
     f"until each step's error estimate is at most {MAGNUS_TOL:g} * (rel_tol + abs_tol)",
     "abs_tol": "absolute tolerance of each DP5 step; in a scan, see --rel-tol",
-    "max_steps": "most steps of one integration; in a scan block, of the Magnus grid "
-    "along c1, or along either of the two parts the block splits c2 into",
+    "max_steps": "most steps of one integration; in a scan block, of each Magnus grid",
     "initial_step": "first trial step of DP5, in arc length; a scan does not use it",
 }
 

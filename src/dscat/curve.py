@@ -158,25 +158,29 @@ def base_point(sheet: int = +1) -> CurvePoint:
 
 def validate_path(path: PathSpec, a: float) -> None:
     """Raise PathError unless the waypoints are finite and every segment
-    clears the branch points by BRANCH_DELTA."""
+    clears the branch points by BRANCH_DELTA.  The error names the first
+    segment in path order that does not, and the first of branch_points(a)
+    that it passes too near."""
     wp = path.waypoints
     if len(wp) < 1:
         raise PathError("path needs at least one waypoint")
-    if not all(cmath.isfinite(z) for z in wp):
+    z = np.array(wp, dtype=complex)
+    if not np.isfinite(z).all():
         raise PathError("waypoints must be finite")
-    scale = 1.0 + max(abs(v) for v in wp)
+    scale = 1.0 + float(np.hypot(z.real, z.imag).max())
     if abs(wp[0] - path.start.z) > 1e-12 * scale:
         raise PathError("waypoints[0] must equal start.z")
     if path.closed and abs(wp[-1] - wp[0]) > 1e-12 * scale:
         raise PathError("closed path must end at its first waypoint")
     if path.start.sheet_residual(a) > TOL_SHEET:
         raise PathError("start point does not lie on the curve")
-    for p, q in zip(wp[:-1], wp[1:]):
-        for b in branch_points(a):
-            if _segment_distance(p, q, b) < BRANCH_DELTA:
-                raise PathError(
-                    f"segment {p} -> {q} passes within {BRANCH_DELTA} of branch point {b}"
-                )
+    b = branch_points(a)
+    near = _segment_distances(z[:-1, None], z[1:, None], np.array(b)) < BRANCH_DELTA
+    if near.any():
+        i, j = divmod(int(np.argmax(near)), len(b))
+        raise PathError(
+            f"segment {wp[i]} -> {wp[i + 1]} passes within {BRANCH_DELTA} of branch point {b[j]}"
+        )
 
 
 def end_point(path: PathSpec, w: complex, a: float) -> CurvePoint:
@@ -298,3 +302,23 @@ def _segment_distance(p: complex, q: complex, b: complex) -> float:
     t = ((b - p) * d.conjugate()).real / dd
     t = min(1.0, max(0.0, t))
     return abs(b - (p + t * d))
+
+
+def _segment_distances(p: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_segment_distance from real b to the segments [p, q], all broadcast,
+    in its operations on real and imaginary parts, so with its bits (np.abs
+    of a complex array rounds otherwise; a zero-length segment's nan t goes
+    to 0 in np.fmax, as in max(0.0, nan))."""
+    pr, pi = p.real, p.imag
+    top = 1.0
+    with np.errstate(all="ignore"):
+        dr, di = q.real - pr, q.imag - pi
+        dd = dr * dr + di * di
+        over = ~np.isfinite(dd)
+        if over.any():  # |d|^2 overflows: project on the unit direction, up to |d|
+            hr, hi = q.real / 2 - pr / 2, q.imag / 2 - pi / 2
+            n = np.hypot(hr, hi)
+            dr, di = np.where(over, hr / n, dr), np.where(over, hi / n, di)
+            dd, top = np.where(over, 1.0, dd), np.where(over, 2 * n, 1.0)
+        t = np.fmin(np.fmax(((b - pr) * dr + (0.0 - pi) * di) / dd, 0.0), top)
+        return np.hypot(b - (pr + t * dr), 0.0 - (pi + t * di))

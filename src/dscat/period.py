@@ -9,8 +9,10 @@ zeros of the f2 denominator, those near -0.555 and 0.757 zeros of the f1
 denominator.  Refinement tells them apart by the signs of the denominators
 at the ends of its final bracket: across a pole one of them changes sign.
 The scan evaluates many c at once on transport's Magnus kernel
-(transport.transfer); refinement and verification evaluate one c at a time
-on the adaptive DP5 kernel (monodromy.half_path_frames).
+(transport.transfer), a whole transfer along c1 and one along c2 for each
+block of its grid, all planned onto the two processes of _worker.pair in one
+call; refinement and verification evaluate one c at a time on the adaptive
+DP5 kernel (monodromy.half_path_frames).
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _worker
-from .curve import CanonicalPaths, CurveParams, canonical_paths
+from .curve import CanonicalPaths, CurveParams, branch_points, canonical_paths
 from .ends import end_conjugacy_type
 from .errors import (
     DegenerateDenominator,
     DomainError,
+    DscatError,
     LostBracket,
     NotAdmissible,
     VerificationFailed,
@@ -39,15 +42,7 @@ from .monodromy import (
     period_functions,
     period_values,
 )
-from .transport import (
-    DEFAULT_CONFIG,
-    IntegratorConfig,
-    compose,
-    cut,
-    grid_steps,
-    transfer,
-    transfer_runs,
-)
+from .transport import DEFAULT_CONFIG, IntegratorConfig, transfer
 
 # Half width of the default exclusion window around c = 0.
 SKIP_HALFWIDTH = 0.01
@@ -56,12 +51,19 @@ ROOT_WINDOW = 0.01
 # Width of refinement's final bracket, far below the precision c is reported to:
 # the SU(1,1) defect of the gauged monodromies is first order in the root's offset.
 TOL_C = 1e-9
-# Most grid points scan_c integrates together.  The cost per point has
-# stopped falling by this size (the 2600-point scan at a = 2 took 0.22-0.31 s
-# in blocks of 256, 0.17-0.23 s in blocks of 1024 and 0.17-0.20 s in one
-# block), and the bound keeps the memory of the lane arrays flat however many
-# grid points are asked for (one block of 4096 raised the peak RSS by 0.7 MB).
-SCAN_BLOCK = 1024
+# Most grid points scan_c integrates together.  Smaller blocks refine their
+# grids for a smaller |c| and give the planner more jobs, larger ones pay a
+# transfer's fixed cost less often: the median 2600-point scan of [-9, 4] at
+# a = 1.5, 2 and 3 took 133, 169 and 196 ms in blocks of 512, against 146-149,
+# 181-183 and 222 ms in blocks of 256 and 1024 (four alternating runs each).
+# The bound also keeps the memory of a transfer's lane arrays flat however
+# many grid points are asked for.
+SCAN_BLOCK = 512
+# Where _work samples each segment.  Over thirty scans (a = 1.3 to 5, 2600
+# to 10000 points) its plans' two shares of refined steps x (lanes + 30)
+# differ by 1.8% on average and 7.5% at most (plans from those counts: 0.6%
+# and 2.7%; from lanes x path length x sqrt(max(1, max |c|)): 3.1% and 9.7%).
+_WORK_T = (0.125, 0.375, 0.625, 0.875)
 
 
 @dataclass(frozen=True)
@@ -142,15 +144,17 @@ def scan_c(
     of f1 - f2 are only bracketed between adjacent surviving grid points, so
     a gap never manufactures a spurious bracket.
 
-    The grid is taken SCAN_BLOCK points at a time, the c of a block built
-    with it, and each block's half paths run on transport's Magnus kernel,
-    whose grid, shared by the block's c, is refined for the largest |c|
-    among them.  Scan values therefore match single-c evaluation
-    (_periods_at, on adaptive DP5) within the integrators' tolerances, not
-    bit for bit; for fixed arguments they are deterministic.  The two
-    processes of _worker.pair share each block's work equally
-    (_half_path_frames_over_c).  Raises DomainError unless steps >= 2 and
-    c_min < c_max, both finite with a positive, finite grid spacing.
+    The grid is taken SCAN_BLOCK points at a time, and each block's half
+    paths run on transport's Magnus kernel, whose grid, shared by the
+    block's c, is refined for the largest |c| among them.  Scan values
+    therefore match single-c evaluation (_periods_at, on adaptive DP5)
+    within the integrators' tolerances, not bit for bit; for fixed arguments
+    they are deterministic.  The c of all blocks are built first, and their
+    transfers along c1 and c2 run in one _worker.pair call, planned onto the
+    two processes by _transfer_all; an integration failure is that of the
+    first block in grid order that fails, c1 before c2.  Raises DomainError
+    unless steps >= 2 and c_min < c_max, both finite with a positive, finite
+    grid spacing.
     """
     if steps < 2:
         raise DomainError("--steps must be at least 2")
@@ -163,14 +167,18 @@ def scan_c(
         spacing = 0.0
     if not 0.0 < spacing < math.inf:
         raise DomainError("need a finite --c-min, --c-max and a positive, finite grid spacing")
-    kept: dict = {}  # grid index -> record, for the grid points not skipped
-    skipped: list = []
+    blocks = []  # (grid index -> c, live grid indices) of each block
     for lo in range(0, steps, SCAN_BLOCK):
         grid = {k: c_min + k * spacing for k in range(lo, min(steps, lo + SCAN_BLOCK))}
-        live = [k for k, c in grid.items() if not abs(c) < SKIP_HALFWIDTH]
+        blocks.append((grid, [k for k, c in grid.items() if not abs(c) < SKIP_HALFWIDTH]))
+    jobs = [(path, np.array([grid[k] for k in live]))
+            for grid, live in blocks if live for path in (paths.c1, paths.c2)]
+    frames = iter(_transfer_all(jobs, a, cfg) if jobs else ())
+    kept: dict = {}  # grid index -> record, for the grid points not skipped
+    skipped: list = []
+    for grid, live in blocks:
         if live:
-            cs = np.array([grid[k] for k in live])
-            f1, f2, _, _, degenerate = period_values(*_half_path_frames_over_c(paths, a, cs, cfg))
+            f1, f2, _, _, degenerate = period_values(next(frames), next(frames))
             for k, x1, x2, bad in zip(live, f1.tolist(), f2.tolist(), degenerate.tolist()):
                 if not bad:
                     kept[k] = ScanRecord(grid[k], x1, x2, abs(x1) > 1.0 and abs(x2) > 1.0)
@@ -189,26 +197,61 @@ def scan_c(
     return ScanResult(list(kept.values()), brackets, skipped)
 
 
-def _half_path_frames_over_c(paths: CanonicalPaths, a: float, cs: np.ndarray, cfg) -> tuple:
-    """The end frames along c1 and c2 for each c of cs by transport.transfer,
-    the two processes of _worker.pair holding equal shares of the steps,
-    counted on the first grids (transport.grid_steps).  The worker takes c1
-    and, where c2 has more steps, c2 up to the grid point that evens the
-    shares (transport.cut); this process takes the runs of the rest of c2
-    and carries the worker's frames through them (transport.compose)."""
-    head, tail = cut(paths.c2, a, cs, (grid_steps(paths.c2, a, cs) - grid_steps(paths.c1, a, cs)) // 2)
-    done, (runs, _) = _worker.pair(
+def _transfer_all(jobs: list, a: float, cfg) -> list:
+    """transport.transfer's end frames for each (path, cs) of jobs, in order,
+    from one _worker.pair call on the shares of _plan.  Each process stops
+    at its first failure (_transfer_each), so the error raised is the first
+    failing job's, whichever process ran it."""
+    here, there = _plan([_work(path, a, cs) for path, cs in jobs])
+    replies = _worker.pair(
         "dscat.period._transfer_each",
-        lambda: transfer_runs(tail, a, cs, cfg),
-        (paths.c1,) if head is None else (paths.c1, head), a, cs, cfg,
+        lambda: _transfer_each([jobs[j] for j in here], a, cfg),
+        [jobs[j] for j in there], a, cfg,
     )
-    return done[0], compose(runs, None if head is None else done[1], paths.c2.waypoints[-1], cs)
+    frames = dict(zip(there + here, replies[0][0] + replies[1][0]))
+    failed = [(share[len(done)], error) for share, (done, error) in zip((there, here), replies)
+              if error is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [frames[j] for j in range(len(jobs))]
 
 
-def _transfer_each(paths: tuple, a: float, cs: np.ndarray, cfg) -> list:
-    """transport.transfer's end frames along each of paths: the worker's
-    share of a scan block."""
-    return [transfer(path, a, cs, cfg)[0] for path in paths]
+def _plan(work: list) -> tuple:
+    """(here, there): the jobs of the given work, by index in order, for this
+    process and the worker, packed longest processing time first (Graham,
+    1969): each job, heaviest first, joins the share with less work so far,
+    and the lighter share goes to the worker."""
+    shares, loads = ([], []), [0.0, 0.0]
+    for j in sorted(range(len(work)), key=work.__getitem__, reverse=True):
+        lighter = 0 if loads[0] <= loads[1] else 1
+        shares[lighter].append(j)
+        loads[lighter] += work[j]
+    heavier = 0 if loads[0] >= loads[1] else 1
+    return sorted(shares[heavier]), sorted(shares[1 - heavier])
+
+
+def _work(path, a: float, cs: np.ndarray) -> float:
+    """transfer's work along path for the c of cs, without a grid: lanes x
+    the integral of |dz| / (distance to the nearest branch point), which the
+    first grid's steps follow, x max(1, max |c|)^0.6, which the refined
+    grid's follow (c1 and c2 at a = 1.5, 2 and 3 take 3.9-4.3 times the
+    steps at |c| = 12 as at 1, and 12^0.6 = 4.4)."""
+    wp, b = path.waypoints, branch_points(a)
+    steps = sum(abs(q - p) / min(abs(p + (q - p) * t - x) for x in b)
+                for p, q in zip(wp[:-1], wp[1:]) for t in _WORK_T)
+    return cs.size * steps * max(1.0, float(np.max(np.abs(cs)))) ** 0.6
+
+
+def _transfer_each(jobs: list, a: float, cfg) -> tuple:
+    """(frames, error): transfer's end frames for each (path, cs) of jobs up
+    to the first that raises a DscatError, and that error or None."""
+    frames: list = []
+    for path, cs in jobs:
+        try:
+            frames.append(transfer(path, a, cs, cfg)[0])
+        except DscatError as exc:
+            return frames, exc
+    return frames, None
 
 
 def opposite_signs(x: float, y: float) -> bool:

@@ -15,10 +15,9 @@ the c.  integrate_frame is its one-lane case after validate_path.
 The scan's kernel, transfer, integrates the frame alone by sixth-order Magnus
 steps on a grid shared by many c, with w continued in closed form by
 curve.continue_w: the frame equation is linear, so each step is a transfer
-matrix exp(Omega) of determinant 1, and there is no sheet to monitor.
-transfer_runs, compose, grid_steps and cut let a caller split that work
-along a path.  The fixed-step RK4 reference, reference_frame, integrates the
-frame alone too, with w continued the same way.
+matrix exp(Omega) of determinant 1, and there is no sheet to monitor.  The
+fixed-step RK4 reference, reference_frame, integrates the frame alone too,
+with w continued the same way.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ from .errors import DomainError, LanesFailed, StepLimitExceeded
 # paths at the four a = 2 roots the drift is at most 3.1e-11 of |F|^2 at
 # rel_tol 1e-10, so 1e-9 flags only a real loss of accuracy.  transfer's
 # steps each keep it to rounding: on c1 and c2 for 180 c over [-12, 6] at
-# a = 1.3, 2 and 5 its drift is at most 3.2e-14.
+# a = 1.3, 2 and 5 its drift is at most 3.0e-14.
 TOL_DET = 1e-9
 
-# The Magnus grid of transfer_runs.  A segment's first grid has steps of
+# The Magnus grid of transfer.  A segment's first grid has steps of
 # MAGNUS_STEP times the distance to the nearest branch point, divided by
 # sqrt(max(1, |c|)) for the largest |c| of the call, placed by sampling that
 # rule at _GRID_SAMPLES points of the segment.  Refinement then splits each
@@ -66,9 +65,9 @@ TOL_DET = 1e-9
 # rel_tol 1e-13, relative to max(1, |F|), and the refined grid's steps:
 #
 #     a     transfer             DP5 default          Magnus steps
-#     1.3   1.1e-13 / 2.4e-13    1.1e-11 / 4.3e-12    254 / 277
+#     1.3   1.1e-13 / 2.1e-13    1.1e-11 / 4.3e-12    254 / 277
 #     2     3.8e-13 / 1.8e-11    1.1e-11 / 2.7e-10    305 / 515
-#     5     9.3e-14 / 4.5e-11    5.4e-12 / 2.6e-10    446 / 1189
+#     5     9.2e-14 / 4.5e-11    5.4e-12 / 2.6e-10    446 / 1189
 #
 # At MAGNUS_TOL = 100, c2 at a = 2 and 5 is less accurate than DP5 default
 # (3.0e-10, 1.2e-9); at 1 the grids take 1.5 times the steps.  The first
@@ -77,13 +76,13 @@ TOL_DET = 1e-9
 MAGNUS_STEP = 0.2
 MAGNUS_TOL = 10.0
 _GRID_SAMPLES = 256
-# Steps x lanes whose matrices transfer_runs forms at once: its work arrays
+# Steps x lanes whose matrices transfer forms at once: its work arrays
 # hold one block, so memory stays flat however many steps and c a call takes.
 # At 1 << 14 the peak RSS of a 2600-point scan at a = 2 rose from 32.1 to
 # 34.9 MB (the worker's from 26.4 to 29.4 MB), with no gain in speed.
 MAGNUS_BLOCK = 1 << 12
-# Steps in a run of transfer_runs, whose products compose applies one after
-# the other (see compose for why).
+# Most steps whose product transfer forms pairwise before it applies the
+# product to the frames (see transfer for why).
 MAGNUS_RUN = 128
 # The Gauss-Legendre points of a Magnus step, as fractions of the step.
 _GAUSS = np.array((0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10))
@@ -239,17 +238,7 @@ def integrate_frames_over_c(
 def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFIG) -> tuple:
     """End frames from I along path, one for each c of the 1-d array cs, shape
     (n, 2, 2), and the end value of w, after validate_path: sixth-order
-    Magnus steps on one grid for all c, composed by transfer_runs and
-    compose."""
-    runs, w = transfer_runs(path, a, cs, cfg)
-    return compose(runs, None, path.waypoints[-1], cs), w
-
-
-def transfer_runs(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFIG) -> tuple:
-    """The transfer matrices of path's Magnus steps for each c of the 1-d
-    array cs, multiplied into runs, and the end value of w, after
-    validate_path.  Each run is a (4, n) array of the components (t11, t12,
-    t21, t22) over the c, in path order; compose applies them.
+    Magnus steps on one grid for all c.
 
     A step from z0 by dz maps F to exp(Omega) F, Omega being formed from
     A = c dz [[1, -w], [1/w, -1]] at the step's three Gauss points (Blanes,
@@ -257,7 +246,7 @@ def transfer_runs(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_
     (curve.continue_w).  Omega is traceless, so exp(Omega) has determinant 1.
     It is a polynomial of degree 5 in c whose coefficients depend on the
     step alone (_magnus_terms), so the grid is settled before any c is
-    taken: each segment starts from its first grid (_first_grids) and is
+    taken: each segment starts from its first grid (_first_grid) and is
     refined (_refine) where the embedded fourth-order Omega may differ from
     the sixth-order one by more than MAGNUS_TOL * (cfg.rel_tol + cfg.abs_tol)
     for some |c| up to max |cs|.  More than cfg.max_steps steps in all raise
@@ -265,10 +254,15 @@ def transfer_runs(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_
 
     The step matrices are formed and multiplied pairwise, by component
     (_rk._mul; not by numpy's matrix product, see _rk._STAGE_W), in blocks
-    of at most MAGNUS_RUN steps and MAGNUS_BLOCK steps x lanes; the blocks'
-    products are multiplied one after the other into runs of MAGNUS_RUN
-    steps or more, the last run taking what is left.  end_point checks the
-    end value of w.
+    of at most MAGNUS_RUN steps and MAGNUS_BLOCK steps x lanes, and the
+    frames are carried through the blocks' products one after the other.  A
+    product of two long stretches, where the frame grows and shrinks again
+    along the path, loses the digits that their sizes cancel: at a = 5 on
+    c2, where |F| reaches 1e5, f2 at c = -10.6 came out 6e-10 to 9.7e-10 off
+    with products of 32 to 256 steps, and 2.8e-8 off with products of 606.  _check_drift checks the end
+    frames: every step has determinant 1 up to rounding, so only the
+    rounding of the product can move it.  end_point checks the end value of
+    w.
     """
     validate_path(path, a)
     cs = np.asarray(cs, dtype=float)
@@ -280,69 +274,13 @@ def transfer_runs(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_
     tol = MAGNUS_TOL * (cfg.rel_tol + cfg.abs_tol)
     M = _refine(np.array(path.waypoints), np.array(w), k, *grid, c_max, tol, cfg.max_steps, cs)
     block = max(1, min(MAGNUS_RUN, MAGNUS_BLOCK // cs.size))
-    runs: list = []
-    run, held = None, 0
+    one, zero = np.ones(cs.size, dtype=complex), np.zeros(cs.size, dtype=complex)
+    F = (one, zero, zero, one)
     for j in range(0, M.shape[2], block):
-        product = _rk._chain_product(_step_matrices(M[:, :, j : j + block], lanes))
-        run = product if run is None else _rk._mul(product, run)
-        held += min(block, M.shape[2] - j)
-        if held >= MAGNUS_RUN or j + block >= M.shape[2]:
-            runs.append(np.array(run))
-            run, held = None, 0
-    return runs, end_point(path, w[-1], a).w
-
-
-def compose(runs: list, F0, z, cs) -> np.ndarray:
-    """The frames F0, an (n, 2, 2) stack (I for each c when None), carried
-    through the runs of transfer_runs one after the other, by component; z is
-    where the runs end, and cs their c.
-
-    The product is taken run by run onto the frames, not pairwise over the
-    whole path: where the frame grows and shrinks again along the path, a
-    product of two long stretches loses the digits that their sizes cancel.
-    At a = 5 on c2, where |F| reaches 1e5, f2 at c = -10.6 came out 6e-10
-    to 9.7e-10 off with runs of 32 to 256 steps, and 2.8e-8 off with runs of
-    606.  _check_drift checks the result: every step has determinant 1 up
-    to rounding, so only the rounding of the product can move it."""
-    n = np.size(cs)
-    if F0 is None:
-        one, zero = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
-        F = (one, zero, zero, one)
-    else:
-        F = tuple(np.asarray(F0).reshape(-1, 4).T)
-    for run in runs:
-        F = _rk._mul(tuple(run), F)
+        F = _rk._mul(_rk._chain_product(_step_matrices(M[:, :, j : j + block], lanes)), F)
     F = np.array(F)
-    _check_drift(F, z, cs)
-    return F.T.reshape(-1, 2, 2)
-
-
-def grid_steps(path: PathSpec, a: float, cs) -> int:
-    """The steps of path's first Magnus grid for the c in cs, before
-    transfer_runs refines it: the work of a transfer, known in advance."""
-    return sum(n for *_, n in _first_grids(path, a, float(np.max(np.abs(cs)))))
-
-
-def cut(path: PathSpec, a: float, cs, steps: int) -> tuple:
-    """(head, tail): path cut at the end of the first `steps` steps of its
-    first Magnus grid for the c in cs, a grid point or a waypoint.  tail
-    starts there with w continued in closed form from path.start
-    (curve.continue_w), so the frames along path are compose(transfer_runs
-    (tail), transfer(head)).  (None, path) for steps <= 0, and (path, None)
-    for steps at least grid_steps(path, a, cs)."""
-    if steps <= 0:
-        return None, path
-    k = branch_offsets(a)
-    w = _waypoint_w(path, k)
-    wp = path.waypoints
-    for i, t, wanted, n in _first_grids(path, a, float(np.max(np.abs(cs)))):
-        p, q = wp[i], wp[i + 1]
-        if steps < n:
-            z = p + (q - p) * float(np.interp(steps * (wanted[-1] / n), wanted, t))
-            head = PathSpec(path.start, wp[: i + 1] + ((z,) if steps else ()))
-            return head, PathSpec(CurvePoint(z, continue_w((p, z), w[i], k)), (z,) + wp[i + 1 :])
-        steps -= n
-    return path, None
+    _check_drift(F, path.waypoints[-1], cs)
+    return F.T.reshape(-1, 2, 2), end_point(path, w[-1], a).w
 
 
 def _waypoint_w(path: PathSpec, k) -> list:
@@ -354,45 +292,38 @@ def _waypoint_w(path: PathSpec, k) -> list:
     return w
 
 
-def _first_grids(path: PathSpec, a: float, c_max: float):
-    """(i, t, wanted, n) for each segment of path of nonzero length, i the
-    index of its first waypoint: the segment's first Magnus grid, before
-    refinement.  Its steps are MAGNUS_STEP times the distance to the nearest
-    branch point divided by sqrt(max(1, c_max)): wanted holds the number of
-    such steps from the segment's start to each of the _GRID_SAMPLES
-    fractions t of the segment, by the trapezoid rule.  The grid has
-    n = ceil(wanted[-1]) steps, at least one, ending where wanted passes the
-    multiples of wanted[-1] / n."""
-    t = np.linspace(0.0, 1.0, _GRID_SAMPLES)
-    branch = np.array(branch_points(a))
-    per_length = math.sqrt(max(1.0, c_max)) / MAGNUS_STEP
-    wp = path.waypoints
-    for i, (p, q) in enumerate(zip(wp[:-1], wp[1:])):
-        if p == q:
-            continue
-        z = p + (q - p) * t
-        density = abs(q - p) * per_length / np.min(np.abs(z[:, None] - branch), axis=1)
-        wanted = np.concatenate(([0.0], np.cumsum(density[1:] + density[:-1]))) * (0.5 * t[1])
-        yield i, t, wanted, max(1, math.ceil(wanted[-1]))
-
-
 def _first_grid(path: PathSpec, a: float, c_max: float, limit: int, cs) -> tuple:
-    """(segment, t0, dt) of each step of the first grids of path's segments
-    (_first_grids), in path order: the index of the segment's first
-    waypoint, and the step's start and length as fractions of the segment.
+    """(segment, t0, dt) of each step of the first Magnus grids of path's
+    segments of nonzero length, before refinement, in path order: the index
+    of the segment's first waypoint, and the step's start and length as
+    fractions of the segment.
+
+    The steps are MAGNUS_STEP times the distance to the nearest branch point
+    divided by sqrt(max(1, c_max)): wanted holds the number of such steps
+    from a segment's start to each of the _GRID_SAMPLES fractions t of it,
+    by the trapezoid rule, and the segment takes n = ceil(wanted[-1]) steps,
+    at least one, ending where wanted passes the multiples of wanted[-1] / n.
     More than limit steps raise StepLimitExceeded before any is placed."""
-    grids = list(_first_grids(path, a, c_max))
-    counts = np.cumsum([n for *_, n in grids], dtype=float)
+    wp = np.array(path.waypoints)
+    i = np.flatnonzero(wp[1:] != wp[:-1])
+    p, along = wp[i, None], (wp[i + 1] - wp[i])[:, None]
+    t = np.linspace(0.0, 1.0, _GRID_SAMPLES)
+    near = np.min(np.abs((p + along * t)[..., None] - np.array(branch_points(a))), axis=2)
+    density = np.hypot(along.real, along.imag) * (math.sqrt(max(1.0, c_max)) / MAGNUS_STEP) / near
+    wanted = np.cumsum(density[:, 1:] + density[:, :-1], axis=1) * (0.5 * t[1])
+    wanted = np.pad(wanted, ((0, 0), (1, 0)))
+    n = np.maximum(1.0, np.ceil(wanted[:, -1]))
+    counts = np.cumsum(n)
     if counts.size and counts[-1] > limit:
-        raise _too_many(limit, path.waypoints[grids[np.argmax(counts > limit)][0] + 1], cs)
-    segment, t0, dt = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
-    for i, t, wanted, n in grids:
-        ends = np.interp(np.arange(n + 1) * (wanted[-1] / n), wanted, t)
+        raise _too_many(limit, path.waypoints[i[np.argmax(counts > limit)] + 1], cs)
+    n = n.astype(int)
+    t0, dt = [np.zeros(0)], [np.zeros(0)]
+    for row, m in zip(wanted, n.tolist()):
+        ends = np.interp(np.arange(m + 1) * (row[-1] / m), row, t)
         ends[0], ends[-1] = 0.0, 1.0
-        segment.append(np.full(n, i))
         t0.append(ends[:-1])
         dt.append(np.diff(ends))
-    return np.concatenate(segment), np.concatenate(t0), np.concatenate(dt)
+    return np.repeat(i, n), np.concatenate(t0), np.concatenate(dt)
 
 
 def _refine(points, w, k, segment, t0, dt, c_max, tol, limit, cs) -> np.ndarray:

@@ -1,13 +1,15 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscat import _rk
+from dscat import _rk, curve
 from dscat.curve import (
     BRANCH_DELTA,
+    TOL_SHEET,
     CurveParams,
     CurvePoint,
     PathSpec,
@@ -286,6 +288,73 @@ def test_validate_path_rejects_branch_crossing():
     for far in (complex("inf"), complex("nan"), complex(4.0, float("inf"))):
         with pytest.raises(PathError, match="finite"):
             validate_path(PathSpec(start, (0j, 0.5j, far)), 2.0)
+
+
+def _validate_path_by_segment(path, a):
+    """validate_path as a loop over the segments and branch points, the
+    reference for its one numpy pass."""
+    wp = path.waypoints
+    if len(wp) < 1:
+        raise PathError("path needs at least one waypoint")
+    if not all(cmath.isfinite(z) for z in wp):
+        raise PathError("waypoints must be finite")
+    scale = 1.0 + max(abs(v) for v in wp)
+    if abs(wp[0] - path.start.z) > 1e-12 * scale:
+        raise PathError("waypoints[0] must equal start.z")
+    if path.closed and abs(wp[-1] - wp[0]) > 1e-12 * scale:
+        raise PathError("closed path must end at its first waypoint")
+    if path.start.sheet_residual(a) > TOL_SHEET:
+        raise PathError("start point does not lie on the curve")
+    for p, q in zip(wp[:-1], wp[1:]):
+        for b in branch_points(a):
+            if _segment_distance(p, q, b) < BRANCH_DELTA:
+                raise PathError(
+                    f"segment {p} -> {q} passes within {BRANCH_DELTA} of branch point {b}"
+                )
+
+
+def _outcome(validate, path, a):
+    try:
+        validate(path, a)
+    except DomainError as exc:  # a start within BRANCH_DELTA of a branch point too
+        return type(exc), str(exc)
+    return None
+
+
+def _grazing_paths(a: float, seed: int) -> list:
+    """Paths through segments that pass each branch point at a distance
+    within a few rounding errors of BRANCH_DELTA, each followed by a
+    zero-length segment; a path whose segments pass -1, then 1 and -1; one
+    that passes a at 0.05 after 1 at 0.28; and paths whose squared segment
+    lengths overflow, as do all segments at a = 1e200."""
+    rng = np.random.default_rng(seed)
+    k = branch_offsets(a)
+    paths = []
+    for b in branch_points(a):
+        for rel in (0.0, 2e-16, -2e-16, 1e-15, -1e-15, 1e-9, -1e-9):
+            u = cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            foot = b + BRANCH_DELTA * (1 + rel) * 1j * u
+            p, q = foot - rng.uniform(0.0, 2.0) * u, foot + rng.uniform(-0.05, 2.0) * u
+            start = CurvePoint(p, cmath.sqrt(rational_rhs_of(p, k)))
+            paths.append(PathSpec(start, (p, q, q)))
+    paths.append(PathSpec(base_point(+1), (0j, -1.0 + 0.05j, 1.0 + 0.05j)))
+    paths.append(PathSpec(base_point(+1), (0j, 5e199 + 0.8j, -1e308 + 1e200j)))
+    paths.append(PathSpec(base_point(+1), (0j, 0.5j, 1.0 + 0.5j, 1e308 + 1e308j)))
+    paths.append(PathSpec(base_point(+1), (0j, 0.5j, 2 * a - 0.4j)))
+    return paths
+
+
+@pytest.mark.parametrize("a", [1.23, 1.25, 2.0, 7.8, 8.0, 1e200])
+def test_validate_path_raises_where_the_loop_over_segments_does(monkeypatch, a):
+    # the canonical paths at a = 1.23, 8 and 1e200 pass too near a branch point
+    with monkeypatch.context() as m:
+        m.setattr(curve, "validate_path", lambda path, a: None)
+        paths = canonical_paths(a)
+    cases = [getattr(paths, name) for name in PATH_NAMES] + _grazing_paths(a, int(100 * a))
+    outcomes = [(_outcome(validate_path, p, a), _outcome(_validate_path_by_segment, p, a)) for p in cases]
+    assert all(new == old for new, old in outcomes)
+    assert sum(old is not None for _, old in outcomes[: len(PATH_NAMES)]) == {1.23: 2, 8.0: 3, 1e200: 5}.get(a, 0)
+    assert {old is None for _, old in outcomes} == {True, False}
 
 
 def test_segment_distance_survives_overflow_of_the_squared_length():

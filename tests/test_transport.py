@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dscat import _rk, geometry, transport
+from dscat import _rk, geometry, period, transport
 from dscat.curve import (
     CurveParams,
     CurvePoint,
@@ -29,15 +29,11 @@ from dscat.transport import (
     IntegratorConfig,
     _joint_field,
     _joint_field_lanes,
-    compose,
-    cut,
-    grid_steps,
     integrate_frame,
     integrate_frames_over_c,
     reference_frame,
     scalar_ode_residual,
     transfer,
-    transfer_runs,
 )
 
 PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
@@ -289,13 +285,10 @@ def _error(F: np.ndarray, R: np.ndarray) -> float:
     return float((np.abs(F - R).max(axis=(1, 2)) / scale).max())
 
 
-def _in_two(path, a, cs) -> tuple:
-    """The end frames along path cut in two at the middle of its first grid,
-    as scan_c cuts c2: the first piece's frames carried through the second
-    piece's runs; and the second piece's end w."""
-    head, tail = cut(path, a, cs, grid_steps(path, a, cs) // 2)
-    runs, w = transfer_runs(tail, a, cs)
-    return compose(runs, transfer(head, a, cs)[0], path.waypoints[-1], cs), w
+def _first_steps(path, a, cs) -> int:
+    """The steps of path's first Magnus grid for the c in cs, before
+    refinement."""
+    return transport._first_grid(path, a, float(np.max(np.abs(cs))), math.inf, cs)[0].size
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
@@ -371,7 +364,7 @@ def test_the_estimate_refines_a_coarsened_grid(monkeypatch):
     reference, _ = integrate_frames_over_c(path, a, cs, IntegratorConfig(rel_tol=1e-13))
     default = _error(transfer(path, a, cs)[0], reference)
     monkeypatch.setattr(transport, "MAGNUS_STEP", 10 * transport.MAGNUS_STEP)
-    coarse_steps = grid_steps(path, a, cs)
+    coarse_steps = _first_steps(path, a, cs)
     refined = _error(transfer(path, a, cs)[0], reference)
     monkeypatch.setattr(transport, "MAGNUS_TOL", math.inf)
     unrefined = _error(transfer(path, a, cs)[0], reference)
@@ -383,7 +376,7 @@ def test_transfer_step_limit_names_the_curve_point_and_c():
     # the c named is the one of largest modulus, which sets the grid
     a, cs = 2.0, np.array([2.0, -9.0, -4.0])
     path = canonical_paths(a).c2
-    first = grid_steps(path, a, cs)
+    first = _first_steps(path, a, cs)
     # over the first grid, and over the refined grid only
     for max_steps in (first - 1, first + 1):
         cfg = IntegratorConfig(max_steps=max_steps)
@@ -397,63 +390,89 @@ def test_transfer_step_limit_names_the_curve_point_and_c():
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
 def test_pieces_match_integrate_frame(a):
-    # each half path cut in two at a grid point, as a scan block cuts c2
-    # between the two processes: the composed frames are the whole path's
+    # a scan cuts its c grid into blocks, and each block's half paths run on
+    # a grid refined for that piece's own largest |c|: however the c are cut,
+    # each piece's frames are integrate_frame's at each of its c
     cs = np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
     paths = canonical_paths(a)
     for path in (paths.c1, paths.c2):
-        frames, w = _in_two(path, a, cs)
-        assert frames.shape == (5, 2, 2)
-        for c, F in zip(cs, frames):
-            ref = integrate_frame(path, CurveParams(a, float(c)))
-            assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
-            assert abs(w - ref.point.w) <= 1e-8 * abs(ref.point.w)
+        for piece in (cs[:2], cs[2:]):
+            frames, w = transfer(path, a, piece)
+            assert frames.shape == (piece.size, 2, 2)
+            for c, F in zip(piece, frames):
+                ref = integrate_frame(path, CurveParams(a, float(c)))
+                assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
+                assert abs(w - ref.point.w) <= 1e-8 * abs(ref.point.w)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
-def test_one_piece_is_the_whole_path_bit_for_bit(name):
-    # a cut before the first grid point or after the last leaves the path
-    # whole, and transfer is compose over transfer_runs
+def test_one_piece_is_the_whole_path_bit_for_bit(monkeypatch, name):
+    # a scan of at most SCAN_BLOCK points is one block, so each half path is
+    # one job over all the grid's live c, whose frames are transfer's
     a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
+    live = cs[np.abs(cs) >= period.SKIP_HALFWIDTH]
     path = getattr(canonical_paths(a), name)
-    steps = grid_steps(path, a, cs)
-    assert cut(path, a, cs, 0) == (None, path)
-    assert cut(path, a, cs, steps) == (path, None)
-    head, tail = cut(path, a, cs, steps - 1)
-    assert head.waypoints[:-1] == path.waypoints[:-1] and tail.waypoints[-1] == path.waypoints[-1]
-    F, w = transfer(path, a, cs)
-    runs, w_runs = transfer_runs(path, a, cs)
-    assert F.tobytes() == compose(runs, None, path.waypoints[-1], cs).tobytes() and w == w_runs
+    planned = []
+    transfer_all = period._transfer_all
+
+    def spy(jobs, *args):
+        frames = transfer_all(jobs, *args)
+        planned.extend(zip(jobs, frames))
+        return frames
+
+    monkeypatch.setattr(period, "_transfer_all", spy)
+    period.scan_c(a, -9.0, 4.0, 27)
+    [(job_cs, F)] = [(job_cs, F) for (job_path, job_cs), F in planned if job_path == path]
+    assert job_cs.tobytes() == live.tobytes()
+    assert F.tobytes() == transfer(path, a, live)[0].tobytes()
+
+
+def test_piece_checks_name_the_curve_point_and_c():
+    # a process's share of a scan stops at its first failing piece: it hands
+    # back the frames of the pieces before it and that piece's error, which
+    # names the curve point and the c of largest modulus.  At a = 2 the
+    # refined grids take 165 steps along c1 for the small c and 435 along c2
+    # for the large.
+    a, max_steps = 2.0, 300
+    paths = canonical_paths(a)
+    small, large = np.array([-4.0, 1.0]), np.array([2.0, -9.0, -4.0])
+    cfg = IntegratorConfig(max_steps=max_steps)
+    jobs = [(paths.c1, small), (paths.c2, large), (paths.c1, small)]
+    frames, error = period._transfer_each(jobs, a, cfg)
+    assert len(frames) == 1
+    assert frames[0].tobytes() == transfer(paths.c1, a, small, cfg)[0].tobytes()
+    assert isinstance(error, StepLimitExceeded)
+    head, _, tail = str(error).partition(" by z = ")
+    z, _, c = tail.partition(" for c = ")
+    assert head == f"Magnus grid exceeds {max_steps} steps"
+    assert complex(z) in paths.c2.waypoints[1:] and float(c) == -9.0
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
 @pytest.mark.parametrize("name", ["gamma1", "end_loop_plus", "end_loop_minus"])
-def test_pieces_around_loops_match_integrate_frame(a, name):
+def test_transfer_around_loops_matches_dp5(a, name):
     # the loops leave the upper half plane, where w is not the principal
-    # root of R: the second piece starts from w continued in closed form.
-    # At a = 5 and c = -9 the end loops' frames leave SL(2) even at rel_tol
-    # 1e-13, so the loops run at |c| <= 4.  Measured: at most 1.2e-9, the
-    # end loops at a = 5, where |F| reaches 1e9 along the way (DP5 at its
-    # default tolerances is 1.4e-8 off there).
+    # root of R.  At a = 5 and c = -9 the end loops' frames leave SL(2) even
+    # at rel_tol 1e-13, so the loops run at |c| <= 4.  Measured: at most
+    # 1.2e-9, the end loops at a = 5, where |F| reaches 1e9 along the way
+    # (DP5 at its default tolerances is 1.4e-8 off there).
     cs = np.array([-4.0, -0.5, 2.0, 4.0])
     path = getattr(canonical_paths(a), name)
     reference, _ = integrate_frames_over_c(path, a, cs, IntegratorConfig(rel_tol=1e-13))
-    whole, w_whole = transfer(path, a, cs)
-    frames, w = _in_two(path, a, cs)
-    assert max(_error(whole, reference), _error(frames, reference)) <= 1e-8
-    assert abs(w - path.start.w) <= 1e-12 and abs(w_whole - path.start.w) <= 1e-12
+    frames, w = transfer(path, a, cs)
+    assert _error(frames, reference) <= 1e-8
+    assert abs(w - path.start.w) <= 1e-12
 
 
-def test_piece_checks_name_the_curve_point_and_c(monkeypatch):
+def test_transfer_checks_name_the_curve_point_and_c(monkeypatch):
     a, cs = 2.0, np.array([-4.0, 1.0])
     path = canonical_paths(a).c2
-    # a composed frame off SL(2) fails at the path's end, each piece passing
-    head, tail = cut(path, a, cs, 10)
-    H, (runs, _) = transfer(head, a, cs)[0], transfer_runs(tail, a, cs)
+    # end frames off SL(2), from a product that rounds badly, or past a
+    # tighter rule, fail at the path's end
     mul = _rk._mul
     monkeypatch.setattr(_rk, "_mul", lambda x, y: tuple(2.0 * v for v in mul(x, y)))
-    with pytest.raises(ContinuationError, match=r"drift .+ at z = \(4\+0j\) for c = -4\.0$"):
-        compose(runs, H, path.waypoints[-1], cs)
+    with pytest.raises(LanesFailed, match=r"drift .+ at z = \(4\+0j\) for c = -4\.0$"):
+        transfer(path, a, cs)
     monkeypatch.undo()
     monkeypatch.setattr(transport, "TOL_DET", 1e-20)
     with pytest.raises(LanesFailed, match=r"determinant drift .+ at z = \(4\+0j\) for c = -4\.0$"):

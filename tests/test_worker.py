@@ -1,8 +1,9 @@
 """The half paths integrated in two processes give the results of a serial run.
 
-_worker.pair runs c1 (or, in a scan block, c1 and the first part of c2) in a
-persistent worker process while the caller integrates c2 (or the rest of it).  Every result here is compared with
-== against the same call with the worker disabled, which is what a patched
+_worker.pair runs c1 in a persistent worker process while the caller
+integrates c2; a scan packs the c1 and c2 transfers of all its blocks onto the
+two processes in one pair call.  Every result here is compared with == against
+the same call with the worker disabled, which is what a patched
 os.sched_getaffinity returning one CPU does.
 """
 
@@ -16,12 +17,12 @@ import numpy as np
 import pytest
 from conftest import one_cpu, serially, two_cpus
 
-from dscat import _worker
+from dscat import _worker, period
 from dscat.curve import CurveParams, PathSpec, base_point, canonical_paths
-from dscat.errors import DomainError, PathError
+from dscat.errors import DomainError, PathError, StepLimitExceeded
 from dscat.monodromy import half_path_frames
 from dscat.period import scan_c
-from dscat.transport import transfer
+from dscat.transport import DEFAULT_CONFIG, IntegratorConfig, transfer
 
 ROOTS = (-7.611914, -4.06015, -1.526035, 1.26988, 5.33317)
 
@@ -77,6 +78,82 @@ def test_transfer_in_the_worker_equals_serial(monkeypatch, name):
     worker_pid()
     S, w_serial = serially(monkeypatch, lambda: transfer(path, a, cs))
     assert F.tobytes() == S.tobytes() and w == w_serial
+
+
+def scan_jobs(a: float, blocks: int) -> list:
+    """The jobs of a scan of [-9, 4] in `blocks` blocks: c1 and c2 over each
+    block's c."""
+    paths = canonical_paths(a)
+    return [(path, cs) for cs in np.array_split(np.linspace(-9.0, 4.0, 27), blocks)
+            for path in (paths.c1, paths.c2)]
+
+
+@two_cpus
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_planned_frames_equal_serial_transfer(monkeypatch, blocks):
+    a = 2.0
+    jobs = scan_jobs(a, blocks)
+    frames = period._transfer_all(jobs, a, DEFAULT_CONFIG)
+    worker_pid()
+    serial = serially(monkeypatch, lambda: period._transfer_all(jobs, a, DEFAULT_CONFIG))
+    assert len(frames) == len(serial) == len(jobs)
+    for (path, cs), F, S in zip(jobs, frames, serial):
+        R = transfer(path, a, cs)[0]
+        assert F.tobytes() == S.tobytes() == R.tobytes()
+
+
+def test_a_scan_plans_its_jobs_onto_both_processes_in_one_round_trip(monkeypatch):
+    # the 2600-point scan has six blocks, so twelve jobs; the lighter share
+    # of them goes to the worker
+    shares = []
+    pair = _worker.pair
+
+    def spy(first, then, jobs, *args):
+        shares.append(len(jobs))
+        return pair(first, then, jobs, *args)
+
+    monkeypatch.setattr(_worker, "pair", spy)
+    scan_c(2.0, -9.0, 4.0, 2600)
+    assert len(shares) == 1 and 0 < shares[0] < 12
+
+
+H = 8.0 / 19  # the spacing of 20 c over an interval of length 8
+
+
+@pytest.mark.parametrize(
+    "c_min, c_max, early, late, early_in_worker",
+    [
+        # the blocks of c = -9 and -6.89 fail, the first in the worker
+        (-9.0, -1.0, -9.0, -9.0 + 5 * H, True),
+        # the blocks of c = 6.89 and 9 fail, the first here
+        (1.0, 9.0, 1.0 + 14 * H, 9.0, False),
+    ],
+    ids=["early-in-worker", "early-here"],
+)
+def test_scan_errors_name_the_first_failing_job(monkeypatch, c_min, c_max, early, late, early_in_worker):
+    # four blocks of five c at a = 2: with max_steps 340 the refined grids of
+    # c2 for the two blocks of largest |c| (435 and 373 steps) fail, naming
+    # the c of largest modulus in the block, and all other grids (at most
+    # 305 steps) pass.  The error is the earlier block's, whichever process
+    # ran it, and the serial run's.
+    monkeypatch.setattr(period, "SCAN_BLOCK", 5)
+    cfg = IntegratorConfig(max_steps=340)
+    in_worker = []
+    pair = _worker.pair
+
+    def spy(first, then, jobs, *args):
+        # c2 ends at z = 2a = 4
+        in_worker.extend(cs[np.argmax(np.abs(cs))] for path, cs in jobs if path.waypoints[-1] == 4.0)
+        return pair(first, then, jobs, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_worker, "pair", spy)
+        error = error_of(lambda: scan_c(2.0, c_min, c_max, 20, cfg))
+    assert (early in in_worker, late in in_worker) == (early_in_worker, not early_in_worker)
+    assert serially(monkeypatch, lambda: error_of(lambda: scan_c(2.0, c_min, c_max, 20, cfg))) == error
+    assert error[0] is StepLimitExceeded
+    head, _, c = error[1].partition(" for c = ")
+    assert head.startswith("Magnus grid exceeds 340 steps by z = ") and float(c) == early
 
 
 def bad_paths(c1_goes_to=None, c2_goes_to=None) -> tuple:

@@ -56,8 +56,8 @@ COMMANDS = (
     *(("mesh", "--a", "2", "--c", c, *MESH) for c in ROOTS),
     *(("scan", "--a", a, "--c-min", "-9", "--c-max", "4", "--steps", "2600",
        "--out", "{d}/scan.csv") for a in ("1.5", "2", "3")),
-    # a block shaped like the benchmark's scan ops, whose c2 is split between
-    # the two processes
+    # a block shaped like the benchmark's scan ops, whose c1 runs in the
+    # worker and c2 in the caller
     ("scan", "--a", "3", "--c-min", "-9", "--c-max", "-6.4", "--steps", "27",
      "--out", "{d}/scan.csv"),
     *(("solve", "--a", "2", "--c0", lo, "--c1", hi, "--json", "{d}/solve.json")
