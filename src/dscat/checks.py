@@ -20,7 +20,9 @@ pair still takes the mesh's time, not the sum.  Without a solution no mesh is
 needed, and the checks run serially here.
 
 Beside each bound is its reason and the largest value `verify --deep` measured
-at the five a = 2 roots c = -7.611914, -4.06015, -1.526035, 1.26988, 5.333170.
+at the five a = 2 roots c = -7.611914, -4.06015, -1.526035, 1.26988, 5.333170,
+the published values, from which `verify` refines each root at the default
+tol_c (-4.06015 is 3.6e-5 from the converged -4.0601136297618).
 """
 
 from __future__ import annotations

@@ -83,22 +83,21 @@ def branch_points(a: float) -> tuple:
     return (1.0, -1.0, a, -a)
 
 
-def branch_offsets(a: float, scale=1.0, origin=0.0):
+def branch_offsets(a: float, scale=1.0):
     """The constants k with z + k[i] the offsets (z + 1, z - a, z - 1, z + a)
-    of z from the branch points, seen through the lane map origin + scale * z:
-    k[i] = (k_i + origin) / scale, k_i being the offsets at origin 0 and
-    scale 1.  Then R(origin + scale * z) is rational_rhs_of(z, k) and
-    scale * L(origin + scale * z) is log_derivative_of(z, k).  A tuple of four
-    Python complex numbers for a scalar origin and scale, else a (4, n) array
-    whose column j belongs to lane j.  The -a and -1 entries are negated as
-    complex numbers, so at origin 0 with a real scale their imaginary parts
-    are -0.0 and each sum keeps the signed zero of the subtraction it
-    replaces."""
-    k = ((1.0 + origin) / scale, (a - origin) / scale, (1.0 - origin) / scale, (a + origin) / scale)
-    if np.ndim(scale) == 0 and np.ndim(origin) == 0:
+    of z from the branch points, seen through the lane map scale * z:
+    k[i] = k_i / scale, k_i being the offsets at scale 1.  Then
+    R(scale * z) is rational_rhs_of(z, k) and scale * L(scale * z) is
+    log_derivative_of(z, k).  A tuple of four Python complex numbers for a
+    scalar scale, else a (4, n) array whose column j belongs to lane j.  The
+    -a and -1 entries are negated as complex numbers, so with a real scale
+    their imaginary parts are -0.0 and each sum keeps the signed zero of the
+    subtraction it replaces."""
+    k = (1.0 / scale, a / scale, 1.0 / scale, a / scale)
+    if np.ndim(scale) == 0:
         k0, k1, k2, k3 = (complex(x) for x in k)
         return (k0, -k1, -k2, k3)
-    k0, k1, k2, k3 = (np.asarray(x, dtype=complex) for x in np.broadcast_arrays(*k))
+    k0, k1, k2, k3 = (np.asarray(x, dtype=complex) for x in k)
     return np.stack((k0, -k1, -k2, k3))
 
 
@@ -288,27 +287,12 @@ def canonical_paths(a: float) -> CanonicalPaths:
     return paths
 
 
-def _segment_distance(p: complex, q: complex, b: complex) -> float:
-    """Distance from point b to the segment [p, q]."""
-    d = q - p
-    dd = (d * d.conjugate()).real
-    if dd == 0.0:
-        return abs(b - p)
-    if not math.isfinite(dd):  # |d|^2 overflows: project on the unit direction
-        half = q / 2 - p / 2
-        u = half / abs(half)
-        t = min(2 * abs(half), max(0.0, ((b - p) * u.conjugate()).real))
-        return abs(b - (p + t * u))
-    t = ((b - p) * d.conjugate()).real / dd
-    t = min(1.0, max(0.0, t))
-    return abs(b - (p + t * d))
-
-
 def _segment_distances(p: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_segment_distance from real b to the segments [p, q], all broadcast,
-    in its operations on real and imaginary parts, so with its bits (np.abs
-    of a complex array rounds otherwise; a zero-length segment's nan t goes
-    to 0 in np.fmax, as in max(0.0, nan))."""
+    """Distances from real b to the segments [p, q], all broadcast: from b to
+    the point p + t (q - p) with t = <b - p, q - p> / |q - p|^2 clipped to
+    [0, 1], formed on real and imaginary parts (a zero-length segment's nan t
+    goes to 0 in np.fmax).  Where |q - p|^2 overflows, the projection is on
+    the unit direction instead, clipped to [0, |q - p|]."""
     pr, pi = p.real, p.imag
     top = 1.0
     with np.errstate(all="ignore"):

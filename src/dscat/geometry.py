@@ -18,7 +18,7 @@ from .curve import (
     CurveParams,
     CurvePoint,
     PathSpec,
-    _segment_distance,
+    _segment_distances,
     base_point,
     branch_points,
     log_derivative,
@@ -43,6 +43,8 @@ from .transport import (
 TOL_SING = 1e-3
 # Mesh keeps this clear of branch points (slightly above the path minimum).
 MESH_CLEARANCE = 0.15
+# No mesh edge crosses the real axis within this of a slit, [1, a] or [-a, -1].
+SLIT_MARGIN = 0.1
 # Innermost mesh ring.
 MESH_R_IN = 0.12
 # A sample is resolvable when |X| exceeds the evaluation noise |F|^2 * eps of
@@ -138,16 +140,6 @@ def secondary_gauss(F, p: CurvePoint) -> complex:
     w = p.w
     num = -(F12 - w * F22)
     den = F11 - w * F21
-    if den == 0:
-        return complex(math.inf, 0.0)
-    return complex(num / den)
-
-
-def secondary_gauss_row2(F: np.ndarray, p: CurvePoint) -> complex:
-    """Row-two form -dF22/dF21 of the same map, for consistency checks."""
-    w = p.w
-    num = -(F[0, 1] / w - F[1, 1])
-    den = F[0, 0] / w - F[1, 0]
     if den == 0:
         return complex(math.inf, 0.0)
     return complex(num / den)
@@ -251,18 +243,6 @@ def _sheet_root(sol: PeriodSolution, sheet: int, cfg: IntegratorConfig) -> Frame
     return integrate_frame(flip, params, F0=sol.P, cfg=cfg)
 
 
-def _segment_crosses_slit(z1: complex, z2: complex, a: float) -> bool:
-    """Does [z1, z2] cross the real axis inside a sheet-change slit?"""
-    if z1.imag == 0.0 and z2.imag == 0.0:
-        return False
-    if (z1.imag > 0) == (z2.imag > 0):
-        return False
-    t = -z1.imag / (z2.imag - z1.imag)
-    x = z1.real + t * (z2.real - z1.real)
-    margin = 0.1
-    return (1.0 - margin <= x <= a + margin) or (-a - margin <= x <= -1.0 + margin)
-
-
 def build_mesh(
     sol: PeriodSolution,
     nu: int,
@@ -277,7 +257,8 @@ def build_mesh(
     ring is swept once counterclockwise from the imaginary axis, so every node
     has a fixed integration path and resampling is deterministic.  Triangles
     that would cross a sheet-change slit, pass near a branch point, or
-    straddle the singular set |g| = 1 are omitted.
+    straddle the singular set |g| = 1 are omitted, all decided in one pass
+    over the grid node[sheet, ring, k] of sample numbers (_triangles).
 
     Ring j follows the unit polyline of _unit_legs scaled by its radius, so
     all rings of both sheets advance together, one lane each, through
@@ -342,44 +323,13 @@ def build_mesh(
             else:
                 found[lanes[i]].append((order[t - 1], sample))
 
+    node = np.full((2, len(radii), nv), -1)
     samples: list = []
-    index: dict = {}
     for (sheet, j), ring in found.items():
         for k, sample in ring:
-            index[(sheet, j, k)] = len(samples)
+            node[int(sheet < 0), j, k] = len(samples)
             samples.append(sample)
-
-    clear: dict = {}
-
-    def edge_clear(i: int, m: int) -> bool:
-        """Does the grid edge between samples i and m stay off the slits and
-        clear of the branch points?  Memoised: it depends on the grid alone."""
-        key = (i, m) if i < m else (m, i)
-        if key not in clear:
-            p, q = samples[key[0]].param.z, samples[key[1]].param.z
-            clear[key] = not (
-                _segment_crosses_slit(p, q, a)
-                or any(_segment_distance(p, q, b) < MESH_CLEARANCE for b in branch_points(a))
-            )
-        return clear[key]
-
-    triangles: list = []
-    for sheet in (+1, -1):
-        for j in range(len(radii) - 1):
-            for k in range(nv):
-                k1 = (k + 1) % nv
-                quad = [
-                    index.get((sheet, j, k)),
-                    index.get((sheet, j + 1, k)),
-                    index.get((sheet, j + 1, k1)),
-                    index.get((sheet, j, k1)),
-                ]
-                if any(i is None for i in quad):
-                    continue
-                for tri in ((quad[0], quad[1], quad[2]), (quad[0], quad[2], quad[3])):
-                    if _keep_triangle(tri, samples, edge_clear):
-                        triangles.append(tri)
-    return MeshResult(samples, triangles, holes)
+    return MeshResult(samples, _triangles(node, samples, a), holes)
 
 
 def _unit_legs(angles: list, order: list) -> list:
@@ -417,41 +367,51 @@ def _surface_sample(F: list, point: CurvePoint) -> SurfaceSample | None:
     )
 
 
-def _keep_triangle(tri: tuple, samples: list, edge_clear) -> bool:
-    for i, m in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-        if not edge_clear(i, m):
-            return False
-    signs = [samples[i].g_abs >= 1.0 for i in tri]
-    if len(set(signs)) > 1:
-        return False
-    return True
+def _triangles(node: np.ndarray, samples: list, a: float) -> list:
+    """build_mesh's triangles over node[sheet, ring, k], the sample numbers
+    with -1 at holes.  Each quad (sheet +1 then -1, ring, k) splits into its
+    halves (0, 1, 2) and (0, 2, 3).  A half is kept when no edge, taken from
+    its lower-numbered end, crosses the real axis within SLIT_MARGIN of a
+    slit or passes within MESH_CLEARANCE of a branch point, and its samples
+    lie on one side of |g| = 1."""
+    inner, outer = node[:, :-1], node[:, 1:]
+    quads = np.stack((inner, outer, np.roll(outer, -1, 2), np.roll(inner, -1, 2)), -1)
+    quads = quads.reshape(-1, 4)
+    tris = quads[(quads >= 0).all(axis=1)][:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)
+    z = np.array([s.param.z for s in samples], dtype=complex)
+    p, q = z[np.sort(np.stack((tris, np.roll(tris, -1, axis=1))), axis=0)]
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan off the crossings
+        t = -p.imag / (q.imag - p.imag)
+        x = p.real + t * (q.real - p.real)
+    m = SLIT_MARGIN
+    in_slit = (1.0 - m <= x) & (x <= a + m) | (-a - m <= x) & (x <= -1.0 + m)
+    blocked = ((p.imag > 0) != (q.imag > 0)) & in_slit
+    for b in branch_points(a):
+        blocked |= _segment_distances(p, q, b) < MESH_CLEARANCE
+    side = np.array([s.g_abs >= 1.0 for s in samples], dtype=bool)[tris]
+    keep = ~blocked.any(axis=1) & (side.all(axis=1) == side.any(axis=1))
+    return list(map(tuple, tris[keep].tolist()))
 
 
 def symmetry_curves(mesh: MeshResult) -> list:
     """Planar symmetry curves: iso-lines y2 = 0 extracted from a mesh.
 
     The hollow-ball factor is positive, so y2 = 0 exactly where x2 = 0.
-    Interpolation is linear in y2 along triangle edges, which zeroes the y2
-    component of every emitted vertex by construction.  Returns a list of
-    polylines (lists of HollowBallPoint).
+    Interpolation is linear in y2 along the edges of every triangle whose
+    vertices take both signs, all in one pass, which zeroes the y2 component
+    of every emitted vertex by construction.  Returns a list of polylines
+    (lists of HollowBallPoint).
     """
-    segments: list = []
-    for tri in mesh.triangles:
-        vals = [mesh.samples[i].Y.y2 for i in tri]
-        pos = [v > 0.0 for v in vals]
-        if all(pos) or not any(pos):
-            continue
-        crossings = []
-        for e in ((0, 1), (1, 2), (2, 0)):
-            vi, vj = vals[e[0]], vals[e[1]]
-            if (vi > 0.0) == (vj > 0.0):
-                continue
-            t = vi / (vi - vj)
-            yi = mesh.samples[tri[e[0]]].Y.as_array()
-            yj = mesh.samples[tri[e[1]]].Y.as_array()
-            crossings.append(tuple(yi + t * (yj - yi)))
-        if len(crossings) == 2:
-            segments.append((crossings[0], crossings[1]))
+    tris = np.array(mesh.triangles, dtype=int).reshape(-1, 3)
+    Y = np.array([s.Y.as_array() for s in mesh.samples]).reshape(-1, 3)
+    pos = Y[tris, 1] > 0.0
+    mixed = pos.any(axis=1) != pos.all(axis=1)
+    tris, pos = tris[mixed], pos[mixed]
+    yi, yj = Y[tris], Y[np.roll(tris, -1, axis=1)]
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan off the crossings
+        points = yi + yi[..., 1:2] / (yi[..., 1:2] - yj[..., 1:2]) * (yj - yi)
+    crossings = points[pos != np.roll(pos, -1, axis=1)].reshape(-1, 2, 3)
+    segments = [(tuple(p), tuple(q)) for p, q in crossings]
     return [
         [HollowBallPoint(*p) for p in chain] for chain in _chain_segments(segments)
     ]

@@ -97,18 +97,18 @@ class FrameState:
     F: np.ndarray
 
 
-def _joint_field(a: float, c: float, scale=1.0, origin=0.0):
+def _joint_field(a: float, c: float, scale=1.0):
     """Field of (F11, F12, F21, F22, w) for the scalar kernel, along the
-    image origin + scale * z of the polyline of z (origin, scale complex).
+    image scale * z of the polyline of z (scale complex).
 
-    Its derivative is scale times the field at origin + scale * z, and
-    scale * L(origin + scale * z) is L(z) with the branch points mapped back,
-    so L is log_derivative_of with curve.branch_offsets(a, scale, origin):
-    at origin 0 and scale 1.0 log_derivative's L, operation for operation,
-    without its branch-distance guard.  Callers validate the path, so the
-    guard could never fire here, while it took a fifth of the field's time.
+    Its derivative is scale times the field at scale * z, and
+    scale * L(scale * z) is L(z) with the branch points mapped back, so L is
+    log_derivative_of with curve.branch_offsets(a, scale): at scale 1.0
+    log_derivative's L, operation for operation, without its branch-distance
+    guard.  Callers validate the path, so the guard could never fire here,
+    while it took a fifth of the field's time.
     """
-    k = branch_offsets(a, scale, origin)
+    k = branch_offsets(a, scale)
     c_s = c * scale
 
     def field(z, u, y):
@@ -141,16 +141,16 @@ def integrate_frame(
     return FrameState(CurvePoint(path.waypoints[-1], w), F)
 
 
-def _joint_field_lanes(a: float, cs, scale=1.0, origin=0.0):
+def _joint_field_lanes(a: float, cs, scale=1.0):
     """_joint_field for rows (F11, F12, F21, F22, w), one column per lane:
-    lane j has cs[j] and follows origin[j] + scale[j] * z, each given per
-    lane or once.  A scalar origin and scale evaluate L once per stage for
-    all lanes in Python complex arithmetic.  cs * scale * u is formed once
-    per segment.  Uses F21' = F11' / w and F22' = F12' / w, which holds
-    because alpha is rank one.
+    lane j has cs[j] and follows scale[j] * z, each given per lane or once.
+    A scalar scale evaluates L once per stage for all lanes in Python
+    complex arithmetic.  cs * scale * u is formed once per segment.  Uses
+    F21' = F11' / w and F22' = F12' / w, which holds because alpha is rank
+    one.
     """
     cs_s = cs * scale
-    k = branch_offsets(a, scale, origin)
+    k = branch_offsets(a, scale)
     segment_u = cs_u = None  # the direction of the current segment, cs_s * it
 
     def field(z, u, y):
@@ -179,7 +179,6 @@ def integrate_frames_over_c(
     F0: np.ndarray | None = None,
     w0=None,
     scale=1.0,
-    origin=0.0,
     on_step=None,
 ) -> tuple:
     """End frames and sheet values of dF/ds = alpha(z, w) F dz/ds integrated
@@ -187,32 +186,31 @@ def integrate_frames_over_c(
 
     Lane j has the coefficient cs[j], starts from the frame F0[j] (default I)
     with the sheet value w0[j] (default path.start.w), and follows the
-    polyline origin[j] + scale[j] * path.waypoints (origin and scale may be
-    complex).  Each of cs, F0, w0, scale and origin is given per lane or
-    once.  Given all once, the lane runs on the scalar kernel and the result
-    is the end frame, shape (2, 2), and sheet value; else the lanes share
-    the lane kernel's step sequence and the results have shapes (n, 2, 2)
-    and (n,).  on_step, when given, is called with (z, y) after every
+    polyline scale[j] * path.waypoints (scale may be complex).  Each of cs,
+    F0, w0 and scale is given per lane or once.  Given all once, the lane
+    runs on the scalar kernel and the result is the end frame, shape (2, 2),
+    and sheet value; else the lanes share the lane kernel's step sequence
+    and the results have shapes (n, 2, 2) and (n,).  on_step, when given, is called with (z, y) after every
     accepted step, y holding (F11, F12, F21, F22, w).
 
     The caller validates every lane's polyline (validate_path).  Checked
     here: the start frame (_start_frame), the sheet residual at every
     accepted step and at the end, and the end frame's drift (_check_drift).
     A failed sheet or drift check raises LanesFailed naming the point of the
-    curve, origin + scale * z, and the c of the first failing lane.  A
+    curve, scale * z, and the c of the first failing lane.  A
     StepLimitExceeded belongs to all lanes.
     """
     cs = np.asarray(cs, dtype=float)
     F0 = _start_frame(F0)
     w0 = path.start.w if w0 is None else w0
-    shape = np.broadcast(cs, scale, origin, w0, F0[..., 0, 0]).shape
-    k = branch_offsets(a, scale, origin)
+    shape = np.broadcast(cs, scale, w0, F0[..., 0, 0]).shape
+    k = branch_offsets(a, scale)
 
     def check_sheet(z, y) -> None:
         bad = sheet_residual_of(y[4], rational_rhs_of(z, k)) > TOL_SHEET
         # a Python bool on the scalar kernel: no numpy call per step there
         if bad is True or bad is not False and bad.any():
-            raise _failed("sheet residual exceeded", z, bad, cs, scale, origin)
+            raise _failed("sheet residual exceeded", z, bad, cs, scale)
 
     hook = check_sheet
     if on_step is not None:
@@ -225,13 +223,13 @@ def integrate_frames_over_c(
         y0 = np.empty((5,) + shape, dtype=complex)
         y0[:4] = np.broadcast_to(F0, shape + (2, 2)).reshape(shape + (4,)).T
         y0[4] = w0
-        field, kernel = _joint_field_lanes(a, cs, scale, origin), _rk.integrate_polyline_lanes
+        field, kernel = _joint_field_lanes(a, cs, scale), _rk.integrate_polyline_lanes
     else:
         y0 = (*F0.reshape(4).tolist(), w0)
-        field, kernel = _joint_field(a, float(cs), scale, origin), _rk.integrate_polyline
+        field, kernel = _joint_field(a, float(cs), scale), _rk.integrate_polyline
     y = kernel(path.waypoints, y0, field, cfg=cfg, on_step=hook)
     check_sheet(path.waypoints[-1], y)
-    _check_drift(y, path.waypoints[-1], cs, scale, origin)
+    _check_drift(y, path.waypoints[-1], cs, scale)
     return np.asarray(y[:4]).T.reshape(shape + (2, 2)), y[4]
 
 
@@ -445,12 +443,12 @@ def _step_matrices(M: np.ndarray, lanes: np.ndarray) -> tuple:
     return ch + sd, sh * x, sh * y, ch - sd
 
 
-def _failed(message: str, z, bad, cs, scale=1.0, origin=0.0) -> LanesFailed:
+def _failed(message: str, z, bad, cs, scale=1.0) -> LanesFailed:
     """LanesFailed for the lanes where bad is true, its message naming the
-    first one's point of the curve, origin + scale * z, and c."""
+    first one's point of the curve, scale * z, and c."""
     lanes = np.flatnonzero(bad)
-    o, s, c = (np.broadcast_to(x, np.shape(bad)).flat[lanes[0]] for x in (origin, scale, cs))
-    return LanesFailed(f"{message} at z = {complex(o + s * z)} for c = {float(c)}", lanes)
+    s, c = (np.broadcast_to(x, np.shape(bad)).flat[lanes[0]] for x in (scale, cs))
+    return LanesFailed(f"{message} at z = {complex(s * z)} for c = {float(c)}", lanes)
 
 
 def _drifted(y: np.ndarray) -> tuple:
@@ -462,13 +460,13 @@ def _drifted(y: np.ndarray) -> tuple:
     return drift, drift > TOL_DET
 
 
-def _check_drift(y, z, cs, scale=1.0, origin=0.0) -> None:
+def _check_drift(y, z, cs, scale=1.0) -> None:
     """The one end drift check: LanesFailed where the frames in y, reached at
-    origin + scale * z, break the determinant rule."""
+    scale * z, break the determinant rule."""
     drift, bad = _drifted(y)
     if bad.any():
         first = float(np.ravel(drift)[np.flatnonzero(bad)[0]])
-        raise _failed(f"scaled determinant drift {first:.3e}", z, bad, cs, scale, origin)
+        raise _failed(f"scaled determinant drift {first:.3e}", z, bad, cs, scale)
 
 
 def _start_frame(F0) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -40,6 +41,23 @@ def serially(monkeypatch, call):
     with monkeypatch.context() as m:
         one_cpu(m)
         return call()
+
+
+def segment_distance(p: complex, q: complex, b: complex) -> float:
+    """Distance from point b to the segment [p, q], one segment at a time:
+    the reference for curve._segment_distances."""
+    d = q - p
+    dd = (d * d.conjugate()).real
+    if dd == 0.0:
+        return abs(b - p)
+    if not math.isfinite(dd):  # |d|^2 overflows: project on the unit direction
+        half = q / 2 - p / 2
+        u = half / abs(half)
+        t = min(2 * abs(half), max(0.0, ((b - p) * u.conjugate()).real))
+        return abs(b - (p + t * u))
+    t = ((b - p) * d.conjugate()).real / dd
+    t = min(1.0, max(0.0, t))
+    return abs(b - (p + t * d))
 
 
 # Sign-change brackets of the four closable crossings at a = 2.

@@ -23,10 +23,12 @@ from dscat.curve import (
     rational_rhs,
     rational_rhs_of,
     transport_w,
-    _segment_distance,
+    _segment_distances,
     validate_path,
 )
 from dscat.errors import DomainError, PathError
+
+from conftest import segment_distance
 
 PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
 
@@ -103,21 +105,19 @@ def test_scalar_branch_offsets_keep_signed_zeros():
 
 
 def test_branch_offsets_follow_the_lane_map():
-    # lane j sees the curve through origin[j] + scale[j] * z
+    # lane j sees the curve through scale[j] * z
     a = 2.0
-    origin = np.array([0.0, 0.3 + 0.4j, 1.2 + 0.2j])
-    scale = np.array([1.0, 0.25 - 0.1j, 0.3j])
-    k = branch_offsets(a, scale, origin)
-    for z in (0.0, 0.5, 0.7 + 0.3j):
-        mapped = origin + scale * z
+    scale = np.array([1.0, 0.25 - 0.1j, 0.3j, 2.9])
+    k = branch_offsets(a, scale)
+    for z in (0.5, 0.7 + 0.3j, -1.1 + 0.4j):
+        mapped = scale * z
         assert np.allclose(rational_rhs_of(z, k), [rational_rhs(x, a) for x in mapped], rtol=1e-13)
         assert np.allclose(
             log_derivative_of(z, k), scale * [log_derivative(x, a) for x in mapped], rtol=1e-13
         )
-    # at origin 0 the offsets are those of scale alone, bit for bit
-    real = np.array([0.37, 1.0, 2.9])
-    assert branch_offsets(a, real, 0.0).tobytes() == branch_offsets(a, real).tobytes()
-    assert repr(branch_offsets(a, 1.0, 0.0)) == repr(branch_offsets(a))
+    # at scale 1 the lane offsets are the scalar ones, bit for bit
+    assert branch_offsets(a, np.ones(3)).tobytes() == np.array([branch_offsets(a)] * 3).T.tobytes()
+    assert repr(branch_offsets(a, 1.0)) == repr(branch_offsets(a))
 
 
 def test_log_derivative_base_value():
@@ -195,16 +195,16 @@ def test_transport_w_ends_equal_the_inline_reference():
 
 
 def test_continue_w_lanes_follow_the_lane_map():
-    # per-lane offsets of the lane map origin + scale * z: lane j's unit
-    # segment 0 -> 1 is the segment from cut point j to cut point j + 1
+    # lane j follows scale[j] * gamma1, which encircles -1 and 1 at each scale
     a = 2.0
-    points = np.array(canonical_paths(a).gamma1.waypoints)
-    k = branch_offsets(a, np.diff(points), points[:-1])
-    lanes = continue_w((0.0, 1.0), 1.0, k)
-    one_by_one = [continue_w((p, q), 1.0, branch_offsets(a)) for p, q in zip(points[:-1], points[1:])]
-    assert np.allclose(lanes, one_by_one, rtol=1e-14, atol=0.0)
-    # around gamma1 w changes sheet at z1 and comes back at -z1
-    assert abs(np.prod(lanes[:4]) + 1.0) < 1e-15 and abs(np.prod(lanes) - 1.0) < 1e-15
+    scale = np.array([0.9, 1.0, 1.2])
+    k = branch_offsets(a, scale)
+    loop = canonical_paths(a).gamma1.waypoints
+    for wp, w_end in ((loop[:5], -1.0), (loop, 1.0)):  # sheet -1 at z1, back at -z1
+        lanes = continue_w(wp, 1.0, k)
+        one_by_one = [continue_w(tuple(s * z for z in wp), 1.0, branch_offsets(a)) for s in scale]
+        assert np.allclose(lanes, one_by_one, rtol=1e-14, atol=0.0)
+        assert np.abs(lanes - w_end).max() < 1e-14
 
 
 def test_transport_w_integrates_nothing(monkeypatch):
@@ -307,7 +307,7 @@ def _validate_path_by_segment(path, a):
         raise PathError("start point does not lie on the curve")
     for p, q in zip(wp[:-1], wp[1:]):
         for b in branch_points(a):
-            if _segment_distance(p, q, b) < BRANCH_DELTA:
+            if segment_distance(p, q, b) < BRANCH_DELTA:
                 raise PathError(
                     f"segment {p} -> {q} passes within {BRANCH_DELTA} of branch point {b}"
                 )
@@ -360,10 +360,13 @@ def test_validate_path_raises_where_the_loop_over_segments_does(monkeypatch, a):
 def test_segment_distance_survives_overflow_of_the_squared_length():
     # |d|^2 = 2.5e399 overflows; the segment passes 0.8 / 5e199 = 1.6e-200
     # above z = 1
-    assert _segment_distance(0j, 5e199 + 0.8j, 1.0) == pytest.approx(1.6e-200, rel=1e-12)
-    assert _segment_distance(0j, 5e199 + 0.8j, -1.0) == 1.0
-    assert _segment_distance(-1e308 + 0j, 1e308 + 1j, 0.0) == pytest.approx(0.5, rel=1e-12)
-    assert _segment_distance(0j, 5e199 + 0.8j, 1e200) == pytest.approx(5e199)
+    def distance(p, q, b):
+        return float(_segment_distances(np.array(p), np.array(q), np.array(b)))
+
+    assert distance(0j, 5e199 + 0.8j, 1.0) == pytest.approx(1.6e-200, rel=1e-12)
+    assert distance(0j, 5e199 + 0.8j, -1.0) == 1.0
+    assert distance(-1e308 + 0j, 1e308 + 1j, 0.0) == pytest.approx(0.5, rel=1e-12)
+    assert distance(0j, 5e199 + 0.8j, 1e200) == pytest.approx(5e199)
     # a = 1e200 makes the canonical paths pass next to the branch points
     with pytest.raises(PathError):
         canonical_paths(1e200)

@@ -19,12 +19,13 @@ from dscat.geometry import (
     immerse,
     schwarzian_check,
     secondary_gauss,
-    secondary_gauss_row2,
     small_formula_check,
     symmetry_curves,
     unit_normal,
 )
 from dscat.linalg2c import mat2c, mobius_star
+
+from conftest import segment_distance
 
 
 def random_sl2(seed: int) -> np.ndarray:
@@ -75,9 +76,11 @@ def test_secondary_gauss_gauge_frame_pole(shallow_solution):
 
 
 def test_secondary_gauss_row_consistency(shallow_solution):
+    # row two of dF = alpha F is row one over w, so -dF22/dF21 is g too
     state = frame_at(shallow_solution, 0.6 + 0.9j)
+    F, w = state.F, state.point.w
     g1 = secondary_gauss(state.F, state.point)
-    g2 = secondary_gauss_row2(state.F, state.point)
+    g2 = -(F[0, 1] / w - F[1, 1]) / (F[0, 0] / w - F[1, 0])
     assert abs(g1 - g2) < 1e-9
 
 
@@ -173,6 +176,7 @@ def test_mesh_failed_integration_is_a_hole(shallow_solution, monkeypatch):
     rings = len(geometry._ring_radii(shallow_solution.a, 4, 3.0 * shallow_solution.a))
     assert mesh.samples == [] and mesh.triangles == []
     assert mesh.holes == 2 * rings * 4
+    assert symmetry_curves(mesh) == []  # and no numpy warning, in either pass
 
 
 def test_mesh_lane_failure_holes_only_its_ring(shallow_solution, monkeypatch):
@@ -227,7 +231,7 @@ def test_mesh_validates_each_ring_once(shallow_solution, monkeypatch):
 def _per_node_mesh(sol, nu, nv):
     """build_mesh as one integrate_frame call per node, the reference for the
     ring-parallel build: (sample keys, samples, triangles, holes)."""
-    from dscat.curve import _segment_distance, branch_points
+    from dscat.curve import branch_points
     from dscat.transport import integrate_frame
 
     params = CurveParams(sol.a, sol.c)
@@ -255,11 +259,19 @@ def _per_node_mesh(sol, nu, nv):
                 g_abs = abs(secondary_gauss(state.F, state.point))
                 samples.append((state.point, hollow_ball(X), g_abs, frame_scale))
 
+    def crosses_slit(p, q):
+        if (p.imag > 0) == (q.imag > 0):
+            return False
+        t = -p.imag / (q.imag - p.imag)
+        x = p.real + t * (q.real - p.real)
+        m, a = geometry.SLIT_MARGIN, sol.a
+        return 1.0 - m <= x <= a + m or -a - m <= x <= -1.0 + m
+
     def keep(tri):
-        pts = [samples[i][0].z for i in tri]
-        for p, q in ((pts[0], pts[1]), (pts[1], pts[2]), (pts[2], pts[0])):
-            if geometry._segment_crosses_slit(p, q, sol.a) or any(
-                _segment_distance(p, q, b) < geometry.MESH_CLEARANCE for b in branch_points(sol.a)
+        for i, m in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            p, q = samples[min(i, m)][0].z, samples[max(i, m)][0].z
+            if crosses_slit(p, q) or any(
+                segment_distance(p, q, b) < geometry.MESH_CLEARANCE for b in branch_points(sol.a)
             ):
                 return False
         return len({samples[i][2] >= 1.0 for i in tri}) == 1
