@@ -8,16 +8,12 @@ on first use.  Checks that need the period solution report "skipped (...)"
 when an earlier step did not produce it.
 
 run_invariant_suite uses both cores once the root is refined and has a
-solution.  The 8 x 12 mesh of geometry-invariants, which reads only the
-solution and the integrator settings, is built in the worker process of
-_worker.pair while this process runs every other check; geometry-invariants
-then reads the mesh.  At the two a = 2 roots c = -1.526035 and 1.26988, the
-mesh (the worker's share) takes 178-194 ms and the other 17 checks of
-`verify --deep` (the caller's share) 135-150 ms, 7 runs each in one process
-pinned to one core of a shared 2-core machine.  So the worker has the longer
-share, against _worker's advice, and the caller waits 40-50 ms for it; the
-pair still takes the mesh's time, not the sum.  Without a solution no mesh is
-needed, and the checks run serially here.
+solution: the worker process of _worker.pair runs every check but
+geometry-invariants on a pickled copy of the context, which carries the root,
+gauge and solution, while this process builds the 8 x 12 mesh that
+geometry-invariants reads.  The checks are the shorter share, as _worker
+asks (tools/scan_shares.py times both).  Without a solution the checks run
+serially here.
 
 Beside each bound is its reason and the largest value `verify --deep` measured
 at the five a = 2 roots c = -7.611914, -4.06015, -1.526035, 1.26988, 5.333170,
@@ -134,14 +130,7 @@ class CheckContext:
 
     def mesh(self) -> geometry.MeshResult:
         """The 8 x 12 mesh over solution() that geometry-invariants reads."""
-
-        def build():
-            mesh, exc = invariants_mesh(self.solution(), self.cfg)
-            if exc is not None:
-                raise exc
-            return mesh
-
-        return self._once("mesh", build)
+        return self._once("mesh", lambda: geometry.build_mesh(self.solution(), 8, 12, self.cfg))
 
     def schwarzian(self) -> float:
         """Schwarzian identity residual at the probe point with h = 1e-3."""
@@ -397,36 +386,23 @@ DEEP_CHECKS = (
 )
 
 
-def invariants_mesh(sol: period.PeriodSolution, cfg: IntegratorConfig) -> tuple:
-    """(the 8 x 12 mesh of geometry-invariants, None), or (None, the error)
-    where building it raises a DscatError: the entry point run_invariant_suite
-    names to _worker.pair, so that such an error fails geometry-invariants
-    alone."""
-    try:
-        return geometry.build_mesh(sol, 8, 12, cfg), None
-    except DscatError as exc:
-        return None, exc
-
-
 def run_invariant_suite(a: float, c: float, cfg: IntegratorConfig, deep: bool = False) -> list:
     """Invariant battery at (a, c); returns a list of (name, ok, detail) in
     registry order.
 
     A check that raises a DscatError fails with the error as its detail.
-    Where the root has a solution, the mesh of geometry-invariants is built
-    in the worker process of _worker.pair while this process runs the other
-    checks; the results are those of a serial run.
+    Where the root has a solution, the other checks run in the worker process
+    of _worker.pair while this process builds the mesh of geometry-invariants;
+    the results are those of a serial run.
     """
     ctx = CheckContext(a, c, cfg)
     registry = CHECKS + (DEEP_CHECKS if deep else ())
-    sol = ctx.maybe(ctx.solution)
-    if sol is None:
+    if ctx.maybe(ctx.solution) is None:
         return _run_checks(ctx, registry)
     mesh_check = ("geometry-invariants", _geometry_invariants)
     others = tuple(entry for entry in registry if entry != mesh_check)
-    # invariants_mesh returns an entry of the context's build-once cache
-    ctx._built["mesh"], results = _worker.pair(
-        "dscat.checks.invariants_mesh", lambda: _run_checks(ctx, others), sol, cfg
+    results, _ = _worker.pair(
+        "dscat.checks._run_checks", lambda: ctx.maybe(ctx.mesh), ctx, others
     )
     results += _run_checks(ctx, (mesh_check,))
     order = [name for name, _ in registry]

@@ -43,8 +43,6 @@ from .transport import (
 TOL_SING = 1e-3
 # Mesh keeps this clear of branch points (slightly above the path minimum).
 MESH_CLEARANCE = 0.15
-# No mesh edge crosses the real axis within this of a slit, [1, a] or [-a, -1].
-SLIT_MARGIN = 0.1
 # Innermost mesh ring.
 MESH_R_IN = 0.12
 # A sample is resolvable when |X| exceeds the evaluation noise |F|^2 * eps of
@@ -371,9 +369,9 @@ def _triangles(node: np.ndarray, samples: list, a: float) -> list:
     """build_mesh's triangles over node[sheet, ring, k], the sample numbers
     with -1 at holes.  Each quad (sheet +1 then -1, ring, k) splits into its
     halves (0, 1, 2) and (0, 2, 3).  A half is kept when no edge, taken from
-    its lower-numbered end, crosses the real axis within SLIT_MARGIN of a
-    slit or passes within MESH_CLEARANCE of a branch point, and its samples
-    lie on one side of |g| = 1."""
+    its lower-numbered end, crosses a slit, [1, a] or [-a, -1], or passes
+    within MESH_CLEARANCE of a branch point, and its samples lie on one side
+    of |g| = 1."""
     inner, outer = node[:, :-1], node[:, 1:]
     quads = np.stack((inner, outer, np.roll(outer, -1, 2), np.roll(inner, -1, 2)), -1)
     quads = quads.reshape(-1, 4)
@@ -383,8 +381,7 @@ def _triangles(node: np.ndarray, samples: list, a: float) -> list:
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan off the crossings
         t = -p.imag / (q.imag - p.imag)
         x = p.real + t * (q.real - p.real)
-    m = SLIT_MARGIN
-    in_slit = (1.0 - m <= x) & (x <= a + m) | (-a - m <= x) & (x <= -1.0 + m)
+    in_slit = (1.0 <= x) & (x <= a) | (-a <= x) & (x <= -1.0)
     blocked = ((p.imag > 0) != (q.imag > 0)) & in_slit
     for b in branch_points(a):
         blocked |= _segment_distances(p, q, b) < MESH_CLEARANCE
@@ -411,7 +408,7 @@ def symmetry_curves(mesh: MeshResult) -> list:
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan off the crossings
         points = yi + yi[..., 1:2] / (yi[..., 1:2] - yj[..., 1:2]) * (yj - yi)
     crossings = points[pos != np.roll(pos, -1, axis=1)].reshape(-1, 2, 3)
-    segments = [(tuple(p), tuple(q)) for p, q in crossings]
+    segments = [(tuple(p), tuple(q)) for p, q in crossings.tolist()]
     return [
         [HollowBallPoint(*p) for p in chain] for chain in _chain_segments(segments)
     ]

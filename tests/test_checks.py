@@ -1,9 +1,11 @@
 """The check context: checks that read the states of integrations the context
 has run already give what they gave with integrations of their own, and
-integrate nothing more.  The suite, with the mesh of geometry-invariants built
-in the worker process, gives the results of a serial run."""
+integrate nothing more.  The suite, with the checks run in the worker process
+on a pickled copy of the context and the mesh of geometry-invariants built
+here, gives the results of a serial run."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -86,11 +88,11 @@ def patched_mesh(monkeypatch, error=None) -> list:
 @two_cpus
 @pytest.mark.usefixtures("fresh_worker")
 @pytest.mark.parametrize(
-    "c, deep, sends_mesh",
+    "c, deep, sends_checks",
     [(C, True, True), (3.5, False, False), (-0.55, False, False)],
     ids=["root-deep", "no-crossing", "pole"],
 )
-def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, sends_mesh):
+def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, sends_checks):
     sent = []
     pair = _worker.pair
 
@@ -102,9 +104,11 @@ def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, sends_mesh):
     calls = patched_mesh(monkeypatch)
     parallel = suite(c, deep)
     assert isinstance(_worker._current, _worker._Worker)
-    assert ("dscat.checks.invariants_mesh" in sent) == sends_mesh
-    # the mesh was built in the worker, or not at all
-    assert calls == []
+    # refinement sends its half paths; the suite sends its checks once
+    assert sent.count("dscat.checks._run_checks") == sends_checks
+    assert set(sent) <= {"dscat.checks._run_checks", "dscat.transport.integrate_frame"}
+    # the mesh was built here, or not at all
+    assert calls == ([os.getpid()] if sends_checks else [])
     registry = checks.CHECKS + (checks.DEEP_CHECKS if deep else ())
     assert [name for name, _, _ in parallel] == [name for name, _ in registry]
     assert parallel == serially(monkeypatch, lambda: suite(c, deep))
@@ -112,12 +116,12 @@ def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, sends_mesh):
 
 @two_cpus
 @pytest.mark.usefixtures("fresh_worker")
-def test_mesh_error_in_the_worker_fails_geometry_invariants_alone(monkeypatch):
+def test_mesh_error_fails_geometry_invariants_alone(monkeypatch):
     calls = patched_mesh(monkeypatch, ContinuationError("no mesh here"))
     parallel = suite()
-    assert calls == []
-    serial = serially(monkeypatch, suite)
     assert calls == [os.getpid()]
+    serial = serially(monkeypatch, suite)
+    assert calls == [os.getpid()] * 2
     assert parallel == serial
     assert [name for name, ok, _ in parallel if not ok] == ["geometry-invariants"]
     assert dict((name, detail) for name, _, detail in parallel)["geometry-invariants"] == (
@@ -131,10 +135,10 @@ def test_other_mesh_errors_propagate(monkeypatch):
     calls = patched_mesh(monkeypatch, RuntimeError("a bug"))
     with pytest.raises(RuntimeError, match="a bug"):
         suite()
-    assert calls == []
+    assert calls == [os.getpid()]
     with pytest.raises(RuntimeError, match="a bug"):
         serially(monkeypatch, suite)
-    assert calls == [os.getpid()]
+    assert calls == [os.getpid()] * 2
 
 
 def test_mesh_is_built_once(monkeypatch, ctx):
@@ -144,3 +148,17 @@ def test_mesh_is_built_once(monkeypatch, ctx):
     one_cpu(monkeypatch)
     suite()
     assert len(calls) == 2
+
+
+def test_pickled_context_keeps_what_it_built(monkeypatch, ctx):
+    calls = patched_mesh(monkeypatch, ContinuationError("no mesh here"))
+    assert ctx.maybe(ctx.mesh) is None
+    copy = pickle.loads(pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL))
+    assert sorted(copy._built) == ["gauge", "mesh", "root", "solution"]
+    for name in ("root", "gauge", "solution"):
+        assert pickle.dumps(getattr(copy, name)()) == pickle.dumps(getattr(ctx, name)())
+    # the cached error is raised again, not rebuilt
+    with pytest.raises(ContinuationError, match="no mesh here"):
+        copy.mesh()
+    assert len(calls) == 1
+    assert checks._run_checks(copy, checks.CHECKS) == checks._run_checks(ctx, checks.CHECKS)

@@ -264,7 +264,9 @@ def _per_node_mesh(sol, nu, nv):
             return False
         t = -p.imag / (q.imag - p.imag)
         x = p.real + t * (q.real - p.real)
-        m, a = geometry.SLIT_MARGIN, sol.a
+        # build_mesh once kept this margin about each slit; an edge it decides
+        # passes within it of a branch point, so MESH_CLEARANCE drops it anyway
+        m, a = 0.1, sol.a
         return 1.0 - m <= x <= a + m or -a - m <= x <= -1.0 + m
 
     def keep(tri):
@@ -382,6 +384,73 @@ def test_symmetry_curves(shallow_solution, shallow_mesh):
     for chain in curves:
         for pt in chain:
             assert abs(pt.y2) < 1e-6
+
+
+def _float64_crossings(mesh) -> list:
+    """[((i, j), point)] where the edge (i, j) of a triangle crosses y2 = 0,
+    one edge at a time on np.float64 coordinates, two a triangle in its edge
+    order (0, 1), (1, 2), (2, 0)."""
+    Y = [s.Y.as_array() for s in mesh.samples]
+    crossings = []
+    for tri in mesh.triangles:
+        for i, j in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            yi, yj = Y[i], Y[j]
+            if (yi[1] > 0.0) != (yj[1] > 0.0):
+                point = yi + yi[1:2] / (yi[1:2] - yj[1:2]) * (yj - yi)
+                crossings.append(((min(i, j), max(i, j)), point))
+    return crossings
+
+
+def _key(p) -> tuple:
+    return tuple(round(x, 9) for x in p)
+
+
+def _float64_curves(mesh) -> list:
+    """symmetry_curves with its segments chained by np.float64 keys: the
+    reference for the curves' one-pass crossings and Python-float keys."""
+    points = [tuple(p) for _, p in _float64_crossings(mesh)]
+    segments = list(zip(points[::2], points[1::2]))
+    ends_at: dict = {}
+    for i, seg in enumerate(segments):
+        for end in (0, 1):
+            ends_at.setdefault(_key(seg[end]), []).append((i, end))
+    used = [False] * len(segments)
+    chains = []
+    for i, seg in enumerate(segments):
+        if used[i]:
+            continue
+        used[i] = True
+        chain = list(seg)
+        for grow_end in (True, False):
+            while True:
+                tip = chain[-1] if grow_end else chain[0]
+                nxt = next(((k, e) for k, e in ends_at[_key(tip)] if not used[k]), None)
+                if nxt is None:
+                    break
+                used[nxt[0]] = True
+                point = segments[nxt[0]][1 - nxt[1]]
+                chain.insert(len(chain) if grow_end else 0, point)
+        chains.append(chain)
+    return chains
+
+
+@pytest.mark.parametrize(
+    "root, grid",
+    [("shallow_solution", (10, 12)), ("mid_solution", (8, 12))],
+    ids=["shallow-10x12", "mid-8x12"],
+)
+def test_symmetry_curves_chain_like_float64_keys(root, grid, request):
+    mesh = build_mesh(request.getfixturevalue(root), *grid)
+    curves = symmetry_curves(mesh)
+    assert [[(p.y1, p.y2, p.y3) for p in chain] for chain in curves] == _float64_curves(mesh)
+    assert {type(x) for chain in curves for p in chain for x in (p.y1, p.y2, p.y3)} == {float}
+    if root == "mid_solution":
+        # a rounding key here joins crossings on distinct mesh edges, so the
+        # curves cannot be chained by the edge each crossing lies on
+        edges: dict = {}
+        for edge, p in _float64_crossings(mesh):
+            edges.setdefault(_key(p), set()).add(edge)
+        assert any(len(on) > 1 for on in edges.values())
 
 
 def test_symmetry_curves_refinement(shallow_solution):

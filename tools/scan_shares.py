@@ -1,4 +1,4 @@
-"""The scan's two shares of work, as planned and as measured.
+"""The two shares of work of the scan and of verify, as planned and as measured.
 
     python3 tools/scan_shares.py
 
@@ -13,22 +13,33 @@ work and its time, the share timed alone in this process (the best of
 REPEATS runs of period._transfer_each), and the idle time of the pair, the
 difference of the two shares' times.  For the 2600-point scans it prints each
 job's estimate and time too.
+
+`dscat verify --deep` at a solved root splits in two as well
+(checks.run_invariant_suite): the worker runs every check but
+geometry-invariants on a pickled copy of the context, and the caller builds
+that check's 8 x 12 mesh.  For the a = 2 roots in VERIFY_ROOTS this times
+each share alone with the process pinned to one core: the checks on a fresh
+unpickled copy of a context seeded with the solved root, and build_mesh at
+8 x 12.  It prints which share is shorter, the one _worker should get.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dscat import period  # noqa: E402
+from dscat import checks, geometry, period  # noqa: E402
 from dscat.transport import DEFAULT_CONFIG  # noqa: E402
 
 A_VALUES = (1.5, 2.0, 3.0)
 BLOCK_EDGES = (-9.0, -6.4, -3.8, -1.2, 1.4, 4.0)
 REPEATS = 7
+VERIFY_ROOTS = (-7.611914, -1.526035, 1.26988)
 
 
 def planned_jobs(a: float, c_min: float, c_max: float, steps: int) -> list:
@@ -73,6 +84,18 @@ def row(name: str, here: tuple, there: tuple) -> str:
             f"   {abs(here[1] - there[1]):>7.2f}")
 
 
+def verify_shares(c: float) -> tuple:
+    """(pickled context bytes, checks ms, mesh ms) of `verify --deep` at a = 2."""
+    ctx = checks.CheckContext(2.0, c, DEFAULT_CONFIG)
+    sol = ctx.solution()
+    blob = pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
+    others = tuple(entry for entry in checks.CHECKS + checks.DEEP_CHECKS
+                   if entry[0] != "geometry-invariants")
+    return (len(blob),
+            best_time(lambda: checks._run_checks(pickle.loads(blob), others)),
+            best_time(lambda: geometry.build_mesh(sol, 8, 12, DEFAULT_CONFIG)))
+
+
 def main() -> int:
     header = f"{'scan':<28} {'here: est':>9} {'ms':>8}   {'worker: est':>9} {'ms':>8}   {'idle ms':>7}"
     print(header)
@@ -96,6 +119,17 @@ def main() -> int:
             ms = best_time(lambda: period._transfer_each([(path, cs)], a, DEFAULT_CONFIG))
             print(f"  block {j // 2 + 1} {name}, {cs.size:>4} c up to |c| = {max(abs(cs)):<5.2f}"
                   f" est {period._work(path, a, cs):>8.0f}  {ms:>7.2f} ms  {where}")
+    print()
+    print(f"{'verify --deep, a=2':<28} {'context B':>9} {'checks ms':>10} {'mesh ms':>8}   shorter")
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        for c in VERIFY_ROOTS:
+            size, checks_ms, mesh_ms = verify_shares(c)
+            shorter = "checks" if checks_ms < mesh_ms else "mesh"
+            print(f"{f'c={c}':<28} {size:>9} {checks_ms:>10.1f} {mesh_ms:>8.1f}   {shorter}")
+    finally:
+        os.sched_setaffinity(0, cpus)
     return 0
 
 
