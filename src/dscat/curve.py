@@ -159,27 +159,57 @@ def validate_path(path: PathSpec, a: float) -> None:
     """Raise PathError unless the waypoints are finite and every segment
     clears the branch points by BRANCH_DELTA.  The error names the first
     segment in path order that does not, and the first of branch_points(a)
-    that it passes too near."""
-    wp = path.waypoints
-    if len(wp) < 1:
-        raise PathError("path needs at least one waypoint")
-    z = np.array(wp, dtype=complex)
-    if not np.isfinite(z).all():
-        raise PathError("waypoints must be finite")
-    scale = 1.0 + float(np.hypot(z.real, z.imag).max())
-    if abs(wp[0] - path.start.z) > 1e-12 * scale:
-        raise PathError("waypoints[0] must equal start.z")
-    if path.closed and abs(wp[-1] - wp[0]) > 1e-12 * scale:
-        raise PathError("closed path must end at its first waypoint")
-    if path.start.sheet_residual(a) > TOL_SHEET:
-        raise PathError("start point does not lie on the curve")
+    that it passes too near.  The one-path case of _validate_paths."""
+    _validate_paths((path,), a)
+
+
+def _validate_paths(paths, a: float) -> None:
+    """validate_path on each of paths, with one numpy pass over all their
+    waypoints and one _segment_distances call over all their segments.
+    Raises the error that validating the paths one after the other, in
+    order, would raise first."""
     b = branch_points(a)
-    near = _segment_distances(z[:-1, None], z[1:, None], np.array(b)) < BRANCH_DELTA
-    if near.any():
-        i, j = divmod(int(np.argmax(near)), len(b))
-        raise PathError(
-            f"segment {wp[i]} -> {wp[i + 1]} passes within {BRANCH_DELTA} of branch point {b[j]}"
-        )
+    z = np.array([w for path in paths for w in path.waypoints], dtype=complex)
+    finite = np.isfinite(z)
+    nonfinite = [] if finite.all() else np.flatnonzero(~finite).tolist()
+    # Segment i runs from z[i] to z[i + 1]; where z[i] ends a path, it joins
+    # two paths and belongs to neither.  near lists i * len(b) + j for each
+    # segment i that passes within BRANCH_DELTA of b[j], in increasing order.
+    near = np.flatnonzero(
+        _segment_distances(z[:-1, None], z[1:, None], np.array(b)) < BRANCH_DELTA
+    ).tolist()
+    first = 0
+    for path in paths:
+        wp = path.waypoints
+        last = first + len(wp)
+        if len(wp) < 1:
+            raise PathError("path needs at least one waypoint")
+        if nonfinite and nonfinite[0] < last:  # the paths before have none
+            raise PathError("waypoints must be finite")
+        if _beyond(abs(wp[0] - path.start.z), wp):
+            raise PathError("waypoints[0] must equal start.z")
+        if path.closed and _beyond(abs(wp[-1] - wp[0]), wp):
+            raise PathError("closed path must end at its first waypoint")
+        if path.start.sheet_residual(a) > TOL_SHEET:
+            raise PathError("start point does not lie on the curve")
+        hit = next((k for k in near if first * len(b) <= k < (last - 1) * len(b)), None)
+        if hit is not None:
+            i, j = divmod(hit - first * len(b), len(b))
+            raise PathError(
+                f"segment {wp[i]} -> {wp[i + 1]} passes within {BRANCH_DELTA} "
+                f"of branch point {b[j]}"
+            )
+        first = last
+
+
+def _beyond(offset: float, wp) -> bool:
+    """offset > 1e-12 * (1 + max |z|) over the waypoints wp: two points of
+    the path are not the same.  The bound is at least 1e-12, so the moduli
+    are formed only for an offset above that (a nan offset passes both)."""
+    if not offset > 1e-12:
+        return False
+    z = np.array(wp, dtype=complex)
+    return offset > 1e-12 * (1.0 + float(np.hypot(z.real, z.imag).max()))
 
 
 def end_point(path: PathSpec, w: complex, a: float) -> CurvePoint:
@@ -281,10 +311,8 @@ def canonical_paths(a: float) -> CanonicalPaths:
     end_plus = PathSpec(base_point(+1), loop_wp, closed=True)
     end_minus = PathSpec(base_point(-1), loop_wp, closed=True)
 
-    paths = CanonicalPaths(c1, c2, gamma1, gamma2, gamma3, end_plus, end_minus)
-    for p in (c1, c2, gamma1, gamma2, gamma3, end_plus, end_minus):
-        validate_path(p, a)
-    return paths
+    _validate_paths((c1, c2, gamma1, gamma2, gamma3, end_plus, end_minus), a)
+    return CanonicalPaths(c1, c2, gamma1, gamma2, gamma3, end_plus, end_minus)
 
 
 def _segment_distances(p: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:

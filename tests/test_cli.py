@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dscat import cli
 from dscat.cli import main
 
 
@@ -457,6 +458,66 @@ def test_verify_pinned_to_one_cpu_matches_unpinned(argv, code):
     plain = verify([])
     assert plain[0] == code
     assert plain == verify(["taskset", "-c", "0"])
+
+
+# A scan, a usage error, --help, a solve and the scan again: the commands
+# that one process runs one after the other on the parser of its first.
+IN_TURN = [
+    ["scan", "--a", "2", "--c-min", "-1.6", "--c-max", "-1.45", "--steps", "8",
+     "--out", "{d}/scan.csv"],
+    ["scan", "--a", "2", "--c-max", "-1.45", "--out", "{d}/scan.csv"],
+    ["--help"],
+    ["solve", "--a", "2", "--c0", "-1.5265", "--c1", "-1.5255", "--json", "{d}/solve.json"],
+    ["scan", "--a", "2", "--c-min", "-1.6", "--c-max", "-1.45", "--steps", "8",
+     "--out", "{d}/scan.csv"],
+]
+
+
+def _files(d: Path) -> dict:
+    """The bytes of each file in d, a solve record's timestamps removed."""
+    files = {}
+    for path in sorted(d.iterdir()):
+        data = path.read_bytes()
+        if path.name == "solve.json":
+            record = json.loads(data)
+            del record["timestamps"]
+            data = json.dumps(record).encode()
+        files[path.name] = data
+    return files
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process and reuses it; no command can
+    # tell: each gives the exit code, output and files of a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # the width of --help, here and there
+    builds = []
+
+    def build():
+        builds.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    for k, argv in enumerate(IN_TURN):
+        here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        here.mkdir()
+        fresh.mkdir()
+        try:
+            code = main([arg.format(d=here) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dscat", *(arg.format(d=fresh) for arg in argv)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"},
+        )
+        assert (code, out, err, _files(here)) == (
+            proc.returncode, proc.stdout, proc.stderr, _files(fresh)
+        ), argv
+        assert code == {1: 2, 2: 0}.get(k, 0)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize(

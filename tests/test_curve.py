@@ -344,17 +344,79 @@ def _grazing_paths(a: float, seed: int) -> list:
     return paths
 
 
+def _unvalidated_canonical_paths(monkeypatch, a):
+    """The seven canonical paths of a as canonical_paths builds them, before
+    it validates them."""
+    with monkeypatch.context() as m:
+        m.setattr(curve, "_validate_paths", lambda paths, a: None)
+        paths = canonical_paths(a)
+    return [getattr(paths, name) for name in PATH_NAMES]
+
+
+def _first_outcome(validate, paths, a):
+    """The outcome of validating paths one after the other, in order, up to
+    the first that fails."""
+    return next((out for out in (_outcome(validate, p, a) for p in paths) if out), None)
+
+
 @pytest.mark.parametrize("a", [1.23, 1.25, 2.0, 7.8, 8.0, 1e200])
 def test_validate_path_raises_where_the_loop_over_segments_does(monkeypatch, a):
     # the canonical paths at a = 1.23, 8 and 1e200 pass too near a branch point
-    with monkeypatch.context() as m:
-        m.setattr(curve, "validate_path", lambda path, a: None)
-        paths = canonical_paths(a)
-    cases = [getattr(paths, name) for name in PATH_NAMES] + _grazing_paths(a, int(100 * a))
+    cases = _unvalidated_canonical_paths(monkeypatch, a) + _grazing_paths(a, int(100 * a))
     outcomes = [(_outcome(validate_path, p, a), _outcome(_validate_path_by_segment, p, a)) for p in cases]
     assert all(new == old for new, old in outcomes)
     assert sum(old is not None for _, old in outcomes[: len(PATH_NAMES)]) == {1.23: 2, 8.0: 3, 1e200: 5}.get(a, 0)
     assert {old is None for _, old in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("a", [1.2, 1.23, 1.25, 2.0, 7.8, 8.0, 1e200])
+def test_canonical_paths_raise_as_validate_path_in_turn(monkeypatch, a):
+    # one pass over the seven paths raises what validate_path raises on c1,
+    # c2, gamma1, gamma2, gamma3, end_loop_plus and end_loop_minus in turn
+    paths = _unvalidated_canonical_paths(monkeypatch, a)
+    expected = _first_outcome(validate_path, paths, a)
+    try:
+        canonical_paths(a)
+        outcome = None
+    except PathError as exc:
+        outcome = type(exc), str(exc)
+    assert outcome == expected
+    assert (expected is None) == (a in (1.25, 2.0, 7.8))
+    if a == 8.0:  # c1 clears the branch points and c2 does not
+        assert _outcome(validate_path, paths[0], a) is None
+        assert _outcome(validate_path, paths[1], a) == expected
+
+
+@pytest.mark.parametrize("a", [1.23, 2.0, 8.0, 1e200])
+def test_many_paths_raise_the_first_failing_paths_error(monkeypatch, a):
+    # _validate_paths on several paths at once raises what the loop over
+    # segments raises on them one after the other: the first failing path's
+    # error, of any of the checks, wherever that path stands
+    start = base_point(+1)
+    odd = [
+        PathSpec(start, ()),
+        PathSpec(start, (0j, 0.5j, complex("nan"))),
+        PathSpec(start, (1e-9j, 0.5j)),  # waypoints[0] is not start.z
+        PathSpec(start, (0j, 0.5j, 0.5 + 0.5j), closed=True),
+        PathSpec(CurvePoint(0j, 2.0 + 0j), (0j, 0.5j)),  # start off the curve
+        PathSpec(CurvePoint(1.05 + 0j, 0j), (1.05 + 0j, 0.5j)),  # DomainError
+    ]
+    cases = _unvalidated_canonical_paths(monkeypatch, a) + _grazing_paths(a, int(100 * a)) + odd
+    rng = np.random.default_rng(int(100 * a))
+    groups = [cases] + [cases[k : k + 3] for k in range(len(cases) - 2)] + [
+        [cases[k] for k in rng.permutation(len(cases))[: rng.integers(2, 9)]] for _ in range(40)
+    ]
+    outcomes = [
+        (_outcome(curve._validate_paths, group, a), _first_outcome(_validate_path_by_segment, group, a))
+        for group in groups
+    ]
+    assert all(new == old for new, old in outcomes)
+    assert {old is None for _, old in outcomes} == {True, False}
+    # groups whose first path passes and a later one fails
+    assert any(
+        old is not None and _outcome(_validate_path_by_segment, group[0], a) is None
+        for group, (_, old) in zip(groups, outcomes)
+    )
 
 
 def test_segment_distance_survives_overflow_of_the_squared_length():
