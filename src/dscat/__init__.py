@@ -31,7 +31,6 @@ from .geometry import (
     HollowBallPoint,
     MeshResult,
     MinkowskiPoint,
-    SurfaceSample,
     build_mesh,
     hollow_ball,
     immerse,

@@ -273,25 +273,23 @@ def _geometry_invariants(ctx: CheckContext):
     if sol is None:
         return False, "skipped (no solution)"
     mesh = ctx.mesh()
-    if not mesh.samples:
+    if not len(mesh.z):
         return False, "empty mesh"
+    X, frame_scale = mesh.X.tolist(), mesh.frame_scale.tolist()
     # the quadric defect of a sample is conditioned like frame_scale^4
     # (products of that size cancel when forming X), so normalize by it;
     # the radius bound is widened by each sample's own evaluation noise
     # (frame_scale^2 * eps relative to |X|), which also covers the
     # atan saturation at the punctures
     worst_quadric = max(
-        abs(s.X.lorentz_norm() - 1.0) / max(1.0, s.frame_scale ** 4)
-        for s in mesh.samples
+        abs(-x0 ** 2 + x1 ** 2 + x2 ** 2 + x3 ** 2 - 1.0) / max(1.0, scale ** 4)
+        for (x0, x1, x2, x3), scale in zip(X, frame_scale)
     )
     radius_ok = True
-    for s in mesh.samples:
-        norm_x = math.sqrt(float(sum(s.X.as_array() ** 2)))
-        width = max(
-            1e-12,
-            3.0 * geometry.RESOLVE_EPS * s.frame_scale ** 2 / max(1.0, norm_x),
-        )
-        r2 = s.Y.radius_sq()
+    for (x0, x1, x2, x3), (y1, y2, y3), scale in zip(X, mesh.Y.tolist(), frame_scale):
+        norm_x = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)
+        width = max(1e-12, 3.0 * geometry.RESOLVE_EPS * scale ** 2 / max(1.0, norm_x))
+        r2 = y1 ** 2 + y2 ** 2 + y3 ** 2
         if not (
             math.exp(-math.pi) * (1.0 - width)
             < r2
@@ -301,11 +299,13 @@ def _geometry_invariants(ctx: CheckContext):
     # unit normal at a few regular samples
     worst_norm = 0.0
     checked = 0
-    for s in mesh.samples:
-        if checked >= 5 or s.singular or not math.isfinite(s.g_abs):
+    for z, w, singular, g_abs in zip(
+        mesh.z.tolist(), mesh.w.tolist(), mesh.singular.tolist(), mesh.g_abs.tolist()
+    ):
+        if checked >= 5 or singular or not math.isfinite(g_abs):
             continue
-        state = geometry.frame_at(sol, s.param.z, ctx.cfg)
-        if abs(state.point.w - s.param.w) > 1e-6:
+        state = geometry.frame_at(sol, z, ctx.cfg)
+        if abs(state.point.w - w) > 1e-6:
             continue
         g = geometry.secondary_gauss(state.F, state.point)
         N = geometry.unit_normal(state.F, g)

@@ -305,46 +305,25 @@ def cmd_mesh(args, cfg: IntegratorConfig) -> int:
     _write_atomic(args.out, _mesh_obj(mesh) if args.format == "obj" else _mesh_csv(mesh))
     if args.curves is not None:
         _write_atomic(args.curves, _curves_csv(geometry.symmetry_curves(mesh)))
-    print(
-        f"mesh: {len(mesh.samples)} samples, {len(mesh.triangles)} triangles, "
-        f"{mesh.holes} holes"
-    )
+    print(f"mesh: {len(mesh.z)} samples, {len(mesh.triangles)} triangles, {mesh.holes} holes")
     return EXIT_OK
 
 
 def _mesh_obj(mesh) -> str:
-    lines = []
-    for s in mesh.samples:
-        lines.append(f"v {_fmt(s.Y.y1)} {_fmt(s.Y.y2)} {_fmt(s.Y.y3)}")
-    for tri in mesh.triangles:
-        if any(mesh.samples[i].singular for i in tri):
-            continue
-        lines.append(f"f {tri[0] + 1} {tri[1] + 1} {tri[2] + 1}")
+    lines = [f"v {_fmt(y1)} {_fmt(y2)} {_fmt(y3)}" for y1, y2, y3 in mesh.Y.tolist()]
+    faces = mesh.triangles[~mesh.singular[mesh.triangles].any(axis=1)] + 1
+    lines += [f"f {i} {j} {k}" for i, j, k in faces.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def _mesh_csv(mesh) -> str:
     lines = ["z_re,z_im,w_re,w_im,x0,x1,x2,x3,y1,y2,y3,g_abs,singular"]
-    for s in mesh.samples:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(s.param.z.real),
-                    _fmt(s.param.z.imag),
-                    _fmt(s.param.w.real),
-                    _fmt(s.param.w.imag),
-                    _fmt(s.X.x0),
-                    _fmt(s.X.x1),
-                    _fmt(s.X.x2),
-                    _fmt(s.X.x3),
-                    _fmt(s.Y.y1),
-                    _fmt(s.Y.y2),
-                    _fmt(s.Y.y3),
-                    _fmt(s.g_abs),
-                    "true" if s.singular else "false",
-                ]
-            )
-        )
+    for z, w, X, Y, g_abs, singular in zip(
+        mesh.z.tolist(), mesh.w.tolist(), mesh.X.tolist(), mesh.Y.tolist(),
+        mesh.g_abs.tolist(), mesh.singular.tolist(),
+    ):
+        values = [z.real, z.imag, w.real, w.imag, *X, *Y, g_abs]
+        lines.append(",".join([*map(_fmt, values), "true" if singular else "false"]))
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ into the spherical shell of radii exp(-pi/2) .. exp(pi/2) for visualization.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -62,16 +63,6 @@ class MinkowskiPoint:
     def lorentz_norm(self) -> float:
         return -self.x0 ** 2 + self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
 
-    def quadric_residual(self) -> float:
-        """|<X, X> - 1| normalized by the squared Euclidean size.
-
-        Surface points satisfy <X, X> = 1; near the ends the components grow
-        without bound and the absolute defect is floored at size^2 * 1e-16,
-        hence the normalization.
-        """
-        scale = self.x0 ** 2 + self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
-        return abs(self.lorentz_norm() - 1.0) / max(1.0, scale)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2, self.x3])
 
@@ -89,23 +80,36 @@ class HollowBallPoint:
         return np.array([self.y1, self.y2, self.y3])
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    param: CurvePoint
-    X: MinkowskiPoint
-    Y: HollowBallPoint
-    g_abs: float
-    singular: bool
-    # max |F entry| at the sample: the conditioning scale of every quantity
-    # formed from the frame (the quadric defect is floored near scale^4 * eps)
-    frame_scale: float = 1.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshResult:
-    samples: list
-    triangles: list
-    holes: int
+    """A mesh as its node grid and one array per sample quantity.
+
+    node[sheet, ring, k] is the number of the sample at node k of the ring on
+    sheet +1 (index 0) or -1 (index 1), or -1 where the node is a hole.
+    Samples are numbered lane-major, sheet +1's rings and then sheet -1's, and
+    within a ring in the order its nodes are reached.  Sample i lies over
+    (z[i], w[i]) with Lorentz point X[i] and hollow-ball point Y[i];
+    frame_scale[i] is max |F entry| there, the conditioning scale of every
+    quantity formed from the frame (the quadric defect is floored near
+    frame_scale^4 * eps).  triangles holds sample numbers, one row each.
+    """
+
+    node: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    g_abs: np.ndarray
+    frame_scale: np.ndarray
+    triangles: np.ndarray
+
+    @property
+    def holes(self) -> int:
+        return int((self.node < 0).sum())
+
+    @property
+    def singular(self) -> np.ndarray:
+        return np.abs(self.g_abs - 1.0) < TOL_SING
 
 
 def immerse(F) -> MinkowskiPoint:
@@ -265,6 +269,9 @@ def build_mesh(
     integrator tolerance, not bit for bit.  A lane that fails a check is
     dropped and the rest of its ring's nodes become holes; a failure that
     names no lane (StepLimitExceeded, say) drops every lane of that step.
+    The holes are the grid's empty nodes: those of a sheet whose root frame
+    fails, of a ring whose polyline fails validation, of a dropped lane, and
+    each node whose sample is unresolvable.
     """
     a = sol.a
     radii = _ring_radii(a, nu, 3.0 * a)
@@ -272,21 +279,15 @@ def build_mesh(
     order = sorted(range(nv), key=lambda k: (angles[k] - math.pi / 2) % (2 * math.pi))
     legs = _unit_legs(angles, order)
 
-    holes = 0
     roots = []
     for sheet in (+1, -1):
-        try:
+        with contextlib.suppress(DscatError):
             roots.append((sheet, _sheet_root(sol, sheet, cfg)))
-        except DscatError:
-            holes += len(radii) * nv
     rings = []
     ring_path = legs[0] + tuple(z for leg in legs[1:] for z in leg[1:])
     for j, r in enumerate(radii):
-        try:
+        with contextlib.suppress(PathError):
             validate_path(PathSpec(base_point(+1), tuple(r * z for z in ring_path)), a)
-        except PathError:
-            holes += len(roots) * nv
-        else:
             rings.append(j)
 
     lanes = [(sheet, j) for sheet, _ in roots for j in rings]
@@ -294,7 +295,7 @@ def build_mesh(
     w = np.array([root.point.w for _, root in roots for j in rings], dtype=complex)
     scale = [radii[j] for _, j in lanes]
     live = np.arange(len(lanes))
-    found: dict = {lane: [] for lane in lanes}
+    found: list = [[] for _ in lanes]
     for t, leg in enumerate(legs):
         # w0 below replaces the start sheet value of every lane
         path = PathSpec(CurvePoint(leg[0], 1.0 + 0j), leg)
@@ -309,25 +310,32 @@ def build_mesh(
                 failed = live[list(exc.lanes)]
             except DscatError:
                 failed = live
-            # the entry leg and the first node step lose all nv nodes
-            holes += failed.size * (nv - max(0, t - 1))
             live = np.setdiff1d(live, failed)
         if t == 0:
             continue
         for i, F_i, w_i in zip(live.tolist(), F[live].tolist(), w[live].tolist()):
             sample = _surface_sample(F_i, CurvePoint(scale[i] * leg[-1], w_i))
-            if sample is None:
-                holes += 1
-            else:
-                found[lanes[i]].append((order[t - 1], sample))
+            if sample is not None:
+                found[i].append((order[t - 1], sample))
 
     node = np.full((2, len(radii), nv), -1)
     samples: list = []
-    for (sheet, j), ring in found.items():
+    for (sheet, j), ring in zip(lanes, found):
         for k, sample in ring:
             node[int(sheet < 0), j, k] = len(samples)
             samples.append(sample)
-    return MeshResult(samples, _triangles(node, samples, a), holes)
+    z, w, X, Y, g_abs, frame_scale = zip(*samples) if samples else [()] * 6
+    z, g_abs = np.array(z, dtype=complex), np.array(g_abs, dtype=float)
+    return MeshResult(
+        node=node,
+        z=z,
+        w=np.array(w, dtype=complex),
+        X=np.array(X, dtype=float).reshape(-1, 4),
+        Y=np.array(Y, dtype=float).reshape(-1, 3),
+        g_abs=g_abs,
+        frame_scale=np.array(frame_scale, dtype=float),
+        triangles=_triangles(node, z, g_abs, a),
+    )
 
 
 def _unit_legs(angles: list, order: list) -> list:
@@ -346,37 +354,33 @@ def _unit_legs(angles: list, order: list) -> list:
     return legs
 
 
-def _surface_sample(F: list, point: CurvePoint) -> SurfaceSample | None:
-    """The sample of the frame F, rows of Python complex numbers, at point, or
-    None when X is unresolvable."""
+def _surface_sample(F: list, point: CurvePoint) -> tuple | None:
+    """(z, w, X, Y, |g|, frame_scale) of the frame F, rows of Python complex
+    numbers, at point, with X and Y as tuples, or None when X is
+    unresolvable."""
     g_abs = abs(secondary_gauss(F, point))
     X = immerse(F)
     frame_scale = max(abs(v) for row in F for v in row)
     norm_x = math.sqrt(X.x0 ** 2 + X.x1 ** 2 + X.x2 ** 2 + X.x3 ** 2)
     if frame_scale ** 2 * RESOLVE_EPS > max(1.0, norm_x):
         return None
-    return SurfaceSample(
-        param=point,
-        X=X,
-        Y=hollow_ball(X),
-        g_abs=g_abs,
-        singular=abs(g_abs - 1.0) < TOL_SING,
-        frame_scale=frame_scale,
+    Y = hollow_ball(X)
+    return (
+        point.z, point.w, (X.x0, X.x1, X.x2, X.x3), (Y.y1, Y.y2, Y.y3), g_abs, frame_scale
     )
 
 
-def _triangles(node: np.ndarray, samples: list, a: float) -> list:
+def _triangles(node: np.ndarray, z: np.ndarray, g_abs: np.ndarray, a: float) -> np.ndarray:
     """build_mesh's triangles over node[sheet, ring, k], the sample numbers
-    with -1 at holes.  Each quad (sheet +1 then -1, ring, k) splits into its
-    halves (0, 1, 2) and (0, 2, 3).  A half is kept when no edge, taken from
-    its lower-numbered end, crosses a slit, [1, a] or [-a, -1], or passes
-    within MESH_CLEARANCE of a branch point, and its samples lie on one side
-    of |g| = 1."""
+    with -1 at holes, for samples over z with |g| = g_abs.  Each quad (sheet
+    +1 then -1, ring, k) splits into its halves (0, 1, 2) and (0, 2, 3).  A
+    half is kept when no edge, taken from its lower-numbered end, crosses a
+    slit, [1, a] or [-a, -1], or passes within MESH_CLEARANCE of a branch
+    point, and its samples lie on one side of |g| = 1."""
     inner, outer = node[:, :-1], node[:, 1:]
     quads = np.stack((inner, outer, np.roll(outer, -1, 2), np.roll(inner, -1, 2)), -1)
     quads = quads.reshape(-1, 4)
     tris = quads[(quads >= 0).all(axis=1)][:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3)
-    z = np.array([s.param.z for s in samples], dtype=complex)
     p, q = z[np.sort(np.stack((tris, np.roll(tris, -1, axis=1))), axis=0)]
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan off the crossings
         t = -p.imag / (q.imag - p.imag)
@@ -385,9 +389,9 @@ def _triangles(node: np.ndarray, samples: list, a: float) -> list:
     blocked = ((p.imag > 0) != (q.imag > 0)) & in_slit
     for b in branch_points(a):
         blocked |= _segment_distances(p, q, b) < MESH_CLEARANCE
-    side = np.array([s.g_abs >= 1.0 for s in samples], dtype=bool)[tris]
+    side = (g_abs >= 1.0)[tris]
     keep = ~blocked.any(axis=1) & (side.all(axis=1) == side.any(axis=1))
-    return list(map(tuple, tris[keep].tolist()))
+    return tris[keep]
 
 
 def symmetry_curves(mesh: MeshResult) -> list:
@@ -399,8 +403,7 @@ def symmetry_curves(mesh: MeshResult) -> list:
     of every emitted vertex by construction.  Returns a list of polylines
     (lists of HollowBallPoint).
     """
-    tris = np.array(mesh.triangles, dtype=int).reshape(-1, 3)
-    Y = np.array([s.Y.as_array() for s in mesh.samples]).reshape(-1, 3)
+    tris, Y = mesh.triangles, mesh.Y
     pos = Y[tris, 1] > 0.0
     mixed = pos.any(axis=1) != pos.all(axis=1)
     tris, pos = tris[mixed], pos[mixed]

@@ -1,6 +1,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -41,6 +42,15 @@ def serially(monkeypatch, call):
     with monkeypatch.context() as m:
         one_cpu(m)
         return call()
+
+
+def quadric_residuals(X: np.ndarray) -> np.ndarray:
+    """|<X, X> - 1| of each row of X, normalized by its squared Euclidean
+    size.  Surface points satisfy <X, X> = 1; near the ends the components
+    grow without bound and the absolute defect is floored at size^2 * 1e-16,
+    hence the normalization."""
+    lorentz = -X[:, 0] ** 2 + (X[:, 1:] ** 2).sum(axis=1)
+    return np.abs(lorentz - 1.0) / np.maximum(1.0, (X ** 2).sum(axis=1))
 
 
 def segment_distance(p: complex, q: complex, b: complex) -> float:
@@ -92,3 +102,8 @@ def mid_solution():
 @pytest.fixture(scope="session")
 def shallow_mesh(shallow_solution):
     return build_mesh(shallow_solution, 10, 12)
+
+
+@pytest.fixture(scope="session")
+def deep_mesh(deep_solution):
+    return build_mesh(deep_solution, 10, 12)

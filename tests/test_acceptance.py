@@ -35,6 +35,8 @@ from dscat.monodromy import (
 from dscat.period import gauged_residuals, refine_root, scan_c
 from dscat.transport import integrate_frame, scalar_ode_residual
 
+from conftest import quadric_residuals
+
 PAPER_ROOTS = (-7.6119, -4.06015, -1.526035, -0.55, 1.26988)
 ADMISSIBLE_ROOTS = (-7.6119, -4.06015, -1.526035, 1.26988)
 
@@ -247,17 +249,17 @@ def test_criterion_5_exact_identities(shallow_solution):
 
 
 def test_criterion_6_geometric_invariants(
-    shallow_solution, hyperbolic_solution, deep_solution
+    shallow_solution, hyperbolic_solution, deep_solution, deep_mesh
 ):
     """Quadric, hollow-ball bound, single-valuedness, unit normal on meshes."""
     details = []
     for sol in (shallow_solution, hyperbolic_solution):
         mesh = build_mesh(sol, 12, 14)
-        assert mesh.samples
-        worst_q = max(s.X.quadric_residual() for s in mesh.samples)
+        assert len(mesh.z)
+        worst_q = float(quadric_residuals(mesh.X).max())
         assert worst_q < 1e-7
-        for s in mesh.samples:
-            assert math.exp(-math.pi) < s.Y.radius_sq() < math.exp(math.pi)
+        r2 = (mesh.Y ** 2).sum(axis=1)
+        assert ((math.exp(-math.pi) < r2) & (r2 < math.exp(math.pi))).all()
 
         params = CurveParams(sol.a, sol.c)
         paths = canonical_paths(params.a)
@@ -279,14 +281,14 @@ def test_criterion_6_geometric_invariants(
 
         worst_norm = 0.0
         checked = 0
-        for s in mesh.samples:
-            if checked >= 3 or s.singular or not math.isfinite(s.g_abs):
+        for z, w, singular, g_abs in zip(mesh.z, mesh.w, mesh.singular, mesh.g_abs):
+            if checked >= 3 or singular or not math.isfinite(g_abs):
                 continue
             try:
-                state = frame_at(sol, s.param.z)
+                state = frame_at(sol, z)
             except Exception:
                 continue
-            if abs(state.point.w - s.param.w) > 1e-6:
+            if abs(state.point.w - w) > 1e-6:
                 continue
             g = secondary_gauss(state.F, state.point)
             N = unit_normal(state.F, g)
@@ -301,9 +303,8 @@ def test_criterion_6_geometric_invariants(
         )
 
     # singular contour present on the first published example
-    deep_mesh = build_mesh(deep_solution, 10, 12)
-    below = sum(1 for s in deep_mesh.samples if s.g_abs < 1.0)
-    above = sum(1 for s in deep_mesh.samples if s.g_abs > 1.0)
+    below = int((deep_mesh.g_abs < 1.0).sum())
+    above = int((deep_mesh.g_abs > 1.0).sum())
     assert below > 0 and above > 0
     details.append(f"c={deep_solution.c:.5f}: singular contour present")
     report(6, True, "; ".join(details))

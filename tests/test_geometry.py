@@ -25,7 +25,7 @@ from dscat.geometry import (
 )
 from dscat.linalg2c import mat2c, mobius_star
 
-from conftest import segment_distance
+from conftest import quadric_residuals, segment_distance
 
 
 def random_sl2(seed: int) -> np.ndarray:
@@ -145,17 +145,50 @@ def test_hollow_ball_radius_bound(seed):
 
 def test_mesh_invariants(shallow_mesh):
     mesh = shallow_mesh
-    assert len(mesh.samples) > 200
+    assert len(mesh.z) > 200
     assert len(mesh.triangles) > 100
     assert mesh.holes == 0
-    for s in mesh.samples:
-        assert s.X.quadric_residual() < 1e-7
-        assert math.exp(-math.pi) < s.Y.radius_sq() < math.exp(math.pi)
-        assert s.singular == (abs(s.g_abs - 1.0) < 1e-3)
+    assert (quadric_residuals(mesh.X) < 1e-7).all()
+    r2 = (mesh.Y ** 2).sum(axis=1)
+    assert ((math.exp(-math.pi) < r2) & (r2 < math.exp(math.pi))).all()
+    assert mesh.singular.tolist() == [abs(g - 1.0) < 1e-3 for g in mesh.g_abs.tolist()]
     # triangles never straddle the singular set
-    for tri in mesh.triangles:
-        signs = {mesh.samples[i].g_abs >= 1.0 for i in tri}
-        assert len(signs) == 1
+    side = mesh.g_abs[mesh.triangles] >= 1.0
+    assert (side.all(axis=1) == side.any(axis=1)).all()
+
+
+def _assert_nodes_are_samples_or_holes(mesh):
+    """Each sample number appears once in the node grid, and every other
+    node is a hole."""
+    numbers = mesh.node[mesh.node >= 0]
+    assert sorted(numbers.tolist()) == list(range(len(mesh.z)))
+    assert mesh.holes == mesh.node.size - len(mesh.z)
+    assert type(mesh.holes) is int
+
+
+@pytest.mark.parametrize("mesh", ["shallow_mesh", "deep_mesh"])
+def test_every_node_is_one_sample_or_one_hole(mesh, request):
+    _assert_nodes_are_samples_or_holes(request.getfixturevalue(mesh))
+
+
+def test_mesh_failed_sheet_root_holes_that_sheet(shallow_solution, monkeypatch):
+    sol, nu, nv = shallow_solution, 4, 4
+    full = build_mesh(sol, nu, nv)
+    real = geometry._sheet_root
+
+    def lost(sol, sheet, cfg):
+        if sheet == -1:
+            raise ContinuationError("sheet residual exceeded")
+        return real(sol, sheet, cfg)
+
+    monkeypatch.setattr(geometry, "_sheet_root", lost)
+    mesh = build_mesh(sol, nu, nv)
+    radii = geometry._ring_radii(sol.a, nu, 3.0 * sol.a)
+    assert mesh.holes == len(radii) * nv
+    _assert_nodes_are_samples_or_holes(mesh)
+    assert (mesh.node[1] == -1).all()
+    assert np.array_equal(mesh.node[0], full.node[0])
+    assert np.array_equal(mesh.z, full.z[: len(mesh.z)])
 
 
 def test_mesh_bug_is_not_a_hole(shallow_solution, monkeypatch):
@@ -174,8 +207,9 @@ def test_mesh_failed_integration_is_a_hole(shallow_solution, monkeypatch):
     monkeypatch.setattr(geometry, "integrate_frames_over_c", lost)
     mesh = build_mesh(shallow_solution, 4, 4)
     rings = len(geometry._ring_radii(shallow_solution.a, 4, 3.0 * shallow_solution.a))
-    assert mesh.samples == [] and mesh.triangles == []
+    assert len(mesh.z) == 0 and mesh.triangles.shape == (0, 3)
     assert mesh.holes == 2 * rings * 4
+    _assert_nodes_are_samples_or_holes(mesh)
     assert symmetry_curves(mesh) == []  # and no numpy warning, in either pass
 
 
@@ -201,9 +235,10 @@ def test_mesh_lane_failure_holes_only_its_ring(shallow_solution, monkeypatch):
     # the failed step is run again without the lane, which stays dropped
     assert calls[2:5] == [calls[2], calls[2] - 1, calls[2] - 1]
     # ring 3 of sheet +1 keeps the node reached before the failure
-    kept = full.samples[: 3 * nv + 1] + full.samples[4 * nv :]
-    assert [s.param.z for s in mesh.samples] == [s.param.z for s in kept]
+    kept = np.concatenate((full.z[: 3 * nv + 1], full.z[4 * nv :]))
+    assert np.array_equal(mesh.z, kept)
     assert mesh.holes == nv - 1
+    _assert_nodes_are_samples_or_holes(mesh)
 
 
 def test_mesh_validates_each_ring_once(shallow_solution, monkeypatch):
@@ -224,8 +259,9 @@ def test_mesh_validates_each_ring_once(shallow_solution, monkeypatch):
     mesh = build_mesh(sol, nu, nv)
     assert seen == radii
     assert mesh.holes == 2 * nv
-    assert len(mesh.samples) == 2 * (len(radii) - 1) * nv
-    assert all(abs(s.param.z) != pytest.approx(radii[2]) for s in mesh.samples)
+    _assert_nodes_are_samples_or_holes(mesh)
+    assert len(mesh.z) == 2 * (len(radii) - 1) * nv
+    assert all(abs(z) != pytest.approx(radii[2]) for z in mesh.z.tolist())
 
 
 def _per_node_mesh(sol, nu, nv):
@@ -307,33 +343,33 @@ def test_mesh_matches_per_node_integration(root, grid, request, monkeypatch):
     monkeypatch.setattr(geometry, "integrate_frame", counted)
     mesh = build_mesh(sol, *grid)
     assert len(scalar_calls) <= 2  # the sheet roots only
-    assert mesh.triangles == triangles and mesh.holes == holes
-    assert [s.param.z for s in mesh.samples] == [p.z for p, _, _, _ in ref]
-    assert len(mesh.samples) == len(index)
-    for s, (p, Y, g_abs, frame_scale) in zip(mesh.samples, ref):
+    assert mesh.triangles.tolist() == [list(tri) for tri in triangles]
+    assert mesh.holes == holes
+    assert mesh.z.tolist() == [p.z for p, _, _, _ in ref]
+    assert len(mesh.z) == len(index)
+    assert {key: int(mesh.node[int(key[0] < 0), key[1], key[2]]) for key in index} == index
+    for Y_i, w_i, g_i, (p, Y, g_abs, frame_scale) in zip(mesh.Y, mesh.w, mesh.g_abs, ref):
         # the per-node reference is itself off a rel_tol 1e-13 integration by
         # up to 4e-10 frame_scale^2 in Y (8e-2 at frame_scale 7.8e4 on the
         # deep root), so two integrations at rel_tol 1e-10 agree to that
         bound = max(1e-6, 1e-9 * frame_scale ** 2)
-        assert float(np.max(np.abs(s.Y.as_array() - Y.as_array()))) <= bound
-        assert abs(s.param.w - p.w) <= 1e-8 * abs(p.w)
-        assert (s.g_abs >= 1.0) == (g_abs >= 1.0)
+        assert float(np.max(np.abs(Y_i - Y.as_array()))) <= bound
+        assert abs(w_i - p.w) <= 1e-8 * abs(p.w)
+        assert (g_i >= 1.0) == (g_abs >= 1.0)
 
 
 def test_mesh_contains_singular_contour(shallow_mesh):
-    below = sum(1 for s in shallow_mesh.samples if s.g_abs < 1.0)
-    above = sum(1 for s in shallow_mesh.samples if s.g_abs > 1.0)
+    below = int((shallow_mesh.g_abs < 1.0).sum())
+    above = int((shallow_mesh.g_abs > 1.0).sum())
     assert below > 0 and above > 0
 
 
 def test_mesh_determinism(shallow_solution, shallow_mesh):
     again = build_mesh(shallow_solution, 10, 12)
-    assert len(again.samples) == len(shallow_mesh.samples)
-    for s, t in zip(shallow_mesh.samples, again.samples):
-        assert abs(s.X.x0 - t.X.x0) < 1e-7
-        assert abs(s.X.x1 - t.X.x1) < 1e-7
-        assert s.param.z == t.param.z
-    assert again.triangles == shallow_mesh.triangles
+    assert len(again.z) == len(shallow_mesh.z)
+    assert (np.abs(again.X[:, :2] - shallow_mesh.X[:, :2]) < 1e-7).all()
+    assert np.array_equal(again.z, shallow_mesh.z)
+    assert np.array_equal(again.triangles, shallow_mesh.triangles)
 
 
 def test_immersion_single_valued(shallow_solution):
@@ -390,9 +426,9 @@ def _float64_crossings(mesh) -> list:
     """[((i, j), point)] where the edge (i, j) of a triangle crosses y2 = 0,
     one edge at a time on np.float64 coordinates, two a triangle in its edge
     order (0, 1), (1, 2), (2, 0)."""
-    Y = [s.Y.as_array() for s in mesh.samples]
+    Y = list(mesh.Y)
     crossings = []
-    for tri in mesh.triangles:
+    for tri in mesh.triangles.tolist():
         for i, j in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             yi, yj = Y[i], Y[j]
             if (yi[1] > 0.0) != (yj[1] > 0.0):
@@ -467,10 +503,7 @@ def test_symmetry_curves_refinement(shallow_solution):
     edge = 0.0
     for tri in coarse_mesh.triangles:
         for i, j in ((0, 1), (1, 2), (2, 0)):
-            d = np.linalg.norm(
-                coarse_mesh.samples[tri[i]].Y.as_array()
-                - coarse_mesh.samples[tri[j]].Y.as_array()
-            )
+            d = np.linalg.norm(coarse_mesh.Y[tri[i]] - coarse_mesh.Y[tri[j]])
             edge = max(edge, float(d))
 
     def directed(ps, qs):

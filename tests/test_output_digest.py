@@ -8,15 +8,19 @@ integration failures held here too keep the one format of the transport's
 failure messages, which name the point of the curve and the c.  The five
 `verify` commands are held because the battery splits its work between two
 processes (dscat.checks.run_invariant_suite), and a split that changed a
-check's result or the order of the report would show here.  Skipped
-unless Python and numpy are the versions the file was recorded with, since
-other versions may round differently.
+check's result or the order of the report would show here.  The two
+meshes are held a second time with one CPU visible, which keeps all work in
+one process (dscat._worker): a serial run must write the bytes of a paired
+one.  Skipped unless Python and numpy are the versions the file was recorded
+with, since other versions may round differently.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from conftest import one_cpu
 
 DIGEST = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
 
@@ -46,11 +50,27 @@ def test_the_pinned_commands_are_listed():
     assert len(PINNED) == 15
 
 
+def _recorded() -> list:
+    """The recorded lines; skips the test where the versions differ."""
+    recorded = digest.RECORDED.read_text().splitlines()
+    if recorded[0] != digest.versions():
+        pytest.skip(f"recorded with {recorded[0][2:]}, running {digest.versions()[2:]}")
+    return recorded
+
+
 @pytest.mark.parametrize(
     "argv", PINNED, ids=lambda argv: " ".join(argv[:9] if "--max-steps" in argv else argv[:7])
 )
 def test_pinned_output_is_recorded(argv):
-    recorded = digest.RECORDED.read_text().splitlines()
-    if recorded[0] != digest.versions():
-        pytest.skip(f"recorded with {recorded[0][2:]}, running {digest.versions()[2:]}")
+    assert digest.line(argv) in _recorded()
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in PINNED if argv[0] == "mesh"], ids=lambda argv: " ".join(argv[:5])
+)
+def test_serial_mesh_output_is_recorded(argv, monkeypatch):
+    # with one CPU visible no work goes to the worker: the serial run writes
+    # the bytes the paired run does
+    recorded = _recorded()
+    one_cpu(monkeypatch)
     assert digest.line(argv) in recorded
