@@ -58,11 +58,9 @@ from .monodromy import (
     period_functions,
 )
 from .period import (
-    Bracket,
     GaugeSolution,
     PeriodSolution,
     RefinedRoot,
-    ScanRecord,
     ScanResult,
     refine_root,
     scan_c,

@@ -157,7 +157,8 @@ def _scalar_residual(ctx: CheckContext):
         transport.row_equation_residual(ctx.states("c1"), ctx.params),
         transport.row_equation_residual(ctx.states("c2"), ctx.params),
     )
-    # 1.1e-14: an algebraic identity, so only rounding; a wrong field gives O(1)
+    # 1.1e-14: an algebraic identity, so only rounding.  It vanishes for any
+    # (z, F, w), solution or not (row_equation_residual), so no wrong field fails it
     return worst <= 1e-8, f"max row equation residual = {worst:.3e}"
 
 

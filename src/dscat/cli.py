@@ -215,18 +215,16 @@ def app() -> None:
 def cmd_scan(args, cfg: IntegratorConfig) -> int:
     result = period.scan_c(args.a, args.c_min, args.c_max, args.steps, cfg)
 
+    kept = result.kept
+    rows = (x[kept].tolist() for x in (result.c, result.f1, result.f2, result.admissible_hint))
     lines = ["c,f1,f2,admissible_hint"]
-    for rec in result.records:
-        hint = "true" if rec.admissible_hint else "false"
-        lines.append(f"{_fmt(rec.c)},{_fmt(rec.f1)},{_fmt(rec.f2)},{hint}")
+    for c, f1, f2, hint in zip(*rows):
+        lines.append(f"{_fmt(c)},{_fmt(f1)},{_fmt(f2)},{'true' if hint else 'false'}")
     _write_atomic(args.out, "\n".join(lines) + "\n")
 
-    for br in result.brackets:
-        print(
-            f"bracket [{_fmt(br.c_lo)}, {_fmt(br.c_hi)}] "
-            f"admissible_hint={'true' if br.admissible_hint else 'false'}"
-        )
-    print(f"{len(result.brackets)} bracket(s), {len(result.skipped)} skipped point(s)")
+    for (lo, hi), hint in zip(result.brackets.tolist(), result.bracket_hint.tolist()):
+        print(f"bracket [{_fmt(lo)}, {_fmt(hi)}] admissible_hint={'true' if hint else 'false'}")
+    print(f"{len(result.brackets)} bracket(s), {int((~kept).sum())} skipped point(s)")
     return EXIT_OK
 
 

@@ -66,26 +66,24 @@ SCAN_BLOCK = 512
 _WORK_T = (0.125, 0.375, 0.625, 0.875)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    c: float
-    f1: float
-    f2: float
-    admissible_hint: bool
-
-
-@dataclass(frozen=True)
-class Bracket:
-    c_lo: float
-    c_hi: float
-    admissible_hint: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    records: list
-    brackets: list
-    skipped: list
+    """The scan as one table: f1 and f2 at each point of the grid c, NaN where
+    skipped, and the brackets (c_lo, c_hi) of f1 - f2 in grid order."""
+
+    c: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    brackets: np.ndarray
+    bracket_hint: np.ndarray
+
+    @property
+    def kept(self) -> np.ndarray:
+        return ~np.isnan(self.f1)
+
+    @property
+    def admissible_hint(self) -> np.ndarray:
+        return _admissible(self.f1, self.f2)
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,9 @@ def scan_c(
     """Evaluate the period functions on a uniform c grid and bracket crossings.
 
     Grid points within SKIP_HALFWIDTH of c = 0 and points where a period
-    denominator degenerates are recorded as skipped, not fatal.  Sign changes
-    of f1 - f2 are only bracketed between adjacent surviving grid points, so
-    a gap never manufactures a spurious bracket.
+    denominator degenerates are skipped, not fatal: f1 and f2 are NaN there.
+    Sign changes of f1 - f2 are only bracketed between adjacent kept grid
+    points (_brackets), so a gap never manufactures a spurious bracket.
 
     The grid is taken SCAN_BLOCK points at a time, and each block's half
     paths run on transport's Magnus kernel, whose grid, shared by the
@@ -167,34 +165,34 @@ def scan_c(
         spacing = 0.0
     if not 0.0 < spacing < math.inf:
         raise DomainError("need a finite --c-min, --c-max and a positive, finite grid spacing")
-    blocks = []  # (grid index -> c, live grid indices) of each block
-    for lo in range(0, steps, SCAN_BLOCK):
-        grid = {k: c_min + k * spacing for k in range(lo, min(steps, lo + SCAN_BLOCK))}
-        blocks.append((grid, [k for k, c in grid.items() if not abs(c) < SKIP_HALFWIDTH]))
-    jobs = [(path, np.array([grid[k] for k in live]))
-            for grid, live in blocks if live for path in (paths.c1, paths.c2)]
+    c = c_min + np.arange(steps) * spacing
+    f1, f2 = np.full(steps, np.nan), np.full(steps, np.nan)
+    live = np.flatnonzero(np.abs(c) >= SKIP_HALFWIDTH)
+    blocks = [k for k in np.split(live, live.searchsorted(range(0, steps, SCAN_BLOCK))) if k.size]
+    jobs = [(path, c[k]) for k in blocks for path in (paths.c1, paths.c2)]
     frames = iter(_transfer_all(jobs, a, cfg) if jobs else ())
-    kept: dict = {}  # grid index -> record, for the grid points not skipped
-    skipped: list = []
-    for grid, live in blocks:
-        if live:
-            f1, f2, _, _, degenerate = period_values(next(frames), next(frames))
-            for k, x1, x2, bad in zip(live, f1.tolist(), f2.tolist(), degenerate.tolist()):
-                if not bad:
-                    kept[k] = ScanRecord(grid[k], x1, x2, abs(x1) > 1.0 and abs(x2) > 1.0)
-        skipped += [c for k, c in grid.items() if k not in kept]
+    for k in blocks:
+        x1, x2, _, _, degenerate = period_values(next(frames), next(frames))
+        f1[k], f2[k] = np.where(degenerate, np.nan, x1), np.where(degenerate, np.nan, x2)
+    return ScanResult(c, f1, f2, *_brackets(c, f1, f2))
 
-    brackets: list = []
-    for k, r0 in kept.items():
-        r1 = kept.get(k + 1)
-        if r1 is None:
-            continue
-        d0, d1 = r0.f1 - r0.f2, r1.f1 - r1.f2
-        if d0 == 0.0:
-            brackets.append(Bracket(r0.c, r0.c, r0.admissible_hint))
-        elif opposite_signs(d0, d1):
-            brackets.append(Bracket(r0.c, r1.c, r0.admissible_hint and r1.admissible_hint))
-    return ScanResult(list(kept.values()), brackets, skipped)
+
+def _brackets(c: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> tuple:
+    """(brackets, hints) of d = f1 - f2 on the grid c, f1 NaN where skipped:
+    of each two kept neighbours k, k + 1, (c[k], c[k]) where d[k] == 0 and
+    (c[k], c[k + 1]) where d has opposite signs; hinted if both ends are admissible."""
+    d, kept = f1 - f2, ~np.isnan(f1)
+    pair = kept[:-1] & kept[1:]
+    zero = d[:-1] == 0.0
+    k = np.flatnonzero(pair & (zero | opposite_signs(d[:-1], d[1:])))
+    hi = np.where(zero[k], k, k + 1)
+    hint = _admissible(f1, f2)
+    return np.column_stack((c[k], c[hi])), hint[k] & hint[hi]
+
+
+def _admissible(f1, f2):
+    """|f1| > 1 and |f2| > 1, elementwise: necessary for a closing f (solve_gauge)."""
+    return (np.abs(f1) > 1.0) & (np.abs(f2) > 1.0)
 
 
 def _transfer_all(jobs: list, a: float, cfg) -> list:
@@ -254,9 +252,9 @@ def _transfer_each(jobs: list, a: float, cfg) -> tuple:
     return frames, None
 
 
-def opposite_signs(x: float, y: float) -> bool:
-    """Whether x and y have opposite nonzero signs, even where x * y underflows."""
-    return x < 0.0 < y or y < 0.0 < x
+def opposite_signs(x, y):
+    """Whether x and y have opposite nonzero signs, elementwise, even where x * y underflows."""
+    return (x < 0.0) & (0.0 < y) | (y < 0.0) & (0.0 < x)
 
 
 def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:

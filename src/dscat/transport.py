@@ -274,8 +274,10 @@ def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFI
     block = max(1, min(MAGNUS_RUN, MAGNUS_BLOCK // cs.size))
     one, zero = np.ones(cs.size, dtype=complex), np.zeros(cs.size, dtype=complex)
     F = (one, zero, zero, one)
-    for j in range(0, M.shape[2], block):
-        F = _rk._mul(_rk._chain_product(_step_matrices(M[:, :, j : j + block], lanes)), F)
+    # a frame that overflows goes on as inf or NaN and fails the drift check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, M.shape[2], block):
+            F = _rk._mul(_rk._chain_product(_step_matrices(M[:, :, j : j + block], lanes)), F)
     F = np.array(F)
     _check_drift(F, path.waypoints[-1], cs)
     return F.T.reshape(-1, 2, 2), end_point(path, w[-1], a).w
@@ -454,10 +456,11 @@ def _failed(message: str, z, bad, cs, scale=1.0) -> LanesFailed:
 def _drifted(y: np.ndarray) -> tuple:
     """|det F - 1| / max(1, max |F_ij|)^2 of the frame (F11, F12, F21, F22) in
     the first four rows of y, per lane when y has a lane axis, and whether it
-    exceeds TOL_DET: the one statement of the determinant rule."""
-    scale = np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
-    drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0) / scale
-    return drift, drift > TOL_DET
+    exceeds TOL_DET or is NaN: the one statement of the determinant rule."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a frame that overflowed
+        scale = np.maximum(1.0, np.max(np.abs(y[:4]), axis=0)) ** 2
+        drift = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0) / scale
+    return drift, ~(drift <= TOL_DET)
 
 
 def _check_drift(y, z, cs, scale=1.0) -> None:
@@ -538,8 +541,9 @@ def row_equation_residual(states: list, params: CurveParams, samples: int = 50) 
 
     Row-one entries v obey  v'' - L v' + c L v = 0  and row-two entries obey
     v'' + L v' + c L v = 0,  with L = w'/w.  First and second derivatives are
-    evaluated from the first-order system, so the residual is an algebraic
-    identity and measures floating-point consistency only.  states are the
+    evaluated from the first-order system, and w' as w L, so the residual
+    vanishes up to rounding for any (z, F, w), a solution or not (3.8e-14 at
+    most on 50 random ones at a = 2): it measures rounding only.  states are the
     (z, (F11, F12, F21, F22, w)) of an integration at params, as integrate_frame
     passes them to on_step.  Returns the max over `samples` of them, evenly
     spaced, scaled by max(1, |v''|).

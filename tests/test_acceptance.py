@@ -48,7 +48,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_1_figure3_roots():
     """Scan reproduces the published crossing locations and admissibility."""
     result = scan_c(2.0, -9.0, 4.0, 2600)
-    roots = [refine_root(2.0, (b.c_lo, b.c_hi), 1e-6) for b in result.brackets]
+    roots = [refine_root(2.0, b, 1e-6) for b in result.brackets]
 
     matched = {}
     for target in PAPER_ROOTS:

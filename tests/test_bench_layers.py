@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from conftest import scan_bytes
 
 from dscat import _worker, checks, monodromy, period, transport
 from dscat.curve import CurveParams, canonical_paths
@@ -83,7 +84,7 @@ def test_traced_calls_through_the_worker_return_untraced_results():
 
     def run():
         h = monodromy.half_path_frames(params, paths=paths)
-        return h.F_c1.tobytes(), h.F_c2.tobytes(), period.scan_c(2.0, -6.4, -3.8, 27)
+        return h.F_c1.tobytes(), h.F_c2.tobytes(), scan_bytes(period.scan_c(2.0, -6.4, -3.8, 27))
 
     _worker.shutdown()
     untraced = run()

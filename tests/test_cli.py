@@ -70,6 +70,26 @@ def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("c_min", ["-3e5", "-1e5"])
+def test_scan_overflow_exits_integration_and_writes_nothing(tmp_path, c_min):
+    # the frame along c1 overflows at these c: its determinant drift is NaN,
+    # which fails the drift check instead of passing it, and no
+    # RuntimeWarning reaches stderr (the worker's included)
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dscat", "scan", "--a", "2", f"--c-min={c_min}",
+         "--c-max=-1000", "--steps", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: integration failed: scaled determinant drift nan at z = (1.5+0j) "
+        f"for c = {float(c_min)}\n"
+    )
+    assert proc.stdout == "" and list(tmp_path.iterdir()) == []
+
+
 def test_solve_elliptic_record(tmp_path):
     out = tmp_path / "sol.json"
     code = run(

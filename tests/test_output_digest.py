@@ -5,13 +5,15 @@ perfbench/references.json pins the outputs of the benchmark's `mesh` and
 the benchmark's tolerance.  tools/output_digest.txt records the SHA-256 of
 those commands' outputs, so a change to any of them fails here; the two
 integration failures held here too keep the one format of the transport's
-failure messages, which name the point of the curve and the c.  The five
-`verify` commands are held because the battery splits its work between two
-processes (dscat.checks.run_invariant_suite), and a split that changed a
-check's result or the order of the report would show here.  The two
-meshes are held a second time with one CPU visible, which keeps all work in
-one process (dscat._worker): a serial run must write the bytes of a paired
-one.  Skipped unless Python and numpy are the versions the file was recorded
+failure messages, which name the point of the curve and the c.  Every
+`scan` command is held, since its CSV and bracket lines are formed from the
+scan's arrays (dscat.period.ScanResult), and a change to how they are built
+or read would show here.  The five `verify` commands are held because the
+battery splits its work between two processes
+(dscat.checks.run_invariant_suite), and a split that changed a check's
+result or the order of the report would show here.  The two meshes are held
+a second time with one CPU visible, which keeps all work in one process
+(dscat._worker): a serial run must write the bytes of a paired one.  Skipped unless Python and numpy are the versions the file was recorded
 with, since other versions may round differently.
 """
 
@@ -33,21 +35,23 @@ def _load_digest():
 
 
 digest = _load_digest()
-# The five verify commands; the two 24 x 24 meshes, the benchmark's four
-# admissible brackets and its pole bracket, which exits 4; the two integration
-# failures, which exit 3: the step limit and the scalar kernel's sheet check;
-# and the scan at the same loose tolerances, which the Magnus kernel completes.
+# The five verify commands; the two 24 x 24 meshes; the seven scans: the
+# three 2600-point scans, the 27-point block, the scan at loose tolerances,
+# which the Magnus kernel completes, the --initial-step scan and the a = 1
+# error; the benchmark's four admissible brackets and its pole bracket, which
+# exits 4; and the two integration failures, which exit 3: the step limit and
+# the scalar kernel's sheet check.
 PINNED = [
     argv
     for argv in digest.COMMANDS
-    if argv[0] in ("verify", "mesh")
+    if argv[0] in ("verify", "mesh", "scan")
     or argv[0] == "solve" and argv[4:7:2] in digest.BRACKETS[:5]
     or digest.LOOSE[0] in argv
 ]
 
 
 def test_the_pinned_commands_are_listed():
-    assert len(PINNED) == 15
+    assert len(PINNED) == 21
 
 
 def _recorded() -> list:
@@ -58,9 +62,15 @@ def _recorded() -> list:
     return recorded
 
 
-@pytest.mark.parametrize(
-    "argv", PINNED, ids=lambda argv: " ".join(argv[:9] if "--max-steps" in argv else argv[:7])
-)
+def _id(argv: tuple) -> str:
+    """A command's first seven words, nine with --max-steps; for a scan at
+    the default tolerances, every word before --out."""
+    if argv[0] == "scan" and digest.LOOSE[0] not in argv:
+        return " ".join(argv[: argv.index("--out")])
+    return " ".join(argv[:9] if "--max-steps" in argv else argv[:7])
+
+
+@pytest.mark.parametrize("argv", PINNED, ids=_id)
 def test_pinned_output_is_recorded(argv):
     assert digest.line(argv) in _recorded()
 

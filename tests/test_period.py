@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dscat import period as period_module
@@ -52,14 +52,58 @@ def test_opposite_signs():
     assert opposite_signs(-1e-200, 1e-200) and opposite_signs(1e-200, -1e-200)
     for x, y in ((1e-200, 1e-200), (-1.0, -2.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -0.0)):
         assert not opposite_signs(x, y)
+    # elementwise on arrays, and never where an entry is NaN
+    x = np.array([-1e-200, 1e-200, 1.0, 0.0, -1.0, np.nan, -1.0])
+    y = np.array([1e-200, -1e-200, 2.0, -1.0, -0.0, 1.0, np.nan])
+    assert opposite_signs(x, y).tolist() == [True, True, False, False, False, False, False]
+
+
+def _brackets_by_pair(c: list, f1: list, f2: list) -> list:
+    """The bracket rule as a loop over neighbouring kept points, a point
+    being skipped where f1 is NaN: (c_lo, c_hi, hint) of each bracket."""
+    kept = {k: (c[k], x1 - x2, abs(x1) > 1.0 and abs(x2) > 1.0)
+            for k, (x1, x2) in enumerate(zip(f1, f2)) if not math.isnan(x1)}
+    brackets = []
+    for k, (c0, d0, hint0) in kept.items():
+        if k + 1 not in kept:
+            continue
+        c1, d1, hint1 = kept[k + 1]
+        if d0 == 0.0:
+            brackets.append((c0, c0, hint0))
+        elif d0 < 0.0 < d1 or d1 < 0.0 < d0:
+            brackets.append((c0, c1, hint0 and hint1))
+    return brackets
+
+
+_F = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1.0, -1.0, 1.5, -1.5, 1e300, -1e300]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+# a skipped point, any (f1, f2), or an exact zero of f1 - f2
+_POINT = st.one_of(st.none(), st.tuples(_F, _F), _F.map(lambda f: (f, f)))
+
+
+@settings(max_examples=300)
+@given(st.lists(_POINT, min_size=2, max_size=40))
+# a zero of f1 - f2 gives a zero-width bracket, but not before a skipped point
+@example([(2.0, 2.0), (3.0, 1.0), (0.5, 0.5), None, (1e-200, 0.0), (-1e-200, 0.0)])
+def test_brackets_follow_the_per_pair_rule(points):
+    c = -3.0 + np.arange(len(points)) * 0.25
+    f1 = np.array([math.nan if p is None else p[0] for p in points])
+    f2 = np.array([math.nan if p is None else p[1] for p in points])
+    brackets, hints = period_module._brackets(c, f1, f2)
+    assert brackets.shape == (len(hints), 2)
+    found = [(lo, hi, hint) for (lo, hi), hint in zip(brackets.tolist(), hints.tolist())]
+    assert found == _brackets_by_pair(c.tolist(), f1.tolist(), f2.tolist())
 
 
 def test_scan_near_zero_window():
     result = scan_c(2.0, -0.07, 0.05, 120)
-    assert result.records == sorted(result.records, key=lambda r: r.c)
-    assert all(abs(r.c) >= 0.01 for r in result.records)
+    kept = result.c[result.kept]
+    assert kept.tolist() == sorted(kept.tolist())
+    assert all(abs(c) >= 0.01 for c in kept.tolist())
     assert len(result.brackets) == 1
-    root = refine_root(2.0, (result.brackets[0].c_lo, result.brackets[0].c_hi))
+    root = refine_root(2.0, result.brackets[0])
     assert root.is_crossing
     assert -0.07 < root.c < 0.05
     assert abs(root.f) < 1.0
@@ -67,9 +111,9 @@ def test_scan_near_zero_window():
 
 def test_scan_no_crossing_interval():
     coarse = scan_c(2.0, 3.0, 4.0, 100)
-    assert coarse.brackets == []
+    assert coarse.brackets.shape == (0, 2)
     dense = scan_c(2.0, 3.0, 4.0, 800)
-    assert dense.brackets == []
+    assert dense.brackets.shape == (0, 2)
 
 
 @pytest.mark.parametrize(
@@ -80,18 +124,21 @@ def test_scan_no_crossing_interval():
 def test_scan_matches_single_c_evaluation(a, c_min, c_max, steps):
     result = scan_c(a, c_min, c_max, steps)
     spacing = (c_max - c_min) / (steps - 1)
+    grid = [c_min + k * spacing for k in range(steps)]
     ref = []
-    for k in range(steps):
-        c = c_min + k * spacing
+    for c in grid:
         try:
             ref.append((c, *_periods_at(a, c, DEFAULT_CONFIG)[:2]))
         except DegenerateDenominator:
             pass
-    assert [r.c for r in result.records] == [c for c, _, _ in ref]
-    for rec, (_, f1, f2) in zip(result.records, ref):
-        assert abs(rec.f1 - f1) <= 1e-7 * max(1.0, abs(f1)) ** 2
-        assert abs(rec.f2 - f2) <= 1e-7 * max(1.0, abs(f2)) ** 2
-        assert rec.admissible_hint == (abs(f1) > 1.0 and abs(f2) > 1.0)
+    assert result.c.tolist() == grid
+    kept = result.kept
+    assert result.c[kept].tolist() == [c for c, _, _ in ref]
+    rows = zip(*(x[kept].tolist() for x in (result.f1, result.f2, result.admissible_hint)))
+    for (x1, x2, hint), (_, f1, f2) in zip(rows, ref):
+        assert abs(x1 - f1) <= 1e-7 * max(1.0, abs(f1)) ** 2
+        assert abs(x2 - f2) <= 1e-7 * max(1.0, abs(f2)) ** 2
+        assert hint == (abs(f1) > 1.0 and abs(f2) > 1.0)
     assert len(ref) == steps  # no gaps, so every sign change is a bracket
     ref_brackets = [
         (c0, c1, abs(f10) > 1 and abs(f20) > 1 and abs(f11) > 1 and abs(f21) > 1)
@@ -99,7 +146,8 @@ def test_scan_matches_single_c_evaluation(a, c_min, c_max, steps):
         if (f10 - f20) * (f11 - f21) < 0.0
     ]
     assert len(ref_brackets) == 2
-    assert [(b.c_lo, b.c_hi, b.admissible_hint) for b in result.brackets] == ref_brackets
+    assert [(lo, hi, hint) for (lo, hi), hint in
+            zip(result.brackets.tolist(), result.bracket_hint.tolist())] == ref_brackets
 
 
 def test_scan_validates_a_when_every_point_is_skipped():
@@ -122,12 +170,14 @@ def test_scan_matches_a_tight_scan():
     args = (5.0, -12.0, 6.0, 27)
     reference = scan_c(*args, IntegratorConfig(rel_tol=1e-13))
     result = scan_c(*args)
-    assert [r.c for r in result.records] == [r.c for r in reference.records]
-    assert result.brackets == reference.brackets and len(result.brackets) == 7
+    assert result.c[result.kept].tolist() == reference.c[reference.kept].tolist()
+    assert result.brackets.tolist() == reference.brackets.tolist() and len(result.brackets) == 7
+    assert result.bracket_hint.tolist() == reference.bracket_hint.tolist()
+    kept = reference.kept
     error = max(
         abs(f - f_ref) / max(1.0, abs(f_ref)) ** 2
-        for rec, ref in zip(result.records, reference.records)
-        for f, f_ref in ((rec.f1, ref.f1), (rec.f2, ref.f2))
+        for x, x_ref in ((result.f1, reference.f1), (result.f2, reference.f2))
+        for f, f_ref in zip(x[kept].tolist(), x_ref[kept].tolist())
     )
     assert error <= 1.4e-9
 

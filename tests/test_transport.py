@@ -159,6 +159,12 @@ def test_initial_frame_must_be_unimodular():
         integrate_frame(paths.c1, params, F0=np.diag([2.0, 2.0]).astype(complex))
 
 
+def test_start_frame_with_a_nan_entry_is_rejected():
+    # NaN passes no comparison, so the drift rule must fail it, not pass it
+    with pytest.raises(DomainError, match="^initial frame must have determinant 1$"):
+        transport._start_frame(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(rel_tol=0.0)
@@ -308,6 +314,15 @@ def test_transfer_along_a_point_is_the_identity():
     path = PathSpec(base_point(-1), (0j,))
     F, w = transfer(path, 2.0, np.array([-4.0, 1.0]))
     assert F.tolist() == [np.eye(2).tolist()] * 2 and w == -1
+
+
+def test_transfer_fails_closed_on_an_overflowed_frame():
+    # at c = -3e5 the frame along c1 overflows to inf and NaN: the drift
+    # check names the c instead of handing the frame back
+    with pytest.raises(LanesFailed) as exc:
+        transfer(canonical_paths(2.0).c1, 2.0, np.array([-3e5]))
+    assert str(exc.value) == "scaled determinant drift nan at z = (1.5+0j) for c = -300000.0"
+    assert exc.value.lanes == (0,)
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
