@@ -28,9 +28,7 @@ from .ends import (
     osserman_equality_check,
 )
 from .geometry import (
-    HollowBallPoint,
     MeshResult,
-    MinkowskiPoint,
     build_mesh,
     hollow_ball,
     immerse,

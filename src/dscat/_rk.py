@@ -163,7 +163,7 @@ def _drive(waypoints, y, field, step, cfg, on_step):
             else:
                 h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
             if h < 1e-14 * seg_len:
-                raise StepLimitExceeded("step size underflow")
+                raise StepLimitExceeded("step size underflow", p + s * u)
     return y
 
 

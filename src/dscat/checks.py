@@ -309,9 +309,9 @@ def _geometry_invariants(ctx: CheckContext):
         if abs(state.point.w - w) > 1e-6:
             continue
         g = geometry.secondary_gauss(state.F, state.point)
-        N = geometry.unit_normal(state.F, g)
-        scale = max(1.0, N.x0 ** 2 + N.x1 ** 2 + N.x2 ** 2 + N.x3 ** 2)
-        worst_norm = max(worst_norm, abs(N.lorentz_norm() + 1.0) / scale)
+        n0, n1, n2, n3 = geometry.unit_normal(state.F, g)
+        scale = max(1.0, n0 ** 2 + n1 ** 2 + n2 ** 2 + n3 ** 2)
+        worst_norm = max(worst_norm, abs(-n0 ** 2 + n1 ** 2 + n2 ** 2 + n3 ** 2 + 1.0) / scale)
         checked += 1
     # quadric 9.4e-12 and normal 8.3e-14, both scaled, so rounding only
     ok = worst_quadric <= 1e-7 and radius_ok and worst_norm <= 1e-9

@@ -296,8 +296,6 @@ def _solve_near(a: float, c: float, cfg: IntegratorConfig):
 def cmd_mesh(args, cfg: IntegratorConfig) -> int:
     if args.nu < 2 or args.nv < 3:
         raise DomainError("need --nu >= 2 and --nv >= 3")
-    if args.c == 0.0:
-        raise DomainError("c must be nonzero")
     sol = _solve_near(args.a, args.c, cfg)
     mesh = geometry.build_mesh(sol, args.nu, args.nv, cfg)
     _write_atomic(args.out, _mesh_obj(mesh) if args.format == "obj" else _mesh_csv(mesh))
@@ -328,8 +326,8 @@ def _mesh_csv(mesh) -> str:
 def _curves_csv(curves) -> str:
     lines = ["curve_id,y1,y2,y3"]
     for cid, chain in enumerate(curves):
-        for pt in chain:
-            lines.append(f"{cid},{_fmt(pt.y1)},{_fmt(pt.y2)},{_fmt(pt.y3)}")
+        for y1, y2, y3 in chain:
+            lines.append(f"{cid},{_fmt(y1)},{_fmt(y2)},{_fmt(y3)}")
     return "\n".join(lines) + "\n"
 
 

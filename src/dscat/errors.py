@@ -47,7 +47,12 @@ class LanesFailed(ContinuationError):
 
 
 class StepLimitExceeded(DscatError):
-    """Adaptive integrator exceeded its step budget."""
+    """Adaptive integrator exceeded its step budget, or its step size
+    underflowed at the point z of the polyline (z None for a budget)."""
+
+    def __init__(self, message: str, z: complex | None = None):
+        self.z = z
+        super().__init__(message)
 
 
 class NotInSU11(DscatError):

@@ -51,35 +51,6 @@ MESH_R_IN = 0.12
 RESOLVE_EPS = 1e-10
 
 
-@dataclass(frozen=True)
-class MinkowskiPoint:
-    """A vector in Lorentz 4-space with signature (-,+,+,+)."""
-
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-
-    def lorentz_norm(self) -> float:
-        return -self.x0 ** 2 + self.x1 ** 2 + self.x2 ** 2 + self.x3 ** 2
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
-
-@dataclass(frozen=True)
-class HollowBallPoint:
-    y1: float
-    y2: float
-    y3: float
-
-    def radius_sq(self) -> float:
-        return self.y1 ** 2 + self.y2 ** 2 + self.y3 ** 2
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.y1, self.y2, self.y3])
-
-
 @dataclass(frozen=True, eq=False)
 class MeshResult:
     """A mesh as its node grid and one array per sample quantity.
@@ -112,8 +83,8 @@ class MeshResult:
         return np.abs(self.g_abs - 1.0) < TOL_SING
 
 
-def immerse(F) -> MinkowskiPoint:
-    """X = F e3 F* as a Lorentz 4-vector.
+def immerse(F) -> tuple:
+    """X = F e3 F* as its Lorentz coordinates (x0, x1, x2, x3).
 
     The product is self adjoint with determinant -1 whenever det F = 1, so the
     result lies on the unit quadric.  F is a 2 x 2 array or a pair of rows of
@@ -123,12 +94,7 @@ def immerse(F) -> MinkowskiPoint:
     f11 = (abs(F11) ** 2 - abs(F12) ** 2)
     f22 = (abs(F21) ** 2 - abs(F22) ** 2)
     f12 = F11 * F21.conjugate() - F12 * F22.conjugate()
-    return MinkowskiPoint(
-        x0=0.5 * (f11 + f22),
-        x1=float(f12.real),
-        x2=float(f12.imag),
-        x3=0.5 * (f11 - f22),
-    )
+    return 0.5 * (f11 + f22), float(f12.real), float(f12.imag), 0.5 * (f11 - f22)
 
 
 def secondary_gauss(F, p: CurvePoint) -> complex:
@@ -147,10 +113,11 @@ def secondary_gauss(F, p: CurvePoint) -> complex:
     return complex(num / den)
 
 
-def unit_normal(F: np.ndarray, g: complex) -> MinkowskiPoint:
+def unit_normal(F: np.ndarray, g: complex) -> tuple:
     """Unit timelike normal (1 / (|g|^2 - 1)) (F nu)(F nu)*, nu = [[1, g], [conj g, 1]].
 
-    Future pointing exactly when |g| > 1.  Requires a regular point.
+    Returned as Lorentz coordinates (n0, n1, n2, n3), like immerse.  Future
+    pointing (n0 > 0) exactly when |g| > 1.  Requires a regular point.
     """
     if not cmath.isfinite(complex(g)):
         # limit of nu nu* / (|g|^2 - 1) as g -> infinity is the identity
@@ -161,23 +128,20 @@ def unit_normal(F: np.ndarray, g: complex) -> MinkowskiPoint:
         nu = np.array([[1.0, g], [np.conj(g), 1.0]], dtype=complex)
         Fn = F @ nu
         N = (Fn @ Fn.conj().T) / (abs(g) ** 2 - 1.0)
-    n12 = N[0, 1]
-    return MinkowskiPoint(
-        x0=0.5 * float((N[0, 0] + N[1, 1]).real),
-        x1=float(n12.real),
-        x2=float(n12.imag),
-        x3=0.5 * float((N[0, 0] - N[1, 1]).real),
-    )
+    n12, trace, split = N[0, 1], N[0, 0] + N[1, 1], N[0, 0] - N[1, 1]
+    return 0.5 * float(trace.real), float(n12.real), float(n12.imag), 0.5 * float(split.real)
 
 
-def hollow_ball(X: MinkowskiPoint) -> HollowBallPoint:
-    """y_k = exp(arctan x0) / sqrt(1 + x0^2) * x_k for k = 1, 2, 3.
+def hollow_ball(X: tuple) -> tuple:
+    """(y1, y2, y3) with y_k = exp(arctan x0) / sqrt(1 + x0^2) * x_k, for X
+    the Lorentz coordinates (x0, x1, x2, x3).
 
     On the quadric the image radius squared equals exp(2 arctan x0), which
     stays strictly inside (exp(-pi), exp(pi)).
     """
-    factor = math.exp(math.atan(X.x0)) / math.sqrt(1.0 + X.x0 ** 2)
-    return HollowBallPoint(factor * X.x1, factor * X.x2, factor * X.x3)
+    x0, x1, x2, x3 = X
+    factor = math.exp(math.atan(x0)) / math.sqrt(1.0 + x0 ** 2)
+    return factor * x1, factor * x2, factor * x3
 
 
 def frame_at(
@@ -356,18 +320,15 @@ def _unit_legs(angles: list, order: list) -> list:
 
 def _surface_sample(F: list, point: CurvePoint) -> tuple | None:
     """(z, w, X, Y, |g|, frame_scale) of the frame F, rows of Python complex
-    numbers, at point, with X and Y as tuples, or None when X is
-    unresolvable."""
+    numbers, at point, with X and Y the tuples of immerse and hollow_ball, or
+    None when X is unresolvable."""
     g_abs = abs(secondary_gauss(F, point))
-    X = immerse(F)
+    X = x0, x1, x2, x3 = immerse(F)
     frame_scale = max(abs(v) for row in F for v in row)
-    norm_x = math.sqrt(X.x0 ** 2 + X.x1 ** 2 + X.x2 ** 2 + X.x3 ** 2)
+    norm_x = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2 + x3 ** 2)
     if frame_scale ** 2 * RESOLVE_EPS > max(1.0, norm_x):
         return None
-    Y = hollow_ball(X)
-    return (
-        point.z, point.w, (X.x0, X.x1, X.x2, X.x3), (Y.y1, Y.y2, Y.y3), g_abs, frame_scale
-    )
+    return point.z, point.w, X, hollow_ball(X), g_abs, frame_scale
 
 
 def _triangles(node: np.ndarray, z: np.ndarray, g_abs: np.ndarray, a: float) -> np.ndarray:
@@ -400,8 +361,8 @@ def symmetry_curves(mesh: MeshResult) -> list:
     The hollow-ball factor is positive, so y2 = 0 exactly where x2 = 0.
     Interpolation is linear in y2 along the edges of every triangle whose
     vertices take both signs, all in one pass, which zeroes the y2 component
-    of every emitted vertex by construction.  Returns a list of polylines
-    (lists of HollowBallPoint).
+    of every emitted vertex by construction.  Returns a list of polylines,
+    each a list of (y1, y2, y3) tuples of Python floats.
     """
     tris, Y = mesh.triangles, mesh.Y
     pos = Y[tris, 1] > 0.0
@@ -411,10 +372,7 @@ def symmetry_curves(mesh: MeshResult) -> list:
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan off the crossings
         points = yi + yi[..., 1:2] / (yi[..., 1:2] - yj[..., 1:2]) * (yj - yi)
     crossings = points[pos != np.roll(pos, -1, axis=1)].reshape(-1, 2, 3)
-    segments = [(tuple(p), tuple(q)) for p, q in crossings.tolist()]
-    return [
-        [HollowBallPoint(*p) for p in chain] for chain in _chain_segments(segments)
-    ]
+    return _chain_segments([(tuple(p), tuple(q)) for p, q in crossings.tolist()])
 
 
 def _chain_segments(segments: list) -> list:

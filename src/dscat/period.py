@@ -300,11 +300,17 @@ def refine_root(
     real denominator d1, d2 of period_values has opposite signs at the last
     points evaluated with each sign of f1 - f2 (the final bracket, narrowed
     by the converged c), or vanished at an iterate (gap inf); otherwise it is
-    a crossing.  Raises DomainError unless tol_c is finite and positive.
+    a crossing.  Raises DomainError unless tol_c is finite and positive, and
+    where the bracket holds c = 0: the frame is I there and the f2 denominator
+    vanishes identically, so it is neither a root nor a pole.
     """
     if not 0.0 < tol_c < math.inf:
         raise DomainError(f"tol_c must be finite and positive, got {tol_c}")
     lo, hi = float(bracket[0]), float(bracket[1])
+    if lo <= 0.0 <= hi:
+        raise DomainError(
+            f"bracket [{lo}, {hi}] contains c = 0, which is neither a root nor a pole"
+        )
     paths = canonical_paths(a)
 
     cache: dict = {}

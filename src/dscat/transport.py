@@ -198,7 +198,8 @@ def integrate_frames_over_c(
     accepted step and at the end, and the end frame's drift (_check_drift).
     A failed sheet or drift check raises LanesFailed naming the point of the
     curve, scale * z, and the c of the first failing lane.  A
-    StepLimitExceeded belongs to all lanes.
+    StepLimitExceeded belongs to all lanes; a step size underflow names the
+    first lane's point of the curve and c.
     """
     cs = np.asarray(cs, dtype=float)
     F0 = _start_frame(F0)
@@ -227,7 +228,13 @@ def integrate_frames_over_c(
     else:
         y0 = (*F0.reshape(4).tolist(), w0)
         field, kernel = _joint_field(a, float(cs), scale), _rk.integrate_polyline
-    y = kernel(path.waypoints, y0, field, cfg=cfg, on_step=hook)
+    try:
+        y = kernel(path.waypoints, y0, field, cfg=cfg, on_step=hook)
+    except StepLimitExceeded as exc:
+        if exc.z is None:
+            raise
+        s, c = (np.ravel(x)[0] for x in (scale, cs))  # the first lane's
+        raise StepLimitExceeded(f"{exc} at z = {complex(s * exc.z)} for c = {float(c)}") from None
     check_sheet(path.waypoints[-1], y)
     _check_drift(y, path.waypoints[-1], cs, scale)
     return np.asarray(y[:4]).T.reshape(shape + (2, 2)), y[4]

@@ -265,14 +265,14 @@ def test_criterion_6_geometric_invariants(
         paths = canonical_paths(params.a)
         z_probe = 0.6 + 0.9j
         direct = frame_at(sol, z_probe)
-        X0 = immerse(direct.F).as_array()
+        X0 = np.array(immerse(direct.F))
         worst_mono = 0.0
         for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
             looped = integrate_frame(loop, params, F0=sol.P)
             translated = integrate_frame(
                 PathSpec(looped.point, (0j, z_probe)), params, F0=looped.F
             )
-            X1 = immerse(translated.F).as_array()
+            X1 = np.array(immerse(translated.F))
             worst_mono = max(
                 worst_mono,
                 float(np.max(np.abs(X0 - X1))) / max(1.0, float(np.max(np.abs(X0)))),
@@ -291,9 +291,10 @@ def test_criterion_6_geometric_invariants(
             if abs(state.point.w - w) > 1e-6:
                 continue
             g = secondary_gauss(state.F, state.point)
-            N = unit_normal(state.F, g)
-            scale = max(1.0, float(np.sum(N.as_array() ** 2)))
-            worst_norm = max(worst_norm, abs(N.lorentz_norm() + 1.0) / scale)
+            n0, n1, n2, n3 = unit_normal(state.F, g)
+            scale = max(1.0, float(np.sum(np.array([n0, n1, n2, n3]) ** 2)))
+            lorentz = -n0 ** 2 + n1 ** 2 + n2 ** 2 + n3 ** 2
+            worst_norm = max(worst_norm, abs(lorentz + 1.0) / scale)
             checked += 1
         assert checked >= 1
         assert worst_norm < 1e-9

@@ -256,6 +256,28 @@ def test_mesh_at_non_root_exits(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv, bracket",
+    [
+        (["solve", "--a", "2", "--c0=-0.005", "--c1", "0.005", "--json", "{tmp}/s.json"],
+         "[-0.005, 0.005]"),
+        (["mesh", "--a", "2", "--c", "0.004", "--nu", "4", "--nv", "4", "--out", "{tmp}/m.obj"],
+         "[-0.006, 0.014]"),
+        (["mesh", "--a", "2", "--c", "0", "--out", "{tmp}/m.obj"], "[-0.01, 0.01]"),
+    ],
+    ids=["solve", "mesh", "mesh-at-zero"],
+)
+def test_bracket_containing_zero_exits_usage(tmp_path, capsys, argv, bracket):
+    # c = 0 is invalid input, not a pole; mesh refines near(c) = c +- 0.01
+    code = run([x.format(tmp=tmp_path) for x in argv])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid input: bracket {bracket} contains c = 0, "
+        "which is neither a root nor a pole\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mesh_unwritable_output_exits_io(tmp_path):
     code = run(
         [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,22 @@ def test_refine_small_crossing_is_a_crossing():
     assert root.gap < 1e-6 and abs(root.f) < 1.0
     with pytest.raises(NotAdmissible, match=r"\|f\| > 1"):
         solve_at_bracket(2.0, (-0.06, -0.05))
+
+
+@pytest.mark.parametrize("bracket", [(-0.005, 0.005), (0.0, 0.01), (-0.01, 0.0), (-0.006, 0.014)])
+def test_refine_rejects_a_bracket_containing_zero(monkeypatch, bracket):
+    # c = 0 is neither a root nor a pole: the frame is I there and the f2
+    # denominator vanishes identically.  Nothing is integrated.
+    def no_periods(*args):
+        raise AssertionError("a period evaluation")
+
+    monkeypatch.setattr(period_module, "_periods_at", no_periods)
+    lo, hi = bracket
+    message = f"bracket [{lo}, {hi}] contains c = 0, which is neither a root nor a pole"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        refine_root(2.0, bracket)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        solve_at_bracket(2.0, bracket)
 
 
 def test_solve_gauge_positive_branch():

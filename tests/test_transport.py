@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -150,6 +151,42 @@ def test_step_limit():
     cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15, max_steps=5)
     with pytest.raises(StepLimitExceeded):
         integrate_frame(paths.gamma1, params, cfg=cfg)
+
+
+def test_step_size_underflow_names_the_curve_point_and_c():
+    # at c = -1e6 no step longer than 1e-14 of c1's second segment meets the
+    # tolerances before its end; the error survives the worker's pickling
+    a, c = 2.0, -1e6
+    c1 = canonical_paths(a).c1
+    p, q = c1.waypoints[1:]
+    path = PathSpec(transport_w(PathSpec(c1.start, c1.waypoints[:2]), a), (p, q))
+    with pytest.raises(StepLimitExceeded) as exc:
+        integrate_frame(path, CurveParams(a, c))
+    for error in (exc.value, pickle.loads(pickle.dumps(exc.value))):
+        assert type(error) is StepLimitExceeded
+        head, _, tail = str(error).partition(" at z = ")
+        z, _, c_named = tail.partition(" for c = ")
+        assert head == "step size underflow" and float(c_named) == c
+        assert abs(abs(complex(z) - p) + abs(q - complex(z)) - abs(q - p)) < 1e-12
+
+
+def test_lane_step_errors_name_the_first_lane(monkeypatch):
+    # an underflow names the first lane's point of the curve, scale * z, and
+    # c; a step budget passes unchanged, as the kernels word it
+    unit = PathSpec(base_point(+1), (0j, 1j))
+    cs, scale = np.array([-1.5, -2.0]), np.array([2.0, 3.0])
+    underflow = StepLimitExceeded("step size underflow", 0.5j)
+    for raised, message in (
+        (underflow, "step size underflow at z = 1j for c = -1.5"),
+        (StepLimitExceeded("exceeded 7 steps"), "exceeded 7 steps"),
+    ):
+        def kernel(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(_rk, "integrate_polyline_lanes", kernel)
+        with pytest.raises(StepLimitExceeded) as exc:
+            integrate_frames_over_c(unit, 2.0, cs, scale=scale)
+        assert str(exc.value) == message
 
 
 def test_initial_frame_must_be_unimodular():
