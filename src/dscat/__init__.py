@@ -68,7 +68,6 @@ from .period import (
 )
 from .transport import (
     DEFAULT_CONFIG,
-    FrameState,
     IntegratorConfig,
     integrate_frame,
     reference_frame,

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import _worker, geometry, monodromy, period, transport
-from .curve import CurveParams, CurvePoint, PathSpec, base_point, canonical_paths, transport_w
+from .curve import CurveParams, CurvePoint, PathSpec, canonical_paths, same_sheet, transport_w
 from .ends import TOL_EIG, end_loop_check, lift_independence_check
 from .errors import DscatError
 from .linalg2c import TOL_SU11
@@ -87,7 +87,7 @@ class CheckContext:
                 transport.integrate_frame(
                     getattr(self.paths, name), self.params, cfg=self.cfg,
                     on_step=self._recorder(name),
-                ).F
+                )[0]
                 for name in ("c1", "c2")
             )
             return monodromy.HalfPathFrames(F1, F2, self.params)
@@ -125,7 +125,7 @@ class CheckContext:
 
     def probe(self) -> CurvePoint:
         """The curve point over z = 0.6 + 0.9i on the w = +1 sheet."""
-        path = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
+        path = PathSpec(complex(+1), (0j, 0.6 + 0.9j))
         return self._once("probe", lambda: transport_w(path, self.a))
 
     def mesh(self) -> geometry.MeshResult:
@@ -142,7 +142,7 @@ def _sheet_closure(ctx: CheckContext):
     worst = 0.0
     for loop in (ctx.paths.gamma1, ctx.paths.gamma2, ctx.paths.gamma3):
         end = transport_w(loop, ctx.a)
-        worst = max(worst, abs(end.w - loop.start.w))
+        worst = max(worst, abs(end.w - loop.w0))
     # 6.8e-16: w is in closed form, and its other value -w lies 2|w| away
     return worst <= 1e-8, f"max |w_end - w_start| = {worst:.3e}"
 
@@ -305,11 +305,11 @@ def _geometry_invariants(ctx: CheckContext):
     ):
         if checked >= 5 or singular or not math.isfinite(g_abs):
             continue
-        state = geometry.frame_at(sol, z, ctx.cfg)
-        if abs(state.point.w - w) > 1e-6:
+        F, w_frame = geometry.frame_at(sol, z, ctx.cfg)
+        if not same_sheet(w_frame, w):
             continue
-        g = geometry.secondary_gauss(state.F, state.point)
-        n0, n1, n2, n3 = geometry.unit_normal(state.F, g)
+        g = geometry.secondary_gauss(F, w_frame)
+        n0, n1, n2, n3 = geometry.unit_normal(F, g)
         scale = max(1.0, n0 ** 2 + n1 ** 2 + n2 ** 2 + n3 ** 2)
         worst_norm = max(worst_norm, abs(-n0 ** 2 + n1 ** 2 + n2 ** 2 + n3 ** 2 + 1.0) / scale)
         checked += 1
@@ -329,7 +329,7 @@ def _reference_agreement(ctx: CheckContext):
     h = ctx.half_paths()
     worst = 0.0
     for path, adaptive in ((ctx.paths.c1, h.F_c1), (ctx.paths.c2, h.F_c2)):
-        reference = transport.reference_frame(path, ctx.params).F
+        reference, _ = transport.reference_frame(path, ctx.params)
         scale = max(1.0, float(np.max(np.abs(adaptive))))
         worst = max(worst, float(np.max(np.abs(adaptive - reference))) / scale)
     return worst <= 1e-8, f"max scaled deviation = {worst:.3e}"
@@ -337,11 +337,7 @@ def _reference_agreement(ctx: CheckContext):
 
 def _homotopy_invariance(ctx: CheckContext):
     a = ctx.a
-    alt = PathSpec(
-        base_point(+1),
-        (0j, 0.6 * a + 1.3j, 2.0 * a + 0.4j, 2.0 * a, 0.9 * a - 1.1j, 0j),
-        closed=True,
-    )
+    alt = PathSpec(complex(+1), (0j, 0.6 * a + 1.3j, 2.0 * a + 0.4j, 2.0 * a, 0.9 * a - 1.1j, 0j))
     direct = ctx.holonomy("gamma2")
     other = monodromy.direct_loop_holonomy(alt, ctx.params, ctx.cfg)
     scale = max(1.0, float(np.max(np.abs(direct))))

@@ -1,13 +1,15 @@
 """The hyperelliptic curve w^2 = (z+1)(z-a) / ((z-1)(z+a)) and its canonical paths.
 
 The curve is a twice punctured torus for a > 1 (branch points at +-1 and +-a,
-punctures over z = infinity on both sheets).  w is continued along a polyline
-in closed form, segment by segment (continue_w): on a segment that clears the
-branch points the integral of d(log w) = L(z) dz is a sum of principal
-logarithms, so no branch cut is tracked and nothing is integrated.  The frame
-kernels integrate w jointly with the frame instead, and there the residual
-|w^2 - R(z)| (sheet_residual_of), checked by transport at every accepted step,
-is the monitor that w stays on the curve.
+punctures over z = infinity on both sheets).  A path (PathSpec) is the sheet
+value w0 at its first waypoint and its waypoints, a polyline in the z-plane;
+it is a loop when its last waypoint equals its first.  w is continued along a
+polyline in closed form, segment by segment (continue_w): on a segment that
+clears the branch points the integral of d(log w) = L(z) dz is a sum of
+principal logarithms, so no branch cut is tracked and nothing is integrated.
+The frame kernels integrate w jointly with the frame instead, and there the
+residual |w^2 - R(z)| (sheet_residual_of), checked by transport at every
+accepted step, is the monitor that w stays on the curve.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ BRANCH_DELTA = 0.1
 # paths at the four a = 2 roots (4.8e-11 at the 24 x 24 mesh nodes), so 1e-8,
 # 200 times that, flags only a w that has left the curve.
 TOL_SHEET = 1e-8
+# Over a point z the curve holds w_ref and -w_ref, 2 |w_ref| apart, and
+# same_sheet tells which one a w on the curve is by a bound on
+# |w - w_ref| / (1 + |w_ref|).  gamma1-3 and the end loops return to their
+# start value +-1 to 7.1e-12 at the four a = 2 roots at rel_tol 1e-10, with
+# the other sheet 2 away; at the mesh samples of the five a = 2 roots |w| is
+# at least 0.45 (24 x 24) and at verify's probe 1.06, so the other sheet is
+# at least 0.9 away.  1e-6 is far from both.
+TOL_SAME_SHEET = 1e-6
 # Imaginary lift of the default first-quadrant arc waypoints.
 ARC_LIFT = 0.8
 # End loops run along the circle |z| = END_LOOP_FACTOR * a.
@@ -69,14 +79,13 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Polyline in the z-plane lifted to the curve by continuity from `start`.
-
-    waypoints[0] must equal start.z; a closed path repeats it at the end.
+    """Polyline in the z-plane lifted to the curve by continuity from the
+    sheet value w0 at waypoints[0].  The path is a loop when its last
+    waypoint equals its first.
     """
 
-    start: CurvePoint
+    w0: complex
     waypoints: tuple
-    closed: bool = False
 
 
 def branch_points(a: float) -> tuple:
@@ -155,11 +164,18 @@ def base_point(sheet: int = +1) -> CurvePoint:
     return CurvePoint(0j, complex(sheet))
 
 
+def same_sheet(w: complex, w_ref: complex) -> bool:
+    """Whether w, one of the two values +-w_ref that the curve holds over a
+    point, is w_ref: |w - w_ref| <= TOL_SAME_SHEET (1 + |w_ref|)."""
+    return abs(w - w_ref) <= TOL_SAME_SHEET * (1.0 + abs(w_ref))
+
+
 def validate_path(path: PathSpec, a: float) -> None:
-    """Raise PathError unless the waypoints are finite and every segment
-    clears the branch points by BRANCH_DELTA.  The error names the first
-    segment in path order that does not, and the first of branch_points(a)
-    that it passes too near.  The one-path case of _validate_paths."""
+    """Raise PathError unless the waypoints are finite, w0 lies on the curve
+    at waypoints[0], and every segment clears the branch points by
+    BRANCH_DELTA.  The error names the first segment in path order that
+    does not clear them, and the first of branch_points(a) that it passes
+    too near.  The one-path case of _validate_paths."""
     _validate_paths((path,), a)
 
 
@@ -186,11 +202,7 @@ def _validate_paths(paths, a: float) -> None:
             raise PathError("path needs at least one waypoint")
         if nonfinite and nonfinite[0] < last:  # the paths before have none
             raise PathError("waypoints must be finite")
-        if _beyond(abs(wp[0] - path.start.z), wp):
-            raise PathError("waypoints[0] must equal start.z")
-        if path.closed and _beyond(abs(wp[-1] - wp[0]), wp):
-            raise PathError("closed path must end at its first waypoint")
-        if path.start.sheet_residual(a) > TOL_SHEET:
+        if sheet_residual_of(path.w0, rational_rhs(wp[0], a)) > TOL_SHEET:
             raise PathError("start point does not lie on the curve")
         hit = next((k for k in near if first * len(b) <= k < (last - 1) * len(b)), None)
         if hit is not None:
@@ -200,16 +212,6 @@ def _validate_paths(paths, a: float) -> None:
                 f"of branch point {b[j]}"
             )
         first = last
-
-
-def _beyond(offset: float, wp) -> bool:
-    """offset > 1e-12 * (1 + max |z|) over the waypoints wp: two points of
-    the path are not the same.  The bound is at least 1e-12, so the moduli
-    are formed only for an offset above that (a nan offset passes both)."""
-    if not offset > 1e-12:
-        return False
-    z = np.array(wp, dtype=complex)
-    return offset > 1e-12 * (1.0 + float(np.hypot(z.real, z.imag).max()))
 
 
 def end_point(path: PathSpec, w: complex, a: float) -> CurvePoint:
@@ -243,11 +245,11 @@ def continue_w(waypoints, w, k):
 
 def transport_w(path: PathSpec, a: float) -> CurvePoint:
     """The end point of path on the curve of a, w continued by continue_w
-    from path.start after validate_path; end_point checks that it lies on
-    the curve."""
+    from path.w0 after validate_path; end_point checks that it lies on the
+    curve."""
     check_branch_parameter(a)
     validate_path(path, a)
-    return end_point(path, continue_w(path.waypoints, path.start.w, branch_offsets(a)), a)
+    return end_point(path, continue_w(path.waypoints, path.w0, branch_offsets(a)), a)
 
 
 @dataclass(frozen=True)
@@ -277,12 +279,12 @@ def canonical_paths(a: float) -> CanonicalPaths:
     z1 = (1.0 + a) / 2.0
     z2 = 2.0 * a
     lift = ARC_LIFT * 1j
-    base = base_point(+1)
+    up, down = complex(+1), complex(-1)
 
-    c1 = PathSpec(base, (0j, z1 / 2 + lift, complex(z1)))
-    c2 = PathSpec(base, (0j, z2 / 2 + lift, complex(z2)))
+    c1 = PathSpec(up, (0j, z1 / 2 + lift, complex(z1)))
+    c2 = PathSpec(up, (0j, z2 / 2 + lift, complex(z2)))
     gamma1 = PathSpec(
-        base,
+        up,
         (
             0j,
             z1 / 2 + lift,
@@ -294,22 +296,17 @@ def canonical_paths(a: float) -> CanonicalPaths:
             -z1 / 2 + lift,
             0j,
         ),
-        closed=True,
     )
-    gamma2 = PathSpec(
-        base, (0j, z2 / 2 + lift, complex(z2), z2 / 2 - lift, 0j), closed=True
-    )
-    gamma3 = PathSpec(
-        base, (0j, -z2 / 2 - lift, complex(-z2), -z2 / 2 + lift, 0j), closed=True
-    )
+    gamma2 = PathSpec(up, (0j, z2 / 2 + lift, complex(z2), z2 / 2 - lift, 0j))
+    gamma3 = PathSpec(up, (0j, -z2 / 2 - lift, complex(-z2), -z2 / 2 + lift, 0j))
 
     r = END_LOOP_FACTOR * a
     circle = tuple(
         r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * k / 64)) for k in range(65)
     )
     loop_wp = (0j,) + circle + (0j,)
-    end_plus = PathSpec(base_point(+1), loop_wp, closed=True)
-    end_minus = PathSpec(base_point(-1), loop_wp, closed=True)
+    end_plus = PathSpec(up, loop_wp)
+    end_minus = PathSpec(down, loop_wp)
 
     _validate_paths((c1, c2, gamma1, gamma2, gamma3, end_plus, end_minus), a)
     return CanonicalPaths(c1, c2, gamma1, gamma2, gamma3, end_plus, end_minus)

@@ -127,7 +127,7 @@ def lift_independence_check(
     is unchanged in exact arithmetic; the returned value measures integration
     error only.  Relative, using the identity-frame eigenvalues as scale.
     """
-    end_b = integrate_frame(loop, params, F0=B, cfg=cfg).F
+    end_b, _ = integrate_frame(loop, params, F0=B, cfg=cfg)
     Phi_b = np.linalg.solve(B, end_b)
     lam_id = eigenvalues(Phi_id)
     lam_b = eigenvalues(Phi_b)

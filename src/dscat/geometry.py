@@ -20,17 +20,16 @@ from .curve import (
     CurvePoint,
     PathSpec,
     _segment_distances,
-    base_point,
     branch_points,
     log_derivative,
     log_derivative_prime,
+    same_sheet,
     validate_path,
 )
 from .errors import DegeneratePoint, DscatError, LanesFailed, PathError, SingularPoint
 from .period import PeriodSolution
 from .transport import (
     DEFAULT_CONFIG,
-    FrameState,
     IntegratorConfig,
     integrate_frame,
     integrate_frames_over_c,
@@ -97,15 +96,15 @@ def immerse(F) -> tuple:
     return 0.5 * (f11 + f22), float(f12.real), float(f12.imag), 0.5 * (f11 - f22)
 
 
-def secondary_gauss(F, p: CurvePoint) -> complex:
-    """The multivalued Gauss map g = -dF12/dF11 evaluated through dF = alpha F.
+def secondary_gauss(F, w: complex) -> complex:
+    """The multivalued Gauss map g = -dF12/dF11 evaluated through dF = alpha F
+    at the point of the curve with sheet value w.
 
     Equals -(F12 - w F22) / (F11 - w F21); returns complex infinity when the
     denominator vanishes (infinity is a legitimate value of g).
     The surface is singular exactly where |g| = 1.  F is taken as by immerse.
     """
     (F11, F12), (F21, F22) = F
-    w = p.w
     num = -(F12 - w * F22)
     den = F11 - w * F21
     if den == 0:
@@ -148,14 +147,14 @@ def frame_at(
     sol: PeriodSolution,
     z: complex,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-) -> FrameState:
-    """Frame at the point over z reached by the straight segment from the base.
+) -> tuple:
+    """(F, w): the frame and the sheet value at the point over z reached by
+    the straight segment from the base point 0 of sheet +1 (w = 1).
 
-    Initial frame is the solution gauge P on the base point of sheet +1.
+    Initial frame is the solution gauge P.
     """
     params = CurveParams(sol.a, sol.c)
-    start = base_point(+1)
-    path = PathSpec(start, (start.z, complex(z)))
+    path = PathSpec(complex(+1), (0j, complex(z)))
     return integrate_frame(path, params, F0=sol.P, cfg=cfg)
 
 
@@ -197,15 +196,15 @@ def _arc_waypoints(start: complex, u0: float, u1: float) -> tuple:
     return (start,) + tail
 
 
-def _sheet_root(sol: PeriodSolution, sheet: int, cfg: IntegratorConfig) -> FrameState:
+def _sheet_root(sol: PeriodSolution, sheet: int, cfg: IntegratorConfig) -> tuple:
+    """(F, w) over z = 0 on the given sheet, +1 or -1: the gauge P with
+    w = 1, or P carried once around the branch point 1 to w = -1."""
     params = CurveParams(sol.a, sol.c)
     if sheet == +1:
-        return FrameState(base_point(+1), sol.P.astype(complex))
+        return sol.P.astype(complex), complex(+1)
     z1 = (1.0 + sol.a) / 2.0
     lift = ARC_LIFT * 1j
-    flip = PathSpec(
-        base_point(+1), (0j, z1 / 2 + lift, complex(z1), z1 / 2 - lift, 0j)
-    )
+    flip = PathSpec(complex(+1), (0j, z1 / 2 + lift, complex(z1), z1 / 2 - lift, 0j))
     return integrate_frame(flip, params, F0=sol.P, cfg=cfg)
 
 
@@ -246,23 +245,23 @@ def build_mesh(
     roots = []
     for sheet in (+1, -1):
         with contextlib.suppress(DscatError):
-            roots.append((sheet, _sheet_root(sol, sheet, cfg)))
+            roots.append((sheet, *_sheet_root(sol, sheet, cfg)))
     rings = []
     ring_path = legs[0] + tuple(z for leg in legs[1:] for z in leg[1:])
     for j, r in enumerate(radii):
         with contextlib.suppress(PathError):
-            validate_path(PathSpec(base_point(+1), tuple(r * z for z in ring_path)), a)
+            validate_path(PathSpec(complex(+1), tuple(r * z for z in ring_path)), a)
             rings.append(j)
 
-    lanes = [(sheet, j) for sheet, _ in roots for j in rings]
-    F = np.array([root.F for _, root in roots for j in rings], dtype=complex)
-    w = np.array([root.point.w for _, root in roots for j in rings], dtype=complex)
+    lanes = [(sheet, j) for sheet, _, _ in roots for j in rings]
+    F = np.array([F_root for _, F_root, _ in roots for j in rings], dtype=complex)
+    w = np.array([w_root for _, _, w_root in roots for j in rings], dtype=complex)
     scale = [radii[j] for _, j in lanes]
     live = np.arange(len(lanes))
     found: list = [[] for _ in lanes]
     for t, leg in enumerate(legs):
         # w0 below replaces the start sheet value of every lane
-        path = PathSpec(CurvePoint(leg[0], 1.0 + 0j), leg)
+        path = PathSpec(1.0 + 0j, leg)
         while live.size:
             try:
                 F[live], w[live] = integrate_frames_over_c(
@@ -322,7 +321,7 @@ def _surface_sample(F: list, point: CurvePoint) -> tuple | None:
     """(z, w, X, Y, |g|, frame_scale) of the frame F, rows of Python complex
     numbers, at point, with X and Y the tuples of immerse and hollow_ball, or
     None when X is unresolvable."""
-    g_abs = abs(secondary_gauss(F, point))
+    g_abs = abs(secondary_gauss(F, point.w))
     X = x0, x1, x2, x3 = immerse(F)
     frame_scale = max(abs(v) for row in F for v in row)
     norm_x = math.sqrt(x0 ** 2 + x1 ** 2 + x2 ** 2 + x3 ** 2)
@@ -448,15 +447,14 @@ def small_formula_check(
     minimized over that sign.  All derivatives are taken analytically from
     dF = alpha F.
     """
-    state = frame_at(sol, p.z, cfg)
-    if abs(state.point.w - p.w) > 1e-6 * (1.0 + abs(p.w)):
+    F, w = frame_at(sol, p.z, cfg)
+    if not same_sheet(w, p.w):
         raise DegeneratePoint(
             "requested point lies on the other sheet; probe points are reached "
             "from the base by a straight segment"
         )
-    F, w, z = state.F, state.point.w, state.point.z
     a, c = sol.a, sol.c
-    g, gp, gpp, lz, lp = _analytic_gauss_chain(F, w, z, a, c)
+    g, gp, gpp, lz, lp = _analytic_gauss_chain(F, w, complex(p.z), a, c)
     wp = w * lz
     if abs(gp) < 1e-8 or abs(wp) < 1e-8:
         raise DegeneratePoint("dg or dG below 1e-8")
@@ -489,12 +487,12 @@ def schwarzian_check(
     gs = []
     ws = []
     for k in (-2, -1, 0, 1, 2):
-        state = frame_at(sol, p.z + k * h, cfg)
-        g = secondary_gauss(state.F, state.point)
+        F, w = frame_at(sol, p.z + k * h, cfg)
+        g = secondary_gauss(F, w)
         if not cmath.isfinite(g):
             raise DegeneratePoint("Gauss map pole inside the stencil")
         gs.append(g)
-        ws.append(state.point.w)
+        ws.append(w)
     s_g = _schwarzian_fd(gs, h)
     s_w = _schwarzian_fd(ws, h)
     two_q = 2.0 * sol.c * log_derivative(p.z, sol.a)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _worker
-from .curve import CanonicalPaths, CurveParams, PathSpec, canonical_paths
+from .curve import CanonicalPaths, CurveParams, PathSpec, canonical_paths, same_sheet
 from .errors import ContinuationError, DegenerateDenominator
 from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frame
 
@@ -24,11 +24,6 @@ from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frame
 # over [-9, 4] at a = 1.5, 2 and 3); 1e-7 leaves room for the rounding of a
 # rearranged formula and catches any frame or formula bug.
 TOL_FORM = 1e-7
-# A loop's w, on the curve by integrate_frame's end check, is +-w_start; the
-# bound on |w_end - w_start| / (1 + |w_start|) tells the two apart.  gamma1-3
-# and the end loops close to 7.1e-12 at the four a = 2 roots at rel_tol 1e-10,
-# and the other sheet lies near 1, so 1e-6 is far from both.
-TOL_LOOP_CLOSURE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,12 +56,12 @@ def half_path_frames(
     """
     if paths is None:
         paths = canonical_paths(params.a)
-    s1, s2 = _worker.pair(
+    (F1, _), (F2, _) = _worker.pair(
         "dscat.transport.integrate_frame",
         lambda: integrate_frame(paths.c2, params, cfg=cfg),
         paths.c1, params, cfg=cfg,
     )
-    return HalfPathFrames(s1.F, s2.F, params)
+    return HalfPathFrames(F1, F2, params)
 
 
 def assemble_monodromies(h: HalfPathFrames) -> MonodromyTriple:
@@ -108,19 +103,19 @@ def direct_loop_holonomy(
     cfg: IntegratorConfig = DEFAULT_CONFIG,
     on_step=None,
 ) -> np.ndarray:
-    """Holonomy of a closed loop: endpoint frame with identity start.
+    """Holonomy of a loop, a path whose last waypoint equals its first:
+    endpoint frame with identity start.
 
     The lift must close on the curve, so the transported w is required to
-    return to its initial value.  on_step is passed on to integrate_frame.
+    return to loop.w0 (curve.same_sheet).  on_step is passed on to
+    integrate_frame.
     """
-    if not loop.closed:
+    if loop.waypoints[-1:] != loop.waypoints[:1]:
         raise ContinuationError("holonomy requires a closed loop")
-    state = integrate_frame(loop, params, cfg=cfg, on_step=on_step)
-    if abs(state.point.w - loop.start.w) > TOL_LOOP_CLOSURE * (1.0 + abs(loop.start.w)):
-        raise ContinuationError(
-            f"loop did not close on the curve (w drift {abs(state.point.w - loop.start.w):.3e})"
-        )
-    return state.F
+    F, w = integrate_frame(loop, params, cfg=cfg, on_step=on_step)
+    if not same_sheet(w, loop.w0):
+        raise ContinuationError(f"loop did not close on the curve (w drift {abs(w - loop.w0):.3e})")
+    return F
 
 
 def structure_defect(triple: MonodromyTriple) -> float:

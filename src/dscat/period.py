@@ -152,7 +152,7 @@ def scan_c(
     two processes by _transfer_all; an integration failure is that of the
     first block in grid order that fails, c1 before c2.  Raises DomainError
     unless steps >= 2 and c_min < c_max, both finite with a positive, finite
-    grid spacing.
+    grid spacing, and where the grid's arrays cannot be allocated.
     """
     if steps < 2:
         raise DomainError("--steps must be at least 2")
@@ -165,8 +165,11 @@ def scan_c(
         spacing = 0.0
     if not 0.0 < spacing < math.inf:
         raise DomainError("need a finite --c-min, --c-max and a positive, finite grid spacing")
-    c = c_min + np.arange(steps) * spacing
-    f1, f2 = np.full(steps, np.nan), np.full(steps, np.nan)
+    try:
+        c = c_min + np.arange(steps) * spacing
+        f1, f2 = np.full(steps, np.nan), np.full(steps, np.nan)
+    except (ValueError, MemoryError):  # numpy's size limit, or the memory's
+        raise DomainError(f"--steps {steps} is too many grid points to allocate") from None
     live = np.flatnonzero(np.abs(c) >= SKIP_HALFWIDTH)
     blocks = [k for k in np.split(live, live.searchsorted(range(0, steps, SCAN_BLOCK))) if k.size]
     jobs = [(path, c[k]) for k in blocks for path in (paths.c1, paths.c2)]

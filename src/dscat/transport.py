@@ -17,13 +17,13 @@ steps on a grid shared by many c, with w continued in closed form by
 curve.continue_w: the frame equation is linear, so each step is a transfer
 matrix exp(Omega) of determinant 1, and there is no sheet to monitor.  The
 fixed-step RK4 reference, reference_frame, integrates the frame alone too,
-with w continued the same way.
+with w continued the same way.  All four return (F, w): the end frame, or
+frames, and the end sheet value, or values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from ._rk import DEFAULT_CONFIG, IntegratorConfig
 from .curve import (
     TOL_SHEET,
     CurveParams,
-    CurvePoint,
     PathSpec,
     branch_offsets,
     branch_points,
@@ -91,12 +90,6 @@ _GAUSS = np.array((0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10))
 _SERIES_S2 = 1e-5
 
 
-@dataclass(frozen=True)
-class FrameState:
-    point: CurvePoint
-    F: np.ndarray
-
-
 def _joint_field(a: float, c: float, scale=1.0):
     """Field of (F11, F12, F21, F22, w) for the scalar kernel, along the
     image scale * z of the polyline of z (scale complex).
@@ -132,13 +125,12 @@ def integrate_frame(
     F0: np.ndarray | None = None,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
     on_step=None,
-) -> FrameState:
-    """End state of the frame from F0 (default I) along path, after
-    validate_path: integrate_frames_over_c's one-lane case, on the scalar
-    kernel and with its checks."""
+) -> tuple:
+    """(F, w): the end frame, shape (2, 2), from F0 (default I) along path
+    and the end sheet value, after validate_path: integrate_frames_over_c's
+    one-lane case, on the scalar kernel and with its checks."""
     validate_path(path, params.a)
-    F, w = integrate_frames_over_c(path, params.a, params.c, cfg, F0=F0, on_step=on_step)
-    return FrameState(CurvePoint(path.waypoints[-1], w), F)
+    return integrate_frames_over_c(path, params.a, params.c, cfg, F0=F0, on_step=on_step)
 
 
 def _joint_field_lanes(a: float, cs, scale=1.0):
@@ -185,13 +177,14 @@ def integrate_frames_over_c(
     jointly with w, one lane per c.
 
     Lane j has the coefficient cs[j], starts from the frame F0[j] (default I)
-    with the sheet value w0[j] (default path.start.w), and follows the
-    polyline scale[j] * path.waypoints (scale may be complex).  Each of cs,
-    F0, w0 and scale is given per lane or once.  Given all once, the lane
-    runs on the scalar kernel and the result is the end frame, shape (2, 2),
+    with the sheet value w0[j] (default path.w0), and follows the polyline
+    scale[j] * path.waypoints (scale may be complex).  Each of cs, F0, w0
+    and scale is given per lane or once.  Given all once, the lane runs on
+    the scalar kernel and the result (F, w) is the end frame, shape (2, 2),
     and sheet value; else the lanes share the lane kernel's step sequence
-    and the results have shapes (n, 2, 2) and (n,).  on_step, when given, is called with (z, y) after every
-    accepted step, y holding (F11, F12, F21, F22, w).
+    and F and w have shapes (n, 2, 2) and (n,).  on_step, when given, is
+    called with (z, y) after every accepted step, y holding
+    (F11, F12, F21, F22, w).
 
     The caller validates every lane's polyline (validate_path).  Checked
     here: the start frame (_start_frame), the sheet residual at every
@@ -203,7 +196,7 @@ def integrate_frames_over_c(
     """
     cs = np.asarray(cs, dtype=float)
     F0 = _start_frame(F0)
-    w0 = path.start.w if w0 is None else w0
+    w0 = path.w0 if w0 is None else w0
     shape = np.broadcast(cs, scale, w0, F0[..., 0, 0]).shape
     k = branch_offsets(a, scale)
 
@@ -241,9 +234,9 @@ def integrate_frames_over_c(
 
 
 def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFIG) -> tuple:
-    """End frames from I along path, one for each c of the 1-d array cs, shape
-    (n, 2, 2), and the end value of w, after validate_path: sixth-order
-    Magnus steps on one grid for all c.
+    """(F, w): the end frames from I along path, one for each c of the 1-d
+    array cs, shape (n, 2, 2), and the end value of w, after validate_path:
+    sixth-order Magnus steps on one grid for all c.
 
     A step from z0 by dz maps F to exp(Omega) F, Omega being formed from
     A = c dz [[1, -w], [1/w, -1]] at the step's three Gauss points (Blanes,
@@ -264,10 +257,10 @@ def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFI
     product of two long stretches, where the frame grows and shrinks again
     along the path, loses the digits that their sizes cancel: at a = 5 on
     c2, where |F| reaches 1e5, f2 at c = -10.6 came out 6e-10 to 9.7e-10 off
-    with products of 32 to 256 steps, and 2.8e-8 off with products of 606.  _check_drift checks the end
-    frames: every step has determinant 1 up to rounding, so only the
-    rounding of the product can move it.  end_point checks the end value of
-    w.
+    with products of 32 to 256 steps, and 2.8e-8 off with products of 606.
+    _check_drift checks the end frames: every step has determinant 1 up to
+    rounding, so only the rounding of the product can move it.  end_point
+    checks the end value of w.
     """
     validate_path(path, a)
     cs = np.asarray(cs, dtype=float)
@@ -292,8 +285,8 @@ def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFI
 
 def _waypoint_w(path: PathSpec, k) -> list:
     """w at each waypoint of path, continued segment by segment from
-    path.start by curve.continue_w with the branch offsets k."""
-    w = [path.start.w]
+    path.w0 by curve.continue_w with the branch offsets k."""
+    w = [path.w0]
     for p, q in zip(path.waypoints[:-1], path.waypoints[1:]):
         w.append(continue_w((p, q), w[-1], k))
     return w
@@ -496,7 +489,7 @@ def _linear_field(path: PathSpec, a: float, c: float) -> tuple:
     matrix(i, z, u) gives the components of c u [[1, -w], [1/w, -1]] at the
     points z of segment i, w being continued by continue_w from the segment's
     first waypoint, where it was continued waypoint by waypoint from
-    path.start; w_end is its value at the last waypoint.  k as a (4, 1) array
+    path.w0; w_end is its value at the last waypoint.  k as a (4, 1) array
     takes numpy's sqrt over the array z."""
     k = branch_offsets(a)
     w = _waypoint_w(path, k)
@@ -515,9 +508,10 @@ def reference_frame(
     params: CurveParams,
     F0: np.ndarray | None = None,
     n_steps: int = 4000,
-) -> FrameState:
-    """Fixed-step RK4 reference integration of the frame for self-convergence
-    oracles, with w in closed form (curve.continue_w), not integrated.
+) -> tuple:
+    """(F, w) at the end of path: fixed-step RK4 reference integration of the
+    frame for self-convergence oracles, with w in closed form
+    (curve.continue_w), not integrated.
 
     Checks the start frame as integrate_frame does, and end_point checks that
     the end value of w lies on the curve; the determinant of the end frame is
@@ -527,7 +521,7 @@ def reference_frame(
     validate_path(path, a)
     matrix, w = _linear_field(path, a, params.c)
     F = _rk.integrate_polyline_rk4(path.waypoints, _start_frame(F0), matrix, n_steps)
-    return FrameState(end_point(path, w, a), F)
+    return F, end_point(path, w, a).w
 
 
 def scalar_ode_residual(

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from dscat.curve import CurveParams, PathSpec, base_point, canonical_paths, transport_w
+from dscat.curve import CurveParams, PathSpec, canonical_paths, transport_w
 from dscat.ends import classify_end, end_loop_check, osserman_equality_check
 from dscat.geometry import (
     build_mesh,
@@ -180,7 +180,7 @@ def test_criterion_4_monodromy_structure_grid():
                 worst_prod = max(
                     worst_prod, diff / max(1.0, float(np.max(np.abs(phi))))
                 )
-            seeded = integrate_frame(paths.gamma2, params, F0=B).F
+            seeded, _ = integrate_frame(paths.gamma2, params, F0=B)
             lam_b = eigenvalues(np.linalg.solve(B, seeded))
             lam_i = eigenvalues(directs.Phi2)
             worst_eig = max(
@@ -224,7 +224,7 @@ def test_criterion_5_exact_identities(shallow_solution):
     params = CurveParams(sol.a, sol.c)
     probes = []
     for z in (0.6 + 0.9j, 0.45 + 1.2j):
-        probes.append(transport_w(PathSpec(base_point(+1), (0j, z)), params.a))
+        probes.append(transport_w(PathSpec(complex(+1), (0j, z)), params.a))
     res_h = schwarzian_check(sol, probes[0], 1e-3)
     res_2h = schwarzian_check(sol, probes[0], 2e-3)
     ratio = res_2h / max(res_h, 1e-300)
@@ -264,15 +264,13 @@ def test_criterion_6_geometric_invariants(
         params = CurveParams(sol.a, sol.c)
         paths = canonical_paths(params.a)
         z_probe = 0.6 + 0.9j
-        direct = frame_at(sol, z_probe)
-        X0 = np.array(immerse(direct.F))
+        F_direct, _ = frame_at(sol, z_probe)
+        X0 = np.array(immerse(F_direct))
         worst_mono = 0.0
         for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
-            looped = integrate_frame(loop, params, F0=sol.P)
-            translated = integrate_frame(
-                PathSpec(looped.point, (0j, z_probe)), params, F0=looped.F
-            )
-            X1 = np.array(immerse(translated.F))
+            F_looped, w_looped = integrate_frame(loop, params, F0=sol.P)
+            F_translated, _ = integrate_frame(PathSpec(w_looped, (0j, z_probe)), params, F0=F_looped)
+            X1 = np.array(immerse(F_translated))
             worst_mono = max(
                 worst_mono,
                 float(np.max(np.abs(X0 - X1))) / max(1.0, float(np.max(np.abs(X0)))),
@@ -285,13 +283,13 @@ def test_criterion_6_geometric_invariants(
             if checked >= 3 or singular or not math.isfinite(g_abs):
                 continue
             try:
-                state = frame_at(sol, z)
+                F, w_frame = frame_at(sol, z)
             except Exception:
                 continue
-            if abs(state.point.w - w) > 1e-6:
+            if abs(w_frame - w) > 1e-6:
                 continue
-            g = secondary_gauss(state.F, state.point)
-            n0, n1, n2, n3 = unit_normal(state.F, g)
+            g = secondary_gauss(F, w_frame)
+            n0, n1, n2, n3 = unit_normal(F, g)
             scale = max(1.0, float(np.sum(np.array([n0, n1, n2, n3]) ** 2)))
             lorentz = -n0 ** 2 + n1 ** 2 + n2 ** 2 + n3 ** 2
             worst_norm = max(worst_norm, abs(lorentz + 1.0) / scale)

@@ -38,18 +38,18 @@ def test_traced_counts_match_untraced_integration():
     params = CurveParams(2.0, -1.526035)
     path = canonical_paths(params.a).gamma1
     steps = []
-    untraced = transport.integrate_frame(path, params, on_step=lambda z, y: steps.append(z))
+    F_untraced, w_untraced = transport.integrate_frame(path, params, on_step=lambda z, y: steps.append(z))
     tracer = tracing.Tracer()
     with tracer.installed():
-        traced = transport.integrate_frame(path, params)
+        F_traced, w_traced = transport.integrate_frame(path, params)
     (span,) = [s for s in tracer.spans if s[tracing.NAME] == "_rk.integrate_polyline"]
     counts = span[tracing.EXTRA]
     assert counts["accepted"] == len(steps) > 0
     # layer_metrics counts attempted steps as (evals - segments) / 6.
     assert (counts["evals"] - counts["segments"]) % 6 == 0
     assert (counts["evals"] - counts["segments"]) // 6 >= counts["accepted"]
-    assert np.array_equal(traced.F, untraced.F)
-    assert traced.point == untraced.point
+    assert np.array_equal(F_traced, F_untraced)
+    assert w_traced == w_untraced
 
 
 def test_traced_reference_agreement_records_two_rk4_calls():

@@ -414,6 +414,17 @@ def test_scan_steps_beyond_the_floats_exit_usage(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_grid_too_large_to_allocate_exits_usage(tmp_path, capsys):
+    # 10^20 grid points have a float spacing, but numpy refuses an array of
+    # that size at once, before anything is integrated
+    code = run(["scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", str(10 ** 20),
+                "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: invalid input: --steps {10 ** 20} is too many grid points to allocate\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_overrides(tmp_path):
     cfg_file = tmp_path / "dscat.cfg"
     cfg_file.write_text("rel_tol = 1e-9\nabs_tol = 1e-11\n# comment\n")

@@ -137,10 +137,9 @@ def test_log_derivative_large_z_limit():
 def test_log_derivative_matches_transported_w():
     a = 2.0
     h = 1e-5
-    base = base_point(+1)
 
     def w_at(z):
-        return transport_w(PathSpec(base, (0j, z)), a).w
+        return transport_w(PathSpec(complex(+1), (0j, z)), a).w
 
     z0 = 1j
     dw = (w_at(z0 + h) - w_at(z0 - h)) / (2 * h)
@@ -152,7 +151,7 @@ DP5_CFG = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 def _dp5_w(path, field):
     """w' = field(z, u, w) integrated by DP5 along path at DP5_CFG, on one lane."""
-    start = np.full((1, 1), path.start.w, dtype=complex)
+    start = np.full((1, 1), path.w0, dtype=complex)
     return complex(_rk.integrate_polyline_lanes(path.waypoints, start, field, cfg=DP5_CFG)[0, 0])
 
 
@@ -163,13 +162,13 @@ def test_transport_w_matches_guarded_field():
     # curve to rounding
     for a in (1.3, 2.0, 5.0):
         paths = canonical_paths(a)
-        probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
+        probe = PathSpec(complex(+1), (0j, 0.6 + 0.9j))
 
         def field(z, u, y):
             return y * log_derivative(z, a) * u
 
         for path in [getattr(paths, name) for name in PATH_NAMES] + [probe]:
-            w = continue_w(path.waypoints, path.start.w, branch_offsets(a))
+            w = continue_w(path.waypoints, path.w0, branch_offsets(a))
             w_ref = _dp5_w(path, field)
             assert abs(w - w_ref) <= 1e-11 * abs(w_ref)
             assert abs(w * w - rational_rhs(path.waypoints[-1], a)) <= 1e-14
@@ -186,7 +185,7 @@ def test_transport_w_ends_equal_the_inline_reference():
     def field(z, u, y):
         return y * (0.5 * (1 / (z + 1) + 1 / (z - a) - 1 / (z - 1) - 1 / (z + a))) * u
 
-    probe = PathSpec(base_point(+1), (0j, 0.6 + 0.9j))
+    probe = PathSpec(complex(+1), (0j, 0.6 + 0.9j))
     for path in [getattr(paths, name) for name in PATH_NAMES] + [probe]:
         w_ref = _dp5_w(path, field)
         end = transport_w(path, a)
@@ -219,9 +218,8 @@ def test_transport_w_integrates_nothing(monkeypatch):
 
 def test_transport_constant_path():
     a = 2.0
-    start = base_point(+1)
-    end = transport_w(PathSpec(start, (0j, 0j)), a)
-    assert end.w == start.w
+    end = transport_w(PathSpec(complex(+1), (0j, 0j)), a)
+    assert end.w == complex(+1)
 
 
 def test_transport_closes_on_loops():
@@ -229,7 +227,7 @@ def test_transport_closes_on_loops():
     paths = canonical_paths(a)
     for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
         end = transport_w(loop, a)
-        assert abs(end.w - loop.start.w) < 1e-8
+        assert abs(end.w - loop.w0) < 1e-8
 
 
 def test_transport_c2_endpoint_sheet():
@@ -243,7 +241,7 @@ def test_transport_c2_endpoint_sheet():
 def test_half_loop_changes_sheet():
     a = 2.0
     g1 = canonical_paths(a).gamma1
-    half = PathSpec(g1.start, g1.waypoints[:5])
+    half = PathSpec(g1.w0, g1.waypoints[:5])
     end = transport_w(half, a)
     assert abs(end.w + 1.0) < 1e-8
 
@@ -264,30 +262,29 @@ def test_canonical_path_geometry():
         ):
             validate_path(p, a)  # raises on any clearance violation
         for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
-            assert loop.closed
+            assert loop.waypoints[-1] == loop.waypoints[0]
     assert canonical_paths(2.0).c1.waypoints[-1] == 1.5
     assert canonical_paths(2.0).c2.waypoints[-1] == 4.0
 
 
 def test_end_loops_start_on_opposite_sheets():
     paths = canonical_paths(2.0)
-    assert paths.end_loop_plus.start.w == 1.0
-    assert paths.end_loop_minus.start.w == -1.0
+    assert paths.end_loop_plus.w0 == 1.0
+    assert paths.end_loop_minus.w0 == -1.0
     a = 2.0
     for loop in (paths.end_loop_plus, paths.end_loop_minus):
         end = transport_w(loop, a)
-        assert abs(end.w - loop.start.w) < 1e-8
+        assert abs(end.w - loop.w0) < 1e-8
 
 
 def test_validate_path_rejects_branch_crossing():
-    start = base_point(+1)
     with pytest.raises(PathError):
-        validate_path(PathSpec(start, (0j, 2.0 + 0j)), 2.0)
+        validate_path(PathSpec(complex(+1), (0j, 2.0 + 0j)), 2.0)
     with pytest.raises(PathError):
-        validate_path(PathSpec(start, (0.5j, 1.0j)), 2.0)  # start mismatch
+        validate_path(PathSpec(complex(+1), (0.5j, 1.0j)), 2.0)  # w = 1 is off the curve at 0.5i
     for far in (complex("inf"), complex("nan"), complex(4.0, float("inf"))):
         with pytest.raises(PathError, match="finite"):
-            validate_path(PathSpec(start, (0j, 0.5j, far)), 2.0)
+            validate_path(PathSpec(complex(+1), (0j, 0.5j, far)), 2.0)
 
 
 def _validate_path_by_segment(path, a):
@@ -298,12 +295,7 @@ def _validate_path_by_segment(path, a):
         raise PathError("path needs at least one waypoint")
     if not all(cmath.isfinite(z) for z in wp):
         raise PathError("waypoints must be finite")
-    scale = 1.0 + max(abs(v) for v in wp)
-    if abs(wp[0] - path.start.z) > 1e-12 * scale:
-        raise PathError("waypoints[0] must equal start.z")
-    if path.closed and abs(wp[-1] - wp[0]) > 1e-12 * scale:
-        raise PathError("closed path must end at its first waypoint")
-    if path.start.sheet_residual(a) > TOL_SHEET:
+    if CurvePoint(wp[0], path.w0).sheet_residual(a) > TOL_SHEET:
         raise PathError("start point does not lie on the curve")
     for p, q in zip(wp[:-1], wp[1:]):
         for b in branch_points(a):
@@ -335,12 +327,11 @@ def _grazing_paths(a: float, seed: int) -> list:
             u = cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
             foot = b + BRANCH_DELTA * (1 + rel) * 1j * u
             p, q = foot - rng.uniform(0.0, 2.0) * u, foot + rng.uniform(-0.05, 2.0) * u
-            start = CurvePoint(p, cmath.sqrt(rational_rhs_of(p, k)))
-            paths.append(PathSpec(start, (p, q, q)))
-    paths.append(PathSpec(base_point(+1), (0j, -1.0 + 0.05j, 1.0 + 0.05j)))
-    paths.append(PathSpec(base_point(+1), (0j, 5e199 + 0.8j, -1e308 + 1e200j)))
-    paths.append(PathSpec(base_point(+1), (0j, 0.5j, 1.0 + 0.5j, 1e308 + 1e308j)))
-    paths.append(PathSpec(base_point(+1), (0j, 0.5j, 2 * a - 0.4j)))
+            paths.append(PathSpec(cmath.sqrt(rational_rhs_of(p, k)), (p, q, q)))
+    paths.append(PathSpec(complex(+1), (0j, -1.0 + 0.05j, 1.0 + 0.05j)))
+    paths.append(PathSpec(complex(+1), (0j, 5e199 + 0.8j, -1e308 + 1e200j)))
+    paths.append(PathSpec(complex(+1), (0j, 0.5j, 1.0 + 0.5j, 1e308 + 1e308j)))
+    paths.append(PathSpec(complex(+1), (0j, 0.5j, 2 * a - 0.4j)))
     return paths
 
 
@@ -391,21 +382,19 @@ def test_canonical_paths_raise_as_validate_path_in_turn(monkeypatch, a):
 def test_many_paths_raise_the_first_failing_paths_error(monkeypatch, a):
     # _validate_paths on several paths at once raises what the loop over
     # segments raises on them one after the other: the first failing path's
-    # error, of any of the checks, wherever that path stands
-    start = base_point(+1)
+    # error, of any of the checks, wherever that path stands; each case alone
+    # is a group too, so passing groups are there whatever the random draws
     odd = [
-        PathSpec(start, ()),
-        PathSpec(start, (0j, 0.5j, complex("nan"))),
-        PathSpec(start, (1e-9j, 0.5j)),  # waypoints[0] is not start.z
-        PathSpec(start, (0j, 0.5j, 0.5 + 0.5j), closed=True),
-        PathSpec(CurvePoint(0j, 2.0 + 0j), (0j, 0.5j)),  # start off the curve
-        PathSpec(CurvePoint(1.05 + 0j, 0j), (1.05 + 0j, 0.5j)),  # DomainError
+        PathSpec(complex(+1), ()),
+        PathSpec(complex(+1), (0j, 0.5j, complex("nan"))),
+        PathSpec(2.0 + 0j, (0j, 0.5j)),  # start off the curve
+        PathSpec(0j, (1.05 + 0j, 0.5j)),  # DomainError
     ]
     cases = _unvalidated_canonical_paths(monkeypatch, a) + _grazing_paths(a, int(100 * a)) + odd
     rng = np.random.default_rng(int(100 * a))
     groups = [cases] + [cases[k : k + 3] for k in range(len(cases) - 2)] + [
         [cases[k] for k in rng.permutation(len(cases))[: rng.integers(2, 9)]] for _ in range(40)
-    ]
+    ] + [[case] for case in cases]
     outcomes = [
         (_outcome(curve._validate_paths, group, a), _first_outcome(_validate_path_by_segment, group, a))
         for group in groups

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dscat.curve import CurveParams, CurvePoint, PathSpec, base_point, transport_w
+from dscat.curve import CurveParams, CurvePoint, PathSpec, transport_w
 from dscat.transport import DEFAULT_CONFIG
 from dscat import geometry
 from dscat.errors import ContinuationError, DegeneratePoint, PathError, SingularPoint
@@ -34,7 +34,7 @@ def random_sl2(seed: int) -> np.ndarray:
 
 
 def probe_point(a: float = 2.0, c: float = 1.0, z: complex = 0.6 + 0.9j) -> CurvePoint:
-    return transport_w(PathSpec(base_point(+1), (0j, z)), a)
+    return transport_w(PathSpec(complex(+1), (0j, z)), a)
 
 
 def test_immerse_identity():
@@ -65,21 +65,20 @@ def test_immerse_lands_on_quadric(seed):
 
 
 def test_secondary_gauss_identity_frame():
-    g = secondary_gauss(np.eye(2, dtype=complex), base_point(+1))
+    g = secondary_gauss(np.eye(2, dtype=complex), complex(+1))
     assert g == pytest.approx(1.0)  # |g| = 1: the base point is singular
 
 
 def test_secondary_gauss_gauge_frame_pole(shallow_solution):
-    g = secondary_gauss(shallow_solution.P, base_point(+1))
+    g = secondary_gauss(shallow_solution.P, complex(+1))
     assert not cmath.isfinite(g)
     assert not (abs(abs(g) - 1.0) < 1e-3)  # infinity is a regular value
 
 
 def test_secondary_gauss_row_consistency(shallow_solution):
     # row two of dF = alpha F is row one over w, so -dF22/dF21 is g too
-    state = frame_at(shallow_solution, 0.6 + 0.9j)
-    F, w = state.F, state.point.w
-    g1 = secondary_gauss(state.F, state.point)
+    F, w = frame_at(shallow_solution, 0.6 + 0.9j)
+    g1 = secondary_gauss(F, w)
     g2 = -(F[0, 1] / w - F[1, 1]) / (F[0, 0] / w - F[1, 0])
     assert abs(g1 - g2) < 1e-9
 
@@ -117,11 +116,11 @@ def test_unit_normal_is_unit_timelike(seed, g_abs):
 def test_unit_normal_time_orientation(shallow_solution):
     found_above = False
     for z in (0.6 + 0.9j, 0.3 + 0.5j, 0.5j, 2.4j, 0.4 + 1.1j):
-        state = frame_at(shallow_solution, z)
-        g = secondary_gauss(state.F, state.point)
+        F, w = frame_at(shallow_solution, z)
+        g = secondary_gauss(F, w)
         if not cmath.isfinite(g) or abs(abs(g) - 1.0) < 1e-3:
             continue
-        N = unit_normal(state.F, g)
+        N = unit_normal(F, g)
         assert (N[0] > 0) == (abs(g) > 1)
         found_above = True
     assert found_above
@@ -277,24 +276,26 @@ def _per_node_mesh(sol, nu, nv):
     order = sorted(range(nv), key=lambda k: (angles[k] - math.pi / 2) % (2 * math.pi))
     samples, index, holes = [], {}, 0
     for sheet in (+1, -1):
-        root = geometry._sheet_root(sol, sheet, DEFAULT_CONFIG)
+        F_root, w_root = geometry._sheet_root(sol, sheet, DEFAULT_CONFIG)
         for j, r in enumerate(radii):
-            state = integrate_frame(PathSpec(root.point, (0j, r * 1j)), params, F0=root.F)
+            z_end = r * 1j
+            F, w = integrate_frame(PathSpec(w_root, (0j, z_end)), params, F0=F_root)
             prev_u = math.pi / 2
             for k in order:
                 u = math.pi / 2 + (angles[k] - math.pi / 2) % (2 * math.pi)
-                arc = geometry._arc_waypoints(state.point.z, prev_u, u)
-                wp = (state.point.z,) + tuple(r * z for z in arc[1:])
-                state = integrate_frame(PathSpec(state.point, wp), params, F0=state.F)
+                arc = geometry._arc_waypoints(z_end, prev_u, u)
+                wp = (z_end,) + tuple(r * z for z in arc[1:])
+                F, w = integrate_frame(PathSpec(w, wp), params, F0=F)
+                z_end = wp[-1]
                 prev_u = u
-                X = immerse(state.F)
-                frame_scale = float(np.max(np.abs(state.F)))
+                X = immerse(F)
+                frame_scale = float(np.max(np.abs(F)))
                 if frame_scale ** 2 * geometry.RESOLVE_EPS > max(1.0, np.linalg.norm(np.array(X))):
                     holes += 1
                     continue
                 index[(sheet, j, k)] = len(samples)
-                g_abs = abs(secondary_gauss(state.F, state.point))
-                samples.append((state.point, hollow_ball(X), g_abs, frame_scale))
+                g_abs = abs(secondary_gauss(F, w))
+                samples.append((CurvePoint(z_end, w), hollow_ball(X), g_abs, frame_scale))
 
     def crosses_slit(p, q):
         if (p.imag > 0) == (q.imag > 0):
@@ -383,14 +384,12 @@ def test_immersion_single_valued(shallow_solution):
     params = CurveParams(sol.a, sol.c)
     paths = canonical_paths(params.a)
     z_probe = 0.6 + 0.9j
-    direct = frame_at(sol, z_probe)
+    F_direct, _ = frame_at(sol, z_probe)
     for loop in (paths.gamma1, paths.gamma2, paths.gamma3):
-        looped = integrate_frame(loop, params, F0=sol.P)
-        translated = integrate_frame(
-            PathSpec(looped.point, (0j, z_probe)), params, F0=looped.F
-        )
-        X0 = np.array(immerse(direct.F))
-        X1 = np.array(immerse(translated.F))
+        F_looped, w_looped = integrate_frame(loop, params, F0=sol.P)
+        F_translated, _ = integrate_frame(PathSpec(w_looped, (0j, z_probe)), params, F0=F_looped)
+        X0 = np.array(immerse(F_direct))
+        X1 = np.array(immerse(F_translated))
         scale = max(1.0, float(np.max(np.abs(X0))))
         assert float(np.max(np.abs(X0 - X1))) / scale < 1e-6
 
@@ -405,13 +404,9 @@ def test_singular_flag_invariant_under_monodromy(shallow_solution):
     params = CurveParams(sol.a, sol.c)
     paths = canonical_paths(params.a)
     z_probe = 0.6 + 0.9j
-    direct = frame_at(sol, z_probe)
-    g0 = secondary_gauss(direct.F, direct.point)
-    looped = integrate_frame(paths.gamma2, params, F0=sol.P)
-    translated = integrate_frame(
-        PathSpec(looped.point, (0j, z_probe)), params, F0=looped.F
-    )
-    g1 = secondary_gauss(translated.F, translated.point)
+    g0 = secondary_gauss(*frame_at(sol, z_probe))
+    F_looped, w_looped = integrate_frame(paths.gamma2, params, F0=sol.P)
+    g1 = secondary_gauss(*integrate_frame(PathSpec(w_looped, (0j, z_probe)), params, F0=F_looped))
     assert (abs(g0) > 1.0) == (abs(g1) > 1.0)
 
 
@@ -527,7 +522,7 @@ def test_small_formula(shallow_solution):
 def test_small_formula_degenerate_point(shallow_solution):
     # dG = w L(z) dz vanishes at z = i sqrt(2) when a = 2
     z = 1j * math.sqrt(2.0)
-    p = transport_w(PathSpec(base_point(+1), (0j, z)), 2.0)
+    p = transport_w(PathSpec(complex(+1), (0j, z)), 2.0)
     with pytest.raises(DegeneratePoint):
         small_formula_check(shallow_solution, p)
 
@@ -560,8 +555,7 @@ def test_schwarzian_mobius_invariance(shallow_solution):
     z0 = 0.6 + 0.9j
     gs = []
     for k in (-2, -1, 0, 1, 2):
-        state = frame_at(sol, z0 + k * h)
-        gs.append(secondary_gauss(state.F, state.point))
+        gs.append(secondary_gauss(*frame_at(sol, z0 + k * h)))
     v = 0.4 + 0.2j
     u = cmath.exp(0.7j) * math.sqrt(1.0 + abs(v) ** 2)
     U = mat2c(u, v, v.conjugate(), u.conjugate())

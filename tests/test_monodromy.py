@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dscat.curve import CurveParams, PathSpec, base_point, canonical_paths
+from dscat import monodromy
+from dscat.curve import CurveParams, PathSpec, canonical_paths
 from dscat.errors import ContinuationError, DegenerateDenominator
 from dscat.monodromy import (
     HalfPathFrames,
@@ -91,9 +92,7 @@ def test_direct_holonomy_structure_forms():
 
 def test_contractible_loop_is_trivial():
     params = CurveParams(2.0, 1.0)
-    loop = PathSpec(
-        base_point(+1), (0j, 0.3 + 0.3j, 0.6j, -0.3 + 0.3j, 0j), closed=True
-    )
+    loop = PathSpec(complex(+1), (0j, 0.3 + 0.3j, 0.6j, -0.3 + 0.3j, 0j))
     phi = direct_loop_holonomy(loop, params)
     assert float(np.max(np.abs(phi - np.eye(2)))) < 1e-8
 
@@ -101,23 +100,33 @@ def test_contractible_loop_is_trivial():
 def test_loop_followed_by_reverse_is_trivial():
     params = CurveParams(2.0, 1.0)
     g2 = canonical_paths(params.a).gamma2
-    out_and_back = PathSpec(
-        g2.start, g2.waypoints + tuple(reversed(g2.waypoints[:-1])), closed=True
-    )
+    # no flag makes it a loop: it ends at its first waypoint
+    out_and_back = PathSpec(g2.w0, g2.waypoints + tuple(reversed(g2.waypoints[:-1])))
     phi = direct_loop_holonomy(out_and_back, params)
     assert float(np.max(np.abs(phi - np.eye(2)))) < 1e-7
 
 
-def test_holonomy_requires_closed_loop():
+def test_holonomy_requires_closed_loop(monkeypatch):
+    # a path is a loop when its last waypoint equals its first, exactly: c1 is
+    # open, and so is gamma2 ending 1e-12 short of its start; neither is integrated
     params = CurveParams(2.0, 1.0)
-    with pytest.raises(ContinuationError):
-        direct_loop_holonomy(canonical_paths(params.a).c1, params)
+    paths = canonical_paths(params.a)
+    g2 = paths.gamma2
+    short = PathSpec(g2.w0, g2.waypoints[:-1] + (1e-12j,))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an open path was integrated")
+
+    monkeypatch.setattr(monodromy, "integrate_frame", refuse)
+    for path in (paths.c1, short):
+        with pytest.raises(ContinuationError, match="^holonomy requires a closed loop$"):
+            direct_loop_holonomy(path, params)
 
 
 def test_loop_around_one_branch_point_does_not_close():
     # w changes sheet around z = 1 alone: it ends at -w_start
     params = CurveParams(2.0, 1.0)
-    loop = PathSpec(base_point(+1), (0j, 1.0 + 0.5j, 1.5 + 0j, 1.0 - 0.5j, 0j), closed=True)
+    loop = PathSpec(complex(+1), (0j, 1.0 + 0.5j, 1.5 + 0j, 1.0 - 0.5j, 0j))
     with pytest.raises(ContinuationError, match=r"did not close on the curve \(w drift 2\.0"):
         direct_loop_holonomy(loop, params)
 
@@ -130,8 +139,8 @@ def test_period_functions_reality_and_convergence():
 
     paths = canonical_paths(params.a)
     ref = HalfPathFrames(
-        reference_frame(paths.c1, params, n_steps=20_000).F,
-        reference_frame(paths.c2, params, n_steps=20_000).F,
+        reference_frame(paths.c1, params, n_steps=20_000)[0],
+        reference_frame(paths.c2, params, n_steps=20_000)[0],
         params,
     )
     g1, g2 = period_functions(ref)

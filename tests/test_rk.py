@@ -160,7 +160,7 @@ def _reference_frame_field(a, c, path):
         return w * (cmath.sqrt(r0) * cmath.sqrt(r1) / (cmath.sqrt(r2) * cmath.sqrt(r3)))
 
     points = path.waypoints
-    w = [path.start.w]
+    w = [path.w0]
     for p, q in zip(points[:-1], points[1:]):
         w.append(w_from(p, q, w[-1]))
 
@@ -179,7 +179,7 @@ def _reference_frame_field(a, c, path):
 
 
 def _start(path, F0):
-    return (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w)
+    return (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.w0)
 
 
 @pytest.mark.parametrize("frame", sorted(START_FRAMES))
@@ -216,12 +216,12 @@ def test_rk4_matches_reference_loop(c, frame):
     F0 = START_FRAMES[frame]
     for name in PATH_NAMES:
         path = getattr(paths, name)
-        state = reference_frame(path, params, F0, n_steps=2000)
+        F, w_end = reference_frame(path, params, F0, n_steps=2000)
         field, w = _reference_frame_field(a, c, path)
         F_ref = _reference_rk4(path.waypoints, F0, field, 2000)
         scale = max(1.0, float(np.max(np.abs(F_ref))))
-        assert float(np.max(np.abs(state.F - F_ref))) <= 2e-11 * scale, name
-        assert state.point.w == w, name
+        assert float(np.max(np.abs(F - F_ref))) <= 2e-11 * scale, name
+        assert w_end == w, name
 
 
 def _toy(coefficients):

@@ -10,7 +10,6 @@ from dscat.curve import (
     CurveParams,
     CurvePoint,
     PathSpec,
-    base_point,
     branch_offsets,
     canonical_paths,
     rational_rhs_of,
@@ -43,8 +42,8 @@ PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_lo
 def test_tiny_c_keeps_frame_constant():
     params = CurveParams(2.0, 1e-14)
     paths = canonical_paths(params.a)
-    state = integrate_frame(paths.c2, params)
-    assert np.max(np.abs(state.F - np.eye(2))) < 1e-12
+    F, _ = integrate_frame(paths.c2, params)
+    assert np.max(np.abs(F - np.eye(2))) < 1e-12
 
 
 def test_det_preserved_along_path():
@@ -57,8 +56,8 @@ def test_det_preserved_along_path():
         det = y[0] * y[3] - y[1] * y[2]
         worst = max(worst, abs(det - 1.0))
 
-    state = integrate_frame(paths.c2, params, on_step=capture)
-    det_end = state.F[0, 0] * state.F[1, 1] - state.F[0, 1] * state.F[1, 0]
+    F, _ = integrate_frame(paths.c2, params, on_step=capture)
+    det_end = F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0]
     assert abs(det_end - 1.0) < 1e-9
     assert worst < 1e-9
 
@@ -66,8 +65,8 @@ def test_det_preserved_along_path():
 def test_self_convergence_against_fixed_step():
     params = CurveParams(2.0, -7.6119)
     paths = canonical_paths(params.a)
-    adaptive = integrate_frame(paths.c1, params).F
-    reference = reference_frame(paths.c1, params, n_steps=20_000).F
+    adaptive, _ = integrate_frame(paths.c1, params)
+    reference, _ = reference_frame(paths.c1, params, n_steps=20_000)
     scale = max(1.0, float(np.max(np.abs(adaptive))))
     assert float(np.max(np.abs(adaptive - reference))) / scale < 1e-8
 
@@ -93,7 +92,7 @@ def test_reference_frame_checks_end_sheet_residual(monkeypatch):
 def test_reference_frame_ends_at_transport_w(name):
     params = CurveParams(2.0, -1.526035)
     path = getattr(canonical_paths(params.a), name)
-    assert reference_frame(path, params).point == transport_w(path, params.a)
+    assert reference_frame(path, params)[1] == transport_w(path, params.a).w
 
 
 def test_reference_frame_self_convergence():
@@ -103,8 +102,8 @@ def test_reference_frame_self_convergence():
         params = CurveParams(2.0, c)
         paths = canonical_paths(params.a)
         for path in (paths.c1, paths.c2):
-            F = reference_frame(path, params).F
-            fine = reference_frame(path, params, n_steps=40_000).F
+            F, _ = reference_frame(path, params)
+            fine, _ = reference_frame(path, params, n_steps=40_000)
             scale = max(1.0, float(np.max(np.abs(fine))))
             assert float(np.max(np.abs(F - fine))) <= 3e-12 * scale, c
 
@@ -114,8 +113,8 @@ def test_right_equivariance():
     paths = canonical_paths(params.a)
     C = np.array([[2.0, 1.0j], [0.5, 1.0]], dtype=complex)
     C /= np.sqrt(np.linalg.det(C))
-    plain = integrate_frame(paths.c1, params).F
-    seeded = integrate_frame(paths.c1, params, F0=C).F
+    plain, _ = integrate_frame(paths.c1, params)
+    seeded, _ = integrate_frame(paths.c1, params, F0=C)
     scale = max(1.0, float(np.max(np.abs(seeded))))
     assert float(np.max(np.abs(seeded - plain @ C))) / scale < 1e-8
 
@@ -124,11 +123,7 @@ def test_homotopy_invariance_of_monodromy():
     params = CurveParams(2.0, -1.0)
     paths = canonical_paths(params.a)
     direct = direct_loop_holonomy(paths.gamma2, params)
-    alternative = PathSpec(
-        base_point(+1),
-        (0j, 1.2 + 1.3j, 4.0 + 0.4j, 4.0 + 0j, 1.8 - 1.1j, 0j),
-        closed=True,
-    )
+    alternative = PathSpec(complex(+1), (0j, 1.2 + 1.3j, 4.0 + 0.4j, 4.0 + 0j, 1.8 - 1.1j, 0j))
     other = direct_loop_holonomy(alternative, params)
     assert float(np.max(np.abs(direct - other))) < 1e-7
 
@@ -159,7 +154,7 @@ def test_step_size_underflow_names_the_curve_point_and_c():
     a, c = 2.0, -1e6
     c1 = canonical_paths(a).c1
     p, q = c1.waypoints[1:]
-    path = PathSpec(transport_w(PathSpec(c1.start, c1.waypoints[:2]), a), (p, q))
+    path = PathSpec(transport_w(PathSpec(c1.w0, c1.waypoints[:2]), a).w, (p, q))
     with pytest.raises(StepLimitExceeded) as exc:
         integrate_frame(path, CurveParams(a, c))
     for error in (exc.value, pickle.loads(pickle.dumps(exc.value))):
@@ -173,7 +168,7 @@ def test_step_size_underflow_names_the_curve_point_and_c():
 def test_lane_step_errors_name_the_first_lane(monkeypatch):
     # an underflow names the first lane's point of the curve, scale * z, and
     # c; a step budget passes unchanged, as the kernels word it
-    unit = PathSpec(base_point(+1), (0j, 1j))
+    unit = PathSpec(complex(+1), (0j, 1j))
     cs, scale = np.array([-1.5, -2.0]), np.array([2.0, 3.0])
     underflow = StepLimitExceeded("step size underflow", 0.5j)
     for raised, message in (
@@ -227,7 +222,7 @@ def test_one_lane_matches_scalar_kernel(c):
     a = 2.0
     paths = canonical_paths(a)
     for path in (paths.c1, paths.c2):
-        y0 = (1.0, 0.0, 0.0, 1.0, path.start.w)
+        y0 = (1.0, 0.0, 0.0, 1.0, path.w0)
         scalar_steps, lane_steps = [], []
         y = _rk.integrate_polyline(
             path.waypoints, y0, _joint_field(a, c),
@@ -249,15 +244,15 @@ def test_frames_over_c_match_integrate_frame():
     frames, w = integrate_frames_over_c(path, a, cs)
     assert frames.shape == (3, 2, 2) and w.shape == (3,)
     for c, F, w_end in zip(cs, frames, w):
-        ref = integrate_frame(path, CurveParams(a, float(c)))
-        assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
-        assert abs(w_end - ref.point.w) <= 1e-8 * abs(ref.point.w)
+        F_ref, w_ref = integrate_frame(path, CurveParams(a, float(c)))
+        assert np.max(np.abs(F - F_ref)) <= 1e-8 * max(1.0, float(np.max(np.abs(F_ref))))
+        assert abs(w_end - w_ref) <= 1e-8 * abs(w_ref)
 
 
 def test_callers_validate_the_path():
     # the path ends 0.05 from the branch point z = 1; integrate_frames_over_c
     # leaves validate_path to its callers
-    path = PathSpec(base_point(+1), (0j, 1.0 + 0.05j))
+    path = PathSpec(complex(+1), (0j, 1.0 + 0.05j))
     cs = np.array([-4.0, 1.0])
     with pytest.raises(PathError):
         integrate_frame(path, CurveParams(2.0, -4.0))
@@ -282,18 +277,18 @@ def test_scaled_lane_matches_integrate_frame(r):
     # to match, it takes the steps integrate_frame takes on the scaled path
     a, c = 2.0, -1.526
     F0 = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
-    unit = PathSpec(base_point(+1), (0j, 1j, np.exp(2.0j), np.exp(2.6j)))
-    scaled = PathSpec(base_point(+1), tuple(r * z for z in unit.waypoints))
-    ref = integrate_frame(scaled, CurveParams(a, c), F0=F0)
+    unit = PathSpec(complex(+1), (0j, 1j, np.exp(2.0j), np.exp(2.6j)))
+    scaled = PathSpec(complex(+1), tuple(r * z for z in unit.waypoints))
+    F_ref, w_ref = integrate_frame(scaled, CurveParams(a, c), F0=F0)
     cfg = IntegratorConfig(initial_step=DEFAULT_CONFIG.initial_step / r)
     F, w = integrate_frames_over_c(unit, a, c, cfg, F0=F0, scale=np.array([r]))
-    assert np.max(np.abs(F[0] - ref.F)) <= 1e-12 * np.max(np.abs(ref.F))
-    assert abs(w[0] - ref.point.w) <= 1e-12 * abs(ref.point.w)
+    assert np.max(np.abs(F[0] - F_ref)) <= 1e-12 * np.max(np.abs(F_ref))
+    assert abs(w[0] - w_ref) <= 1e-12 * abs(w_ref)
 
 
 def test_lane_checks_name_the_failing_lanes():
     # a start value off the sheet fails that lane's sheet check only
-    unit = PathSpec(base_point(+1), (0j, 1j, np.exp(2.0j)))
+    unit = PathSpec(complex(+1), (0j, 1j, np.exp(2.0j)))
     w0 = np.ones(3, dtype=complex)
     w0[1] *= 1 + 1e-6
     with pytest.raises(LanesFailed, match="sheet residual") as exc:
@@ -348,7 +343,7 @@ def test_transfer_matches_dp5(a, name):
 
 
 def test_transfer_along_a_point_is_the_identity():
-    path = PathSpec(base_point(-1), (0j,))
+    path = PathSpec(complex(-1), (0j,))
     F, w = transfer(path, 2.0, np.array([-4.0, 1.0]))
     assert F.tolist() == [np.eye(2).tolist()] * 2 and w == -1
 
@@ -452,9 +447,9 @@ def test_pieces_match_integrate_frame(a):
             frames, w = transfer(path, a, piece)
             assert frames.shape == (piece.size, 2, 2)
             for c, F in zip(piece, frames):
-                ref = integrate_frame(path, CurveParams(a, float(c)))
-                assert np.max(np.abs(F - ref.F)) <= 1e-8 * max(1.0, float(np.max(np.abs(ref.F))))
-                assert abs(w - ref.point.w) <= 1e-8 * abs(ref.point.w)
+                F_ref, w_ref = integrate_frame(path, CurveParams(a, float(c)))
+                assert np.max(np.abs(F - F_ref)) <= 1e-8 * max(1.0, float(np.max(np.abs(F_ref))))
+                assert abs(w - w_ref) <= 1e-8 * abs(w_ref)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
@@ -513,7 +508,7 @@ def test_transfer_around_loops_matches_dp5(a, name):
     reference, _ = integrate_frames_over_c(path, a, cs, IntegratorConfig(rel_tol=1e-13))
     frames, w = transfer(path, a, cs)
     assert _error(frames, reference) <= 1e-8
-    assert abs(w - path.start.w) <= 1e-12
+    assert abs(w - path.w0) <= 1e-12
 
 
 def test_transfer_checks_name_the_curve_point_and_c(monkeypatch):
@@ -586,7 +581,7 @@ def test_lane_field_steps_equal_the_reference_at_scale_one(name):
     path = getattr(canonical_paths(a), name)
     y0 = np.zeros((5, cs.size), dtype=complex)
     y0[0] = y0[3] = 1.0
-    y0[4] = path.start.w
+    y0[4] = path.w0
     steps, end = _lane_steps(_joint_field_lanes(a, cs), path.waypoints, y0)
     reference, reference_end = _lane_steps(_reference_field_lanes(a, cs), path.waypoints, y0)
     assert steps == reference
@@ -634,16 +629,16 @@ def test_frame_steps_equal_the_inline_reference(c):
     for name in PATH_NAMES:
         path = getattr(canonical_paths(params.a), name)
         states, reference = [], []
-        end = integrate_frame(path, params, on_step=lambda z, y: states.append((z, y)))
+        F_end, w_end = integrate_frame(path, params, on_step=lambda z, y: states.append((z, y)))
         y = _rk.integrate_polyline(
-            path.waypoints, (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.start.w),
+            path.waypoints, (F0[0, 0], F0[0, 1], F0[1, 0], F0[1, 1], path.w0),
             _inline_joint_field(a, c), cfg=cfg,
             on_step=lambda z, y: reference.append((z, y)),
         )
         assert len(states) > 10
         assert _bits(states) == _bits(reference), name
-        assert end.F.tobytes() == np.array(y[:4], dtype=complex).tobytes()
-        assert repr(end.point.w) == repr(y[4])
+        assert F_end.tobytes() == np.array(y[:4], dtype=complex).tobytes()
+        assert repr(w_end) == repr(y[4])
         for z, y in states:
             expected = _inline_sheet_residual(z, y[4], a)
             assert repr(sheet_residual_of(y[4], rational_rhs_of(z, k))) == repr(expected)
@@ -662,7 +657,7 @@ def test_reference_frame_ends_equal_the_inline_reference(c):
     for name in PATH_NAMES:
         path = getattr(canonical_paths(params.a), name)
         points = path.waypoints
-        w = [path.start.w]
+        w = [path.w0]
         for p, q in zip(points[:-1], points[1:]):
             w.append(_inline_w(p, q, w[-1], a, cmath.sqrt))
 
@@ -671,10 +666,10 @@ def test_reference_frame_ends_equal_the_inline_reference(c):
             cu = c * u
             return cu, -cu * w_z, cu / w_z, -cu
 
-        end = reference_frame(path, params)
+        F_end, w_end = reference_frame(path, params)
         F = _rk.integrate_polyline_rk4(points, np.eye(2, dtype=complex), matrix, 4000)
-        assert end.F.tobytes() == F.tobytes(), name
-        assert repr(end.point.w) == repr(w[-1])
+        assert F_end.tobytes() == F.tobytes(), name
+        assert repr(w_end) == repr(w[-1])
 
 
 def _inline_lane_residual(z, w, a: float, scale):
@@ -693,7 +688,7 @@ def test_scan_block_end_states_equal_the_inline_reference(name):
     frames, w = integrate_frames_over_c(path, a, cs)
     y0 = np.zeros((5, cs.size), dtype=complex)
     y0[0] = y0[3] = 1.0
-    y0[4] = path.start.w
+    y0[4] = path.w0
     steps = []
     reference = _rk.integrate_polyline_lanes(
         path.waypoints, y0, _reference_field_lanes(a, cs),
@@ -720,7 +715,7 @@ def test_ring_end_states_equal_the_inline_reference():
     y[4, : len(radii)], y[4, len(radii):] = 1.0, -1.0
     for leg in geometry._unit_legs(angles, order):
         F, w = integrate_frames_over_c(
-            PathSpec(CurvePoint(leg[0], 1.0 + 0j), leg), a, c,
+            PathSpec(1.0 + 0j, leg), a, c,
             F0=y[:4].T.reshape(-1, 2, 2), w0=y[4], scale=scale,
         )
         steps, y = _lane_steps(_reference_field_lanes(a, c, scale), leg, y)

@@ -18,7 +18,7 @@ import pytest
 from conftest import one_cpu, scan_bytes, serially, two_cpus
 
 from dscat import _worker, period
-from dscat.curve import CurveParams, PathSpec, base_point, canonical_paths
+from dscat.curve import CurveParams, PathSpec, canonical_paths
 from dscat.errors import DomainError, PathError, StepLimitExceeded
 from dscat.monodromy import half_path_frames
 from dscat.period import scan_c
@@ -161,7 +161,7 @@ def bad_paths(c1_goes_to=None, c2_goes_to=None) -> tuple:
     params = CurveParams(2.0, -1.526035)
     paths = canonical_paths(params.a)
     changes = {
-        name: PathSpec(base_point(+1), (0j, complex(end)))
+        name: PathSpec(complex(+1), (0j, complex(end)))
         for name, end in (("c1", c1_goes_to), ("c2", c2_goes_to))
         if end is not None
     }
