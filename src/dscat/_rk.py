@@ -1,9 +1,12 @@
 """Adaptive Dormand-Prince 5(4) integrator for complex ODE systems along polylines.
 
 Both adaptive kernels run one step controller, _drive, and differ only in the
-step function they hand it: _dp5_step5 for integrate_polyline, _lane_step for
+field and step function they hand it: integrate_polyline's field argument and
+_dp5_step5, and the frame field and step of _lane_kernel for
 integrate_polyline_lanes.  Their settings are one IntegratorConfig, cfg,
-defined here with its defaults in DEFAULT_CONFIG.
+defined here with its defaults in DEFAULT_CONFIG.  A step budget or a step
+size underflow raises StepLimitExceeded with the point of the polyline where
+the failing step starts.
 
 integrate_polyline integrates the five-component state of the frame transport,
 (F11, F12, F21, F22, w), as a plain tuple of Python complex numbers.  It
@@ -19,9 +22,15 @@ regrouping a stage sum or a product (h * (A * k) for (h * A) * k, say) would
 move results in the last digits and, through the step-size controller, change
 which steps are taken.
 
-integrate_polyline_lanes runs the same scheme on many independent copies of
-one system ("lanes") at once, where numpy's per-call overhead is shared by all
-lanes.  It takes any number of components.
+integrate_polyline_lanes runs the same scheme on the same five components
+for many independent lanes at once, each with its own coefficient c and
+branch offsets, where numpy's per-call overhead is shared by all lanes.  Its
+field is its own, not an argument: one step takes L(z) at the step's five
+distinct stage points in one call of curve.log_derivative_of, writes each
+stage derivative into its row of the stage array, and forms each stage sum
+as the same ufunc reduction over the stage axis into buffers made once per
+integration, so a step makes about half the numpy calls of a field called
+once per stage and allocates only the new state, its modulus and L.
 
 integrate_polyline_rk4, the fixed-step reference, integrates a linear system
 dF/ds = M(z) F for a 2 x 2 matrix F, M being given in closed form along the
@@ -44,6 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .curve import log_derivative_of
 from .errors import DomainError, StepLimitExceeded
 
 # Butcher tableau, Dormand-Prince 5(4) with FSAL.
@@ -65,10 +75,11 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 # The tableau as arrays for the lane kernel, shaped to broadcast against the
 # stacked stage derivatives k[j] = k_{j+1}: row j of _STAGE_W weighs k1..k6 in
 # the state of stage j + 2 (the last row is the fifth-order solution), stage
-# j + 2 sits at fraction _STAGE_NODES[j] of the step, and _ERR_W weighs k1..k7
-# in the error estimate.  The weighted sums are reduced by numpy ufuncs, not
-# matrix products: numpy hands those to a BLAS that may start threads, which
-# doubled the CPU time of a 2600-point scan on 2 cores without making it faster.
+# j + 2 sits at fraction _STAGE_POINTS[_STAGE_POINT_OF[j]] of the step (stages
+# 6 and 7 share its end), and _ERR_W weighs k1..k7 in the error estimate.  The
+# weighted sums are reduced by numpy ufuncs, not matrix products: numpy hands
+# those to a BLAS that may start threads, which doubled the CPU time of a
+# 2600-point scan on 2 cores without making it faster.
 _STAGE_W = np.array(
     [
         [_A21, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -79,7 +90,8 @@ _STAGE_W = np.array(
         [_B1, 0.0, _B3, _B4, _B5, _B6],
     ]
 )[:, :, None, None]
-_STAGE_NODES = (0.2, 0.3, 0.8, 8 / 9, 1.0, 1.0)
+_STAGE_POINTS = (0.2, 0.3, 0.8, 8 / 9, 1.0)
+_STAGE_POINT_OF = (0, 1, 2, 3, 4, 4)
 _ERR_W = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])[:, None, None]
 
 # Steps per block of the RK4 reference: its work arrays hold one block, so
@@ -151,7 +163,7 @@ def _drive(waypoints, y, field, step, cfg, on_step):
             ynew, k7, err = step(field, z0, u, h, y, k1, rel_tol, abs_tol)
             steps += 1
             if steps > max_steps:
-                raise StepLimitExceeded(f"exceeded {max_steps} steps")
+                raise StepLimitExceeded(f"exceeded {max_steps} steps", p + s * u)
             if err <= 1.0:
                 s += h
                 y = ynew
@@ -253,36 +265,73 @@ def _dp5_step5(field, z0, u, h, y, k1, rel_tol, abs_tol):
 def integrate_polyline_lanes(
     waypoints: Sequence[complex],
     y0: np.ndarray,
-    field: Callable[[complex, complex, np.ndarray], np.ndarray],
+    cs,
+    offsets,
     *,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
     on_step: Callable[[complex, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """integrate_polyline for an (n, n_lanes) complex array of independent states.
+    """integrate_polyline of the frame transport for a (5, n_lanes) complex
+    array of independent states.
 
-    Column j holds the n components of lane j; lanes run along the last axis
-    so that each component is a contiguous row.  field(z, u, y) returns the
-    (n, n_lanes) derivative of all lanes.  The lanes share one step sequence:
-    a step is accepted only when the worst lane's error, the RMS norm of
-    integrate_polyline, is at most 1, so every lane meets cfg's tolerances on
-    its own.  With one lane this is integrate_polyline up to rounding.
-    on_step, when given, is called with (z, y) after every accepted step.
-    Returns the final state array.
+    Column j holds lane j's (F11, F12, F21, F22, w); lanes run along the
+    last axis so that each component is a contiguous row.  Lane j solves
+    dF/ds = cs[j] [[1, -w], [1/w, -1]] F u and dw/ds = w L(z) u, u being the
+    unit direction of the active segment and L curve.log_derivative_of with
+    the branch offsets (curve.branch_offsets): a tuple for all lanes, or a
+    (4, n_lanes) array, one column per lane.  cs is given per lane or once.
+    F21' and F22' are formed as F11' / w and F12' / w, which holds because
+    the connection is of rank one.  The lanes share one step sequence: a
+    step is accepted only when the worst lane's error, the RMS norm of
+    integrate_polyline, is at most 1, so every lane meets cfg's tolerances
+    on its own.  on_step, when given, is called with (z, y) after every
+    accepted step.  Returns the final state array.
     """
     y = np.array(y0, dtype=complex)
-    step = _lane_step(y)
+    field, step = _lane_kernel(y, cs, offsets)
     return _drive(waypoints, y, field, step, cfg, on_step)
 
 
-def _lane_step(y0: np.ndarray):
-    """The DP5 step of integrate_polyline_lanes from the start state y0.
-    k[j] holds k_{j+1}; k7 is returned as the view k[6], and a k1 not yet in
-    k[0] is copied there, so a rejected step copies nothing.  |y| is kept
-    from the step that produced y, and the error is the worst lane's."""
+def _lane_kernel(y0: np.ndarray, cs, offsets) -> tuple:
+    """(field, step) of integrate_polyline_lanes for _drive, from the start
+    state y0.  k[j] holds k_{j+1}, and each stage writes its derivative into
+    its row.  field writes k1 at a segment's start into k[0]; step returns
+    k7 as a new view of k[6] and copies a k1 it has not seen into k[0], so a
+    rejected step copies nothing.  |y| is kept from the step that produced
+    y, and the error is the worst lane's.  Each stage sum is np.add.reduce
+    of the weighted rows over the stage axis, which adds them one after the
+    other.  L comes once per step for the five stage points: where offsets
+    is a tuple, in Python complex arithmetic point by point, else from one
+    call, the offsets given shape (4, 1, n) against the points' (5, 1)."""
     n = y0.shape[0]
     k = np.empty((7,) + y0.shape, dtype=complex)
+    weighted = np.empty_like(k)
+    total, stage = np.empty_like(y0), np.empty_like(y0)
+    ratio, bound = np.empty(y0.shape), np.empty(y0.shape)
+    # the operands of stage sum j, and the rows (F11', F12'), (F21', F22')
+    # and w' of k[j]
+    sums = [(_STAGE_W[j, : j + 1], k[: j + 1], weighted[: j + 1]) for j in range(6)]
+    rows = [(k[j, 0:2], k[j, 2:4], k[j, 4]) for j in range(7)]
+    stacked = None if isinstance(offsets, tuple) else offsets[:, None]
     y_abs = np.abs(y0)
-    k1_in = last = last_abs = None
+    k1_in = last = last_abs = cs_u = None
+
+    def derive(y, Lu, out):
+        """The field at the state y into the rows out of k, L(z) u being Lu."""
+        top, bottom, w_out = out
+        w = y[4]
+        np.multiply(y[2:4], w, out=top)
+        np.subtract(y[0:2], top, out=top)
+        top *= cs_u
+        np.divide(top, w, out=bottom)
+        np.multiply(w, Lu, out=w_out)
+
+    def field(z, u, y):
+        nonlocal k1_in, cs_u
+        cs_u = cs * u
+        derive(y, log_derivative_of(z, offsets) * u, rows[0])
+        k1_in = k[0]
+        return k1_in
 
     def step(field, z0, u, h, y, k1, rel_tol, abs_tol):
         nonlocal k1_in, y_abs, last, last_abs
@@ -290,15 +339,31 @@ def _lane_step(y0: np.ndarray):
             k[0] = k1_in = k1
         if y is last:  # the last step was accepted
             y_abs = last_abs
-        for j, node in enumerate(_STAGE_NODES):
-            y_j = y + h * np.add.reduce(_STAGE_W[j, : j + 1] * k[: j + 1])
-            k[j + 1] = field(z0 + node * h * u, u, y_j)
-        e = h * np.add.reduce(_ERR_W * k)
+        z = [z0 + node * h * u for node in _STAGE_POINTS]
+        if stacked is None:
+            Lu = [log_derivative_of(x, offsets) * u for x in z]
+        else:
+            Lu = log_derivative_of(np.array(z)[:, None], stacked)
+            Lu *= u
+        for j, (weights, ks, products) in enumerate(sums):
+            np.multiply(weights, ks, out=products)
+            np.add.reduce(products, out=total)
+            np.multiply(h, total, out=total)
+            y_j = np.add(y, total, out=stage if j < 5 else None)
+            derive(y_j, Lu[_STAGE_POINT_OF[j]], rows[j + 1])
+        np.multiply(_ERR_W, k, out=weighted)
+        e = np.add.reduce(weighted, out=total)
+        np.multiply(h, e, out=e)
         last, last_abs = y_j, np.abs(y_j)
-        ratio = np.abs(e) / (abs_tol + rel_tol * np.maximum(y_abs, last_abs))
-        return y_j, k[6], math.sqrt(float((ratio * ratio).sum(axis=0).max()) / n)
+        np.abs(e, out=ratio)
+        np.maximum(y_abs, last_abs, out=bound)
+        np.multiply(rel_tol, bound, out=bound)
+        np.add(abs_tol, bound, out=bound)
+        np.divide(ratio, bound, out=ratio)
+        np.multiply(ratio, ratio, out=ratio)
+        return y_j, k[6], math.sqrt(float(ratio.sum(axis=0).max()) / n)
 
-    return step
+    return field, step
 
 
 def integrate_polyline_rk4(

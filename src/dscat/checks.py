@@ -11,9 +11,9 @@ run_invariant_suite uses both cores once the root is refined and has a
 solution: the worker process of _worker.pair runs every check but
 geometry-invariants on a pickled copy of the context, which carries the root,
 gauge and solution, while this process builds the 8 x 12 mesh that
-geometry-invariants reads.  The checks are the shorter share, as _worker
-asks (tools/scan_shares.py times both).  Without a solution the checks run
-serially here.
+geometry-invariants reads.  At the a = 2 roots the checks are the longer
+share (tools/scan_shares.py times both), so the worker gets the longer call,
+against _worker's rule.  Without a solution the checks run serially here.
 
 Beside each bound is its reason and the largest value `verify --deep` measured
 at the five a = 2 roots c = -7.611914, -4.06015, -1.526035, 1.26988, 5.333170,

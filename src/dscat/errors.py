@@ -47,8 +47,9 @@ class LanesFailed(ContinuationError):
 
 
 class StepLimitExceeded(DscatError):
-    """Adaptive integrator exceeded its step budget, or its step size
-    underflowed at the point z of the polyline (z None for a budget)."""
+    """An integrator exceeded its step budget, or its step size underflowed,
+    at the point z of the polyline (None where the message names the point,
+    as for a Magnus grid)."""
 
     def __init__(self, message: str, z: complex | None = None):
         self.z = z

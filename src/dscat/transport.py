@@ -133,35 +133,6 @@ def integrate_frame(
     return integrate_frames_over_c(path, params.a, params.c, cfg, F0=F0, on_step=on_step)
 
 
-def _joint_field_lanes(a: float, cs, scale=1.0):
-    """_joint_field for rows (F11, F12, F21, F22, w), one column per lane:
-    lane j has cs[j] and follows scale[j] * z, each given per lane or once.
-    A scalar scale evaluates L once per stage for all lanes in Python
-    complex arithmetic.  cs * scale * u is formed once per segment.  Uses
-    F21' = F11' / w and F22' = F12' / w, which holds because alpha is rank
-    one.
-    """
-    cs_s = cs * scale
-    k = branch_offsets(a, scale)
-    segment_u = cs_u = None  # the direction of the current segment, cs_s * it
-
-    def field(z, u, y):
-        nonlocal segment_u, cs_u
-        if u != segment_u:
-            segment_u, cs_u = u, cs_s * u
-        w = y[4]
-        out = np.empty_like(y)
-        top = out[0:2]
-        np.multiply(y[2:4], w, out=top)
-        np.subtract(y[0:2], top, out=top)
-        top *= cs_u
-        np.divide(top, w, out=out[2:4])
-        np.multiply(w, log_derivative_of(z, k) * u, out=out[4])
-        return out
-
-    return field
-
-
 def integrate_frames_over_c(
     path: PathSpec,
     a: float,
@@ -191,8 +162,8 @@ def integrate_frames_over_c(
     accepted step and at the end, and the end frame's drift (_check_drift).
     A failed sheet or drift check raises LanesFailed naming the point of the
     curve, scale * z, and the c of the first failing lane.  A
-    StepLimitExceeded belongs to all lanes; a step size underflow names the
-    first lane's point of the curve and c.
+    StepLimitExceeded, a step budget or a step size underflow, belongs to
+    all lanes and names the first lane's point of the curve and c.
     """
     cs = np.asarray(cs, dtype=float)
     F0 = _start_frame(F0)
@@ -217,12 +188,12 @@ def integrate_frames_over_c(
         y0 = np.empty((5,) + shape, dtype=complex)
         y0[:4] = np.broadcast_to(F0, shape + (2, 2)).reshape(shape + (4,)).T
         y0[4] = w0
-        field, kernel = _joint_field_lanes(a, cs, scale), _rk.integrate_polyline_lanes
+        kernel, args = _rk.integrate_polyline_lanes, (cs * scale, k)
     else:
         y0 = (*F0.reshape(4).tolist(), w0)
-        field, kernel = _joint_field(a, float(cs), scale), _rk.integrate_polyline
+        kernel, args = _rk.integrate_polyline, (_joint_field(a, float(cs), scale),)
     try:
-        y = kernel(path.waypoints, y0, field, cfg=cfg, on_step=hook)
+        y = kernel(path.waypoints, y0, *args, cfg=cfg, on_step=hook)
     except StepLimitExceeded as exc:
         if exc.z is None:
             raise

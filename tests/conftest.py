@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dscat import _worker
+from dscat import _rk, _worker
 from dscat.geometry import build_mesh
 from dscat.period import solve_at_bracket
 
@@ -58,6 +58,48 @@ def quadric_residuals(X: np.ndarray) -> np.ndarray:
     hence the normalization."""
     lorentz = -X[:, 0] ** 2 + (X[:, 1:] ** 2).sum(axis=1)
     return np.abs(lorentz - 1.0) / np.maximum(1.0, (X ** 2).sum(axis=1))
+
+
+# The fraction of the step at which each of the stages 2-7 of
+# reference_lanes evaluates its field.
+_STAGE_NODES = (0.2, 0.3, 0.8, 8 / 9, 1.0, 1.0)
+
+
+def reference_lanes(waypoints, y0, field, *, cfg=_rk.DEFAULT_CONFIG, on_step=None):
+    """The lane kernel as it was when it took its field as an argument:
+    dy/ds = field(z, u, y) for an (n, n_lanes) array y of states, any n,
+    one call of field per stage, the tableau of _rk and its controller
+    _rk._drive.  The reference whose bits _rk.integrate_polyline_lanes must
+    give on the frame field, and the generic kernel of the controller tests."""
+    y = np.array(y0, dtype=complex)
+    return _rk._drive(waypoints, y, field, _reference_lane_step(y), cfg, on_step)
+
+
+def _reference_lane_step(y0: np.ndarray):
+    """The DP5 step of reference_lanes from the start state y0.  k[j] holds
+    k_{j+1}; k7 is returned as the view k[6], and a k1 not yet in k[0] is
+    copied there, so a rejected step copies nothing.  |y| is kept from the
+    step that produced y, and the error is the worst lane's."""
+    n = y0.shape[0]
+    k = np.empty((7,) + y0.shape, dtype=complex)
+    y_abs = np.abs(y0)
+    k1_in = last = last_abs = None
+
+    def step(field, z0, u, h, y, k1, rel_tol, abs_tol):
+        nonlocal k1_in, y_abs, last, last_abs
+        if k1 is not k1_in:
+            k[0] = k1_in = k1
+        if y is last:  # the last step was accepted
+            y_abs = last_abs
+        for j, node in enumerate(_STAGE_NODES):
+            y_j = y + h * np.add.reduce(_rk._STAGE_W[j, : j + 1] * k[: j + 1])
+            k[j + 1] = field(z0 + node * h * u, u, y_j)
+        e = h * np.add.reduce(_rk._ERR_W * k)
+        last, last_abs = y_j, np.abs(y_j)
+        ratio = np.abs(e) / (abs_tol + rel_tol * np.maximum(y_abs, last_abs))
+        return y_j, k[6], math.sqrt(float((ratio * ratio).sum(axis=0).max()) / n)
+
+    return step
 
 
 def segment_distance(p: complex, q: complex, b: complex) -> float:

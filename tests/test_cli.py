@@ -70,6 +70,22 @@ def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_step_budget_names_the_curve_point_and_c(tmp_path, capsys):
+    # a DP5 integration over --max-steps names the point of the curve where
+    # its failing step starts and the c, as a step size underflow does: here
+    # c2 at the bracket's low end, on its second segment, 2 + 0.8j -> 4
+    code = run(["solve", "--a", "2", "--c0", "1.25", "--c1", "1.29", "--max-steps", "150",
+                "--json", str(tmp_path / "s.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    prefix = "error: integration failed: exceeded 150 steps at z = "
+    assert err.startswith(prefix)
+    z, c = err[len(prefix):].rstrip("\n").split(" for c = ")
+    assert float(c) == 1.25
+    assert 2.0 < complex(z).real < 4.0 and 0.0 < complex(z).imag < 0.8
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("c_min", ["-3e5", "-1e5"])
 def test_scan_overflow_exits_integration_and_writes_nothing(tmp_path, c_min):
     # the frame along c1 overflows at these c: its determinant drift is NaN,

@@ -28,7 +28,7 @@ from dscat.curve import (
 )
 from dscat.errors import DomainError, PathError
 
-from conftest import segment_distance
+from conftest import reference_lanes, segment_distance
 
 PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
 
@@ -150,9 +150,10 @@ DP5_CFG = _rk.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 def _dp5_w(path, field):
-    """w' = field(z, u, w) integrated by DP5 along path at DP5_CFG, on one lane."""
+    """w' = field(z, u, w) integrated by DP5 along path at DP5_CFG, on one
+    lane of the generic lane kernel conftest.reference_lanes."""
     start = np.full((1, 1), path.w0, dtype=complex)
-    return complex(_rk.integrate_polyline_lanes(path.waypoints, start, field, cfg=DP5_CFG)[0, 0])
+    return complex(reference_lanes(path.waypoints, start, field, cfg=DP5_CFG)[0, 0])
 
 
 def test_transport_w_matches_guarded_field():

@@ -28,6 +28,8 @@ from dscat.curve import CurveParams, canonical_paths, log_derivative
 from dscat.errors import StepLimitExceeded
 from dscat.transport import _joint_field, reference_frame
 
+from conftest import reference_lanes
+
 C_VALUES = (-7.6, -1.526035, 1.26988, 3.9)
 PATH_NAMES = ("c1", "c2", "gamma1", "end_loop_plus")
 # The identity and a gauge frame of determinant exactly 1.
@@ -310,18 +312,20 @@ def _scalar_kernel(waypoints, n, field, **kwargs):
 
 
 def _lane_kernel(waypoints, n, field, **kwargs):
-    """The lane kernel on three lanes, each from the start state of
-    _scalar_kernel; a scalar component of field serves every lane."""
+    """conftest.reference_lanes, the generic lane kernel, on three lanes,
+    each from the start state of _scalar_kernel; a scalar component of
+    field serves every lane.  _rk.integrate_polyline_lanes takes the frame
+    field only: test_transport.py holds it to the initial step and the
+    budget on the frame system."""
     def lanes_field(z, u, y):
         return np.array(field(z, u, y)).reshape(n, -1)
 
-    return _rk.integrate_polyline_lanes(
-        waypoints, np.ones((n, 3), dtype=complex), lanes_field, **kwargs
-    )
+    return reference_lanes(waypoints, np.ones((n, 3), dtype=complex), lanes_field, **kwargs)
 
 
-# The scalar kernel takes the frame transport's five components, the lane
-# kernel any number.
+# The scalar kernel takes the frame transport's five components, the
+# reference lane kernel, which runs on the kernels' controller _drive, any
+# number.
 KERNELS = [
     pytest.param(_scalar_kernel, 5, id="5"),
     pytest.param(_lane_kernel, 1, id="lanes-1"),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dscat import _worker, cli, curve, monodromy, period
+from dscat import _rk, _worker, cli, curve, geometry, monodromy, period
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS, BENCH = ROOT / "tools", ROOT / "perfbench"
@@ -39,6 +39,8 @@ def test_op_costs_wraps_the_parts_it_times(load):
         (curve, "canonical_paths"),
         (_worker, "pair"),
         (monodromy, "period_values"),
+        (geometry, "build_mesh"),
+        (_rk, "integrate_polyline_lanes"),
         (cli, "_write_atomic"),
     ]
     originals = [getattr(module, name) for module, name in parts]

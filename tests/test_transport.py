@@ -12,6 +12,7 @@ from dscat.curve import (
     PathSpec,
     branch_offsets,
     canonical_paths,
+    log_derivative_of,
     rational_rhs_of,
     sheet_residual_of,
     transport_w,
@@ -19,6 +20,7 @@ from dscat.curve import (
 from dscat.errors import (
     ContinuationError,
     DomainError,
+    DscatError,
     LanesFailed,
     PathError,
     StepLimitExceeded,
@@ -28,13 +30,14 @@ from dscat.transport import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     _joint_field,
-    _joint_field_lanes,
     integrate_frame,
     integrate_frames_over_c,
     reference_frame,
     scalar_ode_residual,
     transfer,
 )
+
+from conftest import reference_lanes
 
 PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
 
@@ -166,13 +169,14 @@ def test_step_size_underflow_names_the_curve_point_and_c():
 
 
 def test_lane_step_errors_name_the_first_lane(monkeypatch):
-    # an underflow names the first lane's point of the curve, scale * z, and
-    # c; a step budget passes unchanged, as the kernels word it
+    # an underflow or a step budget names the first lane's point of the
+    # curve, scale * z, and c; an error without a point passes unchanged
     unit = PathSpec(complex(+1), (0j, 1j))
     cs, scale = np.array([-1.5, -2.0]), np.array([2.0, 3.0])
     underflow = StepLimitExceeded("step size underflow", 0.5j)
     for raised, message in (
         (underflow, "step size underflow at z = 1j for c = -1.5"),
+        (StepLimitExceeded("exceeded 7 steps", 0.5j), "exceeded 7 steps at z = 1j for c = -1.5"),
         (StepLimitExceeded("exceeded 7 steps"), "exceeded 7 steps"),
     ):
         def kernel(*args, **kwargs):
@@ -182,6 +186,27 @@ def test_lane_step_errors_name_the_first_lane(monkeypatch):
         with pytest.raises(StepLimitExceeded) as exc:
             integrate_frames_over_c(unit, 2.0, cs, scale=scale)
         assert str(exc.value) == message
+
+
+def test_lane_kernel_takes_the_initial_step_and_names_its_budget():
+    # test_rk.py's controller cases on the frame lane kernel: a first step
+    # of 1e-3 along c2 is accepted as it is, and a budget of 3 steps names
+    # the first lane's c and the point where the fourth step starts, a point
+    # the unbounded integration reaches
+    a, cs = 2.0, np.array([-1.526035, 1.26988])
+    path = canonical_paths(a).c2
+    u = path.waypoints[1] / abs(path.waypoints[1])
+    seen, reached = [], []
+    cfg = IntegratorConfig(initial_step=1e-3)
+    integrate_frames_over_c(path, a, cs, cfg, on_step=lambda z, y: seen.append(z))
+    assert seen[0] == 1e-3 * u
+    integrate_frames_over_c(path, a, cs, on_step=lambda z, y: reached.append(z))
+    with pytest.raises(StepLimitExceeded) as exc:
+        integrate_frames_over_c(path, a, cs, IntegratorConfig(max_steps=3))
+    head, _, tail = str(exc.value).partition(" at z = ")
+    z, _, c_named = tail.partition(" for c = ")
+    assert head == "exceeded 3 steps" and float(c_named) == cs[0]
+    assert complex(z) in reached[:3]
 
 
 def test_initial_frame_must_be_unimodular():
@@ -230,7 +255,7 @@ def test_one_lane_matches_scalar_kernel(c):
         )
         lanes = _rk.integrate_polyline_lanes(
             path.waypoints, np.array(y0, dtype=complex)[:, None],
-            _joint_field_lanes(a, np.array([c])),
+            np.array([c]), branch_offsets(a),
             on_step=lambda z, y: lane_steps.append(z),
         )
         assert len(lane_steps) == len(scalar_steps)
@@ -528,8 +553,9 @@ def test_transfer_checks_name_the_curve_point_and_c(monkeypatch):
 
 def _reference_field_lanes(a: float, cs, scale=1.0):
     """The lane field as first written, kept as the reference whose bits
-    _joint_field_lanes must give: L from four separate reciprocals of
-    numpy-scalar or per-lane sums, and cs * scale * u formed at every stage."""
+    the lane kernel's frame field must give: L from four separate
+    reciprocals of numpy-scalar or per-lane sums, and cs * scale * u formed
+    at every stage."""
     one, a_s = 1.0 / scale, a / scale
     cs_s = cs * scale
 
@@ -548,44 +574,143 @@ def _reference_field_lanes(a: float, cs, scale=1.0):
     return field
 
 
-def _lane_steps(field, waypoints, y0) -> tuple:
-    """The accepted (z, y) states of the lane kernel as bytes, and the end state."""
+def _parent_field(cs, k):
+    """The frame field of the lane kernel when it took its field as an
+    argument, given the products cs * scale and branch_offsets(a, scale)
+    it formed first, which integrate_frames_over_c now hands the kernel."""
+    segment_u = cs_u = None  # the direction of the current segment, cs * it
+
+    def field(z, u, y):
+        nonlocal segment_u, cs_u
+        if u != segment_u:
+            segment_u, cs_u = u, cs * u
+        w = y[4]
+        out = np.empty_like(y)
+        top = out[0:2]
+        np.multiply(y[2:4], w, out=top)
+        np.subtract(y[0:2], top, out=top)
+        top *= cs_u
+        np.divide(top, w, out=out[2:4])
+        np.multiply(w, log_derivative_of(z, k) * u, out=out[4])
+        return out
+
+    return field
+
+
+def _parent_kernel(waypoints, y0, cs, k, *, cfg=DEFAULT_CONFIG, on_step=None):
+    """_rk.integrate_polyline_lanes as it was: the generic lane kernel
+    conftest.reference_lanes on _parent_field."""
+    return reference_lanes(waypoints, y0, _parent_field(cs, k), cfg=cfg, on_step=on_step)
+
+
+def _lane_steps(kernel, waypoints, y0, *args) -> tuple:
+    """The accepted (z, y) states of a lane kernel as bytes, and the end state."""
     steps = []
-    y = _rk.integrate_polyline_lanes(
-        waypoints, y0, field, on_step=lambda z, y: steps.append((z, y.tobytes()))
-    )
+    y = kernel(waypoints, y0, *args, on_step=lambda z, y: steps.append((z, y.tobytes())))
     return steps, y
+
+
+def _on_both_kernels(monkeypatch, call) -> list:
+    """call(on_step) on the lane kernel and on _parent_kernel in its place:
+    for each, the accepted (z, y) states as bytes and the bytes of the
+    (F, w) call returned, or the type, lanes and message of the DscatError
+    it raised."""
+    runs = []
+    for kernel in (_rk.integrate_polyline_lanes, _parent_kernel):
+        steps = []
+        with monkeypatch.context() as m:
+            m.setattr(_rk, "integrate_polyline_lanes", kernel)
+            try:
+                F, w = call(lambda z, y: steps.append((z, y.tobytes())))
+                outcome = (F.tobytes(), w.tobytes())
+            except DscatError as exc:
+                outcome = (type(exc), getattr(exc, "lanes", None), str(exc))
+        runs.append((steps, outcome))
+    return runs
+
+
+def _mesh_lanes(a: float, nu: int, nv: int) -> tuple:
+    """(legs, scale, y0) of the rings of both sheets of a nu x nv mesh from
+    the identity frame, split into legs as build_mesh runs them."""
+    radii = geometry._ring_radii(a, nu, 3.0 * a)
+    angles = [2 * np.pi * (k + 0.5) / nv for k in range(nv)]
+    order = sorted(range(nv), key=lambda k: (angles[k] - np.pi / 2) % (2 * np.pi))
+    y0 = np.zeros((5, 2 * len(radii)), dtype=complex)
+    y0[0] = y0[3] = 1.0
+    y0[4, : len(radii)], y0[4, len(radii):] = 1.0, -1.0
+    return geometry._unit_legs(angles, order), np.array(radii * 2), y0
 
 
 def test_lane_field_steps_equal_the_reference_per_lane():
     # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh runs them
     a, c = 2.0, -1.526035
-    radii = geometry._ring_radii(a, 8, 3.0 * a)
-    angles = [2 * np.pi * (k + 0.5) / 12 for k in range(12)]
-    order = sorted(range(12), key=lambda k: (angles[k] - np.pi / 2) % (2 * np.pi))
-    scale = np.array(radii * 2)
-    y = np.zeros((5, scale.size), dtype=complex)
-    y[0] = y[3] = 1.0
-    y[4, : len(radii)], y[4, len(radii):] = 1.0, -1.0
-    for leg in geometry._unit_legs(angles, order):
-        steps, end = _lane_steps(_joint_field_lanes(a, c, scale), leg, y)
-        reference, y = _lane_steps(_reference_field_lanes(a, c, scale), leg, y)
+    legs, scale, y = _mesh_lanes(a, 8, 12)
+    for leg in legs:
+        steps, end = _lane_steps(
+            _rk.integrate_polyline_lanes, leg, y, c * scale, branch_offsets(a, scale)
+        )
+        reference, y = _lane_steps(reference_lanes, leg, y, _reference_field_lanes(a, c, scale))
         assert steps == reference
         assert end.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
 def test_lane_field_steps_equal_the_reference_at_scale_one(name):
-    # a scan block's lanes: one value of c each, scale 1
+    # a scan block's lanes: one value of c each, scale 1, where the kernel
+    # takes L in Python complex arithmetic
     a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
     path = getattr(canonical_paths(a), name)
     y0 = np.zeros((5, cs.size), dtype=complex)
     y0[0] = y0[3] = 1.0
     y0[4] = path.w0
-    steps, end = _lane_steps(_joint_field_lanes(a, cs), path.waypoints, y0)
-    reference, reference_end = _lane_steps(_reference_field_lanes(a, cs), path.waypoints, y0)
+    steps, end = _lane_steps(_rk.integrate_polyline_lanes, path.waypoints, y0, cs, branch_offsets(a))
+    reference, reference_end = _lane_steps(
+        reference_lanes, path.waypoints, y0, _reference_field_lanes(a, cs)
+    )
     assert steps == reference
     assert end.tobytes() == reference_end.tobytes()
+
+
+@pytest.mark.parametrize("nu, nv", [(24, 24), (8, 12)])
+@pytest.mark.parametrize("root", ["shallow_solution", "hyperbolic_solution", "deep_solution"])
+def test_mesh_legs_equal_the_parent_kernel(request, monkeypatch, root, nu, nv):
+    # every leg of the mesh at the a = 2 roots -1.526035, 1.26988 and
+    # -7.611914, on the lane kernel and on the one it replaced: the same
+    # accepted (z, y) per lane and the same end states
+    sol = request.getfixturevalue(root)
+    real = geometry.integrate_frames_over_c
+    legs = []
+
+    def both(path, a, c, cfg, **kwargs):
+        runs = _on_both_kernels(
+            monkeypatch, lambda on_step: real(path, a, c, cfg, on_step=on_step, **kwargs)
+        )
+        assert runs[0] == runs[1]
+        legs.append(len(runs[0][0]))
+        return real(path, a, c, cfg, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "integrate_frames_over_c", both)
+        geometry.build_mesh(sol, nu, nv)
+    assert len(legs) == nv + 1 and min(legs) > 0
+
+
+def test_failing_lanes_equal_the_parent_kernel(monkeypatch):
+    # at rel_tol 1e-6 the outermost ring of each sheet of an 8 x 12 mesh
+    # leaves the curve on the radial leg: both kernels fail at the same step,
+    # naming the same lanes, point of the curve and c
+    a, c = 2.0, -1.526035
+    legs, scale, y0 = _mesh_lanes(a, 8, 12)
+    loose = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-6)
+    runs = _on_both_kernels(monkeypatch, lambda on_step: integrate_frames_over_c(
+        PathSpec(1.0 + 0j, legs[0]), a, c, loose,
+        F0=y0[:4].T.reshape(-1, 2, 2), w0=y0[4], scale=scale, on_step=on_step,
+    ))
+    assert runs[0] == runs[1]
+    kind, lanes, message = runs[0][1]
+    assert kind is LanesFailed and lanes == (7, 15)
+    assert message.startswith("sheet residual exceeded at z = ")
+    assert message.endswith(f" for c = {c}")
 
 
 # References for the curve helpers: the expressions that the fields, the sheet
@@ -690,7 +815,7 @@ def test_scan_block_end_states_equal_the_inline_reference(name):
     y0[0] = y0[3] = 1.0
     y0[4] = path.w0
     steps = []
-    reference = _rk.integrate_polyline_lanes(
+    reference = reference_lanes(
         path.waypoints, y0, _reference_field_lanes(a, cs),
         on_step=lambda z, y: steps.append((z, y.copy())),
     )
@@ -705,20 +830,14 @@ def test_scan_block_end_states_equal_the_inline_reference(name):
 def test_ring_end_states_equal_the_inline_reference():
     # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh runs them
     a, c = 2.0, -1.526035
-    radii = geometry._ring_radii(a, 8, 3.0 * a)
-    angles = [2 * np.pi * (k + 0.5) / 12 for k in range(12)]
-    order = sorted(range(12), key=lambda k: (angles[k] - np.pi / 2) % (2 * np.pi))
-    scale = np.array(radii * 2)
+    legs, scale, y = _mesh_lanes(a, 8, 12)
     k = branch_offsets(a, scale)
-    y = np.zeros((5, scale.size), dtype=complex)
-    y[0] = y[3] = 1.0
-    y[4, : len(radii)], y[4, len(radii):] = 1.0, -1.0
-    for leg in geometry._unit_legs(angles, order):
+    for leg in legs:
         F, w = integrate_frames_over_c(
             PathSpec(1.0 + 0j, leg), a, c,
             F0=y[:4].T.reshape(-1, 2, 2), w0=y[4], scale=scale,
         )
-        steps, y = _lane_steps(_reference_field_lanes(a, c, scale), leg, y)
+        steps, y = _lane_steps(reference_lanes, leg, y, _reference_field_lanes(a, c, scale))
         assert F.tobytes() == y[:4].T.reshape(-1, 2, 2).tobytes()
         assert w.tobytes() == y[4].tobytes()
         for z, state in steps:

@@ -14,12 +14,19 @@ op time and the median time spent in each part:
   canonical_paths  curve.canonical_paths
   _worker.pair     _worker.pair, less the parts timed inside it
   period_values    monodromy.period_values
+  build_mesh       geometry.build_mesh, less the lane kernel's calls in it
+  lane_kernel      _rk.integrate_polyline_lanes, the DP5 lane kernel that
+                   moves a mesh's rings
   _write_atomic    cli._write_atomic
   rest             the op's time less all the parts above
 
 Each part's time is its own: a part timed inside another counts once, in the
-inner part, so the parts and the rest add up to the op.  Times are wall times
-on this machine, not scaled to the benchmark's nominal speed.
+inner part, so the parts and the rest add up to the op.  So a mesh op splits
+into its refinement (_worker.pair and period_values), its mesh (build_mesh and
+lane_kernel) and its output.  The benchmark's tracer does not see the lane
+kernel; this does.  Times are wall times on this machine, not scaled to the
+benchmark's nominal speed.  Work done in the worker process is not timed: it
+shows as the caller's wait inside _worker.pair.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 REPEATS = {"scan": 41, "solve": 9, "mesh": 9, "verify": 9}
-PARTS = ("parser", "canonical_paths", "_worker.pair", "period_values", "_write_atomic")
+PARTS = ("parser", "canonical_paths", "_worker.pair", "period_values", "build_mesh",
+         "lane_kernel", "_write_atomic")
 
 
 class Clock:
@@ -68,13 +76,15 @@ class Clock:
 def timing(clock: Clock):
     """Every binding of the parts' functions, in every dscat module and on
     ArgumentParser, replaced by clock's wrappers until exit."""
-    from dscat import _worker, cli, curve, monodromy
+    from dscat import _rk, _worker, cli, curve, geometry, monodromy
 
     targets = [
         ("parser", cli.build_parser),
         ("canonical_paths", curve.canonical_paths),
         ("_worker.pair", _worker.pair),
         ("period_values", monodromy.period_values),
+        ("build_mesh", geometry.build_mesh),
+        ("lane_kernel", _rk.integrate_polyline_lanes),
         ("_write_atomic", cli._write_atomic),
     ]
     modules = [m for n, m in list(sys.modules.items()) if n == "dscat" or n.startswith("dscat.")]
