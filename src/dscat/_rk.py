@@ -2,7 +2,7 @@
 
 Both adaptive kernels run one step controller, _drive, and differ only in the
 field and step function they hand it: integrate_polyline's field argument and
-_dp5_step5, and the frame field and step of _lane_kernel for
+its step, and the frame field and step of _lane_kernel for
 integrate_polyline_lanes.  Their settings are one IntegratorConfig, cfg,
 defined here with its defaults in DEFAULT_CONFIG.  A step budget or a step
 size underflow raises StepLimitExceeded with the point of the polyline where
@@ -15,12 +15,23 @@ a frame array, say) would carry every later operation on that component into
 numpy's scalar arithmetic, which is slower than Python's.  numpy arrays are
 avoided in the step loop for the same reason: the system is tiny and scalar
 arithmetic is an order of magnitude faster than small-array operations.  Its
-DP5 step, _dp5_step5, is written out per component, and each stage sum keeps
-the order of the per-component loop it replaced, which the tests keep as its
-bit-for-bit reference: floating-point arithmetic is not associative, and
-regrouping a stage sum or a product (h * (A * k) for (h * A) * k, say) would
-move results in the last digits and, through the step-size controller, change
-which steps are taken.
+generic DP5 step, _dp5_step5, is written out per component, and each stage
+sum keeps the order of the per-component loop it replaced, which the tests
+keep as its bit-for-bit reference: floating-point arithmetic is not
+associative, and regrouping a stage sum or a product (h * (A * k) for
+(h * A) * k, say) would move results in the last digits and, through the
+step-size controller, change which steps are taken.
+
+On the frame field of transport._joint_field, which carries its coefficient
+and branch offsets as its attribute frame, integrate_polyline takes the
+fused step of _frame_step instead: _dp5_step5 with the field written out at
+each stage in the field's own operations and order, which gives the same
+bits without a call per stage, forming c u once per step and L(z) once per
+distinct stage point.
+The generic step stays as the path for any other field: the tests' fields,
+and the frame field wrapped in a plain function, as the benchmark's tracer
+wraps it to count its calls, until the benchmark counts work by role rather
+than by function (ROADMAP item 12).
 
 integrate_polyline_lanes runs the same scheme on the same five components
 for many independent lanes at once, each with its own coefficient c and
@@ -136,9 +147,12 @@ def integrate_polyline(
     z is the current point of the polyline and u the unit direction of the
     active segment, so a holomorphic field G(z) enters as field = G(z(s)) * u.
     on_step, when given, is called with (z, y) after every accepted step.
-    Returns the final state tuple.
+    Returns the final state tuple.  A field with the attribute frame, as
+    transport._joint_field makes it, runs on the fused step _frame_step(*frame).
     """
-    return _drive(waypoints, tuple(complex(v) for v in y0), field, _dp5_step5, cfg, on_step)
+    frame = getattr(field, "frame", None)
+    step = _dp5_step5 if frame is None else _frame_step(*frame)
+    return _drive(waypoints, tuple(complex(v) for v in y0), field, step, cfg, on_step)
 
 
 def _drive(waypoints, y, field, step, cfg, on_step):
@@ -262,6 +276,114 @@ def _dp5_step5(field, z0, u, h, y, k1, rel_tol, abs_tol):
     return ynew, k7, math.sqrt(err_sq / 5)
 
 
+def _frame_step(cs: complex, k: tuple):
+    """_dp5_step5 on the frame field of transport._joint_field, made from its
+    coefficient cs = c * scale and branch offsets k: a step for _drive.
+
+    The field is written out at each stage with the operations of
+    _joint_field in their order, and c u is formed once per step.  L(z),
+    log_derivative_of's, is taken once at each of the five distinct stage
+    points, stages 6 and 7 sharing the end point's.  |y| is kept from the
+    step that produced y.  Its results are _dp5_step5's on that field, bit
+    for bit.
+    """
+    k0, k1, k2, k3 = k
+    last = last_abs = None
+
+    def step(field, z0, u, h, y, fsal, rel_tol, abs_tol):
+        nonlocal last, last_abs
+        y0, y1, y2, y3, y4 = y
+        a0, a1, a2, a3, a4 = fsal
+        cu = cs * u
+        hA21 = h * _A21
+        z = z0 + 0.2 * h * u
+        L = 0.5 * (1 / (z + k0) + 1 / (z + k1) - 1 / (z + k2) - 1 / (z + k3))
+        s0 = y0 + hA21 * a0
+        s1 = y1 + hA21 * a1
+        s2 = y2 + hA21 * a2
+        s3 = y3 + hA21 * a3
+        w = y4 + hA21 * a4
+        iw = 1.0 / w
+        b0, b1 = cu * (s0 - w * s2), cu * (s1 - w * s3)
+        b2, b3 = cu * (s0 * iw - s2), cu * (s1 * iw - s3)
+        b4 = w * L * u
+        z = z0 + 0.3 * h * u
+        L = 0.5 * (1 / (z + k0) + 1 / (z + k1) - 1 / (z + k2) - 1 / (z + k3))
+        s0 = y0 + h * (_A31 * a0 + _A32 * b0)
+        s1 = y1 + h * (_A31 * a1 + _A32 * b1)
+        s2 = y2 + h * (_A31 * a2 + _A32 * b2)
+        s3 = y3 + h * (_A31 * a3 + _A32 * b3)
+        w = y4 + h * (_A31 * a4 + _A32 * b4)
+        iw = 1.0 / w
+        c0, c1 = cu * (s0 - w * s2), cu * (s1 - w * s3)
+        c2, c3 = cu * (s0 * iw - s2), cu * (s1 * iw - s3)
+        c4 = w * L * u
+        z = z0 + 0.8 * h * u
+        L = 0.5 * (1 / (z + k0) + 1 / (z + k1) - 1 / (z + k2) - 1 / (z + k3))
+        s0 = y0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0)
+        s1 = y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1)
+        s2 = y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2)
+        s3 = y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3)
+        w = y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4)
+        iw = 1.0 / w
+        d0, d1 = cu * (s0 - w * s2), cu * (s1 - w * s3)
+        d2, d3 = cu * (s0 * iw - s2), cu * (s1 * iw - s3)
+        d4 = w * L * u
+        z = z0 + (8 / 9) * h * u
+        L = 0.5 * (1 / (z + k0) + 1 / (z + k1) - 1 / (z + k2) - 1 / (z + k3))
+        s0 = y0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0)
+        s1 = y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)
+        s2 = y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2)
+        s3 = y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3)
+        w = y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4)
+        iw = 1.0 / w
+        e0, e1 = cu * (s0 - w * s2), cu * (s1 - w * s3)
+        e2, e3 = cu * (s0 * iw - s2), cu * (s1 * iw - s3)
+        e4 = w * L * u
+        z = z0 + h * u
+        L = 0.5 * (1 / (z + k0) + 1 / (z + k1) - 1 / (z + k2) - 1 / (z + k3))
+        s0 = y0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0)
+        s1 = y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1)
+        s2 = y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2)
+        s3 = y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3)
+        w = y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4)
+        iw = 1.0 / w
+        f0, f1 = cu * (s0 - w * s2), cu * (s1 - w * s3)
+        f2, f3 = cu * (s0 * iw - s2), cu * (s1 * iw - s3)
+        f4 = w * L * u
+        v0 = y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * f0)
+        v1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
+        v2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
+        v3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
+        w = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
+        iw = 1.0 / w
+        g0, g1 = cu * (v0 - w * v2), cu * (v1 - w * v3)
+        g2, g3 = cu * (v0 * iw - v2), cu * (v1 * iw - v3)
+        g4 = w * L * u
+        if y is last:
+            n0, n1, n2, n3, n4 = last_abs
+        else:
+            n0, n1, n2, n3, n4 = abs(y0), abs(y1), abs(y2), abs(y3), abs(y4)
+        m0, m1, m2, m3, m4 = abs(v0), abs(v1), abs(v2), abs(v3), abs(w)
+        x0 = h * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0)
+        x1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1)
+        x2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2)
+        x3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3)
+        x4 = h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)
+        # m if m > n else n is max(n, m), NaN included
+        err_sq = (
+            (abs(x0) / (abs_tol + rel_tol * (m0 if m0 > n0 else n0))) ** 2
+            + (abs(x1) / (abs_tol + rel_tol * (m1 if m1 > n1 else n1))) ** 2
+            + (abs(x2) / (abs_tol + rel_tol * (m2 if m2 > n2 else n2))) ** 2
+            + (abs(x3) / (abs_tol + rel_tol * (m3 if m3 > n3 else n3))) ** 2
+            + (abs(x4) / (abs_tol + rel_tol * (m4 if m4 > n4 else n4))) ** 2
+        )
+        last, last_abs = (v0, v1, v2, v3, w), (m0, m1, m2, m3, m4)
+        return last, (g0, g1, g2, g3, g4), math.sqrt(err_sq / 5)
+
+    return step
+
+
 def integrate_polyline_lanes(
     waypoints: Sequence[complex],
     y0: np.ndarray,
@@ -345,22 +467,25 @@ def _lane_kernel(y0: np.ndarray, cs, offsets) -> tuple:
         else:
             Lu = log_derivative_of(np.array(z)[:, None], stacked)
             Lu *= u
-        for j, (weights, ks, products) in enumerate(sums):
-            np.multiply(weights, ks, out=products)
-            np.add.reduce(products, out=total)
-            np.multiply(h, total, out=total)
-            y_j = np.add(y, total, out=stage if j < 5 else None)
-            derive(y_j, Lu[_STAGE_POINT_OF[j]], rows[j + 1])
-        np.multiply(_ERR_W, k, out=weighted)
-        e = np.add.reduce(weighted, out=total)
-        np.multiply(h, e, out=e)
-        last, last_abs = y_j, np.abs(y_j)
-        np.abs(e, out=ratio)
-        np.maximum(y_abs, last_abs, out=bound)
-        np.multiply(rel_tol, bound, out=bound)
-        np.add(abs_tol, bound, out=bound)
-        np.divide(ratio, bound, out=ratio)
-        np.multiply(ratio, ratio, out=ratio)
+        # a lane that overflows goes on as inf or NaN, which fails its error
+        # test, until the step size underflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (weights, ks, products) in enumerate(sums):
+                np.multiply(weights, ks, out=products)
+                np.add.reduce(products, out=total)
+                np.multiply(h, total, out=total)
+                y_j = np.add(y, total, out=stage if j < 5 else None)
+                derive(y_j, Lu[_STAGE_POINT_OF[j]], rows[j + 1])
+            np.multiply(_ERR_W, k, out=weighted)
+            e = np.add.reduce(weighted, out=total)
+            np.multiply(h, e, out=e)
+            last, last_abs = y_j, np.abs(y_j)
+            np.abs(e, out=ratio)
+            np.maximum(y_abs, last_abs, out=bound)
+            np.multiply(rel_tol, bound, out=bound)
+            np.add(abs_tol, bound, out=bound)
+            np.divide(ratio, bound, out=ratio)
+            np.multiply(ratio, ratio, out=ratio)
         return y_j, k[6], math.sqrt(float(ratio.sum(axis=0).max()) / n)
 
     return field, step

@@ -169,7 +169,8 @@ class _Worker:
             try:
                 os.close(down_w)
                 os.close(up_r)
-                _serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
+                with os.fdopen(down_r, "rb") as requests, os.fdopen(up_w, "wb") as replies:
+                    _serve(requests, replies)
             finally:
                 os._exit(0)
         os.close(down_r)

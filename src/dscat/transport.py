@@ -100,6 +100,14 @@ def _joint_field(a: float, c: float, scale=1.0):
     log_derivative's L, operation for operation, without its branch-distance
     guard.  Callers validate the path, so the guard could never fire here,
     while it took a fifth of the field's time.
+
+    The field carries (c * scale, k) as its attribute frame, from which
+    _rk.integrate_polyline makes its fused step (_rk._frame_step): that step
+    evaluates this field itself, with these operations in this order, and
+    calls it only for k1 at the start of each segment.  Any other field runs
+    on the generic step, _rk._dp5_step5, and so does this one wrapped in a
+    plain function, as the benchmark's tracer wraps it to count its calls
+    until it counts work by role (ROADMAP item 12), with the same bits.
     """
     k = branch_offsets(a, scale)
     c_s = c * scale
@@ -116,6 +124,7 @@ def _joint_field(a: float, c: float, scale=1.0):
             w * log_derivative_of(z, k) * u,
         )
 
+    field.frame = (c_s, k)
     return field
 
 

@@ -1,4 +1,5 @@
-"""The recorded digests of the outputs that the benchmark pins.
+"""The recorded digests of the outputs that the benchmark pins, and of every
+other command of tools/output_digest.py.
 
 perfbench/references.json pins the outputs of the benchmark's `mesh` and
 `solve` ops, and a root that moves in its last digits moves mesh vertices past
@@ -11,10 +12,15 @@ scan's arrays (dscat.period.ScanResult), and a change to how they are built
 or read would show here.  The five `verify` commands are held because the
 battery splits its work between two processes
 (dscat.checks.run_invariant_suite), and a split that changed a check's
-result or the order of the report would show here.  The two meshes are held
-a second time with one CPU visible, which keeps all work in one process
-(dscat._worker): a serial run must write the bytes of a paired one.  Skipped unless Python and numpy are the versions the file was recorded
-with, since other versions may round differently.
+result or the order of the report would show here.  The two solves beyond
+the benchmark's brackets exit 4 by each outcome of refinement's
+pole-or-crossing decision, and the scalar DP5 kernel decides their bytes, as
+it does those of the `classify` whose initial step reaches it (its end
+loop); the `classify` at a = 1.2 holds the PathError exit.  The two meshes
+are held a second time with one CPU visible, which keeps all work in one
+process (dscat._worker): a serial run must write the bytes of a paired one.
+Skipped unless Python and numpy are the versions the file was recorded with,
+since other versions may round differently.
 """
 
 import importlib.util
@@ -35,23 +41,19 @@ def _load_digest():
 
 
 digest = _load_digest()
-# The five verify commands; the two 24 x 24 meshes; the seven scans: the
-# three 2600-point scans, the 27-point block, the scan at loose tolerances,
-# which the Magnus kernel completes, the --initial-step scan and the a = 1
-# error; the benchmark's four admissible brackets and its pole bracket, which
-# exits 4; and the two integration failures, which exit 3: the step limit and
-# the scalar kernel's sheet check.
-PINNED = [
-    argv
-    for argv in digest.COMMANDS
-    if argv[0] in ("verify", "mesh", "scan")
-    or argv[0] == "solve" and argv[4:7:2] in digest.BRACKETS[:5]
-    or digest.LOOSE[0] in argv
-]
+# Every command: the five verify commands; the two 24 x 24 meshes; the seven
+# scans: the three 2600-point scans, the 27-point block, the scan at loose
+# tolerances, which the Magnus kernel completes, the --initial-step scan and
+# the a = 1 error; the benchmark's four admissible brackets and its pole
+# bracket, which exits 4, and the two further brackets that exit 4; the two
+# integration failures, which exit 3: the step limit and the scalar kernel's
+# sheet check; the PathError at a = 1.2, which exits 2; and the classify
+# whose initial step reaches the scalar kernel.
+PINNED = list(digest.COMMANDS)
 
 
 def test_the_pinned_commands_are_listed():
-    assert len(PINNED) == 21
+    assert len(PINNED) == 25
 
 
 def _recorded() -> list:

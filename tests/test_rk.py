@@ -4,11 +4,13 @@ _reference_dp5 is the loop integrate_polyline once ran, and
 _reference_joint_field is the frame field as it was, with L(z) from the
 guarded curve.log_derivative.  They are fed the start state the way
 integrate_frame feeds it, as the numpy complex scalars of the start frame.
-The DP5 kernel must reproduce its loop bit for bit: every accepted step and
-every endpoint component exactly equal.  _reference_rk4 is the per-step RK4
-loop of a linear 2 x 2 system, the frame's with w in closed form; the RK4
-kernel takes the same steps but multiplies per-step transfer matrices in
-blocks, so it agrees with the loop up to rounding.
+The DP5 kernel must reproduce its loop bit for bit, every accepted step and
+every endpoint component exactly equal: with its fused step on the frame
+field of transport._joint_field, and with the generic step on any other
+field, such as the same field wrapped in a plain function.  _reference_rk4
+is the per-step RK4 loop of a linear 2 x 2 system, the frame's with w in
+closed form; the RK4 kernel takes the same steps but multiplies per-step
+transfer matrices in blocks, so it agrees with the loop up to rounding.
 """
 
 import cmath
@@ -24,14 +26,14 @@ from dscat._rk import (
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7,
 )
-from dscat.curve import CurveParams, canonical_paths, log_derivative
+from dscat.curve import CurveParams, PathSpec, canonical_paths, log_derivative, validate_path
 from dscat.errors import StepLimitExceeded
 from dscat.transport import _joint_field, reference_frame
 
 from conftest import reference_lanes
 
 C_VALUES = (-7.6, -1.526035, 1.26988, 3.9)
-PATH_NAMES = ("c1", "c2", "gamma1", "end_loop_plus")
+PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
 # The identity and a gauge frame of determinant exactly 1.
 START_FRAMES = {
     "identity": np.eye(2, dtype=complex),
@@ -204,6 +206,99 @@ def test_dp5_matches_reference_loop(c, frame):
         assert y == ref, name
         assert len(steps) == len(ref_steps) > 0, name
         assert steps == ref_steps, name
+
+
+def _plain(field, calls=None):
+    """field wrapped in a plain function, as the benchmark's tracer wraps it,
+    so that the kernel takes the generic step; calls, when given, collects
+    the points at which it is called."""
+    def wrapped(z, u, y):
+        if calls is not None:
+            calls.append(z)
+        return field(z, u, y)
+
+    return wrapped
+
+
+# Settings beyond the defaults, each as (cfg, scale): loose tolerances, whose
+# steps are long and often rejected, a long first step, and a complex scale,
+# which rotates and stretches the polyline.
+SETTINGS = {
+    "loose": (_rk.IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4), 1.0),
+    "initial-step": (_rk.IntegratorConfig(initial_step=0.2), 1.0),
+    "complex-scale": (_rk.DEFAULT_CONFIG, 0.95 * cmath.exp(0.1j)),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@pytest.mark.parametrize("c", C_VALUES)
+def test_fused_step_matches_reference_loop_at_other_settings(c, setting):
+    # at a complex scale the reference loop takes the same field as a plain
+    # function: L comes from the scaled branch offsets, whose bits the
+    # guarded log_derivative of _reference_joint_field does not give
+    a = 2.0
+    cfg, scale = SETTINGS[setting]
+    paths = canonical_paths(a)
+    for name in PATH_NAMES:
+        path = getattr(paths, name)
+        validate_path(PathSpec(path.w0, tuple(scale * z for z in path.waypoints)), a)
+        field = _joint_field(a, c, scale)
+        reference = _reference_joint_field(a, c) if scale == 1.0 else _plain(field)
+        steps, ref_steps = [], []
+        y = _rk.integrate_polyline(
+            path.waypoints, _start(path, START_FRAMES["gauge"]), field, cfg=cfg,
+            on_step=lambda z, y: steps.append((z, y)),
+        )
+        ref = _reference_dp5(
+            path.waypoints, _start(path, START_FRAMES["gauge"]), reference,
+            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, first_step=cfg.initial_step,
+            on_step=lambda z, y: ref_steps.append((z, y)),
+        )
+        assert y == ref, name
+        assert len(steps) == len(ref_steps) > 0, name
+        assert steps == ref_steps, name
+
+
+def test_frame_field_is_called_once_per_segment():
+    # the fused step evaluates the field itself, so the kernel calls the
+    # frame field only for k1 at the start of each segment of nonzero length;
+    # a fallback to the generic step would call it six times a step
+    a, c = 2.0, -1.526035
+    field = _joint_field(a, c)
+    calls = []
+    counted = _plain(field, calls)
+    counted.frame = field.frame
+    path = canonical_paths(a).c1
+    p, q, r = path.waypoints
+    waypoints, y0 = (p, q, q, r), (1, 0, 0, 1, path.w0)
+    y = _rk.integrate_polyline(waypoints, y0, counted)
+    assert calls == [p, q]
+    assert y == _rk.integrate_polyline(waypoints, y0, field)
+
+
+def test_plain_field_takes_the_generic_step_with_the_same_bits():
+    # a plain wrapper of the frame field, as the benchmark's tracer makes,
+    # runs the generic step: one call per stage, six per attempted step and
+    # one per segment, and every accepted step and the end state of the
+    # fused step
+    a, c = 2.0, 1.26988
+    field = _joint_field(a, c)
+    paths = canonical_paths(a)
+    for name in PATH_NAMES:
+        path = getattr(paths, name)
+        y0 = _start(path, START_FRAMES["identity"])
+        calls, steps, plain_steps = [], [], []
+        y = _rk.integrate_polyline(
+            path.waypoints, y0, field, on_step=lambda z, y: steps.append((z, y))
+        )
+        y_plain = _rk.integrate_polyline(
+            path.waypoints, y0, _plain(field, calls),
+            on_step=lambda z, y: plain_steps.append((z, y)),
+        )
+        segments = sum(1 for p, q in zip(path.waypoints[:-1], path.waypoints[1:]) if q != p)
+        assert (len(calls) - segments) % 6 == 0
+        assert (len(calls) - segments) // 6 >= len(steps) > 0
+        assert y_plain == y and plain_steps == steps, name
 
 
 @pytest.mark.parametrize("frame", sorted(START_FRAMES))

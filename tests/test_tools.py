@@ -41,6 +41,7 @@ def test_op_costs_wraps_the_parts_it_times(load):
         (monodromy, "period_values"),
         (geometry, "build_mesh"),
         (_rk, "integrate_polyline_lanes"),
+        (_rk, "integrate_polyline"),
         (cli, "_write_atomic"),
     ]
     originals = [getattr(module, name) for module, name in parts]

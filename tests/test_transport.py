@@ -209,6 +209,19 @@ def test_lane_kernel_takes_the_initial_step_and_names_its_budget():
     assert complex(z) in reached[:3]
 
 
+def test_lane_overflow_ends_in_step_size_underflow():
+    # on c1's second segment at c = -1e6 and -2e6 the lanes' stage sums
+    # overflow before the step size underflows; the overflow stays inside
+    # the step, which a RuntimeWarning, an error here, would leave
+    a = 2.0
+    c1 = canonical_paths(a).c1
+    path = PathSpec(transport._waypoint_w(c1, branch_offsets(a))[1], c1.waypoints[1:3])
+    with pytest.raises(StepLimitExceeded) as exc:
+        integrate_frames_over_c(path, a, np.array([-1e6, -2e6]))
+    head, _, tail = str(exc.value).partition(" at z = ")
+    assert head == "step size underflow" and tail.endswith(" for c = -1000000.0")
+
+
 def test_initial_frame_must_be_unimodular():
     params = CurveParams(2.0, 1.0)
     paths = canonical_paths(params.a)

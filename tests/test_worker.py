@@ -10,8 +10,10 @@ os.sched_getaffinity returning one CPU does.
 import dataclasses
 import os
 import signal
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from dscat.period import scan_c
 from dscat.transport import DEFAULT_CONFIG, IntegratorConfig, transfer
 
 ROOTS = (-7.611914, -4.06015, -1.526035, 1.26988, 5.33317)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 pytestmark = pytest.mark.usefixtures("fresh_worker")
 
@@ -331,3 +334,20 @@ def test_pair_keeps_serial_order_without_a_worker(monkeypatch):
     with pytest.raises(DomainError):
         _worker.pair("dscat.curve.rational_rhs", local, 1.0, 2.0)
     assert order == ["local"]
+
+
+@two_cpus
+def test_the_worker_closes_its_pipe_ends(tmp_path):
+    # mesh first refines the root near c, its half paths in two processes,
+    # and at c = -3e5 an integration fails (exit 3); a pipe end left open in
+    # the worker would print "Exception ignored ... ResourceWarning" as the
+    # worker exits, which -W error makes visible
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dscat", "mesh", "--a", "2", "--c=-3e5",
+         "--nu", "4", "--nv", "4", "--out", "m.obj"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: integration failed: step size underflow at z = ")
+    assert "Exception ignored" not in proc.stderr and "ResourceWarning" not in proc.stderr

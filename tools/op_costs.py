@@ -14,17 +14,20 @@ op time and the median time spent in each part:
   canonical_paths  curve.canonical_paths
   _worker.pair     _worker.pair, less the parts timed inside it
   period_values    monodromy.period_values
-  build_mesh       geometry.build_mesh, less the lane kernel's calls in it
+  build_mesh       geometry.build_mesh, less the kernels' calls in it
   lane_kernel      _rk.integrate_polyline_lanes, the DP5 lane kernel that
                    moves a mesh's rings
+  dp5_kernel       _rk.integrate_polyline, the scalar DP5 kernel of one c: half
+                   paths, loops, end loops and sheet roots
   _write_atomic    cli._write_atomic
   rest             the op's time less all the parts above
 
 Each part's time is its own: a part timed inside another counts once, in the
 inner part, so the parts and the rest add up to the op.  So a mesh op splits
-into its refinement (_worker.pair and period_values), its mesh (build_mesh and
-lane_kernel) and its output.  The benchmark's tracer does not see the lane
-kernel; this does.  Times are wall times on this machine, not scaled to the
+into its refinement (_worker.pair and period_values, with the scalar kernel's
+own time in dp5_kernel), its mesh (build_mesh and lane_kernel, with its sheet
+roots in dp5_kernel) and its output.  The benchmark's tracer does not see the
+lane kernel; this does.  Times are wall times on this machine, not scaled to the
 benchmark's nominal speed.  Work done in the worker process is not timed: it
 shows as the caller's wait inside _worker.pair.
 """
@@ -47,7 +50,7 @@ import workloads  # noqa: E402
 
 REPEATS = {"scan": 41, "solve": 9, "mesh": 9, "verify": 9}
 PARTS = ("parser", "canonical_paths", "_worker.pair", "period_values", "build_mesh",
-         "lane_kernel", "_write_atomic")
+         "lane_kernel", "dp5_kernel", "_write_atomic")
 
 
 class Clock:
@@ -85,6 +88,7 @@ def timing(clock: Clock):
         ("period_values", monodromy.period_values),
         ("build_mesh", geometry.build_mesh),
         ("lane_kernel", _rk.integrate_polyline_lanes),
+        ("dp5_kernel", _rk.integrate_polyline),
         ("_write_atomic", cli._write_atomic),
     ]
     modules = [m for n, m in list(sys.modules.items()) if n == "dscat" or n.startswith("dscat.")]
