@@ -1,32 +1,31 @@
-"""Two calls at once: one in a persistent worker process, one in the caller.
+"""One function called on two shares at once, one in a persistent worker
+process and one in the caller.
 
-pair("package.module.function", then, *args, **kwargs) returns
-(function(*args, **kwargs), then()), exactly as the two calls made one after
-the other, the named one first, would.  The named call runs in a worker
-process, forked on first use and kept for later calls, while the caller runs
-then().  The worker receives the function's name and pickled data, never a
-function object, and looks the name up in its own copy of the package; so a
-wrapper installed in place of the function before the fork (by a tracer, say)
-is used there too, even one that cannot be pickled.  Pickling keeps every bit
-of a float, a complex or a numpy array, so the results are those of a serial
-run.
+pair("package.module.function", there, here, **kwargs) returns
+(function(*there, **kwargs), function(*here, **kwargs)), exactly as the two
+calls made one after the other, there first, would.  The worker, forked on
+first use and kept for later calls, makes the call on there while the caller
+makes the call on here.  Each side looks the function up by name in its own
+copy of the package, so a wrapper installed in its place (by a tracer, say)
+is used on both sides, even one that cannot be pickled.  The messages on the
+pipes are plain pickles, which keep every bit of a float, a complex or a
+numpy array, so the results are those of a serial run; a message cut short
+by a dying process reads as the end of the pipe.
 
-Give the worker the shorter of the two calls.  The caller then never waits
-for the worker unless it is slowed by more than the ratio of the two calls'
-lengths, and it does not sleep between sending a request and reading the
-reply, which would add two process wake-ups to every pair.
+Give the worker the shorter share.  The caller then never waits for the
+worker unless it is slowed by more than the ratio of the two calls' lengths,
+and it does not sleep between sending a request and reading the reply, which
+would add two process wake-ups to every pair.
 
-The two calls run serially in the caller, the named one first, unless the
-process sees a second CPU and can fork.  They also run serially inside the
-worker, in any child forked from the process that imported this module, while
-another thread uses the worker, and for good once the worker has died or was
-discarded.  A pair() reached from inside another pair's then() finds the
-worker busy, so its two calls run serially in the caller too.
+The two calls run serially in the caller, there first, unless the process
+sees a second CPU and can fork.  They also run serially inside the worker, in
+any child forked from the process that imported this module, while the
+worker is in use (by another thread, or by the pair whose call on here made
+this one), and for good once the worker has died or was discarded.
 
-Errors follow the serial order: when both calls fail, the named call's error
-wins, and then()'s error is raised only where the named call succeeded.  The
-named call's error is raised in the caller with its own type and message; one
-that does not survive pickling is raised by running the call again in the
+Errors follow the serial order: when both calls fail, the worker's error
+wins.  It is raised in the caller with its own type and message; one that
+does not survive pickling is raised by making the call on there again in the
 caller.  The caller collects the reply before it returns or raises, so no
 later call can read a stale one.  An interrupt (a BaseException that is not an
 Exception, such as KeyboardInterrupt) between sending the request and reading
@@ -41,13 +40,11 @@ import atexit
 import importlib
 import os
 import pickle
-import struct
 import threading
 
 # signal is imported where it is used, in the worker and to kill it: at
 # import it would add about a millisecond to every start of the CLI.
 
-_HEADER = struct.Struct("<Q")
 # The process that imported this module; only it may use a worker.
 _HOME = os.getpid()
 _lock = threading.Lock()
@@ -56,23 +53,21 @@ _lock = threading.Lock()
 _current = None
 
 
-def pair(first: str, then, /, *args, **kwargs) -> tuple:
-    """(f(*args, **kwargs), then()) for the function f named by first, as the
-    two calls made one after the other, f first, return them; f runs in the
-    worker process where there is one, while the caller runs then()."""
-
-    def here():
-        return _resolve(first)(*args, **kwargs)
-
+def pair(name: str, there: tuple, here: tuple, /, **kwargs) -> tuple:
+    """(f(*there, **kwargs), f(*here, **kwargs)) for the function f named by
+    name, as the two calls made one after the other, there first, return
+    them; the call on there runs in the worker process where there is one,
+    while the caller makes the call on here."""
+    f = _resolve(name)
     if not _lock.acquire(blocking=False):
-        return here(), then()
+        return f(*there, **kwargs), f(*here, **kwargs)
     try:
         worker = _usable_worker()
-        if worker is None or _exchange(worker.send, (first, args, kwargs)) is None:
-            return here(), then()
+        if worker is None or _exchange(worker.send, (name, there, kwargs)) is None:
+            return f(*there, **kwargs), f(*here, **kwargs)
         error = None
         try:
-            second = then()
+            second = f(*here, **kwargs)
         except Exception as exc:
             error = exc
         except BaseException:
@@ -83,7 +78,7 @@ def pair(first: str, then, /, *args, **kwargs) -> tuple:
         _lock.release()
     if reply is None:
         # the worker died, or the error it raised cannot be pickled
-        result = here()
+        result = f(*there, **kwargs)
     else:
         ok, result = reply
         if not ok:
@@ -138,7 +133,7 @@ def _exchange(step, *args):
     has died, and then None is returned, or where an interrupt lands."""
     try:
         return step(*args)
-    except (EOFError, OSError):
+    except (EOFError, pickle.UnpicklingError, OSError):
         _discard()
         return None
     except BaseException:
@@ -180,13 +175,14 @@ class _Worker:
 
     def send(self, request: tuple) -> bool:
         """Send a request; True, which _exchange tells from a dead worker."""
-        _write(self._requests, pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+        pickle.dump(request, self._requests, pickle.HIGHEST_PROTOCOL)
+        self._requests.flush()
         return True
 
     def receive(self):
         """(True, value), (False, error), or None where the error cannot be
         pickled."""
-        return pickle.loads(_read(self._replies))
+        return pickle.load(self._replies)
 
     def close(self, kill: bool = False) -> None:
         if kill:
@@ -199,22 +195,6 @@ class _Worker:
             except OSError:
                 pass
         os.waitpid(self.pid, 0)
-
-
-def _write(stream, data: bytes) -> None:
-    stream.write(_HEADER.pack(len(data)) + data)
-    stream.flush()
-
-
-def _read(stream) -> bytes:
-    """One message; EOFError where the other end closed first."""
-    header = stream.read(_HEADER.size)
-    if len(header) == _HEADER.size:
-        (size,) = _HEADER.unpack(header)
-        data = stream.read(size)
-        if len(data) == size:
-            return data
-    raise EOFError
 
 
 def _serve(requests, replies) -> None:
@@ -230,16 +210,19 @@ def _serve(requests, replies) -> None:
     os.close(null)
     while True:
         try:
-            name, args, kwargs = pickle.loads(_read(requests))
-        except EOFError:
+            name, args, kwargs = pickle.load(requests)
+        except (EOFError, pickle.UnpicklingError):
             return
+        # the reply is pickled whole before any of it is written, so a value
+        # that cannot be pickled leaves no part of a message on the pipe
         try:
             value = _resolve(name)(*args, **kwargs)
             reply = pickle.dumps((True, value), pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             reply = pickle.dumps((False, exc) if _survives_pickling(exc) else None)
         try:
-            _write(replies, reply)
+            replies.write(reply)
+            replies.flush()
         except OSError:
             return
 

@@ -7,13 +7,12 @@ solution, the probe point, the Schwarzian residual) are built once per (a, c),
 on first use.  Checks that need the period solution report "skipped (...)"
 when an earlier step did not produce it.
 
-run_invariant_suite uses both cores once the root is refined and has a
-solution: the worker process of _worker.pair runs every check but
-geometry-invariants on a pickled copy of the context, which carries the root,
-gauge and solution, while this process builds the 8 x 12 mesh that
-geometry-invariants reads.  At the a = 2 roots the checks are the longer
-share (tools/scan_shares.py times both), so the worker gets the longer call,
-against _worker's rule.  Without a solution the checks run serially here.
+run_invariant_suite refines the root and then uses both cores: the worker
+process of _worker.pair runs every check but geometry-invariants on a pickled
+copy of the context, which carries the root, gauge and solution or the error
+that stopped them, while this process runs geometry-invariants on its 8 x 12
+mesh.  At the a = 2 roots the two shares take about the same time, and which
+is the longer depends on the root (tools/scan_shares.py times both).
 
 Beside each bound is its reason and the largest value `verify --deep` measured
 at the five a = 2 roots c = -7.611914, -4.06015, -1.526035, 1.26988, 5.333170,
@@ -387,23 +386,19 @@ def run_invariant_suite(a: float, c: float, cfg: IntegratorConfig, deep: bool = 
     """Invariant battery at (a, c); returns a list of (name, ok, detail) in
     registry order.
 
-    A check that raises a DscatError fails with the error as its detail.
-    Where the root has a solution, the other checks run in the worker process
-    of _worker.pair while this process builds the mesh of geometry-invariants;
-    the results are those of a serial run.
+    A check that raises a DscatError fails with the error as its detail.  The
+    root is refined here; then the other checks run in the worker process of
+    _worker.pair while this process runs geometry-invariants; the results are
+    those of a serial run.
     """
     ctx = CheckContext(a, c, cfg)
+    ctx.maybe(ctx.solution)  # built once, here, before the context is pickled
     registry = CHECKS + (DEEP_CHECKS if deep else ())
-    if ctx.maybe(ctx.solution) is None:
-        return _run_checks(ctx, registry)
     mesh_check = ("geometry-invariants", _geometry_invariants)
     others = tuple(entry for entry in registry if entry != mesh_check)
-    results, _ = _worker.pair(
-        "dscat.checks._run_checks", lambda: ctx.maybe(ctx.mesh), ctx, others
-    )
-    results += _run_checks(ctx, (mesh_check,))
+    there, here = _worker.pair("dscat.checks._run_checks", (ctx, others), (ctx, (mesh_check,)))
     order = [name for name, _ in registry]
-    return sorted(results, key=lambda result: order.index(result[0]))
+    return sorted(there + here, key=lambda result: order.index(result[0]))
 
 
 def _run_checks(ctx: CheckContext, checks: tuple) -> list:

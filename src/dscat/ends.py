@@ -42,14 +42,28 @@ def indicial_exponent(a: float, c: float) -> complex:
     """m = sqrt(1 - 4c(a-1)), principal branch.
 
     Real positive for radicand > 0, i times positive real for radicand < 0.
-    Raises ResonantExponent within TOL_RES of an integer (including 0).
+    Raises ResonantExponent within TOL_RES of an integer (including 0), and
+    DomainError where the radicand overflows or m is too large to be told
+    from an integer.
     """
     CurveParams(a, c)
     rad = 1.0 - 4.0 * c * (a - 1.0)
+    if not math.isfinite(rad):
+        raise DomainError(
+            f"indicial exponent radicand 1 - 4c(a - 1) = {rad} at a = {a}, c = {c} is not finite"
+        )
     if rad >= 0.0:
         m = complex(math.sqrt(rad))
     else:
         m = 1j * math.sqrt(-rad)
+    # from |m| = 2^33 (about 8.6e9) on, neighbouring doubles lie 2^-19 >
+    # TOL_RES apart: a double cannot hold m to within TOL_RES, so the
+    # resonance test below would say nothing there
+    if math.ulp(abs(m)) > TOL_RES:
+        raise DomainError(
+            f"indicial exponent m = {m} at a = {a}, c = {c} is too large to tell "
+            f"within {TOL_RES} from an integer"
+        )
     if _integer_distance(m) < TOL_RES:
         raise ResonantExponent(f"indicial exponent m = {m} is within {TOL_RES} of an integer")
     return m

@@ -57,9 +57,7 @@ def half_path_frames(
     if paths is None:
         paths = canonical_paths(params.a)
     (F1, _), (F2, _) = _worker.pair(
-        "dscat.transport.integrate_frame",
-        lambda: integrate_frame(paths.c2, params, cfg=cfg),
-        paths.c1, params, cfg=cfg,
+        "dscat.transport.integrate_frame", (paths.c1, params), (paths.c2, params), cfg=cfg
     )
     return HalfPathFrames(F1, F2, params)
 

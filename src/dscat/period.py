@@ -206,8 +206,7 @@ def _transfer_all(jobs: list, a: float, cfg) -> list:
     here, there = _plan([_work(path, a, cs) for path, cs in jobs])
     replies = _worker.pair(
         "dscat.period._transfer_each",
-        lambda: _transfer_each([jobs[j] for j in here], a, cfg),
-        [jobs[j] for j in there], a, cfg,
+        ([jobs[j] for j in there], a, cfg), ([jobs[j] for j in here], a, cfg),
     )
     frames = dict(zip(there + here, replies[0][0] + replies[1][0]))
     failed = [(share[len(done)], error) for share, (done, error) in zip((there, here), replies)

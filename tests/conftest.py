@@ -45,6 +45,21 @@ def serially(monkeypatch, call):
         return call()
 
 
+def pid_and_pair(nested: bool) -> tuple:
+    """(pid, None), or with nested (pid, the pair of two pid_and_pair(False)
+    calls): a named function whose call makes a pair of its own."""
+    inner = _worker.pair("conftest.pid_and_pair", (False,), (False,)) if nested else None
+    return os.getpid(), inner
+
+
+def logged(log: list, value):
+    """value, appended to log first; raised where it is an exception."""
+    log.append(value)
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 def scan_bytes(result) -> tuple:
     """The bytes of each array of a ScanResult, NaN at skipped points
     included: equal for two scans that agree bit for bit."""

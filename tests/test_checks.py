@@ -1,7 +1,7 @@
 """The check context: checks that read the states of integrations the context
 has run already give what they gave with integrations of their own, and
 integrate nothing more.  The suite, with the checks run in the worker process
-on a pickled copy of the context and the mesh of geometry-invariants built
+on a pickled copy of the context and geometry-invariants with its mesh run
 here, gives the results of a serial run."""
 
 import os
@@ -88,27 +88,31 @@ def patched_mesh(monkeypatch, error=None) -> list:
 @two_cpus
 @pytest.mark.usefixtures("fresh_worker")
 @pytest.mark.parametrize(
-    "c, deep, sends_checks",
+    "c, deep, solved",
     [(C, True, True), (3.5, False, False), (-0.55, False, False)],
     ids=["root-deep", "no-crossing", "pole"],
 )
-def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, sends_checks):
+def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, solved):
     sent = []
     pair = _worker.pair
 
-    def recorded(first, *args, **kwargs):
-        sent.append(first)
-        return pair(first, *args, **kwargs)
+    def recorded(name, there, here, **kwargs):
+        if name == "dscat.checks._run_checks":
+            # the context goes out with its root refined, or its error cached
+            sent.append(("root" in there[0]._built, [check for check, _ in here[1]]))
+        else:
+            assert name == "dscat.transport.integrate_frame"
+        return pair(name, there, here, **kwargs)
 
     monkeypatch.setattr(_worker, "pair", recorded)
     calls = patched_mesh(monkeypatch)
     parallel = suite(c, deep)
     assert isinstance(_worker._current, _worker._Worker)
-    # refinement sends its half paths; the suite sends its checks once
-    assert sent.count("dscat.checks._run_checks") == sends_checks
-    assert set(sent) <= {"dscat.checks._run_checks", "dscat.transport.integrate_frame"}
+    # refinement sends its half paths; the suite sends its checks once,
+    # whether or not the root has a solution, and keeps geometry-invariants
+    assert sent == [(True, ["geometry-invariants"])]
     # the mesh was built here, or not at all
-    assert calls == ([os.getpid()] if sends_checks else [])
+    assert calls == ([os.getpid()] if solved else [])
     registry = checks.CHECKS + (checks.DEEP_CHECKS if deep else ())
     assert [name for name, _, _ in parallel] == [name for name, _ in registry]
     assert parallel == serially(monkeypatch, lambda: suite(c, deep))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,30 @@ def test_resonant_exponents_rejected():
         indicial_exponent(2.0, 0.25)  # m = 0
     with pytest.raises(ResonantExponent):
         indicial_exponent(3.0, -1.0)  # 1 + 8 = 9, m = 3
+
+
+@pytest.mark.parametrize(
+    "a, c",
+    [
+        (2.0, -1e308),  # the radicand 1 - 4c(a - 1) overflows to inf
+        (2.0, 1e308),  # to -inf
+        (1e308, 1.0),  # to -inf, through a - 1
+        # m = 2e150: a double that large has no fractional digits, so it
+        # would read as an integer whatever the exact m
+        (2.0, -1e300),
+        # m = 2^33, from where neighbouring doubles lie 2^-19 > TOL_RES apart
+        (2.0, -(2.0 ** 64)),
+    ],
+)
+def test_exponent_beyond_the_floats_is_a_domain_error(a, c):
+    with pytest.raises(DomainError, match=re.escape(f"at a = {a}, c = {c}")):
+        indicial_exponent(a, c)
+
+
+def test_exponent_below_two_to_the_33_is_still_tested_for_resonance():
+    # m = 2^32, whose neighbouring doubles lie 2^-20 < TOL_RES apart
+    with pytest.raises(ResonantExponent):
+        indicial_exponent(2.0, -(2.0 ** 62))
 
 
 @given(

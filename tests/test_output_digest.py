@@ -17,8 +17,11 @@ the benchmark's brackets exit 4 by each outcome of refinement's
 pole-or-crossing decision, and the scalar DP5 kernel decides their bytes, as
 it does those of the `classify` whose initial step reaches it (its end
 loop); the `classify` at a = 1.2 holds the PathError exit.  The two meshes
-are held a second time with one CPU visible, which keeps all work in one
-process (dscat._worker): a serial run must write the bytes of a paired one.
+and the five `verify` commands are held a second time with one CPU visible,
+which keeps all work in one process (dscat._worker): a serial run must write
+the bytes of a paired one.  The meshes pair the half paths of every
+refinement step; verify pairs them too and splits its battery, solved root
+or not.
 Skipped unless Python and numpy are the versions the file was recorded with,
 since other versions may round differently.
 """
@@ -78,7 +81,8 @@ def test_pinned_output_is_recorded(argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [argv for argv in PINNED if argv[0] == "mesh"], ids=lambda argv: " ".join(argv[:5])
+    "argv", [argv for argv in PINNED if argv[0] in ("mesh", "verify")],
+    ids=lambda argv: " ".join(argv[:5]),
 )
 def test_serial_mesh_output_is_recorded(argv, monkeypatch):
     # with one CPU visible no work goes to the worker: the serial run writes

@@ -9,6 +9,7 @@ os.sched_getaffinity returning one CPU does.
 
 import dataclasses
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import pytest
 from conftest import one_cpu, scan_bytes, serially, two_cpus
 
 from dscat import _worker, period
-from dscat.curve import CurveParams, PathSpec, canonical_paths
+from dscat.curve import CurveParams, PathSpec, canonical_paths, rational_rhs
 from dscat.errors import DomainError, PathError, StepLimitExceeded
 from dscat.monodromy import half_path_frames
 from dscat.period import scan_c
@@ -76,10 +77,10 @@ def test_scan_chunk_across_the_pole_equals_serial(monkeypatch):
 def test_transfer_in_the_worker_equals_serial(monkeypatch, name):
     a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
     path = getattr(canonical_paths(a), name)
-    (F, w), _ = _worker.pair("dscat.transport.transfer", lambda: None, path, a, cs)
+    (F, w), (G, v) = _worker.pair("dscat.transport.transfer", (path, a, cs), (path, a, cs))
     worker_pid()
     S, w_serial = serially(monkeypatch, lambda: transfer(path, a, cs))
-    assert F.tobytes() == S.tobytes() and w == w_serial
+    assert F.tobytes() == G.tobytes() == S.tobytes() and w == v == w_serial
 
 
 def scan_jobs(a: float, blocks: int) -> list:
@@ -110,13 +111,14 @@ def test_a_scan_plans_its_jobs_onto_both_processes_in_one_round_trip(monkeypatch
     shares = []
     pair = _worker.pair
 
-    def spy(first, then, jobs, *args):
-        shares.append(len(jobs))
-        return pair(first, then, jobs, *args)
+    def spy(name, there, here):
+        shares.append((len(there[0]), len(here[0])))
+        return pair(name, there, here)
 
     monkeypatch.setattr(_worker, "pair", spy)
     scan_c(2.0, -9.0, 4.0, 2600)
-    assert len(shares) == 1 and 0 < shares[0] < 12
+    [(in_worker, here)] = shares
+    assert 0 < in_worker < 12 and in_worker + here == 12
 
 
 H = 8.0 / 19  # the spacing of 20 c over an interval of length 8
@@ -143,10 +145,11 @@ def test_scan_errors_name_the_first_failing_job(monkeypatch, c_min, c_max, early
     in_worker = []
     pair = _worker.pair
 
-    def spy(first, then, jobs, *args):
+    def spy(name, there, here):
         # c2 ends at z = 2a = 4
+        jobs = there[0]
         in_worker.extend(cs[np.argmax(np.abs(cs))] for path, cs in jobs if path.waypoints[-1] == 4.0)
-        return pair(first, then, jobs, *args)
+        return pair(name, there, here)
 
     with monkeypatch.context() as m:
         m.setattr(_worker, "pair", spy)
@@ -256,12 +259,9 @@ def test_forked_child_runs_serially():
 def test_interrupt_discards_the_worker():
     frames(-1.526035)
     pid = worker_pid()
-
-    def interrupted():
-        raise KeyboardInterrupt
-
+    # the worker ignores the SIGINT it raises; the caller's raises KeyboardInterrupt
     with pytest.raises(KeyboardInterrupt):
-        _worker.pair("dscat.curve.rational_rhs", interrupted, 0.5j, 2.0)
+        _worker.pair("signal.raise_signal", (signal.SIGINT,), (signal.SIGINT,))
     assert _worker._current is False
     assert reaped(pid)
 
@@ -271,9 +271,9 @@ def test_worker_ignores_sigint_and_exits_when_the_pipe_closes():
     frames(-1.526035)
     pid = worker_pid()
     os.kill(pid, signal.SIGINT)
-    remote, local = _worker.pair("dscat.curve.rational_rhs", lambda: 1, 0.5j, 2.0)
+    remote, local = _worker.pair("dscat.curve.rational_rhs", (0.5j, 2.0), (0.5j, 2.0))
     assert worker_pid() == pid
-    assert remote == (0.5j + 1) * (0.5j - 2.0) / ((0.5j - 1) * (0.5j + 2.0))
+    assert remote == local == (0.5j + 1) * (0.5j - 2.0) / ((0.5j - 1) * (0.5j + 2.0))
     _worker.shutdown()
     assert reaped(pid)
     assert _worker._current is None
@@ -309,31 +309,51 @@ def test_threads_share_the_worker_and_get_their_own_results(monkeypatch):
 
 
 @two_cpus
-def test_pair_inside_then_runs_serially_in_the_caller():
+def test_pair_inside_the_callers_call_runs_serially_in_the_caller():
     frames(-1.526035)
     pid = worker_pid()
-
-    def then():
-        return _worker.pair("os.getpid", os.getpid)
-
-    remote, (inner_remote, inner_local) = _worker.pair("os.getpid", then)
-    assert remote == pid
-    assert inner_remote == inner_local == os.getpid()
+    remote, local = _worker.pair("conftest.pid_and_pair", (False,), (True,))
+    here = os.getpid()
+    assert remote == (pid, None)
+    assert local == (here, ((here, None), (here, None)))
     assert worker_pid() == pid
 
 
 def test_pair_keeps_serial_order_without_a_worker(monkeypatch):
     one_cpu(monkeypatch)
-    order = []
-
-    def local():
-        order.append("local")
-        return 1
-
-    assert _worker.pair("numpy.add", local, 2, 3) == (5, 1)
+    log = []
+    assert _worker.pair("conftest.logged", (log, "there"), (log, "here")) == ("there", "here")
+    assert log == ["there", "here"]
+    # the first call's error ends the pair: the second call is not made
+    log.clear()
+    error = DomainError("first")
     with pytest.raises(DomainError):
-        _worker.pair("dscat.curve.rational_rhs", local, 1.0, 2.0)
-    assert order == ["local"]
+        _worker.pair("conftest.logged", (log, error), (log, "here"))
+    assert log == [error]
+
+
+def half_a_reply(requests, replies):
+    """A worker loop that answers its first request with the first half of
+    its pickled reply, then exits."""
+    name, args, kwargs = pickle.load(requests)
+    reply = pickle.dumps((True, _worker._resolve(name)(*args, **kwargs)), pickle.HIGHEST_PROTOCOL)
+    replies.write(reply[: len(reply) // 2])
+    replies.flush()
+
+
+@two_cpus
+def test_a_reply_cut_short_reads_as_a_dead_worker(monkeypatch):
+    args = (0.5j, 2.0)
+    value = rational_rhs(*args)
+    reply = pickle.dumps((True, value), pickle.HIGHEST_PROTOCOL)
+    with pytest.raises(pickle.UnpicklingError):  # not the EOFError of an empty pipe
+        pickle.loads(reply[: len(reply) // 2])
+    monkeypatch.setattr(_worker, "_serve", half_a_reply)
+    assert _worker.pair("dscat.curve.rational_rhs", args, args) == (value, value)
+    assert _worker._current is False
+    # later calls run serially
+    assert _worker.pair("dscat.curve.rational_rhs", args, args) == (value, value)
+    assert _worker._current is False
 
 
 @two_cpus

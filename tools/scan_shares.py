@@ -14,13 +14,15 @@ REPEATS runs of period._transfer_each), and the idle time of the pair, the
 difference of the two shares' times.  For the 2600-point scans it prints each
 job's estimate and time too.
 
-`dscat verify --deep` at a solved root splits in two as well
-(checks.run_invariant_suite): the worker runs every check but
-geometry-invariants on a pickled copy of the context, and the caller builds
-that check's 8 x 12 mesh.  For the a = 2 roots in VERIFY_ROOTS this times
-each share alone with the process pinned to one core: the checks on a fresh
-unpickled copy of a context seeded with the solved root, and build_mesh at
-8 x 12.  It prints which share is shorter, the one _worker should get.
+`dscat verify --deep` splits in two as well (checks.run_invariant_suite):
+once the root is refined, the worker runs every check but geometry-invariants
+on a pickled copy of the context, and the caller runs geometry-invariants,
+its 8 x 12 mesh and the frame_at normals of five nodes.  For the a = 2 roots
+in VERIFY_ROOTS this captures the two shares of the suite's pair call,
+pickled as the call sends them, and times each alone on a fresh unpickled
+copy with the process pinned to one core.  It prints which share the suite
+gives the worker next to which share is shorter, the one _worker's rule
+would give it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dscat import checks, geometry, period  # noqa: E402
+from dscat import _worker, checks, period  # noqa: E402
 from dscat.transport import DEFAULT_CONFIG  # noqa: E402
 
 A_VALUES = (1.5, 2.0, 3.0)
@@ -85,15 +87,28 @@ def row(name: str, here: tuple, there: tuple) -> str:
 
 
 def verify_shares(c: float) -> tuple:
-    """(pickled context bytes, checks ms, mesh ms) of `verify --deep` at a = 2."""
-    ctx = checks.CheckContext(2.0, c, DEFAULT_CONFIG)
-    sol = ctx.solution()
-    blob = pickle.dumps(ctx, pickle.HIGHEST_PROTOCOL)
-    others = tuple(entry for entry in checks.CHECKS + checks.DEEP_CHECKS
-                   if entry[0] != "geometry-invariants")
-    return (len(blob),
-            best_time(lambda: checks._run_checks(pickle.loads(blob), others)),
-            best_time(lambda: geometry.build_mesh(sol, 8, 12, DEFAULT_CONFIG)))
+    """The two shares of the pair call of `verify --deep` at a = 2, each
+    pickled as (context, checks): the worker's, then the caller's."""
+    seen = []
+    pair = _worker.pair
+
+    def capture(name, there, here, **kwargs):
+        if name == "dscat.checks._run_checks":
+            seen.append(tuple(pickle.dumps(share, pickle.HIGHEST_PROTOCOL) for share in (there, here)))
+        return pair(name, there, here, **kwargs)
+
+    _worker.pair = capture
+    try:
+        checks.run_invariant_suite(2.0, c, DEFAULT_CONFIG, deep=True)
+    finally:
+        _worker.pair = pair
+    return seen[0]
+
+
+def share_name(blob: bytes) -> str:
+    """"mesh" for the share that runs geometry-invariants, else "checks"."""
+    _, entries = pickle.loads(blob)
+    return "mesh" if "geometry-invariants" in (name for name, _ in entries) else "checks"
 
 
 def main() -> int:
@@ -120,14 +135,18 @@ def main() -> int:
             print(f"  block {j // 2 + 1} {name}, {cs.size:>4} c up to |c| = {max(abs(cs)):<5.2f}"
                   f" est {period._work(path, a, cs):>8.0f}  {ms:>7.2f} ms  {where}")
     print()
-    print(f"{'verify --deep, a=2':<28} {'context B':>9} {'checks ms':>10} {'mesh ms':>8}   shorter")
+    print(f"{'verify --deep, a=2':<28} {'sent B':>9} {'worker ms':>10} {'here ms':>8}"
+          f"   {'worker':<7} shorter")
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
         for c in VERIFY_ROOTS:
-            size, checks_ms, mesh_ms = verify_shares(c)
-            shorter = "checks" if checks_ms < mesh_ms else "mesh"
-            print(f"{f'c={c}':<28} {size:>9} {checks_ms:>10.1f} {mesh_ms:>8.1f}   {shorter}")
+            there, here = verify_shares(c)
+            there_ms, here_ms = (best_time(lambda: checks._run_checks(*pickle.loads(blob)))
+                                 for blob in (there, here))
+            shorter = there if there_ms < here_ms else here
+            print(f"{f'c={c}':<28} {len(there):>9} {there_ms:>10.1f} {here_ms:>8.1f}"
+                  f"   {share_name(there):<7} {share_name(shorter)}")
     finally:
         os.sched_setaffinity(0, cpus)
     return 0
