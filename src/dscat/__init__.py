@@ -13,7 +13,6 @@ from .curve import (
     CurveParams,
     CurvePoint,
     PathSpec,
-    base_point,
     canonical_paths,
     log_derivative,
     rational_rhs,

@@ -14,30 +14,30 @@ converts the start state on entry: a numpy complex scalar there (an entry of
 a frame array, say) would carry every later operation on that component into
 numpy's scalar arithmetic, which is slower than Python's.  numpy arrays are
 avoided in the step loop for the same reason: the system is tiny and scalar
-arithmetic is an order of magnitude faster than small-array operations.  Its
-generic DP5 step, _dp5_step5, is written out per component, and each stage
-sum keeps the order of the per-component loop it replaced, which the tests
-keep as its bit-for-bit reference: floating-point arithmetic is not
-associative, and regrouping a stage sum or a product (h * (A * k) for
-(h * A) * k, say) would move results in the last digits and, through the
-step-size controller, change which steps are taken.
+arithmetic is an order of magnitude faster than small-array operations.
 
-On the frame field of transport._joint_field, which carries its coefficient
-and branch offsets as its attribute frame, integrate_polyline takes the
-fused step of _frame_step instead: _dp5_step5 with the field written out at
-each stage in the field's own operations and order, which gives the same
-bits without a call per stage, forming c u once per step and L(z) once per
-distinct stage point.
-The generic step stays as the path for any other field: the tests' fields,
-and the frame field wrapped in a plain function, as the benchmark's tracer
-wraps it to count its calls, until the benchmark counts work by role rather
-than by function (ROADMAP item 12).
+The library calls integrate_polyline only on the frame field of
+transport._joint_field, which carries its coefficient and branch offsets as
+its attribute frame, and so always runs the fused step of _frame_step: the
+DP5 step with the field written out at each stage in the field's own
+operations and order, forming c u once per step and L(z) once per distinct
+stage point.
+Any other field, such as the frame field wrapped in a plain function to
+count its calls, as the benchmark's tracer wraps it, takes the generic step
+_dp5_step5, the plain stage loop with one call of the field per stage; it
+stays until the benchmark counts work by role rather than by function
+(ROADMAP item 12).  Both give the bits of the tests' per-component
+reference loop: each stage sum keeps its order, because floating-point
+arithmetic is not associative, and regrouping a stage sum or a product
+(h * (A * k) for (h * A) * k, say) would move results in the last digits
+and, through the step-size controller, change which steps are taken.
 
 integrate_polyline_lanes runs the same scheme on the same five components
 for many independent lanes at once, each with its own coefficient c and
-branch offsets, where numpy's per-call overhead is shared by all lanes.  Its
-field is its own, not an argument: one step takes L(z) at the step's five
-distinct stage points in one call of curve.log_derivative_of, writes each
+branch offsets, where numpy's per-call overhead is shared by all lanes: the
+rings of a mesh (geometry.build_mesh).  Its field is its own, not an
+argument: one step takes L(z) at the step's five distinct stage points in
+one call of curve.log_derivative_of on the lanes' offsets, writes each
 stage derivative into its row of the stage array, and forms each stage sum
 as the same ufunc reduction over the stage axis into buffers made once per
 integration, so a step makes about half the numpy calls of a field called
@@ -148,7 +148,8 @@ def integrate_polyline(
     active segment, so a holomorphic field G(z) enters as field = G(z(s)) * u.
     on_step, when given, is called with (z, y) after every accepted step.
     Returns the final state tuple.  A field with the attribute frame, as
-    transport._joint_field makes it, runs on the fused step _frame_step(*frame).
+    transport._joint_field makes it, runs on the fused step _frame_step(*frame),
+    any other on the generic step _dp5_step5.
     """
     frame = getattr(field, "frame", None)
     step = _dp5_step5 if frame is None else _frame_step(*frame)
@@ -195,85 +196,30 @@ def _drive(waypoints, y, field, step, cfg, on_step):
 
 def _dp5_step5(field, z0, u, h, y, k1, rel_tol, abs_tol):
     """One DP5 step from (z0, y) of length h: (ynew, k7, err), err being the
-    RMS of the scaled component errors.
-
-    The components of k1 ... k7 are a0-a4 ... g0-g4; v0-v4 is the new state
-    and x0-x4 the error estimate.
-    """
-    y0, y1, y2, y3, y4 = y
-    a0, a1, a2, a3, a4 = k1
-    hA21 = h * _A21
-    b0, b1, b2, b3, b4 = field(
-        z0 + 0.2 * h * u,
-        u,
-        (y0 + hA21 * a0, y1 + hA21 * a1, y2 + hA21 * a2, y3 + hA21 * a3, y4 + hA21 * a4),
-    )
-    c0, c1, c2, c3, c4 = field(
-        z0 + 0.3 * h * u,
-        u,
-        (
-            y0 + h * (_A31 * a0 + _A32 * b0),
-            y1 + h * (_A31 * a1 + _A32 * b1),
-            y2 + h * (_A31 * a2 + _A32 * b2),
-            y3 + h * (_A31 * a3 + _A32 * b3),
-            y4 + h * (_A31 * a4 + _A32 * b4),
-        ),
-    )
-    d0, d1, d2, d3, d4 = field(
-        z0 + 0.8 * h * u,
-        u,
-        (
-            y0 + h * (_A41 * a0 + _A42 * b0 + _A43 * c0),
-            y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-            y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
-            y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
-            y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4),
-        ),
-    )
-    e0, e1, e2, e3, e4 = field(
-        z0 + (8 / 9) * h * u,
-        u,
-        (
-            y0 + h * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-            y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-            y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-            y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
-            y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4),
-        ),
+    RMS of the scaled component errors: the stage loop component by
+    component, one call of field per stage."""
+    n = range(len(y))
+    k2 = field(z0 + 0.2 * h * u, u, tuple(y[i] + h * _A21 * k1[i] for i in n))
+    k3 = field(z0 + 0.3 * h * u, u, tuple(y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in n))
+    y4 = tuple(y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in n)
+    k4 = field(z0 + 0.8 * h * u, u, y4)
+    y5 = tuple(y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i]) for i in n)
+    k5 = field(z0 + (8 / 9) * h * u, u, y5)
+    y6 = tuple(
+        y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
+        for i in n
     )
     z1 = z0 + h * u
-    f0, f1, f2, f3, f4 = field(
-        z1,
-        u,
-        (
-            y0 + h * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0 + _A65 * e0),
-            y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-            y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
-            y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
-            y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4),
-        ),
+    k6 = field(z1, u, y6)
+    ynew = tuple(
+        y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i]) for i in n
     )
-    v0 = y0 + h * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * f0)
-    v1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
-    v2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
-    v3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
-    v4 = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
-    ynew = (v0, v1, v2, v3, v4)
     k7 = field(z1, u, ynew)
-    g0, g1, g2, g3, g4 = k7
-    x0 = h * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * f0 + _E7 * g0)
-    x1 = h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1)
-    x2 = h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2)
-    x3 = h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3)
-    x4 = h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)
-    err_sq = (
-        (abs(x0) / (abs_tol + rel_tol * max(abs(y0), abs(v0)))) ** 2
-        + (abs(x1) / (abs_tol + rel_tol * max(abs(y1), abs(v1)))) ** 2
-        + (abs(x2) / (abs_tol + rel_tol * max(abs(y2), abs(v2)))) ** 2
-        + (abs(x3) / (abs_tol + rel_tol * max(abs(y3), abs(v3)))) ** 2
-        + (abs(x4) / (abs_tol + rel_tol * max(abs(y4), abs(v4)))) ** 2
-    )
-    return ynew, k7, math.sqrt(err_sq / 5)
+    err_sq = 0.0
+    for i in n:
+        e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
+        err_sq += (abs(e) / (abs_tol + rel_tol * max(abs(y[i]), abs(ynew[i])))) ** 2
+    return ynew, k7, math.sqrt(err_sq / len(y))
 
 
 def _frame_step(cs: complex, k: tuple):
@@ -400,8 +346,8 @@ def integrate_polyline_lanes(
     last axis so that each component is a contiguous row.  Lane j solves
     dF/ds = cs[j] [[1, -w], [1/w, -1]] F u and dw/ds = w L(z) u, u being the
     unit direction of the active segment and L curve.log_derivative_of with
-    the branch offsets (curve.branch_offsets): a tuple for all lanes, or a
-    (4, n_lanes) array, one column per lane.  cs is given per lane or once.
+    the branch offsets, a (4, n_lanes) array whose column j is lane j's
+    (curve.branch_offsets at a per-lane scale).  cs is given per lane or once.
     F21' and F22' are formed as F11' / w and F12' / w, which holds because
     the connection is of rank one.  The lanes share one step sequence: a
     step is accepted only when the worst lane's error, the RMS norm of
@@ -422,9 +368,8 @@ def _lane_kernel(y0: np.ndarray, cs, offsets) -> tuple:
     rejected step copies nothing.  |y| is kept from the step that produced
     y, and the error is the worst lane's.  Each stage sum is np.add.reduce
     of the weighted rows over the stage axis, which adds them one after the
-    other.  L comes once per step for the five stage points: where offsets
-    is a tuple, in Python complex arithmetic point by point, else from one
-    call, the offsets given shape (4, 1, n) against the points' (5, 1)."""
+    other.  L comes once per step for the five stage points from one call,
+    the offsets given shape (4, 1, n) against the points' (5, 1)."""
     n = y0.shape[0]
     k = np.empty((7,) + y0.shape, dtype=complex)
     weighted = np.empty_like(k)
@@ -434,7 +379,7 @@ def _lane_kernel(y0: np.ndarray, cs, offsets) -> tuple:
     # and w' of k[j]
     sums = [(_STAGE_W[j, : j + 1], k[: j + 1], weighted[: j + 1]) for j in range(6)]
     rows = [(k[j, 0:2], k[j, 2:4], k[j, 4]) for j in range(7)]
-    stacked = None if isinstance(offsets, tuple) else offsets[:, None]
+    stacked = offsets[:, None]
     y_abs = np.abs(y0)
     k1_in = last = last_abs = cs_u = None
 
@@ -461,12 +406,9 @@ def _lane_kernel(y0: np.ndarray, cs, offsets) -> tuple:
             k[0] = k1_in = k1
         if y is last:  # the last step was accepted
             y_abs = last_abs
-        z = [z0 + node * h * u for node in _STAGE_POINTS]
-        if stacked is None:
-            Lu = [log_derivative_of(x, offsets) * u for x in z]
-        else:
-            Lu = log_derivative_of(np.array(z)[:, None], stacked)
-            Lu *= u
+        z = np.array([z0 + node * h * u for node in _STAGE_POINTS])[:, None]
+        Lu = log_derivative_of(z, stacked)
+        Lu *= u
         # a lane that overflows goes on as inf or NaN, which fails its error
         # test, until the step size underflows
         with np.errstate(over="ignore", invalid="ignore"):

@@ -67,20 +67,24 @@ def _fmt(x: float) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a new file beside path, then rename it over path.  The
-    file is created with mode 0o666 less the umask, as open() creates one."""
+    file is created with mode 0o666 less the umask, as open() creates one.
+    An OSError names path, not the new file, and leaves no new file behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".dscat-tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 # The settings a config file or a flag may give: IntegratorConfig's fields,

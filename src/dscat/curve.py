@@ -159,11 +159,6 @@ def _guarded_offsets(z: complex, a: float) -> tuple:
     return k
 
 
-def base_point(sheet: int = +1) -> CurvePoint:
-    """The point over z = 0 with w = +1 (sheet=+1) or w = -1 (sheet=-1)."""
-    return CurvePoint(0j, complex(sheet))
-
-
 def same_sheet(w: complex, w_ref: complex) -> bool:
     """Whether w, one of the two values +-w_ref that the curve holds over a
     point, is w_ref: |w - w_ref| <= TOL_SAME_SHEET (1 + |w_ref|)."""

@@ -66,7 +66,7 @@ TOL_DET = 1e-9
 #     a     transfer             DP5 default          Magnus steps
 #     1.3   1.1e-13 / 2.1e-13    1.1e-11 / 4.3e-12    254 / 277
 #     2     3.8e-13 / 1.8e-11    1.1e-11 / 2.7e-10    305 / 515
-#     5     9.2e-14 / 4.5e-11    5.4e-12 / 2.6e-10    446 / 1189
+#     5     8.4e-14 / 4.7e-11    5.4e-12 / 2.8e-10    446 / 1189
 #
 # At MAGNUS_TOL = 100, c2 at a = 2 and 5 is less accurate than DP5 default
 # (3.0e-10, 1.2e-9); at 1 the grids take 1.5 times the steps.  The first
@@ -104,10 +104,11 @@ def _joint_field(a: float, c: float, scale=1.0):
     The field carries (c * scale, k) as its attribute frame, from which
     _rk.integrate_polyline makes its fused step (_rk._frame_step): that step
     evaluates this field itself, with these operations in this order, and
-    calls it only for k1 at the start of each segment.  Any other field runs
-    on the generic step, _rk._dp5_step5, and so does this one wrapped in a
-    plain function, as the benchmark's tracer wraps it to count its calls
-    until it counts work by role (ROADMAP item 12), with the same bits.
+    calls it only for k1 at the start of each segment.  Wrapped in a plain
+    function, as the benchmark's tracer wraps it to count its calls until it
+    counts work by role (ROADMAP item 12), the field loses the attribute and
+    runs on the generic step, _rk._dp5_step5, the plain stage loop, with the
+    same bits; no untraced integration does.
     """
     k = branch_offsets(a, scale)
     c_s = c * scale
@@ -161,10 +162,11 @@ def integrate_frames_over_c(
     scale[j] * path.waypoints (scale may be complex).  Each of cs, F0, w0
     and scale is given per lane or once.  Given all once, the lane runs on
     the scalar kernel and the result (F, w) is the end frame, shape (2, 2),
-    and sheet value; else the lanes share the lane kernel's step sequence
-    and F and w have shapes (n, 2, 2) and (n,).  on_step, when given, is
-    called with (z, y) after every accepted step, y holding
-    (F11, F12, F21, F22, w).
+    and sheet value; else the lanes share the lane kernel's step sequence,
+    each with the branch offsets of its own scale, also where scale is given
+    once, and F and w have shapes (n, 2, 2) and (n,).
+    on_step, when given, is called with (z, y) after every accepted step, y
+    holding (F11, F12, F21, F22, w).
 
     The caller validates every lane's polyline (validate_path).  Checked
     here: the start frame (_start_frame), the sheet residual at every
@@ -178,7 +180,7 @@ def integrate_frames_over_c(
     F0 = _start_frame(F0)
     w0 = path.w0 if w0 is None else w0
     shape = np.broadcast(cs, scale, w0, F0[..., 0, 0]).shape
-    k = branch_offsets(a, scale)
+    k = branch_offsets(a, np.broadcast_to(scale, shape))
 
     def check_sheet(z, y) -> None:
         bad = sheet_residual_of(y[4], rational_rhs_of(z, k)) > TOL_SHEET

@@ -294,14 +294,23 @@ def test_bracket_containing_zero_exits_usage(tmp_path, capsys, argv, bracket):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_mesh_unwritable_output_exits_io(tmp_path):
-    code = run(
-        [
-            "mesh", "--a", "2", "--c", "-1.526035", "--nu", "6", "--nv", "8",
-            "--out", str(tmp_path / "missing-dir" / "m.obj"),
-        ]
-    )
-    assert code == 8
+def test_mesh_unwritable_output_exits_io(tmp_path, capsys):
+    # the error names the path asked for, whether the new file beside it
+    # cannot be made (a missing directory) or cannot be renamed over it (a
+    # directory), and the new file does not stay behind
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for out, error in (
+        (tmp_path / "missing-dir" / "m.obj", "[Errno 2] No such file or directory"),
+        (taken, "[Errno 21] Is a directory"),
+    ):
+        code = run(
+            ["mesh", "--a", "2", "--c", "-1.526035", "--nu", "6", "--nv", "8", "--out", str(out)]
+        )
+        assert code == 8
+        assert capsys.readouterr().err == f"error: I/O error: {error}: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(taken.iterdir()) == []
 
 
 def test_verify_zero_c():

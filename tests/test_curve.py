@@ -13,7 +13,6 @@ from dscat.curve import (
     CurveParams,
     CurvePoint,
     PathSpec,
-    base_point,
     branch_offsets,
     branch_points,
     canonical_paths,
@@ -52,7 +51,7 @@ def test_curve_functions_of_a_check_it(a):
     for call in (
         lambda: CurveParams(a, 1.0),
         lambda: canonical_paths(a),
-        lambda: transport_w(PathSpec(base_point(+1), (0j, 0.5j)), a),
+        lambda: transport_w(PathSpec(complex(+1), (0j, 0.5j)), a),
     ):
         with pytest.raises(DomainError) as info:
             call()
@@ -425,7 +424,7 @@ def test_segment_distance_survives_overflow_of_the_squared_length():
 
 
 def test_curve_point_residual():
-    assert base_point(+1).sheet_residual(2.0) < 1e-15
+    assert CurvePoint(0j, 1 + 0j).sheet_residual(2.0) < 1e-15
     bad = CurvePoint(0j, 1.5 + 0j)
     assert bad.sheet_residual(2.0) > 0.5
 

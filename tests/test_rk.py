@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dscat import _rk
+from dscat import _rk, geometry, monodromy
 from dscat._rk import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
@@ -30,7 +30,7 @@ from dscat.curve import CurveParams, PathSpec, canonical_paths, log_derivative, 
 from dscat.errors import StepLimitExceeded
 from dscat.transport import _joint_field, reference_frame
 
-from conftest import reference_lanes
+from conftest import one_cpu, reference_lanes
 
 C_VALUES = (-7.6, -1.526035, 1.26988, 3.9)
 PATH_NAMES = ("c1", "c2", "gamma1", "gamma2", "gamma3", "end_loop_plus", "end_loop_minus")
@@ -299,6 +299,26 @@ def test_plain_field_takes_the_generic_step_with_the_same_bits():
         assert (len(calls) - segments) % 6 == 0
         assert (len(calls) - segments) // 6 >= len(steps) > 0
         assert y_plain == y and plain_steps == steps, name
+
+
+@pytest.mark.usefixtures("fresh_worker")
+def test_library_integrations_take_no_generic_step(monkeypatch, shallow_solution):
+    # the library's integrations of the frame field run the fused step, or
+    # the lane kernel for a mesh's rings: half paths, with both halves
+    # here, a loop, an end loop, the frame at a point and a small mesh
+    def refuse(*args):
+        raise AssertionError("the generic step ran")
+
+    one_cpu(monkeypatch)
+    monkeypatch.setattr(_rk, "_dp5_step5", refuse)
+    sol = shallow_solution
+    params = CurveParams(sol.a, sol.c)
+    paths = canonical_paths(sol.a)
+    monodromy.half_path_frames(params, paths=paths)
+    for loop in (paths.gamma1, paths.end_loop_plus):
+        monodromy.direct_loop_holonomy(loop, params)
+    geometry.frame_at(sol, 0.5 + 0.5j)
+    geometry.build_mesh(sol, 4, 6)
 
 
 @pytest.mark.parametrize("frame", sorted(START_FRAMES))

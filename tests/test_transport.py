@@ -268,7 +268,7 @@ def test_one_lane_matches_scalar_kernel(c):
         )
         lanes = _rk.integrate_polyline_lanes(
             path.waypoints, np.array(y0, dtype=complex)[:, None],
-            np.array([c]), branch_offsets(a),
+            np.array([c]), branch_offsets(a, np.ones(1)),
             on_step=lambda z, y: lane_steps.append(z),
         )
         assert len(lane_steps) == len(scalar_steps)
@@ -667,23 +667,6 @@ def test_lane_field_steps_equal_the_reference_per_lane():
         assert end.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("name", ["c1", "c2"])
-def test_lane_field_steps_equal_the_reference_at_scale_one(name):
-    # a scan block's lanes: one value of c each, scale 1, where the kernel
-    # takes L in Python complex arithmetic
-    a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
-    path = getattr(canonical_paths(a), name)
-    y0 = np.zeros((5, cs.size), dtype=complex)
-    y0[0] = y0[3] = 1.0
-    y0[4] = path.w0
-    steps, end = _lane_steps(_rk.integrate_polyline_lanes, path.waypoints, y0, cs, branch_offsets(a))
-    reference, reference_end = _lane_steps(
-        reference_lanes, path.waypoints, y0, _reference_field_lanes(a, cs)
-    )
-    assert steps == reference
-    assert end.tobytes() == reference_end.tobytes()
-
-
 @pytest.mark.parametrize("nu, nv", [(24, 24), (8, 12)])
 @pytest.mark.parametrize("root", ["shallow_solution", "hyperbolic_solution", "deep_solution"])
 def test_mesh_legs_equal_the_parent_kernel(request, monkeypatch, root, nu, nv):
@@ -821,6 +804,8 @@ def _inline_lane_residual(z, w, a: float, scale):
 
 @pytest.mark.parametrize("name", ["c1", "c2"])
 def test_scan_block_end_states_equal_the_inline_reference(name):
+    # one value of c per lane at the scale 1.0, which integrate_frames_over_c
+    # hands the lane kernel as one per lane
     a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
     path = getattr(canonical_paths(a), name)
     frames, w = integrate_frames_over_c(path, a, cs)
@@ -829,7 +814,7 @@ def test_scan_block_end_states_equal_the_inline_reference(name):
     y0[4] = path.w0
     steps = []
     reference = reference_lanes(
-        path.waypoints, y0, _reference_field_lanes(a, cs),
+        path.waypoints, y0, _reference_field_lanes(a, cs, np.ones(cs.size)),
         on_step=lambda z, y: steps.append((z, y.copy())),
     )
     assert frames.tobytes() == reference[:4].T.reshape(-1, 2, 2).tobytes()

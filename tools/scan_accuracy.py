@@ -10,7 +10,9 @@ transport.transfer (the scan's kernel) and of the DP5 lane kernel
 the DP5 lane kernel at rel_tol 1e-13.  The error of a frame F against the
 reference R is max |F - R| / max(1, max |R|), the worst over the 180 c; the
 last columns give the Magnus grid's steps (after refinement) and the time of
-each kernel.  Both kernels run all 180 c in one call, as a scan block does.
+each kernel.  Both kernels run all 180 c in one call: transfer as a scan
+does, the lane kernel at one scale for all lanes, with the branch offsets
+given per lane.
 transfer's error should be no larger than DP5 default's on every row.
 """
 
