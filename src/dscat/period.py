@@ -10,9 +10,9 @@ denominator.  Refinement tells them apart by the signs of the denominators
 at the ends of its final bracket: across a pole one of them changes sign.
 The scan evaluates many c at once on transport's Magnus kernel
 (transport.transfer), a whole transfer along c1 and one along c2 for each
-block of its grid, all planned onto the two processes of _worker.pair in one
-call; refinement and verification evaluate one c at a time on the adaptive
-DP5 kernel (monodromy.half_path_frames).
+block of its grid, paired as in monodromy.half_path_frames: c1 in the worker
+process of _worker.pair, c2 in this one.  Refinement and verification
+evaluate one c at a time on the adaptive DP5 kernel (half_path_frames).
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _worker
-from .curve import CanonicalPaths, CurveParams, branch_points, canonical_paths
+from .curve import CanonicalPaths, CurveParams, canonical_paths
 from .ends import end_conjugacy_type
 from .errors import (
     DegenerateDenominator,
     DomainError,
-    DscatError,
     LostBracket,
     NotAdmissible,
     VerificationFailed,
@@ -42,7 +41,7 @@ from .monodromy import (
     period_functions,
     period_values,
 )
-from .transport import DEFAULT_CONFIG, IntegratorConfig, transfer
+from .transport import DEFAULT_CONFIG, IntegratorConfig
 
 # Half width of the default exclusion window around c = 0.
 SKIP_HALFWIDTH = 0.01
@@ -52,18 +51,14 @@ ROOT_WINDOW = 0.01
 # the SU(1,1) defect of the gauged monodromies is first order in the root's offset.
 TOL_C = 1e-9
 # Most grid points scan_c integrates together.  Smaller blocks refine their
-# grids for a smaller |c| and give the planner more jobs, larger ones pay a
-# transfer's fixed cost less often: the median 2600-point scan of [-9, 4] at
-# a = 1.5, 2 and 3 took 133, 169 and 196 ms in blocks of 512, against 146-149,
-# 181-183 and 222 ms in blocks of 256 and 1024 (four alternating runs each).
+# grids for a smaller |c|, larger ones pay a transfer's fixed cost less often;
+# the block sets each grid, so a scan's values depend on it.  The median
+# 2600-point scan of [-9, 4] at a = 1.5, 2 and 3 took 103, 148 and 200 ms in
+# blocks of 512, against 130, 153 and 190 ms in blocks of 256 and 113, 153 and
+# 176 ms in blocks of 1024 (four alternating runs each, two cores).
 # The bound also keeps the memory of a transfer's lane arrays flat however
 # many grid points are asked for.
 SCAN_BLOCK = 512
-# Where _work samples each segment.  Over thirty scans (a = 1.3 to 5, 2600
-# to 10000 points) its plans' two shares of refined steps x (lanes + 30)
-# differ by 1.8% on average and 7.5% at most (plans from those counts: 0.6%
-# and 2.7%; from lanes x path length x sqrt(max(1, max |c|)): 3.1% and 9.7%).
-_WORK_T = (0.125, 0.375, 0.625, 0.875)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +142,10 @@ def scan_c(
     block's c, is refined for the largest |c| among them.  Scan values
     therefore match single-c evaluation (_periods_at, on adaptive DP5)
     within the integrators' tolerances, not bit for bit; for fixed arguments
-    they are deterministic.  The c of all blocks are built first, and their
-    transfers along c1 and c2 run in one _worker.pair call, planned onto the
-    two processes by _transfer_all; an integration failure is that of the
-    first block in grid order that fails, c1 before c2.  Raises DomainError
+    they are deterministic.  The blocks run in grid order, each in one
+    _worker.pair call, c1 in the worker while this process takes c2, as
+    half_path_frames does; an integration failure is that of the first block
+    that fails, c1 before c2, and ends the scan.  Raises DomainError
     unless steps >= 2 and c_min < c_max, both finite with a positive, finite
     grid spacing, and where the grid's arrays cannot be allocated.
     """
@@ -171,11 +166,13 @@ def scan_c(
     except (ValueError, MemoryError):  # numpy's size limit, or the memory's
         raise DomainError(f"--steps {steps} is too many grid points to allocate") from None
     live = np.flatnonzero(np.abs(c) >= SKIP_HALFWIDTH)
-    blocks = [k for k in np.split(live, live.searchsorted(range(0, steps, SCAN_BLOCK))) if k.size]
-    jobs = [(path, c[k]) for k in blocks for path in (paths.c1, paths.c2)]
-    frames = iter(_transfer_all(jobs, a, cfg) if jobs else ())
-    for k in blocks:
-        x1, x2, _, _, degenerate = period_values(next(frames), next(frames))
+    for k in np.split(live, live.searchsorted(range(0, steps, SCAN_BLOCK))):
+        if not k.size:
+            continue
+        (F1, _), (F2, _) = _worker.pair(
+            "dscat.transport.transfer", (paths.c1, a, c[k], cfg), (paths.c2, a, c[k], cfg)
+        )
+        x1, x2, _, _, degenerate = period_values(F1, F2)
         f1[k], f2[k] = np.where(degenerate, np.nan, x1), np.where(degenerate, np.nan, x2)
     return ScanResult(c, f1, f2, *_brackets(c, f1, f2))
 
@@ -196,62 +193,6 @@ def _brackets(c: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> tuple:
 def _admissible(f1, f2):
     """|f1| > 1 and |f2| > 1, elementwise: necessary for a closing f (solve_gauge)."""
     return (np.abs(f1) > 1.0) & (np.abs(f2) > 1.0)
-
-
-def _transfer_all(jobs: list, a: float, cfg) -> list:
-    """transport.transfer's end frames for each (path, cs) of jobs, in order,
-    from one _worker.pair call on the shares of _plan.  Each process stops
-    at its first failure (_transfer_each), so the error raised is the first
-    failing job's, whichever process ran it."""
-    here, there = _plan([_work(path, a, cs) for path, cs in jobs])
-    replies = _worker.pair(
-        "dscat.period._transfer_each",
-        ([jobs[j] for j in there], a, cfg), ([jobs[j] for j in here], a, cfg),
-    )
-    frames = dict(zip(there + here, replies[0][0] + replies[1][0]))
-    failed = [(share[len(done)], error) for share, (done, error) in zip((there, here), replies)
-              if error is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return [frames[j] for j in range(len(jobs))]
-
-
-def _plan(work: list) -> tuple:
-    """(here, there): the jobs of the given work, by index in order, for this
-    process and the worker, packed longest processing time first (Graham,
-    1969): each job, heaviest first, joins the share with less work so far,
-    and the lighter share goes to the worker."""
-    shares, loads = ([], []), [0.0, 0.0]
-    for j in sorted(range(len(work)), key=work.__getitem__, reverse=True):
-        lighter = 0 if loads[0] <= loads[1] else 1
-        shares[lighter].append(j)
-        loads[lighter] += work[j]
-    heavier = 0 if loads[0] >= loads[1] else 1
-    return sorted(shares[heavier]), sorted(shares[1 - heavier])
-
-
-def _work(path, a: float, cs: np.ndarray) -> float:
-    """transfer's work along path for the c of cs, without a grid: lanes x
-    the integral of |dz| / (distance to the nearest branch point), which the
-    first grid's steps follow, x max(1, max |c|)^0.6, which the refined
-    grid's follow (c1 and c2 at a = 1.5, 2 and 3 take 3.9-4.3 times the
-    steps at |c| = 12 as at 1, and 12^0.6 = 4.4)."""
-    wp, b = path.waypoints, branch_points(a)
-    steps = sum(abs(q - p) / min(abs(p + (q - p) * t - x) for x in b)
-                for p, q in zip(wp[:-1], wp[1:]) for t in _WORK_T)
-    return cs.size * steps * max(1.0, float(np.max(np.abs(cs)))) ** 0.6
-
-
-def _transfer_each(jobs: list, a: float, cfg) -> tuple:
-    """(frames, error): transfer's end frames for each (path, cs) of jobs up
-    to the first that raises a DscatError, and that error or None."""
-    frames: list = []
-    for path, cs in jobs:
-        try:
-            frames.append(transfer(path, a, cs, cfg)[0])
-        except DscatError as exc:
-            return frames, exc
-    return frames, None
 
 
 def opposite_signs(x, y):

@@ -3,7 +3,7 @@
 A private helper (a function, class or constant whose name starts with one
 underscore) that nothing in src/ reads is dead code.  Uses are loads of the
 name or of an attribute of that name anywhere in src/dscat, and dotted
-strings such as "dscat.period._transfer_each", by which _worker.pair names
+strings such as "dscat.checks._run_checks", by which _worker.pair names
 the function the worker process runs.  The definition itself is no use.
 """
 
@@ -58,5 +58,5 @@ def test_the_guard_sees_an_unused_helper():
     tree = ast.parse("def _dead():\n    pass\n\n_LIMIT = 3\n\ndef run():\n    return _LIMIT\n")
     assert _private_definitions(tree) == [("_dead", 1), ("_LIMIT", 4)]
     assert "_dead" not in _uses(tree) and "_LIMIT" in _uses(tree)
-    pair = ast.parse('pair("dscat.period._transfer_each", job)')
-    assert "_transfer_each" in _uses(pair)
+    pair = ast.parse('pair("dscat.checks._run_checks", ctx)')
+    assert "_run_checks" in _uses(pair)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dscat import _rk, _worker, cli, curve, geometry, monodromy, period
+from dscat import _rk, _worker, cli, curve, geometry, monodromy
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS, BENCH = ROOT / "tools", ROOT / "perfbench"
@@ -50,12 +50,14 @@ def test_op_costs_wraps_the_parts_it_times(load):
     assert all(getattr(m, n) is f for (m, n), f in zip(parts, originals))
 
 
-def test_scan_shares_captures_the_planned_jobs(load):
+def test_scan_shares_captures_each_blocks_pair(load):
     scan_shares = load("scan_shares")
-    plan_all = period._transfer_all
-    jobs = scan_shares.planned_jobs(2.0, -9.0, -6.4, 27)
-    assert period._transfer_all is plan_all
-    assert jobs and all(len(cs) for _, cs in jobs)
+    pair = _worker.pair
+    [(there, here)] = scan_shares.scan_blocks(2.0, -9.0, -6.4, 27)
+    assert _worker.pair is pair
+    paths = curve.canonical_paths(2.0)
+    assert there[:2] == (paths.c1, 2.0) and here[:2] == (paths.c2, 2.0)
+    assert there[2].size == here[2].size == 27
 
 
 def test_scan_accuracy_loads(load):

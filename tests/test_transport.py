@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from dscat import _rk, geometry, period, transport
+from dscat import _rk, geometry, transport
 from dscat.curve import (
     CurveParams,
     CurvePoint,
@@ -212,12 +212,17 @@ def test_lane_kernel_takes_the_initial_step_and_names_its_budget():
 def test_lane_overflow_ends_in_step_size_underflow():
     # on c1's second segment at c = -1e6 and -2e6 the lanes' stage sums
     # overflow before the step size underflows; the overflow stays inside
-    # the step, which a RuntimeWarning, an error here, would leave
+    # the step, which a RuntimeWarning, an error here, would leave.  The
+    # lanes start from diag(1e154, 1e-154), so they overflow after a short
+    # run-up; 154 is the largest exponent whose frame _start_frame passes
+    # with a finite scale (max |F|^2 = 1e308)
     a = 2.0
     c1 = canonical_paths(a).c1
     path = PathSpec(transport._waypoint_w(c1, branch_offsets(a))[1], c1.waypoints[1:3])
+    F0 = np.diag([1e154, 1e-154]).astype(complex)
+    assert np.isfinite(np.max(np.abs(F0)) ** 2)
     with pytest.raises(StepLimitExceeded) as exc:
-        integrate_frames_over_c(path, a, np.array([-1e6, -2e6]))
+        integrate_frames_over_c(path, a, np.array([-1e6, -2e6]), F0=F0)
     head, _, tail = str(exc.value).partition(" at z = ")
     assert head == "step size underflow" and tail.endswith(" for c = -1000000.0")
 
@@ -460,17 +465,18 @@ def test_the_estimate_refines_a_coarsened_grid(monkeypatch):
 def test_transfer_step_limit_names_the_curve_point_and_c():
     # the c named is the one of largest modulus, which sets the grid
     a, cs = 2.0, np.array([2.0, -9.0, -4.0])
-    path = canonical_paths(a).c2
-    first = _first_steps(path, a, cs)
-    # over the first grid, and over the refined grid only
-    for max_steps in (first - 1, first + 1):
-        cfg = IntegratorConfig(max_steps=max_steps)
-        with pytest.raises(StepLimitExceeded) as exc:
-            transfer(path, a, cs, cfg)
-        head, _, tail = str(exc.value).partition(" by z = ")
-        z, _, c = tail.partition(" for c = ")
-        assert head == f"Magnus grid exceeds {max_steps} steps"
-        assert complex(z) in path.waypoints[1:] and float(c) == -9.0
+    paths = canonical_paths(a)
+    for path in (paths.c1, paths.c2):
+        first = _first_steps(path, a, cs)
+        # over the first grid, and over the refined grid only
+        for max_steps in (first - 1, first + 1):
+            cfg = IntegratorConfig(max_steps=max_steps)
+            with pytest.raises(StepLimitExceeded) as exc:
+                transfer(path, a, cs, cfg)
+            head, _, tail = str(exc.value).partition(" by z = ")
+            z, _, c = tail.partition(" for c = ")
+            assert head == f"Magnus grid exceeds {max_steps} steps"
+            assert complex(z) in path.waypoints[1:] and float(c) == -9.0
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
@@ -488,49 +494,6 @@ def test_pieces_match_integrate_frame(a):
                 F_ref, w_ref = integrate_frame(path, CurveParams(a, float(c)))
                 assert np.max(np.abs(F - F_ref)) <= 1e-8 * max(1.0, float(np.max(np.abs(F_ref))))
                 assert abs(w - w_ref) <= 1e-8 * abs(w_ref)
-
-
-@pytest.mark.parametrize("name", ["c1", "c2"])
-def test_one_piece_is_the_whole_path_bit_for_bit(monkeypatch, name):
-    # a scan of at most SCAN_BLOCK points is one block, so each half path is
-    # one job over all the grid's live c, whose frames are transfer's
-    a, cs = 2.0, np.linspace(-9.0, 4.0, 27)
-    live = cs[np.abs(cs) >= period.SKIP_HALFWIDTH]
-    path = getattr(canonical_paths(a), name)
-    planned = []
-    transfer_all = period._transfer_all
-
-    def spy(jobs, *args):
-        frames = transfer_all(jobs, *args)
-        planned.extend(zip(jobs, frames))
-        return frames
-
-    monkeypatch.setattr(period, "_transfer_all", spy)
-    period.scan_c(a, -9.0, 4.0, 27)
-    [(job_cs, F)] = [(job_cs, F) for (job_path, job_cs), F in planned if job_path == path]
-    assert job_cs.tobytes() == live.tobytes()
-    assert F.tobytes() == transfer(path, a, live)[0].tobytes()
-
-
-def test_piece_checks_name_the_curve_point_and_c():
-    # a process's share of a scan stops at its first failing piece: it hands
-    # back the frames of the pieces before it and that piece's error, which
-    # names the curve point and the c of largest modulus.  At a = 2 the
-    # refined grids take 165 steps along c1 for the small c and 435 along c2
-    # for the large.
-    a, max_steps = 2.0, 300
-    paths = canonical_paths(a)
-    small, large = np.array([-4.0, 1.0]), np.array([2.0, -9.0, -4.0])
-    cfg = IntegratorConfig(max_steps=max_steps)
-    jobs = [(paths.c1, small), (paths.c2, large), (paths.c1, small)]
-    frames, error = period._transfer_each(jobs, a, cfg)
-    assert len(frames) == 1
-    assert frames[0].tobytes() == transfer(paths.c1, a, small, cfg)[0].tobytes()
-    assert isinstance(error, StepLimitExceeded)
-    head, _, tail = str(error).partition(" by z = ")
-    z, _, c = tail.partition(" for c = ")
-    assert head == f"Magnus grid exceeds {max_steps} steps"
-    assert complex(z) in paths.c2.waypoints[1:] and float(c) == -9.0
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])

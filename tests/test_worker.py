@@ -1,9 +1,9 @@
 """The half paths integrated in two processes give the results of a serial run.
 
 _worker.pair runs c1 in a persistent worker process while the caller
-integrates c2; a scan packs the c1 and c2 transfers of all its blocks onto the
-two processes in one pair call.  Every result here is compared with == against
-the same call with the worker disabled, which is what a patched
+integrates c2; a scan pairs the c1 and c2 transfers of each of its blocks the
+same way, one pair call per block.  Every result here is compared with ==
+against the same call with the worker disabled, which is what a patched
 os.sched_getaffinity returning one CPU does.
 """
 
@@ -25,7 +25,7 @@ from dscat.curve import CurveParams, PathSpec, canonical_paths, rational_rhs
 from dscat.errors import DomainError, PathError, StepLimitExceeded
 from dscat.monodromy import half_path_frames
 from dscat.period import scan_c
-from dscat.transport import DEFAULT_CONFIG, IntegratorConfig, transfer
+from dscat.transport import IntegratorConfig, transfer
 
 ROOTS = (-7.611914, -4.06015, -1.526035, 1.26988, 5.33317)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -83,82 +83,88 @@ def test_transfer_in_the_worker_equals_serial(monkeypatch, name):
     assert F.tobytes() == G.tobytes() == S.tobytes() and w == v == w_serial
 
 
-def scan_jobs(a: float, blocks: int) -> list:
-    """The jobs of a scan of [-9, 4] in `blocks` blocks: c1 and c2 over each
-    block's c."""
-    paths = canonical_paths(a)
-    return [(path, cs) for cs in np.array_split(np.linspace(-9.0, 4.0, 27), blocks)
-            for path in (paths.c1, paths.c2)]
+def spy_on_pairs(monkeypatch) -> list:
+    """The (name, there, here, result) of each _worker.pair call from now on;
+    a call that raises is logged with result None."""
+    calls = []
+    pair = _worker.pair
+
+    def spy(name, there, here, **kwargs):
+        calls.append([name, there, here, None])
+        calls[-1][3] = pair(name, there, here, **kwargs)
+        return calls[-1][3]
+
+    monkeypatch.setattr(_worker, "pair", spy)
+    return calls
 
 
 @two_cpus
-@pytest.mark.parametrize("blocks", [1, 3])
-def test_planned_frames_equal_serial_transfer(monkeypatch, blocks):
+def test_each_scan_block_pairs_its_half_paths(monkeypatch):
+    # 27 c 0.5 apart over [-9, 4], c = 0 skipped, in blocks of 9: three
+    # blocks, each one pair call with c1 in the worker and c2 here, as
+    # half_path_frames pairs them
     a = 2.0
-    jobs = scan_jobs(a, blocks)
-    frames = period._transfer_all(jobs, a, DEFAULT_CONFIG)
+    monkeypatch.setattr(period, "SCAN_BLOCK", 9)
+    paths = canonical_paths(a)
+    with monkeypatch.context() as m:
+        calls = spy_on_pairs(m)
+        parallel = scan_c(a, -9.0, 4.0, 27)
     worker_pid()
-    serial = serially(monkeypatch, lambda: period._transfer_all(jobs, a, DEFAULT_CONFIG))
-    assert len(frames) == len(serial) == len(jobs)
-    for (path, cs), F, S in zip(jobs, frames, serial):
-        R = transfer(path, a, cs)[0]
-        assert F.tobytes() == S.tobytes() == R.tobytes()
-
-
-def test_a_scan_plans_its_jobs_onto_both_processes_in_one_round_trip(monkeypatch):
-    # the 2600-point scan has six blocks, so twelve jobs; the lighter share
-    # of them goes to the worker
-    shares = []
-    pair = _worker.pair
-
-    def spy(name, there, here):
-        shares.append((len(there[0]), len(here[0])))
-        return pair(name, there, here)
-
-    monkeypatch.setattr(_worker, "pair", spy)
-    scan_c(2.0, -9.0, 4.0, 2600)
-    [(in_worker, here)] = shares
-    assert 0 < in_worker < 12 and in_worker + here == 12
+    serial = serially(monkeypatch, lambda: scan_c(a, -9.0, 4.0, 27))
+    assert scan_bytes(parallel) == scan_bytes(serial)
+    c = parallel.c
+    blocks = [c[:9], c[9:18], c[19:]]
+    assert len(calls) == len(blocks)
+    for (name, there, here, ((F1, _), (F2, _))), cs in zip(calls, blocks):
+        assert name == "dscat.transport.transfer"
+        assert there[:2] == (paths.c1, a) and here[:2] == (paths.c2, a)
+        assert there[2].tobytes() == here[2].tobytes() == cs.tobytes()
+        assert F1.tobytes() == transfer(paths.c1, a, cs)[0].tobytes()
+        assert F2.tobytes() == transfer(paths.c2, a, cs)[0].tobytes()
 
 
 H = 8.0 / 19  # the spacing of 20 c over an interval of length 8
 
 
 @pytest.mark.parametrize(
-    "c_min, c_max, early, late, early_in_worker",
+    "c_min, c_max, early, pairs",
     [
-        # the blocks of c = -9 and -6.89 fail, the first in the worker
-        (-9.0, -1.0, -9.0, -9.0 + 5 * H, True),
-        # the blocks of c = 6.89 and 9 fail, the first here
-        (1.0, 9.0, 1.0 + 14 * H, 9.0, False),
+        # the blocks of c = -9 and -6.89 fail: the first block ends the scan
+        (-9.0, -1.0, -9.0, 1),
+        # the blocks of c = 6.89 and 9 fail: the third block ends the scan
+        (1.0, 9.0, 1.0 + 14 * H, 3),
     ],
-    ids=["early-in-worker", "early-here"],
+    ids=["first-block", "third-block"],
 )
-def test_scan_errors_name_the_first_failing_job(monkeypatch, c_min, c_max, early, late, early_in_worker):
+def test_scan_errors_name_the_first_failing_block(monkeypatch, c_min, c_max, early, pairs):
     # four blocks of five c at a = 2: with max_steps 340 the refined grids of
     # c2 for the two blocks of largest |c| (435 and 373 steps) fail, naming
     # the c of largest modulus in the block, and all other grids (at most
-    # 305 steps) pass.  The error is the earlier block's, whichever process
-    # ran it, and the serial run's.
+    # 305 steps) pass.  The error is the earlier block's, and the serial
+    # run's, and no later block is integrated.
     monkeypatch.setattr(period, "SCAN_BLOCK", 5)
     cfg = IntegratorConfig(max_steps=340)
-    in_worker = []
-    pair = _worker.pair
-
-    def spy(name, there, here):
-        # c2 ends at z = 2a = 4
-        jobs = there[0]
-        in_worker.extend(cs[np.argmax(np.abs(cs))] for path, cs in jobs if path.waypoints[-1] == 4.0)
-        return pair(name, there, here)
-
     with monkeypatch.context() as m:
-        m.setattr(_worker, "pair", spy)
+        calls = spy_on_pairs(m)
         error = error_of(lambda: scan_c(2.0, c_min, c_max, 20, cfg))
-    assert (early in in_worker, late in in_worker) == (early_in_worker, not early_in_worker)
+    assert len(calls) == pairs and calls[-1][3] is None
     assert serially(monkeypatch, lambda: error_of(lambda: scan_c(2.0, c_min, c_max, 20, cfg))) == error
     assert error[0] is StepLimitExceeded
     head, _, c = error[1].partition(" for c = ")
     assert head.startswith("Magnus grid exceeds 340 steps by z = ") and float(c) == early
+
+
+def test_a_block_failing_on_both_half_paths_raises_c1s_error(monkeypatch):
+    # with max_steps 100 both half paths of the one block fail at c = -9,
+    # c1 at its waypoint 0.75+0.8j and c2 at 2+0.8j; pair keeps serial order
+    a, cfg = 2.0, IntegratorConfig(max_steps=100)
+    paths, cs = canonical_paths(a), np.linspace(-9.0, 4.0, 27)
+    live = cs[np.abs(cs) >= period.SKIP_HALFWIDTH]
+    c1, c2 = (error_of(lambda: transfer(path, a, live, cfg)) for path in (paths.c1, paths.c2))
+    assert c1[0] is c2[0] is StepLimitExceeded and c1[1] != c2[1]
+    error = error_of(lambda: scan_c(a, -9.0, 4.0, 27, cfg))
+    assert error == c1
+    assert serially(monkeypatch, lambda: error_of(lambda: scan_c(a, -9.0, 4.0, 27, cfg))) == c1
 
 
 def bad_paths(c1_goes_to=None, c2_goes_to=None) -> tuple:

@@ -1,18 +1,18 @@
-"""The two shares of work of the scan and of verify, as planned and as measured.
+"""The two shares of work of the scan and of verify, as the pair calls hand
+them out, timed one at a time.
 
     python3 tools/scan_shares.py
 
 Run it from any directory: it imports dscat from the src/ of the checkout that
-holds it.  scan_c gives every block of its grid two jobs, a transport.transfer
-along c1 and one along c2 over the block's c, and packs all the jobs of a scan
-onto this process and the worker (period._plan) by an estimate of their work
-(period._work).  For the benchmark's 15 scan blocks (27 c from each of the
-chunks of [-9, 4] at a = 1.5, 2 and 3) and for 2600-point scans of [-9, 4] at
-a = 1.5, 2 and 3, this prints each process's planned share: its estimated
-work and its time, the share timed alone in this process (the best of
-REPEATS runs of period._transfer_each), and the idle time of the pair, the
-difference of the two shares' times.  For the 2600-point scans it prints each
-job's estimate and time too.
+holds it.  scan_c pairs the half paths of each block of its grid as
+half_path_frames does: one _worker.pair call per block, a transport.transfer
+along c1 over the block's c in the worker and one along c2 in the caller.
+For the benchmark's 15 scan blocks (27 c from each of the chunks of [-9, 4] at
+a = 1.5, 2 and 3) and for the blocks of 2600-point scans of [-9, 4] at
+a = 1.5, 2 and 3, this captures the arguments of each block's pair call and
+prints the time of c1 (the worker's call) and of c2 (the caller's), each
+the best of REPEATS runs in this process, and the idle time of the pair, the
+difference of the two.
 
 `dscat verify --deep` splits in two as well (checks.run_invariant_suite):
 once the root is refined, the worker runs every check but geometry-invariants
@@ -35,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dscat import _worker, checks, period  # noqa: E402
+from dscat import _worker, checks, period, transport  # noqa: E402
 from dscat.transport import DEFAULT_CONFIG  # noqa: E402
 
 A_VALUES = (1.5, 2.0, 3.0)
@@ -44,21 +44,23 @@ REPEATS = 7
 VERIFY_ROOTS = (-7.611914, -1.526035, 1.26988)
 
 
-def planned_jobs(a: float, c_min: float, c_max: float, steps: int) -> list:
-    """The jobs scan_c hands to its planner for this scan."""
+def scan_blocks(a: float, c_min: float, c_max: float, steps: int) -> list:
+    """(there, here), the arguments of transfer along c1 and along c2, of
+    each block's pair call in this scan, in grid order."""
     seen = []
-    plan_all = period._transfer_all
+    pair = _worker.pair
 
-    def capture(jobs, *args):
-        seen.append(jobs)
-        return plan_all(jobs, *args)
+    def capture(name, there, here, **kwargs):
+        if name == "dscat.transport.transfer":
+            seen.append((there, here))
+        return pair(name, there, here, **kwargs)
 
-    period._transfer_all = capture
+    _worker.pair = capture
     try:
         period.scan_c(a, c_min, c_max, steps)
     finally:
-        period._transfer_all = plan_all
-    return seen[0]
+        _worker.pair = pair
+    return seen
 
 
 def best_time(call) -> float:
@@ -71,19 +73,13 @@ def best_time(call) -> float:
     return 1e3 * min(times)
 
 
-def shares(a: float, jobs: list) -> tuple:
-    """(estimate, ms) of this process's share and of the worker's."""
-    work = [period._work(path, a, cs) for path, cs in jobs]
-    return tuple(
-        (sum(work[j] for j in share),
-         best_time(lambda: period._transfer_each([jobs[j] for j in share], a, DEFAULT_CONFIG)))
-        for share in period._plan(work)
-    )
-
-
-def row(name: str, here: tuple, there: tuple) -> str:
-    return (f"{name:<28} {here[0]:>9.0f} {here[1]:>8.2f}   {there[0]:>9.0f} {there[1]:>8.2f}"
-            f"   {abs(here[1] - there[1]):>7.2f}")
+def row(name: str, there: tuple, here: tuple) -> tuple:
+    """The line of one block, and its (c1 ms, c2 ms, idle ms)."""
+    times = [best_time(lambda: transport.transfer(*args)) for args in (there, here)]
+    times.append(abs(times[0] - times[1]))
+    cs = there[2]
+    name = f"{name}, {cs.size} c up to |c| = {max(abs(cs)):.2f}"
+    return f"{name:<52} {times[0]:>8.2f} {times[1]:>8.2f} {times[2]:>8.2f}", times
 
 
 def verify_shares(c: float) -> tuple:
@@ -112,28 +108,25 @@ def share_name(blob: bytes) -> str:
 
 
 def main() -> int:
-    header = f"{'scan':<28} {'here: est':>9} {'ms':>8}   {'worker: est':>9} {'ms':>8}   {'idle ms':>7}"
-    print(header)
+    header = f"{'scan block':<52} {'c1 ms':>8} {'c2 ms':>8} {'idle ms':>8}"
+    print(f"{header}   (c1 in the worker, c2 here)")
     totals = [0.0, 0.0, 0.0]
     for a in A_VALUES:
         for lo, hi in zip(BLOCK_EDGES[:-1], BLOCK_EDGES[1:]):
-            here, there = shares(a, planned_jobs(a, lo, hi, 27))
-            print(row(f"a={a:g} c={lo:g}..{hi:g}, 27", here, there))
-            totals = [t + x for t, x in zip(totals, (here[1], there[1], abs(here[1] - there[1])))]
-    print(f"the 15 blocks: here {totals[0]:.1f} ms, worker {totals[1]:.1f} ms, idle {totals[2]:.1f} ms")
+            [(there, here)] = scan_blocks(a, lo, hi, 27)
+            line, times = row(f"a={a:g} c={lo:g}..{hi:g}", there, here)
+            print(line)
+            totals = [t + x for t, x in zip(totals, times)]
+    print(f"the 15 blocks: c1 {totals[0]:.1f} ms, c2 {totals[1]:.1f} ms, idle {totals[2]:.1f} ms")
     print()
     print(header)
     for a in A_VALUES:
-        jobs = planned_jobs(a, -9.0, 4.0, 2600)
-        here, there = shares(a, jobs)
-        print(row(f"a={a:g} c=-9..4, 2600", here, there))
-        plan = period._plan([period._work(path, a, cs) for path, cs in jobs])
-        for j, (path, cs) in enumerate(jobs):
-            where = "here" if j in plan[0] else "worker"
-            name = "c1" if path.waypoints[-1] == (1.0 + a) / 2 else "c2"
-            ms = best_time(lambda: period._transfer_each([(path, cs)], a, DEFAULT_CONFIG))
-            print(f"  block {j // 2 + 1} {name}, {cs.size:>4} c up to |c| = {max(abs(cs)):<5.2f}"
-                  f" est {period._work(path, a, cs):>8.0f}  {ms:>7.2f} ms  {where}")
+        totals = [0.0, 0.0, 0.0]
+        for j, (there, here) in enumerate(scan_blocks(a, -9.0, 4.0, 2600)):
+            line, times = row(f"a={a:g} c=-9..4, 2600: block {j + 1}", there, here)
+            print(line)
+            totals = [t + x for t, x in zip(totals, times)]
+        print(f"a={a:g}, 2600: c1 {totals[0]:.1f} ms, c2 {totals[1]:.1f} ms, idle {totals[2]:.1f} ms")
     print()
     print(f"{'verify --deep, a=2':<28} {'sent B':>9} {'worker ms':>10} {'here ms':>8}"
           f"   {'worker':<7} shorter")
