@@ -1,9 +1,9 @@
 """One function called on two shares at once, one in a persistent worker
 process and one in the caller.
 
-pair("package.module.function", there, here, **kwargs) returns
-(function(*there, **kwargs), function(*here, **kwargs)), exactly as the two
-calls made one after the other, there first, would.  The worker, forked on
+pair("package.module.function", there, here) returns (function(*there),
+function(*here)), exactly as the two calls made one after the other, there
+first, would.  The worker, forked on
 first use and kept for later calls, makes the call on there while the caller
 makes the call on here.  Each side looks the function up by name in its own
 copy of the package, so a wrapper installed in its place (by a tracer, say)
@@ -53,21 +53,21 @@ _lock = threading.Lock()
 _current = None
 
 
-def pair(name: str, there: tuple, here: tuple, /, **kwargs) -> tuple:
-    """(f(*there, **kwargs), f(*here, **kwargs)) for the function f named by
-    name, as the two calls made one after the other, there first, return
-    them; the call on there runs in the worker process where there is one,
-    while the caller makes the call on here."""
+def pair(name: str, there: tuple, here: tuple) -> tuple:
+    """(f(*there), f(*here)) for the function f named by name, as the two
+    calls made one after the other, there first, return them; the call on
+    there runs in the worker process where there is one, while the caller
+    makes the call on here."""
     f = _resolve(name)
     if not _lock.acquire(blocking=False):
-        return f(*there, **kwargs), f(*here, **kwargs)
+        return f(*there), f(*here)
     try:
         worker = _usable_worker()
-        if worker is None or _exchange(worker.send, (name, there, kwargs)) is None:
-            return f(*there, **kwargs), f(*here, **kwargs)
+        if worker is None or _exchange(worker.send, (name, there)) is None:
+            return f(*there), f(*here)
         error = None
         try:
-            second = f(*here, **kwargs)
+            second = f(*here)
         except Exception as exc:
             error = exc
         except BaseException:
@@ -78,7 +78,7 @@ def pair(name: str, there: tuple, here: tuple, /, **kwargs) -> tuple:
         _lock.release()
     if reply is None:
         # the worker died, or the error it raised cannot be pickled
-        result = f(*there, **kwargs)
+        result = f(*there)
     else:
         ok, result = reply
         if not ok:
@@ -149,7 +149,7 @@ def _discard() -> None:
 
 
 class _Worker:
-    """A forked child that answers (name, args, kwargs) requests over two pipes."""
+    """A forked child that answers (name, args) requests over two pipes."""
 
     def __init__(self) -> None:
         down_r, down_w = os.pipe()
@@ -210,13 +210,13 @@ def _serve(requests, replies) -> None:
     os.close(null)
     while True:
         try:
-            name, args, kwargs = pickle.load(requests)
+            name, args = pickle.load(requests)
         except (EOFError, pickle.UnpicklingError):
             return
         # the reply is pickled whole before any of it is written, so a value
         # that cannot be pickled leaves no part of a message on the pipe
         try:
-            value = _resolve(name)(*args, **kwargs)
+            value = _resolve(name)(*args)
             reply = pickle.dumps((True, value), pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             reply = pickle.dumps((False, exc) if _survives_pickling(exc) else None)

@@ -30,7 +30,7 @@ from . import _worker, geometry, monodromy, period, transport
 from .curve import CurveParams, CurvePoint, PathSpec, canonical_paths, same_sheet, transport_w
 from .ends import TOL_EIG, end_loop_check, lift_independence_check
 from .errors import DscatError
-from .linalg2c import TOL_SU11
+from .linalg2c import TOL_SU11, det2, max_abs
 from .transport import IntegratorConfig
 
 
@@ -174,8 +174,7 @@ def _product_vs_direct(ctx: CheckContext):
     triple = monodromy.assemble_monodromies(ctx.half_paths())
     worst = 0.0
     for loop, Phi in (("gamma1", triple.Phi1), ("gamma2", triple.Phi2), ("gamma3", triple.Phi3)):
-        diff = float(np.max(np.abs(ctx.holonomy(loop) - Phi)))
-        worst = max(worst, diff / max(1.0, float(np.max(np.abs(Phi)))))
+        worst = max(worst, max_abs(ctx.holonomy(loop) - Phi) / max(1.0, max_abs(Phi)))
     # 8.3e-10, two integrations' error; a wrong symmetry in the assembly gives O(1)
     return worst <= 1e-6, f"max scaled |product - direct| = {worst:.3e}"
 
@@ -211,10 +210,9 @@ def _gauge_identity(ctx: CheckContext):
         return False, "skipped (not admissible)"
     b4 = 4.0 * gauge.beta ** 4
     reproduced = (1.0 + b4) / (1.0 - b4)
-    det_p = gauge.P[0, 0] * gauge.P[1, 1] - gauge.P[0, 1] * gauge.P[1, 0]
     err = max(
         abs(reproduced - gauge.f),
-        abs(det_p - 1.0),
+        abs(det2(gauge.P) - 1.0),
         abs(gauge.alpha * gauge.beta + gauge.epsilon / 2.0),
     )
     # 0: closed-form algebra on numbers of order 1, so 1e-12 allows its rounding
@@ -329,8 +327,7 @@ def _reference_agreement(ctx: CheckContext):
     worst = 0.0
     for path, adaptive in ((ctx.paths.c1, h.F_c1), (ctx.paths.c2, h.F_c2)):
         reference, _ = transport.reference_frame(path, ctx.params)
-        scale = max(1.0, float(np.max(np.abs(adaptive))))
-        worst = max(worst, float(np.max(np.abs(adaptive - reference))) / scale)
+        worst = max(worst, max_abs(adaptive - reference) / max(1.0, max_abs(adaptive)))
     return worst <= 1e-8, f"max scaled deviation = {worst:.3e}"
 
 
@@ -339,8 +336,7 @@ def _homotopy_invariance(ctx: CheckContext):
     alt = PathSpec(complex(+1), (0j, 0.6 * a + 1.3j, 2.0 * a + 0.4j, 2.0 * a, 0.9 * a - 1.1j, 0j))
     direct = ctx.holonomy("gamma2")
     other = monodromy.direct_loop_holonomy(alt, ctx.params, ctx.cfg)
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    diff = float(np.max(np.abs(direct - other))) / scale
+    diff = max_abs(direct - other) / max(1.0, max_abs(direct))
     # 5.0e-11: two integrations of homotopic loops, so integration error only
     return diff <= 1e-7, f"scaled monodromy deviation = {diff:.3e}"
 

@@ -360,54 +360,52 @@ def symmetry_curves(mesh: MeshResult) -> list:
     The hollow-ball factor is positive, so y2 = 0 exactly where x2 = 0.
     Interpolation is linear in y2 along the edges of every triangle whose
     vertices take both signs, all in one pass, which zeroes the y2 component
-    of every emitted vertex by construction.  Returns a list of polylines,
-    each a list of (y1, y2, y3) tuples of Python floats.
+    of every emitted vertex by construction.  Each crossing is tagged with its
+    mesh edge, and _chain_segments joins the segments along the edges.
+    Returns a list of polylines, each a list of (y1, y2, y3) tuples of Python
+    floats.
     """
     tris, Y = mesh.triangles, mesh.Y
     pos = Y[tris, 1] > 0.0
     mixed = pos.any(axis=1) != pos.all(axis=1)
     tris, pos = tris[mixed], pos[mixed]
-    yi, yj = Y[tris], Y[np.roll(tris, -1, axis=1)]
+    nxt = np.roll(tris, -1, axis=1)
+    yi, yj = Y[tris], Y[nxt]
     with np.errstate(invalid="ignore", divide="ignore"):  # inf or nan off the crossings
         points = yi + yi[..., 1:2] / (yi[..., 1:2] - yj[..., 1:2]) * (yj - yi)
-    crossings = points[pos != np.roll(pos, -1, axis=1)].reshape(-1, 2, 3)
-    return _chain_segments([(tuple(p), tuple(q)) for p, q in crossings.tolist()])
+    cut = pos != np.roll(pos, -1, axis=1)
+    crossings = points[cut].reshape(-1, 2, 3).tolist()
+    edges = np.sort(np.stack((tris, nxt), axis=-1)[cut], axis=-1).reshape(-1, 2, 2).tolist()
+    return _chain_segments(
+        [(tuple(p), tuple(q)) for p, q in crossings], [(tuple(e), tuple(f)) for e, f in edges]
+    )
 
 
-def _chain_segments(segments: list) -> list:
-    """Join shared-endpoint segments into maximal polylines."""
-
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9), round(p[2], 9))
-
-    adj: dict = {}
-    for i, (p, q) in enumerate(segments):
-        adj.setdefault(key(p), []).append((i, 0))
-        adj.setdefault(key(q), []).append((i, 1))
+def _chain_segments(segments: list, edges: list) -> list:
+    """Join segments into maximal polylines, two wherever they cross the same
+    mesh edge: segment i runs from a point on edges[i][0], a sorted pair of
+    sample numbers, to one on edges[i][1].  An edge borders at most two
+    triangles, so a polyline never branches.  Each polyline starts from the
+    first segment not yet used, in its orientation, and grows from its second
+    end and then from its first."""
+    on_edge: dict = {}
+    for i, ends in enumerate(edges):
+        for end, edge in enumerate(ends):
+            on_edge.setdefault(edge, []).append((i, end))
     used = [False] * len(segments)
     chains = []
     for i in range(len(segments)):
         if used[i]:
             continue
         used[i] = True
-        chain = [segments[i][0], segments[i][1]]
-        for grow_end in (True, False):
-            while True:
-                tip = chain[-1] if grow_end else chain[0]
-                nxt = None
-                for idx, end in adj.get(key(tip), []):
-                    if not used[idx]:
-                        nxt = (idx, end)
-                        break
-                if nxt is None:
-                    break
-                idx, end = nxt
-                used[idx] = True
-                new_pt = segments[idx][1 - end]
-                if grow_end:
-                    chain.append(new_pt)
-                else:
-                    chain.insert(0, new_pt)
+        chain = list(segments[i])
+        for grow_end in (1, 0):
+            tip = edges[i][grow_end]
+            while nxt := next(((k, end) for k, end in on_edge[tip] if not used[k]), None):
+                k, end = nxt
+                used[k] = True
+                tip = edges[k][1 - end]
+                chain.insert(len(chain) if grow_end else 0, segments[k][1 - end])
         chains.append(chain)
     return chains
 

@@ -16,6 +16,7 @@ import numpy as np
 from . import _worker
 from .curve import CanonicalPaths, CurveParams, PathSpec, canonical_paths, same_sheet
 from .errors import ContinuationError, DegenerateDenominator
+from .linalg2c import max_abs
 from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frame
 
 # Structural deviations beyond this indicate path or sheet bugs.  The f1 and
@@ -57,7 +58,9 @@ def half_path_frames(
     if paths is None:
         paths = canonical_paths(params.a)
     (F1, _), (F2, _) = _worker.pair(
-        "dscat.transport.integrate_frame", (paths.c1, params), (paths.c2, params), cfg=cfg
+        "dscat.transport.integrate_frame",
+        (paths.c1, params, None, cfg),
+        (paths.c2, params, None, cfg),
     )
     return HalfPathFrames(F1, F2, params)
 
@@ -124,14 +127,14 @@ def structure_defect(triple: MonodromyTriple) -> float:
     with q, q' real.
     """
     P1, P2, P3 = triple.Phi1, triple.Phi2, triple.Phi3
-    n1 = max(1.0, float(np.max(np.abs(P1))))
-    n2 = max(1.0, float(np.max(np.abs(P2))))
+    n1 = max(1.0, max_abs(P1))
+    n2 = max(1.0, max_abs(P2))
     swap = np.array([[np.conj(P2[0, 0]), P2[1, 0]], [P2[0, 1], P2[0, 0]]])
     return max(
         abs(P2[1, 1] - np.conj(P2[0, 0])) / n2,
         abs((P2[0, 1] / 1j).imag) / n2,
         abs((P2[1, 0] / 1j).imag) / n2,
-        float(np.max(np.abs(P3 - swap))) / n2,
+        max_abs(P3 - swap) / n2,
         abs(P1[0, 0].imag) / n1,
         abs(P1[1, 1].imag) / n1,
         abs(P1[1, 0] + np.conj(P1[0, 1])) / n1,

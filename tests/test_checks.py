@@ -96,13 +96,13 @@ def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, solved):
     sent = []
     pair = _worker.pair
 
-    def recorded(name, there, here, **kwargs):
+    def recorded(name, there, here):
         if name == "dscat.checks._run_checks":
             # the context goes out with its root refined, or its error cached
             sent.append(("root" in there[0]._built, [check for check, _ in here[1]]))
         else:
             assert name == "dscat.transport.integrate_frame"
-        return pair(name, there, here, **kwargs)
+        return pair(name, there, here)
 
     monkeypatch.setattr(_worker, "pair", recorded)
     calls = patched_mesh(monkeypatch)

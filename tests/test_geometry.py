@@ -418,52 +418,19 @@ def test_symmetry_curves(shallow_solution, shallow_mesh):
             assert abs(y2) < 1e-6
 
 
-def _float64_crossings(mesh) -> list:
-    """[((i, j), point)] where the edge (i, j) of a triangle crosses y2 = 0,
-    one edge at a time on np.float64 coordinates, two a triangle in its edge
-    order (0, 1), (1, 2), (2, 0)."""
+def _crossed_edges(mesh) -> dict:
+    """{point: edge} for every point where an edge (i, j), i < j, of a
+    triangle crosses y2 = 0, computed one edge at a time as symmetry_curves
+    computes it from the triangle's edge order (0, 1), (1, 2), (2, 0)."""
     Y = list(mesh.Y)
-    crossings = []
+    edges = {}
     for tri in mesh.triangles.tolist():
         for i, j in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             yi, yj = Y[i], Y[j]
             if (yi[1] > 0.0) != (yj[1] > 0.0):
-                point = yi + yi[1:2] / (yi[1:2] - yj[1:2]) * (yj - yi)
-                crossings.append(((min(i, j), max(i, j)), point))
-    return crossings
-
-
-def _key(p) -> tuple:
-    return tuple(round(x, 9) for x in p)
-
-
-def _float64_curves(mesh) -> list:
-    """symmetry_curves with its segments chained by np.float64 keys: the
-    reference for the curves' one-pass crossings and Python-float keys."""
-    points = [tuple(p) for _, p in _float64_crossings(mesh)]
-    segments = list(zip(points[::2], points[1::2]))
-    ends_at: dict = {}
-    for i, seg in enumerate(segments):
-        for end in (0, 1):
-            ends_at.setdefault(_key(seg[end]), []).append((i, end))
-    used = [False] * len(segments)
-    chains = []
-    for i, seg in enumerate(segments):
-        if used[i]:
-            continue
-        used[i] = True
-        chain = list(seg)
-        for grow_end in (True, False):
-            while True:
-                tip = chain[-1] if grow_end else chain[0]
-                nxt = next(((k, e) for k, e in ends_at[_key(tip)] if not used[k]), None)
-                if nxt is None:
-                    break
-                used[nxt[0]] = True
-                point = segments[nxt[0]][1 - nxt[1]]
-                chain.insert(len(chain) if grow_end else 0, point)
-        chains.append(chain)
-    return chains
+                point = tuple((yi + yi[1:2] / (yi[1:2] - yj[1:2]) * (yj - yi)).tolist())
+                assert edges.setdefault(point, (min(i, j), max(i, j))) == (min(i, j), max(i, j))
+    return edges
 
 
 @pytest.mark.parametrize(
@@ -471,18 +438,20 @@ def _float64_curves(mesh) -> list:
     [("shallow_solution", (10, 12)), ("mid_solution", (8, 12))],
     ids=["shallow-10x12", "mid-8x12"],
 )
-def test_symmetry_curves_chain_like_float64_keys(root, grid, request):
+def test_symmetry_curves_follow_the_mesh_edges(root, grid, request):
+    # every crossed edge is on the curves once, where its two triangles'
+    # segments join, or twice as the two ends of a closed curve; and each
+    # step of a curve crosses one triangle, from one of its edges to another
     mesh = build_mesh(request.getfixturevalue(root), *grid)
     curves = symmetry_curves(mesh)
-    assert curves == _float64_curves(mesh)
+    edge_of = _crossed_edges(mesh)
+    on_curves = [[edge_of[p] for p in chain] for chain in curves]
+    once = [edge for chain in on_curves for edge in chain[chain[0] == chain[-1]:]]
+    assert sorted(once) == sorted(set(edge_of.values()))
+    triangles = {frozenset(tri) for tri in mesh.triangles.tolist()}
+    for chain in on_curves:
+        assert all(frozenset(e + f) in triangles for e, f in zip(chain[:-1], chain[1:]))
     assert {type(x) for chain in curves for p in chain for x in p} == {float}
-    if root == "mid_solution":
-        # a rounding key here joins crossings on distinct mesh edges, so the
-        # curves cannot be chained by the edge each crossing lies on
-        edges: dict = {}
-        for edge, p in _float64_crossings(mesh):
-            edges.setdefault(_key(p), set()).add(edge)
-        assert any(len(on) > 1 for on in edges.values())
 
 
 def test_symmetry_curves_refinement(shallow_solution):

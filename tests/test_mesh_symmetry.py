@@ -7,13 +7,14 @@ symmetry breaks by 2.8e-3 at c = -1.526035 on an 8 x 12 mesh.  Converged
 (tol_c 1e-13 at rel_tol 1e-13) it holds to 3.1e-7.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dscat.geometry import build_mesh
+from dscat.geometry import build_mesh, symmetry_curves
 from dscat.period import near, solve_at_bracket
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "mesh_symmetry.py"
@@ -54,3 +55,18 @@ def test_a_nodes_mirror_lies_over_the_conjugate_point(meshes, which):
     assert (np.abs(mesh.z[partner[paired]] - z.conj()) <= 1e-12).all()
     # TOL_SHEET's scale: the integration's error of w
     assert (np.abs(mesh.w[partner[paired]] - w.conj()) <= 1e-8 * (1.0 + np.abs(w))).all()
+
+
+def test_exact_reflections_keep_the_symmetry_curves():
+    # at c = 1.26988, 24 x 24 as `dscat mesh` solves and meshes it, the
+    # curves follow the mesh's edges, so setting each node's mirror to its
+    # exact reflection moves their points but keeps their number and lengths
+    mesh = build_mesh(solve_at_bracket(2.0, near(1.26988)), 24, 24)
+    partner = mesh_symmetry.mirrors(mesh, 2.0, 24)
+    first = np.flatnonzero(partner > np.arange(partner.size))
+    Y = mesh.Y.copy()
+    Y[partner[first]] = Y[first] * [1.0, -1.0, 1.0]
+    reflected = dataclasses.replace(mesh, Y=Y)
+    lengths = [len(chain) for chain in symmetry_curves(mesh)]
+    assert [len(chain) for chain in symmetry_curves(reflected)] == lengths
+    assert (len(lengths), sum(lengths)) == (28, 230)

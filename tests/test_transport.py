@@ -12,7 +12,6 @@ from dscat.curve import (
     PathSpec,
     branch_offsets,
     canonical_paths,
-    log_derivative_of,
     rational_rhs_of,
     sheet_residual_of,
     transport_w,
@@ -550,49 +549,19 @@ def _reference_field_lanes(a: float, cs, scale=1.0):
     return field
 
 
-def _parent_field(cs, k):
-    """The frame field of the lane kernel when it took its field as an
-    argument, given the products cs * scale and branch_offsets(a, scale)
-    it formed first, which integrate_frames_over_c now hands the kernel."""
-    segment_u = cs_u = None  # the direction of the current segment, cs * it
+def _on_both_kernels(monkeypatch, call, a: float, c: float, scale) -> list:
+    """call(on_step) on the lane kernel and, in its place, on the one it
+    replaced: conftest.reference_lanes on _reference_field_lanes(a, c, scale).
+    For each, the accepted (z, y) states as bytes and the bytes of the (F, w)
+    call returned, or the type, lanes and message of the DscatError it
+    raised."""
 
-    def field(z, u, y):
-        nonlocal segment_u, cs_u
-        if u != segment_u:
-            segment_u, cs_u = u, cs * u
-        w = y[4]
-        out = np.empty_like(y)
-        top = out[0:2]
-        np.multiply(y[2:4], w, out=top)
-        np.subtract(y[0:2], top, out=top)
-        top *= cs_u
-        np.divide(top, w, out=out[2:4])
-        np.multiply(w, log_derivative_of(z, k) * u, out=out[4])
-        return out
+    def replaced_kernel(waypoints, y0, cs, k, *, cfg, on_step):
+        field = _reference_field_lanes(a, c, scale)
+        return reference_lanes(waypoints, y0, field, cfg=cfg, on_step=on_step)
 
-    return field
-
-
-def _parent_kernel(waypoints, y0, cs, k, *, cfg=DEFAULT_CONFIG, on_step=None):
-    """_rk.integrate_polyline_lanes as it was: the generic lane kernel
-    conftest.reference_lanes on _parent_field."""
-    return reference_lanes(waypoints, y0, _parent_field(cs, k), cfg=cfg, on_step=on_step)
-
-
-def _lane_steps(kernel, waypoints, y0, *args) -> tuple:
-    """The accepted (z, y) states of a lane kernel as bytes, and the end state."""
-    steps = []
-    y = kernel(waypoints, y0, *args, on_step=lambda z, y: steps.append((z, y.tobytes())))
-    return steps, y
-
-
-def _on_both_kernels(monkeypatch, call) -> list:
-    """call(on_step) on the lane kernel and on _parent_kernel in its place:
-    for each, the accepted (z, y) states as bytes and the bytes of the
-    (F, w) call returned, or the type, lanes and message of the DscatError
-    it raised."""
     runs = []
-    for kernel in (_rk.integrate_polyline_lanes, _parent_kernel):
+    for kernel in (_rk.integrate_polyline_lanes, replaced_kernel):
         steps = []
         with monkeypatch.context() as m:
             m.setattr(_rk, "integrate_polyline_lanes", kernel)
@@ -617,19 +586,6 @@ def _mesh_lanes(a: float, nu: int, nv: int) -> tuple:
     return geometry._unit_legs(angles, order), np.array(radii * 2), y0
 
 
-def test_lane_field_steps_equal_the_reference_per_lane():
-    # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh runs them
-    a, c = 2.0, -1.526035
-    legs, scale, y = _mesh_lanes(a, 8, 12)
-    for leg in legs:
-        steps, end = _lane_steps(
-            _rk.integrate_polyline_lanes, leg, y, c * scale, branch_offsets(a, scale)
-        )
-        reference, y = _lane_steps(reference_lanes, leg, y, _reference_field_lanes(a, c, scale))
-        assert steps == reference
-        assert end.tobytes() == y.tobytes()
-
-
 @pytest.mark.parametrize("nu, nv", [(24, 24), (8, 12)])
 @pytest.mark.parametrize("root", ["shallow_solution", "hyperbolic_solution", "deep_solution"])
 def test_mesh_legs_equal_the_parent_kernel(request, monkeypatch, root, nu, nv):
@@ -642,7 +598,8 @@ def test_mesh_legs_equal_the_parent_kernel(request, monkeypatch, root, nu, nv):
 
     def both(path, a, c, cfg, **kwargs):
         runs = _on_both_kernels(
-            monkeypatch, lambda on_step: real(path, a, c, cfg, on_step=on_step, **kwargs)
+            monkeypatch, lambda on_step: real(path, a, c, cfg, on_step=on_step, **kwargs),
+            a, c, kwargs["scale"],
         )
         assert runs[0] == runs[1]
         legs.append(len(runs[0][0]))
@@ -664,7 +621,7 @@ def test_failing_lanes_equal_the_parent_kernel(monkeypatch):
     runs = _on_both_kernels(monkeypatch, lambda on_step: integrate_frames_over_c(
         PathSpec(1.0 + 0j, legs[0]), a, c, loose,
         F0=y0[:4].T.reshape(-1, 2, 2), w0=y0[4], scale=scale, on_step=on_step,
-    ))
+    ), a, c, scale)
     assert runs[0] == runs[1]
     kind, lanes, message = runs[0][1]
     assert kind is LanesFailed and lanes == (7, 15)
@@ -789,16 +746,24 @@ def test_scan_block_end_states_equal_the_inline_reference(name):
 
 
 def test_ring_end_states_equal_the_inline_reference():
-    # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh runs them
+    # the rings of an 8 x 12 mesh of both sheets, leg by leg as build_mesh
+    # runs them: the lane kernel's accepted states and end states are the
+    # reference's, and so are the sheet residuals at every step
     a, c = 2.0, -1.526035
     legs, scale, y = _mesh_lanes(a, 8, 12)
     k = branch_offsets(a, scale)
     for leg in legs:
+        kernel, steps = [], []
         F, w = integrate_frames_over_c(
             PathSpec(1.0 + 0j, leg), a, c,
             F0=y[:4].T.reshape(-1, 2, 2), w0=y[4], scale=scale,
+            on_step=lambda z, state: kernel.append((z, state.tobytes())),
         )
-        steps, y = _lane_steps(reference_lanes, leg, y, _reference_field_lanes(a, c, scale))
+        y = reference_lanes(
+            leg, y, _reference_field_lanes(a, c, scale),
+            on_step=lambda z, state: steps.append((z, state.tobytes())),
+        )
+        assert kernel == steps
         assert F.tobytes() == y[:4].T.reshape(-1, 2, 2).tobytes()
         assert w.tobytes() == y[4].tobytes()
         for z, state in steps:

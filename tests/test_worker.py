@@ -89,9 +89,9 @@ def spy_on_pairs(monkeypatch) -> list:
     calls = []
     pair = _worker.pair
 
-    def spy(name, there, here, **kwargs):
+    def spy(name, there, here):
         calls.append([name, there, here, None])
-        calls[-1][3] = pair(name, there, here, **kwargs)
+        calls[-1][3] = pair(name, there, here)
         return calls[-1][3]
 
     monkeypatch.setattr(_worker, "pair", spy)
@@ -341,8 +341,8 @@ def test_pair_keeps_serial_order_without_a_worker(monkeypatch):
 def half_a_reply(requests, replies):
     """A worker loop that answers its first request with the first half of
     its pickled reply, then exits."""
-    name, args, kwargs = pickle.load(requests)
-    reply = pickle.dumps((True, _worker._resolve(name)(*args, **kwargs)), pickle.HIGHEST_PROTOCOL)
+    name, args = pickle.load(requests)
+    reply = pickle.dumps((True, _worker._resolve(name)(*args)), pickle.HIGHEST_PROTOCOL)
     replies.write(reply[: len(reply) // 2])
     replies.flush()
 
