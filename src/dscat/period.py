@@ -6,8 +6,9 @@ loop monodromies into SU(1,1).  The scan brackets sign changes of f1 - f2,
 which are crossings or poles of the period functions, where a denominator
 has an isolated zero in c: at a = 2 the poles near c = -4.80 and -1.69 are
 zeros of the f2 denominator, those near -0.555 and 0.757 zeros of the f1
-denominator.  Refinement tells them apart by the signs of the denominators
-at the ends of its final bracket: across a pole one of them changes sign.
+denominator.  Refinement reads the signs of the denominators at the two ends
+of the bracket it is given, before it refines anything: across a pole one of
+them changes sign, and such a bracket is refused.  Only crossings are refined.
 The scan evaluates many c at once on transport's Magnus kernel
 (transport.transfer), a whole transfer along c1 and one along c2 for each
 block of its grid, paired as in monodromy.half_path_frames: c1 in the worker
@@ -85,10 +86,7 @@ class ScanResult:
 class RefinedRoot:
     c: float
     f: float
-    # |f1 - f2| at c, which the messages about a pole print
-    gap: float
-    is_crossing: bool
-    # half-path frames at c, handed on to verification; None at a vanished denominator
+    # half-path frames at c, handed on to verification
     frames: HalfPathFrames = field(repr=False, compare=False)
 
 
@@ -237,49 +235,54 @@ def refine_root(
     tol_c: float = TOL_C,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> RefinedRoot:
-    """Refine a sign-change bracket of f1 - f2 to width tol_c.
+    """Refine the crossing of f1 and f2 in a sign-change bracket of f1 - f2 to width tol_c.
 
-    The root is a pole of a period function, is_crossing = False, where a
-    real denominator d1, d2 of period_values has opposite signs at the last
-    points evaluated with each sign of f1 - f2 (the final bracket, narrowed
-    by the converged c), or vanished at an iterate (gap inf); otherwise it is
-    a crossing.  Raises DomainError unless tol_c is finite and positive, and
-    where the bracket holds c = 0: the frame is I there and the f2 denominator
-    vanishes identically, so it is neither a root nor a pole.
+    Raises LostBracket, after the evaluations at the two ends, where a real
+    denominator d1, d2 of period_values has opposite signs there: the bracket
+    holds a pole of f1, f2 or both, not a crossing.  A denominator that
+    vanishes at an iterate loses the bracket too.  Raises DomainError before
+    any evaluation unless tol_c is finite and positive and lo <= hi (scan_c
+    brackets (c, c) where f1 - f2 is 0 at a grid point), and where the bracket
+    holds c = 0: the frame is I there and the f2 denominator vanishes
+    identically, so it is neither a root nor a pole.
     """
     if not 0.0 < tol_c < math.inf:
         raise DomainError(f"tol_c must be finite and positive, got {tol_c}")
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not lo <= hi:
+        raise DomainError(f"need lo <= hi, got bracket [{lo}, {hi}]")
     if lo <= 0.0 <= hi:
         raise DomainError(
             f"bracket [{lo}, {hi}] contains c = 0, which is neither a root nor a pole"
         )
     paths = canonical_paths(a)
-
     cache: dict = {}
-    tried: list = []  # every c evaluated, in order
-    last: dict = {}  # f1 > f2 -> the last c evaluated with that sign
 
-    def diff(c: float) -> float:
-        tried.append(c)
+    def periods(c: float) -> tuple:
         if c not in cache:
-            cache[c] = _periods_at(a, c, cfg, paths)
-        f1, f2, _ = cache[c]
-        last[f1 > f2] = c
-        return f1 - f2
+            try:
+                cache[c] = _periods_at(a, c, cfg, paths)
+            except DegenerateDenominator:
+                raise LostBracket(f"a period denominator vanished at c = {c}") from None
+        return cache[c]
 
     def signs(c: float) -> list:
-        h = cache[c][2]
+        h = periods(c)[2]
         return np.sign(period_values(h.F_c1, h.F_c2)[2:4]).tolist()
 
-    try:
-        c_star = bracketed_root(diff, lo, hi, tol_c)
-        diff(c_star)
-    except DegenerateDenominator:
-        return RefinedRoot(tried[-1], math.nan, math.inf, False, None)
-    f1, f2, h = cache[c_star]
-    is_crossing = f1 == f2 or signs(last[False]) == signs(last[True])
-    return RefinedRoot(c_star, 0.5 * (f1 + f2), abs(f1 - f2), is_crossing, h)
+    poles = [f for f, s_lo, s_hi in zip(("f1", "f2"), signs(lo), signs(hi)) if s_lo != s_hi]
+    if poles:
+        raise LostBracket(
+            f"bracket [{lo}, {hi}] holds a pole of {' and '.join(poles)}, not a crossing"
+        )
+
+    def diff(c: float) -> float:
+        f1, f2, _ = periods(c)
+        return f1 - f2
+
+    c_star = bracketed_root(diff, lo, hi, tol_c)
+    f1, f2, h = periods(c_star)
+    return RefinedRoot(c_star, 0.5 * (f1 + f2), h)
 
 
 def solve_gauge(f: float) -> GaugeSolution:
@@ -375,10 +378,5 @@ def solve_at_bracket(
     """Full pipeline: refine the bracket to width tol_c, solve the gauge,
     verify closure."""
     root = refine_root(a, bracket, tol_c, cfg)
-    if not root.is_crossing:
-        raise NotAdmissible(
-            f"bracket [{bracket[0]}, {bracket[1]}] converged onto a pole of the "
-            f"period functions at c = {root.c:.6f} (|f1 - f2| = {root.gap:.3e})"
-        )
     gauge = solve_gauge(root.f)
     return _verify_frames(root.frames, gauge, gauge.P)

@@ -171,8 +171,9 @@ def test_solve_pole_bracket_not_admissible(tmp_path):
 @pytest.mark.parametrize("tol_c", ["1e-11", "1e-13"])
 @pytest.mark.parametrize("c0, c1", [("-4.85", "-4.75"), ("-0.56", "-0.55")])
 def test_solve_pole_bracket_at_tight_tol_c(tmp_path, capsys, c0, c1, tol_c):
-    # an iterate lands where a denominator vanishes, which ends the refinement
-    # as a pole
+    # the bracket is refused from its two ends as a pole, whatever the width
+    # asked for; at these widths an iterate would land where a denominator
+    # vanishes
     out = tmp_path / "x.json"
     code = run(["solve", "--a", "2", "--c0", c0, "--c1", c1, "--tol-c", tol_c, "--json", str(out)])
     assert code == 4

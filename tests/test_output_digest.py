@@ -13,10 +13,11 @@ or read would show here.  The five `verify` commands are held because the
 battery splits its work between two processes
 (dscat.checks.run_invariant_suite), and a split that changed a check's
 result or the order of the report would show here.  The two solves beyond
-the benchmark's brackets exit 4 by each outcome of refinement's
-pole-or-crossing decision, and the scalar DP5 kernel decides their bytes, as
-it does those of the `classify` whose initial step reaches it (its end
-loop); the `classify` at a = 1.2 holds the PathError exit.  The two meshes
+the benchmark's brackets exit 4: one as a pole of f1, refused from the
+bracket's two ends, and one as a crossing with |f| < 1.  The scalar DP5
+kernel decides their bytes, as it does those of the `classify` whose initial
+step reaches it (its end loop); the `classify` at a = 1.2 holds the
+PathError exit.  The two meshes
 and the five `verify` commands are held a second time with one CPU visible,
 which keeps all work in one process (dscat._worker): a serial run must write
 the bytes of a paired one.  The meshes pair the half paths of every

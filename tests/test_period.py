@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dscat import cli
 from dscat import period as period_module
 from dscat.errors import (
     DegenerateDenominator,
@@ -105,7 +106,6 @@ def test_scan_near_zero_window():
     assert all(abs(c) >= 0.01 for c in kept.tolist())
     assert len(result.brackets) == 1
     root = refine_root(2.0, result.brackets[0])
-    assert root.is_crossing
     assert -0.07 < root.c < 0.05
     assert abs(root.f) < 1.0
 
@@ -212,17 +212,15 @@ def test_refine_builds_the_paths_once(monkeypatch):
     root = refine_root(2.0, (1.25, 1.29), 1e-9)
     assert built == [2.0]
     f1, f2, _ = _periods_at(2.0, root.c, DEFAULT_CONFIG)
-    assert (root.f, root.gap) == (0.5 * (f1 + f2), abs(f1 - f2))
+    assert root.f == 0.5 * (f1 + f2)
 
 
 def test_refine_paper_roots():
     root = refine_root(2.0, (-7.65, -7.58), 1e-6)
-    assert root.is_crossing
     assert root.c == pytest.approx(-7.6119, abs=0.01)
     assert root.f > 1.0
 
     root = refine_root(2.0, (1.25, 1.29), 1e-6)
-    assert root.is_crossing
     assert root.c == pytest.approx(1.26988, abs=0.01)
     assert root.f > 1.0
 
@@ -235,11 +233,10 @@ def test_refine_paper_roots():
     ids=lambda v: v if isinstance(v, str) else str(v[0]),
 )
 def test_refine_detects_pole_bracket(which, bracket):
-    root = refine_root(2.0, bracket, 1e-8)
-    assert not root.is_crossing
-    assert bracket[0] < root.c < bracket[1]
-    assert root.gap > 1e3
-    with pytest.raises(NotAdmissible, match="converged onto a pole"):
+    message = f"bracket [{bracket[0]}, {bracket[1]}] holds a pole of {which}, not a crossing"
+    with pytest.raises(LostBracket, match=f"^{re.escape(message)}$"):
+        refine_root(2.0, bracket, 1e-8)
+    with pytest.raises(LostBracket, match=f"^{re.escape(message)}$"):
         solve_at_bracket(2.0, bracket)
     # the denominator of the function with the pole alone changes sign
     d1, d2 = (
@@ -249,20 +246,81 @@ def test_refine_detects_pole_bracket(which, bracket):
     assert (d1 != d2).tolist() == [which == "f1", which == "f2"]
 
 
-def test_refine_ends_on_a_vanished_denominator_as_a_pole():
-    # at this width an iterate lands where the f2 denominator vanishes
-    root = refine_root(2.0, (-4.85, -4.75), 1e-13)
-    assert not root.is_crossing
-    assert root.c == pytest.approx(-4.796708, abs=1e-6)
-    assert root.gap == math.inf
+def test_a_vanished_denominator_at_an_iterate_loses_the_bracket(monkeypatch, capsys, tmp_path):
+    # DegenerateDenominator has no row in cli.EXIT_CODES, so it must not
+    # escape refinement: the bracket is lost at that c, which exits 4
+    tried = []
+
+    def vanishing(a, c, cfg, paths=None):
+        tried.append(c)
+        if len(tried) == 4:  # the second iterate inside the crossing bracket
+            raise DegenerateDenominator("a period denominator vanished")
+        return _periods_at(a, c, cfg, paths)
+
+    monkeypatch.setattr(period_module, "_periods_at", vanishing)
+    with pytest.raises(LostBracket) as lost:
+        refine_root(2.0, (1.25, 1.29))
+    assert 1.25 < tried[3] < 1.29
+    message = f"a period denominator vanished at c = {tried[3]}"
+    assert str(lost.value) == message
+    tried.clear()
+    out = tmp_path / "x.json"
+    assert cli.main(["solve", "--a", "2", "--c0", "1.25", "--c1", "1.29", "--json", str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: not admissible: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "bracket", [(-7.58, -7.65), (0.01, -0.01), (math.nan, -7.58)], ids=["reversed", "zero", "nan"]
+)
+def test_refine_rejects_a_reversed_bracket(monkeypatch, bracket):
+    # bracketed_root would stop at once on hi - lo < 0 and return the midpoint
+    def no_periods(*args):
+        raise AssertionError("a period evaluation")
+
+    monkeypatch.setattr(period_module, "_periods_at", no_periods)
+    message = f"need lo <= hi, got bracket [{bracket[0]}, {bracket[1]}]"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        refine_root(2.0, bracket)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        solve_at_bracket(2.0, bracket)
+
+
+def test_refine_takes_a_zero_width_bracket():
+    # scan_c brackets (c, c) where f1 - f2 is 0 at a grid point
+    with pytest.raises(LostBracket, match=r"^no sign change over \[1\.26, 1\.26\]$"):
+        refine_root(2.0, (1.26, 1.26))
+
+
+@pytest.mark.parametrize(
+    "bracket, evaluations",
+    # the benchmark's four admissible brackets at the default tol_c, then the
+    # five pole brackets, refused from their two ends
+    [((-7.65, -7.58), 31), ((-4.10, -4.02), 29), ((-1.55, -1.50), 31), ((1.25, 1.29), 28),
+     ((-4.85, -4.75), 2), ((-0.56, -0.55), 2), ((0.75, 0.76), 2), ((-4.80, -4.79), 2),
+     ((-1.70, -1.69), 2)],
+    ids=lambda v: str(v[0]) if isinstance(v, tuple) else None,
+)
+def test_refine_period_evaluations_per_bracket(monkeypatch, bracket, evaluations):
+    tried = []
+
+    def counting(a, c, cfg, paths=None):
+        tried.append(c)
+        return _periods_at(a, c, cfg, paths)
+
+    monkeypatch.setattr(period_module, "_periods_at", counting)
+    try:
+        refine_root(2.0, bracket)
+    except LostBracket:
+        assert evaluations == 2
+    assert len(tried) == evaluations
 
 
 def test_refine_small_crossing_is_a_crossing():
     # the crossing near -0.0555 is genuine but has |f| < 1
     root = refine_root(2.0, (-0.06, -0.05), 1e-9)
-    assert root.is_crossing
     assert root.c == pytest.approx(-0.05548, abs=1e-5)
-    assert root.gap < 1e-6 and abs(root.f) < 1.0
+    assert abs(root.f) < 1.0
     with pytest.raises(NotAdmissible, match=r"\|f\| > 1"):
         solve_at_bracket(2.0, (-0.06, -0.05))
 

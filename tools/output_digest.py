@@ -43,8 +43,8 @@ RECORDED = HERE / "output_digest.txt"
 
 ROOTS = ("-1.526035", "1.26988")
 # The four a = 2 brackets of the benchmark's solve workload, then its pole
-# bracket, which exits 4.  The last two exit 4 by each outcome of refinement's
-# pole-or-crossing decision: a pole of f1, and the crossing with |f| < 1.
+# bracket, which exits 4.  The last two exit 4 too: a pole of f1, refused from
+# the bracket's two ends, and a crossing with |f| < 1.
 BRACKETS = (("-7.65", "-7.58"), ("-4.10", "-4.02"), ("-1.55", "-1.50"), ("1.25", "1.29"),
             ("-4.85", "-4.75"), ("-0.56", "-0.55"), ("-0.06", "-0.05"))
 MESH = ("--nu", "24", "--nv", "24", "--format", "obj", "--out", "{d}/mesh.obj",
