@@ -4,9 +4,10 @@ Both adaptive kernels run one step controller, _drive, and differ only in the
 field and step function they hand it: integrate_polyline's field argument and
 its step, and the frame field and step of _lane_kernel for
 integrate_polyline_lanes.  Their settings are one IntegratorConfig, cfg,
-defined here with its defaults in DEFAULT_CONFIG.  A step budget or a step
-size underflow raises StepLimitExceeded with the point of the polyline where
-the failing step starts.
+defined here with its defaults in DEFAULT_CONFIG; each integration's first
+trial step is INITIAL_STEP.  A step budget or a step size underflow raises
+StepLimitExceeded with the point of the polyline where the failing step
+starts.
 
 integrate_polyline integrates the five-component state of the frame transport,
 (F11, F12, F21, F22, w), as a plain tuple of Python complex numbers.  It
@@ -109,6 +110,9 @@ _ERR_W = np.array([_E1, 0.0, _E3, _E4, _E5, _E6, _E7])[:, None, None]
 # memory stays fixed however many steps a path takes.
 RK4_BLOCK = 1024
 
+# First trial step, in arc length: the controller corrects any within a few steps.
+INITIAL_STEP = 0.05
+
 Field = Callable[[complex, complex, tuple], tuple]
 Monitor = Callable[[complex, tuple], None]
 
@@ -120,10 +124,9 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 400_000
-    initial_step: float = 0.05
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "initial_step"):
+        for name in ("rel_tol", "abs_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DomainError(f"{name} must be finite and positive")
         if not self.max_steps >= 1:
@@ -161,7 +164,7 @@ def _drive(waypoints, y, field, step, cfg, on_step):
     along the polyline, FSAL restarting at each segment.  step(field, z0, u,
     h, y, k1, rel_tol, abs_tol) returns (ynew, k7, err), err being the RMS of
     the scaled component errors; a step is accepted when err <= 1."""
-    rel_tol, abs_tol, max_steps, h = cfg.rel_tol, cfg.abs_tol, cfg.max_steps, cfg.initial_step
+    rel_tol, abs_tol, max_steps, h = cfg.rel_tol, cfg.abs_tol, cfg.max_steps, INITIAL_STEP
     steps = 0
     for p, q in zip(waypoints[:-1], waypoints[1:]):
         seg = q - p

@@ -24,6 +24,7 @@ import sys
 
 from . import geometry, period
 from .checks import run_invariant_suite
+from .curve import CurveParams
 from .ends import end_loop_check
 from .errors import (
     ContinuationError,
@@ -87,60 +88,28 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-# The settings a config file or a flag may give: IntegratorConfig's fields,
-# each with the type of its default, in the order of the fields.
-_SETTINGS = {field.name: type(field.default) for field in dataclasses.fields(IntegratorConfig)}
+# The settings a flag may give: IntegratorConfig's fields, each with its
+# default, in the order of the fields.
+_SETTINGS = {field.name: field.default for field in dataclasses.fields(IntegratorConfig)}
 _HELP = {
     "rel_tol": "relative tolerance of each DP5 step; a scan refines its Magnus grid "
     f"until each step's error estimate is at most {MAGNUS_TOL:g} * (rel_tol + abs_tol)",
     "abs_tol": "absolute tolerance of each DP5 step; in a scan, see --rel-tol",
     "max_steps": "most steps of one integration; in a scan block, of each Magnus grid",
-    "initial_step": "first trial step of DP5, in arc length; a scan does not use it",
 }
 
 
-def _load_config(path: str | None) -> dict:
-    """The key = value pairs of a config file, each value cast to its
-    setting's type; blank lines and lines starting with # are skipped.
-    Raises DomainError, naming the line, for a line without =, for a key that
-    is not a field of IntegratorConfig and for a value of the wrong type."""
-    values: dict = {}
-    if path is None:
-        return values
-    with open(path) as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, equals, raw = line.partition("=")
-            key = key.strip()
-            if not equals:
-                raise DomainError(f"config line {number}: expected key = value, got {line!r}")
-            if key not in _SETTINGS:
-                raise DomainError(
-                    f"config line {number}: unknown key {key!r} "
-                    f"(known: {', '.join(sorted(_SETTINGS))})"
-                )
-            try:
-                values[key] = _SETTINGS[key](raw.strip())
-            except ValueError as exc:
-                raise DomainError(f"config line {number}: {key}: {exc}") from exc
-    return values
-
-
-def _integrator_config(args, config: dict) -> IntegratorConfig:
-    """IntegratorConfig from the config file's settings, each overridden by
-    its flag when given; the rest keep IntegratorConfig's defaults."""
-    flags = {key: getattr(args, key) for key in _SETTINGS if getattr(args, key) is not None}
-    return IntegratorConfig(**{**config, **flags})
+def _integrator_config(args) -> IntegratorConfig:
+    """IntegratorConfig from the settings flags, each defaulting to its field's default."""
+    return IntegratorConfig(**{key: getattr(args, key) for key in _SETTINGS})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True, help="branch parameter, a > 1")
-    p.add_argument("--config", default=None, help="key=value file with integrator overrides")
-    for key, cast in _SETTINGS.items():  # --rel-tol, --abs-tol, --max-steps, --initial-step
+    for key, default in _SETTINGS.items():  # --rel-tol, --abs-tol, --max-steps
         p.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=cast, default=None, help=_HELP[key]
+            "--" + key.replace("_", "-"), dest=key, type=type(default), default=default,
+            help=_HELP[key],
         )
 
 
@@ -203,7 +172,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }[args.command]
     try:
-        return handler(args, _integrator_config(args, _load_config(args.config)))
+        return handler(args, _integrator_config(args))
     except (DscatError, OSError) as exc:
         for cls, code, prefix in EXIT_CODES:
             if isinstance(exc, cls):
@@ -294,6 +263,7 @@ def cmd_classify(args, cfg: IntegratorConfig) -> int:
 
 
 def _solve_near(a: float, c: float, cfg: IntegratorConfig):
+    CurveParams(a, c)  # the user's c is checked as classify checks it, not as a bracket
     return period.solve_at_bracket(a, period.near(c), cfg=cfg)
 
 

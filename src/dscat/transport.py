@@ -230,7 +230,7 @@ def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFI
     refined (_refine) where the embedded fourth-order Omega may differ from
     the sixth-order one by more than MAGNUS_TOL * (cfg.rel_tol + cfg.abs_tol)
     for some |c| up to max |cs|.  More than cfg.max_steps steps in all raise
-    StepLimitExceeded; cfg.initial_step is not used.
+    StepLimitExceeded.
 
     The step matrices are formed and multiplied pairwise, by component
     (_rk._mul; not by numpy's matrix product, see _rk._STAGE_W), in blocks

@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dscat import cli
 from dscat.cli import main
+from dscat.curve import CurveParams, canonical_paths
+from dscat.errors import StepLimitExceeded
+from dscat.transport import integrate_frame
 
 
 def run(argv):
@@ -273,25 +277,27 @@ def test_mesh_at_non_root_exits(tmp_path):
     assert code == 4
 
 
+ZERO_IN_BRACKET = "bracket {} contains c = 0, which is neither a root nor a pole"
+
+
 @pytest.mark.parametrize(
-    "argv, bracket",
+    "argv, message",
     [
         (["solve", "--a", "2", "--c0=-0.005", "--c1", "0.005", "--json", "{tmp}/s.json"],
-         "[-0.005, 0.005]"),
+         ZERO_IN_BRACKET.format("[-0.005, 0.005]")),
         (["mesh", "--a", "2", "--c", "0.004", "--nu", "4", "--nv", "4", "--out", "{tmp}/m.obj"],
-         "[-0.006, 0.014]"),
-        (["mesh", "--a", "2", "--c", "0", "--out", "{tmp}/m.obj"], "[-0.01, 0.01]"),
+         ZERO_IN_BRACKET.format("[-0.006, 0.014]")),
+        (["mesh", "--a", "2", "--c", "0", "--out", "{tmp}/m.obj"],
+         "coefficient c must be nonzero"),
     ],
     ids=["solve", "mesh", "mesh-at-zero"],
 )
-def test_bracket_containing_zero_exits_usage(tmp_path, capsys, argv, bracket):
-    # c = 0 is invalid input, not a pole; mesh refines near(c) = c +- 0.01
+def test_bracket_containing_zero_exits_usage(tmp_path, capsys, argv, message):
+    # c = 0 is invalid input, not a pole; mesh refines near(c) = c +- 0.01,
+    # after it refuses c = 0 itself as classify does
     code = run([x.format(tmp=tmp_path) for x in argv])
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"error: invalid input: bracket {bracket} contains c = 0, "
-        "which is neither a root nor a pole\n"
-    )
+    assert capsys.readouterr().err == f"error: invalid input: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -452,31 +458,6 @@ def test_scan_grid_too_large_to_allocate_exits_usage(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_config_file_overrides(tmp_path):
-    cfg_file = tmp_path / "dscat.cfg"
-    cfg_file.write_text("rel_tol = 1e-9\nabs_tol = 1e-11\n# comment\n")
-    out = tmp_path / "sol.json"
-    code = run(
-        [
-            "solve", "--a", "2", "--c0", "-1.5265", "--c1", "-1.5255",
-            "--config", str(cfg_file), "--json", str(out),
-        ]
-    )
-    assert code == 0
-    record = json.loads(out.read_text())
-    assert record["integrator"]["rel_tol"] == 1e-9
-    # flags beat the config file
-    code = run(
-        [
-            "solve", "--a", "2", "--c0", "-1.5265", "--c1", "-1.5255",
-            "--config", str(cfg_file), "--rel-tol", "1e-10", "--json", str(out),
-        ]
-    )
-    assert code == 0
-    record = json.loads(out.read_text())
-    assert record["integrator"]["rel_tol"] == 1e-10
-
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -601,27 +582,11 @@ def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
-    "line, named",
-    [("reltol = 1e-6", "unknown key 'reltol'"), ("rel_tol 1e-6", "'rel_tol 1e-6'")],
-    ids=["unknown-key", "no-equals"],
-)
-def test_config_file_rejects_unknown_keys_and_lines_without_equals(tmp_path, capsys, line, named):
-    cfg_file = tmp_path / "dscat.cfg"
-    cfg_file.write_text(f"# integrator\nabs_tol = 1e-11\n{line}\n")
-    assert run(["classify", "--a", "2", "--c", "-7.6119", "--config", str(cfg_file)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid input: config line 3: ")
-    assert named in err
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["classify", "--c", "-1.526035", "--rel-tol", "nan"],
         ["classify", "--c", "-1.526035", "--rel-tol", "inf"],
         ["classify", "--c", "-1.526035", "--abs-tol", "inf"],
-        ["classify", "--c", "-1.526035", "--initial-step", "0"],
-        ["classify", "--c", "-1.526035", "--initial-step", "-1"],
         ["classify", "--c", "-1.526035", "--max-steps", "0"],
         ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "0", "--json", "{tmp}/s.json"],
         ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "-1", "--json", "{tmp}/s.json"],
@@ -636,8 +601,57 @@ def test_invalid_integrator_settings_exit_usage(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def _options(parser) -> set:
+    return {option for action in parser._actions for option in action.option_strings}
+
+
+def test_integrator_settings_come_from_three_flags(tmp_path, capsys):
+    # --config and --initial-step are unknown flags: argparse exits 2 before
+    # any work
+    classify = ["classify", "--a", "2", "--c", "-1.526035", "--json", str(tmp_path / "c.json")]
+    for extra in (["--config", str(tmp_path / "dscat.cfg")], ["--initial-step", "0.2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(classify + extra)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # the options every command shares are --a and the three settings
+    (commands,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
+    assert set.intersection(*map(_options, commands.choices.values())) == {
+        "-h", "--help", "--a", "--rel-tol", "--abs-tol", "--max-steps",
+    }
+    # and each setting, off its default, changes c1's end frame
+    a, c = 2.0, -1.526035
+    path = canonical_paths(a).c1
+
+    def end_frame(*flags):
+        args = cli.build_parser().parse_args(["classify", "--a", "2", "--c", str(c), *flags])
+        return integrate_frame(path, CurveParams(a, c), cfg=cli._integrator_config(args))[0]
+
+    default = end_frame()
+    assert np.array_equal(end_frame("--max-steps", "400000"), default)
+    for flag in ("--rel-tol", "--abs-tol"):
+        assert not np.array_equal(end_frame(flag, "1e-8"), default), flag
+    with pytest.raises(StepLimitExceeded, match="^exceeded 5 steps"):
+        end_frame("--max-steps", "5")
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [("nan", "coefficient c must be finite, got nan"), ("0", "coefficient c must be nonzero")],
+    ids=["nan", "zero"],
+)
+def test_mesh_reports_the_c_it_was_given(tmp_path, capsys, c, message):
+    # mesh checks c as classify does, not as the bracket c +- 0.01 it refines
+    for argv in (["classify", "--a", "2", "--c", c],
+                 ["mesh", "--a", "2", "--c", c, "--out", str(tmp_path / "m.obj")]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("module", ["dscat", "dscat.cli"])
-def test_python_dash_m(tmp_path, module):
+def test_python_dash_m(module):
     def dscat(*argv):
         return subprocess.run(
             [sys.executable, "-m", module, "classify", "--a", "2", "--c", "-1.526035", *argv],
@@ -648,9 +662,7 @@ def test_python_dash_m(tmp_path, module):
     proc = dscat()
     assert proc.returncode == 0
     assert "end type = elliptic" in proc.stdout
-    cfg_file = tmp_path / "dscat.cfg"
-    cfg_file.write_text("max_steps = 0\n")
-    proc = dscat("--config", str(cfg_file))
+    proc = dscat("--max-steps", "0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: invalid input: ")
 

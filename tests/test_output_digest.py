@@ -15,18 +15,18 @@ battery splits its work between two processes
 result or the order of the report would show here.  The two solves beyond
 the benchmark's brackets exit 4: one as a pole of f1, refused from the
 bracket's two ends, and one as a crossing with |f| < 1.  The scalar DP5
-kernel decides their bytes, as it does those of the `classify` whose initial
-step reaches it (its end loop); the `classify` at a = 1.2 holds the
-PathError exit.  The two meshes
+kernel decides their bytes; the `classify` at a = 1.2 holds the PathError
+exit.  The two meshes
 and the five `verify` commands are held a second time with one CPU visible,
 which keeps all work in one process (dscat._worker): a serial run must write
 the bytes of a paired one.  The meshes pair the half paths of every
 refinement step; verify pairs them too and splits its battery, solved root
 or not.
-Skipped unless Python and numpy are the versions the file was recorded with,
-since other versions may round differently.
+The recorded-line tests are skipped unless Python and numpy are the versions
+the file was recorded with, since other versions may round differently.
 """
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -45,19 +45,39 @@ def _load_digest():
 
 
 digest = _load_digest()
-# Every command: the five verify commands; the two 24 x 24 meshes; the seven
+# Every command: the five verify commands; the two 24 x 24 meshes; the six
 # scans: the three 2600-point scans, the 27-point block, the scan at loose
-# tolerances, which the Magnus kernel completes, the --initial-step scan and
-# the a = 1 error; the benchmark's four admissible brackets and its pole
-# bracket, which exits 4, and the two further brackets that exit 4; the two
-# integration failures, which exit 3: the step limit and the scalar kernel's
-# sheet check; the PathError at a = 1.2, which exits 2; and the classify
-# whose initial step reaches the scalar kernel.
+# tolerances, which the Magnus kernel completes, and the a = 1 error; the
+# benchmark's four admissible brackets and its pole bracket, which exits 4,
+# and the two further brackets that exit 4; the two integration failures,
+# which exit 3: the step limit and the scalar kernel's sheet check; and the
+# PathError at a = 1.2, which exits 2.
 PINNED = list(digest.COMMANDS)
 
 
 def test_the_pinned_commands_are_listed():
-    assert len(PINNED) == 25
+    assert len(PINNED) == 23
+
+
+def test_a_command_argparse_rejects_is_hashed_and_the_check_goes_on(monkeypatch, capsys):
+    # argparse exits through SystemExit(2) on an unknown flag, its usage on
+    # stderr: that is the command's exit code and stderr, and --check names
+    # the command and runs the ones after it
+    rejected = ("classify", "--a", "1.2", "--c", "-1", "--no-such-flag")
+    listed = ("classify", "--a", "1.2", "--c", "-1")
+    with pytest.raises(SystemExit) as exc:
+        digest.cli.main(list(rejected))
+    expected = hashlib.sha256()
+    for part in (b"2", b"", capsys.readouterr().err.encode()):
+        expected.update(len(part).to_bytes(8, "little") + part)
+    assert exc.value.code == 2
+    assert digest.digest(rejected) == expected.hexdigest()
+    monkeypatch.setattr(digest, "COMMANDS", (rejected, listed))
+    code = digest.main(["--check"])
+    *_, first, second, summary = capsys.readouterr().out.splitlines()
+    assert first == "DIFFERS " + " ".join(rejected)
+    assert second.endswith(" " + " ".join(listed))
+    assert summary.endswith(" of 2 command(s) differ") and code == 1
 
 
 def _recorded() -> list:

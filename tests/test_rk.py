@@ -220,24 +220,25 @@ def _plain(field, calls=None):
     return wrapped
 
 
-# Settings beyond the defaults, each as (cfg, scale): loose tolerances, whose
-# steps are long and often rejected, a long first step, and a complex scale,
-# which rotates and stretches the polyline.
+# Settings beyond the defaults, each as (cfg, first step, scale): loose
+# tolerances, whose steps are long and often rejected, a long first step, and
+# a complex scale, which rotates and stretches the polyline.
 SETTINGS = {
-    "loose": (_rk.IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4), 1.0),
-    "initial-step": (_rk.IntegratorConfig(initial_step=0.2), 1.0),
-    "complex-scale": (_rk.DEFAULT_CONFIG, 0.95 * cmath.exp(0.1j)),
+    "loose": (_rk.IntegratorConfig(rel_tol=1e-4, abs_tol=1e-4), _rk.INITIAL_STEP, 1.0),
+    "initial-step": (_rk.DEFAULT_CONFIG, 0.2, 1.0),
+    "complex-scale": (_rk.DEFAULT_CONFIG, _rk.INITIAL_STEP, 0.95 * cmath.exp(0.1j)),
 }
 
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 @pytest.mark.parametrize("c", C_VALUES)
-def test_fused_step_matches_reference_loop_at_other_settings(c, setting):
+def test_fused_step_matches_reference_loop_at_other_settings(c, setting, monkeypatch):
     # at a complex scale the reference loop takes the same field as a plain
     # function: L comes from the scaled branch offsets, whose bits the
     # guarded log_derivative of _reference_joint_field does not give
     a = 2.0
-    cfg, scale = SETTINGS[setting]
+    cfg, first_step, scale = SETTINGS[setting]
+    monkeypatch.setattr(_rk, "INITIAL_STEP", first_step)
     paths = canonical_paths(a)
     for name in PATH_NAMES:
         path = getattr(paths, name)
@@ -251,7 +252,7 @@ def test_fused_step_matches_reference_loop_at_other_settings(c, setting):
         )
         ref = _reference_dp5(
             path.waypoints, _start(path, START_FRAMES["gauge"]), reference,
-            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, first_step=cfg.initial_step,
+            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol, first_step=first_step,
             on_step=lambda z, y: ref_steps.append((z, y)),
         )
         assert y == ref, name
@@ -455,11 +456,11 @@ def test_step_budget(kernel, n):
 
 
 @pytest.mark.parametrize("kernel, n", KERNELS)
-def test_first_step_is_the_initial_step(kernel, n):
-    for h in (_rk.DEFAULT_CONFIG.initial_step, 1e-3):
+def test_first_step_is_the_initial_step(kernel, n, monkeypatch):
+    for h in (_rk.INITIAL_STEP, 1e-3):
         seen = []
-        cfg = _rk.IntegratorConfig(initial_step=h)
-        kernel((0j, 10 + 0j), n, _constant, cfg=cfg, on_step=lambda z, y: seen.append(z))
+        monkeypatch.setattr(_rk, "INITIAL_STEP", h)
+        kernel((0j, 10 + 0j), n, _constant, on_step=lambda z, y: seen.append(z))
         assert seen[0] == h
 
 

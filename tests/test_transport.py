@@ -187,7 +187,7 @@ def test_lane_step_errors_name_the_first_lane(monkeypatch):
         assert str(exc.value) == message
 
 
-def test_lane_kernel_takes_the_initial_step_and_names_its_budget():
+def test_lane_kernel_takes_the_initial_step_and_names_its_budget(monkeypatch):
     # test_rk.py's controller cases on the frame lane kernel: a first step
     # of 1e-3 along c2 is accepted as it is, and a budget of 3 steps names
     # the first lane's c and the point where the fourth step starts, a point
@@ -196,8 +196,9 @@ def test_lane_kernel_takes_the_initial_step_and_names_its_budget():
     path = canonical_paths(a).c2
     u = path.waypoints[1] / abs(path.waypoints[1])
     seen, reached = [], []
-    cfg = IntegratorConfig(initial_step=1e-3)
-    integrate_frames_over_c(path, a, cs, cfg, on_step=lambda z, y: seen.append(z))
+    with monkeypatch.context() as patch:
+        patch.setattr(_rk, "INITIAL_STEP", 1e-3)
+        integrate_frames_over_c(path, a, cs, on_step=lambda z, y: seen.append(z))
     assert seen[0] == 1e-3 * u
     integrate_frames_over_c(path, a, cs, on_step=lambda z, y: reached.append(z))
     with pytest.raises(StepLimitExceeded) as exc:
@@ -247,9 +248,6 @@ def test_config_validation():
         {"rel_tol": math.inf},
         {"abs_tol": math.inf},
         {"abs_tol": -1e-12},
-        {"initial_step": 0.0},
-        {"initial_step": -1.0},
-        {"initial_step": math.nan},
         {"max_steps": 0},
     ):
         with pytest.raises(DomainError):
@@ -314,7 +312,7 @@ def test_frames_over_c_keep_the_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [0.5, 2.7, 4.4])
-def test_scaled_lane_matches_integrate_frame(r):
+def test_scaled_lane_matches_integrate_frame(r, monkeypatch):
     # a lane with scale r follows r * waypoints; started with the step scaled
     # to match, it takes the steps integrate_frame takes on the scaled path
     a, c = 2.0, -1.526
@@ -322,8 +320,9 @@ def test_scaled_lane_matches_integrate_frame(r):
     unit = PathSpec(complex(+1), (0j, 1j, np.exp(2.0j), np.exp(2.6j)))
     scaled = PathSpec(complex(+1), tuple(r * z for z in unit.waypoints))
     F_ref, w_ref = integrate_frame(scaled, CurveParams(a, c), F0=F0)
-    cfg = IntegratorConfig(initial_step=DEFAULT_CONFIG.initial_step / r)
-    F, w = integrate_frames_over_c(unit, a, c, cfg, F0=F0, scale=np.array([r]))
+    with monkeypatch.context() as patch:
+        patch.setattr(_rk, "INITIAL_STEP", _rk.INITIAL_STEP / r)
+        F, w = integrate_frames_over_c(unit, a, c, F0=F0, scale=np.array([r]))
     assert np.max(np.abs(F[0] - F_ref)) <= 1e-12 * np.max(np.abs(F_ref))
     assert abs(w[0] - w_ref) <= 1e-12 * abs(w_ref)
 
