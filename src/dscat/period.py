@@ -6,9 +6,11 @@ loop monodromies into SU(1,1).  The scan brackets sign changes of f1 - f2,
 which are crossings or poles of the period functions, where a denominator
 has an isolated zero in c: at a = 2 the poles near c = -4.80 and -1.69 are
 zeros of the f2 denominator, those near -0.555 and 0.757 zeros of the f1
-denominator.  Refinement reads the signs of the denominators at the two ends
-of the bracket it is given, before it refines anything: across a pole one of
-them changes sign, and such a bracket is refused.  Only crossings are refined.
+denominator.  c = 0 is a pole of f2 too, where the frames tend to I: the f2
+numerator vanishes like c and its denominator d2 like c^2, so d2 keeps its
+sign, but d2/c changes it.  Refinement reads the signs of d1 and d2/c at the
+two ends of the bracket it is given, before it refines anything: across a
+pole one of them changes sign, and such a bracket is refused.
 The scan evaluates many c at once on transport's Magnus kernel
 (transport.transfer), a whole transfer along c1 and one along c2 for each
 block of its grid, paired as in monodromy.half_path_frames: c1 in the worker
@@ -44,8 +46,6 @@ from .monodromy import (
 )
 from .transport import DEFAULT_CONFIG, IntegratorConfig
 
-# Half width of the default exclusion window around c = 0.
-SKIP_HALFWIDTH = 0.01
 # Half width of near(c), the bracket searched for a crossing near a given c.
 ROOT_WINDOW = 0.01
 # Width of refinement's final bracket, far below the precision c is reported to:
@@ -130,10 +130,11 @@ def scan_c(
 ) -> ScanResult:
     """Evaluate the period functions on a uniform c grid and bracket crossings.
 
-    Grid points within SKIP_HALFWIDTH of c = 0 and points where a period
-    denominator degenerates are skipped, not fatal: f1 and f2 are NaN there.
-    Sign changes of f1 - f2 are only bracketed between adjacent kept grid
-    points (_brackets), so a gap never manufactures a spurious bracket.
+    Points where a period denominator vanishes are skipped, not fatal: f1
+    and f2 are NaN there.  That is the only reason a point near the pole of
+    f2 at c = 0 is skipped: its denominator, about 16.9 c^2 at a = 2, fails
+    _real_ratio's 1e-12 test for |c| below about 2.4e-7.  Sign changes of
+    f1 - f2 are bracketed between adjacent kept grid points only.
 
     The grid is taken SCAN_BLOCK points at a time, and each block's half
     paths run on transport's Magnus kernel, whose grid, shared by the
@@ -151,7 +152,7 @@ def scan_c(
         raise DomainError("--steps must be at least 2")
     if not c_min < c_max:
         raise DomainError("need --c-min < --c-max")
-    paths = canonical_paths(a)  # validates a even when every grid point is skipped
+    paths = canonical_paths(a)
     try:
         spacing = (c_max - c_min) / (steps - 1)
     except OverflowError:  # steps - 1 is beyond the floats
@@ -163,10 +164,8 @@ def scan_c(
         f1, f2 = np.full(steps, np.nan), np.full(steps, np.nan)
     except (ValueError, MemoryError):  # numpy's size limit, or the memory's
         raise DomainError(f"--steps {steps} is too many grid points to allocate") from None
-    live = np.flatnonzero(np.abs(c) >= SKIP_HALFWIDTH)
-    for k in np.split(live, live.searchsorted(range(0, steps, SCAN_BLOCK))):
-        if not k.size:
-            continue
+    for start in range(0, steps, SCAN_BLOCK):
+        k = slice(start, start + SCAN_BLOCK)
         (F1, _), (F2, _) = _worker.pair(
             "dscat.transport.transfer", (paths.c1, a, c[k], cfg), (paths.c2, a, c[k], cfg)
         )
@@ -237,24 +236,22 @@ def refine_root(
 ) -> RefinedRoot:
     """Refine the crossing of f1 and f2 in a sign-change bracket of f1 - f2 to width tol_c.
 
-    Raises LostBracket, after the evaluations at the two ends, where a real
-    denominator d1, d2 of period_values has opposite signs there: the bracket
-    holds a pole of f1, f2 or both, not a crossing.  A denominator that
-    vanishes at an iterate loses the bracket too.  Raises DomainError before
-    any evaluation unless tol_c is finite and positive and lo <= hi (scan_c
-    brackets (c, c) where f1 - f2 is 0 at a grid point), and where the bracket
-    holds c = 0: the frame is I there and the f2 denominator vanishes
-    identically, so it is neither a root nor a pole.
+    Raises LostBracket, after the evaluations at the two ends, where d1 or
+    d2/c has opposite signs there (d1, d2 the real denominators of
+    period_values; d2/c, since d2 keeps its sign at the pole of f2 at 0):
+    the bracket holds a pole of f1, f2 or both, not a crossing.  A
+    denominator that vanishes at an iterate loses the bracket too.  Raises
+    DomainError before any evaluation unless tol_c is finite and positive,
+    lo <= hi (scan_c brackets (c, c) where f1 - f2 is 0 at a grid point) and
+    CurveParams takes both ends, which refuses c = 0, where the frames are I.
     """
     if not 0.0 < tol_c < math.inf:
         raise DomainError(f"tol_c must be finite and positive, got {tol_c}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo <= hi:
         raise DomainError(f"need lo <= hi, got bracket [{lo}, {hi}]")
-    if lo <= 0.0 <= hi:
-        raise DomainError(
-            f"bracket [{lo}, {hi}] contains c = 0, which is neither a root nor a pole"
-        )
+    for c in (lo, hi):
+        CurveParams(a, c)
     paths = canonical_paths(a)
     cache: dict = {}
 
@@ -268,7 +265,8 @@ def refine_root(
 
     def signs(c: float) -> list:
         h = periods(c)[2]
-        return np.sign(period_values(h.F_c1, h.F_c2)[2:4]).tolist()
+        d1, d2 = period_values(h.F_c1, h.F_c2)[2:4]
+        return [np.sign(d1), np.sign(d2) * np.sign(c)]
 
     poles = [f for f, s_lo, s_hi in zip(("f1", "f2"), signs(lo), signs(hi)) if s_lo != s_hi]
     if poles:

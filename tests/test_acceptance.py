@@ -40,9 +40,10 @@ from conftest import quadric_residuals
 
 PAPER_ROOTS = (-7.6119, -4.06015, -1.526035, -0.55, 1.26988)
 ADMISSIBLE_ROOTS = (-7.6119, -4.06015, -1.526035, 1.26988)
-# the zeros of the f2 denominator near -4.797 and -1.692 and of the f1
-# denominator near -0.555 and 0.757 at a = 2
-POLES = (-4.797, -1.692, -0.555, 0.757)
+# at a = 2: the zeros of the f2 denominator near -4.797 and -1.692, of the f1
+# denominator near -0.555 and 0.757, and the pole of f2 at 0, where the f2
+# denominator divided by c changes sign
+POLES = (-4.797, -1.692, -0.555, 0.0, 0.757)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -52,7 +53,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_1_figure3_roots():
     """Scan reproduces the published crossing locations and admissibility.
 
-    Four brackets hold a pole of f1 or f2, which refinement refuses from the
+    Five brackets hold a pole of f1 or f2, which refinement refuses from the
     bracket's ends; the paper's -0.55 is one of them, matched by its midpoint.
     """
     result = scan_c(2.0, -9.0, 4.0, 2600)

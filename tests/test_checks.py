@@ -146,13 +146,14 @@ def test_other_mesh_errors_propagate(monkeypatch):
 
 
 def test_period_crossing_fails_where_the_window_contains_zero():
-    # near(0.004) = (-0.006, 0.014) contains c = 0, which refine_root rejects
+    # near(0.004) = (-0.006, 0.014) holds the pole of f2 at c = 0, which
+    # refine_root refuses as it refuses any pole
     ctx = checks.CheckContext(A, 0.004, transport.DEFAULT_CONFIG)
     registry = tuple(pair for pair in checks.CHECKS if pair[0] == "period-crossing")
     [(_, ok, detail)] = checks._run_checks(ctx, registry)
     assert not ok
     assert detail == (
-        "DomainError: bracket [-0.006, 0.014] contains c = 0, which is neither a root nor a pole"
+        "LostBracket: bracket [-0.006, 0.014] holds a pole of f2, not a crossing"
     )
 
 

@@ -33,7 +33,9 @@ def test_scan_csv_and_determinism(tmp_path):
     assert lines[0] == "c,f1,f2,admissible_hint"
     values = [float(line.split(",")[0]) for line in lines[1:]]
     assert values == sorted(values)
-    assert all(abs(v) >= 0.01 for v in values)
+    # no grid point is skipped, the six within 0.01 of the pole of f2 at 0 included
+    assert len(values) == 40
+    assert sum(abs(v) < 0.01 for v in values) == 6
     for line in lines[1:]:
         fields = line.split(",")
         assert len(fields) == 4
@@ -277,27 +279,26 @@ def test_mesh_at_non_root_exits(tmp_path):
     assert code == 4
 
 
-ZERO_IN_BRACKET = "bracket {} contains c = 0, which is neither a root nor a pole"
+POLE_AT_ZERO = "not admissible: bracket {} holds a pole of f2, not a crossing"
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, code, message",
     [
         (["solve", "--a", "2", "--c0=-0.005", "--c1", "0.005", "--json", "{tmp}/s.json"],
-         ZERO_IN_BRACKET.format("[-0.005, 0.005]")),
+         4, POLE_AT_ZERO.format("[-0.005, 0.005]")),
         (["mesh", "--a", "2", "--c", "0.004", "--nu", "4", "--nv", "4", "--out", "{tmp}/m.obj"],
-         ZERO_IN_BRACKET.format("[-0.006, 0.014]")),
+         4, POLE_AT_ZERO.format("[-0.006, 0.014]")),
         (["mesh", "--a", "2", "--c", "0", "--out", "{tmp}/m.obj"],
-         "coefficient c must be nonzero"),
+         2, "invalid input: coefficient c must be nonzero"),
     ],
     ids=["solve", "mesh", "mesh-at-zero"],
 )
-def test_bracket_containing_zero_exits_usage(tmp_path, capsys, argv, message):
-    # c = 0 is invalid input, not a pole; mesh refines near(c) = c +- 0.01,
-    # after it refuses c = 0 itself as classify does
-    code = run([x.format(tmp=tmp_path) for x in argv])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+def test_bracket_containing_zero_exits_usage(tmp_path, capsys, argv, code, message):
+    # c = 0 is a pole of f2, refused as any pole is; mesh refines
+    # near(c) = c +- 0.01, after it refuses c = 0 itself as classify does
+    assert run([x.format(tmp=tmp_path) for x in argv]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

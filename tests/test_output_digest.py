@@ -15,7 +15,8 @@ battery splits its work between two processes
 result or the order of the report would show here.  The two solves beyond
 the benchmark's brackets exit 4: one as a pole of f1, refused from the
 bracket's two ends, and one as a crossing with |f| < 1.  The scalar DP5
-kernel decides their bytes; the `classify` at a = 1.2 holds the PathError
+kernel decides their bytes.  A solve and a mesh exit 4 on the pole of f2 at
+c = 0, refused as any pole is; the `classify` at a = 1.2 holds the PathError
 exit.  The two meshes
 and the five `verify` commands are held a second time with one CPU visible,
 which keeps all work in one process (dscat._worker): a serial run must write
@@ -49,14 +50,15 @@ digest = _load_digest()
 # scans: the three 2600-point scans, the 27-point block, the scan at loose
 # tolerances, which the Magnus kernel completes, and the a = 1 error; the
 # benchmark's four admissible brackets and its pole bracket, which exits 4,
-# and the two further brackets that exit 4; the two integration failures,
+# and the two further brackets that exit 4; the solve and the 4 x 4 mesh that
+# exit 4 on the pole of f2 at c = 0; the two integration failures,
 # which exit 3: the step limit and the scalar kernel's sheet check; and the
 # PathError at a = 1.2, which exits 2.
 PINNED = list(digest.COMMANDS)
 
 
 def test_the_pinned_commands_are_listed():
-    assert len(PINNED) == 23
+    assert len(PINNED) == 25
 
 
 def test_a_command_argparse_rejects_is_hashed_and_the_check_goes_on(monkeypatch, capsys):

@@ -100,14 +100,17 @@ def test_brackets_follow_the_per_pair_rule(points):
 
 
 def test_scan_near_zero_window():
+    # every point is kept, and the window holds the crossing near -0.0555,
+    # with |f| < 1, and the pole of f2 at 0
     result = scan_c(2.0, -0.07, 0.05, 120)
-    kept = result.c[result.kept]
-    assert kept.tolist() == sorted(kept.tolist())
-    assert all(abs(c) >= 0.01 for c in kept.tolist())
-    assert len(result.brackets) == 1
-    root = refine_root(2.0, result.brackets[0])
-    assert -0.07 < root.c < 0.05
+    assert result.kept.all()
+    crossing, pole = result.brackets.tolist()
+    root = refine_root(2.0, crossing)
+    assert root.c == pytest.approx(-0.05548, abs=1e-5)
     assert abs(root.f) < 1.0
+    assert pole[0] < 0.0 < pole[1]
+    with pytest.raises(LostBracket, match="holds a pole of f2, not a crossing$"):
+        refine_root(2.0, pole)
 
 
 def test_scan_no_crossing_interval():
@@ -119,8 +122,11 @@ def test_scan_no_crossing_interval():
 
 @pytest.mark.parametrize(
     "a, c_min, c_max, steps",
-    # each grid spans a pole and a genuine crossing of f1 - f2
-    [(1.5, -3.6, -2.9, 15), (2.0, -1.8, -1.45, 15), (3.0, -0.95, -0.65, 13)],
+    # each grid spans a pole and a genuine crossing of f1 - f2; the last
+    # spans the crossing near -0.0555 and the pole of f2 at 0, and misses
+    # c = 0 itself, which _periods_at refuses
+    [(1.5, -3.6, -2.9, 15), (2.0, -1.8, -1.45, 15), (3.0, -0.95, -0.65, 13),
+     (2.0, -0.07, 0.05, 14)],
 )
 def test_scan_matches_single_c_evaluation(a, c_min, c_max, steps):
     result = scan_c(a, c_min, c_max, steps)
@@ -151,8 +157,8 @@ def test_scan_matches_single_c_evaluation(a, c_min, c_max, steps):
             zip(result.brackets.tolist(), result.bracket_hint.tolist())] == ref_brackets
 
 
-def test_scan_validates_a_when_every_point_is_skipped():
-    # all three grid points lie in the skip window around c = 0
+def test_scan_validates_a():
+    # a = 0.5 is refused before any grid point is integrated
     with pytest.raises(DomainError):
         scan_c(0.5, -0.005, 0.005, 3)
 
@@ -292,16 +298,8 @@ def test_refine_takes_a_zero_width_bracket():
         refine_root(2.0, (1.26, 1.26))
 
 
-@pytest.mark.parametrize(
-    "bracket, evaluations",
-    # the benchmark's four admissible brackets at the default tol_c, then the
-    # five pole brackets, refused from their two ends
-    [((-7.65, -7.58), 31), ((-4.10, -4.02), 29), ((-1.55, -1.50), 31), ((1.25, 1.29), 28),
-     ((-4.85, -4.75), 2), ((-0.56, -0.55), 2), ((0.75, 0.76), 2), ((-4.80, -4.79), 2),
-     ((-1.70, -1.69), 2)],
-    ids=lambda v: str(v[0]) if isinstance(v, tuple) else None,
-)
-def test_refine_period_evaluations_per_bracket(monkeypatch, bracket, evaluations):
+def count_evaluations(monkeypatch) -> list:
+    """The c of each period evaluation of refine_root, in order."""
     tried = []
 
     def counting(a, c, cfg, paths=None):
@@ -309,6 +307,20 @@ def test_refine_period_evaluations_per_bracket(monkeypatch, bracket, evaluations
         return _periods_at(a, c, cfg, paths)
 
     monkeypatch.setattr(period_module, "_periods_at", counting)
+    return tried
+
+
+@pytest.mark.parametrize(
+    "bracket, evaluations",
+    # the benchmark's four admissible brackets at the default tol_c, then the
+    # six pole brackets, the pole of f2 at 0 last, refused from their two ends
+    [((-7.65, -7.58), 31), ((-4.10, -4.02), 29), ((-1.55, -1.50), 31), ((1.25, 1.29), 28),
+     ((-4.85, -4.75), 2), ((-0.56, -0.55), 2), ((0.75, 0.76), 2), ((-4.80, -4.79), 2),
+     ((-1.70, -1.69), 2), ((-0.005, 0.005), 2)],
+    ids=lambda v: str(v[0]) if isinstance(v, tuple) else None,
+)
+def test_refine_period_evaluations_per_bracket(monkeypatch, bracket, evaluations):
+    tried = count_evaluations(monkeypatch)
     try:
         refine_root(2.0, bracket)
     except LostBracket:
@@ -327,18 +339,28 @@ def test_refine_small_crossing_is_a_crossing():
 
 @pytest.mark.parametrize("bracket", [(-0.005, 0.005), (0.0, 0.01), (-0.01, 0.0), (-0.006, 0.014)])
 def test_refine_rejects_a_bracket_containing_zero(monkeypatch, bracket):
-    # c = 0 is neither a root nor a pole: the frame is I there and the f2
-    # denominator vanishes identically.  Nothing is integrated.
-    def no_periods(*args):
-        raise AssertionError("a period evaluation")
-
-    monkeypatch.setattr(period_module, "_periods_at", no_periods)
+    # c = 0 is a pole of f2: d2 keeps its sign across it, d2 / c changes it,
+    # so a bracket around 0 is refused from its two ends as any pole is.  An
+    # end at c = 0 itself, where the frames are I, is refused by CurveParams
+    # before any frame is integrated.
     lo, hi = bracket
-    message = f"bracket [{lo}, {hi}] contains c = 0, which is neither a root nor a pole"
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        refine_root(2.0, bracket)
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        solve_at_bracket(2.0, bracket)
+    tried = count_evaluations(monkeypatch)
+
+    def no_frames(*args):
+        raise AssertionError("a frame integration")
+
+    if 0.0 in bracket:
+        monkeypatch.setattr(period_module, "half_path_frames", no_frames)
+        error, message, evaluations = DomainError, "coefficient c must be nonzero", 0
+    else:
+        error, evaluations = LostBracket, 2
+        message = f"bracket [{lo}, {hi}] holds a pole of f2, not a crossing"
+    for a in (1.5, 2.0, 3.0):
+        for solve in (refine_root, solve_at_bracket):
+            tried.clear()
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                solve(a, bracket)
+            assert len(tried) == evaluations
 
 
 def test_solve_gauge_positive_branch():

@@ -389,6 +389,29 @@ def test_transfer_along_a_point_is_the_identity():
     assert F.tolist() == [np.eye(2).tolist()] * 2 and w == -1
 
 
+@pytest.mark.parametrize("name", ["c1", "c2"])
+def test_the_curve_symmetries_act_exactly_on_transfer(name):
+    # A = c dz [[1, -w], [1/w, -1]] on w^2 = (z+1)(z-a) / ((z-1)(z+a)), c real:
+    # conj(A) is A at (conj z, conj w), S A S is A at (z, -w) and J A J is
+    # A at (-z, 1/w) with dz -> -dz, and each map keeps the curve.  The first
+    # two only flip signs, which rounds no float, so the frames agree byte
+    # for byte.  The third holds to rounding only, since 1/w and the steps at
+    # -z round differently: 1.2e-13 of max(1, |T|) measured, on c2 at
+    # -7.611914, and at most 3.0e-15 elsewhere, inside the bound 1e-12.
+    a, cs = 2.0, np.array([-1.526035, 1.26988, -7.611914])
+    path = getattr(canonical_paths(a), name)
+    waypoints = np.array(path.waypoints)
+    S, J = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    F, _ = transfer(path, a, cs)
+    conjugate, _ = transfer(PathSpec(path.w0.conjugate(), tuple(waypoints.conj())), a, cs)
+    other_sheet, _ = transfer(PathSpec(-path.w0, path.waypoints), a, cs)
+    reflected, _ = transfer(PathSpec(1.0 / path.w0, tuple(-waypoints)), a, cs)
+    assert F.conj().tobytes() == conjugate.tobytes()
+    assert (S @ F @ S).tobytes() == other_sheet.tobytes()
+    scale = np.maximum(1.0, np.abs(F).max(axis=(1, 2)))
+    assert np.max(np.abs(J @ F @ J - reflected).max(axis=(1, 2)) / scale) <= 1e-12
+
+
 def test_transfer_fails_closed_on_an_overflowed_frame():
     # at c = -3e5 the frame along c1 overflows to inf and NaN: the drift
     # check names the c instead of handing the frame back

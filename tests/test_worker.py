@@ -100,9 +100,9 @@ def spy_on_pairs(monkeypatch) -> list:
 
 @two_cpus
 def test_each_scan_block_pairs_its_half_paths(monkeypatch):
-    # 27 c 0.5 apart over [-9, 4], c = 0 skipped, in blocks of 9: three
-    # blocks, each one pair call with c1 in the worker and c2 here, as
-    # half_path_frames pairs them
+    # 27 c 0.5 apart over [-9, 4], in blocks of 9: three blocks, each one
+    # pair call with c1 in the worker and c2 here, as half_path_frames pairs
+    # them; the third holds c = 0, whose frames are I
     a = 2.0
     monkeypatch.setattr(period, "SCAN_BLOCK", 9)
     paths = canonical_paths(a)
@@ -113,7 +113,7 @@ def test_each_scan_block_pairs_its_half_paths(monkeypatch):
     serial = serially(monkeypatch, lambda: scan_c(a, -9.0, 4.0, 27))
     assert scan_bytes(parallel) == scan_bytes(serial)
     c = parallel.c
-    blocks = [c[:9], c[9:18], c[19:]]
+    blocks = [c[:9], c[9:18], c[18:]]
     assert len(calls) == len(blocks)
     for (name, there, here, ((F1, _), (F2, _))), cs in zip(calls, blocks):
         assert name == "dscat.transport.transfer"
@@ -159,8 +159,7 @@ def test_a_block_failing_on_both_half_paths_raises_c1s_error(monkeypatch):
     # c1 at its waypoint 0.75+0.8j and c2 at 2+0.8j; pair keeps serial order
     a, cfg = 2.0, IntegratorConfig(max_steps=100)
     paths, cs = canonical_paths(a), np.linspace(-9.0, 4.0, 27)
-    live = cs[np.abs(cs) >= period.SKIP_HALFWIDTH]
-    c1, c2 = (error_of(lambda: transfer(path, a, live, cfg)) for path in (paths.c1, paths.c2))
+    c1, c2 = (error_of(lambda: transfer(path, a, cs, cfg)) for path in (paths.c1, paths.c2))
     assert c1[0] is c2[0] is StepLimitExceeded and c1[1] != c2[1]
     error = error_of(lambda: scan_c(a, -9.0, 4.0, 27, cfg))
     assert error == c1

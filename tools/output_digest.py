@@ -62,6 +62,10 @@ COMMANDS = (
      "--out", "{d}/scan.csv"),
     *(("solve", "--a", "2", "--c0", lo, "--c1", hi, "--json", "{d}/solve.json")
       for lo, hi in BRACKETS),
+    # both exit 4 on the pole of f2 at c = 0 and write no file: a bracket
+    # around 0, and a mesh whose near(c) holds 0
+    ("solve", "--a", "2", "--c0", "-0.005", "--c1", "0.005", "--json", "{d}/solve.json"),
+    ("mesh", "--a", "2", "--c", "0.004", "--nu", "4", "--nv", "4", "--out", "{d}/mesh.obj"),
     # error paths: the step limit (exit 3); a PathError, since at a = 1.2 the
     # canonical paths cannot clear the branch points (exit 2); the sheet
     # residual in the scalar kernel (exit 3); and a scan at the same loose
