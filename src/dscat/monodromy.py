@@ -19,13 +19,6 @@ from .errors import ContinuationError, DegenerateDenominator
 from .linalg2c import max_abs
 from .transport import DEFAULT_CONFIG, IntegratorConfig, integrate_frame
 
-# Structural deviations beyond this indicate path or sheet bugs.  The f1 and
-# f2 formulas pair every product with its conjugate, so their imaginary parts
-# cancel exactly in floating point (0 at every point of the 2600-point scans
-# over [-9, 4] at a = 1.5, 2 and 3); 1e-7 leaves room for the rounding of a
-# rearranged formula and catches any frame or formula bug.
-TOL_FORM = 1e-7
-
 
 @dataclass(frozen=True)
 class HalfPathFrames:
@@ -144,58 +137,49 @@ def structure_defect(triple: MonodromyTriple) -> float:
 def period_functions(h: HalfPathFrames) -> tuple:
     """The two real period functions (f1, f2) of the half-path frames.
 
-    Raises DegenerateDenominator where period_values reports a vanished
-    denominator.
+    Raises DegenerateDenominator where period_values marks a vanished
+    denominator, with f1 and f2 NaN.
     """
-    f1, f2, _, _, degenerate = period_values(h.F_c1, h.F_c2)
-    if degenerate:
+    f1, f2, _, _ = period_values(h.F_c1, h.F_c2)
+    if np.isnan(f1):
         raise DegenerateDenominator("a period denominator vanished")
     return float(f1), float(f2)
 
 
 def period_values(F_c1: np.ndarray, F_c2: np.ndarray) -> tuple:
-    """(f1, f2, d1, d2, degenerate) of endpoint frames of shape (2, 2), or
-    arrays of them over stacks of frames of shape (n, 2, 2).
+    """(f1, f2, d1, d2) of endpoint frames of shape (2, 2), or arrays of them
+    over stacks of frames of shape (n, 2, 2).
 
     With F_c1 = [[A1, B1], [C1, D1]] and F_c2 = [[A2, B2], [C2, D2]]:
 
-    f1 = -(cA1 C1 + A1 cC1 + cB1 D1 + B1 cD1) / (cA1 D1 + A1 cD1 + cB1 C1 + B1 cC1)
-    f2 = -(cA2 C2 - A2 cC2 + cB2 D2 - B2 cD2) / (cA2 D2 - A2 cD2 + cB2 C2 - B2 cC2)
+    n1 = cA1 C1 + A1 cC1 + cB1 D1 + B1 cD1,  d1 = cA1 D1 + A1 cD1 + cB1 C1 + B1 cC1
+    i n2 = cA2 C2 - A2 cC2 + cB2 D2 - B2 cD2,  i d2 = cA2 D2 - A2 cD2 + cB2 C2 - B2 cC2
 
-    Both are real by construction; f1 = f2 with common value of modulus
+    and f1 = -n1 / d1, f2 = -n2 / d2; f1 = f2 with common value of modulus
     greater than 1 is the closing condition solved in the period module.
-    Each product is paired with its conjugate, so den1 is exactly real and
-    den2 exactly imaginary: d1 = den1 and d2 = Im den2 are the real
-    denominators, whose signs tell a pole from a crossing.  degenerate marks
-    a vanished f1 or f2 denominator; f1 and f2 are then meaningless.
-    Checked in the order f1, f2, a value that is not real raises
-    ContinuationError unless a denominator checked before it vanished.
-    A single frame pair is evaluated in numpy scalar arithmetic, whose complex
-    products can differ from array arithmetic in the last bit.
+    Each product is paired with its conjugate, formed by the same
+    multiplications with one sign flipped, so the other part of each sum is
+    exactly 0.  The signs of d1 and d2 tell a pole from a crossing.  f1 and
+    f2 are both NaN where either denominator vanished, |d| <= 1e-12 (1 + |n|).
+    A single frame pair is evaluated in numpy scalar arithmetic, whose
+    complex products can differ from array arithmetic in the last bit.
     """
     (A1, B1), (C1, D1) = np.moveaxis(F_c1, (-2, -1), (0, 1))
     (A2, B2), (C2, D2) = np.moveaxis(F_c2, (-2, -1), (0, 1))
     cj = np.conj
 
-    num1 = cj(A1) * C1 + A1 * cj(C1) + cj(B1) * D1 + B1 * cj(D1)
-    den1 = cj(A1) * D1 + A1 * cj(D1) + cj(B1) * C1 + B1 * cj(C1)
-    num2 = cj(A2) * C2 - A2 * cj(C2) + cj(B2) * D2 - B2 * cj(D2)
-    den2 = cj(A2) * D2 - A2 * cj(D2) + cj(B2) * C2 - B2 * cj(C2)
+    n1 = (cj(A1) * C1 + A1 * cj(C1) + cj(B1) * D1 + B1 * cj(D1)).real
+    d1 = (cj(A1) * D1 + A1 * cj(D1) + cj(B1) * C1 + B1 * cj(C1)).real
+    n2 = (cj(A2) * C2 - A2 * cj(C2) + cj(B2) * D2 - B2 * cj(D2)).imag
+    d2 = (cj(A2) * D2 - A2 * cj(D2) + cj(B2) * C2 - B2 * cj(C2)).imag
 
-    f1, degenerate1, not_real1 = _real_ratio(num1, den1)
-    f2, degenerate2, not_real2 = _real_ratio(num2, den2)
-    not_real = ~degenerate1 & (not_real1 | (~degenerate2 & not_real2))
-    if not_real.any():
-        j = int(np.argmax(not_real))
-        raise ContinuationError(
-            f"period functions are not real: f1 = {np.ravel(f1)[j]}, f2 = {np.ravel(f2)[j]}"
-        )
-    return f1.real, f2.real, den1.real, den2.imag, degenerate1 | degenerate2
-
-
-def _real_ratio(num: np.ndarray, den: np.ndarray) -> tuple:
-    """(-num / den, den vanished, value not real) elementwise."""
-    degenerate = np.abs(den) <= 1e-12 * (1.0 + np.abs(num))
-    value = -num / np.where(degenerate, 1.0, den)
-    not_real = np.abs(value.imag) > TOL_FORM * np.maximum(1.0, np.abs(value))
-    return value, degenerate, not_real
+    vanished = np.abs(d1) <= 1e-12 * (1.0 + np.abs(n1))
+    vanished |= np.abs(d2) <= 1e-12 * (1.0 + np.abs(n2))
+    # -n * (1/d) is numpy's complex division (Smith's algorithm) of the sums,
+    # whose other parts are 0, to the bit; -n / d differs in the last bit for
+    # about a quarter of pairs, which moves refinement's iterates and c*.
+    # Only a vanished denominator can divide by 0 or overflow.
+    with np.errstate(all="ignore"):
+        f1 = np.where(vanished, np.nan, -n1 * (1.0 / d1))
+        f2 = np.where(vanished, np.nan, -n2 * (1.0 / d2))
+    return f1, f2, d1, d2

@@ -130,10 +130,11 @@ def scan_c(
 ) -> ScanResult:
     """Evaluate the period functions on a uniform c grid and bracket crossings.
 
-    Points where a period denominator vanishes are skipped, not fatal: f1
-    and f2 are NaN there.  That is the only reason a point near the pole of
+    Points where a period denominator vanishes are skipped, not fatal:
+    period_values returns f1 and f2 as NaN there, and they are stored as
+    returned.  That is the only reason a point near the pole of
     f2 at c = 0 is skipped: its denominator, about 16.9 c^2 at a = 2, fails
-    _real_ratio's 1e-12 test for |c| below about 2.4e-7.  Sign changes of
+    period_values' 1e-12 test for |c| below about 2.4e-7.  Sign changes of
     f1 - f2 are bracketed between adjacent kept grid points only.
 
     The grid is taken SCAN_BLOCK points at a time, and each block's half
@@ -169,8 +170,7 @@ def scan_c(
         (F1, _), (F2, _) = _worker.pair(
             "dscat.transport.transfer", (paths.c1, a, c[k], cfg), (paths.c2, a, c[k], cfg)
         )
-        x1, x2, _, _, degenerate = period_values(F1, F2)
-        f1[k], f2[k] = np.where(degenerate, np.nan, x1), np.where(degenerate, np.nan, x2)
+        f1[k], f2[k], _, _ = period_values(F1, F2)
     return ScanResult(c, f1, f2, *_brackets(c, f1, f2))
 
 
@@ -209,12 +209,9 @@ def bracketed_root(fn, lo: float, hi: float, tol: float) -> float:
     for _ in range(200):  # each iteration keeps at most 0.9 of the bracket
         if hi - lo <= tol:
             break
-        # secant candidate, fall back to bisection when it stalls
-        denom = f_hi - f_lo
-        if denom != 0.0:
-            mid = lo - f_lo * (hi - lo) / denom
-        else:
-            mid = 0.5 * (lo + hi)
+        # secant candidate; f_lo and f_hi have opposite nonzero signs, so
+        # f_hi - f_lo is not 0.  Bisect where the candidate stalls at an end.
+        mid = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         margin = 0.1 * (hi - lo)
         if not (lo + margin < mid < hi - margin):
             mid = 0.5 * (lo + hi)

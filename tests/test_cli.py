@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -302,6 +303,41 @@ def test_bracket_containing_zero_exits_usage(tmp_path, capsys, argv, code, messa
     assert list(tmp_path.iterdir()) == []
 
 
+SOLVE_ROOT = ["solve", "--a", "2", "--c0", "-1.55", "--c1", "-1.50", "--json", "{tmp}/s.json"]
+EIGENVALUES = r"end-loop eigenvalues deviate by \S+ from -exp\(\+-i pi m\)"
+SIZES = r"invalid input: need --nu >= 2 and --nv >= 3"
+
+
+@pytest.mark.parametrize(
+    "tolerance, argv, code, message",
+    [
+        ("ends.TOL_EIG", ["classify", "--a", "2", "--c", "-1.526035"], 7, EIGENVALUES),
+        ("ends.TOL_EIG", SOLVE_ROOT, 7, EIGENVALUES),
+        ("period.TOL_SU11", SOLVE_ROOT, 5,
+         r"gauged monodromy Phi1 failed SU\(1,1\) closure \(residual \S+\)"),
+        (None, ["solve", "--a", "2", "--c0", "1.29", "--c1", "1.25", "--json", "{tmp}/s.json"], 2,
+         "invalid input: need --c0 < --c1"),
+        (None, ["solve", "--a", "2", "--c0", "1.25", "--c1", "1.25", "--json", "{tmp}/s.json"], 2,
+         "invalid input: need --c0 < --c1"),
+        (None, ["mesh", "--a", "2", "--c", "-1.526035", "--nu", "1", "--out", "{tmp}/m.obj"], 2,
+         SIZES),
+        (None, ["mesh", "--a", "2", "--c", "-1.526035", "--nv", "2", "--out", "{tmp}/m.obj"], 2,
+         SIZES),
+    ],
+    ids=["classify-eigenvalues", "solve-eigenvalues", "solve-su11", "solve-reversed",
+         "solve-empty", "mesh-nu", "mesh-nv"],
+)
+def test_tolerance_and_size_exits(tmp_path, capsys, monkeypatch, tolerance, argv, code, message):
+    # exits 7 and 5 with a tolerance of 0, which no measured mismatch or
+    # residual meets, and exit 2 on the sizes solve and mesh check
+    # themselves; none writes a file
+    if tolerance is not None:
+        monkeypatch.setattr(f"dscat.{tolerance}", 0.0)
+    assert run([x.format(tmp=tmp_path) for x in argv]) == code
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mesh_unwritable_output_exits_io(tmp_path, capsys):
     # the error names the path asked for, whether the new file beside it
     # cannot be made (a missing directory) or cannot be renamed over it (a
@@ -505,9 +541,9 @@ def test_solve_pinned_to_one_cpu_matches_unpinned(tmp_path, argv, code):
 )
 def test_verify_pinned_to_one_cpu_matches_unpinned(argv, code):
     # Pinned to one CPU, the whole battery runs in one process; unpinned on
-    # two CPUs, the mesh of geometry-invariants is built in the worker
-    # process while the other checks run.  The outputs must agree byte for
-    # byte.
+    # two CPUs, the other checks run in the worker process while this one
+    # builds the mesh of geometry-invariants.  The outputs must agree byte
+    # for byte.
     def verify(prefix):
         proc = subprocess.run(
             prefix + [sys.executable, "-c", "from dscat.cli import app; app()",

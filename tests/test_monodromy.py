@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dscat import monodromy
 from dscat.curve import CurveParams, PathSpec, canonical_paths
@@ -161,10 +164,69 @@ def test_period_values_over_stacked_frames():
     frames1 = np.stack([random_sl2(k) for k in range(4)])
     frames2 = np.stack([random_sl2(10 + k) for k in range(4)])
     frames2[2] = np.eye(2)
-    f1, f2, d1, d2, degenerate = period_values(frames1, frames2)
-    assert degenerate.tolist() == [False, False, True, False]
+    f1, f2, d1, d2 = period_values(frames1, frames2)
+    assert np.isnan(f1).tolist() == [False, False, True, False]
+    assert np.isnan(f2).tolist() == [False, False, True, False]
     assert d2[2] == 0.0 and np.all(d1 != 0.0)
     for j in (0, 1, 3):
         g1, g2 = period_functions(HalfPathFrames(frames1[j], frames2[j], None))
         assert abs(f1[j] - g1) <= 1e-14 * max(1.0, abs(g1)) ** 2
         assert abs(f2[j] - g2) <= 1e-14 * max(1.0, abs(g2)) ** 2
+
+
+def _complex_quotients(F_c1, F_c2) -> tuple:
+    """The period sums and quotients in complex arithmetic, the reference for
+    period_values: (num1, den1, num2, den2, -num1 / den1, -num2 / den2,
+    den1 vanished, den2 vanished), each quotient over 1 where its
+    denominator vanished."""
+    (A1, B1), (C1, D1) = np.moveaxis(F_c1, (-2, -1), (0, 1))
+    (A2, B2), (C2, D2) = np.moveaxis(F_c2, (-2, -1), (0, 1))
+    cj = np.conj
+    num1 = cj(A1) * C1 + A1 * cj(C1) + cj(B1) * D1 + B1 * cj(D1)
+    den1 = cj(A1) * D1 + A1 * cj(D1) + cj(B1) * C1 + B1 * cj(C1)
+    num2 = cj(A2) * C2 - A2 * cj(C2) + cj(B2) * D2 - B2 * cj(D2)
+    den2 = cj(A2) * D2 - A2 * cj(D2) + cj(B2) * C2 - B2 * cj(C2)
+    v1 = np.abs(den1) <= 1e-12 * (1.0 + np.abs(num1))
+    v2 = np.abs(den2) <= 1e-12 * (1.0 + np.abs(num2))
+    q1, q2 = -num1 / np.where(v1, 1.0, den1), -num2 / np.where(v2, 1.0, den2)
+    return num1, den1, num2, den2, q1, q2, v1, v2
+
+
+def _bits(x) -> bytes:
+    return np.atleast_1d(np.asarray(x, dtype=float)).tobytes()
+
+
+# lanes of (F_c1, F_c2): an identity F_c2, whose f2 denominator vanishes; a
+# negative d1, over an exactly zero numerator and over a nonzero one; and
+# entries near 1e60
+_FIXED = np.stack([
+    (np.array([[1 + 2j, 0.5j], [-1, 3]]), np.eye(2)),
+    (np.array([[0, 1j], [-1j, 0]]), np.array([[2, 1j], [1, 1 - 1j]])),
+    (np.array([[1, 1], [-1, 0]]) * np.exp(0.3j), np.array([[1 + 1j, 2j], [1, 1]])),
+    (np.array([[3e59 - 1e60j, 7e59j], [-2e60, 5e59 + 1e59j]]),
+     np.array([[1e60j, -4e59], [6e59 + 2e60j, 9e59]])),
+]).astype(complex)
+
+
+@given(arrays(complex, st.tuples(st.integers(1, 4), st.just(2), st.just(2), st.just(2)),
+              elements=st.complex_numbers(max_magnitude=1e60, allow_infinity=False)))
+@example(_FIXED)
+def test_period_values_equal_the_complex_quotient(frames):
+    # the real form against the complex one, on each pair alone and on the stack
+    for F1, F2 in [*frames, frames.swapaxes(0, 1)]:
+        f1, f2, d1, d2 = period_values(F1, F2)
+        num1, den1, num2, den2, q1, q2, v1, v2 = _complex_quotients(F1, F2)
+        # the other part of each sum is exactly 0
+        for part in (num1.imag, den1.imag, num2.real, den2.real):
+            assert np.all(part == 0.0)
+        assert _bits(d1) == _bits(den1.real) and _bits(d2) == _bits(den2.imag)
+        vanished = np.atleast_1d(v1 | v2)
+        for f, q, num in ((f1, q1, num1), (f2, q2, num2)):
+            f, q, num = np.atleast_1d(f), np.atleast_1d(q.real), np.atleast_1d(num)
+            assert np.isnan(f).tolist() == vanished.tolist()
+            kept = ~vanished
+            # Smith's algorithm gives -0.0 for a zero numerator over a
+            # negative denominator, the reciprocal +0.0
+            zero = kept & (num == 0)
+            assert _bits(f[kept & ~zero]) == _bits(q[kept & ~zero])
+            assert np.all(f[zero] == q[zero])

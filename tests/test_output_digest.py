@@ -46,8 +46,9 @@ def _load_digest():
 
 
 digest = _load_digest()
-# Every command: the five verify commands; the two 24 x 24 meshes; the six
-# scans: the three 2600-point scans, the 27-point block, the scan at loose
+# Every command: the five verify commands; the two 24 x 24 meshes; the seven
+# scans: the three 2600-point scans, the two 27-point blocks, the second
+# holding c = 0.0, where a point is skipped, the scan at loose
 # tolerances, which the Magnus kernel completes, and the a = 1 error; the
 # benchmark's four admissible brackets and its pole bracket, which exits 4,
 # and the two further brackets that exit 4; the solve and the 4 x 4 mesh that
@@ -58,7 +59,7 @@ PINNED = list(digest.COMMANDS)
 
 
 def test_the_pinned_commands_are_listed():
-    assert len(PINNED) == 25
+    assert len(PINNED) == 26
 
 
 def test_a_command_argparse_rejects_is_hashed_and_the_check_goes_on(monkeypatch, capsys):

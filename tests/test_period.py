@@ -40,6 +40,9 @@ def test_bracketed_root_sanity():
     )
     with pytest.raises(LostBracket):
         bracketed_root(lambda c: 1.0 + c * c, -1.0, 1.0, 1e-12)
+    # an end where fn is exactly 0 is the root, as in scan's (c, c) brackets
+    for lo, hi in ((0.5, 1.0), (0.0, 0.5), (0.5, 0.5)):
+        assert bracketed_root(lambda c: c - 0.5, lo, hi, 1e-12) == 0.5
 
 
 def test_bracketed_root_compares_signs_not_products():

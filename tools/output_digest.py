@@ -60,6 +60,11 @@ COMMANDS = (
     # worker and c2 in the caller
     ("scan", "--a", "3", "--c-min", "-9", "--c-max", "-6.4", "--steps", "27",
      "--out", "{d}/scan.csv"),
+    # the benchmark's chunk that holds c = 0.0 exactly: there the frames are I
+    # and the f2 denominator vanishes, so it prints 3 bracket(s), 1 skipped
+    # point(s)
+    ("scan", "--a", "2", "--c-min", "-1.2", "--c-max", "1.4", "--steps", "27",
+     "--out", "{d}/scan.csv"),
     *(("solve", "--a", "2", "--c0", lo, "--c1", hi, "--json", "{d}/solve.json")
       for lo, hi in BRACKETS),
     # both exit 4 on the pole of f2 at c = 0 and write no file: a bracket
