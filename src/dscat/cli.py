@@ -95,7 +95,6 @@ _HELP = {
     "rel_tol": "relative tolerance of each DP5 step; a scan refines its Magnus grid "
     f"until each step's error estimate is at most {MAGNUS_TOL:g} * (rel_tol + abs_tol)",
     "abs_tol": "absolute tolerance of each DP5 step; in a scan, see --rel-tol",
-    "max_steps": "most steps of one integration; in a scan block, of each Magnus grid",
 }
 
 
@@ -106,7 +105,7 @@ def _integrator_config(args) -> IntegratorConfig:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, required=True, help="branch parameter, a > 1")
-    for key, default in _SETTINGS.items():  # --rel-tol, --abs-tol, --max-steps
+    for key, default in _SETTINGS.items():  # --rel-tol, --abs-tol
         p.add_argument(
             "--" + key.replace("_", "-"), dest=key, type=type(default), default=default,
             help=_HELP[key],

@@ -229,7 +229,7 @@ def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFI
     taken: each segment starts from its first grid (_first_grid) and is
     refined (_refine) where the embedded fourth-order Omega may differ from
     the sixth-order one by more than MAGNUS_TOL * (cfg.rel_tol + cfg.abs_tol)
-    for some |c| up to max |cs|.  More than cfg.max_steps steps in all raise
+    for some |c| up to max |cs|.  More than _rk.MAX_STEPS steps in all raise
     StepLimitExceeded.
 
     The step matrices are formed and multiplied pairwise, by component
@@ -250,9 +250,9 @@ def transfer(path: PathSpec, a: float, cs, cfg: IntegratorConfig = DEFAULT_CONFI
     c_max = float(np.max(np.abs(cs)))
     k = branch_offsets(a)
     w = _waypoint_w(path, k)
-    grid = _first_grid(path, a, c_max, cfg.max_steps, cs)
+    grid = _first_grid(path, a, c_max, cs)
     tol = MAGNUS_TOL * (cfg.rel_tol + cfg.abs_tol)
-    M = _refine(np.array(path.waypoints), np.array(w), k, *grid, c_max, tol, cfg.max_steps, cs)
+    M = _refine(np.array(path.waypoints), np.array(w), k, *grid, c_max, tol, cs)
     block = max(1, min(MAGNUS_RUN, MAGNUS_BLOCK // cs.size))
     one, zero = np.ones(cs.size, dtype=complex), np.zeros(cs.size, dtype=complex)
     F = (one, zero, zero, one)
@@ -274,7 +274,7 @@ def _waypoint_w(path: PathSpec, k) -> list:
     return w
 
 
-def _first_grid(path: PathSpec, a: float, c_max: float, limit: int, cs) -> tuple:
+def _first_grid(path: PathSpec, a: float, c_max: float, cs) -> tuple:
     """(segment, t0, dt) of each step of the first Magnus grids of path's
     segments of nonzero length, before refinement, in path order: the index
     of the segment's first waypoint, and the step's start and length as
@@ -285,7 +285,7 @@ def _first_grid(path: PathSpec, a: float, c_max: float, limit: int, cs) -> tuple
     from a segment's start to each of the _GRID_SAMPLES fractions t of it,
     by the trapezoid rule, and the segment takes n = ceil(wanted[-1]) steps,
     at least one, ending where wanted passes the multiples of wanted[-1] / n.
-    More than limit steps raise StepLimitExceeded before any is placed."""
+    More than _rk.MAX_STEPS steps raise StepLimitExceeded before any is placed."""
     wp = np.array(path.waypoints)
     i = np.flatnonzero(wp[1:] != wp[:-1])
     p, along = wp[i, None], (wp[i + 1] - wp[i])[:, None]
@@ -296,8 +296,8 @@ def _first_grid(path: PathSpec, a: float, c_max: float, limit: int, cs) -> tuple
     wanted = np.pad(wanted, ((0, 0), (1, 0)))
     n = np.maximum(1.0, np.ceil(wanted[:, -1]))
     counts = np.cumsum(n)
-    if counts.size and counts[-1] > limit:
-        raise _too_many(limit, path.waypoints[i[np.argmax(counts > limit)] + 1], cs)
+    if counts.size and counts[-1] > _rk.MAX_STEPS:
+        raise _too_many(path.waypoints[i[np.argmax(counts > _rk.MAX_STEPS)] + 1], cs)
     n = n.astype(int)
     t0, dt = [np.zeros(0)], [np.zeros(0)]
     for row, m in zip(wanted, n.tolist()):
@@ -308,7 +308,7 @@ def _first_grid(path: PathSpec, a: float, c_max: float, limit: int, cs) -> tuple
     return np.repeat(i, n), np.concatenate(t0), np.concatenate(dt)
 
 
-def _refine(points, w, k, segment, t0, dt, c_max, tol, limit, cs) -> np.ndarray:
+def _refine(points, w, k, segment, t0, dt, c_max, tol, cs) -> np.ndarray:
     """_magnus_terms' coefficients of the steps (segment, t0, dt) of
     _first_grid along the polyline points, where w holds w at each point,
     shape (5, 3, m), in path order, after each step whose estimate exceeds
@@ -316,7 +316,7 @@ def _refine(points, w, k, segment, t0, dt, c_max, tol, limit, cs) -> np.ndarray:
     until none does.  The estimate is of fifth order in the step; the factor
     1.05 keeps the split steps from failing again by a hair (without it, up
     to 6 of a segment's split steps missed by up to 11%, costing a pass).
-    More than limit steps raise StepLimitExceeded."""
+    More than _rk.MAX_STEPS steps raise StepLimitExceeded."""
     kept_M, kept_segment, kept_t0 = [], [], []
     while not kept_M or t0.size:  # once at least, for a path without steps
         p = points[segment]
@@ -329,8 +329,8 @@ def _refine(points, w, k, segment, t0, dt, c_max, tol, limit, cs) -> np.ndarray:
         parts = np.ceil(1.05 * (estimate[bad] / tol) ** 0.2)
         held = np.bincount(np.concatenate(kept_segment), minlength=points.size)
         held = np.cumsum(held + np.bincount(segment[bad], parts, minlength=points.size))
-        if held[-1] > limit:
-            raise _too_many(limit, points[np.argmax(held > limit) + 1], cs)
+        if held[-1] > _rk.MAX_STEPS:
+            raise _too_many(points[np.argmax(held > _rk.MAX_STEPS) + 1], cs)
         parts = parts.astype(int)
         first = np.repeat(np.cumsum(parts) - parts, parts)
         dt = np.repeat(dt[bad] / parts, parts)
@@ -340,12 +340,11 @@ def _refine(points, w, k, segment, t0, dt, c_max, tol, limit, cs) -> np.ndarray:
     return np.concatenate(kept_M, axis=2)[:, :, order]
 
 
-def _too_many(limit: int, z, cs) -> StepLimitExceeded:
-    """StepLimitExceeded for a Magnus grid of more than limit steps, naming
-    the end z of the segment where it passed the limit and the c of
-    largest modulus, which sets the grid."""
-    c = float(np.ravel(cs)[np.argmax(np.abs(cs))])
-    return StepLimitExceeded(f"Magnus grid exceeds {limit} steps by z = {complex(z)} for c = {c}")
+def _too_many(z, cs) -> StepLimitExceeded:
+    """StepLimitExceeded naming z, the end of the segment where a Magnus grid
+    passed _rk.MAX_STEPS steps, and the c of largest modulus, which sets it."""
+    c, n = float(np.ravel(cs)[np.argmax(np.abs(cs))]), _rk.MAX_STEPS
+    return StepLimitExceeded(f"Magnus grid exceeds {n} steps by z = {complex(z)} for c = {c}")
 
 
 def _magnus_terms(z0, dz, p, w_p, k, c_max) -> tuple:

@@ -4,6 +4,7 @@ integrate nothing more.  The suite, with the checks run in the worker process
 on a pickled copy of the context and geometry-invariants with its mesh run
 here, gives the results of a serial run."""
 
+import dataclasses
 import os
 import pickle
 
@@ -154,6 +155,47 @@ def test_period_crossing_fails_where_the_window_contains_zero():
     assert not ok
     assert detail == (
         "LostBracket: bracket [-0.006, 0.014] holds a pole of f2, not a crossing"
+    )
+
+
+def test_deep_checks_without_a_solution():
+    # at c = 3.5 there is no crossing: the two deep checks that read only the
+    # frames run and pass (5.5e-12 and 4.2e-12 measured), and schwarzian-order
+    # is skipped
+    results = {name: (ok, detail) for name, ok, detail in suite(3.5, deep=True)}
+    for name, head in (("reference-agreement", "max scaled deviation = "),
+                       ("homotopy-invariance", "scaled monodromy deviation = ")):
+        ok, detail = results[name]
+        assert ok and detail.startswith(head) and float(detail[len(head):]) < 1e-10, name
+    assert results["schwarzian-order"] == (False, "skipped (no solution)")
+
+
+def changed_mesh(monkeypatch, change) -> None:
+    """Make geometry.build_mesh return its mesh changed by change."""
+    real = geometry.build_mesh
+    monkeypatch.setattr(geometry, "build_mesh", lambda *args: change(real(*args)))
+
+
+def test_geometry_invariants_fail_on_an_empty_mesh(monkeypatch, ctx):
+    changed_mesh(monkeypatch, lambda mesh: dataclasses.replace(
+        mesh, **{f.name: getattr(mesh, f.name)[:0] for f in dataclasses.fields(mesh)}))
+    assert checks._geometry_invariants(ctx) == (False, "empty mesh")
+
+
+def test_geometry_invariants_fail_outside_the_shell(monkeypatch, ctx):
+    # one sample moved to |Y| = 10, outside e^(-pi/2) < |Y| < e^(pi/2): the
+    # radius bound alone turns, on the real mesh's quadric and normals
+    ok, detail = checks._geometry_invariants(checks.CheckContext(A, C, ctx.cfg))
+    assert ok and "radius bound ok" in detail
+
+    def outside(mesh):
+        Y = mesh.Y.copy()
+        Y[0] = (10.0, 0.0, 0.0)
+        return dataclasses.replace(mesh, Y=Y)
+
+    changed_mesh(monkeypatch, outside)
+    assert checks._geometry_invariants(ctx) == (
+        False, detail.replace("radius bound ok", "radius bound violated")
     )
 
 

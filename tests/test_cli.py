@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dscat import cli
+from dscat import _rk, cli
 from dscat.cli import main
 from dscat.curve import CurveParams, canonical_paths
-from dscat.errors import StepLimitExceeded
 from dscat.transport import integrate_frame
 
 
@@ -59,13 +58,16 @@ def test_scan_flag_validation(tmp_path):
     assert exc.value.code == 2
 
 
-def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys):
+@pytest.mark.usefixtures("fresh_worker")
+def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys, monkeypatch):
     # the scan's Magnus kernel has no sheet to lose: what is left of exit 3
-    # is a grid over --max-steps, named by the end of the segment where the
-    # grid passed the limit and by the c of largest modulus, which sets it
+    # is a grid over the step budget, named by the end of the segment where
+    # the grid passed it and by the c of largest modulus, which sets it.  c1
+    # fails, in the worker, which is forked after the budget is patched
+    monkeypatch.setattr(_rk, "MAX_STEPS", 50)
     code = run(
         ["scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30",
-         "--max-steps", "50", "--out", str(tmp_path / "x.csv")]
+         "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
     err = capsys.readouterr().err
@@ -77,11 +79,14 @@ def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_step_budget_names_the_curve_point_and_c(tmp_path, capsys):
-    # a DP5 integration over --max-steps names the point of the curve where
-    # its failing step starts and the c, as a step size underflow does: here
-    # c2 at the bracket's low end, on its second segment, 2 + 0.8j -> 4
-    code = run(["solve", "--a", "2", "--c0", "1.25", "--c1", "1.29", "--max-steps", "150",
+@pytest.mark.usefixtures("fresh_worker")
+def test_step_budget_names_the_curve_point_and_c(tmp_path, capsys, monkeypatch):
+    # a DP5 integration over the step budget names the point of the curve
+    # where its failing step starts and the c, as a step size underflow
+    # does: here c2 at the bracket's low end, on its second segment,
+    # 2 + 0.8j -> 4, while c1 passes in the worker, forked after the patch
+    monkeypatch.setattr(_rk, "MAX_STEPS", 150)
+    code = run(["solve", "--a", "2", "--c0", "1.25", "--c1", "1.29",
                 "--json", str(tmp_path / "s.json")])
     assert code == 3
     err = capsys.readouterr().err
@@ -500,22 +505,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
 @pytest.mark.parametrize(
-    "argv, code",
+    "setup, argv, code",
     [
-        (["--c0", "-7.65", "--c1", "-7.58"], 0),
-        # c2 takes more than 150 steps at this root: exit 3
-        (["--c0", "1.25", "--c1", "1.29", "--max-steps", "150"], 3),
+        ("", ["--c0", "-7.65", "--c1", "-7.58"], 0),
+        # with a budget of 150 steps, c2 takes more at this root: exit 3
+        ("import dscat._rk; dscat._rk.MAX_STEPS = 150; ", ["--c0", "1.25", "--c1", "1.29"], 3),
     ],
     ids=["deep-root", "step-limit"],
 )
-def test_solve_pinned_to_one_cpu_matches_unpinned(tmp_path, argv, code):
+def test_solve_pinned_to_one_cpu_matches_unpinned(tmp_path, setup, argv, code):
     # Pinned to one CPU, the half paths run serially in one process; unpinned
-    # on two CPUs, c1 runs in the worker process.  The outputs must agree
-    # byte for byte.
+    # on two CPUs, c1 runs in the worker process, forked after setup.  The
+    # outputs must agree byte for byte.
     def solve(prefix, name):
         out = tmp_path / name
         proc = subprocess.run(
-            prefix + [sys.executable, "-c", "from dscat.cli import app; app()",
+            prefix + [sys.executable, "-c", setup + "from dscat.cli import app; app()",
                       "solve", "--a", "2", *argv, "--json", str(out)],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -624,7 +629,6 @@ def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeyp
         ["classify", "--c", "-1.526035", "--rel-tol", "nan"],
         ["classify", "--c", "-1.526035", "--rel-tol", "inf"],
         ["classify", "--c", "-1.526035", "--abs-tol", "inf"],
-        ["classify", "--c", "-1.526035", "--max-steps", "0"],
         ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "0", "--json", "{tmp}/s.json"],
         ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "-1", "--json", "{tmp}/s.json"],
         ["solve", "--c0", "-1.55", "--c1", "-1.50", "--tol-c", "nan", "--json", "{tmp}/s.json"],
@@ -642,20 +646,21 @@ def _options(parser) -> set:
     return {option for action in parser._actions for option in action.option_strings}
 
 
-def test_integrator_settings_come_from_three_flags(tmp_path, capsys):
-    # --config and --initial-step are unknown flags: argparse exits 2 before
-    # any work
+def test_integrator_settings_come_from_two_flags(tmp_path, capsys):
+    # --config, --initial-step and --max-steps are unknown flags: argparse
+    # exits 2 before any work
     classify = ["classify", "--a", "2", "--c", "-1.526035", "--json", str(tmp_path / "c.json")]
-    for extra in (["--config", str(tmp_path / "dscat.cfg")], ["--initial-step", "0.2"]):
+    for extra in (["--config", str(tmp_path / "dscat.cfg")], ["--initial-step", "0.2"],
+                  ["--max-steps", "150"]):
         with pytest.raises(SystemExit) as exc:
             run(classify + extra)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    # the options every command shares are --a and the three settings
+    # the options every command shares are --a and the two settings
     (commands,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
     assert set.intersection(*map(_options, commands.choices.values())) == {
-        "-h", "--help", "--a", "--rel-tol", "--abs-tol", "--max-steps",
+        "-h", "--help", "--a", "--rel-tol", "--abs-tol",
     }
     # and each setting, off its default, changes c1's end frame
     a, c = 2.0, -1.526035
@@ -666,11 +671,8 @@ def test_integrator_settings_come_from_three_flags(tmp_path, capsys):
         return integrate_frame(path, CurveParams(a, c), cfg=cli._integrator_config(args))[0]
 
     default = end_frame()
-    assert np.array_equal(end_frame("--max-steps", "400000"), default)
     for flag in ("--rel-tol", "--abs-tol"):
         assert not np.array_equal(end_frame(flag, "1e-8"), default), flag
-    with pytest.raises(StepLimitExceeded, match="^exceeded 5 steps"):
-        end_frame("--max-steps", "5")
 
 
 @pytest.mark.parametrize(
@@ -699,7 +701,7 @@ def test_python_dash_m(module):
     proc = dscat()
     assert proc.returncode == 0
     assert "end type = elliptic" in proc.stdout
-    proc = dscat("--max-steps", "0")
+    proc = dscat("--rel-tol", "nan")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: invalid input: ")
 

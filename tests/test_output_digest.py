@@ -5,8 +5,9 @@ perfbench/references.json pins the outputs of the benchmark's `mesh` and
 `solve` ops, and a root that moves in its last digits moves mesh vertices past
 the benchmark's tolerance.  tools/output_digest.txt records the SHA-256 of
 those commands' outputs, so a change to any of them fails here; the two
-integration failures held here too keep the one format of the transport's
-failure messages, which name the point of the curve and the c.  Every
+integration failures held here too, the Magnus grid's step budget and the
+scalar kernel's sheet check, keep the one format of the transport's failure
+messages, which name the point of the curve and the c.  Every
 `scan` command is held, since its CSV and bracket lines are formed from the
 scan's arrays (dscat.period.ScanResult), and a change to how they are built
 or read would show here.  The five `verify` commands are held because the
@@ -46,15 +47,16 @@ def _load_digest():
 
 
 digest = _load_digest()
-# Every command: the five verify commands; the two 24 x 24 meshes; the seven
+# Every command: the five verify commands; the two 24 x 24 meshes; the eight
 # scans: the three 2600-point scans, the two 27-point blocks, the second
-# holding c = 0.0, where a point is skipped, the scan at loose
-# tolerances, which the Magnus kernel completes, and the a = 1 error; the
-# benchmark's four admissible brackets and its pole bracket, which exits 4,
-# and the two further brackets that exit 4; the solve and the 4 x 4 mesh that
-# exit 4 on the pole of f2 at c = 0; the two integration failures,
-# which exit 3: the step limit and the scalar kernel's sheet check; and the
-# PathError at a = 1.2, which exits 2.
+# holding c = 0.0, where a point is skipped, the scan at loose tolerances,
+# which the Magnus kernel completes, the a = 1 error, and the scan at |c| up
+# to 1e12; the benchmark's four admissible brackets and its pole bracket,
+# which exits 4, and the two further brackets that exit 4; the solve and the
+# 4 x 4 mesh that exit 4 on the pole of f2 at c = 0; the two integration
+# failures, which exit 3: the Magnus grid's step budget, in that scan at
+# |c| up to 1e12, and the scalar kernel's sheet check; and the PathError at
+# a = 1.2, which exits 2.
 PINNED = list(digest.COMMANDS)
 
 
@@ -92,11 +94,11 @@ def _recorded() -> list:
 
 
 def _id(argv: tuple) -> str:
-    """A command's first seven words, nine with --max-steps; for a scan at
-    the default tolerances, every word before --out."""
+    """A command's first seven words; for a scan at the default tolerances,
+    every word before --out."""
     if argv[0] == "scan" and digest.LOOSE[0] not in argv:
         return " ".join(argv[: argv.index("--out")])
-    return " ".join(argv[:9] if "--max-steps" in argv else argv[:7])
+    return " ".join(argv[:7])
 
 
 @pytest.mark.parametrize("argv", PINNED, ids=_id)

@@ -450,9 +450,10 @@ KERNELS = [
 
 
 @pytest.mark.parametrize("kernel, n", KERNELS)
-def test_step_budget(kernel, n):
+def test_step_budget(kernel, n, monkeypatch):
+    monkeypatch.setattr(_rk, "MAX_STEPS", 3)
     with pytest.raises(StepLimitExceeded, match="exceeded 3 steps"):
-        kernel((0j, 10 + 0j), n, _decaying, cfg=_rk.IntegratorConfig(max_steps=3))
+        kernel((0j, 10 + 0j), n, _decaying)
 
 
 @pytest.mark.parametrize("kernel, n", KERNELS)

@@ -2,6 +2,8 @@
 resolve.  mesh_symmetry.py and output_digest.py have tests of their own."""
 
 import importlib.util
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +50,12 @@ def test_op_costs_wraps_the_parts_it_times(load):
     with op_costs.timing(op_costs.Clock()):
         assert all(getattr(m, n) is not f for (m, n), f in zip(parts, originals))
     assert all(getattr(m, n) is f for (m, n), f in zip(parts, originals))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="overlap forks")
+def test_op_costs_overlap_is_a_ratio_of_wall_times(load):
+    ratio = load("op_costs").overlap(10_000)
+    assert math.isfinite(ratio) and ratio > 0.0
 
 
 def test_scan_shares_captures_each_blocks_pair(load):

@@ -142,10 +142,11 @@ def test_scalar_ode_residual_vanishing_c():
     assert scalar_ode_residual(paths.c1, params, 20) < 1e-16
 
 
-def test_step_limit():
+def test_step_limit(monkeypatch):
     params = CurveParams(2.0, 1.0)
     paths = canonical_paths(params.a)
-    cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15, max_steps=5)
+    cfg = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15)
+    monkeypatch.setattr(_rk, "MAX_STEPS", 5)
     with pytest.raises(StepLimitExceeded):
         integrate_frame(paths.gamma1, params, cfg=cfg)
 
@@ -201,8 +202,9 @@ def test_lane_kernel_takes_the_initial_step_and_names_its_budget(monkeypatch):
         integrate_frames_over_c(path, a, cs, on_step=lambda z, y: seen.append(z))
     assert seen[0] == 1e-3 * u
     integrate_frames_over_c(path, a, cs, on_step=lambda z, y: reached.append(z))
+    monkeypatch.setattr(_rk, "MAX_STEPS", 3)
     with pytest.raises(StepLimitExceeded) as exc:
-        integrate_frames_over_c(path, a, cs, IntegratorConfig(max_steps=3))
+        integrate_frames_over_c(path, a, cs)
     head, _, tail = str(exc.value).partition(" at z = ")
     z, _, c_named = tail.partition(" for c = ")
     assert head == "exceeded 3 steps" and float(c_named) == cs[0]
@@ -248,7 +250,6 @@ def test_config_validation():
         {"rel_tol": math.inf},
         {"abs_tol": math.inf},
         {"abs_tol": -1e-12},
-        {"max_steps": 0},
     ):
         with pytest.raises(DomainError):
             IntegratorConfig(**bad)
@@ -367,7 +368,7 @@ def _error(F: np.ndarray, R: np.ndarray) -> float:
 def _first_steps(path, a, cs) -> int:
     """The steps of path's first Magnus grid for the c in cs, before
     refinement."""
-    return transport._first_grid(path, a, float(np.max(np.abs(cs))), math.inf, cs)[0].size
+    return transport._first_grid(path, a, float(np.max(np.abs(cs))), cs)[0].size
 
 
 @pytest.mark.parametrize("a", [1.3, 2.0, 5.0])
@@ -438,7 +439,7 @@ def test_the_series_exp_matches_the_closed_form(monkeypatch):
     # the closed form cosh(s) I + sinh(s)/s Omega to rounding
     a, cs = 2.0, np.array([-9.0, -4.0, -0.5, 2.0, 4.0])
     path, k = canonical_paths(a).c2, branch_offsets(a)
-    segment, t0, dt = transport._first_grid(path, a, 9.0, 10**6, cs)
+    segment, t0, dt = transport._first_grid(path, a, 9.0, cs)
     points, w = np.array(path.waypoints), np.array(transport._waypoint_w(path, k))
     p, along = points[segment], points[segment + 1] - points[segment]
     M, _ = transport._magnus_terms(p + along * t0, along * dt, p, w[segment], k, 9.0)
@@ -483,20 +484,20 @@ def test_the_estimate_refines_a_coarsened_grid(monkeypatch):
     assert refined <= max(1e-10, 2 * default)
 
 
-def test_transfer_step_limit_names_the_curve_point_and_c():
+def test_transfer_step_limit_names_the_curve_point_and_c(monkeypatch):
     # the c named is the one of largest modulus, which sets the grid
     a, cs = 2.0, np.array([2.0, -9.0, -4.0])
     paths = canonical_paths(a)
     for path in (paths.c1, paths.c2):
         first = _first_steps(path, a, cs)
         # over the first grid, and over the refined grid only
-        for max_steps in (first - 1, first + 1):
-            cfg = IntegratorConfig(max_steps=max_steps)
-            with pytest.raises(StepLimitExceeded) as exc:
-                transfer(path, a, cs, cfg)
+        for budget in (first - 1, first + 1):
+            with monkeypatch.context() as patch, pytest.raises(StepLimitExceeded) as exc:
+                patch.setattr(_rk, "MAX_STEPS", budget)
+                transfer(path, a, cs)
             head, _, tail = str(exc.value).partition(" by z = ")
             z, _, c = tail.partition(" for c = ")
-            assert head == f"Magnus grid exceeds {max_steps} steps"
+            assert head == f"Magnus grid exceeds {budget} steps"
             assert complex(z) in path.waypoints[1:] and float(c) == -9.0
 
 

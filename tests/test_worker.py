@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 from conftest import one_cpu, scan_bytes, serially, two_cpus
 
-from dscat import _worker, period
+from dscat import _rk, _worker, period
 from dscat.curve import CurveParams, PathSpec, canonical_paths, rational_rhs
 from dscat.errors import DomainError, PathError, StepLimitExceeded
 from dscat.monodromy import half_path_frames
 from dscat.period import scan_c
-from dscat.transport import IntegratorConfig, transfer
+from dscat.transport import transfer
 
 ROOTS = (-7.611914, -4.06015, -1.526035, 1.26988, 5.33317)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -137,33 +137,36 @@ H = 8.0 / 19  # the spacing of 20 c over an interval of length 8
     ids=["first-block", "third-block"],
 )
 def test_scan_errors_name_the_first_failing_block(monkeypatch, c_min, c_max, early, pairs):
-    # four blocks of five c at a = 2: with max_steps 340 the refined grids of
+    # four blocks of five c at a = 2: with a budget of 340 steps, patched
+    # before the worker is forked, the refined grids of
     # c2 for the two blocks of largest |c| (435 and 373 steps) fail, naming
     # the c of largest modulus in the block, and all other grids (at most
     # 305 steps) pass.  The error is the earlier block's, and the serial
     # run's, and no later block is integrated.
     monkeypatch.setattr(period, "SCAN_BLOCK", 5)
-    cfg = IntegratorConfig(max_steps=340)
+    monkeypatch.setattr(_rk, "MAX_STEPS", 340)
     with monkeypatch.context() as m:
         calls = spy_on_pairs(m)
-        error = error_of(lambda: scan_c(2.0, c_min, c_max, 20, cfg))
+        error = error_of(lambda: scan_c(2.0, c_min, c_max, 20))
     assert len(calls) == pairs and calls[-1][3] is None
-    assert serially(monkeypatch, lambda: error_of(lambda: scan_c(2.0, c_min, c_max, 20, cfg))) == error
+    assert serially(monkeypatch, lambda: error_of(lambda: scan_c(2.0, c_min, c_max, 20))) == error
     assert error[0] is StepLimitExceeded
     head, _, c = error[1].partition(" for c = ")
     assert head.startswith("Magnus grid exceeds 340 steps by z = ") and float(c) == early
 
 
 def test_a_block_failing_on_both_half_paths_raises_c1s_error(monkeypatch):
-    # with max_steps 100 both half paths of the one block fail at c = -9,
-    # c1 at its waypoint 0.75+0.8j and c2 at 2+0.8j; pair keeps serial order
-    a, cfg = 2.0, IntegratorConfig(max_steps=100)
+    # with a budget of 100 steps both half paths of the one block fail at
+    # c = -9, c1 at its waypoint 0.75+0.8j and c2 at 2+0.8j; pair keeps
+    # serial order.  The worker, forked after the patch, sees the budget
+    a = 2.0
+    monkeypatch.setattr(_rk, "MAX_STEPS", 100)
     paths, cs = canonical_paths(a), np.linspace(-9.0, 4.0, 27)
-    c1, c2 = (error_of(lambda: transfer(path, a, cs, cfg)) for path in (paths.c1, paths.c2))
+    c1, c2 = (error_of(lambda: transfer(path, a, cs)) for path in (paths.c1, paths.c2))
     assert c1[0] is c2[0] is StepLimitExceeded and c1[1] != c2[1]
-    error = error_of(lambda: scan_c(a, -9.0, 4.0, 27, cfg))
+    error = error_of(lambda: scan_c(a, -9.0, 4.0, 27))
     assert error == c1
-    assert serially(monkeypatch, lambda: error_of(lambda: scan_c(a, -9.0, 4.0, 27, cfg))) == c1
+    assert serially(monkeypatch, lambda: error_of(lambda: scan_c(a, -9.0, 4.0, 27))) == c1
 
 
 def bad_paths(c1_goes_to=None, c2_goes_to=None) -> tuple:

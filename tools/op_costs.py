@@ -30,11 +30,19 @@ roots in dp5_kernel) and its output.  The benchmark's tracer does not see the
 lane kernel; this does.  Times are wall times on this machine, not scaled to the
 benchmark's nominal speed.  Work done in the worker process is not timed: it
 shows as the caller's wait inside _worker.pair.
+
+Before the table it prints overlap(OVERLAP_LOOPS): the wall time of two
+forked copies of a fixed pure-Python loop run at once over that of one copy.
+It reads about 1 where the machine runs two processes side by side and about
+2 where it makes them take turns; a 2-vCPU virtual machine may switch between
+the two within minutes, and every timing that pairs c1 in the worker with c2
+in the caller means something only beside it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import tempfile
@@ -49,6 +57,8 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 REPEATS = {"scan": 41, "solve": 9, "mesh": 9, "verify": 9}
+# Iterations of overlap's loop: about 0.1 s for one copy on a 2-vCPU x86 VM, Python 3.11.
+OVERLAP_LOOPS = 5_000_000
 PARTS = ("parser", "canonical_paths", "_worker.pair", "period_values", "build_mesh",
          "lane_kernel", "dp5_kernel", "_write_atomic")
 
@@ -108,6 +118,31 @@ def timing(clock: Clock):
             setattr(owner, attr, fn)
 
 
+def overlap(loops: int) -> float:
+    """Wall time of two forked copies of a loop of loops iterations, run at
+    once, over that of one forked copy."""
+    return _forked(loops, 2) / _forked(loops, 1)
+
+
+def _forked(loops: int, copies: int) -> float:
+    """Wall time from forking copies children, each counting to loops, to
+    the end of the last."""
+    start = time.perf_counter()
+    children = []
+    for _ in range(copies):
+        pid = os.fork()
+        if pid == 0:
+            try:
+                for _ in range(loops):
+                    pass
+            finally:
+                os._exit(0)
+        children.append(pid)
+    for pid in children:
+        os.waitpid(pid, 0)
+    return time.perf_counter() - start
+
+
 def op_costs(cli, workload: str, out: Path) -> tuple:
     """(op key, failed runs, median ms of the op, {part: median ms}) of the
     first op of workload."""
@@ -132,6 +167,7 @@ def op_costs(cli, workload: str, out: Path) -> tuple:
 def main(argv: list) -> int:
     names = argv or list(workloads.WORKLOADS)
     cli = run.import_cli()
+    print(f"overlap of two processes: {overlap(OVERLAP_LOOPS):.2f}", flush=True)
     print(f"{'op':<30} {'runs':>4} {'failed':>6} {'op ms':>8} "
           + " ".join(f"{part:>15}" for part in PARTS + ("rest",)))
     with tempfile.TemporaryDirectory() as tmp:

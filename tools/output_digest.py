@@ -71,12 +71,14 @@ COMMANDS = (
     # around 0, and a mesh whose near(c) holds 0
     ("solve", "--a", "2", "--c0", "-0.005", "--c1", "0.005", "--json", "{d}/solve.json"),
     ("mesh", "--a", "2", "--c", "0.004", "--nu", "4", "--nv", "4", "--out", "{d}/mesh.obj"),
-    # error paths: the step limit (exit 3); a PathError, since at a = 1.2 the
+    # error paths: the step budget of a Magnus grid, which at |c| = 1e12
+    # needs more than 400 000 steps (exit 3; argparse reads -1e12 as a flag,
+    # so the bounds are integers); a PathError, since at a = 1.2 the
     # canonical paths cannot clear the branch points (exit 2); the sheet
     # residual in the scalar kernel (exit 3); and a scan at the same loose
     # tolerances, which the Magnus kernel, with no sheet to lose, completes
-    ("solve", "--a", "2", "--c0", "1.25", "--c1", "1.29", "--max-steps", "150",
-     "--json", "{d}/solve.json"),
+    ("scan", "--a", "2", "--c-min", "-1000000000000", "--c-max", "-100000000000",
+     "--steps", "2", "--out", "{d}/scan.csv"),
     ("classify", "--a", "1.2", "--c", "-1"),
     ("classify", "--a", "2", "--c", "-1.526035", *LOOSE),
     ("scan", "--a", "2", "--c-min", "-9", "--c-max", "4", "--steps", "30", *LOOSE,
