@@ -11,11 +11,13 @@ numerator vanishes like c and its denominator d2 like c^2, so d2 keeps its
 sign, but d2/c changes it.  Refinement reads the signs of d1 and d2/c at the
 two ends of the bracket it is given, before it refines anything: across a
 pole one of them changes sign, and such a bracket is refused.
-The scan evaluates many c at once on transport's Magnus kernel
-(transport.transfer), a whole transfer along c1 and one along c2 for each
-block of its grid, paired as in monodromy.half_path_frames: c1 in the worker
-process of _worker.pair, c2 in this one.  Refinement and verification
-evaluate one c at a time on the adaptive DP5 kernel (half_path_frames).
+The scan and refinement evaluate the period functions on transport's Magnus
+kernel (transport.transfer, in _periods_over): a transfer along c1 and one
+along c2 for each block of the scan's grid and for each iterate of
+refinement, paired as in monodromy.half_path_frames: c1 in the worker
+process of _worker.pair, c2 in this one.  The refined root and verification
+are then evaluated at one c on the adaptive DP5 kernel (half_path_frames),
+so every check confirms the root by a route other than the one that found it.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class ScanResult:
 class RefinedRoot:
     c: float
     f: float
-    # half-path frames at c, handed on to verification
+    # half-path frames at c on the DP5 kernel, f's source, handed on to verification
     frames: HalfPathFrames = field(repr=False, compare=False)
 
 
@@ -119,6 +121,15 @@ def _periods_at(
     """(f1, f2, half-path frames) at one c, along paths when given."""
     h = half_path_frames(CurveParams(a, c), cfg, paths)
     return (*period_functions(h), h)
+
+
+def _periods_over(a: float, cs, cfg: IntegratorConfig, paths: CanonicalPaths) -> tuple:
+    """period_values' (f1, f2, d1, d2) at each c of the 1-d array cs, from
+    one transfer pair on transport's Magnus kernel, c1 in the worker."""
+    (F1, _), (F2, _) = _worker.pair(
+        "dscat.transport.transfer", (paths.c1, a, cs, cfg), (paths.c2, a, cs, cfg)
+    )
+    return period_values(F1, F2)
 
 
 def scan_c(
@@ -167,10 +178,7 @@ def scan_c(
         raise DomainError(f"--steps {steps} is too many grid points to allocate") from None
     for start in range(0, steps, SCAN_BLOCK):
         k = slice(start, start + SCAN_BLOCK)
-        (F1, _), (F2, _) = _worker.pair(
-            "dscat.transport.transfer", (paths.c1, a, c[k], cfg), (paths.c2, a, c[k], cfg)
-        )
-        f1[k], f2[k], _, _ = period_values(F1, F2)
+        f1[k], f2[k], _, _ = _periods_over(a, c[k], cfg, paths)
     return ScanResult(c, f1, f2, *_brackets(c, f1, f2))
 
 
@@ -233,14 +241,21 @@ def refine_root(
 ) -> RefinedRoot:
     """Refine the crossing of f1 and f2 in a sign-change bracket of f1 - f2 to width tol_c.
 
+    Each iterate takes f1 - f2 from one transfer pair on the scan's Magnus
+    kernel (_periods_over).  The root c* is then evaluated once on the DP5
+    kernel (_periods_at): its half-path frames become the RefinedRoot's
+    frames, and f = (f1 + f2)/2 is taken from them, so the gauge and
+    verification confirm c* by a route other than the one that found it.
+
     Raises LostBracket, after the evaluations at the two ends, where d1 or
     d2/c has opposite signs there (d1, d2 the real denominators of
     period_values; d2/c, since d2 keeps its sign at the pole of f2 at 0):
     the bracket holds a pole of f1, f2 or both, not a crossing.  A
-    denominator that vanishes at an iterate loses the bracket too.  Raises
-    DomainError before any evaluation unless tol_c is finite and positive,
-    lo <= hi (scan_c brackets (c, c) where f1 - f2 is 0 at a grid point) and
-    CurveParams takes both ends, which refuses c = 0, where the frames are I.
+    denominator that vanishes at an iterate, or at c* on DP5, loses the
+    bracket too.  Raises DomainError before any evaluation unless tol_c is
+    finite and positive, lo <= hi (scan_c brackets (c, c) where f1 - f2 is 0
+    at a grid point) and CurveParams takes both ends, which refuses c = 0,
+    where the frames are I.
     """
     if not 0.0 < tol_c < math.inf:
         raise DomainError(f"tol_c must be finite and positive, got {tol_c}")
@@ -252,17 +267,19 @@ def refine_root(
     paths = canonical_paths(a)
     cache: dict = {}
 
+    def lost(c: float) -> LostBracket:
+        return LostBracket(f"a period denominator vanished at c = {c}")
+
     def periods(c: float) -> tuple:
         if c not in cache:
-            try:
-                cache[c] = _periods_at(a, c, cfg, paths)
-            except DegenerateDenominator:
-                raise LostBracket(f"a period denominator vanished at c = {c}") from None
+            f1, f2, d1, d2 = (float(x[0]) for x in _periods_over(a, [c], cfg, paths))
+            if math.isnan(f1):
+                raise lost(c)
+            cache[c] = f1, f2, d1, d2
         return cache[c]
 
     def signs(c: float) -> list:
-        h = periods(c)[2]
-        d1, d2 = period_values(h.F_c1, h.F_c2)[2:4]
+        d1, d2 = periods(c)[2:]
         return [np.sign(d1), np.sign(d2) * np.sign(c)]
 
     poles = [f for f, s_lo, s_hi in zip(("f1", "f2"), signs(lo), signs(hi)) if s_lo != s_hi]
@@ -272,11 +289,14 @@ def refine_root(
         )
 
     def diff(c: float) -> float:
-        f1, f2, _ = periods(c)
+        f1, f2, _, _ = periods(c)
         return f1 - f2
 
     c_star = bracketed_root(diff, lo, hi, tol_c)
-    f1, f2, h = periods(c_star)
+    try:
+        f1, f2, h = _periods_at(a, c_star, cfg, paths)
+    except DegenerateDenominator:
+        raise lost(c_star) from None
     return RefinedRoot(c_star, 0.5 * (f1 + f2), h)
 
 

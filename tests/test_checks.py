@@ -89,28 +89,31 @@ def patched_mesh(monkeypatch, error=None) -> list:
 @two_cpus
 @pytest.mark.usefixtures("fresh_worker")
 @pytest.mark.parametrize(
-    "c, deep, solved",
-    [(C, True, True), (3.5, False, False), (-0.55, False, False)],
+    "c, deep, solved, pairs",
+    [(C, True, True, 27), (3.5, False, False, 2), (-0.55, False, False, 2)],
     ids=["root-deep", "no-crossing", "pole"],
 )
-def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, solved):
-    sent = []
+def test_suite_in_two_processes_equals_serial(monkeypatch, c, deep, solved, pairs):
+    names, sent = [], []
     pair = _worker.pair
 
     def recorded(name, there, here):
+        names.append(name)
         if name == "dscat.checks._run_checks":
             # the context goes out with its root refined, or its error cached
             sent.append(("root" in there[0]._built, [check for check, _ in here[1]]))
-        else:
-            assert name == "dscat.transport.integrate_frame"
         return pair(name, there, here)
 
     monkeypatch.setattr(_worker, "pair", recorded)
     calls = patched_mesh(monkeypatch)
     parallel = suite(c, deep)
     assert isinstance(_worker._current, _worker._Worker)
-    # refinement sends its half paths; the suite sends its checks once,
-    # whether or not the root has a solution, and keeps geometry-invariants
+    # refinement sends a transfer pair per iterate and, at a root, the DP5
+    # half paths of c* once; the suite sends its checks once, whether or not
+    # the root has a solution, and keeps geometry-invariants
+    assert names == (["dscat.transport.transfer"] * pairs
+                     + ["dscat.transport.integrate_frame"] * solved
+                     + ["dscat.checks._run_checks"])
     assert sent == [(True, ["geometry-invariants"])]
     # the mesh was built here, or not at all
     assert calls == ([os.getpid()] if solved else [])

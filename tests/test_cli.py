@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dscat import _rk, cli
+from dscat import _rk, cli, period
 from dscat.cli import main
 from dscat.curve import CurveParams, canonical_paths
 from dscat.transport import integrate_frame
@@ -83,8 +83,10 @@ def test_scan_failure_names_the_curve_point_and_c(tmp_path, capsys, monkeypatch)
 def test_step_budget_names_the_curve_point_and_c(tmp_path, capsys, monkeypatch):
     # a DP5 integration over the step budget names the point of the curve
     # where its failing step starts and the c, as a step size underflow
-    # does: here c2 at the bracket's low end, on its second segment,
-    # 2 + 0.8j -> 4, while c1 passes in the worker, forked after the patch
+    # does: the iterates' Magnus grids stay within 150 steps, and the DP5
+    # evaluation of the refined root fails on c2 at c*, on its second
+    # segment, 2 + 0.8j -> 4, while c1 passes in the worker, forked after the patch
+    c_star = period.refine_root(2.0, (1.25, 1.29)).c
     monkeypatch.setattr(_rk, "MAX_STEPS", 150)
     code = run(["solve", "--a", "2", "--c0", "1.25", "--c1", "1.29",
                 "--json", str(tmp_path / "s.json")])
@@ -93,7 +95,7 @@ def test_step_budget_names_the_curve_point_and_c(tmp_path, capsys, monkeypatch):
     prefix = "error: integration failed: exceeded 150 steps at z = "
     assert err.startswith(prefix)
     z, c = err[len(prefix):].rstrip("\n").split(" for c = ")
-    assert float(c) == 1.25
+    assert float(c) == c_star
     assert 2.0 < complex(z).real < 4.0 and 0.0 < complex(z).imag < 0.8
     assert list(tmp_path.iterdir()) == []
 

@@ -15,15 +15,16 @@ battery splits its work between two processes
 (dscat.checks.run_invariant_suite), and a split that changed a check's
 result or the order of the report would show here.  The two solves beyond
 the benchmark's brackets exit 4: one as a pole of f1, refused from the
-bracket's two ends, and one as a crossing with |f| < 1.  The scalar DP5
-kernel decides their bytes.  A solve and a mesh exit 4 on the pole of f2 at
+bracket's two ends, and one as a crossing with |f| < 1.  The Magnus
+kernel's iterates decide the first's bytes; the DP5 evaluation of the
+refined root decides the f that the second's message names.  A solve and a mesh exit 4 on the pole of f2 at
 c = 0, refused as any pole is; the `classify` at a = 1.2 holds the PathError
 exit.  The two meshes
 and the five `verify` commands are held a second time with one CPU visible,
 which keeps all work in one process (dscat._worker): a serial run must write
-the bytes of a paired one.  The meshes pair the half paths of every
-refinement step; verify pairs them too and splits its battery, solved root
-or not.
+the bytes of a paired one.  The meshes pair the transfers of every
+refinement iterate and the DP5 half paths of the root; verify pairs them too
+and splits its battery, solved root or not.
 The recorded-line tests are skipped unless Python and numpy are the versions
 the file was recorded with, since other versions may round differently.
 """

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dscat import cli
+from dscat import _worker, cli
 from dscat import period as period_module
 from dscat.errors import (
     DegenerateDenominator,
@@ -21,9 +21,12 @@ from dscat.monodromy import assemble_monodromies, half_path_frames, period_value
 from dscat.curve import CurveParams
 from dscat.transport import DEFAULT_CONFIG, IntegratorConfig
 from dscat.period import (
+    TOL_C,
     _periods_at,
+    _periods_over,
     bracketed_root,
     gauged_residuals,
+    near,
     opposite_signs,
     refine_root,
     scan_c,
@@ -193,15 +196,10 @@ def test_scan_matches_a_tight_scan():
 
 
 def test_solve_integrates_each_c_once(monkeypatch):
-    seen = []
-
-    def counting(params, cfg=DEFAULT_CONFIG, paths=None):
-        seen.append(params.c)
-        return half_path_frames(params, cfg, paths)
-
-    monkeypatch.setattr(period_module, "half_path_frames", counting)
+    pairs, dp5 = count_evaluations(monkeypatch)
     sol = solve_at_bracket(2.0, (1.25, 1.29))
-    assert len(seen) == len(set(seen))
+    assert len(pairs) == len(set(pairs))
+    assert dp5 == [sol.c]
     # the frames handed on from refinement give what a fresh integration gives
     fresh = verify_solution(2.0, sol.c, sol.P)
     assert (fresh.f, fresh.su11_residual) == (sol.f, sol.su11_residual)
@@ -256,23 +254,43 @@ def test_refine_detects_pole_bracket(which, bracket):
 
 
 def test_a_vanished_denominator_at_an_iterate_loses_the_bracket(monkeypatch, capsys, tmp_path):
-    # DegenerateDenominator has no row in cli.EXIT_CODES, so it must not
-    # escape refinement: the bracket is lost at that c, which exits 4
+    # period_values marks a vanished denominator with NaN, and
+    # DegenerateDenominator has no row in cli.EXIT_CODES: neither may escape
+    # refinement, so the bracket is lost at that c, which exits 4
     tried = []
 
-    def vanishing(a, c, cfg, paths=None):
-        tried.append(c)
+    def vanishing(a, cs, cfg, paths):
+        tried.append(cs[0])
+        f1, f2, d1, d2 = _periods_over(a, cs, cfg, paths)
         if len(tried) == 4:  # the second iterate inside the crossing bracket
-            raise DegenerateDenominator("a period denominator vanished")
-        return _periods_at(a, c, cfg, paths)
+            f1, f2 = np.full(1, np.nan), np.full(1, np.nan)
+        return f1, f2, d1, d2
 
-    monkeypatch.setattr(period_module, "_periods_at", vanishing)
+    monkeypatch.setattr(period_module, "_periods_over", vanishing)
     with pytest.raises(LostBracket) as lost:
         refine_root(2.0, (1.25, 1.29))
     assert 1.25 < tried[3] < 1.29
     message = f"a period denominator vanished at c = {tried[3]}"
     assert str(lost.value) == message
     tried.clear()
+    out = tmp_path / "x.json"
+    assert cli.main(["solve", "--a", "2", "--c0", "1.25", "--c1", "1.29", "--json", str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: not admissible: {message}\n"
+
+
+def test_a_vanished_denominator_at_the_root_loses_the_bracket(monkeypatch, capsys, tmp_path):
+    # the DP5 evaluation that confirms c* loses the bracket as an iterate does
+    root = refine_root(2.0, (1.25, 1.29))
+
+    def vanishing(a, c, cfg, paths=None):
+        assert c == root.c
+        raise DegenerateDenominator("a period denominator vanished")
+
+    monkeypatch.setattr(period_module, "_periods_at", vanishing)
+    message = f"a period denominator vanished at c = {root.c}"
+    with pytest.raises(LostBracket, match=f"^{re.escape(message)}$"):
+        refine_root(2.0, (1.25, 1.29))
     out = tmp_path / "x.json"
     assert cli.main(["solve", "--a", "2", "--c0", "1.25", "--c1", "1.29", "--json", str(out)]) == 4
     assert not out.exists()
@@ -287,6 +305,7 @@ def test_refine_rejects_a_reversed_bracket(monkeypatch, bracket):
     def no_periods(*args):
         raise AssertionError("a period evaluation")
 
+    monkeypatch.setattr(period_module, "_periods_over", no_periods)
     monkeypatch.setattr(period_module, "_periods_at", no_periods)
     message = f"need lo <= hi, got bracket [{bracket[0]}, {bracket[1]}]"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -301,34 +320,82 @@ def test_refine_takes_a_zero_width_bracket():
         refine_root(2.0, (1.26, 1.26))
 
 
-def count_evaluations(monkeypatch) -> list:
-    """The c of each period evaluation of refine_root, in order."""
-    tried = []
+def count_evaluations(monkeypatch) -> tuple:
+    """The c of each transfer pair and of each DP5 evaluation of refine_root, in order."""
+    pairs, dp5 = [], []
 
-    def counting(a, c, cfg, paths=None):
-        tried.append(c)
+    def over(a, cs, cfg, paths):
+        [c] = cs
+        pairs.append(c)
+        return _periods_over(a, cs, cfg, paths)
+
+    def at(a, c, cfg, paths=None):
+        dp5.append(c)
         return _periods_at(a, c, cfg, paths)
 
-    monkeypatch.setattr(period_module, "_periods_at", counting)
-    return tried
+    monkeypatch.setattr(period_module, "_periods_over", over)
+    monkeypatch.setattr(period_module, "_periods_at", at)
+    return pairs, dp5
+
+
+# the benchmark's four admissible brackets at the default tol_c
+CROSSING_BRACKETS = [(-7.65, -7.58), (-4.10, -4.02), (-1.55, -1.50), (1.25, 1.29)]
+# the six pole brackets at a = 2, the pole of f2 at 0 last
+POLE_BRACKETS = [(-4.85, -4.75), (-0.56, -0.55), (0.75, 0.76), (-4.80, -4.79), (-1.70, -1.69),
+                 (-0.005, 0.005)]
 
 
 @pytest.mark.parametrize(
     "bracket, evaluations",
-    # the benchmark's four admissible brackets at the default tol_c, then the
-    # six pole brackets, the pole of f2 at 0 last, refused from their two ends
-    [((-7.65, -7.58), 31), ((-4.10, -4.02), 29), ((-1.55, -1.50), 31), ((1.25, 1.29), 28),
-     ((-4.85, -4.75), 2), ((-0.56, -0.55), 2), ((0.75, 0.76), 2), ((-4.80, -4.79), 2),
-     ((-1.70, -1.69), 2), ((-0.005, 0.005), 2)],
+    # (transfer pairs, DP5 evaluations): a pair per iterate and one DP5
+    # evaluation at the root, or the pole brackets refused from their two ends
+    list(zip(CROSSING_BRACKETS, [(30, 1), (31, 1), (30, 1), (26, 1)]))
+    + [(bracket, (2, 0)) for bracket in POLE_BRACKETS],
     ids=lambda v: str(v[0]) if isinstance(v, tuple) else None,
 )
 def test_refine_period_evaluations_per_bracket(monkeypatch, bracket, evaluations):
-    tried = count_evaluations(monkeypatch)
+    pairs, dp5 = count_evaluations(monkeypatch)
     try:
-        refine_root(2.0, bracket)
+        root = refine_root(2.0, bracket)
     except LostBracket:
-        assert evaluations == 2
-    assert len(tried) == evaluations
+        assert evaluations == (2, 0)
+    else:
+        assert dp5 == [root.c]
+    assert (len(pairs), len(dp5)) == evaluations
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    # the four crossing brackets, then near(c) of the five crossings at a = 2,
+    # the fourth with |f| < 1, then the pole brackets
+    [pytest.param(bracket, id=str(bracket)) for bracket in CROSSING_BRACKETS]
+    + [pytest.param(near(c), id=f"near({c})")
+       for c in (-7.6119, -4.06015, -1.526035, -0.05548, 1.26988)]
+    + [pytest.param(bracket, id=str(bracket)) for bracket in POLE_BRACKETS],
+)
+def test_refined_root_is_confirmed_on_dp5(monkeypatch, bracket):
+    # the iterates run on the Magnus kernel; c* agrees with the root that
+    # bracketed_root finds on DP5 (_periods_at) within TOL_C, and the DP5
+    # kernel integrates the half paths once, at c*, and not at a pole
+    def dp5_diff(c):
+        f1, f2, _ = _periods_at(2.0, c, DEFAULT_CONFIG)
+        return f1 - f2
+
+    integrated = []
+
+    def counting(params, cfg=DEFAULT_CONFIG, paths=None):
+        integrated.append(params.c)
+        return half_path_frames(params, cfg, paths)
+
+    monkeypatch.setattr(period_module, "half_path_frames", counting)
+    if bracket in POLE_BRACKETS:
+        with pytest.raises(LostBracket, match="holds a pole of"):
+            refine_root(2.0, bracket)
+        assert integrated == []
+        return
+    root = refine_root(2.0, bracket)
+    assert integrated == [root.c]
+    assert abs(root.c - bracketed_root(dp5_diff, *bracket, TOL_C)) <= TOL_C
 
 
 def test_refine_small_crossing_is_a_crossing():
@@ -347,23 +414,24 @@ def test_refine_rejects_a_bracket_containing_zero(monkeypatch, bracket):
     # end at c = 0 itself, where the frames are I, is refused by CurveParams
     # before any frame is integrated.
     lo, hi = bracket
-    tried = count_evaluations(monkeypatch)
+    pairs, dp5 = count_evaluations(monkeypatch)
 
     def no_frames(*args):
         raise AssertionError("a frame integration")
 
     if 0.0 in bracket:
-        monkeypatch.setattr(period_module, "half_path_frames", no_frames)
-        error, message, evaluations = DomainError, "coefficient c must be nonzero", 0
+        monkeypatch.setattr(_worker, "pair", no_frames)
+        error, message, evaluations = DomainError, "coefficient c must be nonzero", (0, 0)
     else:
-        error, evaluations = LostBracket, 2
+        error, evaluations = LostBracket, (2, 0)
         message = f"bracket [{lo}, {hi}] holds a pole of f2, not a crossing"
     for a in (1.5, 2.0, 3.0):
         for solve in (refine_root, solve_at_bracket):
-            tried.clear()
+            pairs.clear()
+            dp5.clear()
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 solve(a, bracket)
-            assert len(tried) == evaluations
+            assert (len(pairs), len(dp5)) == evaluations
 
 
 def test_solve_gauge_positive_branch():

@@ -366,8 +366,9 @@ def test_a_reply_cut_short_reads_as_a_dead_worker(monkeypatch):
 
 @two_cpus
 def test_the_worker_closes_its_pipe_ends(tmp_path):
-    # mesh first refines the root near c, its half paths in two processes,
-    # and at c = -3e5 an integration fails (exit 3); a pipe end left open in
+    # mesh first refines the root near c, its transfers in two processes,
+    # and at c = -3e5 the frame along c1 overflows and fails the drift check
+    # at the end of c1 for the bracket's low end (exit 3); a pipe end left open in
     # the worker would print "Exception ignored ... ResourceWarning" as the
     # worker exits, which -W error makes visible
     proc = subprocess.run(
@@ -377,5 +378,8 @@ def test_the_worker_closes_its_pipe_ends(tmp_path):
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 3
-    assert proc.stderr.startswith("error: integration failed: step size underflow at z = ")
+    assert proc.stderr.startswith(
+        "error: integration failed: scaled determinant drift nan at z = (1.5+0j) "
+        "for c = -300000.01\n"
+    )
     assert "Exception ignored" not in proc.stderr and "ResourceWarning" not in proc.stderr

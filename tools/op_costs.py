@@ -19,14 +19,17 @@ op time and the median time spent in each part:
                    moves a mesh's rings
   dp5_kernel       _rk.integrate_polyline, the scalar DP5 kernel of one c: half
                    paths, loops, end loops and sheet roots
+  magnus_kernel    transport.transfer, the Magnus kernel of the scan's blocks
+                   and of refinement's iterates
   _write_atomic    cli._write_atomic
   rest             the op's time less all the parts above
 
 Each part's time is its own: a part timed inside another counts once, in the
 inner part, so the parts and the rest add up to the op.  So a mesh op splits
-into its refinement (_worker.pair and period_values, with the scalar kernel's
-own time in dp5_kernel), its mesh (build_mesh and lane_kernel, with its sheet
-roots in dp5_kernel) and its output.  The benchmark's tracer does not see the
+into its refinement (_worker.pair and period_values, with the iterates' c2
+transfers in magnus_kernel and the DP5 half paths of the root in dp5_kernel),
+its mesh (build_mesh and lane_kernel, with its sheet roots in dp5_kernel) and
+its output.  The benchmark's tracer does not see the
 lane kernel; this does.  Times are wall times on this machine, not scaled to the
 benchmark's nominal speed.  Work done in the worker process is not timed: it
 shows as the caller's wait inside _worker.pair.
@@ -60,7 +63,7 @@ REPEATS = {"scan": 41, "solve": 9, "mesh": 9, "verify": 9}
 # Iterations of overlap's loop: about 0.1 s for one copy on a 2-vCPU x86 VM, Python 3.11.
 OVERLAP_LOOPS = 5_000_000
 PARTS = ("parser", "canonical_paths", "_worker.pair", "period_values", "build_mesh",
-         "lane_kernel", "dp5_kernel", "_write_atomic")
+         "lane_kernel", "dp5_kernel", "magnus_kernel", "_write_atomic")
 
 
 class Clock:
@@ -89,7 +92,7 @@ class Clock:
 def timing(clock: Clock):
     """Every binding of the parts' functions, in every dscat module and on
     ArgumentParser, replaced by clock's wrappers until exit."""
-    from dscat import _rk, _worker, cli, curve, geometry, monodromy
+    from dscat import _rk, _worker, cli, curve, geometry, monodromy, transport
 
     targets = [
         ("parser", cli.build_parser),
@@ -99,6 +102,7 @@ def timing(clock: Clock):
         ("build_mesh", geometry.build_mesh),
         ("lane_kernel", _rk.integrate_polyline_lanes),
         ("dp5_kernel", _rk.integrate_polyline),
+        ("magnus_kernel", transport.transfer),
         ("_write_atomic", cli._write_atomic),
     ]
     modules = [m for n, m in list(sys.modules.items()) if n == "dscat" or n.startswith("dscat.")]
